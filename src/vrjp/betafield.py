@@ -8,19 +8,27 @@ H_beta = 2 diag(beta) - P, positive definite on the support of the law.
 Sampling is exact and sequential: conditionally on the sites already drawn,
 one site's shifted potential x = 2 beta - P_kk follows a generalized inverse
 Gaussian law of index 1/2 with rate 1, and eliminating the site is a rank-one
-Schur update of (P, eta). Eliminating sites in index order over a row-major
-lattice box keeps the update banded, which is what makes large boxes cheap.
+Schur update of (P, eta). There are two implementations of this loop:
+
+- one elimination kernel for dense parameters, drawing a batch of fields at
+  once with the sample axis last; sample_batch is the kernel and
+  sample_sequential is its batch of one, so both give the same bits;
+- sample_banded for band-stored lattice boxes: eliminating sites in index
+  order over a row-major box keeps the update inside the band, which is what
+  makes large boxes cheap.
 """
 
 from __future__ import annotations
 
+import operator
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, FactorizationError
+from .errors import DomainError, FactorizationError, SizeError
 from .graphs import WeightedGraph, boundary_weights
 
 __all__ = [
@@ -195,6 +203,11 @@ def gig_half_sample(b: float, rng: np.random.Generator) -> float:
 
 
 def _gig_vec(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # Generator.wald with an array mean pays a fixed cost (argument checks,
+    # broadcasting) of over ten scalar draws per call; one sample takes the
+    # scalar draw, which consumes the rng alike and gives the same bits.
+    if b.size == 1:
+        return np.array([gig_half_sample(float(b[0]), rng)])
     out = np.empty(b.shape)
     pos = b > 0
     n_zero = int((~pos).sum())
@@ -223,6 +236,72 @@ def schur_step(params: NuParams, site: int, x: float) -> NuParams:
     return NuParams(p=p, eta=eta)
 
 
+def _physical_memory_bytes() -> Optional[int]:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _eliminate(
+    p: np.ndarray,
+    eta: np.ndarray,
+    n_samples: int,
+    rng: Optional[np.random.Generator],
+    order: Optional[Sequence[int]],
+) -> np.ndarray:
+    """Eliminate every site of (p, eta) in `order` for n_samples independent
+    fields at once; returns an (n_samples, n) array in vertex order.
+
+    The state is permuted to the elimination order once and held with the
+    sample axis last, so step k updates the trailing block p[k+1:, k+1:]
+    in place through one scratch array. The pivot row sum runs over axis 0
+    and the update is (col_i col_j) / x; with the draws taken in order this
+    reproduces the per-site loop bit for bit.
+    """
+    if rng is None:
+        raise DomainError("an rng is required")
+    n = p.shape[0]
+    if order is None:
+        order = range(n)
+    order = [int(k) for k in order]
+    if sorted(order) != list(range(n)):
+        raise DomainError("order must be a permutation of the vertices")
+    n_samples = operator.index(n_samples)
+    if n_samples < 0:
+        raise DomainError(f"sample count must be nonnegative, got {n_samples}")
+    need = 2 * n * n * n_samples * 8
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise SizeError(
+            f"{n_samples} samples on {n} sites need {need / 2**30:.1f} GiB of"
+            f" elimination state, more than the {have / 2**30:.1f} GiB of memory"
+        )
+    # The scratch comes first: allocated after the permuted copy's temporary
+    # is freed, glibc's adaptive mmap threshold put it on the heap, which kept
+    # its pages after return and raised later peaks (peak RSS) by its size.
+    scratch = np.empty(max(n - 1, 0) ** 2 * n_samples)
+    idx = np.array(order, dtype=int)
+    pw = np.broadcast_to(p[np.ix_(idx, idx)][:, :, None], (n, n, n_samples)).copy()
+    ew = np.broadcast_to(eta[idx][:, None], (n, n_samples)).copy()
+    beta = np.empty((n, n_samples))
+    for k in range(n):
+        col = pw[k + 1 :, k]
+        eta_hat = ew[k] + col.sum(axis=0)
+        x = _gig_vec(eta_hat**2, rng)
+        beta[k] = 0.5 * (x + pw[k, k])
+        r = n - 1 - k
+        if r:
+            t = scratch[: r * r * n_samples].reshape(r, r, n_samples)
+            np.multiply(col[:, None], col[None], out=t)
+            t /= x
+            pw[k + 1 :, k + 1 :] += t
+            ew[k + 1 :] += col * (ew[k] / x)
+    out = np.empty((n_samples, n))
+    out[:, idx] = beta.T
+    return out
+
+
 def sample_sequential(
     params: NuParams,
     order: Optional[Sequence[int]] = None,
@@ -234,27 +313,7 @@ def sample_sequential(
     shape of its one-site conditional; the draw then feeds a Schur update.
     The order changes cost (fill-in), never the law.
     """
-    if rng is None:
-        raise DomainError("an rng is required")
-    n = params.n
-    if order is None:
-        order = range(n)
-    order = [int(k) for k in order]
-    if sorted(order) != list(range(n)):
-        raise DomainError("order must be a permutation of the vertices")
-    p = params.p.copy()
-    eta = params.eta.copy()
-    beta = np.empty(n)
-    remaining = order[:]
-    for pos, k in enumerate(order):
-        rest = remaining[pos + 1 :]
-        eta_hat = eta[k] + p[k, rest].sum()
-        x = gig_half_sample(eta_hat**2, rng)
-        beta[k] = 0.5 * (x + p[k, k])
-        if rest:
-            col = p[rest, k]
-            p[np.ix_(rest, rest)] += np.outer(col, col) / x
-            eta[rest] += col * (eta[k] / x)
+    beta = _eliminate(params.p, params.eta, 1, rng, order)[0]
     return BetaSample(beta=beta, psd_certificate=spd_certificate(params.p, beta))
 
 
@@ -266,33 +325,13 @@ def sample_batch(
 ) -> np.ndarray:
     """Vectorized sample_sequential: returns an (n_samples, n) array.
 
-    Identical law to the scalar sampler; used wherever acceptance-scale Monte
-    Carlo needs 1e5+ independent fields on a small graph.
+    Identical law to the scalar sampler, and the same dense elimination
+    kernel: sample_sequential is this batch with one sample, so for a given
+    rng state both return the same bits. Used wherever acceptance-scale
+    Monte Carlo needs 1e5+ independent fields on a small graph; large
+    lattice boxes go through the band-storage sampler, sample_banded.
     """
-    n = params.n
-    if order is None:
-        order = range(n)
-    order = [int(k) for k in order]
-    if sorted(order) != list(range(n)):
-        raise DomainError("order must be a permutation of the vertices")
-    p = np.broadcast_to(params.p, (n_samples, n, n)).copy()
-    eta = np.broadcast_to(params.eta, (n_samples, n)).copy()
-    beta = np.empty((n_samples, n))
-    for pos, k in enumerate(order):
-        rest = np.array(order[pos + 1 :], dtype=int)
-        if rest.size:
-            eta_hat = eta[:, k] + p[:, k, :][:, rest].sum(axis=1)
-        else:
-            eta_hat = eta[:, k]
-        x = _gig_vec(eta_hat**2, rng)
-        beta[:, k] = 0.5 * (x + p[:, k, k])
-        if rest.size:
-            col = p[:, rest, k]
-            p[:, rest[:, None], rest[None, :]] += (
-                col[:, :, None] * col[:, None, :] / x[:, None, None]
-            )
-            eta[:, rest] += col * (eta[:, k] / x)[:, None]
-    return beta
+    return _eliminate(params.p, params.eta, n_samples, rng, order)
 
 
 def banded_coupling(g: WeightedGraph) -> Tuple[np.ndarray, int]:

@@ -41,7 +41,7 @@ from .errors import (
     NumericError,
     VrjpError,
 )
-from .graphs import WeightedGraph, build_lattice_box, load_graph, wire_restrict
+from .graphs import WeightedGraph, build_lattice_box, load_graph
 from .harness import (
     ExperimentConfig,
     conductance_ratio_experiment,

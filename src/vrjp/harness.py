@@ -29,7 +29,7 @@ from .betafield import (
     sample_sequential,
 )
 from .errors import ConfigError, CoverageError, DomainError, PreconditionError, TestError
-from .graphs import WeightedGraph, build_lattice_box, wire_restrict
+from .graphs import WeightedGraph, build_lattice_box
 from .processes import Trajectory, simulate_vrjp_lattice
 from .schrodinger import green_bundle
 from .streams import stream

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
@@ -152,12 +152,16 @@ def _box_subset(g: WeightedGraph, radius: int) -> List[int]:
 
 
 def _beta_chunks(
-    params: NuParams, n: int, rng: np.random.Generator, chunk: int = CHUNK
+    params: NuParams,
+    n: int,
+    rng: np.random.Generator,
+    chunk: int = CHUNK,
+    order: Optional[Sequence[int]] = None,
 ) -> Iterator[np.ndarray]:
     done = 0
     while done < n:
         c = min(chunk, n - done)
-        yield sample_batch(params, c, rng)
+        yield sample_batch(params, c, rng, order=order)
         done += c
 
 
@@ -253,13 +257,8 @@ def criterion_3(sizes: Sizes, seed: int) -> CheckResult:
     rng = stream(seed, "c3")
     # eliminate site 0 last so the test exercises the whole update chain
     order = [2, 1, 0]
-    vals = np.empty(sizes.n_c3)
-    done = 0
-    while done < sizes.n_c3:
-        c = min(CHUNK, sizes.n_c3 - done)
-        beta = sample_batch(params, c, rng, order=order)
-        vals[done : done + c] = 1.0 / (2.0 * beta[:, 0])
-        done += c
+    chunks = _beta_chunks(params, sizes.n_c3, rng, order=order)
+    vals = np.concatenate([1.0 / (2.0 * beta[:, 0]) for beta in chunks])
     w_i = float(g.weight_matrix()[0].sum())
     stat, p = stats.kstest(vals, lambda x: stats.invgauss.cdf(x, 1.0 / w_i, scale=1.0))
     ok = p > ALPHA

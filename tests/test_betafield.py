@@ -9,6 +9,7 @@ from scipy import stats
 from vrjp import (
     DomainError,
     NuParams,
+    SizeError,
     WeightedGraph,
     banded_coupling,
     build_lattice_box,
@@ -33,6 +34,7 @@ from _oracles import (
     gig_mean_quadrature,
     laplace_by_quadrature_single,
     pair_params,
+    reference_sample_batch,
     se,
     zscore,
 )
@@ -196,6 +198,10 @@ class TestSequentialSampler:
             sample_sequential(pair_params(1.0))
         with pytest.raises(DomainError):
             sample_sequential(pair_params(1.0), order=[0, 0], rng=stream(0))
+        with pytest.raises(DomainError):
+            sample_batch(pair_params(1.0), 10, None)
+        with pytest.raises(DomainError):
+            sample_batch(pair_params(1.0), 10, stream(0), order=[1])
 
     def test_single_vertex_marginal_is_inverse_gaussian(self):
         params = NuParams(p=np.zeros((1, 1)), eta=np.array([1.0]))
@@ -286,6 +292,46 @@ class TestSequentialSampler:
             lambda x: stats.invgauss.cdf(x, 1.0 / w_mid, scale=1.0),
         )
         assert p > ALPHA
+
+
+def _wired_box(dim: int, radius: int) -> NuParams:
+    g = build_lattice_box(dim, radius + 1)
+    return marginal_params(
+        g, [v for v in range(g.n) if int(np.abs(g.coords[v]).max()) <= radius]
+    )
+
+
+class TestEliminationKernel:
+    @pytest.mark.parametrize("dim,radius", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("n_samples", [1, 500])
+    def test_batch_matches_reference_loop(self, dim, radius, permuted, n_samples):
+        params = _wired_box(dim, radius)
+        assert params.n in (3, 9, 25)
+        order = None
+        if permuted:
+            order = stream(51, "kernel-order", params.n).permutation(params.n)
+        got = sample_batch(params, n_samples, stream(51, "kernel"), order=order)
+        want = reference_sample_batch(
+            params, n_samples, stream(51, "kernel"), order=order
+        )
+        np.testing.assert_array_equal(got, want)
+
+    def test_sequential_is_batch_of_one(self):
+        params = _wired_box(2, 2)
+        order = stream(51, "seq-order").permutation(params.n)
+        seq = sample_sequential(params, order, stream(51, "seq-one")).beta
+        batch = sample_batch(params, 1, stream(51, "seq-one"), order)[0]
+        np.testing.assert_array_equal(seq, batch)
+
+    def test_rejects_negative_sample_count(self):
+        with pytest.raises(DomainError):
+            sample_batch(pair_params(1.0), -3, stream(0))
+
+    def test_refuses_state_beyond_physical_memory(self):
+        # 2 * 25^2 * 10^12 * 8 bytes: refused before anything is allocated
+        with pytest.raises(SizeError):
+            sample_batch(_wired_box(2, 2), 10**12, stream(0))
 
 
 class TestBandedSampler:

@@ -408,6 +408,17 @@ class TestExitCodes:
         )
         assert rc == USAGE_EXIT
 
+    @pytest.mark.parametrize("count", ["-3", str(10**12)])
+    def test_unusable_sample_count_is_usage_error(self, tmp_path, count, capsys):
+        rc = main(
+            ["sample-beta", "--dim", "1", "--radius", "1", "--n", count,
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == USAGE_EXIT
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "sample" in err
+        assert not (tmp_path / "run" / "beta.csv").exists()
+
     def test_numeric_exit_is_distinct(self):
         assert NUMERIC_EXIT == 3
         assert USAGE_EXIT == 2
