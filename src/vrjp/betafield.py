@@ -8,14 +8,15 @@ H_beta = 2 diag(beta) - P, positive definite on the support of the law.
 Sampling is exact and sequential: conditionally on the sites already drawn,
 one site's shifted potential x = 2 beta - P_kk follows a generalized inverse
 Gaussian law of index 1/2 with rate 1, and eliminating the site is a rank-one
-Schur update of (P, eta). There are two implementations of this loop:
+Schur update of (P, eta). One loop, _schur_loop, runs this elimination over
+an upper triangle held with the sample axis last, in one of two storages:
 
-- one elimination kernel for dense parameters, drawing a batch of fields at
-  once with the sample axis last; sample_batch is the kernel and
-  sample_sequential is its batch of one, so both give the same bits;
-- sample_banded for band-stored lattice boxes: eliminating sites in index
-  order over a row-major box keeps the update inside the band, which is what
-  makes large boxes cheap.
+- dense: sample_batch permutes P to the elimination order and holds it as a
+  full square, drawing a batch of fields at once; sample_sequential is its
+  batch of one, so both give the same bits;
+- band: sample_banded holds a row-major lattice box by rows of its band.
+  Eliminating sites in index order keeps every update inside the band, which
+  is what makes large boxes cheap.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, FactorizationError, SizeError
+from .errors import DomainError, SizeError
 from .graphs import WeightedGraph, boundary_weights
 
 __all__ = [
@@ -236,11 +237,62 @@ def schur_step(params: NuParams, site: int, x: float) -> NuParams:
     return NuParams(p=p, eta=eta)
 
 
-def _physical_memory_bytes() -> Optional[int]:
+def _refuse_beyond_memory(need: int, what: str) -> None:
+    """Raise SizeError, before anything is allocated, when `need` bytes of
+    elimination state exceed the machine's physical memory."""
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
-        return None
+        return
+    if need > have:
+        raise SizeError(
+            f"{what} need {need / 2**30:.1f} GiB of elimination state, more"
+            f" than the {have / 2**30:.1f} GiB of memory"
+        )
+
+
+def _row_block(s: int) -> int:
+    """Rows per block of the trailing update for a batch of s samples.
+
+    Rows times samples stays near 64: enough that Python's per-block cost is
+    spread thin, few enough that the scratch stays small and diagonal blocks
+    waste little on the cells below their diagonal.
+    """
+    return max(1, 64 // max(s, 1))
+
+
+def _schur_loop(
+    v: np.ndarray, ew: np.ndarray, bw: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Eliminate the n sites of v in index order; returns beta as (n, S).
+
+    v is an (n, n, S) view with the sample axis last, of which only the
+    upper triangle within bandwidth bw has to hold P; ew is eta as (n, S).
+    Step k reads the pivot row v[k, k+1:k+1+m], draws the shifted potential
+    x, and adds (col_a col_b) / x to the upper triangle of the trailing block
+    in row blocks. A diagonal block also writes the cells below its diagonal,
+    so the storage must take those writes (a full square does, and band
+    storage keeps padding on the left for them). The update is symmetric bit
+    for bit, since a * b == b * a, so rows equal columns exactly.
+    """
+    n, _, s = v.shape
+    blk = _row_block(s)
+    scratch = np.empty(min(blk, bw) * bw * s)
+    beta = np.empty((n, s))
+    for k in range(n):
+        m = min(bw, n - 1 - k)
+        col = v[k, k + 1 : k + 1 + m]
+        eta_hat = ew[k] + col.sum(axis=0)
+        x = _gig_vec(eta_hat**2, rng)
+        beta[k] = 0.5 * (x + v[k, k])
+        for r0 in range(0, m, blk):
+            r1 = min(r0 + blk, m)
+            t = scratch[: (r1 - r0) * (m - r0) * s].reshape(r1 - r0, m - r0, s)
+            np.multiply(col[r0:r1, None], col[None, r0:], out=t)
+            t /= x
+            v[k + 1 + r0 : k + 1 + r1, k + 1 + r0 : k + 1 + m] += t
+        ew[k + 1 : k + 1 + m] += col * (ew[k] / x)
+    return beta
 
 
 def _eliminate(
@@ -253,11 +305,9 @@ def _eliminate(
     """Eliminate every site of (p, eta) in `order` for n_samples independent
     fields at once; returns an (n_samples, n) array in vertex order.
 
-    The state is permuted to the elimination order once and held with the
-    sample axis last, so step k updates the trailing block p[k+1:, k+1:]
-    in place through one scratch array. The pivot row sum runs over axis 0
-    and the update is (col_i col_j) / x; with the draws taken in order this
-    reproduces the per-site loop bit for bit.
+    The state is permuted to the elimination order once and held as a full
+    (n, n, S) square with the sample axis last, which is _schur_loop's dense
+    storage with bandwidth n - 1.
     """
     if rng is None:
         raise DomainError("an rng is required")
@@ -270,33 +320,16 @@ def _eliminate(
     n_samples = operator.index(n_samples)
     if n_samples < 0:
         raise DomainError(f"sample count must be nonnegative, got {n_samples}")
-    need = 2 * n * n * n_samples * 8
-    have = _physical_memory_bytes()
-    if have is not None and need > have:
-        raise SizeError(
-            f"{n_samples} samples on {n} sites need {need / 2**30:.1f} GiB of"
-            f" elimination state, more than the {have / 2**30:.1f} GiB of memory"
-        )
-    # The scratch comes first: allocated after the permuted copy's temporary
-    # is freed, glibc's adaptive mmap threshold put it on the heap, which kept
-    # its pages after return and raised later peaks (peak RSS) by its size.
-    scratch = np.empty(max(n - 1, 0) ** 2 * n_samples)
+    # the (n, n, S) state plus _schur_loop's row-block scratch
+    bw = max(n - 1, 0)
+    _refuse_beyond_memory(
+        (n * n + min(_row_block(n_samples), bw) * bw) * n_samples * 8,
+        f"{n_samples} samples on {n} sites",
+    )
     idx = np.array(order, dtype=int)
     pw = np.broadcast_to(p[np.ix_(idx, idx)][:, :, None], (n, n, n_samples)).copy()
     ew = np.broadcast_to(eta[idx][:, None], (n, n_samples)).copy()
-    beta = np.empty((n, n_samples))
-    for k in range(n):
-        col = pw[k + 1 :, k]
-        eta_hat = ew[k] + col.sum(axis=0)
-        x = _gig_vec(eta_hat**2, rng)
-        beta[k] = 0.5 * (x + pw[k, k])
-        r = n - 1 - k
-        if r:
-            t = scratch[: r * r * n_samples].reshape(r, r, n_samples)
-            np.multiply(col[:, None], col[None], out=t)
-            t /= x
-            pw[k + 1 :, k + 1 :] += t
-            ew[k + 1 :] += col * (ew[k] / x)
+    beta = _schur_loop(pw, ew, bw, rng)
     out = np.empty((n_samples, n))
     out[:, idx] = beta.T
     return out
@@ -352,33 +385,28 @@ def sample_banded(
     band: np.ndarray, eta: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Exact field sample from band-stored parameters, eliminating in index
-    order. Same law as sample_sequential, cost n * bw^2 instead of n^3."""
+    order. Same law as sample_sequential, cost n * bw^2 instead of n^3.
+
+    Runs the same elimination loop as the dense samplers on band storage:
+    row i holds P[i, i:i+bw+1] after zero columns that take the
+    below-diagonal writes of a diagonal row block, and a sheared view
+    presents it as the (n, n, 1) upper triangle.
+    """
     n, width = band.shape
     bw = width - 1
-    # extra rows so near-the-end updates need no branching
-    p = np.zeros((n + bw, width))
-    p[:n] = band
-    eta_w = np.zeros(n + bw)
-    eta_w[:n] = np.asarray(eta, dtype=float)
-    beta = np.empty(n)
-    for k in range(n):
-        m = min(bw, n - 1 - k)
-        col = p[k, 1 : m + 1]
-        eta_hat = eta_w[k] + col.sum()
-        x = gig_half_sample(eta_hat**2, rng)
-        beta[k] = 0.5 * (x + p[k, 0])
-        if m > 0:
-            outer = np.outer(col, col) / x
-            padded = np.zeros((m, 2 * m))
-            padded[:, :m] = outer
-            s0, s1 = padded.strides
-            skew = np.lib.stride_tricks.as_strided(
-                padded, shape=(m, m), strides=(s0 + s1, s1)
-            )
-            # skew[a, d] = outer[a, a+d]: the (k+1+a, k+1+a+d) update
-            p[k + 1 : k + 1 + m, :m] += skew
-            eta_w[k + 1 : k + 1 + m] += col * (eta_w[k] / x)
-    return beta
+    pad = max(min(_row_block(1), bw) - 1, 0)
+    _refuse_beyond_memory(
+        n * (pad + width) * 8, f"{n} band-stored sites at bandwidth {bw}"
+    )
+    sh = np.zeros((n, pad + width, 1))
+    sh[:, pad:, 0] = band
+    s0, s1, s2 = sh.strides
+    # v[i, j] = sh[i, pad + j - i] = P[i, j] for 0 <= j - i <= bw
+    v = np.lib.stride_tricks.as_strided(
+        sh[:, pad:], shape=(n, n, 1), strides=(s0 - s1, s1, s2)
+    )
+    ew = np.broadcast_to(np.asarray(eta, dtype=float), (n,))[:, None].copy()
+    return _schur_loop(v, ew, bw, rng)[:, 0]
 
 
 def sample_errw_env(

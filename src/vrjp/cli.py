@@ -89,6 +89,7 @@ class RunManifest:
 
     def write(self, outdir: Path) -> None:
         self.finished = datetime.now(timezone.utc).isoformat()
+        outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "manifest.json").write_text(
             json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
         )
@@ -99,13 +100,16 @@ def _now() -> str:
 
 
 def _outdir(args) -> Path:
-    out = args.out or os.environ.get("VRJP_OUT") or "vrjp-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory; the writers below create it, so a command that
+    is refused before it writes anything leaves no directory behind."""
+    path = Path(args.out or os.environ.get("VRJP_OUT") or "vrjp-out")
+    if path.exists() and not path.is_dir():
+        raise ConfigError(f"output path is not a directory: {path}")
     return path
 
 
 def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[Dict]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
@@ -114,6 +118,7 @@ def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[Dict]) -> N
 
 
 def _write_json_summary(outdir: Path, payload: Dict[str, object]) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "summary.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate
 
-from vrjp import NuParams, WeightedGraph, density, q_density
+from vrjp import NuParams, WeightedGraph, density, gig_half_sample, q_density
 
 SE_RULE = 4.0
 ALPHA = 0.01
@@ -146,4 +146,36 @@ def reference_sample_batch(params: NuParams, n_samples: int, rng, order=None):
                 col[:, :, None] * col[:, None, :] / x[:, None, None]
             )
             eta[:, rest] += col * (eta[:, k] / x)[:, None]
+    return beta
+
+
+def reference_sample_banded(band: np.ndarray, eta: np.ndarray, rng) -> np.ndarray:
+    """Band-storage elimination in index order with a per-site outer product
+    written through a skewed view: the loop the band sampler must match bit
+    for bit, draw for draw."""
+    n, width = band.shape
+    bw = width - 1
+    # extra rows so near-the-end updates need no branching
+    p = np.zeros((n + bw, width))
+    p[:n] = band
+    eta_w = np.zeros(n + bw)
+    eta_w[:n] = np.asarray(eta, dtype=float)
+    beta = np.empty(n)
+    for k in range(n):
+        m = min(bw, n - 1 - k)
+        col = p[k, 1 : m + 1]
+        eta_hat = eta_w[k] + col.sum()
+        x = gig_half_sample(eta_hat**2, rng)
+        beta[k] = 0.5 * (x + p[k, 0])
+        if m > 0:
+            outer = np.outer(col, col) / x
+            padded = np.zeros((m, 2 * m))
+            padded[:, :m] = outer
+            s0, s1 = padded.strides
+            skew = np.lib.stride_tricks.as_strided(
+                padded, shape=(m, m), strides=(s0 + s1, s1)
+            )
+            # skew[a, d] = outer[a, a+d]: the (k+1+a, k+1+a+d) update
+            p[k + 1 : k + 1 + m, :m] += skew
+            eta_w[k + 1 : k + 1 + m] += col * (eta_w[k] / x)
     return beta

@@ -34,6 +34,7 @@ from _oracles import (
     gig_mean_quadrature,
     laplace_by_quadrature_single,
     pair_params,
+    reference_sample_banded,
     reference_sample_batch,
     se,
     zscore,
@@ -328,8 +329,17 @@ class TestEliminationKernel:
         with pytest.raises(DomainError):
             sample_batch(pair_params(1.0), -3, stream(0))
 
+    @pytest.mark.parametrize("n_samples", [1, 2, 7])
+    def test_row_blocks_match_reference_loop(self, n_samples):
+        # m = 81: row blocks of 64, 32 and 9, each with a partial last block
+        params = _wired_box(2, 4)
+        assert params.n == 81
+        got = sample_batch(params, n_samples, stream(52, "blocks"))
+        want = reference_sample_batch(params, n_samples, stream(52, "blocks"))
+        np.testing.assert_array_equal(got, want)
+
     def test_refuses_state_beyond_physical_memory(self):
-        # 2 * 25^2 * 10^12 * 8 bytes: refused before anything is allocated
+        # 25^2 * 10^12 * 8 bytes: refused before anything is allocated
         with pytest.raises(SizeError):
             sample_batch(_wired_box(2, 2), 10**12, stream(0))
 
@@ -344,6 +354,27 @@ class TestBandedSampler:
             for d in range(bw + 1):
                 if i + d < g.n:
                     assert band[i, d] == w[i, i + d]
+
+    @pytest.mark.parametrize(
+        "dim,radius,bw", [(1, 4, 1), (2, 2, 5), (2, 8, 17), (2, 12, 25), (3, 4, 81)]
+    )
+    def test_matches_reference_loop(self, dim, radius, bw):
+        # bw 81 has 729 sites: one row block of 64 plus a partial block
+        g = build_lattice_box(dim, radius, 0.7)
+        band, got_bw = banded_coupling(g)
+        assert got_bw == bw
+        degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
+        eta = 0.7 * (2 * dim - degrees)
+        got = sample_banded(band, eta, stream(53, "banded", bw))
+        want = reference_sample_banded(band, eta, stream(53, "banded", bw))
+        np.testing.assert_array_equal(got, want)
+
+    def test_refuses_storage_beyond_physical_memory(self):
+        # 10^7 sites at bandwidth 9999: zero-stride inputs, nothing allocated
+        band = np.broadcast_to(np.zeros(1), (10**7, 10**4))
+        eta = np.broadcast_to(np.zeros(1), (10**7,))
+        with pytest.raises(SizeError):
+            sample_banded(band, eta, stream(0))
 
     def test_banded_law_matches_closed_form(self):
         g = build_lattice_box(1, 2)

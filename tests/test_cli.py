@@ -455,3 +455,22 @@ class TestOutputDirectory:
         )
         assert rc == 0
         assert (tmp_path / "vrjp-out" / "beta.csv").exists()
+
+    def test_refused_command_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "refused"
+        rc = main(
+            ["sample-beta", "--dim", "1", "--radius", "1", "--n", "-3",
+             "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert not out.exists()
+
+    def test_output_path_that_is_a_file_is_usage_error(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(
+            ["sample-beta", "--dim", "1", "--radius", "1", "--n", "3",
+             "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert out.read_text() == ""
