@@ -22,15 +22,14 @@ an upper triangle held with the sample axis last, in one of two storages:
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, SizeError
-from .graphs import WeightedGraph, boundary_weights
+from .errors import DomainError
+from .graphs import WeightedGraph, _refuse_beyond_memory, boundary_weights
 
 __all__ = [
     "NuParams",
@@ -47,6 +46,7 @@ __all__ = [
     "banded_coupling",
     "sample_errw_env",
     "spd_certificate",
+    "h_beta",
 ]
 
 PIVOT_RTOL = 1e-12
@@ -137,12 +137,26 @@ def _chol_pivots_ok(h: np.ndarray, chol: np.ndarray) -> bool:
     return bool((d >= PIVOT_RTOL * scale).all())
 
 
+def h_beta(p: np.ndarray, beta) -> np.ndarray:
+    """The operator H_beta = 2 diag(beta) - p, one (m, m) matrix for each
+    environment of a beta of shape (..., m).
+
+    The only place that writes 2 beta onto an operator diagonal: it adds to
+    the diagonal of p rather than overwriting it, so a coupling matrix with
+    a nonzero diagonal (a Schur complement, say) keeps its P_kk.
+    """
+    p = np.asarray(p, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    h = np.broadcast_to(-p, beta.shape[:-1] + p.shape).copy()
+    d = np.arange(p.shape[0])
+    h[..., d, d] += 2.0 * beta
+    return h
+
+
 def spd_certificate(p: np.ndarray, beta: np.ndarray) -> bool:
     """True when H_beta = 2 diag(beta) - p factors as SPD with a relative
     pivot threshold of 1e-12."""
-    h = -np.asarray(p, dtype=float).copy()
-    idx = np.arange(h.shape[0])
-    h[idx, idx] += 2.0 * np.asarray(beta, dtype=float)
+    h = h_beta(p, beta)
     try:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -161,9 +175,7 @@ def log_density(params: NuParams, beta: np.ndarray) -> float:
     if not np.isfinite(beta).all():
         raise DomainError("beta must be finite")
     n = params.n
-    h = -params.p.copy()
-    idx = np.arange(n)
-    h[idx, idx] += 2.0 * beta
+    h = h_beta(params.p, beta)
     try:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -235,20 +247,6 @@ def schur_step(params: NuParams, site: int, x: float) -> NuParams:
     p = params.p[np.ix_(keep, keep)] + np.outer(col, col) / x
     eta = params.eta[keep] + col * (params.eta[site] / x)
     return NuParams(p=p, eta=eta)
-
-
-def _refuse_beyond_memory(need: int, what: str) -> None:
-    """Raise SizeError, before anything is allocated, when `need` bytes of
-    elimination state exceed the machine's physical memory."""
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return
-    if need > have:
-        raise SizeError(
-            f"{what} need {need / 2**30:.1f} GiB of elimination state, more"
-            f" than the {have / 2**30:.1f} GiB of memory"
-        )
 
 
 def _row_block(s: int) -> int:
@@ -324,7 +322,7 @@ def _eliminate(
     bw = max(n - 1, 0)
     _refuse_beyond_memory(
         (n * n + min(_row_block(n_samples), bw) * bw) * n_samples * 8,
-        f"{n_samples} samples on {n} sites",
+        f"the elimination state of {n_samples} samples on {n} sites",
     )
     idx = np.array(order, dtype=int)
     pw = np.broadcast_to(p[np.ix_(idx, idx)][:, :, None], (n, n, n_samples)).copy()
@@ -396,7 +394,7 @@ def sample_banded(
     bw = width - 1
     pad = max(min(_row_block(1), bw) - 1, 0)
     _refuse_beyond_memory(
-        n * (pad + width) * 8, f"{n} band-stored sites at bandwidth {bw}"
+        n * (pad + width) * 8, f"band storage of {n} sites at bandwidth {bw}"
     )
     sh = np.zeros((n, pad + width, 1))
     sh[:, pad:, 0] = band

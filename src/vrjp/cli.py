@@ -215,7 +215,7 @@ def _cmd_green(args) -> int:
         }
     )
     _write_csv(outdir / "green.csv", fields, rows)
-    report = check_identities(bundle, g, beta)
+    report = check_identities(bundle, beta)
     _write_json_summary(
         outdir,
         {
@@ -334,9 +334,7 @@ def _cmd_verify(args) -> int:
     outdir = _outdir(args)
     tier = "full" if args.full else "quick"
     only = [int(x) for x in args.only.split(",")] if args.only else None
-    results = run_suite(
-        tier=tier, seed=args.seed, parallelism=args.parallelism, only=only
-    )
+    results = run_suite(tier=tier, seed=args.seed, only=only)
     for res in results:
         print(res.line())
     # wall-clock timings stay out of the data files so reruns are
@@ -529,7 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tier.add_argument("--quick", action="store_true", default=True)
     tier.add_argument("--full", action="store_true", default=False)
     sp.add_argument("--only", type=str, default=None, help="comma-separated ids")
-    sp.add_argument("--parallelism", type=int, default=1)
     common(sp, seed_default=DEFAULT_SEED)
     sp.set_defaults(func=_cmd_verify)
 

@@ -13,6 +13,7 @@ test oracle for Green-function path sums; production code never enumerates.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -37,6 +38,20 @@ __all__ = [
 
 PATH_CAP_DEFAULT = 12
 MAX_VERTICES_DEFAULT = 2_000_000
+
+
+def _refuse_beyond_memory(need: int, what: str) -> None:
+    """Raise SizeError, before anything is allocated, when `need` bytes
+    exceed the machine's physical memory."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if need > have:
+        raise SizeError(
+            f"{what} needs {need / 2**30:.1f} GiB, more than the"
+            f" {have / 2**30:.1f} GiB of memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,7 +111,15 @@ class WeightedGraph:
         return np.asarray(self.coords, dtype=np.int64)
 
     def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric matrix of conductances (zero diagonal)."""
+        """Dense symmetric matrix of conductances (zero diagonal).
+
+        Every dense operator on the graph starts here, so a graph whose n x n
+        matrix would not fit in physical memory is refused with SizeError
+        before anything is allocated.
+        """
+        _refuse_beyond_memory(
+            self.n * self.n * 8, f"the weight matrix of {self.n} vertices"
+        )
         w = np.zeros((self.n, self.n))
         for i, j, x in self.edges:
             w[i, j] = x

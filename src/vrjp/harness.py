@@ -12,9 +12,8 @@ Closed-form-vs-Monte-Carlo comparisons elsewhere in the package use the
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy import stats
@@ -30,8 +29,8 @@ from .betafield import (
 )
 from .errors import ConfigError, CoverageError, DomainError, PreconditionError, TestError
 from .graphs import WeightedGraph, build_lattice_box
-from .processes import Trajectory, simulate_vrjp_lattice
-from .schrodinger import green_bundle
+from .processes import simulate_vrjp_lattice
+from .schrodinger import green_bundle, green_solve
 from .streams import stream
 
 __all__ = [
@@ -88,7 +87,6 @@ _CONFIG_KEYS = {
     "n_walks",
     "length",
     "seed",
-    "parallelism",
     "i0",
     "i",
     "j",
@@ -101,7 +99,6 @@ class ExperimentConfig:
 
     experiment: str
     seed: int = 0
-    parallelism: int = 1
     params: Dict[str, object] = field(default_factory=dict)
 
     @classmethod
@@ -112,27 +109,11 @@ class ExperimentConfig:
         if "experiment" not in raw:
             raise ConfigError("config needs an 'experiment' name")
         seed = int(raw.get("seed", 0))
-        parallelism = int(raw.get("parallelism", 1))
-        if parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        params = {
-            k: v
-            for k, v in raw.items()
-            if k not in ("experiment", "seed", "parallelism")
-        }
-        return cls(
-            experiment=str(raw["experiment"]),
-            seed=seed,
-            parallelism=parallelism,
-            params=params,
-        )
+        params = {k: v for k, v in raw.items() if k not in ("experiment", "seed")}
+        return cls(experiment=str(raw["experiment"]), seed=seed, params=params)
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "parallelism": self.parallelism,
-        }
+        out: Dict[str, object] = {"experiment": self.experiment, "seed": self.seed}
         out.update(self.params)
         return out
 
@@ -141,14 +122,13 @@ def run_replicas(
     task: Callable[[np.random.Generator], float],
     n: int,
     seed: int,
-    parallelism: int = 1,
     name: str = "replicas",
 ) -> EstimatorReport:
     """Run a pure sampling task across n replica streams.
 
     Each replica gets the stream keyed by its index, so the report is
-    bit-identical for fixed (seed, n) regardless of parallelism. Task
-    failures carry the replica index.
+    bit-identical for fixed (seed, n). Task failures carry the replica
+    index.
     """
     if n < 1:
         raise DomainError("need at least one replica")
@@ -159,11 +139,7 @@ def run_replicas(
         except Exception as exc:
             raise RuntimeError(f"replica {k} failed: {exc}") from exc
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            values = np.fromiter(pool.map(one, range(n)), dtype=float, count=n)
-    else:
-        values = np.fromiter(map(one, range(n)), dtype=float, count=n)
+    values = np.fromiter(map(one, range(n)), dtype=float, count=n)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     qs = np.quantile(values, [0.25, 0.5, 0.75]) if n > 1 else [mean] * 3
@@ -420,12 +396,7 @@ def rooted_u_samples(
     w = g.weight_matrix()
     params = NuParams(p=w[np.ix_(keep, keep)], eta=w[keep, int(i0)])
     beta = sample_batch(params, n_samples, rng)
-    m = len(keep)
-    h = np.broadcast_to(-params.p, (n_samples, m, m)).copy()
-    di = np.arange(m)
-    h[:, di, di] = 2.0 * beta
-    rhs = np.broadcast_to(params.eta, (n_samples, m))[..., None]
-    psi = np.linalg.solve(h, rhs)[..., 0]
+    psi = green_solve(params.p, beta, params.eta)
     u = np.zeros((n_samples, g.n))
     u[:, keep] = np.log(psi)
     return u

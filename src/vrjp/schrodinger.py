@@ -1,24 +1,32 @@
-"""Operator assembly, restricted Green functions, the boundary field psi,
-the full kernel with its independent Gamma(1/2) coupling, u-fields, path-sum
-oracles, and spectral diagnostics.
+"""The operator H_beta = 2 diag(beta) - W on a graph, its restricted Green
+functions, the boundary field psi, the full kernel with its independent
+Gamma(1/2) coupling, u-fields, path-sum oracles, and spectral diagnostics.
 
-Production Green functions always come from symmetric positive definite
-solves; the factorization doubles as the positivity certificate. Truncated
-path sums converge far too slowly for production and exist only as
-independent oracles for tests.
+H is formed in one place, betafield.h_beta, and every H below comes from it.
+Green functions come from one of two dense solves:
+
+- green_solve applies Ghat_beta to a few right-hand sides for a whole batch
+  of environments at once, through one LU solve per environment; batched
+  Monte Carlo asks only for the columns it reads, never for the inverse;
+- green_bundle and u_field factor the H of a single environment by
+  Cholesky, and the factorization doubles as the positivity certificate
+  (a failure raises FactorizationError).
+
+Operators are dense arrays; there is no sparse route. A graph too large for
+its dense matrix is refused with SizeError before anything is allocated
+(WeightedGraph.weight_matrix). Truncated path sums converge far too slowly
+for production and exist only as independent oracles for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .betafield import BetaSample
+from .betafield import BetaSample, h_beta, marginal_params
 from .errors import (
     DomainError,
     FactorizationError,
@@ -28,16 +36,15 @@ from .errors import (
 from .graphs import (
     PATH_CAP_DEFAULT,
     WeightedGraph,
-    boundary_weights,
     enumerate_paths,
     path_beta_factor,
     path_weight,
 )
 
 __all__ = [
-    "Operator",
     "GreenBundle",
     "assemble_H",
+    "green_solve",
     "green_bundle",
     "u_field",
     "truncated_green_pathsum",
@@ -47,27 +54,6 @@ __all__ = [
     "IdentityReport",
 ]
 
-DENSE_LIMIT = 1000
-
-
-@dataclass(frozen=True)
-class Operator:
-    """The operator 2 diag(beta) - P; dense for small vertex sets, sparse
-    beyond DENSE_LIMIT."""
-
-    h: Union[np.ndarray, scipy.sparse.csr_matrix]
-
-    @property
-    def is_sparse(self) -> bool:
-        return scipy.sparse.issparse(self.h)
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return self.h.toarray() if self.is_sparse else self.h
-
 
 def _beta_vector(beta) -> np.ndarray:
     if isinstance(beta, BetaSample):
@@ -75,29 +61,30 @@ def _beta_vector(beta) -> np.ndarray:
     return np.asarray(beta, dtype=float)
 
 
-def assemble_H(g: WeightedGraph, beta) -> Operator:
-    """Matrix with 2 beta_i on the diagonal and -W_ij off it."""
+def assemble_H(g: WeightedGraph, beta) -> np.ndarray:
+    """The dense operator: 2 beta_i on the diagonal and -W_ij off it."""
     b = _beta_vector(beta)
     if b.shape != (g.n,):
         raise DomainError("beta length must match vertex count")
-    if g.n <= DENSE_LIMIT:
-        h = np.zeros((g.n, g.n))
-        for i, j, w in g.edges:
-            h[i, j] = -w
-            h[j, i] = -w
-        idx = np.arange(g.n)
-        h[idx, idx] = 2.0 * b
-        return Operator(h=h)
-    rows, cols, vals = [], [], []
-    for i, j, w in g.edges:
-        rows += [i, j]
-        cols += [j, i]
-        vals += [-w, -w]
-    rows += list(range(g.n))
-    cols += list(range(g.n))
-    vals += list(2.0 * b)
-    h = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    return Operator(h=h)
+    return h_beta(g.weight_matrix(), b)
+
+
+def green_solve(p: np.ndarray, beta, rhs) -> np.ndarray:
+    """Ghat_beta rhs, the inverse of H_beta = 2 diag(beta) - p applied to
+    rhs, for every environment of a beta of shape (..., m).
+
+    rhs has shape (m,) or (m, k); the result has shape (..., m) or
+    (..., m, k). One LU solve per environment, with no positivity check:
+    callers pass draws of the law, for which H is positive definite.
+    """
+    h = h_beta(p, beta)
+    rhs = np.asarray(rhs, dtype=float)
+    m = h.shape[-1]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != m:
+        raise DomainError(f"right-hand side must have shape ({m},) or ({m}, k)")
+    cols = rhs if rhs.ndim == 2 else rhs[:, None]
+    out = np.linalg.solve(h, np.broadcast_to(cols, h.shape[:-1] + cols.shape[1:]))
+    return out if rhs.ndim == 2 else out[..., 0]
 
 
 @dataclass(frozen=True)
@@ -186,16 +173,11 @@ def green_bundle(
     b = _beta_vector(beta)
     if b.shape != (m,):
         raise DomainError("beta length must match subset size")
-    eta = boundary_weights(g, subset)
+    params = marginal_params(g, subset)
+    eta = params.eta
     if not eta.any():
         raise RestrictionError("subset has empty boundary weight vector")
-    w = g.weight_matrix()
-    idx = np.array(subset)
-    w_in = w[np.ix_(idx, idx)]
-    h_in = -w_in.copy()
-    di = np.arange(m)
-    h_in[di, di] += 2.0 * b
-    factor = _spd_factor(h_in, "restricted operator block")
+    factor = _spd_factor(h_beta(params.p, b), "restricted operator block")
     hat_g = scipy.linalg.cho_solve(factor, np.eye(m))
     hat_g = 0.5 * (hat_g + hat_g.T)
     psi = scipy.linalg.cho_solve(factor, eta)
@@ -209,7 +191,7 @@ def green_bundle(
     beta_delta = 0.5 * float(eta @ psi) + gamma
 
     w_wired = np.zeros((m + 1, m + 1))
-    w_wired[:m, :m] = w_in
+    w_wired[:m, :m] = params.p
     w_wired[:m, m] = eta
     w_wired[m, :m] = eta
 
@@ -234,8 +216,7 @@ def u_field(g: WeightedGraph, beta, i0: int) -> np.ndarray:
     """u(i0, .) = log G(i0, .) - log G(i0, i0) on a full finite graph, with
     G the inverse of the assembled operator."""
     b = _beta_vector(beta)
-    h = assemble_H(g, b).dense()
-    factor = _spd_factor(h, "operator")
+    factor = _spd_factor(assemble_H(g, b), "operator")
     e = np.zeros(g.n)
     e[int(i0)] = 1.0
     col = scipy.linalg.cho_solve(factor, e)
@@ -303,22 +284,12 @@ def q_density(g: WeightedGraph, u: np.ndarray, i0: int) -> float:
     return float(np.exp(log_val))
 
 
-def spectrum_bottom(h: Union[Operator, np.ndarray], tol: float = 1e-8) -> float:
-    """Smallest eigenvalue; dense solve below the size cutoff, Lanczos above."""
-    op = h if isinstance(h, Operator) else Operator(h=np.asarray(h, dtype=float))
-    if not op.is_sparse:
-        mat = op.h
-        if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12):
-            raise DomainError("operator must be symmetric")
-        return float(np.linalg.eigvalsh(mat)[0])
-    try:
-        vals = scipy.sparse.linalg.eigsh(
-            op.h, k=1, which="SA", tol=tol, maxiter=op.n * 200,
-            return_eigenvectors=False,
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NumericError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return float(vals[0])
+def spectrum_bottom(h: np.ndarray) -> float:
+    """Smallest eigenvalue of a dense symmetric operator."""
+    mat = np.asarray(h, dtype=float)
+    if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12):
+        raise DomainError("operator must be symmetric")
+    return float(np.linalg.eigvalsh(mat)[0])
 
 
 @dataclass(frozen=True)
@@ -346,7 +317,7 @@ class IdentityReport:
 
 
 def check_identities(
-    bundle: GreenBundle, g: WeightedGraph, beta, i0: Optional[int] = None
+    bundle: GreenBundle, beta, i0: Optional[int] = None
 ) -> IdentityReport:
     """Recompute the bundle's defining identities and report residuals.
 
@@ -363,10 +334,6 @@ def check_identities(
     w_in = bundle.w_wired[:m, :m]
     eta = bundle.boundary_eta
 
-    h_in = -w_in.copy()
-    di = np.arange(m)
-    h_in[di, di] += 2.0 * b
-
     def rel(err, scale):
         return float(err / max(scale, 1e-300))
 
@@ -376,13 +343,10 @@ def check_identities(
         err = np.abs(a @ x - np.eye(a.shape[0])).max()
         return rel(err, max(np.abs(a).max() * np.abs(x).max(), 1.0))
 
-    r_hg = inv_resid(h_in, bundle.hat_g)
+    r_hg = inv_resid(h_beta(w_in, b), bundle.hat_g)
 
     beta_ext = bundle.beta_ext(b)
-    h_wired = -bundle.w_wired.copy()
-    dj = np.arange(m + 1)
-    h_wired[dj, dj] += 2.0 * beta_ext
-    r_full = inv_resid(h_wired, bundle.full_g)
+    r_full = inv_resid(h_beta(bundle.w_wired, beta_ext), bundle.full_g)
 
     resid = 2.0 * b * bundle.psi - w_in @ bundle.psi - eta
     r_harm = rel(np.abs(resid).max(), max(np.abs(eta).max(), 1.0))

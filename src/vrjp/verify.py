@@ -50,7 +50,7 @@ from .processes import (
     mc_return_probability,
     vrjp_words,
 )
-from .schrodinger import check_identities, green_bundle
+from .schrodinger import check_identities, green_bundle, green_solve
 from .streams import stream
 
 __all__ = ["CheckResult", "Sizes", "QUICK", "FULL", "run_suite", "CRITERIA"]
@@ -197,7 +197,7 @@ def criterion_1(sizes: Sizes, seed: int) -> CheckResult:
         beta = sample_sequential(params, None, rng).beta
         gamma = float(rng.gamma(0.5, 1.0))
         bundle = green_bundle(g, beta, subset, gamma, i0=center)
-        rep = check_identities(bundle, g, beta, i0=center)
+        rep = check_identities(bundle, beta, i0=center)
         for key, val in asdict(rep).items():
             worst[key] = max(worst.get(key, 0.0), val)
     ok = max(worst.values()) <= 1e-9
@@ -367,18 +367,19 @@ def criterion_6(sizes: Sizes, seed: int) -> CheckResult:
     psi_k = np.empty(sizes.n_c6)
     bracket = np.empty(sizes.n_c6)
     done = 0
-    w1 = params1.p
-    di = np.arange(m1)
+    # columns psi = Ghat eta and Ghat e_corner, whose center entry is
+    # Ghat(center, corner)
+    e_corner = np.zeros(m1)
+    e_corner[corner] = 1.0
+    core_rhs = np.stack([eta1, e_corner], axis=1)
     for beta in _beta_chunks(params1, sizes.n_c6, rng):
         c = beta.shape[0]
-        h = np.broadcast_to(-w1, (c, m1, m1)).copy()
-        h[:, di, di] = 2.0 * beta
-        ghat = np.linalg.inv(h)
-        psi = ghat @ eta1
+        cols = green_solve(params1.p, beta, core_rhs)
+        psi = cols[..., 0]
         psi_c[done : done + c] = psi[:, center]
         psi_k[done : done + c] = psi[:, corner]
         bracket[done : done + c] = (
-            psi[:, center] * psi[:, corner] - ghat[:, center, corner] - 1.0
+            psi[:, center] * psi[:, corner] - cols[:, center, 1] - 1.0
         )
         done += c
     z_mean = max(
@@ -389,28 +390,20 @@ def criterion_6(sizes: Sizes, seed: int) -> CheckResult:
     # (b) paired exponential functional across the 3x3 -> 5x5 increment
     rng_b = stream(seed, "c6-increment")
     lam_small = stream(seed, "c6-lam").uniform(0.05, 0.4, m1)
-    m2 = len(v2)
-    w2 = params2.p
-    di2 = np.arange(m2)
+    # lam_small scattered to the core's places in the 5x5 box, so that the
+    # core block's quadratic form is z . Ghat z
+    z = np.zeros(len(v2))
+    z[pos] = lam_small
+    rhs2 = np.stack([eta2, z], axis=1)
+    rhs1 = np.stack([eta1, lam_small], axis=1)
     diff = np.empty(sizes.n_c6b)
     done = 0
     for beta2 in _beta_chunks(params2, sizes.n_c6b, rng_b):
         c = beta2.shape[0]
-        h2 = np.broadcast_to(-w2, (c, m2, m2)).copy()
-        h2[:, di2, di2] = 2.0 * beta2
-        g2 = np.linalg.inv(h2)
-        psi2 = g2 @ eta2
-        quad2 = np.einsum(
-            "i,nij,j->n", lam_small, g2[:, pos[:, None], pos[None, :]], lam_small
-        )
-        x = np.exp(-psi2[:, pos] @ lam_small - 0.5 * quad2)
-        beta1 = beta2[:, pos]
-        h1 = np.broadcast_to(-w1, (c, m1, m1)).copy()
-        h1[:, di, di] = 2.0 * beta1
-        g1 = np.linalg.inv(h1)
-        psi1 = g1 @ eta1
-        quad1 = np.einsum("i,nij,j->n", lam_small, g1, lam_small)
-        y = np.exp(-psi1 @ lam_small - 0.5 * quad1)
+        cols2 = green_solve(params2.p, beta2, rhs2)
+        x = np.exp(-cols2[:, pos, 0] @ lam_small - 0.5 * (cols2[..., 1] @ z))
+        cols1 = green_solve(params1.p, beta2[:, pos], rhs1)
+        y = np.exp(-cols1[..., 0] @ lam_small - 0.5 * (cols1[..., 1] @ lam_small))
         diff[done : done + c] = x - y
         done += c
     z_pair = abs(diff.mean()) / _se(diff)
@@ -440,15 +433,11 @@ def criterion_7(sizes: Sizes, seed: int) -> CheckResult:
     d_idx = wired.delta
     e_d = np.zeros(base.n)
     e_d[d_idx] = 1.0
-    w_mat = base.weight_matrix()
-    di = np.arange(base.n)
     vals = np.empty(sizes.n_c7)
     done = 0
     for beta in _beta_chunks(params, sizes.n_c7, rng):
         c = beta.shape[0]
-        h = np.broadcast_to(-w_mat, (c, base.n, base.n)).copy()
-        h[:, di, di] = 2.0 * beta
-        col = np.linalg.solve(h, np.broadcast_to(e_d, (c, base.n))[..., None])[..., 0]
+        col = green_solve(params.p, beta, e_d)
         vals[done : done + c] = 1.0 / (2.0 * col[:, d_idx])
         done += c
     z = abs(vals.mean() - 0.5) / _se(vals)
@@ -483,16 +472,14 @@ def criterion_8(sizes: Sizes, seed: int) -> CheckResult:
     eta = params.eta
     w_tilde = base.weight_matrix()
     m = params.n
-    di = np.arange(m)
     e_s = np.zeros(m)
     e_s[start] = 1.0
+    rhs = np.stack([e_s, eta], axis=1)
     chunks: List[np.ndarray] = []
     for beta in _beta_chunks(params, sizes.n_c8, rng):
         c = beta.shape[0]
-        h = np.broadcast_to(-params.p, (c, m, m)).copy()
-        h[:, di, di] = 2.0 * beta
-        ghat_row = np.linalg.solve(h, np.broadcast_to(e_s, (c, m))[..., None])[..., 0]
-        psi = np.linalg.solve(h, np.broadcast_to(eta, (c, m))[..., None])[..., 0]
+        cols = green_solve(params.p, beta, rhs)
+        ghat_row, psi = cols[..., 0], cols[..., 1]
         gamma = rng.gamma(0.5, 1.0, size=c)
         grow = np.empty((c, m + 1))
         grow[:, :m] = ghat_row + psi[:, [start]] * psi / (2.0 * gamma[:, None])
@@ -691,12 +678,10 @@ CRITERIA: Dict[int, Callable[[Sizes, int], CheckResult]] = {
 def run_suite(
     tier: str = "quick",
     seed: int = DEFAULT_SEED,
-    parallelism: int = 1,
     only: Optional[Iterable[int]] = None,
 ) -> List[CheckResult]:
     """Run the numbered checks at a size tier; `only` restricts to a subset
-    of criterion ids. parallelism is accepted for interface stability; the
-    checks are deterministic either way."""
+    of criterion ids."""
     if tier not in ("quick", "full"):
         raise ValueError(f"unknown tier {tier!r}")
     sizes = QUICK if tier == "quick" else FULL

@@ -275,6 +275,13 @@ class TestVerifyCommand:
         rc = main(["verify", "--only", "99", "--out", str(tmp_path / "x")])
         assert rc == USAGE_EXIT
 
+    def test_parallelism_flag_is_usage_error(self, tmp_path):
+        rc = main(
+            ["verify", "--only", "1", "--parallelism", "2",
+             "--out", str(tmp_path / "x")]
+        )
+        assert rc == USAGE_EXIT
+
 
 class TestExperimentCommand:
     def test_named_experiment(self, tmp_path):
@@ -288,7 +295,7 @@ class TestExperimentCommand:
         assert list(rows[0]) == ["ell", "mean", "stderr", "n"]
         summary = read_json(out / "summary.json")
         assert summary["command"] == "experiment"
-        assert summary["config"]["experiment"] == "conductance-ratio"
+        assert summary["config"] == {"experiment": "conductance-ratio", "seed": 6}
 
     def test_config_file_run(self, tmp_path):
         cfg = {"experiment": "psi-decay", "dim": 2, "w": 0.2,

@@ -52,7 +52,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.experiment == "psi-decay" and cfg.seed == 3
         assert cfg.params == {"dim": 2, "radii": [2, 4]}
-        assert cfg.to_dict() == {**raw, "parallelism": 1}
+        assert cfg.to_dict() == raw
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -63,8 +63,9 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"seed": 1})
 
     def test_rejects_bad_parallelism(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"experiment": "x", "parallelism": 0})
+        # the knob is gone: any parallelism is an unknown key
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_dict({"experiment": "x", "parallelism": 2})
 
 
 class TestRunReplicas:
@@ -77,14 +78,6 @@ class TestRunReplicas:
         assert report.within(0.5)
         assert 0.2 < report.extra["q25"] < 0.3
         assert 0.7 < report.extra["q75"] < 0.8
-
-    def test_parallelism_does_not_change_results(self):
-        def task(rng):
-            return float(rng.normal() + rng.exponential())
-
-        a = run_replicas(task, 400, seed=7, parallelism=1)
-        b = run_replicas(task, 400, seed=7, parallelism=8)
-        assert a.mean == b.mean and a.stderr == b.stderr and a.extra == b.extra
 
     def test_failure_carries_replica_index(self):
         def bad(rng):
