@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError
-from .graphs import WeightedGraph, _refuse_beyond_memory, boundary_weights
+from .graphs import WeightedGraph, _refuse_beyond_memory, boundary_weights, induced_subgraph
 
 __all__ = [
     "NuParams",
@@ -108,9 +108,8 @@ def marginal_params(g: WeightedGraph, subset: Sequence[int]) -> NuParams:
     to sampling on g and restricting.
     """
     subset = [int(v) for v in subset]
-    w = g.weight_matrix()
-    idx = np.array(subset)
-    return NuParams(p=w[np.ix_(idx, idx)], eta=boundary_weights(g, subset))
+    block = induced_subgraph(g, subset)[0].weight_matrix()
+    return NuParams(p=block, eta=boundary_weights(g, subset))
 
 
 def laplace_closed_form(params: NuParams, lam: np.ndarray) -> float:

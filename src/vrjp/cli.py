@@ -41,7 +41,7 @@ from .errors import (
     NumericError,
     VrjpError,
 )
-from .graphs import WeightedGraph, build_lattice_box, load_graph
+from .graphs import WeightedGraph, build_lattice_box, load_graph, wire_restrict
 from .harness import (
     ExperimentConfig,
     conductance_ratio_experiment,
@@ -289,7 +289,7 @@ def _cmd_simulate(args) -> int:
         bundle = green_bundle(g, beta, subset, gamma, i0=i0)
         rates = QuenchedRates.from_bundle(bundle)
         traj = quenched_mjp(
-            _wired_base(bundle), rates, bundle.position(i0), args.steps, rng
+            wire_restrict(g, subset).base, rates, bundle.position(i0), args.steps, rng
         )
         fields = ["step", "vertex", "entry_time"]
         labels = [str(v) for v in subset] + ["delta"]
@@ -316,18 +316,6 @@ def _cmd_simulate(args) -> int:
     manifest.write(outdir)
     print(f"wrote {len(rows)} rows to {outdir / 'trajectory.csv'}")
     return 0
-
-
-def _wired_base(bundle) -> WeightedGraph:
-    """State-space graph matching the bundle's rate table (delta last)."""
-    m = bundle.m
-    edges = []
-    w = bundle.w_wired
-    for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            if w[i, j] > 0:
-                edges.append((i, j, float(w[i, j])))
-    return WeightedGraph(n=m + 1, edges=tuple(edges))
 
 
 def _cmd_verify(args) -> int:

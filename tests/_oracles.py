@@ -104,6 +104,15 @@ def rooted_pair_cdf(w: float, lo: float = -14.0, hi: float = 14.0, m: int = 4000
     return cdf
 
 
+class NoDraws:
+    """A generator stand-in that fails on any draw: a call that must refuse
+    its input before it samples fails its test with this instead of running
+    (or hanging) when the refusal is missing."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the input was refused")
+
+
 def ring_graph(n: int, w: float = 1.0) -> WeightedGraph:
     """Cycle on n >= 3 vertices: vertex-transitive, so per-site laws match."""
     edges = [(k, k + 1, w) for k in range(n - 1)] + [(0, n - 1, w)]
@@ -179,3 +188,71 @@ def reference_sample_banded(band: np.ndarray, eta: np.ndarray, rng) -> np.ndarra
             p[k + 1 : k + 1 + m, :m] += skew
             eta_w[k + 1 : k + 1 + m] += col * (eta_w[k] / x)
     return beta
+
+
+def reference_simulate_vrjp(g: WeightedGraph, i0: int, horizon: float, rng):
+    """The finite-graph reinforced jump walk as its own event loop with a
+    running clock: the loop the walker must match bit for bit, draw for draw.
+    Returns (vertices, entry times, final local times)."""
+    local = np.ones(g.n)
+    nbrs = [np.array([u for u, _ in g.neighbors[v]], dtype=int) for v in range(g.n)]
+    wts = [np.array([w for _, w in g.neighbors[v]]) for v in range(g.n)]
+    verts = [int(i0)]
+    times = [0.0]
+    v = int(i0)
+    s = 0.0
+    while True:
+        nb, wv = nbrs[v], wts[v]
+        if nb.size == 0:
+            local[v] += horizon - s
+            break
+        rates = wv * local[nb]
+        total = rates.sum()
+        wait = rng.exponential(1.0 / total)
+        if s + wait >= horizon:
+            local[v] += horizon - s
+            break
+        s += wait
+        local[v] += wait
+        u = rng.random() * total
+        v = int(nb[np.searchsorted(np.cumsum(rates), u, side="right")])
+        verts.append(v)
+        times.append(s)
+    return np.array(verts), np.array(times), local
+
+
+def reference_vrjp_lattice(dim: int, w: float, n_jumps: int, rng):
+    """The lattice reinforced walk with coordinate tuples, a dictionary of
+    local times and a running transformed clock: the loop the lattice walker
+    must match bit for bit. Returns (positions, entry times, transformed
+    entry times)."""
+    local = {}
+    pos = (0,) * dim
+    coords = np.zeros((n_jumps + 1, dim), dtype=int)
+    s_times = np.zeros(n_jumps + 1)
+    d_times = np.zeros(n_jumps + 1)
+    s = 0.0
+    d = 0.0
+    unit = np.eye(dim, dtype=int)
+    for k in range(n_jumps):
+        nbs = []
+        rates = np.empty(2 * dim)
+        t = 0
+        for ax in range(dim):
+            for sgn in (1, -1):
+                q = tuple(np.array(pos) + sgn * unit[ax])
+                nbs.append(q)
+                rates[t] = w * local.get(q, 1.0)
+                t += 1
+        total = rates.sum()
+        wait = rng.exponential(1.0 / total)
+        lp = local.get(pos, 1.0)
+        d += 2.0 * lp * wait + wait * wait
+        local[pos] = lp + wait
+        s += wait
+        u = rng.random() * total
+        pos = nbs[int(np.searchsorted(np.cumsum(rates), u, side="right"))]
+        coords[k + 1] = pos
+        s_times[k + 1] = s
+        d_times[k + 1] = d
+    return coords, s_times, d_times

@@ -20,6 +20,8 @@ import vrjp
 from vrjp import WeightedGraph, save_graph
 from vrjp.cli import NUMERIC_EXIT, USAGE_EXIT, main
 
+from _oracles import NoDraws
+
 
 def read_csv(path: Path) -> list[dict]:
     with path.open(newline="") as fh:
@@ -158,6 +160,16 @@ class TestSimulateVrjp:
         rc = main(
             ["simulate", "--process", "vrjp", "--graph", str(graph_file),
              "--out", str(tmp_path / "x")]
+        )
+        assert rc == USAGE_EXIT
+
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_nonfinite_horizon_is_usage_error(self, tmp_path, monkeypatch, horizon):
+        # a walk that never reaches its horizon would never return
+        monkeypatch.setattr(vrjp.cli, "stream", lambda *key: NoDraws())
+        rc = main(
+            ["simulate", "--process", "vrjp", "--dim", "1", "--radius", "1",
+             "--horizon", horizon, "--out", str(tmp_path / "x")]
         )
         assert rc == USAGE_EXIT
 

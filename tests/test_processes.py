@@ -12,6 +12,7 @@ from vrjp import (
     CoverageError,
     DomainError,
     QuenchedRates,
+    SizeError,
     Trajectory,
     WeightedGraph,
     build_lattice_box,
@@ -35,7 +36,15 @@ from vrjp import (
 )
 from vrjp.harness import word_chi2
 
-from _oracles import ALPHA, SE_RULE, se, zscore
+from _oracles import (
+    ALPHA,
+    SE_RULE,
+    NoDraws,
+    reference_simulate_vrjp,
+    reference_vrjp_lattice,
+    se,
+    zscore,
+)
 
 
 def single_vertex():
@@ -127,6 +136,43 @@ class TestSimulateVrjp:
         with pytest.raises(DomainError):
             simulate_vrjp(pair(), 5, horizon=1.0, rng=stream(0))
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_refuses_nonfinite_horizon(self, horizon):
+        with pytest.raises(DomainError):
+            simulate_vrjp(pair(), 0, horizon=horizon, rng=NoDraws())
+
+    @pytest.mark.parametrize(
+        "g, i0, horizon, seed",
+        [
+            # the box and horizon of `vrjp simulate --process vrjp` in the
+            # benchmark: about 94,000 jumps
+            (build_lattice_box(2, 10), 0, 3000.0, ("cli-simulate", "vrjp")),
+            # degree 9 puts rates.sum() on numpy's pairwise path, so only
+            # neighbor rows of the same order and length give the same bits
+            (
+                WeightedGraph(
+                    n=10,
+                    edges=tuple(
+                        (i, j, 0.5 + 0.1 * (i + j))
+                        for i in range(10)
+                        for j in range(i + 1, 10)
+                    ),
+                ),
+                3,
+                50.0,
+                ("k10",),
+            ),
+        ],
+        ids=["box-d2-r10", "complete-10"],
+    )
+    def test_matches_reference_loop(self, g, i0, horizon, seed):
+        traj = simulate_vrjp(g, i0, horizon, stream(1, *seed))
+        verts, times, local = reference_simulate_vrjp(g, i0, horizon, stream(1, *seed))
+        assert traj.vertices.size > 1000
+        assert np.array_equal(traj.vertices, verts)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.local_times, local)
+
 
 class TestTimeChange:
     def test_pure_holding_is_quadratic(self):
@@ -197,8 +243,11 @@ class TestSimulateErrw:
         traj, counts = simulate_errw(g, a, 0, 57, stream(3, "cnt"), return_counts=True)
         assert counts.sum() == pytest.approx(a.sum() + 57, rel=1e-12)
         assert len(traj.vertices) == 58
+        crossings = np.zeros(g.edge_count)
         for x, y in zip(traj.vertices[:-1], traj.vertices[1:]):
             assert g.weight(int(x), int(y)) > 0
+            crossings[g.edges.index((min(x, y), max(x, y), 1.0))] += 1
+        assert np.array_equal(counts, a + crossings)
 
     def test_zero_steps_and_errors(self):
         traj = simulate_errw(pair(), 1.0, 1, 0, stream(0))
@@ -546,3 +595,32 @@ class TestLatticeWalker:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DomainError):
             simulate_vrjp_lattice(2, 0.0, 10, stream(0))
+
+    @pytest.mark.parametrize(
+        "dim, w, n_jumps",
+        [(0, 1.0, 10), (-1, 1.0, 10), (2, np.nan, 10), (2, np.inf, 10), (2, 1.0, -1)],
+    )
+    def test_refuses_bad_input(self, dim, w, n_jumps):
+        with pytest.raises(DomainError):
+            simulate_vrjp_lattice(dim, w, n_jumps, NoDraws())
+
+    def test_refuses_walk_beyond_physical_memory(self):
+        # 2 * 10**15 local-time slots alone are 16 PB: refused before any
+        # array is allocated or any draw is made
+        with pytest.raises(SizeError):
+            simulate_vrjp_lattice(1, 1.0, 10**15, NoDraws())
+
+    def test_zero_jumps_is_the_origin(self):
+        coords, s_times, d_times = simulate_vrjp_lattice(3, 1.0, 0, NoDraws())
+        assert coords.tolist() == [[0, 0, 0]]
+        assert s_times.tolist() == [0.0] and d_times.tolist() == [0.0]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("w", [0.3, 1.0, 10.0])
+    def test_matches_reference_loop(self, dim, w):
+        for k in range(3):
+            got = simulate_vrjp_lattice(dim, w, 400, stream(k, "vrjp-diff", dim))
+            want = reference_vrjp_lattice(dim, w, 400, stream(k, "vrjp-diff", dim))
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)

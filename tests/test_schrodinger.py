@@ -84,12 +84,14 @@ class TestAssembleH:
                 g.weight_matrix()
             with pytest.raises(SizeError):
                 assemble_H(g, beta)
-            with pytest.raises(SizeError):
-                marginal_params(g, [0, 1])
+            # the marginal on two sites needs only their 2 x 2 block
+            params = marginal_params(g, [0, 1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        assert params.p.shape == (2, 2) and not params.p.any()
+        assert not params.eta.any()
 
 
 class TestGreenSolve:
