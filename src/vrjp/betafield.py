@@ -3,13 +3,15 @@
 A parameter set is a symmetric nonnegative coupling matrix P (off-diagonal
 entries are edge conductances, a nonnegative diagonal is allowed) together
 with a nonnegative boundary vector eta. The associated operator is
-H_beta = 2 diag(beta) - P, positive definite on the support of the law.
+H_beta = 2 diag(beta) - P, positive definite on the support of the law;
+h_beta forms it densely and h_beta_banded in band storage.
 
 Sampling is exact and sequential: conditionally on the sites already drawn,
 one site's shifted potential x = 2 beta - P_kk follows a generalized inverse
 Gaussian law of index 1/2 with rate 1, and eliminating the site is a rank-one
-Schur update of (P, eta). One loop, _schur_loop, runs this elimination over
-an upper triangle held with the sample axis last, in one of two storages:
+Schur update of (P, eta). One unblocked loop, _schur_loop, runs this
+elimination over an upper triangle held with the sample axis last, in one of
+two storages:
 
 - dense: sample_batch permutes P to the elimination order and holds it as a
   full square, drawing a batch of fields at once; sample_sequential is its
@@ -17,6 +19,15 @@ an upper triangle held with the sample axis last, in one of two storages:
 - band: sample_banded holds a row-major lattice box by rows of its band.
   Eliminating sites in index order keeps every update inside the band, which
   is what makes large boxes cheap.
+
+The unblocked loop adds each site's update to the whole bw x bw block behind
+it: a pass over memory per site, which dominates once the band is wide (the
+d = 3 box of radius 8 has bw = 289). Since a pivot needs only its own row,
+sample_banded eliminates wide bands in panels instead (_blocked_band_loop):
+each site's update goes to the rest of its panel alone, and the block behind
+the panel takes all of the panel's updates as one BLAS-3 dsyrk, as in a
+right-looking blocked LDL^T. The draws are the same variates in the same
+order; only the rounding of the summed updates differs.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from .errors import DomainError
 from .graphs import WeightedGraph, _refuse_beyond_memory, boundary_weights, induced_subgraph
@@ -47,9 +59,20 @@ __all__ = [
     "sample_errw_env",
     "spd_certificate",
     "h_beta",
+    "h_beta_banded",
 ]
 
 PIVOT_RTOL = 1e-12
+
+# Sites per panel of the blocked band elimination. On a 2-vCPU VM with one
+# BLAS thread, 16 to 32 were alike at bw 289 and 8 and 64 slower.
+_PANEL = 32
+# Smallest bandwidth that sample_banded eliminates in panels. On the same VM
+# panels were faster at every bandwidth measured, 1 to 289 (bw 81: 46 -> 20
+# us per site; bw 289: 213 -> 38), so the crossover is set by bits, not
+# speed: bandwidths up to 81, every box up to d = 3 radius 4, keep the
+# unblocked loop's draws.
+_BLOCKED_MIN_BW = 82
 
 
 @dataclass(frozen=True)
@@ -150,6 +173,22 @@ def h_beta(p: np.ndarray, beta) -> np.ndarray:
     d = np.arange(p.shape[0])
     h[..., d, d] += 2.0 * beta
     return h
+
+
+def h_beta_banded(band: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """H_beta = 2 diag(beta) - P in solveh_banded's upper storage, for P held
+    in the row band storage of banded_coupling (band[i, d] = P[i, i+d]).
+
+    Returns ab of shape (bw + 1, n) with ab[bw + i - j, j] = H[i, j] for
+    0 <= j - i <= bw: the band form of h_beta, with the same entries.
+    """
+    n, width = band.shape
+    bw = width - 1
+    ab = np.zeros((width, n))
+    for d in range(1, width):
+        ab[bw - d, d:] = -band[: n - d, d]
+    ab[bw] = 2.0 * np.asarray(beta, dtype=float) - band[:, 0]
+    return ab
 
 
 def spd_certificate(p: np.ndarray, beta: np.ndarray) -> bool:
@@ -292,6 +331,62 @@ def _schur_loop(
     return beta
 
 
+def _blocked_band_loop(
+    band: np.ndarray, ew: np.ndarray, rng: np.random.Generator, nb: int = _PANEL
+) -> np.ndarray:
+    """Eliminate the n sites of band storage in index order, nb sites per
+    panel; returns beta as (n,). band and ew are updated in place.
+
+    A panel's window is the band rows it touches, [k0, k0 + nb + bw), copied
+    into a dense Fortran-ordered scratch that holds row i of the window as
+    its column i (so the lower triangle is P's upper). A pivot needs only its
+    own row, so each site of the panel draws its x as _schur_loop does and
+    adds its rank-one update to the panel's later rows alone; the rows past
+    the panel then take every update of the panel at once, as one dsyrk of
+    the panel's columns scaled by 1/sqrt(x). Past the diagonal band the
+    window stays zero, and cells above the window's diagonal hold only
+    writes nothing reads.
+    """
+    n, width = band.shape
+    bw = width - 1
+    size = nb + bw
+    # bw spare cells let the sheared view of the window's last rows run on
+    buf = np.zeros(size * size + bw)
+    win = buf[: size * size].reshape(size, size, order="F")
+    cell = buf.strides[0]
+    scratch = np.empty(bw * nb)
+    beta = np.empty(n)
+    for k0 in range(0, n, nb):
+        p = min(nb, n - k0)
+        t = min(p + bw, n - k0)
+        # rows[i, d] = win[i + d, i]: window row i as band row k0 + i
+        rows = np.lib.stride_tricks.as_strided(
+            buf, shape=(t, width), strides=((size + 1) * cell, cell)
+        )
+        rows[...] = band[k0 : k0 + t]
+        x = np.empty(p)
+        for j in range(p):
+            k = k0 + j
+            m = min(bw, n - 1 - k)
+            col = win[j + 1 : j + 1 + m, j]
+            eta_hat = ew[k] + col.sum()
+            # the one draw _gig_vec makes for a single sample
+            x[j] = gig_half_sample(eta_hat**2, rng)
+            beta[k] = 0.5 * (x[j] + win[j, j])
+            r = min(p - 1 - j, m)
+            if r:
+                upd = scratch[: m * r].reshape(m, r, order="F")
+                np.multiply(col[:, None], col[None, :r], out=upd)
+                upd /= x[j]
+                win[j + 1 : j + 1 + m, j + 1 : j + 1 + r] += upd
+            ew[k + 1 : k + 1 + m] += col * (ew[k] / x[j])
+        if t > p:
+            a = win[p:t, :p] / np.sqrt(x)
+            win[p:t, p:t] = dsyrk(1.0, a, beta=1.0, c=win[p:t, p:t], lower=1)
+            band[k0 + p : k0 + t] = rows[p:t]
+    return beta
+
+
 def _eliminate(
     p: np.ndarray,
     eta: np.ndarray,
@@ -384,17 +479,34 @@ def sample_banded(
     """Exact field sample from band-stored parameters, eliminating in index
     order. Same law as sample_sequential, cost n * bw^2 instead of n^3.
 
-    Runs the same elimination loop as the dense samplers on band storage:
-    row i holds P[i, i:i+bw+1] after zero columns that take the
-    below-diagonal writes of a diagonal row block, and a sheared view
-    presents it as the (n, n, 1) upper triangle.
+    Below bandwidth _BLOCKED_MIN_BW it runs the dense samplers' unblocked
+    loop on band storage: row i holds P[i, i:i+bw+1] after zero columns that
+    take the below-diagonal writes of a diagonal row block, and a sheared
+    view presents it as the (n, n, 1) upper triangle. That loop adds each
+    site's rank-one update to the whole bw x bw block behind it, a pass over
+    memory per site that dominates at wide bands. From _BLOCKED_MIN_BW up,
+    _blocked_band_loop eliminates _PANEL sites at a time and applies their
+    updates to that block as one BLAS-3 dsyrk. Both paths draw the same
+    variates in the same order; the blocked one sums the updates in another
+    order, so its beta differs from the unblocked loop's by rounding only.
     """
     n, width = band.shape
     bw = width - 1
+    what = f"band storage of {n} sites at bandwidth {bw}"
+    if bw >= _BLOCKED_MIN_BW:
+        # the band and eta copies, beta, the window with its spare cells,
+        # the in-panel scratch, the scaled panel and dsyrk's copy of the
+        # trailing block
+        size = _PANEL + bw
+        cells = n * (width + 2) + size * size + bw + 2 * _PANEL * bw + bw * bw
+        _refuse_beyond_memory(cells * 8, what)
+        return _blocked_band_loop(
+            np.array(band, dtype=float),
+            np.broadcast_to(np.asarray(eta, dtype=float), (n,)).copy(),
+            rng,
+        )
     pad = max(min(_row_block(1), bw) - 1, 0)
-    _refuse_beyond_memory(
-        n * (pad + width) * 8, f"band storage of {n} sites at bandwidth {bw}"
-    )
+    _refuse_beyond_memory(n * (pad + width) * 8, what)
     sh = np.zeros((n, pad + width, 1))
     sh[:, pad:, 0] = band
     s0, s1, s2 = sh.strides

@@ -22,6 +22,7 @@ from scipy.linalg import solveh_banded
 from .betafield import (
     NuParams,
     banded_coupling,
+    h_beta_banded,
     marginal_params,
     sample_banded,
     sample_batch,
@@ -334,18 +335,14 @@ def psi_decay_experiment(
     rows: List[Dict[str, float]] = []
     for r_i, radius in enumerate(radii):
         g = build_lattice_box(dim, radius, w)
-        band, bw = banded_coupling(g)
+        band, _ = banded_coupling(g)
         degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
         eta = w * (2 * dim - degrees)
         rng = stream(seed, "psi-decay", r_i)
         vals = np.empty(n_samples)
-        ab = np.zeros((bw + 1, g.n))
-        for d in range(1, bw + 1):
-            ab[bw - d, d:] = -band[: g.n - d, d]
         for s in range(n_samples):
             beta = sample_banded(band, eta, rng)
-            ab[bw] = 2.0 * beta - band[:, 0]
-            psi = solveh_banded(ab, eta, lower=False)
+            psi = solveh_banded(h_beta_banded(band, beta), eta, lower=False)
             vals[s] = psi[_box_center(g)]
         q = np.quantile(vals, [0.25, 0.5, 0.75])
         rows.append(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -25,11 +27,18 @@ from vrjp import (
     schur_step,
     stream,
 )
-from vrjp.betafield import spd_certificate
+from vrjp.betafield import (
+    _BLOCKED_MIN_BW,
+    _blocked_band_loop,
+    h_beta,
+    h_beta_banded,
+    spd_certificate,
+)
 
 from _oracles import (
     SE_RULE,
     ALPHA,
+    NoDraws,
     density_mass_pair,
     gig_mean_quadrature,
     laplace_by_quadrature_single,
@@ -389,6 +398,100 @@ class TestBandedSampler:
         for _ in range(4):
             lam = lam_rng.uniform(0.0, 1.0, size=3)
             assert zscore(np.exp(-beta @ lam), laplace_closed_form(params, lam)) <= SE_RULE
+
+
+def _box_band(dim, radius, w):
+    g = build_lattice_box(dim, radius, w)
+    band, bw = banded_coupling(g)
+    degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
+    return band, bw, w * (2 * dim - degrees)
+
+
+def _assert_same_draws(got, want, rng_got, rng_want):
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # the same variates were consumed: the generators draw alike from here
+    np.testing.assert_array_equal(rng_got.random(4), rng_want.random(4))
+
+
+class TestBlockedBandKernel:
+    @pytest.mark.parametrize(
+        "dim,radius,bw,nb",
+        [
+            (2, 2, 5, 2),
+            (2, 2, 5, 3),
+            (2, 2, 5, 8),
+            (2, 8, 17, 4),
+            (2, 8, 17, 32),
+            (3, 2, 25, 7),
+            (3, 2, 25, 40),
+        ],
+    )
+    def test_matches_reference_loop(self, dim, radius, bw, nb):
+        # n is 25, 289 or 125: never a multiple of nb, so the last panel is
+        # short; nb runs from below to above the bandwidth
+        band, got_bw, eta = _box_band(dim, radius, 0.7)
+        assert got_bw == bw and band.shape[0] % nb
+        rng_got, rng_want = stream(59, "blocked", bw, nb), stream(59, "blocked", bw, nb)
+        got = _blocked_band_loop(band.copy(), eta.copy(), rng_got, nb)
+        want = reference_sample_banded(band, eta, rng_want)
+        _assert_same_draws(got, want, rng_got, rng_want)
+
+    def test_sample_banded_above_crossover_matches_reference_loop(self):
+        band, bw, eta = _box_band(3, 5, 0.7)
+        assert bw >= _BLOCKED_MIN_BW
+        rng_got, rng_want = stream(61, "blocked"), stream(61, "blocked")
+        got = sample_banded(band, eta, rng_got)
+        want = reference_sample_banded(band, eta, rng_want)
+        _assert_same_draws(got, want, rng_got, rng_want)
+
+    def test_law_matches_closed_form(self):
+        # the 3x3 interior of the 5x5 box, wired to the rest: panels of 4
+        # sites split its bandwidth-3 band into 4, 4 and 1
+        g = build_lattice_box(2, 2)
+        subset = [6, 7, 8, 11, 12, 13, 16, 17, 18]
+        params = marginal_params(g, subset)
+        band, bw = banded_coupling(build_lattice_box(2, 1))
+        assert bw == 3
+        rng = stream(37, "blocked")
+        beta = np.array(
+            [_blocked_band_loop(band.copy(), params.eta.copy(), rng, 4) for _ in range(10_000)]
+        )
+        lam_rng = stream(37, "blocked-lam")
+        for _ in range(4):
+            lam = lam_rng.uniform(0.0, 1.0, size=9)
+            assert zscore(np.exp(-beta @ lam), laplace_closed_form(params, lam)) <= SE_RULE
+
+    def test_unblocked_path_refuses_storage_beyond_physical_memory(self):
+        # bandwidth 10 stays below the crossover: 10^11 sites of band
+        # storage, zero-stride inputs, nothing allocated, no draw made
+        band = np.broadcast_to(np.zeros(1), (10**11, 11))
+        eta = np.broadcast_to(np.zeros(1), (10**11,))
+        with pytest.raises(SizeError):
+            sample_banded(band, eta, NoDraws())
+
+    def test_refuses_window_beyond_physical_memory(self):
+        # two sites whose band is small but whose dense window is larger
+        # than memory: zero-stride inputs, nothing allocated, no draw made
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        bw = int(np.sqrt(have / 8)) + 1
+        band = np.broadcast_to(np.zeros(1), (2, bw + 1))
+        with pytest.raises(SizeError):
+            sample_banded(band, np.zeros(2), NoDraws())
+
+
+class TestHBetaBanded:
+    @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2)])
+    def test_matches_dense_operator(self, dim, radius):
+        g = build_lattice_box(dim, radius, 0.7)
+        band, bw = banded_coupling(g)
+        beta = stream(67, "h-band", dim).uniform(0.5, 2.0, size=g.n)
+        ab = h_beta_banded(band, beta)
+        dense = np.zeros((g.n, g.n))
+        for d in range(bw + 1):
+            i = np.arange(g.n - d)
+            dense[i, i + d] = ab[bw - d, d:]
+            dense[i + d, i] = ab[bw - d, d:]
+        np.testing.assert_array_equal(dense, h_beta(g.weight_matrix(), beta))
 
 
 class TestErrwEnvironment:

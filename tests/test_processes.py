@@ -3,6 +3,8 @@ conditioned chains, and escape probabilities."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -609,6 +611,14 @@ class TestLatticeWalker:
         # array is allocated or any draw is made
         with pytest.raises(SizeError):
             simulate_vrjp_lattice(1, 1.0, 10**15, NoDraws())
+
+    def test_refuses_site_table_beyond_physical_memory(self):
+        # at d = 8 the numpy arrays take about 256 B per jump, so a quarter
+        # of memory, but the site table and the walk's records take over
+        # 3 kB per jump: refused before any draw
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        with pytest.raises(SizeError):
+            simulate_vrjp_lattice(8, 1.0, have // 1024, NoDraws())
 
     def test_zero_jumps_is_the_origin(self):
         coords, s_times, d_times = simulate_vrjp_lattice(3, 1.0, 0, NoDraws())
