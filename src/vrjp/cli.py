@@ -108,13 +108,21 @@ def _outdir(args) -> Path:
     return path
 
 
-def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[Dict]) -> None:
+def _write_columns(path: Path, fieldnames: Sequence[str], columns) -> None:
+    """Write one CSV from per-field columns of cells. The csv module writes
+    an int or a str as `_fmt` does, so only float cells need `_fmt`'s format
+    first."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fieldnames])
+        writer.writerows(zip(*columns))
+
+
+def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[Dict]) -> None:
+    _write_columns(
+        path, fieldnames, [[_fmt(row[k]) for row in rows] for k in fieldnames]
+    )
 
 
 def _write_json_summary(outdir: Path, payload: Dict[str, object]) -> None:
@@ -252,14 +260,10 @@ def _cmd_simulate(args) -> int:
         traj = simulate_vrjp(g, i0, args.horizon, rng)
         tc = time_change(traj)
         fields = ["step", "vertex", "entry_time", "transformed_time"]
-        rows = [
-            {
-                "step": k,
-                "vertex": int(v),
-                "entry_time": float(traj.times[k]),
-                "transformed_time": float(tc.times[k]),
-            }
-            for k, v in enumerate(traj.vertices)
+        vertices = traj.vertices.tolist()
+        extra = [
+            [format(x, ".17g") for x in times.tolist()]
+            for times in (traj.times, tc.times)
         ]
         cfg.update({"process": "vrjp", "horizon": args.horizon, "i0": i0})
     elif args.process == "errw":
@@ -269,10 +273,8 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("--steps required for the reinforced discrete walk")
         traj = simulate_errw(g, args.a, i0, args.steps, rng)
         fields = ["step", "vertex", "entry_time"]
-        rows = [
-            {"step": k, "vertex": int(v), "entry_time": ""}
-            for k, v in enumerate(traj.vertices)
-        ]
+        vertices = traj.vertices.tolist()
+        extra = [[""] * len(vertices)]
         cfg.update({"process": "errw", "steps": args.steps, "a": args.a, "i0": i0})
     elif args.process == "quenched":
         if args.graph:
@@ -293,15 +295,16 @@ def _cmd_simulate(args) -> int:
         )
         fields = ["step", "vertex", "entry_time"]
         labels = [str(v) for v in subset] + ["delta"]
-        rows = [
-            {"step": k, "vertex": labels[int(v)], "entry_time": ""}
-            for k, v in enumerate(traj.vertices)
-        ]
+        vertices = [labels[v] for v in traj.vertices.tolist()]
+        extra = [[""] * len(vertices)]
         cfg.update({"process": "quenched", "steps": args.steps, "i0": i0})
     else:
         raise ConfigError(f"unknown process {args.process!r}")
     cfg["seed"] = args.seed
-    _write_csv(outdir / "trajectory.csv", fields, rows)
+    n_rows = len(vertices)
+    _write_columns(
+        outdir / "trajectory.csv", fields, [range(n_rows), vertices, *extra]
+    )
     manifest = RunManifest(
         command="simulate",
         config=cfg,
@@ -314,7 +317,7 @@ def _cmd_simulate(args) -> int:
         outputs=["trajectory.csv"],
     )
     manifest.write(outdir)
-    print(f"wrote {len(rows)} rows to {outdir / 'trajectory.csv'}")
+    print(f"wrote {n_rows} rows to {outdir / 'trajectory.csv'}")
     return 0
 
 

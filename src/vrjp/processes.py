@@ -8,11 +8,15 @@ its neighbors are frozen (only the occupied vertex accumulates local time),
 so waits are exponential with constant rate and there is no discretization
 error anywhere.
 
-The reinforced jump dynamics has one loop per traffic shape: a single walk,
-on a finite graph or on Z^d, runs the scalar event loop `_walk`, and many
-walks run `vrjp_words`, one numpy pass per step for all of them. On a 2-vCPU
-VM `vrjp_words` costs about 0.4 us per walk-step at 25,000 walks but about
-30 us per step for one walk, where `_walk` costs about 10 us per jump.
+Each reinforced walk has one loop per traffic shape. A single reinforced
+jump walk, on a finite graph or on Z^d, runs the scalar event loop `_walk`,
+and many walks run `vrjp_words`, one numpy pass per step for all of them. On
+a 2-vCPU VM `vrjp_words` costs about 0.4 us per walk-step at 25,000 walks but
+about 30 us per step for one walk, where `_walk` costs about 10 us per jump.
+The same holds for the linearly reinforced discrete walk: a single walk runs
+the scalar loop `_errw_walk`, at about 0.6 us per step on the d=2 radius-10
+box, and many walks run `errw_words`, which costs 20-24 us per step for one
+walk.
 
 Finite-volume semantics: on a wired graph, "never returns" is read as "hits
 delta before returning", and absorbed-chain estimators always take one free
@@ -292,9 +296,7 @@ def errw_words(
     """First `length` steps of the linearly reinforced discrete walk,
     vectorized across walks: step probabilities are proportional to initial
     weight plus crossings of each incident edge."""
-    a = np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,))
-    if (a <= 0).any():
-        raise DomainError("initial edge weights must be positive")
+    a = _errw_weights(g, a, i0, length)
     nbr, eids, _, _ = _edge_tables(g)
     rows = np.arange(n_walks)
     counts = np.zeros((n_walks, g.edge_count + 1))
@@ -345,6 +347,62 @@ def markov_words(
     return words
 
 
+def _errw_weights(g: WeightedGraph, a, i0: int, steps: int) -> np.ndarray:
+    """Initial edge weights of a reinforced discrete walk of `steps` steps on
+    g from vertex i0, one per edge; each must be positive and finite, and a
+    walk that steps must start at a vertex with an edge."""
+    a = np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,))
+    if not (np.isfinite(a) & (a > 0)).all():
+        raise DomainError("initial edge weights must be positive and finite")
+    if steps < 0:
+        raise DomainError("steps must be nonnegative")
+    if not (0 <= i0 < g.n):
+        raise DomainError("start vertex out of range")
+    if steps and not g.neighbors[i0]:
+        raise DomainError("the start vertex has no edges to walk along")
+    return a
+
+
+# Uniforms drawn at a time by the single discrete walk. The generator hands
+# out the same doubles whatever the chunk size, so it bounds memory only.
+_ERRW_CHUNK = 1 << 16
+# Bytes a single discrete walk and the CLI rows written from it keep per
+# step: the walk's vertex list, the Trajectory's array, and the CLI's vertex
+# and entry-time columns. Rounded up from tracemalloc peaks of the CLI run
+# over 100,000 to 400,000 steps: 52 B per step on the d=2 radius-40 box,
+# where most vertex ids are int objects of their own, 18 B on the radius-10
+# box. A uniform of the current chunk costs 40 B, as a double and as the
+# Python float the loop reads.
+_ERRW_STEP_BYTES = 64
+_ERRW_DRAW_BYTES = 40
+
+
+def _errw_walk(nbrs, eids, counts, v, steps, rng):
+    """Event loop of one linearly reinforced discrete walk of `steps` steps
+    from vertex v; the edge counts in the list `counts` are updated in
+    place. nbrs[x] and eids[x] list x's neighbor ids and edge ids slot by
+    slot. A step draws one uniform, scales it by the total count around the
+    occupied vertex, and takes the first slot whose running count sum reaches
+    it, as `errw_words` does. Returns the visited vertices."""
+    verts = [v]
+    while len(verts) <= steps:
+        for r in rng.random(min(steps + 1 - len(verts), _ERRW_CHUNK)).tolist():
+            ev = eids[v]
+            total = 0.0
+            for e in ev:
+                total += counts[e]
+            u = r * total
+            run = 0.0
+            for slot, e in enumerate(ev):
+                run += counts[e]
+                if run >= u:
+                    break
+            counts[e] += 1.0
+            v = nbrs[v][slot]
+            verts.append(v)
+    return verts
+
+
 def simulate_errw(
     g: WeightedGraph,
     a,
@@ -354,22 +412,26 @@ def simulate_errw(
     return_counts: bool = False,
 ):
     """Single discrete reinforced walk; counts start at a_e and each crossing
-    adds one to its (undirected) edge."""
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    words = errw_words(g, a, i0, steps, 1, rng) if steps else np.empty((1, 0), int)
-    verts = np.concatenate([[int(i0)], words[0]])
-    traj = Trajectory(vertices=verts)
-    if not return_counts:
-        return traj
-    # replay to recover final counts (cheap relative to the walk itself);
-    # add.at adds the ones in walk order, as the walk did
-    a_vec = np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,)).copy()
-    if steps:
-        nbr, eids, _, _ = _edge_tables(g)
-        x, y = verts[:-1], verts[1:]
-        np.add.at(a_vec, eids[x, (nbr[x] == y[:, None]).argmax(axis=1)], 1.0)
-    return traj, a_vec
+    adds one to its (undirected) edge. The walk, and the generator's state
+    after it, equal those of `errw_words` with one walk."""
+    a = _errw_weights(g, a, i0, steps)
+    _refuse_beyond_memory(
+        steps * _ERRW_STEP_BYTES + min(steps, _ERRW_CHUNK) * _ERRW_DRAW_BYTES,
+        f"a discrete walk of {steps} steps",
+    )
+    nbr, eids, _, _ = _edge_tables(g)
+    deg = [len(nb) for nb in g.neighbors]
+    counts = a.tolist()
+    verts = _errw_walk(
+        [nbr[x, :d].tolist() for x, d in enumerate(deg)],
+        [eids[x, :d].tolist() for x, d in enumerate(deg)],
+        counts,
+        int(i0),
+        steps,
+        rng,
+    )
+    traj = Trajectory(vertices=np.array(verts))
+    return (traj, np.array(counts)) if return_counts else traj
 
 
 @dataclass(frozen=True)

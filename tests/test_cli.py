@@ -9,6 +9,7 @@ data files across reruns of the same config and seed.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -196,6 +197,52 @@ class TestSimulateErrw:
              "--out", str(tmp_path / "x")]
         )
         assert rc == USAGE_EXIT
+
+    @pytest.mark.parametrize("a", ["nan", "inf", "-inf", "0"])
+    def test_unusable_initial_weight_is_usage_error(self, tmp_path, monkeypatch, a):
+        monkeypatch.setattr(vrjp.cli, "stream", lambda *key: NoDraws())
+        out = tmp_path / "run"
+        rc = main(
+            ["simulate", "--process", "errw", "--dim", "2", "--radius", "2",
+             "--steps", "50", "--a", a, "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert not out.exists()
+
+    def test_walk_beyond_physical_memory_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vrjp.cli, "stream", lambda *key: NoDraws())
+        out = tmp_path / "run"
+        rc = main(
+            ["simulate", "--process", "errw", "--dim", "2", "--radius", "2",
+             "--steps", str(10**15), "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert not out.exists()
+
+
+class TestTrajectoryBytes:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--process", "errw", "--dim", "2", "--radius", "10",
+              "--steps", "200000", "--seed", "7"],
+             "d9e4572671fd6ff182b650909d2d94683ffc861910582c6e1a7c100bc1cb07ed"),
+            (["--process", "vrjp", "--dim", "2", "--radius", "3",
+              "--horizon", "200", "--seed", "3"],
+             "a0324d56e17ae2c83708bbcb5d1a568f6a7507fbbc58049e675abd2cc3f57608"),
+            (["--process", "quenched", "--dim", "2", "--radius", "2",
+              "--steps", "2000", "--seed", "3"],
+             "c8100a6a7cf2e6880195e138e0e0aa46044e44b34e21b3854a41ab1dd78d507b"),
+        ],
+        ids=["errw", "vrjp", "quenched"],
+    )
+    def test_bytes_are_pinned(self, tmp_path, argv, digest):
+        # digests of the trajectories written before the scalar discrete walk
+        # and the column-wise writer
+        out = tmp_path / "run"
+        assert main(["simulate", *argv, "--out", str(out)]) == 0
+        data = (out / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestSimulateQuenched:

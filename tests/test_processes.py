@@ -36,6 +36,7 @@ from vrjp import (
     vrjp_words,
     wire_restrict,
 )
+from vrjp import processes
 from vrjp.harness import word_chi2
 
 from _oracles import (
@@ -258,6 +259,61 @@ class TestSimulateErrw:
             simulate_errw(pair(), 0.0, 0, 5, stream(0))
         with pytest.raises(DomainError):
             simulate_errw(pair(), 1.0, 0, -1, stream(0))
+
+    @pytest.mark.parametrize(
+        "g, a, steps",
+        [
+            (build_lattice_box(2, 10), 1.0, 50_000),
+            (build_lattice_box(4, 2), 1.0, 50_000),
+            # the hub has degree 11, and the weights are not integers
+            (WeightedGraph(n=12, edges=tuple((0, k, 1.0) for k in range(1, 12))),
+             0.37, 50_000),
+            # more steps than one chunk of uniforms, and not a multiple of it
+            (build_lattice_box(2, 10), 1.0, processes._ERRW_CHUNK + 4_465),
+        ],
+        ids=["d2-r10", "d4-r2", "star-11", "past-one-chunk"],
+    )
+    def test_matches_batched_loop(self, g, a, steps):
+        r_batch, r_single = stream(7, "errw-pin"), stream(7, "errw-pin")
+        words = errw_words(g, a, 0, steps, 1, r_batch)[0]
+        traj, counts = simulate_errw(g, a, 0, steps, r_single, return_counts=True)
+        assert np.array_equal(traj.vertices, np.concatenate([[0], words]))
+        assert np.array_equal(r_batch.random(4), r_single.random(4))
+        # the counts equal a replay of the crossings in walk order
+        nbr, eids, _, _ = processes._edge_tables(g)
+        x, y = traj.vertices[:-1], traj.vertices[1:]
+        replay = np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,)).copy()
+        np.add.at(replay, eids[x, (nbr[x] == y[:, None]).argmax(axis=1)], 1.0)
+        assert np.array_equal(counts, replay)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, [1.0, np.nan]])
+    def test_refuses_nonfinite_or_nonpositive_weights(self, bad):
+        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+        with pytest.raises(DomainError):
+            simulate_errw(g, bad, 0, 5, NoDraws())
+        with pytest.raises(DomainError):
+            errw_words(g, bad, 0, 5, 2, NoDraws())
+
+    @pytest.mark.parametrize("i0", [-1, 3, 2])
+    def test_refuses_bad_start(self, i0):
+        # vertex 2 has no edge to walk along
+        g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
+        with pytest.raises(DomainError):
+            simulate_errw(g, 1.0, i0, 5, NoDraws())
+        with pytest.raises(DomainError):
+            errw_words(g, 1.0, i0, 5, 2, NoDraws())
+
+    def test_walk_of_no_steps_may_start_at_an_isolated_vertex(self):
+        g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
+        assert simulate_errw(g, 1.0, 2, 0, NoDraws()).vertices.tolist() == [2]
+
+    def test_refuses_walk_beyond_physical_memory(self):
+        # the vertex array alone would be a quarter of memory, but the walk's
+        # list and the CLI's columns take 64 B per step: refused before any
+        # draw
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        with pytest.raises(SizeError):
+            simulate_errw(pair(), 1.0, 0, have // 32, NoDraws())
 
 
 class TestQuenchedRates:
