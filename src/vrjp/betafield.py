@@ -18,7 +18,13 @@ two storages:
   batch of one, so both give the same bits;
 - band: sample_banded holds a row-major lattice box by rows of its band.
   Eliminating sites in index order keeps every update inside the band, which
-  is what makes large boxes cheap.
+  is what makes large boxes cheap. Psi decay, the conductance ratio and
+  `vrjp green` draw their boxes this way. banded_coupling stores a graph's
+  own weights; WiredBand scatters per-environment edge weights into the
+  band and boundary vector of a retained box, with no graph or dense matrix
+  per environment. Like sample_sequential(order=None), the band sampler
+  eliminates in index order, so it consumes the same variates and its beta
+  differs from the dense draw by rounding only.
 
 The unblocked loop adds each site's update to the whole bw x bw block behind
 it: a pass over memory per site, which dominates once the band is wide (the
@@ -32,6 +38,7 @@ order; only the rounding of the summed updates differs.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -40,7 +47,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
-from .errors import DomainError
+from .errors import DomainError, RestrictionError
 from .graphs import WeightedGraph, _refuse_beyond_memory, boundary_weights, induced_subgraph
 
 __all__ = [
@@ -56,6 +63,7 @@ __all__ = [
     "sample_batch",
     "sample_banded",
     "banded_coupling",
+    "WiredBand",
     "sample_errw_env",
     "spd_certificate",
     "h_beta",
@@ -454,9 +462,25 @@ def sample_batch(
     kernel: sample_sequential is this batch with one sample, so for a given
     rng state both return the same bits. Used wherever acceptance-scale
     Monte Carlo needs 1e5+ independent fields on a small graph; large
-    lattice boxes go through the band-storage sampler, sample_banded.
+    lattice boxes go through sample_banded, one field per call (psi decay,
+    the conductance ratio and `vrjp green`).
     """
     return _eliminate(params.p, params.eta, n_samples, rng, order)
+
+
+def _edge_arrays(g: WeightedGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g.edges as three arrays (i, j, w), in edge order, with i < j."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(g.edges), float, count=3 * g.edge_count
+    ).reshape(g.edge_count, 3)
+    return flat[:, 0].astype(np.intp), flat[:, 1].astype(np.intp), flat[:, 2]
+
+
+def _scatter_band(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, bw: int):
+    """Band storage band[i, j - i] = w of n sites at bandwidth bw (i < j)."""
+    band = np.zeros((n, bw + 1))
+    band[i, j - i] = w
+    return band
 
 
 def banded_coupling(g: WeightedGraph) -> Tuple[np.ndarray, int]:
@@ -466,11 +490,87 @@ def banded_coupling(g: WeightedGraph) -> Tuple[np.ndarray, int]:
     boxes built row-major have bw equal to the leading stride, so the Schur
     elimination below never writes outside the band.
     """
-    bw = max((j - i for i, j, _ in g.edges), default=0)
-    band = np.zeros((g.n, bw + 1))
-    for i, j, w in g.edges:
-        band[i, j - i] = w
-    return band, bw
+    i, j, w = _edge_arrays(g)
+    bw = int((j - i).max(initial=0))
+    return _scatter_band(g.n, i, j, w, bw), bw
+
+
+@dataclass(frozen=True)
+class WiredBand:
+    """Edge index arrays that turn a weight per edge of g into the band
+    storage and boundary vector of the wired marginal on a retained set.
+
+    Built once per graph; fill(w) then scatters any environment's edge
+    weights, aligned to g.edges, without forming a graph or a dense matrix.
+    Sites are numbered in `subset` order, so a row-major box retained
+    inside a larger row-major box keeps its leading stride as bandwidth.
+    The weights of a graph give the entries of its marginal_params exactly:
+    the band holds single weights and each eta entry sums a site's crossing
+    weights in edge order, as boundary_weights does.
+    """
+
+    n: int
+    bw: int
+    weights: np.ndarray
+    inner_i: np.ndarray
+    inner_j: np.ndarray
+    inner_edges: np.ndarray
+    cross_site: np.ndarray
+    cross_edges: np.ndarray
+
+    @classmethod
+    def from_graph(cls, g: WeightedGraph, subset: Sequence[int]) -> "WiredBand":
+        subset = np.asarray(subset, dtype=np.intp)
+        if np.unique(subset).size != subset.size:
+            raise DomainError("subset has repeated vertices")
+        if subset.size and not (0 <= subset.min() and subset.max() < g.n):
+            raise DomainError("subset vertex out of range")
+        i, j, w = _edge_arrays(g)
+        pos = np.full(g.n, -1, dtype=np.intp)
+        pos[subset] = np.arange(subset.size)
+        pi, pj = pos[i], pos[j]
+        inner = (pi >= 0) & (pj >= 0)
+        cross = (pi >= 0) != (pj >= 0)
+        lo = np.minimum(pi[inner], pj[inner])
+        hi = np.maximum(pi[inner], pj[inner])
+        return cls(
+            n=int(subset.size),
+            bw=int((hi - lo).max(initial=0)),
+            weights=w,
+            inner_i=lo,
+            inner_j=hi,
+            inner_edges=np.flatnonzero(inner),
+            cross_site=np.maximum(pi, pj)[cross],
+            cross_edges=np.flatnonzero(cross),
+        )
+
+    def fill(self, w: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """(band, eta) of the wired marginal for edge weights w, by default
+        g's own. Weights must be positive and finite (DomainError), and the
+        retained set must keep a nonzero boundary vector (RestrictionError).
+        """
+        w = self.weights if w is None else np.asarray(w, dtype=float)
+        if w.shape != self.weights.shape:
+            raise DomainError("need one weight per edge")
+        if not (np.isfinite(w) & (w > 0)).all():
+            raise DomainError("edge weights must be positive and finite")
+        band = _scatter_band(
+            self.n, self.inner_i, self.inner_j, w[self.inner_edges], self.bw
+        )
+        eta = np.bincount(
+            self.cross_site, weights=w[self.cross_edges], minlength=self.n
+        )
+        if not eta.any():
+            raise RestrictionError("subset has empty boundary weight vector")
+        return band, eta
+
+    def couple(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """P v for the retained block P of edge weights w, from the edge
+        arrays."""
+        wi = w[self.inner_edges]
+        return np.bincount(
+            self.inner_i, weights=wi * v[self.inner_j], minlength=self.n
+        ) + np.bincount(self.inner_j, weights=wi * v[self.inner_i], minlength=self.n)
 
 
 def sample_banded(

@@ -32,7 +32,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .betafield import NuParams, marginal_params, sample_batch, sample_sequential
+from .betafield import (
+    NuParams,
+    WiredBand,
+    marginal_params,
+    sample_banded,
+    sample_batch,
+    sample_sequential,
+)
 from .errors import (
     ConditioningError,
     ConfigError,
@@ -193,8 +200,9 @@ def _cmd_green(args) -> int:
     g, subset, cfg = _wired_box_params(args)
     cfg.update({"seed": args.seed})
     rng = stream(args.seed, "cli-green")
-    params = marginal_params(g, subset)
-    beta = sample_sequential(params, None, rng).beta
+    # the retained box is row-major, so its field is drawn in band storage
+    band, eta = WiredBand.from_graph(g, subset).fill()
+    beta = sample_banded(band, eta, rng)
     gamma = float(rng.gamma(0.5, 1.0))
     i0 = args.i0 if args.i0 is not None else subset[len(subset) // 2]
     if i0 not in subset:

@@ -17,21 +17,18 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy import stats
-from scipy.linalg import solveh_banded
 
 from .betafield import (
     NuParams,
+    WiredBand,
     banded_coupling,
-    h_beta_banded,
-    marginal_params,
     sample_banded,
     sample_batch,
-    sample_sequential,
 )
 from .errors import ConfigError, CoverageError, DomainError, PreconditionError, TestError
 from .graphs import WeightedGraph, build_lattice_box
 from .processes import simulate_vrjp_lattice
-from .schrodinger import green_bundle, green_solve
+from .schrodinger import green_solve, green_solve_banded
 from .streams import stream
 
 __all__ = [
@@ -342,7 +339,7 @@ def psi_decay_experiment(
         vals = np.empty(n_samples)
         for s in range(n_samples):
             beta = sample_banded(band, eta, rng)
-            psi = solveh_banded(h_beta_banded(band, beta), eta, lower=False)
+            psi = green_solve_banded(band, beta, eta)
             vals[s] = psi[_box_center(g)]
         q = np.quantile(vals, [0.25, 0.5, 0.75])
         rows.append(
@@ -467,8 +464,18 @@ def conductance_ratio_experiment(
 
     Environment: iid Gamma(a, 1) edge weights on a box holding both 0 and
     ell with `margin` extra layers, wired boundary, potential drawn from the
-    matching law, x_i = sum_j W_ij G(i0, i) G(i0, j) with i0 the site of 0.
+    matching law, x_i = sum_j W_ij G(i0, i) G(i0, j) with i0 the site of 0
+    and G the kernel on the retained box plus delta, coupled through an
+    independent Gamma(1/2) variable.
+
+    Each separation's box and its edge index arrays (WiredBand) are built
+    once. Per environment, the weights are scattered into band storage and
+    the boundary vector, the field is drawn by sample_banded, and psi and
+    the Green row of i0 come from one banded Cholesky solve with two
+    right-hand sides; no graph or dense matrix is formed.
     """
+    if not (np.isfinite(a) and a > 0):
+        raise DomainError("Gamma shape a must be positive and finite")
     out: List[EstimatorReport] = []
     for e_i, ell in enumerate(ells):
         ell = int(ell)
@@ -476,36 +483,31 @@ def conductance_ratio_experiment(
             raise DomainError("separations must be even and nonnegative")
         radius = ell // 2 + margin
         box = build_lattice_box(dim, radius + 1, 1.0)
-        inner = [
-            v
-            for v in range(box.n)
-            if np.abs(box.coords[v]).max() <= radius
-        ]
+        inner = np.flatnonzero(np.abs(box.coord_array()).max(axis=1) <= radius)
+        wired = WiredBand.from_graph(box, inner)
         origin = [-(ell // 2)] + [0] * (dim - 1)
         target = [ell - ell // 2] + [0] * (dim - 1)
-        i_zero = _box_index(radius + 1, dim, origin)
-        i_ell = _box_index(radius + 1, dim, target)
+        # retained sites are numbered row-major over the inner box
+        p0 = _box_index(radius, dim, origin)
+        pl = _box_index(radius, dim, target)
+        rhs = np.zeros((wired.n, 2))
+        rhs[p0, 1] = 1.0
         rng = stream(seed, "conductance-ratio", e_i)
         gamma_rng = stream(seed, "conductance-ratio-gamma", e_i)
         vals = np.empty(n_samples)
         for s in range(n_samples):
             w_draw = rng.gamma(a, 1.0, size=box.edge_count)
-            g_s = WeightedGraph(
-                n=box.n,
-                edges=tuple(
-                    (i, j, float(wd)) for (i, j, _), wd in zip(box.edges, w_draw)
-                ),
-                coords=box.coords,
-            )
-            params = marginal_params(g_s, inner)
-            beta = sample_sequential(params, None, rng).beta
-            bundle = green_bundle(
-                g_s, beta, inner, float(gamma_rng.gamma(0.5, 1.0)), i0=None
-            )
-            p0 = bundle.position(i_zero)
-            pl = bundle.position(i_ell)
-            grow = bundle.full_g[p0]
-            x = grow * (bundle.w_wired @ grow)
+            band, eta = wired.fill(w_draw)
+            rhs[:, 0] = eta
+            beta = sample_banded(band, eta, rng)
+            gamma = float(gamma_rng.gamma(0.5, 1.0))
+            if gamma <= 0:
+                raise DomainError("gamma must be positive")
+            psi, g0 = green_solve_banded(band, beta, rhs).T
+            # the row of i0 in the kernel on the box plus delta (delta last)
+            grow = g0 + psi[p0] * psi / (2.0 * gamma)
+            g_delta = psi[p0] / (2.0 * gamma)
+            x = grow * (wired.couple(w_draw, grow) + eta * g_delta)
             vals[s] = (x[pl] / x[p0]) ** 0.25
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0

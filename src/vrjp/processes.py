@@ -258,6 +258,7 @@ def vrjp_words(
     conductances with shape (n_walks, edge_count); holding times are still
     drawn because they feed the local times that reinforce later steps.
     """
+    _check_start(g, i0, length)
     nbr, eids, wts, _ = _edge_tables(g)
     rows = np.arange(n_walks)
     local = np.ones((n_walks, g.n))
@@ -354,13 +355,21 @@ def _errw_weights(g: WeightedGraph, a, i0: int, steps: int) -> np.ndarray:
     a = np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,))
     if not (np.isfinite(a) & (a > 0)).all():
         raise DomainError("initial edge weights must be positive and finite")
+    _check_start(g, i0, steps)
+    return a
+
+
+def _check_start(g: WeightedGraph, i0: int, steps: int) -> None:
+    """A walk of `steps` steps on g from vertex i0: steps must be
+    nonnegative, i0 a vertex of g and, for a walk that steps, one with an
+    edge (else the batched walkers would divide by a zero total rate and
+    step along their phantom pad edge)."""
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     if not (0 <= i0 < g.n):
         raise DomainError("start vertex out of range")
     if steps and not g.neighbors[i0]:
         raise DomainError("the start vertex has no edges to walk along")
-    return a
 
 
 # Uniforms drawn at a time by the single discrete walk. The generator hands

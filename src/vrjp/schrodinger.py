@@ -2,18 +2,22 @@
 functions, the boundary field psi, the full kernel with its independent
 Gamma(1/2) coupling, u-fields, path-sum oracles, and spectral diagnostics.
 
-H is formed in one place, betafield.h_beta, and every H below comes from it.
-Green functions come from one of two dense solves:
+H is formed in one place, betafield.h_beta (h_beta_banded in band storage),
+and every H below comes from it. Green functions come from one of three
+solves:
 
 - green_solve applies Ghat_beta to a few right-hand sides for a whole batch
   of environments at once, through one LU solve per environment; batched
   Monte Carlo asks only for the columns it reads, never for the inverse;
+- green_solve_banded is its band twin for one environment of a lattice box
+  held in band storage: one banded Cholesky solve;
 - green_bundle and u_field factor the H of a single environment by
-  Cholesky, and the factorization doubles as the positivity certificate
-  (a failure raises FactorizationError).
+  Cholesky.
 
-Operators are dense arrays; there is no sparse route. A graph too large for
-its dense matrix is refused with SizeError before anything is allocated
+Every Cholesky factorization doubles as the positivity certificate: a
+failure raises FactorizationError. Apart from the band storage, operators
+are dense arrays; there is no sparse route. A graph too large for its dense
+matrix is refused with SizeError before anything is allocated
 (WeightedGraph.weight_matrix). Truncated path sums converge far too slowly
 for production and exist only as independent oracles for tests.
 """
@@ -26,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .betafield import BetaSample, h_beta, marginal_params
+from .betafield import BetaSample, h_beta, h_beta_banded, marginal_params
 from .errors import (
     DomainError,
     FactorizationError,
@@ -45,6 +49,7 @@ __all__ = [
     "GreenBundle",
     "assemble_H",
     "green_solve",
+    "green_solve_banded",
     "green_bundle",
     "u_field",
     "truncated_green_pathsum",
@@ -85,6 +90,22 @@ def green_solve(p: np.ndarray, beta, rhs) -> np.ndarray:
     cols = rhs if rhs.ndim == 2 else rhs[:, None]
     out = np.linalg.solve(h, np.broadcast_to(cols, h.shape[:-1] + cols.shape[1:]))
     return out if rhs.ndim == 2 else out[..., 0]
+
+
+def green_solve_banded(band: np.ndarray, beta, rhs) -> np.ndarray:
+    """Ghat_beta rhs for one environment whose coupling P is held in the row
+    band storage of banded_coupling: the band twin of green_solve.
+
+    rhs has shape (m,) or (m, k), and so has the result. One banded
+    Cholesky solve, which certifies positivity: an H_beta that is not
+    positive definite raises FactorizationError.
+    """
+    try:
+        return scipy.linalg.solveh_banded(
+            h_beta_banded(band, beta), rhs, lower=False
+        )
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"banded operator is not positive definite: {exc}") from exc
 
 
 @dataclass(frozen=True)

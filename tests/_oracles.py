@@ -11,7 +11,18 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate
 
-from vrjp import NuParams, WeightedGraph, density, gig_half_sample, q_density
+from vrjp import (
+    NuParams,
+    WeightedGraph,
+    build_lattice_box,
+    density,
+    gig_half_sample,
+    green_bundle,
+    marginal_params,
+    q_density,
+    sample_sequential,
+    stream,
+)
 
 SE_RULE = 4.0
 ALPHA = 0.01
@@ -256,3 +267,41 @@ def reference_vrjp_lattice(dim: int, w: float, n_jumps: int, rng):
         s_times[k + 1] = s
         d_times[k + 1] = d
     return coords, s_times, d_times
+
+
+def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
+    """The conductance-ratio experiment one environment at a time on dense
+    storage: a weighted graph per environment, its marginal parameters, the
+    dense sequential sampler and a full Green bundle. The band path must
+    match it up to rounding. Returns (mean, stderr) per separation."""
+    out = []
+    for e_i, ell in enumerate(ells):
+        radius = ell // 2 + margin
+        box = build_lattice_box(dim, radius + 1, 1.0)
+        inner = [v for v in range(box.n) if np.abs(box.coords[v]).max() <= radius]
+        rest = (0,) * (dim - 1)
+        i_zero = box.coords.index((-(ell // 2),) + rest)
+        i_ell = box.coords.index((ell - ell // 2,) + rest)
+        rng = stream(seed, "conductance-ratio", e_i)
+        gamma_rng = stream(seed, "conductance-ratio-gamma", e_i)
+        vals = np.empty(n_samples)
+        for s in range(n_samples):
+            w_draw = rng.gamma(a, 1.0, size=box.edge_count)
+            g_s = WeightedGraph(
+                n=box.n,
+                edges=tuple(
+                    (i, j, float(wd)) for (i, j, _), wd in zip(box.edges, w_draw)
+                ),
+                coords=box.coords,
+            )
+            beta = sample_sequential(marginal_params(g_s, inner), None, rng).beta
+            bundle = green_bundle(
+                g_s, beta, inner, float(gamma_rng.gamma(0.5, 1.0)), i0=None
+            )
+            p0 = bundle.position(i_zero)
+            pl = bundle.position(i_ell)
+            grow = bundle.full_g[p0]
+            x = grow * (bundle.w_wired @ grow)
+            vals[s] = (x[pl] / x[p0]) ** 0.25
+        out.append((float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))))
+    return out

@@ -11,8 +11,10 @@ from scipy import stats
 from vrjp import (
     DomainError,
     NuParams,
+    RestrictionError,
     SizeError,
     WeightedGraph,
+    WiredBand,
     banded_coupling,
     build_lattice_box,
     density,
@@ -492,6 +494,73 @@ class TestHBetaBanded:
             dense[i, i + d] = ab[bw - d, d:]
             dense[i + d, i] = ab[bw - d, d:]
         np.testing.assert_array_equal(dense, h_beta(g.weight_matrix(), beta))
+
+
+def _green_box(dim, radius, w):
+    """The radius box retained inside the box one layer larger, as `vrjp
+    green` wires it."""
+    g = build_lattice_box(dim, radius + 1, w)
+    subset = [v for v in range(g.n) if max(abs(c) for c in g.coords[v]) <= radius]
+    return g, subset
+
+
+class TestWiredBand:
+    @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2)])
+    def test_fill_gives_the_wired_marginal_exactly(self, dim, radius):
+        g, subset = _green_box(dim, radius, 0.7)
+        w = stream(71, "wired-w", dim).gamma(1.0, 1.0, size=g.edge_count)
+        g_w = WeightedGraph(
+            n=g.n, edges=tuple((i, j, x) for (i, j, _), x in zip(g.edges, w))
+        )
+        wired = WiredBand.from_graph(g, subset)
+        assert wired.bw == (2 * radius + 1) ** (dim - 1)
+        for weights, graph in ((None, g), (w, g_w)):
+            band, eta = wired.fill(weights)
+            params = marginal_params(graph, subset)
+            np.testing.assert_array_equal(eta, params.eta)
+            rows = np.arange(wired.n)
+            for d in range(wired.bw + 1):
+                np.testing.assert_array_equal(
+                    band[rows[: wired.n - d], d], params.p[rows[: wired.n - d], rows[d:]]
+                )
+            v = stream(71, "wired-v", dim).uniform(0.5, 2.0, size=wired.n)
+            edge_w = wired.weights if weights is None else weights
+            np.testing.assert_allclose(
+                wired.couple(edge_w, v), params.p @ v, rtol=1e-13, atol=0.0
+            )
+
+    @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2)])
+    def test_band_draw_matches_dense_draw(self, dim, radius):
+        # `vrjp green`'s draw: the same variates as sample_sequential, in
+        # the same order, with only the rounding of the sums changed
+        g, subset = _green_box(dim, radius, 1.0)
+        band, eta = WiredBand.from_graph(g, subset).fill()
+        rng_got, rng_want = stream(73, "wired", dim), stream(73, "wired", dim)
+        got = sample_banded(band, eta, rng_got)
+        want = sample_sequential(marginal_params(g, subset), None, rng_want).beta
+        _assert_same_draws(got, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_refuses_unusable_weights(self, bad):
+        g, subset = _green_box(2, 1, 1.0)
+        w = np.ones(g.edge_count)
+        w[3] = bad
+        with pytest.raises(DomainError):
+            WiredBand.from_graph(g, subset).fill(w)
+        with pytest.raises(DomainError):
+            WiredBand.from_graph(g, subset).fill(np.ones(g.edge_count - 1))
+
+    def test_refuses_empty_boundary(self):
+        g = build_lattice_box(2, 1)
+        with pytest.raises(RestrictionError):
+            WiredBand.from_graph(g, range(g.n)).fill()
+
+    def test_refuses_bad_subset(self):
+        g = build_lattice_box(2, 1)
+        with pytest.raises(DomainError):
+            WiredBand.from_graph(g, [0, 0, 1])
+        with pytest.raises(DomainError):
+            WiredBand.from_graph(g, [0, g.n])
 
 
 class TestErrwEnvironment:

@@ -114,6 +114,33 @@ class TestGreen:
         )
         assert rc == USAGE_EXIT
 
+    @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2)])
+    def test_band_draw_matches_dense_draw(self, tmp_path, dim, radius):
+        # the field is drawn in band storage: beta matches the dense
+        # sequential draw up to rounding, and gamma, the generator's next
+        # draw, is the same, so both consumed the same variates
+        out = tmp_path / "run"
+        argv = ["--dim", str(dim), "--radius", str(radius), "--seed", "5"]
+        assert main(["green", *argv, "--out", str(out)]) == 0
+        g = vrjp.build_lattice_box(dim, radius + 1, 1.0)
+        subset = [v for v in range(g.n) if max(map(abs, g.coords[v])) <= radius]
+        rng = vrjp.stream(5, "cli-green")
+        want = vrjp.sample_sequential(vrjp.marginal_params(g, subset), None, rng).beta
+        got = [float(r["beta"]) for r in read_csv(out / "green.csv")[:-1]]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert read_json(out / "summary.json")["gamma"] == float(rng.gamma(0.5, 1.0))
+
+    def test_never_runs_the_dense_sampler(self, tmp_path, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense elimination on a lattice box")
+
+        monkeypatch.setattr(vrjp.betafield, "_eliminate", dense)
+        rc = main(
+            ["green", "--dim", "2", "--radius", "2", "--seed", "3",
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 0
+
 
 class TestSimulateVrjp:
     def test_trajectory_schema(self, tmp_path, graph_file):
@@ -370,6 +397,19 @@ class TestExperimentCommand:
         assert [int(r["radius"]) for r in rows] == [2, 3]
         med = [float(r["median"]) for r in rows]
         assert med[1] < med[0]
+
+    def test_non_positive_definite_psi_solve_is_numeric_failure(
+        self, tmp_path, monkeypatch
+    ):
+        # beta = 0 makes the banded H = -P: a factorization failure, exit
+        # 3, not the usage error a bare LinAlgError (a ValueError) would give
+        monkeypatch.setattr(
+            vrjp.harness, "sample_banded", lambda band, eta, rng: np.zeros(len(eta))
+        )
+        rc = main(
+            ["experiment", "--name", "psi-decay", "--out", str(tmp_path / "run")]
+        )
+        assert rc == NUMERIC_EXIT
 
     def test_unknown_config_key(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import vrjp
 from vrjp import (
     ConfigError,
     CoverageError,
@@ -33,7 +34,15 @@ from vrjp import (
     word_chi2,
 )
 
-from _oracles import ALPHA, SE_RULE, ring_graph, rooted_pair_cdf, se
+from _oracles import (
+    ALPHA,
+    SE_RULE,
+    NoDraws,
+    reference_conductance_ratio,
+    ring_graph,
+    rooted_pair_cdf,
+    se,
+)
 
 
 class TestEstimatorReport:
@@ -272,6 +281,30 @@ class TestConductanceRatioExperiment:
             conductance_ratio_experiment(1.0, [3], n_samples=4, seed=0)
         with pytest.raises(DomainError):
             conductance_ratio_experiment(1.0, [-2], n_samples=4, seed=0)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_matches_dense_reference(self, seed):
+        # the band path draws the same variates in the same order as the
+        # per-environment dense loop; only the rounding differs
+        reports = conductance_ratio_experiment(1.0, (2, 4), n_samples=10, seed=seed)
+        want = reference_conductance_ratio(1.0, (2, 4), 10, seed)
+        np.testing.assert_allclose(
+            [(r.mean, r.stderr) for r in reports], want, rtol=1e-12, atol=0.0
+        )
+
+    def test_never_runs_the_dense_sampler(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense elimination on a lattice box")
+
+        monkeypatch.setattr(vrjp.betafield, "_eliminate", dense)
+        reports = conductance_ratio_experiment(1.0, [2], n_samples=3, seed=7)
+        assert np.isfinite(reports[0].mean)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, 0.0])
+    def test_refuses_unusable_shape_before_drawing(self, monkeypatch, a):
+        monkeypatch.setattr(vrjp.harness, "stream", lambda *key: NoDraws())
+        with pytest.raises(DomainError):
+            conductance_ratio_experiment(a, [2], n_samples=3, seed=7)
 
 
 class TestStationarity:

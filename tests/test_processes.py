@@ -629,6 +629,17 @@ class TestMixtureRepresentation:
 
         assert word_chi2(a_words, b_words) > ALPHA
 
+    @pytest.mark.parametrize("i0", [-1, 3, 2])
+    def test_vrjp_words_refuses_bad_start(self, i0):
+        # vertex 2 has no edge to walk along
+        g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
+        with pytest.raises(DomainError):
+            vrjp_words(g, i0, 4, 1, NoDraws())
+
+    def test_vrjp_words_of_no_steps_may_start_at_an_isolated_vertex(self):
+        g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
+        assert vrjp_words(g, 2, 0, 2, NoDraws()).shape == (2, 0)
+
     def test_reinforced_chain_equals_walk_in_gamma_environment(self):
         g = triangle()
         rng = stream(8, "gamma-env")

@@ -17,10 +17,12 @@ from vrjp import (
     SizeError,
     WeightedGraph,
     assemble_H,
+    banded_coupling,
     build_lattice_box,
     check_identities,
     green_bundle,
     green_solve,
+    green_solve_banded,
     marginal_params,
     q_density,
     sample_batch,
@@ -126,6 +128,28 @@ class TestGreenSolve:
             green_solve(p, np.full(5, 6.0), np.ones(4))
         with pytest.raises(DomainError):
             green_solve(p, np.full(5, 6.0), np.ones((5, 2, 2)))
+
+
+class TestGreenSolveBanded:
+    @pytest.mark.parametrize("k", [None, 2], ids=["vector", "k2"])
+    def test_matches_dense_solve(self, k):
+        # 2 beta >= 8.4 exceeds every row sum of P (at most 4 * 2.1)
+        g = build_lattice_box(2, 3, 2.1)
+        band, _ = banded_coupling(g)
+        beta = stream(79, "gsb-beta").uniform(4.2, 5.0, g.n)
+        shape = (g.n,) if k is None else (g.n, k)
+        rhs = stream(79, "gsb-rhs").normal(size=shape)
+        got = green_solve_banded(band, beta, rhs)
+        assert got.shape == shape
+        want = green_solve(g.weight_matrix(), beta, rhs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_non_positive_definite_raises_factorization_error(self):
+        # beta = 0 makes H = -P, which is not positive definite
+        g = build_lattice_box(2, 2)
+        band, _ = banded_coupling(g)
+        with pytest.raises(FactorizationError):
+            green_solve_banded(band, np.zeros(g.n), np.ones(g.n))
 
 
 class TestGreenBundle:
