@@ -9,31 +9,25 @@ h_beta forms it densely and h_beta_banded in band storage.
 Sampling is exact and sequential: conditionally on the sites already drawn,
 one site's shifted potential x = 2 beta - P_kk follows a generalized inverse
 Gaussian law of index 1/2 with rate 1, and eliminating the site is a rank-one
-Schur update of (P, eta). One unblocked loop, _schur_loop, runs this
-elimination over an upper triangle held with the sample axis last, in one of
-two storages:
+Schur update of (P, eta). Two loops run this elimination, one per storage:
 
 - dense: sample_batch permutes P to the elimination order and holds it as a
-  full square, drawing a batch of fields at once; sample_sequential is its
-  batch of one, so both give the same bits;
+  full square with the sample axis last; _schur_loop draws a batch of fields
+  at once, adding each site's update to the whole block behind it.
+  sample_sequential is its batch of one, so both give the same bits;
 - band: sample_banded holds a row-major lattice box by rows of its band.
   Eliminating sites in index order keeps every update inside the band, which
-  is what makes large boxes cheap. Psi decay, the conductance ratio and
-  `vrjp green` draw their boxes this way. banded_coupling stores a graph's
-  own weights; WiredBand scatters per-environment edge weights into the
-  band and boundary vector of a retained box, with no graph or dense matrix
-  per environment. Like sample_sequential(order=None), the band sampler
-  eliminates in index order, so it consumes the same variates and its beta
-  differs from the dense draw by rounding only.
-
-The unblocked loop adds each site's update to the whole bw x bw block behind
-it: a pass over memory per site, which dominates once the band is wide (the
-d = 3 box of radius 8 has bw = 289). Since a pivot needs only its own row,
-sample_banded eliminates wide bands in panels instead (_blocked_band_loop):
-each site's update goes to the rest of its panel alone, and the block behind
-the panel takes all of the panel's updates as one BLAS-3 dsyrk, as in a
-right-looking blocked LDL^T. The draws are the same variates in the same
-order; only the rounding of the summed updates differs.
+  is what makes large boxes cheap. Since a pivot needs only its own row,
+  _blocked_band_loop eliminates the band in panels: each site's update goes
+  to the rest of its panel alone, and the block behind the panel takes all
+  of the panel's updates as one BLAS-3 dsyrk, as in a right-looking blocked
+  LDL^T. Psi decay, the conductance ratio and `vrjp green` draw their boxes
+  this way. banded_coupling stores a graph's own weights; WiredBand scatters
+  per-environment edge weights into the band and boundary vector of a
+  retained box, with no graph or dense matrix per environment. Like
+  sample_sequential(order=None), the band sampler eliminates in index order,
+  so it consumes the same variates in the same order and its beta differs
+  from the dense draw by the rounding of the summed updates only.
 """
 
 from __future__ import annotations
@@ -75,12 +69,6 @@ PIVOT_RTOL = 1e-12
 # Sites per panel of the blocked band elimination. On a 2-vCPU VM with one
 # BLAS thread, 16 to 32 were alike at bw 289 and 8 and 64 slower.
 _PANEL = 32
-# Smallest bandwidth that sample_banded eliminates in panels. On the same VM
-# panels were faster at every bandwidth measured, 1 to 289 (bw 81: 46 -> 20
-# us per site; bw 289: 213 -> 38), so the crossover is set by bits, not
-# speed: bandwidths up to 81, every box up to d = 3 radius 4, keep the
-# unblocked loop's draws.
-_BLOCKED_MIN_BW = 82
 
 
 @dataclass(frozen=True)
@@ -305,27 +293,25 @@ def _row_block(s: int) -> int:
     return max(1, 64 // max(s, 1))
 
 
-def _schur_loop(
-    v: np.ndarray, ew: np.ndarray, bw: int, rng: np.random.Generator
-) -> np.ndarray:
+def _schur_loop(v: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Eliminate the n sites of v in index order; returns beta as (n, S).
 
-    v is an (n, n, S) view with the sample axis last, of which only the
-    upper triangle within bandwidth bw has to hold P; ew is eta as (n, S).
-    Step k reads the pivot row v[k, k+1:k+1+m], draws the shifted potential
-    x, and adds (col_a col_b) / x to the upper triangle of the trailing block
-    in row blocks. A diagonal block also writes the cells below its diagonal,
-    so the storage must take those writes (a full square does, and band
-    storage keeps padding on the left for them). The update is symmetric bit
-    for bit, since a * b == b * a, so rows equal columns exactly.
+    v is the (n, n, S) state, a full square with the sample axis last, of
+    which only the upper triangle has to hold P; ew is eta as (n, S). Step k
+    reads the pivot row v[k, k+1:], draws the shifted potential x, and adds
+    (col_a col_b) / x to the upper triangle of the trailing block in row
+    blocks; a diagonal block also writes the cells below its diagonal. The
+    update is symmetric bit for bit, since a * b == b * a, so rows equal
+    columns exactly.
     """
     n, _, s = v.shape
     blk = _row_block(s)
-    scratch = np.empty(min(blk, bw) * bw * s)
+    rest = max(n - 1, 0)
+    scratch = np.empty(min(blk, rest) * rest * s)
     beta = np.empty((n, s))
     for k in range(n):
-        m = min(bw, n - 1 - k)
-        col = v[k, k + 1 : k + 1 + m]
+        m = n - 1 - k
+        col = v[k, k + 1 :]
         eta_hat = ew[k] + col.sum(axis=0)
         x = _gig_vec(eta_hat**2, rng)
         beta[k] = 0.5 * (x + v[k, k])
@@ -334,8 +320,8 @@ def _schur_loop(
             t = scratch[: (r1 - r0) * (m - r0) * s].reshape(r1 - r0, m - r0, s)
             np.multiply(col[r0:r1, None], col[None, r0:], out=t)
             t /= x
-            v[k + 1 + r0 : k + 1 + r1, k + 1 + r0 : k + 1 + m] += t
-        ew[k + 1 : k + 1 + m] += col * (ew[k] / x)
+            v[k + 1 + r0 : k + 1 + r1, k + 1 + r0 :] += t
+        ew[k + 1 :] += col * (ew[k] / x)
     return beta
 
 
@@ -406,8 +392,7 @@ def _eliminate(
     fields at once; returns an (n_samples, n) array in vertex order.
 
     The state is permuted to the elimination order once and held as a full
-    (n, n, S) square with the sample axis last, which is _schur_loop's dense
-    storage with bandwidth n - 1.
+    (n, n, S) square with the sample axis last, _schur_loop's storage.
     """
     if rng is None:
         raise DomainError("an rng is required")
@@ -421,15 +406,15 @@ def _eliminate(
     if n_samples < 0:
         raise DomainError(f"sample count must be nonnegative, got {n_samples}")
     # the (n, n, S) state plus _schur_loop's row-block scratch
-    bw = max(n - 1, 0)
+    rest = max(n - 1, 0)
     _refuse_beyond_memory(
-        (n * n + min(_row_block(n_samples), bw) * bw) * n_samples * 8,
+        (n * n + min(_row_block(n_samples), rest) * rest) * n_samples * 8,
         f"the elimination state of {n_samples} samples on {n} sites",
     )
     idx = np.array(order, dtype=int)
     pw = np.broadcast_to(p[np.ix_(idx, idx)][:, :, None], (n, n, n_samples)).copy()
     ew = np.broadcast_to(eta[idx][:, None], (n, n_samples)).copy()
-    beta = _schur_loop(pw, ew, bw, rng)
+    beta = _schur_loop(pw, ew, rng)
     out = np.empty((n_samples, n))
     out[:, idx] = beta.T
     return out
@@ -579,43 +564,29 @@ def sample_banded(
     """Exact field sample from band-stored parameters, eliminating in index
     order. Same law as sample_sequential, cost n * bw^2 instead of n^3.
 
-    Below bandwidth _BLOCKED_MIN_BW it runs the dense samplers' unblocked
-    loop on band storage: row i holds P[i, i:i+bw+1] after zero columns that
-    take the below-diagonal writes of a diagonal row block, and a sheared
-    view presents it as the (n, n, 1) upper triangle. That loop adds each
-    site's rank-one update to the whole bw x bw block behind it, a pass over
-    memory per site that dominates at wide bands. From _BLOCKED_MIN_BW up,
-    _blocked_band_loop eliminates _PANEL sites at a time and applies their
-    updates to that block as one BLAS-3 dsyrk. Both paths draw the same
-    variates in the same order; the blocked one sums the updates in another
-    order, so its beta differs from the unblocked loop's by rounding only.
+    band[i, d] = P[i, i+d] for d = 0..bw, as banded_coupling stores it, and
+    eta has one entry per site. _blocked_band_loop eliminates _PANEL sites at
+    a time and applies their updates to the block behind the panel as one
+    BLAS-3 dsyrk. It draws the same variates in the same order as the dense
+    samplers' loop; only the rounding of the summed updates differs.
     """
+    if rng is None:
+        raise DomainError("an rng is required")
+    band = np.asarray(band, dtype=float)
+    if band.ndim != 2 or band.shape[1] < 1:
+        raise DomainError("band storage must be 2-D with at least one column")
     n, width = band.shape
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != (n,):
+        raise DomainError("eta length must match the band's site count")
     bw = width - 1
-    what = f"band storage of {n} sites at bandwidth {bw}"
-    if bw >= _BLOCKED_MIN_BW:
-        # the band and eta copies, beta, the window with its spare cells,
-        # the in-panel scratch, the scaled panel and dsyrk's copy of the
-        # trailing block
-        size = _PANEL + bw
-        cells = n * (width + 2) + size * size + bw + 2 * _PANEL * bw + bw * bw
-        _refuse_beyond_memory(cells * 8, what)
-        return _blocked_band_loop(
-            np.array(band, dtype=float),
-            np.broadcast_to(np.asarray(eta, dtype=float), (n,)).copy(),
-            rng,
-        )
-    pad = max(min(_row_block(1), bw) - 1, 0)
-    _refuse_beyond_memory(n * (pad + width) * 8, what)
-    sh = np.zeros((n, pad + width, 1))
-    sh[:, pad:, 0] = band
-    s0, s1, s2 = sh.strides
-    # v[i, j] = sh[i, pad + j - i] = P[i, j] for 0 <= j - i <= bw
-    v = np.lib.stride_tricks.as_strided(
-        sh[:, pad:], shape=(n, n, 1), strides=(s0 - s1, s1, s2)
-    )
-    ew = np.broadcast_to(np.asarray(eta, dtype=float), (n,))[:, None].copy()
-    return _schur_loop(v, ew, bw, rng)[:, 0]
+    # the band and eta copies, beta, the window with its spare cells, the
+    # in-panel scratch, the scaled panel and dsyrk's copy of the trailing
+    # block
+    size = _PANEL + bw
+    cells = n * (width + 2) + size * size + bw + 2 * _PANEL * bw + bw * bw
+    _refuse_beyond_memory(cells * 8, f"band storage of {n} sites at bandwidth {bw}")
+    return _blocked_band_loop(band.copy(), eta.copy(), rng)
 
 
 def sample_errw_env(
@@ -625,8 +596,8 @@ def sample_errw_env(
     then the field given those conductances. Returns (edge weights, sample)
     with weights aligned to g.edges order."""
     a = np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,))
-    if (a <= 0).any():
-        raise DomainError("Gamma shapes must be positive")
+    if not (np.isfinite(a) & (a > 0)).all():
+        raise DomainError("Gamma shapes must be positive and finite")
     w_draw = rng.gamma(shape=a, scale=1.0)
     p = np.zeros((g.n, g.n))
     for (i, j, _), w in zip(g.edges, w_draw):

@@ -171,8 +171,8 @@ def reference_sample_batch(params: NuParams, n_samples: int, rng, order=None):
 
 def reference_sample_banded(band: np.ndarray, eta: np.ndarray, rng) -> np.ndarray:
     """Band-storage elimination in index order with a per-site outer product
-    written through a skewed view: the loop the band sampler must match bit
-    for bit, draw for draw."""
+    written through a skewed view: the loop the band sampler must match draw
+    for draw, with beta equal up to the rounding of the summed updates."""
     n, width = band.shape
     bw = width - 1
     # extra rows so near-the-end updates need no branching

@@ -30,7 +30,6 @@ from vrjp import (
     stream,
 )
 from vrjp.betafield import (
-    _BLOCKED_MIN_BW,
     _blocked_band_loop,
     h_beta,
     h_beta_banded,
@@ -355,6 +354,19 @@ class TestEliminationKernel:
             sample_batch(_wired_box(2, 2), 10**12, stream(0))
 
 
+def _box_band(dim, radius, w):
+    g = build_lattice_box(dim, radius, w)
+    band, bw = banded_coupling(g)
+    degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
+    return band, bw, w * (2 * dim - degrees)
+
+
+def _assert_same_draws(got, want, rng_got, rng_want):
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # the same variates were consumed: the generators draw alike from here
+    np.testing.assert_array_equal(rng_got.random(4), rng_want.random(4))
+
+
 class TestBandedSampler:
     def test_band_storage_matches_weight_matrix(self):
         g = build_lattice_box(2, 1)
@@ -367,18 +379,27 @@ class TestBandedSampler:
                     assert band[i, d] == w[i, i + d]
 
     @pytest.mark.parametrize(
-        "dim,radius,bw", [(1, 4, 1), (2, 2, 5), (2, 8, 17), (2, 12, 25), (3, 4, 81)]
+        "dim,radius,bw",
+        [
+            (1, 0, 0),
+            (1, 4, 1),
+            (2, 2, 5),
+            (2, 8, 17),
+            (2, 12, 25),
+            (3, 4, 81),
+            (3, 5, 121),
+        ],
     )
     def test_matches_reference_loop(self, dim, radius, bw):
-        # bw 81 has 729 sites: one row block of 64 plus a partial block
-        g = build_lattice_box(dim, radius, 0.7)
-        band, got_bw = banded_coupling(g)
+        # from one site with no band to bw 121 (1331 sites, 42 panels with
+        # a short last one); the panels sum the updates in another order
+        # than the reference, so beta agrees up to rounding
+        band, got_bw, eta = _box_band(dim, radius, 0.7)
         assert got_bw == bw
-        degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
-        eta = 0.7 * (2 * dim - degrees)
-        got = sample_banded(band, eta, stream(53, "banded", bw))
-        want = reference_sample_banded(band, eta, stream(53, "banded", bw))
-        np.testing.assert_array_equal(got, want)
+        rng_got, rng_want = stream(53, "banded", bw), stream(53, "banded", bw)
+        got = sample_banded(band, eta, rng_got)
+        want = reference_sample_banded(band, eta, rng_want)
+        _assert_same_draws(got, want, rng_got, rng_want)
 
     def test_refuses_storage_beyond_physical_memory(self):
         # 10^7 sites at bandwidth 9999: zero-stride inputs, nothing allocated
@@ -386,6 +407,23 @@ class TestBandedSampler:
         eta = np.broadcast_to(np.zeros(1), (10**7,))
         with pytest.raises(SizeError):
             sample_banded(band, eta, stream(0))
+
+    @pytest.mark.parametrize(
+        "band,eta,rng",
+        [
+            (np.zeros((3, 2)), np.ones(3), None),
+            (np.zeros(3), np.ones(3), NoDraws()),
+            (np.zeros((3, 0)), np.ones(3), NoDraws()),
+            (np.zeros((3, 2, 1)), np.ones(3), NoDraws()),
+            (np.zeros((3, 2)), np.ones(2), NoDraws()),
+            (np.zeros((3, 2)), np.ones((3, 1)), NoDraws()),
+            (np.zeros((3, 2)), 1.0, NoDraws()),
+        ],
+        ids=["no-rng", "band-1d", "no-columns", "band-3d", "short-eta", "eta-2d", "scalar-eta"],
+    )
+    def test_refuses_bad_input_before_drawing(self, band, eta, rng):
+        with pytest.raises(DomainError):
+            sample_banded(band, eta, rng)
 
     def test_banded_law_matches_closed_form(self):
         g = build_lattice_box(1, 2)
@@ -400,19 +438,6 @@ class TestBandedSampler:
         for _ in range(4):
             lam = lam_rng.uniform(0.0, 1.0, size=3)
             assert zscore(np.exp(-beta @ lam), laplace_closed_form(params, lam)) <= SE_RULE
-
-
-def _box_band(dim, radius, w):
-    g = build_lattice_box(dim, radius, w)
-    band, bw = banded_coupling(g)
-    degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
-    return band, bw, w * (2 * dim - degrees)
-
-
-def _assert_same_draws(got, want, rng_got, rng_want):
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    # the same variates were consumed: the generators draw alike from here
-    np.testing.assert_array_equal(rng_got.random(4), rng_want.random(4))
 
 
 class TestBlockedBandKernel:
@@ -438,14 +463,6 @@ class TestBlockedBandKernel:
         want = reference_sample_banded(band, eta, rng_want)
         _assert_same_draws(got, want, rng_got, rng_want)
 
-    def test_sample_banded_above_crossover_matches_reference_loop(self):
-        band, bw, eta = _box_band(3, 5, 0.7)
-        assert bw >= _BLOCKED_MIN_BW
-        rng_got, rng_want = stream(61, "blocked"), stream(61, "blocked")
-        got = sample_banded(band, eta, rng_got)
-        want = reference_sample_banded(band, eta, rng_want)
-        _assert_same_draws(got, want, rng_got, rng_want)
-
     def test_law_matches_closed_form(self):
         # the 3x3 interior of the 5x5 box, wired to the rest: panels of 4
         # sites split its bandwidth-3 band into 4, 4 and 1
@@ -463,9 +480,10 @@ class TestBlockedBandKernel:
             lam = lam_rng.uniform(0.0, 1.0, size=9)
             assert zscore(np.exp(-beta @ lam), laplace_closed_form(params, lam)) <= SE_RULE
 
-    def test_unblocked_path_refuses_storage_beyond_physical_memory(self):
-        # bandwidth 10 stays below the crossover: 10^11 sites of band
-        # storage, zero-stride inputs, nothing allocated, no draw made
+    def test_refuses_long_band_beyond_physical_memory(self):
+        # a narrow band (bandwidth 10) over 10^11 sites: the band storage
+        # alone exceeds memory; zero-stride inputs, nothing allocated, no
+        # draw made
         band = np.broadcast_to(np.zeros(1), (10**11, 11))
         eta = np.broadcast_to(np.zeros(1), (10**11,))
         with pytest.raises(SizeError):
@@ -577,5 +595,6 @@ class TestErrwEnvironment:
 
     def test_rejects_nonpositive_shape(self):
         g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
-        with pytest.raises(DomainError):
-            sample_errw_env(g, 0.0, stream(0))
+        for a in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                sample_errw_env(g, a, NoDraws())

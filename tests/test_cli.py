@@ -135,6 +135,7 @@ class TestGreen:
             raise AssertionError("dense elimination on a lattice box")
 
         monkeypatch.setattr(vrjp.betafield, "_eliminate", dense)
+        monkeypatch.setattr(vrjp.betafield, "_schur_loop", dense)
         rc = main(
             ["green", "--dim", "2", "--radius", "2", "--seed", "3",
              "--out", str(tmp_path / "run")]

@@ -297,8 +297,11 @@ class TestConductanceRatioExperiment:
             raise AssertionError("dense elimination on a lattice box")
 
         monkeypatch.setattr(vrjp.betafield, "_eliminate", dense)
+        monkeypatch.setattr(vrjp.betafield, "_schur_loop", dense)
         reports = conductance_ratio_experiment(1.0, [2], n_samples=3, seed=7)
         assert np.isfinite(reports[0].mean)
+        rows = psi_decay_experiment(2, 0.2, [2], n_samples=4, seed=7)
+        assert np.isfinite(rows[0]["median"])
 
     @pytest.mark.parametrize("a", [np.nan, np.inf, 0.0])
     def test_refuses_unusable_shape_before_drawing(self, monkeypatch, a):
