@@ -22,12 +22,12 @@ Schur update of (P, eta). Two loops run this elimination, one per storage:
   to the rest of its panel alone, and the block behind the panel takes all
   of the panel's updates as one BLAS-3 dsyrk, as in a right-looking blocked
   LDL^T. Psi decay, the conductance ratio and `vrjp green` draw their boxes
-  this way. banded_coupling stores a graph's own weights; WiredBand scatters
-  per-environment edge weights into the band and boundary vector of a
-  retained box, with no graph or dense matrix per environment. Like
-  sample_sequential(order=None), the band sampler eliminates in index order,
-  so it consumes the same variates in the same order and its beta differs
-  from the dense draw by the rounding of the summed updates only.
+  this way. banded_coupling stores a graph's own weights. The wired marginal
+  of a retained set is formed in one place, WiredBand's edge arrays: in band
+  storage for any environment's edge weights, or dense (marginal_params).
+  Like sample_sequential(order=None), the band sampler eliminates in index
+  order, so it consumes the same variates in the same order and its beta
+  differs from the dense draw by the rounding of the summed updates only.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
 from .errors import DomainError, RestrictionError
-from .graphs import WeightedGraph, _refuse_beyond_memory, boundary_weights, induced_subgraph
+from .graphs import WeightedGraph, _refuse_beyond_memory
 
 __all__ = [
     "NuParams",
@@ -124,11 +124,10 @@ def marginal_params(g: WeightedGraph, subset: Sequence[int]) -> NuParams:
     Keeping a set U of sites turns the complement into the boundary vector
     eta_U + (weights from U to the complement); with eta = 0 on g this is just
     the boundary weight vector. Sampling this marginal directly is equivalent
-    to sampling on g and restricting.
+    to sampling on g and restricting. This is WiredBand.from_graph(g,
+    subset) in dense storage, with sites in `subset` order.
     """
-    subset = [int(v) for v in subset]
-    block = induced_subgraph(g, subset)[0].weight_matrix()
-    return NuParams(p=block, eta=boundary_weights(g, subset))
+    return WiredBand.from_graph(g, subset).params()
 
 
 def laplace_closed_form(params: NuParams, lam: np.ndarray) -> float:
@@ -482,16 +481,16 @@ def banded_coupling(g: WeightedGraph) -> Tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class WiredBand:
-    """Edge index arrays that turn a weight per edge of g into the band
-    storage and boundary vector of the wired marginal on a retained set.
+    """Edge index arrays that form the wired marginal of g on a retained set:
+    its coupling block and boundary vector, from a weight per edge of g.
 
     Built once per graph; fill(w) then scatters any environment's edge
-    weights, aligned to g.edges, without forming a graph or a dense matrix.
-    Sites are numbered in `subset` order, so a row-major box retained
-    inside a larger row-major box keeps its leading stride as bandwidth.
-    The weights of a graph give the entries of its marginal_params exactly:
-    the band holds single weights and each eta entry sums a site's crossing
-    weights in edge order, as boundary_weights does.
+    weights, aligned to g.edges, into band storage without forming a graph
+    or a dense matrix, and params() gives g's own marginal in dense storage.
+    Sites are numbered in `subset` order, so a row-major box retained inside
+    a larger row-major box keeps its leading stride as bandwidth. Both hold
+    single weights, and each eta entry sums a site's crossing weights in
+    edge order.
     """
 
     n: int
@@ -506,14 +505,18 @@ class WiredBand:
     @classmethod
     def from_graph(cls, g: WeightedGraph, subset: Sequence[int]) -> "WiredBand":
         subset = np.asarray(subset, dtype=np.intp)
-        if np.unique(subset).size != subset.size:
+        if subset.ndim != 1 or not subset.size:
+            raise DomainError("subset must be a nonempty sequence of vertices")
+        # edge ends are looked up in the sorted subset: no array of g.n
+        order = np.argsort(subset)
+        ranked = subset[order]
+        if (ranked[1:] == ranked[:-1]).any():
             raise DomainError("subset has repeated vertices")
-        if subset.size and not (0 <= subset.min() and subset.max() < g.n):
+        if not (0 <= ranked[0] and ranked[-1] < g.n):
             raise DomainError("subset vertex out of range")
         i, j, w = _edge_arrays(g)
-        pos = np.full(g.n, -1, dtype=np.intp)
-        pos[subset] = np.arange(subset.size)
-        pi, pj = pos[i], pos[j]
+        k = np.minimum(np.searchsorted(ranked, (i, j)), ranked.size - 1)
+        pi, pj = np.where(ranked[k] == (i, j), order[k], -1)
         inner = (pi >= 0) & (pj >= 0)
         cross = (pi >= 0) != (pj >= 0)
         lo = np.minimum(pi[inner], pj[inner])
@@ -529,6 +532,11 @@ class WiredBand:
             cross_edges=np.flatnonzero(cross),
         )
 
+    def _eta(self, w: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self.cross_site, weights=w[self.cross_edges], minlength=self.n
+        )
+
     def fill(self, w: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
         """(band, eta) of the wired marginal for edge weights w, by default
         g's own. Weights must be positive and finite (DomainError), and the
@@ -542,12 +550,20 @@ class WiredBand:
         band = _scatter_band(
             self.n, self.inner_i, self.inner_j, w[self.inner_edges], self.bw
         )
-        eta = np.bincount(
-            self.cross_site, weights=w[self.cross_edges], minlength=self.n
-        )
+        eta = self._eta(w)
         if not eta.any():
             raise RestrictionError("subset has empty boundary weight vector")
         return band, eta
+
+    def params(self) -> NuParams:
+        """g's own wired marginal in dense storage. Unlike fill, it allows a
+        zero boundary vector (a retained set that is all of g)."""
+        _refuse_beyond_memory(8 * self.n**2, f"the {self.n}-site coupling block")
+        p = np.zeros((self.n, self.n))
+        w = self.weights[self.inner_edges]
+        p[self.inner_i, self.inner_j] = w
+        p[self.inner_j, self.inner_i] = w
+        return NuParams(p=p, eta=self._eta(self.weights))
 
     def couple(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """P v for the retained block P of edge weights w, from the edge

@@ -165,6 +165,14 @@ def _wired_box_params(args) -> Tuple[WeightedGraph, List[int], Dict[str, object]
     return g, subset, {"dim": args.dim, "radius": args.radius, "W": w}
 
 
+def _root(args, subset: List[int]) -> int:
+    """--i0, by default the middle of the retained box, which must hold it."""
+    i0 = args.i0 if args.i0 is not None else subset[len(subset) // 2]
+    if i0 not in subset:
+        raise ConfigError("--i0 must be a retained vertex id")
+    return i0
+
+
 def _cmd_sample_beta(args) -> int:
     outdir = _outdir(args)
     rng = stream(args.seed, "cli-sample-beta")
@@ -198,16 +206,15 @@ def _cmd_sample_beta(args) -> int:
 def _cmd_green(args) -> int:
     outdir = _outdir(args)
     g, subset, cfg = _wired_box_params(args)
+    i0 = _root(args, subset)
     cfg.update({"seed": args.seed})
     rng = stream(args.seed, "cli-green")
     # the retained box is row-major, so its field is drawn in band storage
-    band, eta = WiredBand.from_graph(g, subset).fill()
+    wired = WiredBand.from_graph(g, subset)
+    band, eta = wired.fill()
     beta = sample_banded(band, eta, rng)
     gamma = float(rng.gamma(0.5, 1.0))
-    i0 = args.i0 if args.i0 is not None else subset[len(subset) // 2]
-    if i0 not in subset:
-        raise ConfigError("--i0 must be a retained vertex id")
-    bundle = green_bundle(g, beta, subset, gamma, i0=i0)
+    bundle = green_bundle(wired.params(), beta, subset, gamma, i0=i0)
     fields = ["vertex", "beta", "psi", "u", "green_root_row"]
     p_root = bundle.position(i0)
     rows = []
@@ -292,11 +299,11 @@ def _cmd_simulate(args) -> int:
         if args.steps is None:
             raise ConfigError("--steps required for the environment-fixed chain")
         g, subset, cfg = _wired_box_params(args)
+        i0 = _root(args, subset)
         params = marginal_params(g, subset)
         beta = sample_sequential(params, None, rng).beta
         gamma = float(rng.gamma(0.5, 1.0))
-        i0 = args.i0 if args.i0 is not None else subset[len(subset) // 2]
-        bundle = green_bundle(g, beta, subset, gamma, i0=i0)
+        bundle = green_bundle(params, beta, subset, gamma, i0=i0)
         rates = QuenchedRates.from_bundle(bundle)
         traj = quenched_mjp(
             wire_restrict(g, subset).base, rates, bundle.position(i0), args.steps, rng

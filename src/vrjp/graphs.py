@@ -29,8 +29,6 @@ __all__ = [
     "enumerate_paths",
     "path_weight",
     "path_beta_factor",
-    "boundary_weights",
-    "induced_subgraph",
     "load_graph",
     "save_graph",
     "PATH_CAP_DEFAULT",
@@ -296,30 +294,6 @@ def _wire(base, subset, origin_lookup, forbidden):
         origin_map=origin,
         crossing_counts=tuple(int(c) for c in crossings),
     )
-
-
-def boundary_weights(g: WeightedGraph, subset: Sequence[int]) -> np.ndarray:
-    """For each vertex of `subset` (in the given order), total weight to the
-    complement of `subset` in g."""
-    inside = set(int(v) for v in subset)
-    out = np.zeros(len(subset))
-    for k, v in enumerate(subset):
-        for u, w in g.neighbors[int(v)]:
-            if u not in inside:
-                out[k] += w
-    return out
-
-
-def induced_subgraph(g: WeightedGraph, subset: Sequence[int]):
-    """Subgraph on `subset` (order preserved). Returns (graph, old-to-new map)."""
-    subset = [int(v) for v in subset]
-    new_id = {v: k for k, v in enumerate(subset)}
-    edges = [
-        (new_id[i], new_id[j], w)
-        for i, j, w in g.edges
-        if i in new_id and j in new_id
-    ]
-    return WeightedGraph(n=len(subset), edges=tuple(edges)), new_id
 
 
 def enumerate_paths(

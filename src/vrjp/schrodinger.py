@@ -12,7 +12,8 @@ solves:
 - green_solve_banded is its band twin for one environment of a lattice box
   held in band storage: one banded Cholesky solve;
 - green_bundle and u_field factor the H of a single environment by
-  Cholesky.
+  Cholesky. green_bundle takes the wired marginal it is given, formed by
+  betafield.WiredBand in dense storage (marginal_params).
 
 Every Cholesky factorization doubles as the positivity certificate: a
 failure raises FactorizationError. Apart from the band storage, operators
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .betafield import BetaSample, h_beta, h_beta_banded, marginal_params
+from .betafield import BetaSample, NuParams, h_beta, h_beta_banded
 from .errors import (
     DomainError,
     FactorizationError,
@@ -172,29 +173,33 @@ def _spd_factor(h: np.ndarray, what: str):
 
 
 def green_bundle(
-    g: WeightedGraph,
+    params: NuParams,
     beta,
     subset: Sequence[int],
     gamma: float,
     i0: Optional[int] = None,
 ) -> GreenBundle:
-    """Solve the restricted systems for a retained set of g's vertices.
+    """Solve the restricted systems for the wired marginal of a retained set.
 
-    beta lives on `subset` (same order). Everything outside `subset` is
-    collapsed to delta; the boundary weight vector must be nonzero. gamma is
-    the independent Gamma(1/2, 1) coupling. i0 (a vertex of `subset`, or None
-    for delta) is the root used for the u vector.
+    params is that marginal, marginal_params(g, subset): everything outside
+    `subset` is collapsed to delta, and the boundary weight vector must be
+    nonzero. subset labels its positions, which beta shares. gamma is the
+    independent Gamma(1/2, 1) coupling, finite and positive. i0 (a vertex of
+    `subset`, or None for delta) is the root used for the u vector.
     """
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise DomainError("gamma must be positive and finite")
     subset = tuple(int(v) for v in subset)
     if len(set(subset)) != len(subset):
         raise DomainError("subset has repeated vertices")
     m = len(subset)
+    if params.n != m:
+        raise DomainError("marginal size must match subset size")
     b = _beta_vector(beta)
     if b.shape != (m,):
         raise DomainError("beta length must match subset size")
-    params = marginal_params(g, subset)
+    if i0 is not None and int(i0) not in subset:
+        raise DomainError(f"vertex {i0} is not in the retained set")
     eta = params.eta
     if not eta.any():
         raise RestrictionError("subset has empty boundary weight vector")

@@ -196,7 +196,7 @@ def criterion_1(sizes: Sizes, seed: int) -> CheckResult:
     for _ in range(sizes.envs_c1):
         beta = sample_sequential(params, None, rng).beta
         gamma = float(rng.gamma(0.5, 1.0))
-        bundle = green_bundle(g, beta, subset, gamma, i0=center)
+        bundle = green_bundle(params, beta, subset, gamma, i0=center)
         rep = check_identities(bundle, beta, i0=center)
         for key, val in asdict(rep).items():
             worst[key] = max(worst.get(key, 0.0), val)
@@ -535,7 +535,7 @@ def criterion_10(sizes: Sizes, seed: int) -> CheckResult:
         rng = stream(seed, "c10-env", env)
         beta = sample_sequential(params, None, rng).beta
         gamma = float(rng.gamma(0.5, 1.0))
-        bundle = green_bundle(g5, beta, subset, gamma, i0=center)
+        bundle = green_bundle(params, beta, subset, gamma, i0=center)
         rates = QuenchedRates.from_bundle(bundle)
         p0 = bundle.position(center)
         d_idx = bundle.delta_index

@@ -2,7 +2,8 @@
 
 Everything here recomputes target quantities by a route disjoint from the
 code under test: naive recursive path enumeration, adaptive quadrature of
-closed-form densities, and quadrature means. Slow is fine; independent is
+closed-form densities, quadrature means, and the wired marginal by way of an
+induced subgraph. Slow is fine; independent is
 the point.
 """
 
@@ -18,7 +19,6 @@ from vrjp import (
     density,
     gig_half_sample,
     green_bundle,
-    marginal_params,
     q_density,
     sample_sequential,
     stream,
@@ -269,6 +269,38 @@ def reference_vrjp_lattice(dim: int, w: float, n_jumps: int, rng):
     return coords, s_times, d_times
 
 
+def boundary_weights(g: WeightedGraph, subset) -> np.ndarray:
+    """For each vertex of `subset` (in the given order), total weight to the
+    complement of `subset` in g, summed over its neighbours in edge order."""
+    inside = set(int(v) for v in subset)
+    out = np.zeros(len(subset))
+    for k, v in enumerate(subset):
+        for u, w in g.neighbors[int(v)]:
+            if u not in inside:
+                out[k] += w
+    return out
+
+
+def induced_subgraph(g: WeightedGraph, subset):
+    """Subgraph on `subset` (order preserved). Returns (graph, old-to-new map)."""
+    subset = [int(v) for v in subset]
+    new_id = {v: k for k, v in enumerate(subset)}
+    edges = [
+        (new_id[i], new_id[j], w)
+        for i, j, w in g.edges
+        if i in new_id and j in new_id
+    ]
+    return WeightedGraph(n=len(subset), edges=tuple(edges)), new_id
+
+
+def reference_marginal_params(g: WeightedGraph, subset) -> NuParams:
+    """The wired marginal on `subset` by the graph route: the induced
+    subgraph's dense weight matrix and a per-vertex loop over neighbours for
+    the boundary vector. WiredBand's edge arrays must give it bit for bit."""
+    block = induced_subgraph(g, subset)[0].weight_matrix()
+    return NuParams(p=block, eta=boundary_weights(g, subset))
+
+
 def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
     """The conductance-ratio experiment one environment at a time on dense
     storage: a weighted graph per environment, its marginal parameters, the
@@ -294,9 +326,10 @@ def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
                 ),
                 coords=box.coords,
             )
-            beta = sample_sequential(marginal_params(g_s, inner), None, rng).beta
+            params = reference_marginal_params(g_s, inner)
+            beta = sample_sequential(params, None, rng).beta
             bundle = green_bundle(
-                g_s, beta, inner, float(gamma_rng.gamma(0.5, 1.0)), i0=None
+                params, beta, inner, float(gamma_rng.gamma(0.5, 1.0)), i0=None
             )
             p0 = bundle.position(i_zero)
             pl = bundle.position(i_ell)

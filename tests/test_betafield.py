@@ -44,6 +44,7 @@ from _oracles import (
     gig_mean_quadrature,
     laplace_by_quadrature_single,
     pair_params,
+    reference_marginal_params,
     reference_sample_banded,
     reference_sample_batch,
     se,
@@ -78,6 +79,23 @@ class TestNuParams:
         params = marginal_params(g, subset)
         assert params.p.shape == (1, 1) and params.p[0, 0] == 0.0
         assert params.eta[0] == 4.0
+        # in subset order, with zero eta for the full vertex set, exactly as
+        # the induced-subgraph route gives it
+        g = build_lattice_box(2, 2, 0.7)
+        w = stream(75, "marginal-w").gamma(1.0, 1.0, size=g.edge_count)
+        g = WeightedGraph(
+            n=g.n, edges=tuple((i, j, x) for (i, j, _), x in zip(g.edges, w))
+        )
+        for subset in ([12, 7, 13, 11, 17, 6], list(range(g.n))[::-1], [3]):
+            params = marginal_params(g, subset)
+            want = reference_marginal_params(g, subset)
+            np.testing.assert_array_equal(params.p, want.p)
+            np.testing.assert_array_equal(params.eta, want.eta)
+
+    @pytest.mark.parametrize("subset", [[-1, 0], [0, 0, 1], [0, 25], []])
+    def test_marginal_params_refuses_bad_subset(self, subset):
+        with pytest.raises(DomainError):
+            marginal_params(build_lattice_box(2, 2), subset)
 
 
 class TestLaplaceClosedForm:
@@ -534,7 +552,7 @@ class TestWiredBand:
         assert wired.bw == (2 * radius + 1) ** (dim - 1)
         for weights, graph in ((None, g), (w, g_w)):
             band, eta = wired.fill(weights)
-            params = marginal_params(graph, subset)
+            params = reference_marginal_params(graph, subset)
             np.testing.assert_array_equal(eta, params.eta)
             rows = np.arange(wired.n)
             for d in range(wired.bw + 1):
@@ -579,6 +597,8 @@ class TestWiredBand:
             WiredBand.from_graph(g, [0, 0, 1])
         with pytest.raises(DomainError):
             WiredBand.from_graph(g, [0, g.n])
+        with pytest.raises(DomainError):
+            WiredBand.from_graph(g, [-1, 0])
 
 
 class TestErrwEnvironment:

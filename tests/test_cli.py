@@ -113,6 +113,7 @@ class TestGreen:
              "--out", str(tmp_path / "x")]
         )
         assert rc == USAGE_EXIT
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2)])
     def test_band_draw_matches_dense_draw(self, tmp_path, dim, radius):
@@ -301,6 +302,19 @@ class TestSimulateQuenched:
              "1", "--out", str(tmp_path / "x")]
         )
         assert rc == USAGE_EXIT
+
+    def test_root_must_be_retained(self, tmp_path, monkeypatch, capsys):
+        # vertex 0 is a corner of the outer box, outside the retained set;
+        # the refusal comes before any draw and before any output
+        monkeypatch.setattr(vrjp.cli, "stream", lambda *key: NoDraws())
+        out = tmp_path / "run"
+        rc = main(
+            ["simulate", "--process", "quenched", "--dim", "2", "--radius",
+             "1", "--steps", "10", "--i0", "0", "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert "--i0 must be a retained vertex id" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,8 @@ from vrjp import (
     RestrictionError,
     SizeError,
     WeightedGraph,
-    boundary_weights,
     build_lattice_box,
     enumerate_paths,
-    induced_subgraph,
     load_graph,
     path_weight,
     save_graph,
@@ -26,7 +24,7 @@ from vrjp import (
 )
 from vrjp.graphs import path_beta_factor
 
-from _oracles import brute_force_paths
+from _oracles import boundary_weights, brute_force_paths, induced_subgraph
 
 
 def triangle():

@@ -13,6 +13,7 @@ from vrjp import (
     DomainError,
     EnumerationError,
     FactorizationError,
+    NuParams,
     RestrictionError,
     SizeError,
     WeightedGraph,
@@ -156,7 +157,7 @@ class TestGreenBundle:
     def test_single_retained_vertex_closed_form(self):
         g = pair()
         beta = np.array([0.8])
-        bundle = green_bundle(g, beta, [0], gamma=0.3)
+        bundle = green_bundle(marginal_params(g, [0]), beta, [0], gamma=0.3)
         assert bundle.hat_g[0, 0] == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert bundle.psi[0] == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert bundle.full_g[1, 1] == pytest.approx(1.0 / 0.6, rel=1e-12)
@@ -167,7 +168,7 @@ class TestGreenBundle:
         subset = [v for v in range(g.n) if v not in (0, 24)]
         rng = stream(51, "decomp")
         beta, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(g, beta[0], subset, gamma[0])
+        bundle = green_bundle(marginal_params(g, subset), beta[0], subset, gamma[0])
         m = bundle.m
         recon = bundle.hat_g + np.outer(bundle.psi, bundle.psi) / (2.0 * gamma[0])
         rel = np.abs(bundle.full_g[:m, :m] - recon) / np.abs(recon)
@@ -179,8 +180,9 @@ class TestGreenBundle:
         n = 100_000
         gamma = rng.gamma(0.5, 1.0, size=n)
         sub = rng.integers(0, n, size=200)
+        params = marginal_params(g, [0])
         for k in sub[:5]:
-            bundle = green_bundle(g, np.array([1.0]), [0], gamma=float(gamma[k]))
+            bundle = green_bundle(params, np.array([1.0]), [0], gamma=float(gamma[k]))
             assert bundle.full_g[1, 1] == pytest.approx(1.0 / (2.0 * gamma[k]), rel=1e-12)
         # the implied mean: 1/(2 G(delta,delta)) = gamma averages to 1/2
         assert zscore(gamma, 0.5) <= SE_RULE
@@ -190,7 +192,7 @@ class TestGreenBundle:
         subset = [1, 2, 3]
         rng = stream(51, "ext")
         beta, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(g, beta[0], subset, gamma[0], i0=2)
+        bundle = green_bundle(marginal_params(g, subset), beta[0], subset, gamma[0], i0=2)
         assert (bundle.psi > 0).all()
         assert bundle.psi_ext()[bundle.delta_index] == 1.0
         assert bundle.u[bundle.i0_index] == 0.0
@@ -200,19 +202,37 @@ class TestGreenBundle:
 
     def test_errors(self):
         g = pair()
+        for gamma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                green_bundle(marginal_params(g, [0]), np.array([1.0]), [0], gamma=gamma)
         with pytest.raises(DomainError):
-            green_bundle(g, np.array([1.0]), [0], gamma=0.0)
+            green_bundle(marginal_params(g, [0, 0]), np.array([1.0, 1.0]), [0, 0], gamma=1.0)
         with pytest.raises(DomainError):
-            green_bundle(g, np.array([1.0, 1.0]), [0, 0], gamma=1.0)
+            green_bundle(
+                NuParams(p=np.zeros((2, 2)), eta=np.ones(2)),
+                np.array([1.0, 1.0]),
+                [0, 0],
+                gamma=1.0,
+            )
+        with pytest.raises(DomainError):
+            green_bundle(marginal_params(g, [0]), np.array([1.0]), [0, 1], gamma=1.0)
         with pytest.raises(RestrictionError):
-            green_bundle(g, np.array([1.0, 1.0]), [0, 1], gamma=1.0)
+            green_bundle(marginal_params(g, [0, 1]), np.array([1.0, 1.0]), [0, 1], gamma=1.0)
+        path = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
         with pytest.raises(FactorizationError):
             green_bundle(
-                WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))),
+                marginal_params(path, [0, 1]),
                 np.array([0.4, 0.4]),
                 [0, 1],
                 gamma=1.0,
             )
+
+    def test_refuses_a_root_outside_the_retained_set(self):
+        g = build_lattice_box(1, 2)
+        subset = [1, 2, 3]
+        params = marginal_params(g, subset)
+        with pytest.raises(DomainError, match="not in the retained set"):
+            green_bundle(params, np.ones(3), subset, gamma=1.0, i0=0)
 
 
 class TestTruncatedPathsum:
@@ -286,9 +306,10 @@ class TestQDensity:
         rng = stream(61, "eu")
         n = 10_000
         beta, gamma = wired_beta_envs(g, subset, n, rng)
+        params = marginal_params(g, subset)
         eu = np.empty((n, 2))
         for k in range(n):
-            bundle = green_bundle(g, beta[k], subset, gamma[k], i0=2)
+            bundle = green_bundle(params, beta[k], subset, gamma[k], i0=2)
             vals = np.exp(bundle.u)
             eu[k] = vals[[0, 2]]  # non-root retained sites
         for col in eu.T:
@@ -338,8 +359,9 @@ class TestCheckIdentities:
         subset = [v for v in range(g.n) if v != 12]
         rng = stream(81, "ids")
         beta, gamma = wired_beta_envs(g, subset, 25, rng)
+        params = marginal_params(g, subset)
         for k in range(25):
-            bundle = green_bundle(g, beta[k], subset, gamma[k])
+            bundle = green_bundle(params, beta[k], subset, gamma[k])
             report = check_identities(bundle, beta[k])
             assert report.max_residual() <= 1e-9
 
@@ -350,7 +372,7 @@ class TestCheckIdentities:
         subset = [1, 2, 3]
         rng = stream(81, "atom")
         beta, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(g, beta[0], subset, gamma[0], i0=2)
+        bundle = green_bundle(marginal_params(g, subset), beta[0], subset, gamma[0], i0=2)
         report = check_identities(bundle, beta[0], i0=2)
         assert report.max_residual() <= 1e-9
 
@@ -366,7 +388,7 @@ class TestCheckIdentities:
         subset = [v for v in range(g.n) if v not in (0, 4, 20, 24)]
         rng = stream(81, "harm")
         beta, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(g, beta[0], subset, gamma[0])
+        bundle = green_bundle(marginal_params(g, subset), beta[0], subset, gamma[0])
         report = check_identities(bundle, beta[0])
         assert report.harmonic <= 1e-10
 
@@ -381,7 +403,7 @@ class TestNestedVolumes:
             for r in (1, 2, 3):
                 subset = list(range(4 - r, 4 + r + 1))
                 beta = beta_full[0][[v - 1 for v in subset]]
-                bundle = green_bundle(g, beta, subset, gamma[0])
+                bundle = green_bundle(marginal_params(g, subset), beta, subset, gamma[0])
                 core = slice(bundle.position(3), bundle.position(5) + 1)
                 block = bundle.hat_g[core, core]
                 if prev is not None:
