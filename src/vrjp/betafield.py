@@ -22,9 +22,10 @@ Schur update of (P, eta). Two loops run this elimination, one per storage:
   to the rest of its panel alone, and the block behind the panel takes all
   of the panel's updates as one BLAS-3 dsyrk, as in a right-looking blocked
   LDL^T. Psi decay, the conductance ratio and `vrjp green` draw their boxes
-  this way. banded_coupling stores a graph's own weights. The wired marginal
-  of a retained set is formed in one place, WiredBand's edge arrays: in band
-  storage for any environment's edge weights, or dense (marginal_params).
+  this way. banded_coupling stores a graph's own weights. Wiring a retained
+  set is done in one place, WiredBand's edge arrays: they give the wired
+  marginal in band storage for any environment's edge weights, or dense
+  (marginal_params), and the wired graph itself, delta last (graph()).
   Like sample_sequential(order=None), the band sampler eliminates in index
   order, so it consumes the same variates in the same order and its beta
   differs from the dense draw by the rounding of the summed updates only.
@@ -85,7 +86,11 @@ class NuParams:
             raise DomainError("coupling matrix must be square")
         if eta.shape != (p.shape[0],):
             raise DomainError("eta length must match matrix size")
-        if not np.allclose(p, p.T, rtol=1e-12, atol=1e-14):
+        # exact symmetry, the common case, is cheap to confirm; allclose
+        # costs most of the constructor on a large block
+        if not (
+            np.array_equal(p, p.T) or np.allclose(p, p.T, rtol=1e-12, atol=1e-14)
+        ):
             raise DomainError("coupling matrix must be symmetric")
         if (p < 0).any():
             raise DomainError("coupling entries must be nonnegative")
@@ -164,6 +169,8 @@ def h_beta(p: np.ndarray, beta) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     beta = np.asarray(beta, dtype=float)
+    if beta.shape[-1:] != p.shape[:1]:
+        raise DomainError(f"beta must have shape (..., {p.shape[0]})")
     h = np.broadcast_to(-p, beta.shape[:-1] + p.shape).copy()
     d = np.arange(p.shape[0])
     h[..., d, d] += 2.0 * beta
@@ -178,11 +185,14 @@ def h_beta_banded(band: np.ndarray, beta: np.ndarray) -> np.ndarray:
     0 <= j - i <= bw: the band form of h_beta, with the same entries.
     """
     n, width = band.shape
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (n,):
+        raise DomainError(f"beta must have shape ({n},)")
     bw = width - 1
     ab = np.zeros((width, n))
     for d in range(1, width):
         ab[bw - d, d:] = -band[: n - d, d]
-    ab[bw] = 2.0 * np.asarray(beta, dtype=float) - band[:, 0]
+    ab[bw] = 2.0 * beta - band[:, 0]
     return ab
 
 
@@ -481,16 +491,17 @@ def banded_coupling(g: WeightedGraph) -> Tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class WiredBand:
-    """Edge index arrays that form the wired marginal of g on a retained set:
-    its coupling block and boundary vector, from a weight per edge of g.
+    """Edge index arrays that wire g on a retained set: they form its
+    coupling block and boundary vector from a weight per edge of g, and the
+    wired graph itself.
 
     Built once per graph; fill(w) then scatters any environment's edge
     weights, aligned to g.edges, into band storage without forming a graph
-    or a dense matrix, and params() gives g's own marginal in dense storage.
-    Sites are numbered in `subset` order, so a row-major box retained inside
-    a larger row-major box keeps its leading stride as bandwidth. Both hold
-    single weights, and each eta entry sums a site's crossing weights in
-    edge order.
+    or a dense matrix; params() gives g's own marginal in dense storage, and
+    graph() g's own wired graph. Sites are numbered in `subset` order, so a
+    row-major box retained inside a larger row-major box keeps its leading
+    stride as bandwidth. All three hold single weights, and each eta entry
+    sums a site's crossing weights in edge order.
     """
 
     n: int
@@ -564,6 +575,21 @@ class WiredBand:
         p[self.inner_i, self.inner_j] = w
         p[self.inner_j, self.inner_i] = w
         return NuParams(p=p, eta=self._eta(self.weights))
+
+    def graph(self) -> WeightedGraph:
+        """g's own wired graph on n + 1 vertices, delta last: the inner edges
+        in g's edge order, then (k, delta, eta_k) for each k with eta_k > 0.
+        Like fill, it refuses a zero boundary vector (RestrictionError)."""
+        eta = self._eta(self.weights)
+        if not eta.any():
+            raise RestrictionError("subset has empty boundary weight vector")
+        rim = np.flatnonzero(eta)
+        edges = zip(
+            np.concatenate([self.inner_i, rim]).tolist(),
+            np.concatenate([self.inner_j, np.full(rim.size, self.n)]).tolist(),
+            np.concatenate([self.weights[self.inner_edges], eta[rim]]).tolist(),
+        )
+        return WeightedGraph(n=self.n + 1, edges=tuple(edges))
 
     def couple(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """P v for the retained block P of edge weights w, from the edge

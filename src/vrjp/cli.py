@@ -48,7 +48,7 @@ from .errors import (
     NumericError,
     VrjpError,
 )
-from .graphs import WeightedGraph, build_lattice_box, load_graph, wire_restrict
+from .graphs import WeightedGraph, build_lattice_box, load_graph
 from .harness import (
     ExperimentConfig,
     conductance_ratio_experiment,
@@ -305,9 +305,7 @@ def _cmd_simulate(args) -> int:
         gamma = float(rng.gamma(0.5, 1.0))
         bundle = green_bundle(params, beta, subset, gamma, i0=i0)
         rates = QuenchedRates.from_bundle(bundle)
-        traj = quenched_mjp(
-            wire_restrict(g, subset).base, rates, bundle.position(i0), args.steps, rng
-        )
+        traj = quenched_mjp(rates, bundle.position(i0), args.steps, rng)
         fields = ["step", "vertex", "entry_time"]
         labels = [str(v) for v in subset] + ["delta"]
         vertices = [labels[v] for v in traj.vertices.tolist()]

@@ -1,10 +1,9 @@
-"""Weighted graphs, lattice boxes, wired restrictions, path enumeration.
+"""Weighted graphs, lattice boxes, path enumeration.
 
 Vertices are dense integers 0..n-1. Lattice boxes index their sites in
-row-major coordinate order so runs are reproducible byte for byte. A wired
-restriction collapses everything outside a retained set to one extra vertex
-(delta), which is always the last index; Schur block operations downstream
-rely on that placement.
+row-major coordinate order so runs are reproducible byte for byte. Wiring a
+retained set, collapsing its complement to one extra vertex delta, is
+betafield.WiredBand's alone: graph() gives the wired graph, delta last.
 
 Path enumeration is capped (default 12) and exists to serve as an independent
 test oracle for Green-function path sums; production code never enumerates.
@@ -15,17 +14,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationError, RestrictionError, SizeError
+from .errors import DomainError, EnumerationError, SizeError
 
 __all__ = [
     "WeightedGraph",
-    "WiredGraph",
     "build_lattice_box",
-    "wire_restrict",
     "enumerate_paths",
     "path_weight",
     "path_beta_factor",
@@ -139,38 +136,6 @@ class WeightedGraph:
             out[j] += w
         return out
 
-    def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u, _ in self.neighbors[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
-
-
-@dataclass(frozen=True)
-class WiredGraph:
-    """A graph restricted to a retained set plus one boundary vertex delta.
-
-    base is the full wired graph (delta is its last vertex). origin_map[k]
-    gives, for retained vertex k, its id in the outermost parent graph.
-    crossing_counts[k] is the number of parent edges collapsed into the
-    (k, delta) edge; zero for interior vertices.
-    """
-
-    base: WeightedGraph
-    delta: int
-    origin_map: tuple
-    crossing_counts: tuple
-
-    @property
-    def interior(self) -> tuple:
-        """Wired-graph ids of the retained vertices (everything but delta)."""
-        return tuple(range(self.delta))
-
 
 def build_lattice_box(
     dim: int,
@@ -222,78 +187,6 @@ def build_lattice_box(
             if offs[k] + 1 < side:
                 edges.append((flat, flat + s, w))
     return WeightedGraph(n=n, edges=tuple(edges), coords=tuple(coords))
-
-
-def wire_restrict(
-    g: Union[WeightedGraph, WiredGraph], subset: Iterable[int]
-) -> WiredGraph:
-    """Collapse everything outside `subset` to a single boundary vertex delta.
-
-    The (i, delta) weight is the sum of g's weights from i to non-retained
-    vertices. Accepts a WiredGraph as input, in which case `subset` is given
-    in the ids of the outermost parent graph and restrictions compose.
-    """
-    if isinstance(g, WiredGraph):
-        parent_of = {p: k for k, p in enumerate(g.origin_map)}
-        mapped = []
-        for p in subset:
-            if p not in parent_of:
-                raise RestrictionError(
-                    f"vertex {p} is not retained in the wired graph being restricted"
-                )
-            mapped.append(parent_of[p])
-        origin_lookup = dict(enumerate(g.origin_map))
-        return _wire(g.base, mapped, origin_lookup, forbidden={g.delta})
-    return _wire(g, list(subset), None, forbidden=set())
-
-
-def _wire(base, subset, origin_lookup, forbidden):
-    subset = sorted(set(int(v) for v in subset))
-    if not subset:
-        raise RestrictionError("subset must be nonempty")
-    for v in subset:
-        if v in forbidden:
-            raise RestrictionError("delta cannot be retained")
-        if not (0 <= v < base.n):
-            raise RestrictionError(f"vertex {v} out of range")
-    outside = set(range(base.n)) - set(subset) - forbidden
-    if not outside and not forbidden:
-        raise RestrictionError("subset equals the full vertex set: no boundary")
-    new_id = {v: k for k, v in enumerate(subset)}
-    m = len(subset)
-    delta = m
-    boundary_w = np.zeros(m)
-    crossings = np.zeros(m, dtype=int)
-    edges = []
-    for i, j, w in base.edges:
-        ii, jj = new_id.get(i), new_id.get(j)
-        if ii is not None and jj is not None:
-            edges.append((ii, jj, w))
-        elif ii is not None:
-            boundary_w[ii] += w
-            crossings[ii] += 1
-        elif jj is not None:
-            boundary_w[jj] += w
-            crossings[jj] += 1
-    if not boundary_w.any():
-        raise RestrictionError("subset has no edges to its complement")
-    for k in range(m):
-        if boundary_w[k] > 0:
-            edges.append((k, delta, float(boundary_w[k])))
-    # delta has no lattice coordinate, so wired graphs carry no coords
-    wired_base = WeightedGraph(n=m + 1, edges=tuple(edges))
-    if not wired_base.is_connected():
-        raise RestrictionError("subset plus delta is not connected")
-    if origin_lookup is None:
-        origin = tuple(subset)
-    else:
-        origin = tuple(origin_lookup[v] for v in subset)
-    return WiredGraph(
-        base=wired_base,
-        delta=delta,
-        origin_map=origin,
-        crossing_counts=tuple(int(c) for c in crossings),
-    )
 
 
 def enumerate_paths(

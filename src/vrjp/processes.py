@@ -484,7 +484,6 @@ class QuenchedRates:
 
 
 def quenched_mjp(
-    g: WeightedGraph,
     rates: QuenchedRates,
     start: int,
     steps: int,
@@ -492,9 +491,10 @@ def quenched_mjp(
     holding: bool = False,
 ) -> Trajectory:
     """Jump chain (optionally with exponential holding times) of the
-    environment-fixed process."""
-    if rates.size != g.n:
-        raise DomainError("rate table size must match the graph")
+    environment-fixed process on the rate table's states, started at
+    `start`, a state in range(rates.size)."""
+    if not (0 <= start < rates.size):
+        raise DomainError("start state out of range")
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     kern = rates.kernel()

@@ -26,12 +26,13 @@ from scipy import stats
 
 from .betafield import (
     NuParams,
+    WiredBand,
     laplace_closed_form,
     marginal_params,
     sample_batch,
     sample_sequential,
 )
-from .graphs import WeightedGraph, build_lattice_box, wire_restrict
+from .graphs import WeightedGraph, build_lattice_box
 from .harness import (
     SE_RULE,
     conductance_ratio_experiment,
@@ -426,12 +427,11 @@ def criterion_7(sizes: Sizes, seed: int) -> CheckResult:
     boundary vector (so the check is not circular)."""
     t0 = time.perf_counter()
     g5 = build_lattice_box(2, 2, 1.0)
-    wired = wire_restrict(g5, _box_subset(g5, 1))
-    base = wired.base
-    params = NuParams.from_graph(base)
+    wired = WiredBand.from_graph(g5, _box_subset(g5, 1))
+    params = NuParams.from_graph(wired.graph())
     rng = stream(seed, "c7")
-    d_idx = wired.delta
-    e_d = np.zeros(base.n)
+    d_idx = wired.n
+    e_d = np.zeros(params.n)
     e_d[d_idx] = 1.0
     vals = np.empty(sizes.n_c7)
     done = 0
@@ -460,9 +460,9 @@ def criterion_8(sizes: Sizes, seed: int) -> CheckResult:
     t0 = time.perf_counter()
     g3 = build_lattice_box(2, 1, 1.0)
     subset = [0, 1, 3, 4]
-    wired = wire_restrict(g3, subset)
-    base = wired.base
-    params = marginal_params(g3, subset)
+    wired = WiredBand.from_graph(g3, subset)
+    base = wired.graph()
+    params = wired.params()
     start = 3  # the (0,0) vertex, adjacent to delta
     length = 3
 

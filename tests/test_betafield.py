@@ -67,6 +67,27 @@ class TestNuParams:
         with pytest.raises(DomainError):
             NuParams(p=np.zeros((2, 2)), eta=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "upper,lower,ok",
+        [
+            (1.0, 1.0 + 1e-13, True),
+            (1.0, 1.0 + 1e-9, False),
+            (1.0, np.nan, False),
+            (np.nan, np.nan, False),
+            (np.inf, np.inf, True),
+            (-0.0, 0.0, True),
+        ],
+    )
+    def test_symmetry_tolerance(self, upper, lower, ok):
+        # rounding-level asymmetry passes, whether or not the exact test
+        # catches it first; NaN never does
+        p = np.array([[0.0, upper], [lower, 0.0]])
+        if ok:
+            assert NuParams(p=p, eta=np.zeros(2)).p[1, 0] == lower
+        else:
+            with pytest.raises(DomainError, match="symmetric"):
+                NuParams(p=p, eta=np.zeros(2))
+
     def test_from_graph(self):
         params = NuParams.from_graph(two_path(), eta=0.5)
         assert params.n == 3

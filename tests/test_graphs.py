@@ -15,12 +15,12 @@ from vrjp import (
     RestrictionError,
     SizeError,
     WeightedGraph,
+    WiredBand,
     build_lattice_box,
     enumerate_paths,
     load_graph,
     path_weight,
     save_graph,
-    wire_restrict,
 )
 from vrjp.graphs import path_beta_factor
 
@@ -64,10 +64,6 @@ class TestWeightedGraph:
     def test_total_weights(self):
         g = WeightedGraph(n=3, edges=((0, 1, 2.0), (1, 2, 3.0)))
         assert np.array_equal(g.total_weights(), [2.0, 5.0, 3.0])
-
-    def test_connectivity(self):
-        assert triangle().is_connected()
-        assert not WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0))).is_connected()
 
 
 class TestLatticeBox:
@@ -122,27 +118,32 @@ class TestLatticeBox:
             triangle().coord_array()
 
 
+def box_subset(g, radius):
+    return [v for v in range(g.n) if np.abs(g.coords[v]).max() <= radius]
+
+
 class TestWireRestrict:
+    """WiredBand.graph(): the retained set in subset order, delta last."""
+
     def test_path_middle_vertex(self):
         g = build_lattice_box(1, 1)
-        wired = wire_restrict(g, [1])
-        assert wired.base.n == 2
-        assert wired.delta == 1
-        assert wired.base.edges == ((0, 1, 2.0),)
-        assert wired.crossing_counts == (2,)
-        assert wired.origin_map == (1,)
+        wired = WiredBand.from_graph(g, [1])
+        base = wired.graph()
+        assert base.n == 2
+        assert wired.n == 1
+        assert base.edges == ((0, 1, 2.0),)
+        assert np.array_equal(np.bincount(wired.cross_site), [2])
 
     def test_box_center_collapses_to_weight_four(self):
         g = build_lattice_box(2, 1)
-        wired = wire_restrict(g, [4])
-        assert wired.base.edges == ((0, 1, 4.0),)
-        assert wired.crossing_counts == (4,)
+        assert WiredBand.from_graph(g, [4]).graph().edges == ((0, 1, 4.0),)
 
     def test_boundary_weight_conservation(self):
         g = build_lattice_box(2, 2)
-        subset = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
-        wired = wire_restrict(g, subset)
-        to_delta = sum(w for i, j, w in wired.base.edges if j == wired.delta)
+        subset = box_subset(g, 1)
+        wired = WiredBand.from_graph(g, subset)
+        base = wired.graph()
+        to_delta = sum(w for i, j, w in base.edges if j == wired.n)
         crossing = sum(
             w
             for i, j, w in g.edges
@@ -151,53 +152,81 @@ class TestWireRestrict:
         assert to_delta == pytest.approx(crossing, rel=1e-15)
         assert np.allclose(
             boundary_weights(g, subset),
-            [wired.base.weight(k, wired.delta) for k in range(len(subset))],
+            [base.weight(k, wired.n) for k in range(len(subset))],
         )
 
     def test_crossing_counts_count_parent_edges(self):
         g = build_lattice_box(2, 2)
-        subset = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
-        wired = wire_restrict(g, subset)
-        n_cross = sum(1 for i, j, _ in g.edges if (i in subset) != (j in subset))
-        assert sum(wired.crossing_counts) == n_cross
+        subset = box_subset(g, 1)
+        wired = WiredBand.from_graph(g, subset)
+        inside = set(subset)
+        per_site = [sum(u not in inside for u, _ in g.neighbors[v]) for v in subset]
+        assert np.array_equal(
+            np.bincount(wired.cross_site, minlength=wired.n), per_site
+        )
+
+    @pytest.mark.parametrize(
+        "dim,radius,w",
+        [(1, 2, 1.0), (2, 2, 1.0), (2, 3, 0.7), (3, 2, 2.5)],
+    )
+    def test_matches_the_oracles(self, dim, radius, w):
+        # delta weights against boundary_weights and the inner edges against
+        # induced_subgraph, both bit for bit, on a shuffled retained set
+        g = build_lattice_box(dim, radius, w)
+        subset = box_subset(g, radius - 1)
+        np.random.default_rng(dim * 10 + radius).shuffle(subset)
+        m = len(subset)
+        base = WiredBand.from_graph(g, subset).graph()
+        inner = tuple(e for e in base.edges if e[1] < m)
+        assert inner == induced_subgraph(g, subset)[0].edges
+        to_delta = np.zeros(m)
+        for i, j, x in base.edges:
+            if j == m:
+                to_delta[i] = x
+        assert np.array_equal(to_delta, boundary_weights(g, subset))
+        assert all(j == m for _, j, _ in base.edges[len(inner) :])
+
+    def test_interior_property(self):
+        # the retained set keeps subset order and delta is the last vertex
+        g = build_lattice_box(1, 2)
+        wired = WiredBand.from_graph(g, [1, 2, 3])
+        base = wired.graph()
+        assert wired.n == 3 and base.n == 4
+        assert base.edges == ((0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0))
 
     def test_nested_wiring_composes(self):
         g = build_lattice_box(2, 2)
-        mid = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
-        center = [(g.n - 1) // 2]
-        direct = wire_restrict(g, center)
-        nested = wire_restrict(wire_restrict(g, mid), center)
-        assert nested.base.edges == direct.base.edges
-        assert nested.origin_map == direct.origin_map
+        mid = box_subset(g, 1)
+        center = (g.n - 1) // 2
+        direct = WiredBand.from_graph(g, [center]).graph()
+        outer = WiredBand.from_graph(g, mid).graph()
+        nested = WiredBand.from_graph(outer, [mid.index(center)]).graph()
+        assert nested.edges == direct.edges
 
     def test_nested_wiring_composes_on_larger_core(self):
+        # C5's and C6's boxes: the 3x3 core wired inside the wired 5x5 box
         g = build_lattice_box(2, 3)
-        v2 = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 2]
-        v1 = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
-        direct = wire_restrict(g, v1)
-        nested = wire_restrict(wire_restrict(g, v2), v1)
-        assert nested.base.edges == direct.base.edges
-        assert nested.crossing_counts == direct.crossing_counts
-
-    def test_interior_property(self):
-        g = build_lattice_box(1, 2)
-        wired = wire_restrict(g, [1, 2, 3])
-        assert wired.interior == (0, 1, 2)
+        v2 = box_subset(g, 2)
+        v1 = box_subset(g, 1)
+        direct = WiredBand.from_graph(g, v1)
+        outer = WiredBand.from_graph(g, v2).graph()
+        nested = WiredBand.from_graph(outer, [v2.index(v) for v in v1])
+        assert nested.graph().edges == direct.graph().edges
+        assert np.array_equal(nested.cross_site, direct.cross_site)
 
     def test_restriction_errors(self):
         g = build_lattice_box(1, 1)
+        with pytest.raises(DomainError):
+            WiredBand.from_graph(g, [])
         with pytest.raises(RestrictionError):
-            wire_restrict(g, [])
-        with pytest.raises(RestrictionError):
-            wire_restrict(g, [0, 1, 2])  # no boundary left
-        with pytest.raises(RestrictionError):
-            wire_restrict(g, [7])
-        wired = wire_restrict(g, [0, 1])
-        with pytest.raises(RestrictionError):
-            wire_restrict(wired, [2])  # vertex 2 was not retained
+            WiredBand.from_graph(g, [0, 1, 2]).graph()  # no boundary left
+        with pytest.raises(DomainError):
+            WiredBand.from_graph(g, [7])
+        with pytest.raises(DomainError):
+            WiredBand.from_graph(g, [0, 0])
         disconnected = WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
-        with pytest.raises(RestrictionError):
-            wire_restrict(disconnected, [0, 1])  # no edge to the complement
+        with pytest.raises(RestrictionError):  # no edge to the complement
+            WiredBand.from_graph(disconnected, [0, 1]).graph()
 
 
 class TestInducedSubgraph:

@@ -17,6 +17,7 @@ from vrjp import (
     SizeError,
     Trajectory,
     WeightedGraph,
+    WiredBand,
     build_lattice_box,
     errw_words,
     escape_probability_formula,
@@ -34,7 +35,6 @@ from vrjp import (
     time_change,
     time_change_maps,
     vrjp_words,
-    wire_restrict,
 )
 from vrjp import processes
 from vrjp.harness import word_chi2
@@ -357,8 +357,7 @@ class TestQuenchedRates:
         rng = stream(4, "emp")
         bundle = wired_env(g, [1, 2], rng, i0=1)
         rates = QuenchedRates.from_bundle(bundle)
-        wired = wire_restrict(g, [1, 2])
-        traj = quenched_mjp(wired.base, rates, start=0, steps=100_000, rng=rng)
+        traj = quenched_mjp(rates, start=0, steps=100_000, rng=rng)
         kern = rates.kernel()
         states = traj.vertices
         for i in range(rates.size):
@@ -376,8 +375,7 @@ class TestQuenchedRates:
         rng = stream(4, "hold")
         bundle = wired_env(g, [1, 2, 3], rng, i0=2)
         rates = QuenchedRates.from_bundle(bundle)
-        wired = wire_restrict(g, [1, 2, 3])
-        traj = quenched_mjp(wired.base, rates, 0, 50, rng, holding=True)
+        traj = quenched_mjp(rates, 0, 50, rng, holding=True)
         assert traj.times is not None and (np.diff(traj.times) > 0).all()
 
     def test_errors(self):
@@ -387,11 +385,17 @@ class TestQuenchedRates:
             i0=0,
         )
         with pytest.raises(DomainError):
-            quenched_mjp(pair(), rates, 0, -1, stream(0))
+            quenched_mjp(rates, 0, -1, stream(0))
         with pytest.raises(DomainError):
-            quenched_mjp(triangle(), rates, 0, 1, stream(0))
-        with pytest.raises(DomainError):
-            quenched_mjp(pair(), rates, 0, 2, stream(0))  # walks into a dead state
+            quenched_mjp(rates, 0, 2, stream(0))  # walks into a dead state
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    def test_refuses_a_start_outside_the_states(self, start):
+        rates = QuenchedRates(
+            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.ones(2), i0=0
+        )
+        with pytest.raises(DomainError, match="start state"):
+            quenched_mjp(rates, start, 3, NoDraws())
 
 
 class TestEscapeProbability:
@@ -604,17 +608,18 @@ class TestMixtureRepresentation:
         # independently sampled environments, on a wired 5-path
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
-        wired = wire_restrict(g, subset)
-        params = marginal_params(g, subset)
+        wired = WiredBand.from_graph(g, subset)
+        base = wired.graph()
+        params = wired.params()
         rng = stream(8, "mixwords")
         n = 50_000
 
-        a_words = vrjp_words(wired.base, 1, 3, n, rng)
+        a_words = vrjp_words(base, 1, 3, n, rng)
 
         beta = sample_batch(params, n, rng)
         gamma = rng.gamma(0.5, 1.0, size=n)
         m = len(subset)
-        w = wired.base.weight_matrix()
+        w = base.weight_matrix()
         h = np.broadcast_to(-w[:m, :m], (n, m, m)).copy()
         idx = np.arange(m)
         h[:, idx, idx] += 2.0 * beta

@@ -28,11 +28,14 @@ from vrjp import (
     q_density,
     sample_batch,
     sample_sequential,
+    schur_step,
     spectrum_bottom,
     stream,
     truncated_green_pathsum,
     u_field,
 )
+
+from vrjp.betafield import h_beta
 
 from _oracles import SE_RULE, se, zscore
 
@@ -151,6 +154,19 @@ class TestGreenSolveBanded:
         band, _ = banded_coupling(g)
         with pytest.raises(FactorizationError):
             green_solve_banded(band, np.zeros(g.n), np.ones(g.n))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (8,)], ids=["scalar", "one", "m+1"])
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "band"])
+def test_green_solves_refuse_a_beta_of_the_wrong_shape(banded, shape):
+    # numpy would broadcast a scalar or length-1 beta over all m = 7 sites
+    g = build_lattice_box(1, 3)
+    beta = np.full(shape, 3.0)
+    with pytest.raises(DomainError, match="beta must have shape"):
+        if banded:
+            green_solve_banded(banded_coupling(g)[0], beta, np.ones(g.n))
+        else:
+            green_solve(g.weight_matrix(), beta, np.ones(g.n))
 
 
 class TestGreenBundle:
@@ -439,6 +455,50 @@ class TestNestedVolumes:
         small = functional(keep_small, lam_small, beta[:, 1:6])
         gap = abs(big.mean() - small.mean())
         assert gap <= SE_RULE * np.hypot(se(big), se(small))
+
+    def test_psi_is_a_martingale_over_nested_boxes(self):
+        # E[psi_5x5(0) | beta on the 3x3 core] = psi_3x3(0), with both boxes
+        # wired in the 7x7 box. Given the core, the ring's field follows the
+        # same law with the core Schur-complemented out of (P, eta).
+        g = build_lattice_box(2, 3)
+        v2 = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 2]
+        v1 = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
+        core = [v2.index(v) for v in v1]
+        ring = [k for k in range(len(v2)) if k not in core]
+        params1 = marginal_params(g, v1)
+        params2 = marginal_params(g, v2)
+        origin = len(v1) // 2
+        rng = stream(11, "psi-martingale")
+        n, chunk = 20_000, 5_000
+        zs = []
+        for b in sample_batch(params1, 4, rng):
+            cond = params2
+            for k, site in enumerate(core):
+                # the core's k earlier sites are gone, and they all sat below
+                at = site - k
+                cond = schur_step(cond, at, 2.0 * b[k] - cond.p[at, at])
+            # P_RR + P_RU H_U^-1 P_UR and eta_R + P_RU H_U^-1 eta_U
+            p_ru = params2.p[np.ix_(ring, core)]
+            sol = np.linalg.solve(
+                h_beta(params2.p[np.ix_(core, core)], b),
+                np.column_stack([p_ru.T, params2.eta[core]]),
+            )
+            np.testing.assert_allclose(
+                cond.p, params2.p[np.ix_(ring, ring)] + p_ru @ sol[:, :-1], rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                cond.eta, params2.eta[ring] + p_ru @ sol[:, -1], rtol=1e-12
+            )
+            beta2 = np.empty((chunk, len(v2)))
+            beta2[:, core] = b
+            psi0 = []
+            for _ in range(n // chunk):
+                beta2[:, ring] = sample_batch(cond, chunk, rng)
+                psi = green_solve(params2.p, beta2, params2.eta)
+                psi0.append(psi[:, core[origin]])
+            target = green_solve(params1.p, b, params1.eta)[origin]
+            zs.append(zscore(np.concatenate(psi0), target))
+        assert max(zs) <= SE_RULE, zs
 
     def test_psi_covariance_matches_mean_hat_green(self):
         g = build_lattice_box(1, 2)
