@@ -4,7 +4,7 @@ A parameter set is a symmetric nonnegative coupling matrix P (off-diagonal
 entries are edge conductances, a nonnegative diagonal is allowed) together
 with a nonnegative boundary vector eta. The associated operator is
 H_beta = 2 diag(beta) - P, positive definite on the support of the law;
-h_beta forms it densely and h_beta_banded in band storage.
+h_beta forms it densely.
 
 Sampling is exact and sequential: conditionally on the sites already drawn,
 one site's shifted potential x = 2 beta - P_kk follows a generalized inverse
@@ -18,17 +18,19 @@ Schur update of (P, eta). Two loops run this elimination, one per storage:
 - band: sample_banded holds a row-major lattice box by rows of its band.
   Eliminating sites in index order keeps every update inside the band, which
   is what makes large boxes cheap. Since a pivot needs only its own row,
-  _blocked_band_loop eliminates the band in panels: each site's update goes
-  to the rest of its panel alone, and the block behind the panel takes all
-  of the panel's updates as one BLAS-3 dsyrk, as in a right-looking blocked
-  LDL^T. Psi decay, the conductance ratio and `vrjp green` draw their boxes
-  this way. banded_coupling stores a graph's own weights. Wiring a retained
-  set is done in one place, WiredBand's edge arrays: they give the wired
-  marginal in band storage for any environment's edge weights, or dense
-  (marginal_params), and the wired graph itself, delta last (graph()).
-  Like sample_sequential(order=None), the band sampler eliminates in index
-  order, so it consumes the same variates in the same order and its beta
-  differs from the dense draw by the rounding of the summed updates only.
+  _blocked_band_loop eliminates the band in panels, left-looking within a
+  panel, and the block behind a panel takes all of its updates as one
+  BLAS-3 dsyrk. Elimination with pivots x is the LDL^T factorization of
+  H_beta, D = diag(x), and the sample keeps it (BandSample) for
+  schrodinger.green_solve_banded. Psi decay, the conductance ratio and
+  `vrjp green` draw their boxes this way. banded_coupling stores a graph's
+  own weights. Wiring a retained set is done in one place, WiredBand's edge
+  arrays: they give the wired marginal in band storage for any environment's
+  edge weights, or dense (marginal_params), and the wired graph itself,
+  delta last (graph()). Like sample_sequential(order=None), the band sampler
+  eliminates in index order, so it consumes the same variates in the same
+  order and its beta differs from the dense draw by the rounding of the
+  summed updates only.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .graphs import WeightedGraph, _refuse_beyond_memory
 __all__ = [
     "NuParams",
     "BetaSample",
+    "BandSample",
     "marginal_params",
     "laplace_closed_form",
     "density",
@@ -62,7 +65,6 @@ __all__ = [
     "sample_errw_env",
     "spd_certificate",
     "h_beta",
-    "h_beta_banded",
 ]
 
 PIVOT_RTOL = 1e-12
@@ -123,6 +125,15 @@ class BetaSample:
     psd_certificate: bool
 
 
+@dataclass(frozen=True)
+class BandSample(BetaSample):
+    """A band draw with the factor H_beta = L D L^T that drawing it computed:
+    D = diag(pivots), L_k+d,k = -rows[k, d] / pivots[k] for d = 1..bw."""
+
+    rows: np.ndarray
+    pivots: np.ndarray
+
+
 def marginal_params(g: WeightedGraph, subset: Sequence[int]) -> NuParams:
     """Parameters of the marginal law on `subset` of the field on g.
 
@@ -153,10 +164,9 @@ def laplace_closed_form(params: NuParams, lam: np.ndarray) -> float:
     return float(np.exp(-t - params.eta @ (s - 1.0)) * np.prod(1.0 / s))
 
 
-def _chol_pivots_ok(h: np.ndarray, chol: np.ndarray) -> bool:
-    d = np.diag(chol) ** 2
-    scale = max(np.abs(np.diag(h)).max(), 1e-300)
-    return bool((d >= PIVOT_RTOL * scale).all())
+def _pivots_ok(pivots: np.ndarray, h_diag: np.ndarray) -> bool:
+    scale = max(np.abs(h_diag).max(initial=0.0), 1e-300)
+    return bool((pivots >= PIVOT_RTOL * scale).all())
 
 
 def h_beta(p: np.ndarray, beta) -> np.ndarray:
@@ -177,25 +187,6 @@ def h_beta(p: np.ndarray, beta) -> np.ndarray:
     return h
 
 
-def h_beta_banded(band: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """H_beta = 2 diag(beta) - P in solveh_banded's upper storage, for P held
-    in the row band storage of banded_coupling (band[i, d] = P[i, i+d]).
-
-    Returns ab of shape (bw + 1, n) with ab[bw + i - j, j] = H[i, j] for
-    0 <= j - i <= bw: the band form of h_beta, with the same entries.
-    """
-    n, width = band.shape
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (n,):
-        raise DomainError(f"beta must have shape ({n},)")
-    bw = width - 1
-    ab = np.zeros((width, n))
-    for d in range(1, width):
-        ab[bw - d, d:] = -band[: n - d, d]
-    ab[bw] = 2.0 * beta - band[:, 0]
-    return ab
-
-
 def spd_certificate(p: np.ndarray, beta: np.ndarray) -> bool:
     """True when H_beta = 2 diag(beta) - p factors as SPD with a relative
     pivot threshold of 1e-12."""
@@ -204,7 +195,7 @@ def spd_certificate(p: np.ndarray, beta: np.ndarray) -> bool:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
-    return _chol_pivots_ok(h, chol)
+    return _pivots_ok(np.diag(chol) ** 2, np.diag(h))
 
 
 def log_density(params: NuParams, beta: np.ndarray) -> float:
@@ -223,7 +214,7 @@ def log_density(params: NuParams, beta: np.ndarray) -> float:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return -np.inf
-    if not _chol_pivots_ok(h, chol):
+    if not _pivots_ok(np.diag(chol) ** 2, np.diag(h)):
         return -np.inf
     logdet = 2.0 * np.log(np.diag(chol)).sum()
     quad = 0.5 * float(np.ones(n) @ h @ np.ones(n))
@@ -336,19 +327,19 @@ def _schur_loop(v: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.n
 
 def _blocked_band_loop(
     band: np.ndarray, ew: np.ndarray, rng: np.random.Generator, nb: int = _PANEL
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Eliminate the n sites of band storage in index order, nb sites per
-    panel; returns beta as (n,). band and ew are updated in place.
+    panel; returns (beta, pivots). Leaves factor rows in band, L^-1 eta in ew.
 
     A panel's window is the band rows it touches, [k0, k0 + nb + bw), copied
     into a dense Fortran-ordered scratch that holds row i of the window as
-    its column i (so the lower triangle is P's upper). A pivot needs only its
-    own row, so each site of the panel draws its x as _schur_loop does and
-    adds its rank-one update to the panel's later rows alone; the rows past
-    the panel then take every update of the panel at once, as one dsyrk of
-    the panel's columns scaled by 1/sqrt(x). Past the diagonal band the
-    window stays zero, and cells above the window's diagonal hold only
-    writes nothing reads.
+    its column i (so the lower triangle is P's upper). The panel is
+    left-looking: one gemv folds the earlier sites' updates into column j
+    just before site j draws its x as _schur_loop does. The panel's rows go
+    back to band, and the rows past it take every update of the panel at
+    once, as one dsyrk of its columns scaled by 1/sqrt(x). Past the diagonal
+    band the window stays zero, and cells above the window's diagonal hold
+    only writes nothing reads.
     """
     n, width = band.shape
     bw = width - 1
@@ -357,8 +348,8 @@ def _blocked_band_loop(
     buf = np.zeros(size * size + bw)
     win = buf[: size * size].reshape(size, size, order="F")
     cell = buf.strides[0]
-    scratch = np.empty(bw * nb)
     beta = np.empty(n)
+    pivots = np.empty(n)
     for k0 in range(0, n, nb):
         p = min(nb, n - k0)
         t = min(p + bw, n - k0)
@@ -367,27 +358,23 @@ def _blocked_band_loop(
             buf, shape=(t, width), strides=((size + 1) * cell, cell)
         )
         rows[...] = band[k0 : k0 + t]
-        x = np.empty(p)
+        x = pivots[k0 : k0 + p]
         for j in range(p):
             k = k0 + j
             m = min(bw, n - 1 - k)
+            win[j : j + 1 + m, j] += win[j : j + 1 + m, :j] @ (win[j, :j] / x[:j])
             col = win[j + 1 : j + 1 + m, j]
             eta_hat = ew[k] + col.sum()
             # the one draw _gig_vec makes for a single sample
             x[j] = gig_half_sample(eta_hat**2, rng)
             beta[k] = 0.5 * (x[j] + win[j, j])
-            r = min(p - 1 - j, m)
-            if r:
-                upd = scratch[: m * r].reshape(m, r, order="F")
-                np.multiply(col[:, None], col[None, :r], out=upd)
-                upd /= x[j]
-                win[j + 1 : j + 1 + m, j + 1 : j + 1 + r] += upd
             ew[k + 1 : k + 1 + m] += col * (ew[k] / x[j])
+        band[k0 : k0 + p] = rows[:p]
         if t > p:
             a = win[p:t, :p] / np.sqrt(x)
             win[p:t, p:t] = dsyrk(1.0, a, beta=1.0, c=win[p:t, p:t], lower=1)
             band[k0 + p : k0 + t] = rows[p:t]
-    return beta
+    return beta, pivots
 
 
 def _eliminate(
@@ -602,15 +589,14 @@ class WiredBand:
 
 def sample_banded(
     band: np.ndarray, eta: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+) -> BandSample:
     """Exact field sample from band-stored parameters, eliminating in index
     order. Same law as sample_sequential, cost n * bw^2 instead of n^3.
 
     band[i, d] = P[i, i+d] for d = 0..bw, as banded_coupling stores it, and
-    eta has one entry per site. _blocked_band_loop eliminates _PANEL sites at
-    a time and applies their updates to the block behind the panel as one
-    BLAS-3 dsyrk. It draws the same variates in the same order as the dense
-    samplers' loop; only the rounding of the summed updates differs.
+    eta has one entry per site. It draws the same variates in the same order
+    as the dense samplers' loop, and only the rounding of the summed updates
+    differs. The certificate reads the kept factor's pivots.
     """
     if rng is None:
         raise DomainError("an rng is required")
@@ -622,13 +608,15 @@ def sample_banded(
     if eta.shape != (n,):
         raise DomainError("eta length must match the band's site count")
     bw = width - 1
-    # the band and eta copies, beta, the window with its spare cells, the
-    # in-panel scratch, the scaled panel and dsyrk's copy of the trailing
-    # block
+    # band, eta, beta, pivots, green_solve_banded's copy of the factor, the
+    # window with its spare cells, the scaled panel, dsyrk's trailing block
     size = _PANEL + bw
-    cells = n * (width + 2) + size * size + bw + 2 * _PANEL * bw + bw * bw
+    cells = n * (2 * width + 3) + size * size + bw + _PANEL * bw + bw * bw
     _refuse_beyond_memory(cells * 8, f"band storage of {n} sites at bandwidth {bw}")
-    return _blocked_band_loop(band.copy(), eta.copy(), rng)
+    rows = band.copy()
+    beta, pivots = _blocked_band_loop(rows, eta.copy(), rng)
+    certified = _pivots_ok(pivots, 2.0 * beta - band[:, 0])
+    return BandSample(beta, certified, rows=rows, pivots=pivots)
 
 
 def sample_errw_env(

@@ -212,7 +212,7 @@ def _cmd_green(args) -> int:
     # the retained box is row-major, so its field is drawn in band storage
     wired = WiredBand.from_graph(g, subset)
     band, eta = wired.fill()
-    beta = sample_banded(band, eta, rng)
+    beta = sample_banded(band, eta, rng).beta
     gamma = float(rng.gamma(0.5, 1.0))
     bundle = green_bundle(wired.params(), beta, subset, gamma, i0=i0)
     fields = ["vertex", "beta", "psi", "u", "green_root_row"]

@@ -321,10 +321,10 @@ def psi_decay_experiment(
 ) -> List[Dict[str, float]]:
     """Quantiles of the boundary-hitting sum at the box center per radius.
 
-    For each radius, draw the potential on the wired box and solve the
-    banded system for psi = Ghat eta at the center; the banded path keeps
-    d = 3, radius 8 tractable. Rows carry median and quartiles; callers read
-    the median trend (decay vs stabilization).
+    For each radius, draw the potential on the wired box in band storage
+    and solve for psi = Ghat eta with the draw's own LDL^T factor; the band
+    path keeps d = 3, radius 8 tractable. Rows carry median and quartiles;
+    callers read the median trend (decay vs stabilization).
     """
     radii = [int(r) for r in radii]
     if radii != sorted(radii):
@@ -338,8 +338,7 @@ def psi_decay_experiment(
         rng = stream(seed, "psi-decay", r_i)
         vals = np.empty(n_samples)
         for s in range(n_samples):
-            beta = sample_banded(band, eta, rng)
-            psi = green_solve_banded(band, beta, eta)
+            psi = green_solve_banded(sample_banded(band, eta, rng), eta)
             vals[s] = psi[_box_center(g)]
         q = np.quantile(vals, [0.25, 0.5, 0.75])
         rows.append(
@@ -471,8 +470,8 @@ def conductance_ratio_experiment(
     Each separation's box and its edge index arrays (WiredBand) are built
     once. Per environment, the weights are scattered into band storage and
     the boundary vector, the field is drawn by sample_banded, and psi and
-    the Green row of i0 come from one banded Cholesky solve with two
-    right-hand sides; no graph or dense matrix is formed.
+    the Green row of i0 come from its LDL^T factor (green_solve_banded, two
+    right-hand sides); no graph or dense matrix is formed.
     """
     if not (np.isfinite(a) and a > 0):
         raise DomainError("Gamma shape a must be positive and finite")
@@ -499,11 +498,11 @@ def conductance_ratio_experiment(
             w_draw = rng.gamma(a, 1.0, size=box.edge_count)
             band, eta = wired.fill(w_draw)
             rhs[:, 0] = eta
-            beta = sample_banded(band, eta, rng)
+            sample = sample_banded(band, eta, rng)
             gamma = float(gamma_rng.gamma(0.5, 1.0))
             if gamma <= 0:
                 raise DomainError("gamma must be positive")
-            psi, g0 = green_solve_banded(band, beta, rhs).T
+            psi, g0 = green_solve_banded(sample, rhs).T
             # the row of i0 in the kernel on the box plus delta (delta last)
             grow = g0 + psi[p0] * psi / (2.0 * gamma)
             g_delta = psi[p0] / (2.0 * gamma)

@@ -470,6 +470,8 @@ class QuenchedRates:
     def from_green(cls, w: np.ndarray, green: np.ndarray, i0: int) -> "QuenchedRates":
         """Rates from any conductance matrix and full Green kernel."""
         row = green[int(i0)]
+        if not (np.isfinite(row) & (row > 0)).all():
+            raise NumericError("Green row of the root is not positive and finite")
         rates = 0.5 * w * (row[None, :] / row[:, None])
         exit = rates.sum(axis=1)
         return cls(rates=rates, exit=exit, i0=int(i0))

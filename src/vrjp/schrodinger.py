@@ -2,25 +2,25 @@
 functions, the boundary field psi, the full kernel with its independent
 Gamma(1/2) coupling, u-fields, path-sum oracles, and spectral diagnostics.
 
-H is formed in one place, betafield.h_beta (h_beta_banded in band storage),
-and every H below comes from it. Green functions come from one of three
-solves:
+H is formed in one place, betafield.h_beta, and every dense H below comes
+from it. Green functions come from one of three solves:
 
 - green_solve applies Ghat_beta to a few right-hand sides for a whole batch
   of environments at once, through one LU solve per environment; batched
   Monte Carlo asks only for the columns it reads, never for the inverse;
 - green_solve_banded is its band twin for one environment of a lattice box
-  held in band storage: one banded Cholesky solve;
+  drawn by sample_banded: two banded triangular solves with the LDL^T factor
+  of H that the draw computed, so H is never factored twice;
 - green_bundle and u_field factor the H of a single environment by
   Cholesky. green_bundle takes the wired marginal it is given, formed by
   betafield.WiredBand in dense storage (marginal_params).
 
-Every Cholesky factorization doubles as the positivity certificate: a
-failure raises FactorizationError. Apart from the band storage, operators
-are dense arrays; there is no sparse route. A graph too large for its dense
-matrix is refused with SizeError before anything is allocated
-(WeightedGraph.weight_matrix). Truncated path sums converge far too slowly
-for production and exist only as independent oracles for tests.
+Every factorization doubles as the positivity certificate (for the band
+draw, its pivots): a failure raises FactorizationError. Apart from the band
+storage, operators are dense arrays; there is no sparse route. A graph too
+large for its dense matrix is refused with SizeError before anything is
+allocated (WeightedGraph.weight_matrix). Truncated path sums converge far
+too slowly for production and exist only as independent oracles for tests.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtbtrs
 
-from .betafield import BetaSample, NuParams, h_beta, h_beta_banded
+from .betafield import BandSample, BetaSample, NuParams, h_beta
 from .errors import (
     DomainError,
     FactorizationError,
@@ -93,20 +94,28 @@ def green_solve(p: np.ndarray, beta, rhs) -> np.ndarray:
     return out if rhs.ndim == 2 else out[..., 0]
 
 
-def green_solve_banded(band: np.ndarray, beta, rhs) -> np.ndarray:
-    """Ghat_beta rhs for one environment whose coupling P is held in the row
-    band storage of banded_coupling: the band twin of green_solve.
+def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
+    """Ghat_beta rhs for one band draw, with the factor it kept: the band
+    twin of green_solve. rhs has shape (m,) or (m, k), and so has the result.
 
-    rhs has shape (m,) or (m, k), and so has the result. One banded
-    Cholesky solve, which certifies positivity: an H_beta that is not
-    positive definite raises FactorizationError.
+    With R = D L^T, H^-1 = R^-1 D R^-T, and R^T in lower band storage is
+    -rows.T with the pivots on its first row: two triangular dtbtrs solves.
+    A failed certificate or a zero pivot raises FactorizationError.
     """
-    try:
-        return scipy.linalg.solveh_banded(
-            h_beta_banded(band, beta), rhs, lower=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"banded operator is not positive definite: {exc}") from exc
+    rhs = np.asarray(rhs, dtype=float)
+    m = sample.pivots.shape[0]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != m:
+        raise DomainError(f"right-hand side must have shape ({m},) or ({m}, k)")
+    if not sample.psd_certificate:
+        raise FactorizationError("banded operator is not positive definite")
+    ab = -sample.rows.T
+    ab[0] = sample.pivots
+    y, info_n = dtbtrs(ab, rhs.reshape(m, -1), uplo="L")
+    y *= sample.pivots[:, None]
+    y, info_t = dtbtrs(ab, y, uplo="L", trans="T", overwrite_b=1)
+    if info_n or info_t:
+        raise FactorizationError("banded operator is singular: a zero pivot")
+    return y.reshape(rhs.shape)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,19 @@
 
 Everything here recomputes target quantities by a route disjoint from the
 code under test: naive recursive path enumeration, adaptive quadrature of
-closed-form densities, quadrature means, and the wired marginal by way of an
-induced subgraph. Slow is fine; independent is
-the point.
+closed-form densities, quadrature means, the wired marginal by way of an
+induced subgraph, and banded Green solves by a fresh factorization of H_beta
+(solveh_banded). Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from scipy import integrate
 
 from vrjp import (
+    DomainError,
     NuParams,
     WeightedGraph,
     build_lattice_box,
@@ -199,6 +201,31 @@ def reference_sample_banded(band: np.ndarray, eta: np.ndarray, rng) -> np.ndarra
             p[k + 1 : k + 1 + m, :m] += skew
             eta_w[k + 1 : k + 1 + m] += col * (eta_w[k] / x)
     return beta
+
+
+def h_beta_banded(band: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """H_beta = 2 diag(beta) - P in solveh_banded's upper storage, for P held
+    in the row band storage of banded_coupling (band[i, d] = P[i, i+d]).
+
+    Returns ab of shape (bw + 1, n) with ab[bw + i - j, j] = H[i, j] for
+    0 <= j - i <= bw: the band form of h_beta, with the same entries.
+    """
+    n, width = band.shape
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (n,):
+        raise DomainError(f"beta must have shape ({n},)")
+    bw = width - 1
+    ab = np.zeros((width, n))
+    for d in range(1, width):
+        ab[bw - d, d:] = -band[: n - d, d]
+    ab[bw] = 2.0 * beta - band[:, 0]
+    return ab
+
+
+def reference_green_solve_banded(band: np.ndarray, beta, rhs) -> np.ndarray:
+    """Ghat_beta rhs by a fresh banded Cholesky factorization of H_beta
+    (solveh_banded), not by the factor the band draw kept."""
+    return scipy.linalg.solveh_banded(h_beta_banded(band, beta), rhs, lower=False)
 
 
 def reference_simulate_vrjp(g: WeightedGraph, i0: int, horizon: float, rng):

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from vrjp import (
+    BandSample,
     DomainError,
     NuParams,
     RestrictionError,
@@ -30,9 +31,9 @@ from vrjp import (
     stream,
 )
 from vrjp.betafield import (
+    _PANEL,
     _blocked_band_loop,
     h_beta,
-    h_beta_banded,
     spd_certificate,
 )
 
@@ -42,6 +43,7 @@ from _oracles import (
     NoDraws,
     density_mass_pair,
     gig_mean_quadrature,
+    h_beta_banded,
     laplace_by_quadrature_single,
     pair_params,
     reference_marginal_params,
@@ -400,6 +402,27 @@ def _box_band(dim, radius, w):
     return band, bw, w * (2 * dim - degrees)
 
 
+def _dense_from_band(band):
+    """The symmetric matrix P with band[i, d] = P[i, i+d]."""
+    n, width = band.shape
+    p = np.zeros((n, n))
+    for d in range(width):
+        i = np.arange(n - d)
+        p[i, i + d] = band[: n - d, d]
+        p[i + d, i] = band[: n - d, d]
+    return p
+
+
+def _ldlt_from_factor(rows, pivots):
+    """L D L^T with D = diag(pivots) and L_k+d,k = -rows[k, d] / pivots[k]."""
+    n, width = rows.shape
+    lower = np.eye(n)
+    for d in range(1, width):
+        k = np.arange(n - d)
+        lower[k + d, k] = -rows[: n - d, d] / pivots[: n - d]
+    return (lower * pivots) @ lower.T
+
+
 def _assert_same_draws(got, want, rng_got, rng_want):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     # the same variates were consumed: the generators draw alike from here
@@ -436,7 +459,7 @@ class TestBandedSampler:
         band, got_bw, eta = _box_band(dim, radius, 0.7)
         assert got_bw == bw
         rng_got, rng_want = stream(53, "banded", bw), stream(53, "banded", bw)
-        got = sample_banded(band, eta, rng_got)
+        got = sample_banded(band, eta, rng_got).beta
         want = reference_sample_banded(band, eta, rng_want)
         _assert_same_draws(got, want, rng_got, rng_want)
 
@@ -472,7 +495,7 @@ class TestBandedSampler:
         band, _bw = banded_coupling(sub)
         rng = stream(31, "banded")
         n = 20_000
-        beta = np.array([sample_banded(band, params.eta, rng) for _ in range(n)])
+        beta = np.array([sample_banded(band, params.eta, rng).beta for _ in range(n)])
         lam_rng = stream(31, "banded-lam")
         for _ in range(4):
             lam = lam_rng.uniform(0.0, 1.0, size=3)
@@ -498,9 +521,44 @@ class TestBlockedBandKernel:
         band, got_bw, eta = _box_band(dim, radius, 0.7)
         assert got_bw == bw and band.shape[0] % nb
         rng_got, rng_want = stream(59, "blocked", bw, nb), stream(59, "blocked", bw, nb)
-        got = _blocked_band_loop(band.copy(), eta.copy(), rng_got, nb)
+        got, _ = _blocked_band_loop(band.copy(), eta.copy(), rng_got, nb)
         want = reference_sample_banded(band, eta, rng_want)
         _assert_same_draws(got, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize(
+        "dim,radius,bw,nb",
+        [
+            (2, 2, 5, 2),
+            (2, 2, 5, 3),
+            (2, 2, 5, 8),
+            (2, 8, 17, 4),
+            (2, 8, 17, 32),
+            (3, 2, 25, 7),
+            (3, 2, 25, 40),
+        ],
+    )
+    def test_is_the_ldlt_factorization(self, dim, radius, bw, nb):
+        # the draw leaves the factor rows in band and returns the pivots:
+        # L D L^T rebuilt from them is H_beta of the beta it drew
+        band, got_bw, eta = _box_band(dim, radius, 0.7)
+        assert got_bw == bw and band.shape[0] % nb
+        rows = band.copy()
+        beta, pivots = _blocked_band_loop(rows, eta.copy(), stream(61, "ldlt", bw, nb), nb)
+        h = h_beta(_dense_from_band(band), beta)
+        rebuilt = _ldlt_from_factor(rows, pivots)
+        assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
+
+    def test_sample_keeps_its_factor(self):
+        # sample_banded's panel width, with a short last panel
+        band, bw, eta = _box_band(2, 12, 0.7)
+        assert band.shape[0] % _PANEL
+        sample = sample_banded(band, eta, stream(61, "ldlt-sample"))
+        assert isinstance(sample, BandSample) and sample.psd_certificate
+        assert sample.rows.shape == band.shape and sample.pivots.shape == (band.shape[0],)
+        h = h_beta(_dense_from_band(band), sample.beta)
+        rebuilt = _ldlt_from_factor(sample.rows, sample.pivots)
+        assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
+        assert sample.psd_certificate == spd_certificate(_dense_from_band(band), sample.beta)
 
     def test_law_matches_closed_form(self):
         # the 3x3 interior of the 5x5 box, wired to the rest: panels of 4
@@ -512,7 +570,7 @@ class TestBlockedBandKernel:
         assert bw == 3
         rng = stream(37, "blocked")
         beta = np.array(
-            [_blocked_band_loop(band.copy(), params.eta.copy(), rng, 4) for _ in range(10_000)]
+            [_blocked_band_loop(band.copy(), params.eta.copy(), rng, 4)[0] for _ in range(10_000)]
         )
         lam_rng = stream(37, "blocked-lam")
         for _ in range(4):
@@ -593,7 +651,7 @@ class TestWiredBand:
         g, subset = _green_box(dim, radius, 1.0)
         band, eta = WiredBand.from_graph(g, subset).fill()
         rng_got, rng_want = stream(73, "wired", dim), stream(73, "wired", dim)
-        got = sample_banded(band, eta, rng_got)
+        got = sample_banded(band, eta, rng_got).beta
         want = sample_sequential(marginal_params(g, subset), None, rng_want).beta
         _assert_same_draws(got, want, rng_got, rng_want)
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import vrjp
-from vrjp import WeightedGraph, save_graph
+from vrjp import BandSample, WeightedGraph, save_graph
 from vrjp.cli import NUMERIC_EXIT, USAGE_EXIT, main
 
 from _oracles import NoDraws
@@ -416,11 +416,17 @@ class TestExperimentCommand:
     def test_non_positive_definite_psi_solve_is_numeric_failure(
         self, tmp_path, monkeypatch
     ):
-        # beta = 0 makes the banded H = -P: a factorization failure, exit
-        # 3, not the usage error a bare LinAlgError (a ValueError) would give
-        monkeypatch.setattr(
-            vrjp.harness, "sample_banded", lambda band, eta, rng: np.zeros(len(eta))
-        )
+        # a band draw whose pivots are all zero, as for beta = 0, where the
+        # banded H = -P is not positive definite: a factorization failure,
+        # exit 3, not the usage error a bare LinAlgError (a ValueError) would
+        # give
+        def not_positive_definite(band, eta, rng):
+            zeros = np.zeros(len(eta))
+            return BandSample(
+                beta=zeros, psd_certificate=False, rows=np.array(band), pivots=zeros
+            )
+
+        monkeypatch.setattr(vrjp.harness, "sample_banded", not_positive_definite)
         rc = main(
             ["experiment", "--name", "psi-decay", "--out", str(tmp_path / "run")]
         )

@@ -13,6 +13,7 @@ from vrjp import (
     ConditioningError,
     CoverageError,
     DomainError,
+    NumericError,
     QuenchedRates,
     SizeError,
     Trajectory,
@@ -396,6 +397,20 @@ class TestQuenchedRates:
         )
         with pytest.raises(DomainError, match="start state"):
             quenched_mjp(rates, start, 3, NoDraws())
+
+    def test_refuses_a_green_row_with_zeros(self):
+        # vertices 0 and 1 have no edge to the complement, so psi and the
+        # root's Green row vanish on them: rates there would be 0/0
+        g = WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
+        subset = [0, 1, 2]
+        params = marginal_params(g, subset)
+        rng = stream(4, "zero-row")
+        beta = sample_batch(params, 1, rng)[0]
+        with np.errstate(divide="ignore"):
+            bundle = green_bundle(params, beta, subset, float(rng.gamma(0.5)), i0=2)
+        assert (bundle.full_g[bundle.i0_index, :2] == 0).all()
+        with pytest.raises(NumericError, match="Green row"):
+            QuenchedRates.from_bundle(bundle)
 
 
 class TestEscapeProbability:

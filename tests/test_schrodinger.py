@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -26,6 +27,7 @@ from vrjp import (
     green_solve_banded,
     marginal_params,
     q_density,
+    sample_banded,
     sample_batch,
     sample_sequential,
     schur_step,
@@ -37,7 +39,7 @@ from vrjp import (
 
 from vrjp.betafield import h_beta
 
-from _oracles import SE_RULE, se, zscore
+from _oracles import SE_RULE, reference_green_solve_banded, se, zscore
 
 
 def pair():
@@ -134,37 +136,73 @@ class TestGreenSolve:
             green_solve(p, np.full(5, 6.0), np.ones((5, 2, 2)))
 
 
+def _drawn_box(dim, radius, w, seed):
+    """A box's band storage, its degree-deficit boundary vector, and one band
+    draw of the field on it."""
+    g = build_lattice_box(dim, radius, w)
+    band, _ = banded_coupling(g)
+    degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
+    eta = w * (2 * dim - degrees)
+    return g, band, sample_banded(band, eta, stream(seed, "gsb-beta"))
+
+
 class TestGreenSolveBanded:
-    @pytest.mark.parametrize("k", [None, 2], ids=["vector", "k2"])
+    @pytest.mark.parametrize("k", [None, 1, 2], ids=["vector", "k1", "k2"])
     def test_matches_dense_solve(self, k):
-        # 2 beta >= 8.4 exceeds every row sum of P (at most 4 * 2.1)
-        g = build_lattice_box(2, 3, 2.1)
-        band, _ = banded_coupling(g)
-        beta = stream(79, "gsb-beta").uniform(4.2, 5.0, g.n)
+        g, band, sample = _drawn_box(2, 3, 2.1, 79)
         shape = (g.n,) if k is None else (g.n, k)
         rhs = stream(79, "gsb-rhs").normal(size=shape)
-        got = green_solve_banded(band, beta, rhs)
+        got = green_solve_banded(sample, rhs)
         assert got.shape == shape
-        want = green_solve(g.weight_matrix(), beta, rhs)
+        want = green_solve(g.weight_matrix(), sample.beta, rhs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        want = reference_green_solve_banded(band, sample.beta, rhs)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
+    def test_leaves_rhs_alone(self):
+        g, _, sample = _drawn_box(2, 3, 2.1, 79)
+        rhs = np.asfortranarray(stream(79, "gsb-rhs").normal(size=(g.n, 2)))
+        kept = rhs.copy()
+        green_solve_banded(sample, rhs)
+        np.testing.assert_array_equal(rhs, kept)
+
+    @staticmethod
+    def with_pivot(sample, pivot, certified):
+        pivots = sample.pivots.copy()
+        pivots[pivots.size // 2] = pivot
+        return dataclasses.replace(sample, pivots=pivots, psd_certificate=certified)
+
     def test_non_positive_definite_raises_factorization_error(self):
-        # beta = 0 makes H = -P, which is not positive definite
-        g = build_lattice_box(2, 2)
-        band, _ = banded_coupling(g)
-        with pytest.raises(FactorizationError):
-            green_solve_banded(band, np.zeros(g.n), np.ones(g.n))
+        # a pivot below the certificate's threshold fails the certificate
+        g, _, sample = _drawn_box(2, 2, 1.0, 83)
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            green_solve_banded(self.with_pivot(sample, 1e-20, False), np.ones(g.n))
+
+    def test_zero_pivot_raises_factorization_error(self):
+        # an exactly zero pivot, even in a sample that claims a certificate,
+        # makes the triangular solve report a singular factor
+        g, _, sample = _drawn_box(2, 2, 1.0, 83)
+        with pytest.raises(FactorizationError, match="singular"):
+            green_solve_banded(self.with_pivot(sample, 0.0, True), np.ones(g.n))
+
+    def test_rejects_mismatched_rhs(self):
+        g, _, sample = _drawn_box(2, 2, 1.0, 83)
+        with pytest.raises(DomainError):
+            green_solve_banded(sample, np.ones(g.n - 1))
+        with pytest.raises(DomainError):
+            green_solve_banded(sample, np.ones((g.n, 2, 2)))
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (8,)], ids=["scalar", "one", "m+1"])
 @pytest.mark.parametrize("banded", [False, True], ids=["dense", "band"])
 def test_green_solves_refuse_a_beta_of_the_wrong_shape(banded, shape):
-    # numpy would broadcast a scalar or length-1 beta over all m = 7 sites
+    # numpy would broadcast a scalar or length-1 beta over all m = 7 sites;
+    # the band case checks the oracle, which forms H_beta from a given beta
     g = build_lattice_box(1, 3)
     beta = np.full(shape, 3.0)
     with pytest.raises(DomainError, match="beta must have shape"):
         if banded:
-            green_solve_banded(banded_coupling(g)[0], beta, np.ones(g.n))
+            reference_green_solve_banded(banded_coupling(g)[0], beta, np.ones(g.n))
         else:
             green_solve(g.weight_matrix(), beta, np.ones(g.n))
 
