@@ -9,14 +9,14 @@ so waits are exponential with constant rate and there is no discretization
 error anywhere.
 
 Each reinforced walk has one loop per traffic shape. A single reinforced
-jump walk, on a finite graph or on Z^d, runs the scalar event loop `_walk`,
-and many walks run `vrjp_words`, one numpy pass per step for all of them. On
-a 2-vCPU VM `vrjp_words` costs about 0.4 us per walk-step at 25,000 walks but
-about 30 us per step for one walk, where `_walk` costs about 10 us per jump.
-The same holds for the linearly reinforced discrete walk: a single walk runs
-the scalar loop `_errw_walk`, at about 0.6 us per step on the d=2 radius-10
-box, and many walks run `errw_words`, which costs 20-24 us per step for one
-walk.
+jump walk, on a finite graph or on Z^d, runs the scalar event loop `_walk` on
+Python floats, and many walks run `vrjp_words`, one numpy pass per step for
+all of them. On a 2-vCPU VM `vrjp_words` costs about 0.4 us per walk-step at
+25,000 walks but about 30 us per step for one walk, where `_walk` costs
+about 4 us per jump on the d=2 radius-10 box. The same holds for the
+linearly reinforced discrete walk: a single walk runs the scalar loop
+`_errw_walk`, at about 0.6 us per step on the same box, and many walks run
+`errw_words`, which costs 20-24 us per step for one walk.
 
 Finite-volume semantics: on a wired graph, "never returns" is read as "hits
 delta before returning", and absorbed-chain estimators always take one free
@@ -100,30 +100,46 @@ class Trajectory:
 
 
 def _walk(rows, local, v, rng, horizon, cap):
-    """Event loop of one reinforced jump walk from vertex v; the local times
-    in `local` are updated in place. rows[x] is x's (neighbor ids,
-    conductances) pair, and the rate to neighbor y is its conductance times
-    local[y]. Stops before a jump at or past `horizon`, at a vertex without
-    neighbors, or after `cap` jumps. Returns the visited vertices, the
-    holding times, and the occupied vertex's local time as each began."""
+    """Event loop of one reinforced jump walk from vertex v, on Python
+    floats; the local times in `local` are updated in place. rows[x] is x's
+    pair of lists (neighbor ids, conductances), and the rate to neighbor y is
+    its conductance times local[y]. Stops before a jump at or past
+    `horizon`, at a vertex without neighbors, or after `cap` jumps. Returns
+    the visited vertices, the holding times, and the occupied vertex's local
+    time as each began.
+
+    Draws and sums keep numpy's bits: a wait is its scale times one standard
+    exponential, as `rng.exponential` forms it, and numpy adds fewer than 8
+    rates left to right and more in `np.add.reduce`'s pairwise order. The
+    next vertex is the first whose running rate sum exceeds the scaled
+    uniform, or the last if rounding puts the uniform past them all."""
     verts = [v]
     waits = []
     entered = []
     s = 0.0
     while len(waits) < cap:
         nb, wv = rows[v]
-        if not nb.size:
+        if not nb:
             break
-        rates = wv * local[nb]
-        total = rates.sum()
-        wait = rng.exponential(1.0 / total)
+        rates = [w * local[y] for y, w in zip(nb, wv)]
+        if len(rates) < 8:
+            total = 0.0
+            for r in rates:
+                total += r
+        else:
+            total = float(np.add.reduce(rates))
+        wait = (1.0 / total) * rng.standard_exponential()
         if s + wait >= horizon:
             break
         s += wait
         lv = local[v]
         local[v] = lv + wait
         u = rng.random() * total
-        v = int(nb[rates.cumsum().searchsorted(u, side="right")])
+        run = 0.0
+        for v, r in zip(nb, rates):
+            run += r
+            if run > u:
+                break
         verts.append(v)
         waits.append(wait)
         entered.append(lv)
@@ -143,13 +159,11 @@ def simulate_vrjp(
         raise DomainError("horizon must be positive and finite")
     if not (0 <= i0 < g.n):
         raise DomainError("start vertex out of range")
-    rows = [
-        (np.array([u for u, _ in nb], dtype=int), np.array([w for _, w in nb]))
-        for nb in g.neighbors
-    ]
-    local = np.ones(g.n)
+    rows = [([u for u, _ in nb], [float(w) for _, w in nb]) for nb in g.neighbors]
+    local = [1.0] * g.n
     verts, waits, _ = _walk(rows, local, int(i0), rng, horizon, np.inf)
     times = np.concatenate([[0.0], np.cumsum(waits)])
+    local = np.array(local)
     local[verts[-1]] += horizon - times[-1]
     return Trajectory(
         vertices=np.array(verts),
@@ -170,11 +184,12 @@ def _segment_data(traj: Trajectory):
     durations[:-1] = np.diff(s)
     durations[-1] = traj.horizon - s[-1]
     local: Dict[int, float] = {}
-    enter_local = np.empty(len(v))
-    for k, (vk, dk) in enumerate(zip(v, durations)):
-        lv = local.get(int(vk), 1.0)
-        enter_local[k] = lv
-        local[int(vk)] = lv + dk
+    entered = []
+    for vk, dk in zip(v.tolist(), durations.tolist()):
+        lv = local.get(vk, 1.0)
+        entered.append(lv)
+        local[vk] = lv + dk
+    enter_local = np.array(entered)
     d_incr = 2.0 * enter_local * durations + durations**2
     d_entry = np.concatenate([[0.0], np.cumsum(d_incr)])
     return s, durations, enter_local, d_entry
@@ -649,35 +664,36 @@ def mc_return_probability(
     return AbsorptionReport(n=n, counts=counts)
 
 
-# Python objects a lattice walk keeps, in bytes, plus the per-dimension
-# terms where they are used: a site's coordinate tuple, number and table
-# slots; a jump's three records and the row of the site it enters. Rounded
-# up from tracemalloc peaks, over walk lengths 3,000 to 27,000, of walks
-# that enter a new site at every jump and so number the most sites: with
-# the local times, 530 B per jump at d=1, 1.2 kB at d=3, 3.9 kB at d=8.
-_SITE_BYTES = 192
-_JUMP_BYTES = 320
+# Python objects a lattice walk keeps, in bytes: a site's row tuple, list
+# header and local time with their dict entries; a jump's three records. A
+# site also holds 2 * dim neighbor keys, each a list slot and an int of 4 B
+# per 30 bits. Rounded up from tracemalloc peaks, over walk lengths 3,000 to
+# 81,000, of walks along the last axis, which enter a new site at every jump
+# with keys of full size: with the output arrays, 372 B per jump at d=1,
+# 545 B at d=3, 1.14 kB at d=8.
+_SITE_BYTES = 160
+_JUMP_BYTES = 80
 
 
-class _SiteTable(dict):
-    """Neighbor rows of Z^dim with constant weight w, by site number: the
-    origin is 0, and a site's first row request numbers its unseen neighbors
-    in the order axis 0 +, axis 0 -, axis 1 +, ..."""
+class _LatticeRows(dict):
+    """Neighbor rows of Z^dim with constant weight w, keyed by packed
+    coordinates, made on first request: site x's neighbors are x + step for
+    each step in `steps`, with one weight list shared by every row."""
 
-    def __init__(self, dim: int, w: float):
-        self.coords = [(0,) * dim]
-        self._number = {self.coords[0]: 0}
-        self._weights = np.full(2 * dim, float(w))
+    def __init__(self, steps, w: float):
+        self._steps = steps
+        self._weights = [float(w)] * len(steps)
 
-    def __missing__(self, v):
-        x = self.coords[v]
-        qs = [x[:a] + (x[a] + s,) + x[a + 1 :] for a in range(len(x)) for s in (1, -1)]
-        for q in qs:
-            if q not in self._number:
-                self._number[q] = len(self.coords)
-                self.coords.append(q)
-        self[v] = row = (np.array([self._number[q] for q in qs]), self._weights)
+    def __missing__(self, x):
+        self[x] = row = ([x + d for d in self._steps], self._weights)
         return row
+
+
+class _LocalTimes(dict):
+    """Local times by site; an unoccupied site reads 1.0 and is not stored."""
+
+    def __missing__(self, x):
+        return 1.0
 
 
 def simulate_vrjp_lattice(
@@ -689,10 +705,11 @@ def simulate_vrjp_lattice(
     """Reinforced walk on the infinite constant-weight lattice, run for a
     fixed number of jumps from the origin.
 
-    Sites are numbered on first sight in a site table, and their local times
-    sit in one array sized for the most sites n_jumps jumps can reach, so no
-    box graph is built. Returns (positions, entry times, transformed entry
-    times), the last being the quadratic time change D.
+    Site x is keyed by sum_a x_a span^a, span = 2 n_jumps + 1, which no two
+    reachable sites share; its neighbors are x + span^a, x - span^a, axis by
+    axis. Rows and local times are dicts on these keys, so only reached
+    sites take memory and no box graph is built. Returns (positions, entry
+    times, transformed entry times), the last being the time change D.
     """
     if dim < 1:
         raise DomainError("lattice dimension must be at least 1")
@@ -700,21 +717,25 @@ def simulate_vrjp_lattice(
         raise DomainError("edge weight must be positive and finite")
     if n_jumps < 0:
         raise DomainError("n_jumps must be nonnegative")
-    n_sites = 1 + 2 * dim * n_jumps
-    # local times and the site table, the walk's records, then positions and
-    # the two clocks with their temporaries
-    need = (
-        n_sites * (8 + _SITE_BYTES + 8 * dim)
-        + n_jumps * (_JUMP_BYTES + 16 * dim)
-        + 8 * (n_jumps + 1) * (dim + 8)
-    )
+    span = 2 * n_jumps + 1
+    key_bytes = 24 + 4 * -(-dim * span.bit_length() // 30)
+    # a new site per jump at most, the walk's records, then the output arrays
+    need = (n_jumps + 1) * (
+        _SITE_BYTES + 2 * dim * (8 + key_bytes) + 8 * (2 * dim + 8)
+    ) + n_jumps * _JUMP_BYTES
     _refuse_beyond_memory(need, f"a lattice walk of {n_jumps} jumps")
-    sites = _SiteTable(dim, w)
-    verts, waits, entered = _walk(sites, np.ones(n_sites), 0, rng, np.inf, n_jumps)
+    steps = [s * span**a for a in range(dim) for s in (1, -1)]
+    verts, waits, entered = _walk(
+        _LatticeRows(steps, w), _LocalTimes(), 0, rng, np.inf, n_jumps
+    )
+    slot = {d: k for k, d in enumerate(steps)}
+    moves = np.kron(np.eye(dim, dtype=int), [[1], [-1]])
+    coords = np.zeros((n_jumps + 1, dim), dtype=int)
+    coords[1:] = moves[[slot[b - a] for a, b in zip(verts, verts[1:])]]
     waits = np.array(waits)
     d_incr = 2.0 * np.array(entered) * waits + waits**2
     return (
-        np.array([sites.coords[v] for v in verts], dtype=int),
+        np.cumsum(coords, axis=0),
         np.concatenate([[0.0], np.cumsum(waits)]),
         np.concatenate([[0.0], np.cumsum(d_incr)]),
     )

@@ -191,10 +191,11 @@ def green_bundle(
     """Solve the restricted systems for the wired marginal of a retained set.
 
     params is that marginal, marginal_params(g, subset): everything outside
-    `subset` is collapsed to delta, and the boundary weight vector must be
-    nonzero. subset labels its positions, which beta shares. gamma is the
-    independent Gamma(1/2, 1) coupling, finite and positive. i0 (a vertex of
-    `subset`, or None for delta) is the root used for the u vector.
+    `subset` is collapsed to delta, and every component of `subset` must
+    have an edge to delta (RestrictionError otherwise). subset labels its
+    positions, which beta shares. gamma is the independent Gamma(1/2, 1)
+    coupling, finite and positive. i0 (a vertex of `subset`, or None for
+    delta) is the root used for the u vector.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise DomainError("gamma must be positive and finite")
@@ -216,6 +217,10 @@ def green_bundle(
     hat_g = scipy.linalg.cho_solve(factor, np.eye(m))
     hat_g = 0.5 * (hat_g + hat_g.T)
     psi = scipy.linalg.cho_solve(factor, eta)
+    # H is an M-matrix and eta >= 0: psi is exactly 0 on a component that
+    # eta does not reach, and positive elsewhere
+    if not (psi > 0).all():
+        raise RestrictionError("a component of subset has no edge to delta")
 
     full_g = np.empty((m + 1, m + 1))
     full_g[:m, :m] = hat_g + np.outer(psi, psi) / (2.0 * gamma)

@@ -126,6 +126,21 @@ class NoDraws:
         raise AssertionError(f"rng.{name} used before the input was refused")
 
 
+class LargestUniform:
+    """A generator whose uniforms are all the largest double below 1 and
+    whose other draws come from `rng`: scaled by a total, such a uniform
+    lands on the last running sum that rounding lets it reach."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self):
+        return float(np.nextafter(1.0, 0.0))
+
+
 def ring_graph(n: int, w: float = 1.0) -> WeightedGraph:
     """Cycle on n >= 3 vertices: vertex-transitive, so per-site laws match."""
     edges = [(k, k + 1, w) for k in range(n - 1)] + [(0, n - 1, w)]
@@ -228,10 +243,20 @@ def reference_green_solve_banded(band: np.ndarray, beta, rhs) -> np.ndarray:
     return scipy.linalg.solveh_banded(h_beta_banded(band, beta), rhs, lower=False)
 
 
-def reference_simulate_vrjp(g: WeightedGraph, i0: int, horizon: float, rng):
+def reference_simulate_vrjp(
+    g: WeightedGraph, i0: int, horizon: float, rng, clock: bool = False
+):
     """The finite-graph reinforced jump walk as its own event loop with a
     running clock: the loop the walker must match bit for bit, draw for draw.
-    Returns (vertices, entry times, final local times)."""
+    Returns (vertices, entry times, final local times).
+
+    With clock=True it also keeps a running transformed clock, D(s) =
+    sum_i (L_i(s)^2 - 1), read from the recorded entry times as the time
+    change must read it: each segment lasts the difference of its entry
+    times (the last one ends at the horizon) and adds 2 L ds + ds^2, L being
+    the occupied vertex's local time built from those segments. It then
+    returns (vertices, entry times, final local times, transformed entry
+    times, transformed horizon)."""
     local = np.ones(g.n)
     nbrs = [np.array([u for u, _ in g.neighbors[v]], dtype=int) for v in range(g.n)]
     wts = [np.array([w for _, w in g.neighbors[v]]) for v in range(g.n)]
@@ -239,6 +264,16 @@ def reference_simulate_vrjp(g: WeightedGraph, i0: int, horizon: float, rng):
     times = [0.0]
     v = int(i0)
     s = 0.0
+    seg_local = {}
+    d = 0.0
+    d_times = [0.0]
+
+    def segment(v, ds):
+        nonlocal d
+        lv = seg_local.get(v, 1.0)
+        d += 2.0 * lv * ds + ds * ds
+        seg_local[v] = lv + ds
+
     while True:
         nb, wv = nbrs[v], wts[v]
         if nb.size == 0:
@@ -250,13 +285,19 @@ def reference_simulate_vrjp(g: WeightedGraph, i0: int, horizon: float, rng):
         if s + wait >= horizon:
             local[v] += horizon - s
             break
+        s_in = s
         s += wait
         local[v] += wait
+        segment(v, s - s_in)
         u = rng.random() * total
         v = int(nb[np.searchsorted(np.cumsum(rates), u, side="right")])
         verts.append(v)
         times.append(s)
-    return np.array(verts), np.array(times), local
+        d_times.append(d)
+    if not clock:
+        return np.array(verts), np.array(times), local
+    segment(v, horizon - s)
+    return np.array(verts), np.array(times), local, np.array(d_times), d
 
 
 def reference_vrjp_lattice(dim: int, w: float, n_jumps: int, rng):

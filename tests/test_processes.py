@@ -43,6 +43,7 @@ from vrjp.harness import word_chi2
 from _oracles import (
     ALPHA,
     SE_RULE,
+    LargestUniform,
     NoDraws,
     reference_simulate_vrjp,
     reference_vrjp_lattice,
@@ -61,6 +62,14 @@ def pair():
 
 def triangle(w=((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))):
     return WeightedGraph(n=3, edges=w)
+
+
+def wheel(n, w=1.0):
+    """A hub, vertex 0, joined to every vertex of an n-cycle 1..n, with hub
+    weights 0.5 + 0.01 k."""
+    spokes = [(0, k, 0.5 + 0.01 * k) for k in range(1, n + 1)]
+    rim = [(k, k + 1, w) for k in range(1, n)] + [(1, n, w)]
+    return WeightedGraph(n=n + 1, edges=tuple(spokes + rim))
 
 
 def wired_env(g, subset, rng, i0=None):
@@ -166,8 +175,11 @@ class TestSimulateVrjp:
                 50.0,
                 ("k10",),
             ),
+            # a hub of degree 200 takes numpy's pairwise sum into its
+            # recursive blocks of 128 and more
+            (wheel(200), 0, 400.0, ("wheel",)),
         ],
-        ids=["box-d2-r10", "complete-10"],
+        ids=["box-d2-r10", "complete-10", "wheel-200"],
     )
     def test_matches_reference_loop(self, g, i0, horizon, seed):
         traj = simulate_vrjp(g, i0, horizon, stream(1, *seed))
@@ -176,6 +188,17 @@ class TestSimulateVrjp:
         assert np.array_equal(traj.vertices, verts)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.local_times, local)
+
+    def test_a_uniform_past_the_last_running_sum_takes_the_last_neighbor(self):
+        # nine rates of 0.1 sum to 0.9 pairwise but to 0.8999999999999999
+        # left to right, so the largest uniform below 1, scaled by the
+        # total, passes every running sum: the walk takes the last neighbor,
+        # as vrjp_words does
+        star = WeightedGraph(n=10, edges=tuple((0, k, 0.1) for k in range(1, 10)))
+        traj = simulate_vrjp(star, 0, 100.0, LargestUniform(stream(4, "star")))
+        assert traj.vertices.size > 2
+        assert (traj.vertices[0::2] == 0).all()
+        assert (traj.vertices[1::2] == 9).all()
 
 
 class TestTimeChange:
@@ -208,6 +231,21 @@ class TestTimeChange:
         d_map, _ = time_change_maps(traj)
         assert np.allclose(out.times, d_map(traj.times), atol=1e-12)
         assert (np.diff(out.times) > 0).all()
+
+    @pytest.mark.parametrize(
+        "g, i0, horizon",
+        [(build_lattice_box(2, 10), 0, 3000.0), (triangle(), 1, 200.0)],
+        ids=["box-d2-r10", "triangle"],
+    )
+    def test_matches_reference_clock(self, g, i0, horizon):
+        traj = simulate_vrjp(g, i0, horizon, stream(2, "clock"))
+        *_, d_times, d_end = reference_simulate_vrjp(
+            g, i0, horizon, stream(2, "clock"), clock=True
+        )
+        out = time_change(traj)
+        assert traj.vertices.size > 100
+        assert np.array_equal(out.times, d_times)
+        assert out.horizon == d_end
 
     def test_window_errors(self):
         traj = simulate_vrjp(pair(), 0, horizon=1.0, rng=stream(2, "win"))
@@ -399,18 +437,12 @@ class TestQuenchedRates:
             quenched_mjp(rates, start, 3, NoDraws())
 
     def test_refuses_a_green_row_with_zeros(self):
-        # vertices 0 and 1 have no edge to the complement, so psi and the
-        # root's Green row vanish on them: rates there would be 0/0
-        g = WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
-        subset = [0, 1, 2]
-        params = marginal_params(g, subset)
-        rng = stream(4, "zero-row")
-        beta = sample_batch(params, 1, rng)[0]
-        with np.errstate(divide="ignore"):
-            bundle = green_bundle(params, beta, subset, float(rng.gamma(0.5)), i0=2)
-        assert (bundle.full_g[bundle.i0_index, :2] == 0).all()
+        # a root row that vanishes off the root's component: rates there
+        # would be 0/0
+        w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        green = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(NumericError, match="Green row"):
-            QuenchedRates.from_bundle(bundle)
+            QuenchedRates.from_green(w, green, 0)
 
 
 class TestEscapeProbability:
@@ -698,15 +730,15 @@ class TestLatticeWalker:
             simulate_vrjp_lattice(dim, w, n_jumps, NoDraws())
 
     def test_refuses_walk_beyond_physical_memory(self):
-        # 2 * 10**15 local-time slots alone are 16 PB: refused before any
-        # array is allocated or any draw is made
+        # 10**15 jumps of some hundred bytes each: refused before any
+        # record is kept or any draw is made
         with pytest.raises(SizeError):
             simulate_vrjp_lattice(1, 1.0, 10**15, NoDraws())
 
     def test_refuses_site_table_beyond_physical_memory(self):
-        # at d = 8 the numpy arrays take about 256 B per jump, so a quarter
-        # of memory, but the site table and the walk's records take over
-        # 3 kB per jump: refused before any draw
+        # at d = 8 the numpy arrays take about 192 B per jump, so a fifth
+        # of memory, but the rows of the sites and the walk's records take
+        # over 1 kB per jump: refused before any draw
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         with pytest.raises(SizeError):
             simulate_vrjp_lattice(8, 1.0, have // 1024, NoDraws())
@@ -716,7 +748,7 @@ class TestLatticeWalker:
         assert coords.tolist() == [[0, 0, 0]]
         assert s_times.tolist() == [0.0] and d_times.tolist() == [0.0]
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("w", [0.3, 1.0, 10.0])
     def test_matches_reference_loop(self, dim, w):
         for k in range(3):

@@ -281,6 +281,18 @@ class TestGreenBundle:
                 gamma=1.0,
             )
 
+    def test_refuses_a_component_without_boundary(self):
+        # vertices 0 and 1 have no edge to the complement, so psi vanishes
+        # on them and u would be log 0
+        g = WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
+        subset = [0, 1, 2]
+        params = marginal_params(g, subset)
+        rng = stream(4, "zero-row")
+        beta = sample_batch(params, 1, rng)[0]
+        with np.errstate(all="raise"):
+            with pytest.raises(RestrictionError, match="no edge to delta"):
+                green_bundle(params, beta, subset, float(rng.gamma(0.5)), i0=2)
+
     def test_refuses_a_root_outside_the_retained_set(self):
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
