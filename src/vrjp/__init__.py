@@ -9,27 +9,19 @@ __version__ = "0.1.0"
 
 from .betafield import (
     BandSample,
-    BetaSample,
     NuParams,
     WiredBand,
     banded_coupling,
-    density,
     gig_half_sample,
     laplace_closed_form,
-    log_density,
     marginal_params,
     sample_banded,
     sample_batch,
-    sample_errw_env,
-    sample_sequential,
-    schur_step,
 )
 from .errors import (
-    ConditioningError,
     ConfigError,
     CoverageError,
     DomainError,
-    EnumerationError,
     FactorizationError,
     NumericError,
     PreconditionError,
@@ -41,9 +33,7 @@ from .errors import (
 from .graphs import (
     WeightedGraph,
     build_lattice_box,
-    enumerate_paths,
     load_graph,
-    path_weight,
     save_graph,
 )
 from .harness import (
@@ -52,10 +42,8 @@ from .harness import (
     conductance_ratio_experiment,
     cosh_moment_experiment,
     diffusion_estimate,
-    ks_test,
     psi_decay_experiment,
     rooted_u_samples,
-    run_replicas,
     srw_paths,
     vrjp_diffusion_experiment,
     word_chi2,
@@ -66,7 +54,6 @@ from .processes import (
     Trajectory,
     errw_words,
     escape_probability_formula,
-    h_transform_rates,
     markov_words,
     mc_return_probability,
     quenched_mjp,
@@ -74,21 +61,15 @@ from .processes import (
     simulate_vrjp,
     simulate_vrjp_lattice,
     time_change,
-    time_change_maps,
     vrjp_words,
 )
 from .schrodinger import (
     GreenBundle,
     IdentityReport,
-    assemble_H,
     check_identities,
     green_bundle,
     green_solve,
     green_solve_banded,
-    q_density,
-    spectrum_bottom,
-    truncated_green_pathsum,
-    u_field,
 )
 from .streams import stream
 from .verify import CheckResult, run_suite
@@ -98,37 +79,24 @@ __all__ = [
     # graphs
     "WeightedGraph",
     "build_lattice_box",
-    "enumerate_paths",
-    "path_weight",
     "load_graph",
     "save_graph",
     # potential field
     "NuParams",
-    "BetaSample",
     "BandSample",
     "laplace_closed_form",
-    "density",
-    "log_density",
     "gig_half_sample",
-    "schur_step",
-    "sample_sequential",
     "sample_batch",
     "sample_banded",
     "banded_coupling",
     "WiredBand",
-    "sample_errw_env",
     "marginal_params",
     # operator and Green functions
     "GreenBundle",
     "IdentityReport",
-    "assemble_H",
     "green_solve",
     "green_solve_banded",
     "green_bundle",
-    "u_field",
-    "truncated_green_pathsum",
-    "q_density",
-    "spectrum_bottom",
     "check_identities",
     # processes
     "Trajectory",
@@ -137,11 +105,9 @@ __all__ = [
     "simulate_vrjp",
     "simulate_vrjp_lattice",
     "time_change",
-    "time_change_maps",
     "simulate_errw",
     "quenched_mjp",
     "escape_probability_formula",
-    "h_transform_rates",
     "mc_return_probability",
     "vrjp_words",
     "errw_words",
@@ -149,8 +115,6 @@ __all__ = [
     # harness
     "EstimatorReport",
     "ExperimentConfig",
-    "run_replicas",
-    "ks_test",
     "word_chi2",
     "diffusion_estimate",
     "srw_paths",
@@ -168,10 +132,8 @@ __all__ = [
     "DomainError",
     "SizeError",
     "RestrictionError",
-    "EnumerationError",
     "FactorizationError",
     "NumericError",
-    "ConditioningError",
     "CoverageError",
     "PreconditionError",
     "TestError",

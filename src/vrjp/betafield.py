@@ -1,4 +1,5 @@
-"""The beta potential family: closed forms, densities, exact samplers.
+"""The beta potential family: its closed-form Laplace transform and its
+exact samplers.
 
 A parameter set is a symmetric nonnegative coupling matrix P (off-diagonal
 entries are edge conductances, a nonnegative diagonal is allowed) together
@@ -13,24 +14,30 @@ Schur update of (P, eta). Two loops run this elimination, one per storage:
 
 - dense: sample_batch permutes P to the elimination order and holds it as a
   full square with the sample axis last; _schur_loop draws a batch of fields
-  at once, adding each site's update to the whole block behind it.
-  sample_sequential is its batch of one, so both give the same bits;
+  at once, adding each site's update to the whole block behind it. A single
+  environment is its batch of one, sample_batch(params, 1, rng)[0]; callers
+  hand that beta to a Green solve, whose own factorization is the positivity
+  check;
 - band: sample_banded holds a row-major lattice box by rows of its band.
   Eliminating sites in index order keeps every update inside the band, which
   is what makes large boxes cheap. Since a pivot needs only its own row,
   _blocked_band_loop eliminates the band in panels, left-looking within a
   panel, and the block behind a panel takes all of its updates as one
   BLAS-3 dsyrk. Elimination with pivots x is the LDL^T factorization of
-  H_beta, D = diag(x), and the sample keeps it (BandSample) for
+  H_beta, D = diag(x), and the sample keeps it (BandSample), with a
+  positivity certificate read from its pivots, for
   schrodinger.green_solve_banded. Psi decay, the conductance ratio and
   `vrjp green` draw their boxes this way. banded_coupling stores a graph's
   own weights. Wiring a retained set is done in one place, WiredBand's edge
   arrays: they give the wired marginal in band storage for any environment's
   edge weights, or dense (marginal_params), and the wired graph itself,
-  delta last (graph()). Like sample_sequential(order=None), the band sampler
+  delta last (graph()). Like sample_batch(order=None), the band sampler
   eliminates in index order, so it consumes the same variates in the same
   order and its beta differs from the dense draw by the rounding of the
   summed updates only.
+
+The density, the one-site Schur step and the dense Cholesky certificate are
+test oracles (tests/_oracles.py); no sampler path reads them.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
 from .errors import DomainError, RestrictionError
@@ -49,21 +55,14 @@ from .graphs import WeightedGraph, _refuse_beyond_memory
 
 __all__ = [
     "NuParams",
-    "BetaSample",
     "BandSample",
     "marginal_params",
     "laplace_closed_form",
-    "density",
-    "log_density",
     "gig_half_sample",
-    "schur_step",
-    "sample_sequential",
     "sample_batch",
     "sample_banded",
     "banded_coupling",
     "WiredBand",
-    "sample_errw_env",
-    "spd_certificate",
     "h_beta",
 ]
 
@@ -88,6 +87,11 @@ class NuParams:
             raise DomainError("coupling matrix must be square")
         if eta.shape != (p.shape[0],):
             raise DomainError("eta length must match matrix size")
+        # before the symmetry test, which a NaN fails with a misleading message
+        if np.isnan(p).any():
+            raise DomainError("coupling entries must not be NaN")
+        if not np.isfinite(eta).all():
+            raise DomainError("eta entries must be finite")
         # exact symmetry, the common case, is cheap to confirm; allclose
         # costs most of the constructor on a large block
         if not (
@@ -117,19 +121,14 @@ class NuParams:
 
 
 @dataclass(frozen=True)
-class BetaSample:
-    """One realization of the potential, with a positivity certificate for
-    H_beta obtained from a successful SPD factorization."""
+class BandSample:
+    """A band draw with the factor H_beta = L D L^T that drawing it computed:
+    D = diag(pivots), L_k+d,k = -rows[k, d] / pivots[k] for d = 1..bw.
+    psd_certificate holds when every pivot is at least PIVOT_RTOL times the
+    largest diagonal entry of H_beta."""
 
     beta: np.ndarray
     psd_certificate: bool
-
-
-@dataclass(frozen=True)
-class BandSample(BetaSample):
-    """A band draw with the factor H_beta = L D L^T that drawing it computed:
-    D = diag(pivots), L_k+d,k = -rows[k, d] / pivots[k] for d = 1..bw."""
-
     rows: np.ndarray
     pivots: np.ndarray
 
@@ -187,54 +186,6 @@ def h_beta(p: np.ndarray, beta) -> np.ndarray:
     return h
 
 
-def spd_certificate(p: np.ndarray, beta: np.ndarray) -> bool:
-    """True when H_beta = 2 diag(beta) - p factors as SPD with a relative
-    pivot threshold of 1e-12."""
-    h = h_beta(p, beta)
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return _pivots_ok(np.diag(chol) ** 2, np.diag(h))
-
-
-def log_density(params: NuParams, beta: np.ndarray) -> float:
-    """Log of the Lebesgue density; -inf outside the positivity region.
-
-    Accumulates in log space so large vertex sets do not underflow.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (params.n,):
-        raise DomainError("beta length must match vertex count")
-    if not np.isfinite(beta).all():
-        raise DomainError("beta must be finite")
-    n = params.n
-    h = h_beta(params.p, beta)
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    if not _pivots_ok(np.diag(chol) ** 2, np.diag(h)):
-        return -np.inf
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    quad = 0.5 * float(np.ones(n) @ h @ np.ones(n))
-    if params.eta.any():
-        y = scipy.linalg.cho_solve((chol, True), params.eta)
-        quad += 0.5 * float(params.eta @ y)
-    return (
-        0.5 * n * np.log(2.0 / np.pi)
-        - quad
-        + float(params.eta.sum())
-        - 0.5 * logdet
-    )
-
-
-def density(params: NuParams, beta: np.ndarray) -> float:
-    """Lebesgue density of the law at beta; exactly 0.0 off the support."""
-    ld = log_density(params, beta)
-    return float(np.exp(ld)) if np.isfinite(ld) else 0.0
-
-
 def gig_half_sample(b: float, rng: np.random.Generator) -> float:
     """Draw from the density proportional to x^(-1/2) exp(-x/2 - b/(2x)).
 
@@ -263,24 +214,6 @@ def _gig_vec(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if pos.any():
         out[pos] = 1.0 / rng.wald(1.0 / np.sqrt(b[pos]), 1.0)
     return out
-
-
-def schur_step(params: NuParams, site: int, x: float) -> NuParams:
-    """Eliminate `site` given its shifted potential x = 2 beta_site - P_ss.
-
-    The remaining sites keep their relative order; their coupling gains the
-    rank-one update P_rest,s P_s,rest / x (this creates diagonal entries) and
-    eta gains P_rest,s eta_s / x.
-    """
-    if not (0 <= site < params.n):
-        raise DomainError(f"site {site} out of range")
-    if x <= 0:
-        raise DomainError(f"shifted potential must be positive, got {x}")
-    keep = [k for k in range(params.n) if k != site]
-    col = params.p[keep, site]
-    p = params.p[np.ix_(keep, keep)] + np.outer(col, col) / x
-    eta = params.eta[keep] + col * (params.eta[site] / x)
-    return NuParams(p=p, eta=eta)
 
 
 def _row_block(s: int) -> int:
@@ -416,35 +349,23 @@ def _eliminate(
     return out
 
 
-def sample_sequential(
-    params: NuParams,
-    order: Optional[Sequence[int]] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> BetaSample:
-    """Exact draw of the field by eliminating one site at a time.
-
-    At each step the site's coupling to the not-yet-eliminated sites gives the
-    shape of its one-site conditional; the draw then feeds a Schur update.
-    The order changes cost (fill-in), never the law.
-    """
-    beta = _eliminate(params.p, params.eta, 1, rng, order)[0]
-    return BetaSample(beta=beta, psd_certificate=spd_certificate(params.p, beta))
-
-
 def sample_batch(
     params: NuParams,
     n_samples: int,
     rng: np.random.Generator,
     order: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Vectorized sample_sequential: returns an (n_samples, n) array.
+    """Exact draws of the field by eliminating one site at a time, for
+    n_samples independent fields at once: returns an (n_samples, n) array.
 
-    Identical law to the scalar sampler, and the same dense elimination
-    kernel: sample_sequential is this batch with one sample, so for a given
-    rng state both return the same bits. Used wherever acceptance-scale
-    Monte Carlo needs 1e5+ independent fields on a small graph; large
-    lattice boxes go through sample_banded, one field per call (psi decay,
-    the conductance ratio and `vrjp green`).
+    At each step the site's coupling to the not-yet-eliminated sites gives
+    the shape of its one-site conditional; the draw then feeds a Schur
+    update. The order changes cost (fill-in), never the law. One
+    environment is the batch of one, sample_batch(params, 1, rng)[0] (C1,
+    C10 and `vrjp simulate --process quenched`); acceptance-scale Monte
+    Carlo draws 1e5+ fields on a small graph. Large lattice boxes go
+    through sample_banded, one field per call (psi decay, the conductance
+    ratio and `vrjp green`).
     """
     return _eliminate(params.p, params.eta, n_samples, rng, order)
 
@@ -591,12 +512,12 @@ def sample_banded(
     band: np.ndarray, eta: np.ndarray, rng: np.random.Generator
 ) -> BandSample:
     """Exact field sample from band-stored parameters, eliminating in index
-    order. Same law as sample_sequential, cost n * bw^2 instead of n^3.
+    order. Same law as sample_batch, cost n * bw^2 instead of n^3.
 
     band[i, d] = P[i, i+d] for d = 0..bw, as banded_coupling stores it, and
-    eta has one entry per site. It draws the same variates in the same order
-    as the dense samplers' loop, and only the rounding of the summed updates
-    differs. The certificate reads the kept factor's pivots.
+    eta has one entry per site; both must be nonnegative and finite
+    (DomainError). It draws the same variates in the same order as the dense
+    sampler's loop, and only the rounding of the summed updates differs. The certificate reads the kept factor's pivots.
     """
     if rng is None:
         raise DomainError("an rng is required")
@@ -613,25 +534,12 @@ def sample_banded(
     size = _PANEL + bw
     cells = n * (2 * width + 3) + size * size + bw + _PANEL * bw + bw * bw
     _refuse_beyond_memory(cells * 8, f"band storage of {n} sites at bandwidth {bw}")
+    # min and max carry a NaN through, and it fails the comparison
+    if not (band.min(initial=0.0) >= 0 and band.max(initial=0.0) < np.inf):
+        raise DomainError("band entries must be nonnegative and finite")
+    if not (eta.min(initial=0.0) >= 0 and eta.max(initial=0.0) < np.inf):
+        raise DomainError("eta entries must be nonnegative and finite")
     rows = band.copy()
     beta, pivots = _blocked_band_loop(rows, eta.copy(), rng)
     certified = _pivots_ok(pivots, 2.0 * beta - band[:, 0])
     return BandSample(beta, certified, rows=rows, pivots=pivots)
-
-
-def sample_errw_env(
-    g: WeightedGraph, a, rng: np.random.Generator
-) -> Tuple[np.ndarray, BetaSample]:
-    """Sample the annealed environment: independent Gamma(a_e) conductances,
-    then the field given those conductances. Returns (edge weights, sample)
-    with weights aligned to g.edges order."""
-    a = np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,))
-    if not (np.isfinite(a) & (a > 0)).all():
-        raise DomainError("Gamma shapes must be positive and finite")
-    w_draw = rng.gamma(shape=a, scale=1.0)
-    p = np.zeros((g.n, g.n))
-    for (i, j, _), w in zip(g.edges, w_draw):
-        p[i, j] = w
-        p[j, i] = w
-    params = NuParams(p=p, eta=np.zeros(g.n))
-    return w_draw, sample_sequential(params, rng=rng)

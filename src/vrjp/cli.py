@@ -38,10 +38,8 @@ from .betafield import (
     marginal_params,
     sample_banded,
     sample_batch,
-    sample_sequential,
 )
 from .errors import (
-    ConditioningError,
     ConfigError,
     DomainError,
     FactorizationError,
@@ -64,7 +62,7 @@ from .verify import DEFAULT_SEED, run_suite
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 
-_NUMERIC_ERRORS = (NumericError, FactorizationError, ConditioningError)
+_NUMERIC_ERRORS = (NumericError, FactorizationError)
 
 
 def _fmt(x) -> str:
@@ -182,6 +180,10 @@ def _cmd_sample_beta(args) -> int:
         params = NuParams(p=g.weight_matrix(), eta=eta)
         cfg["eta"] = args.eta or 0.0
     else:
+        if args.eta is not None:
+            raise ConfigError(
+                "--eta applies to --graph only; a box's boundary vector is its wiring"
+            )
         g, subset, cfg = _wired_box_params(args)
         params = marginal_params(g, subset)
     cfg.update({"n": args.n, "seed": args.seed})
@@ -301,7 +303,7 @@ def _cmd_simulate(args) -> int:
         g, subset, cfg = _wired_box_params(args)
         i0 = _root(args, subset)
         params = marginal_params(g, subset)
-        beta = sample_sequential(params, None, rng).beta
+        beta = sample_batch(params, 1, rng)[0]
         gamma = float(rng.gamma(0.5, 1.0))
         bundle = green_bundle(params, beta, subset, gamma, i0=i0)
         rates = QuenchedRates.from_bundle(bundle)
@@ -501,7 +503,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample-beta", help="draw potential-field samples")
     graphish(sp)
-    sp.add_argument("--eta", type=float, default=None, help="constant boundary vector")
+    sp.add_argument(
+        "--eta", type=float, default=None, help="constant boundary vector (--graph only)"
+    )
     sp.add_argument("--n", type=int, default=100)
     common(sp)
     sp.set_defaults(func=_cmd_sample_beta)

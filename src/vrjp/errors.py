@@ -12,10 +12,8 @@ __all__ = [
     "DomainError",
     "SizeError",
     "RestrictionError",
-    "EnumerationError",
     "FactorizationError",
     "NumericError",
-    "ConditioningError",
     "CoverageError",
     "PreconditionError",
     "TestError",
@@ -39,20 +37,12 @@ class RestrictionError(VrjpError, ValueError):
     """A wired restriction is ill-posed (no boundary, or disconnected)."""
 
 
-class EnumerationError(VrjpError, ValueError):
-    """A path enumeration exceeds the configured length cap."""
-
-
 class FactorizationError(VrjpError, ArithmeticError):
     """A matrix that must be positive definite failed to factor."""
 
 
 class NumericError(VrjpError, ArithmeticError):
     """An iterative numeric routine failed to converge."""
-
-
-class ConditioningError(VrjpError, ValueError):
-    """A conditioned chain is requested from a state the conditioning excludes."""
 
 
 class CoverageError(VrjpError, RuntimeError):

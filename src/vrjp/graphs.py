@@ -1,12 +1,11 @@
-"""Weighted graphs, lattice boxes, path enumeration.
+"""Weighted graphs, lattice boxes, and the CLI's JSON graph format.
 
 Vertices are dense integers 0..n-1. Lattice boxes index their sites in
 row-major coordinate order so runs are reproducible byte for byte. Wiring a
 retained set, collapsing its complement to one extra vertex delta, is
 betafield.WiredBand's alone: graph() gives the wired graph, delta last.
-
-Path enumeration is capped (default 12) and exists to serve as an independent
-test oracle for Green-function path sums; production code never enumerates.
+Path enumeration, the oracle of the Green-function path sums, lives in the
+tests (tests/_oracles.py); no product path enumerates.
 """
 
 from __future__ import annotations
@@ -14,24 +13,19 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationError, SizeError
+from .errors import DomainError, SizeError
 
 __all__ = [
     "WeightedGraph",
     "build_lattice_box",
-    "enumerate_paths",
-    "path_weight",
-    "path_beta_factor",
     "load_graph",
     "save_graph",
-    "PATH_CAP_DEFAULT",
 ]
 
-PATH_CAP_DEFAULT = 12
 MAX_VERTICES_DEFAULT = 2_000_000
 
 
@@ -187,77 +181,6 @@ def build_lattice_box(
             if offs[k] + 1 < side:
                 edges.append((flat, flat + s, w))
     return WeightedGraph(n=n, edges=tuple(edges), coords=tuple(coords))
-
-
-def enumerate_paths(
-    g: WeightedGraph,
-    i: int,
-    stop_set: Iterable[int] = (),
-    max_len: int = 0,
-    cap: int = PATH_CAP_DEFAULT,
-):
-    """All nearest-neighbor paths from i of length <= max_len.
-
-    With an empty stop set, every path is returned, including the trivial
-    single-vertex path. With a nonempty stop set, only paths whose final
-    vertex is their first visit to the stop set are returned (paths are cut
-    at the first hit and never continued past it).
-    """
-    if max_len > cap:
-        raise EnumerationError(f"max_len {max_len} exceeds cap {cap}")
-    if not (0 <= i < g.n):
-        raise DomainError(f"start vertex {i} out of range")
-    stop = set(int(v) for v in stop_set)
-    out = []
-    start = (int(i),)
-    if stop:
-        if i in stop:
-            return [start]
-    else:
-        out.append(start)
-    frontier = [start]
-    for _ in range(max_len):
-        nxt = []
-        for path in frontier:
-            v = path[-1]
-            for u, _w in g.neighbors[v]:
-                new = path + (u,)
-                if stop:
-                    if u in stop:
-                        out.append(new)
-                    else:
-                        nxt.append(new)
-                else:
-                    out.append(new)
-                    nxt.append(new)
-        frontier = nxt
-    return out
-
-
-def path_weight(g: WeightedGraph, path: Sequence[int]) -> float:
-    """Product of edge conductances along the path (1.0 for a trivial path)."""
-    out = 1.0
-    for a, b in zip(path[:-1], path[1:]):
-        w = g.weight(int(a), int(b))
-        if w == 0.0:
-            raise DomainError(f"({a},{b}) is not an edge")
-        out *= w
-    return out
-
-
-def path_beta_factor(
-    beta: np.ndarray, path: Sequence[int], include_last: bool = True
-) -> float:
-    """Product of 2*beta over the path's vertices.
-
-    include_last=False drops the final vertex, the convention used for
-    boundary-hitting sums (equals 1.0 for a trivial path).
-    """
-    verts = path if include_last else path[:-1]
-    out = 1.0
-    for v in verts:
-        out *= 2.0 * float(beta[int(v)])
-    return out
 
 
 def load_graph(path: str) -> WeightedGraph:

@@ -1,10 +1,11 @@
-"""Monte Carlo plumbing: reproducible replica execution, standard-error
-reports, goodness-of-fit tests (one-sample KS, two-sample word chi-square),
-a lattice diffusion estimator, and the desk-scale experiments.
+"""Monte Carlo plumbing: standard-error reports, the two-sample word
+chi-square test, a lattice diffusion estimator, and the desk-scale
+experiments.
 
-Determinism contract: every replica draws from its own counter-based stream
-keyed by (seed, replica index), so results are bit-identical for a fixed
-seed no matter how replicas are scheduled.
+Determinism contract: every experiment draws from counter-based streams
+keyed by (seed, experiment, index), so results are bit-identical for a fixed
+seed. The one-sample KS test and the replica runner are test oracles
+(tests/_oracles.py).
 
 Closed-form-vs-Monte-Carlo comparisons elsewhere in the package use the
 4-standard-error rule; significance for p-value tests is fixed at 0.01.
@@ -13,7 +14,7 @@ Closed-form-vs-Monte-Carlo comparisons elsewhere in the package use the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy import stats
@@ -34,8 +35,6 @@ from .streams import stream
 __all__ = [
     "EstimatorReport",
     "ExperimentConfig",
-    "run_replicas",
-    "ks_test",
     "word_chi2",
     "diffusion_estimate",
     "srw_paths",
@@ -114,46 +113,6 @@ class ExperimentConfig:
         out: Dict[str, object] = {"experiment": self.experiment, "seed": self.seed}
         out.update(self.params)
         return out
-
-
-def run_replicas(
-    task: Callable[[np.random.Generator], float],
-    n: int,
-    seed: int,
-    name: str = "replicas",
-) -> EstimatorReport:
-    """Run a pure sampling task across n replica streams.
-
-    Each replica gets the stream keyed by its index, so the report is
-    bit-identical for fixed (seed, n). Task failures carry the replica
-    index.
-    """
-    if n < 1:
-        raise DomainError("need at least one replica")
-
-    def one(k: int) -> float:
-        try:
-            return float(task(stream(seed, "replica", k)))
-        except Exception as exc:
-            raise RuntimeError(f"replica {k} failed: {exc}") from exc
-
-    values = np.fromiter(map(one, range(n)), dtype=float, count=n)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    qs = np.quantile(values, [0.25, 0.5, 0.75]) if n > 1 else [mean] * 3
-    extra = {"q25": float(qs[0]), "median": float(qs[1]), "q75": float(qs[2])}
-    return EstimatorReport(name=name, mean=mean, stderr=stderr, n=n, extra=extra)
-
-
-def ks_test(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]):
-    """One-sample Kolmogorov-Smirnov test against a CDF callable."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 1000:
-        raise TestError("KS test needs at least 1000 samples")
-    if not np.isfinite(samples).all():
-        raise TestError("KS test got non-finite samples")
-    res = stats.kstest(samples, cdf)
-    return float(res.statistic), float(res.pvalue)
 
 
 def word_chi2(words_a: np.ndarray, words_b: np.ndarray) -> float:

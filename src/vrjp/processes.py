@@ -1,7 +1,8 @@
 """Process simulators: the reinforced jump process in continuous time, its
 quadratic time change, the linearly reinforced discrete walk, quenched Markov
-jump chains in a fixed environment, conditioned (h-transformed) chains, and
-closed-form escape probabilities with their Monte Carlo oracles.
+jump chains in a fixed environment, and closed-form escape probabilities
+with their Monte Carlo oracles. The conditioned (h-transformed) chains and
+the time change as a pair of maps are test oracles (tests/_oracles.py).
 
 Holding times are exact: while the walker sits at a vertex, the jump rates to
 its neighbors are frozen (only the occupied vertex accumulates local time),
@@ -31,12 +32,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    CoverageError,
-    DomainError,
-    NumericError,
-)
+from .errors import CoverageError, DomainError, NumericError
 from .graphs import WeightedGraph, _refuse_beyond_memory
 from .schrodinger import GreenBundle
 
@@ -45,11 +41,9 @@ __all__ = [
     "QuenchedRates",
     "simulate_vrjp",
     "time_change",
-    "time_change_maps",
     "simulate_errw",
     "quenched_mjp",
     "escape_probability_formula",
-    "h_transform_rates",
     "mc_return_probability",
     "AbsorptionReport",
     "vrjp_words",
@@ -173,69 +167,35 @@ def simulate_vrjp(
     )
 
 
-def _segment_data(traj: Trajectory):
-    """Per-segment entry times, duration, and entering local time of the
-    occupied vertex, reconstructed from the event list."""
+def time_change(traj: Trajectory) -> Trajectory:
+    """Reparameterize by D(s) = sum_i (L_i(s)^2 - 1).
+
+    D is piecewise quadratic (only the occupied vertex's local time grows),
+    so entry times map in closed form: a segment of duration ds whose vertex
+    entered it with local time L adds 2 L ds + ds^2. The local times are
+    rebuilt from the event list. The jump chain is unchanged.
+    """
     if traj.times is None or traj.horizon is None:
         raise DomainError("time change needs a continuous trajectory")
     s = traj.times
-    v = traj.vertices
-    durations = np.empty(len(v))
+    durations = np.empty(len(s))
     durations[:-1] = np.diff(s)
     durations[-1] = traj.horizon - s[-1]
     local: Dict[int, float] = {}
     entered = []
-    for vk, dk in zip(v.tolist(), durations.tolist()):
+    for vk, dk in zip(traj.vertices.tolist(), durations.tolist()):
         lv = local.get(vk, 1.0)
         entered.append(lv)
         local[vk] = lv + dk
     enter_local = np.array(entered)
     d_incr = 2.0 * enter_local * durations + durations**2
     d_entry = np.concatenate([[0.0], np.cumsum(d_incr)])
-    return s, durations, enter_local, d_entry
-
-
-def time_change(traj: Trajectory) -> Trajectory:
-    """Reparameterize by D(s) = sum_i (L_i(s)^2 - 1).
-
-    D is piecewise quadratic (only the occupied vertex's local time grows),
-    so entry times map in closed form. The jump chain is unchanged.
-    """
-    s, _dur, _loc, d_entry = _segment_data(traj)
     return Trajectory(
         vertices=traj.vertices.copy(),
         times=d_entry[: len(s)],
         local_times=None if traj.local_times is None else traj.local_times.copy(),
         horizon=float(d_entry[-1]),
     )
-
-
-def time_change_maps(traj: Trajectory):
-    """Return (D, D_inverse) as vectorized callables for the trajectory's
-    time window; D(horizon) is the transformed horizon."""
-    s, durations, enter_local, d_entry = _segment_data(traj)
-    s_end = float(traj.horizon)
-
-    def d_map(x):
-        x = np.asarray(x, dtype=float)
-        if (x < 0).any() or (x > s_end + 1e-12).any():
-            raise DomainError("argument outside simulated window")
-        k = np.clip(np.searchsorted(s, x, side="right") - 1, 0, len(s) - 1)
-        dx = x - s[k]
-        return d_entry[k] + 2.0 * enter_local[k] * dx + dx**2
-
-    t_end = float(d_entry[-1])
-
-    def d_inv(t):
-        t = np.asarray(t, dtype=float)
-        if (t < 0).any() or (t > t_end + 1e-9).any():
-            raise DomainError("argument outside transformed window")
-        k = np.clip(np.searchsorted(d_entry, t, side="right") - 1, 0, len(s) - 1)
-        dt = t - d_entry[k]
-        x = np.sqrt(enter_local[k] ** 2 + dt) - enter_local[k]
-        return s[k] + x
-
-    return d_map, d_inv
 
 
 def _edge_tables(g: WeightedGraph):
@@ -559,51 +519,6 @@ def escape_probability_formula(
         )
     gcheck = g00 * psi_e[pi] - ghat[p0, pi] * psi0
     return float(psi0 * gcheck / (2.0 * bundle.gamma * g00 * g_full[p0, pi]))
-
-
-def h_transform_rates(
-    bundle: GreenBundle, i0: Optional[int], mode: str
-) -> QuenchedRates:
-    """Conditioned rate tables for the quenched chain rooted at i0.
-
-    mode="return": conditioned to return to i0 before delta; rates use ratios
-    of the killed kernel (hat_g row), so they carry no gamma dependence, and
-    transitions into delta vanish. mode="no-return": conditioned to hit delta
-    first; rates use the complementary kernel and transitions into i0 vanish.
-    In both modes the chain is meant to run until the conditioning time
-    (return, resp. hitting delta); rows the conditioning makes unreachable
-    are zero.
-    """
-    p0 = bundle.position(i0)
-    if p0 == bundle.delta_index:
-        raise DomainError("the root must be a retained vertex")
-    if mode not in ("return", "no-return"):
-        raise DomainError(f"unknown mode {mode!r}")
-    m = bundle.m
-    w = bundle.w_wired
-    ghat = bundle.hat_g_ext()
-    psi_e = bundle.psi_ext()
-    grow = bundle.full_g[p0]
-    exit0 = 0.5 * float((w[p0] * grow).sum()) / grow[p0]
-
-    if mode == "return":
-        h = ghat[p0].copy()
-    else:
-        h = ghat[p0, p0] * psi_e - ghat[p0] * psi_e[p0]
-        h[p0] = 0.0
-    rates = np.zeros((m + 1, m + 1))
-    pos = h > 0
-    pos[p0] = False
-    rates[pos] = 0.5 * w[pos] * (h[None, :] / h[pos, None])
-    rates[:, ~ (h > 0)] = 0.0
-    # root row: first-step tilt by the conditioning probability of the target
-    scores = w[p0] * h
-    total = scores.sum()
-    if total <= 0:
-        raise ConditioningError("conditioning unreachable from the root")
-    rates[p0] = exit0 * scores / total
-    rates[bundle.delta_index] = 0.0
-    return QuenchedRates(rates=rates, exit=rates.sum(axis=1), i0=p0)
 
 
 @dataclass(frozen=True)

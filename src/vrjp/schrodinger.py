@@ -1,6 +1,6 @@
 """The operator H_beta = 2 diag(beta) - W on a graph, its restricted Green
 functions, the boundary field psi, the full kernel with its independent
-Gamma(1/2) coupling, u-fields, path-sum oracles, and spectral diagnostics.
+Gamma(1/2) coupling, and the identities that tie them together.
 
 H is formed in one place, betafield.h_beta, and every dense H below comes
 from it. Green functions come from one of three solves:
@@ -11,16 +11,17 @@ from it. Green functions come from one of three solves:
 - green_solve_banded is its band twin for one environment of a lattice box
   drawn by sample_banded: two banded triangular solves with the LDL^T factor
   of H that the draw computed, so H is never factored twice;
-- green_bundle and u_field factor the H of a single environment by
-  Cholesky. green_bundle takes the wired marginal it is given, formed by
-  betafield.WiredBand in dense storage (marginal_params).
+- green_bundle factors the H of a single environment by Cholesky. It takes
+  the wired marginal it is given, formed by betafield.WiredBand in dense
+  storage (marginal_params).
 
 Every factorization doubles as the positivity certificate (for the band
 draw, its pivots): a failure raises FactorizationError. Apart from the band
-storage, operators are dense arrays; there is no sparse route. A graph too
-large for its dense matrix is refused with SizeError before anything is
-allocated (WeightedGraph.weight_matrix). Truncated path sums converge far
-too slowly for production and exist only as independent oracles for tests.
+storage, operators are dense arrays; there is no sparse route. A retained
+set too large for its dense block is refused with SizeError before anything
+is allocated (WiredBand.params). The u-field of a full graph, its
+density, truncated path sums and the dense bottom of the spectrum are test
+oracles (tests/_oracles.py); no product path reads them.
 """
 
 from __future__ import annotations
@@ -32,48 +33,17 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dtbtrs
 
-from .betafield import BandSample, BetaSample, NuParams, h_beta
-from .errors import (
-    DomainError,
-    FactorizationError,
-    NumericError,
-    RestrictionError,
-)
-from .graphs import (
-    PATH_CAP_DEFAULT,
-    WeightedGraph,
-    enumerate_paths,
-    path_beta_factor,
-    path_weight,
-)
+from .betafield import BandSample, NuParams, h_beta
+from .errors import DomainError, FactorizationError, RestrictionError
 
 __all__ = [
     "GreenBundle",
-    "assemble_H",
     "green_solve",
     "green_solve_banded",
     "green_bundle",
-    "u_field",
-    "truncated_green_pathsum",
-    "q_density",
-    "spectrum_bottom",
     "check_identities",
     "IdentityReport",
 ]
-
-
-def _beta_vector(beta) -> np.ndarray:
-    if isinstance(beta, BetaSample):
-        return np.asarray(beta.beta, dtype=float)
-    return np.asarray(beta, dtype=float)
-
-
-def assemble_H(g: WeightedGraph, beta) -> np.ndarray:
-    """The dense operator: 2 beta_i on the diagonal and -W_ij off it."""
-    b = _beta_vector(beta)
-    if b.shape != (g.n,):
-        raise DomainError("beta length must match vertex count")
-    return h_beta(g.weight_matrix(), b)
 
 
 def green_solve(p: np.ndarray, beta, rhs) -> np.ndarray:
@@ -171,7 +141,7 @@ class GreenBundle:
 
     def beta_ext(self, beta) -> np.ndarray:
         """Interior beta with the coupled boundary value appended."""
-        return np.concatenate([_beta_vector(beta), [self.beta_delta]])
+        return np.concatenate([np.asarray(beta, dtype=float), [self.beta_delta]])
 
 
 def _spd_factor(h: np.ndarray, what: str):
@@ -205,7 +175,7 @@ def green_bundle(
     m = len(subset)
     if params.n != m:
         raise DomainError("marginal size must match subset size")
-    b = _beta_vector(beta)
+    b = np.asarray(beta, dtype=float)
     if b.shape != (m,):
         raise DomainError("beta length must match subset size")
     if i0 is not None and int(i0) not in subset:
@@ -252,86 +222,6 @@ def green_bundle(
     )
 
 
-def u_field(g: WeightedGraph, beta, i0: int) -> np.ndarray:
-    """u(i0, .) = log G(i0, .) - log G(i0, i0) on a full finite graph, with
-    G the inverse of the assembled operator."""
-    b = _beta_vector(beta)
-    factor = _spd_factor(assemble_H(g, b), "operator")
-    e = np.zeros(g.n)
-    e[int(i0)] = 1.0
-    col = scipy.linalg.cho_solve(factor, e)
-    if (col <= 0).any():
-        raise NumericError("Green row is not positive; operator too close to singular")
-    return np.log(col) - np.log(col[int(i0)])
-
-
-def truncated_green_pathsum(
-    g: WeightedGraph,
-    beta,
-    i: int,
-    j: int,
-    k_max: int,
-    cap: int = PATH_CAP_DEFAULT,
-) -> float:
-    """Sum of W_path / prod(2 beta) over paths from i to j of length <= k_max.
-
-    Monotone nondecreasing in k_max and bounded by the solver Green entry;
-    test oracle only.
-    """
-    b = _beta_vector(beta)
-    total = 0.0
-    for path in enumerate_paths(g, i, stop_set=(), max_len=k_max, cap=cap):
-        if path[-1] == int(j):
-            total += path_weight(g, path) / path_beta_factor(b, path, include_last=True)
-    return total
-
-
-def q_density(g: WeightedGraph, u: np.ndarray, i0: int) -> float:
-    """Density of the rooted u-field law on a full finite graph.
-
-    u must vanish at the root. The determinant factor is the (i0, i0)
-    diagonal minor of the matrix with -W_ij e^(u_i + u_j) off the diagonal
-    and row sums negated on it (a weighted spanning-tree count, so it is
-    nonnegative).
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.n,):
-        raise DomainError("u length must match vertex count")
-    if not np.isfinite(u).all():
-        raise DomainError("u must be finite")
-    if abs(u[int(i0)]) > 1e-12:
-        raise DomainError("u must vanish at the root")
-    w = g.weight_matrix()
-    e_u = np.exp(u)
-    m = -w * np.outer(e_u, e_u)
-    np.fill_diagonal(m, 0.0)
-    np.fill_diagonal(m, -m.sum(axis=1))
-    keep = [v for v in range(g.n) if v != int(i0)]
-    minor = m[np.ix_(keep, keep)]
-    sign, logdet = np.linalg.slogdet(minor)
-    if sign <= 0:
-        return 0.0
-    pair_term = 0.0
-    for a, bb, ww in g.edges:
-        pair_term += ww * (np.cosh(u[a] - u[bb]) - 1.0)
-    n = g.n
-    log_val = (
-        -0.5 * (n - 1) * np.log(2.0 * np.pi)
-        - u.sum()
-        - pair_term
-        + 0.5 * logdet
-    )
-    return float(np.exp(log_val))
-
-
-def spectrum_bottom(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a dense symmetric operator."""
-    mat = np.asarray(h, dtype=float)
-    if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12):
-        raise DomainError("operator must be symmetric")
-    return float(np.linalg.eigvalsh(mat)[0])
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Max relative residuals of the per-environment exact identities."""
@@ -369,7 +259,7 @@ def check_identities(
     and row sums of the quenched rates reproduce beta away from the root.
     """
     m = bundle.m
-    b = _beta_vector(beta)
+    b = np.asarray(beta, dtype=float)
     root = bundle.i0_index if i0 is None else bundle.position(i0)
     w_in = bundle.w_wired[:m, :m]
     eta = bundle.boundary_eta

@@ -30,7 +30,6 @@ from .betafield import (
     laplace_closed_form,
     marginal_params,
     sample_batch,
-    sample_sequential,
 )
 from .graphs import WeightedGraph, build_lattice_box
 from .harness import (
@@ -195,7 +194,7 @@ def criterion_1(sizes: Sizes, seed: int) -> CheckResult:
     center = subset[len(subset) // 2]
     worst: Dict[str, float] = {}
     for _ in range(sizes.envs_c1):
-        beta = sample_sequential(params, None, rng).beta
+        beta = sample_batch(params, 1, rng)[0]
         gamma = float(rng.gamma(0.5, 1.0))
         bundle = green_bundle(params, beta, subset, gamma, i0=center)
         rep = check_identities(bundle, beta, i0=center)
@@ -533,7 +532,7 @@ def criterion_10(sizes: Sizes, seed: int) -> CheckResult:
     worst_z = 0.0
     for env in range(sizes.envs_c10):
         rng = stream(seed, "c10-env", env)
-        beta = sample_sequential(params, None, rng).beta
+        beta = sample_batch(params, 1, rng)[0]
         gamma = float(rng.gamma(0.5, 1.0))
         bundle = green_bundle(params, beta, subset, gamma, i0=center)
         rates = QuenchedRates.from_bundle(bundle)

@@ -5,26 +5,43 @@ code under test: naive recursive path enumeration, adaptive quadrature of
 closed-form densities, quadrature means, the wired marginal by way of an
 induced subgraph, and banded Green solves by a fresh factorization of H_beta
 (solveh_banded). Slow is fine; independent is the point.
+
+It also holds the closed forms and reference routines that no criterion,
+experiment or CLI command runs, with their own error classes: the field's
+density and a dense Cholesky certificate of H_beta, the one-site Schur step
+(the exact conditional law given some sites), the annealed reinforced-walk
+environment, capped path enumeration and truncated Green path sums, the
+u-field of a full graph and its density, the dense bottom of the spectrum,
+the time change as a pair of maps, the conditioned (h-transformed) chains,
+a replica runner, and a one-sample KS test.
 """
 
 from __future__ import annotations
 
+from typing import Dict, Iterable, Sequence
+
 import numpy as np
 import scipy.linalg
-from scipy import integrate
+from scipy import integrate, stats
 
 from vrjp import (
     DomainError,
+    EstimatorReport,
+    FactorizationError,
     NuParams,
+    NumericError,
+    QuenchedRates,
+    TestError,
+    Trajectory,
+    VrjpError,
     WeightedGraph,
     build_lattice_box,
-    density,
     gig_half_sample,
     green_bundle,
-    q_density,
-    sample_sequential,
+    sample_batch,
     stream,
 )
+from vrjp.betafield import PIVOT_RTOL, h_beta
 
 SE_RULE = 4.0
 ALPHA = 0.01
@@ -372,7 +389,7 @@ def reference_marginal_params(g: WeightedGraph, subset) -> NuParams:
 def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
     """The conductance-ratio experiment one environment at a time on dense
     storage: a weighted graph per environment, its marginal parameters, the
-    dense sequential sampler and a full Green bundle. The band path must
+    dense sampler's batch of one and a full Green bundle. The band path must
     match it up to rounding. Returns (mean, stderr) per separation."""
     out = []
     for e_i, ell in enumerate(ells):
@@ -395,7 +412,7 @@ def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
                 coords=box.coords,
             )
             params = reference_marginal_params(g_s, inner)
-            beta = sample_sequential(params, None, rng).beta
+            beta = sample_batch(params, 1, rng)[0]
             bundle = green_bundle(
                 params, beta, inner, float(gamma_rng.gamma(0.5, 1.0)), i0=None
             )
@@ -406,3 +423,382 @@ def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
             vals[s] = (x[pl] / x[p0]) ** 0.25
         out.append((float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))))
     return out
+
+
+class EnumerationError(VrjpError, ValueError):
+    """A path enumeration exceeds the configured length cap."""
+
+
+class ConditioningError(VrjpError, ValueError):
+    """A conditioned chain is requested from a state the conditioning excludes."""
+
+
+def _certified_cholesky(h: np.ndarray):
+    """The lower Cholesky factor of h, or None unless h factors with every
+    squared pivot at least PIVOT_RTOL times its largest diagonal entry."""
+    try:
+        chol = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return None
+    scale = max(np.abs(np.diag(h)).max(initial=0.0), 1e-300)
+    return chol if (np.diag(chol) ** 2 >= PIVOT_RTOL * scale).all() else None
+
+
+def spd_certificate(p: np.ndarray, beta: np.ndarray) -> bool:
+    """True when H_beta = 2 diag(beta) - p factors as SPD with a relative
+    pivot threshold of 1e-12: a second, dense factorization of the operator
+    a draw was meant to make positive definite."""
+    return _certified_cholesky(h_beta(p, beta)) is not None
+
+
+def log_density(params: NuParams, beta: np.ndarray) -> float:
+    """Log of the Lebesgue density; -inf outside the positivity region.
+
+    Accumulates in log space so large vertex sets do not underflow.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (params.n,):
+        raise DomainError("beta length must match vertex count")
+    if not np.isfinite(beta).all():
+        raise DomainError("beta must be finite")
+    n = params.n
+    h = h_beta(params.p, beta)
+    chol = _certified_cholesky(h)
+    if chol is None:
+        return -np.inf
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    quad = 0.5 * float(np.ones(n) @ h @ np.ones(n))
+    if params.eta.any():
+        y = scipy.linalg.cho_solve((chol, True), params.eta)
+        quad += 0.5 * float(params.eta @ y)
+    return (
+        0.5 * n * np.log(2.0 / np.pi)
+        - quad
+        + float(params.eta.sum())
+        - 0.5 * logdet
+    )
+
+
+def density(params: NuParams, beta: np.ndarray) -> float:
+    """Lebesgue density of the law at beta; exactly 0.0 off the support."""
+    ld = log_density(params, beta)
+    return float(np.exp(ld)) if np.isfinite(ld) else 0.0
+
+
+def schur_step(params: NuParams, site: int, x: float) -> NuParams:
+    """Eliminate `site` given its shifted potential x = 2 beta_site - P_ss.
+
+    The remaining sites keep their relative order; their coupling gains the
+    rank-one update P_rest,s P_s,rest / x (this creates diagonal entries) and
+    eta gains P_rest,s eta_s / x.
+    """
+    if not (0 <= site < params.n):
+        raise DomainError(f"site {site} out of range")
+    if x <= 0:
+        raise DomainError(f"shifted potential must be positive, got {x}")
+    keep = [k for k in range(params.n) if k != site]
+    col = params.p[keep, site]
+    p = params.p[np.ix_(keep, keep)] + np.outer(col, col) / x
+    eta = params.eta[keep] + col * (params.eta[site] / x)
+    return NuParams(p=p, eta=eta)
+
+
+def sample_errw_env(g: WeightedGraph, a, rng):
+    """Sample the annealed environment: independent Gamma(a_e) conductances,
+    then the field given those conductances. Returns (edge weights, beta)
+    with weights aligned to g.edges order."""
+    a = np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,))
+    if not (np.isfinite(a) & (a > 0)).all():
+        raise DomainError("Gamma shapes must be positive and finite")
+    w_draw = rng.gamma(shape=a, scale=1.0)
+    p = np.zeros((g.n, g.n))
+    for (i, j, _), w in zip(g.edges, w_draw):
+        p[i, j] = w
+        p[j, i] = w
+    return w_draw, sample_batch(NuParams(p=p, eta=np.zeros(g.n)), 1, rng)[0]
+
+
+PATH_CAP_DEFAULT = 12
+
+
+def enumerate_paths(
+    g: WeightedGraph,
+    i: int,
+    stop_set: Iterable[int] = (),
+    max_len: int = 0,
+    cap: int = PATH_CAP_DEFAULT,
+):
+    """All nearest-neighbor paths from i of length <= max_len, breadth first.
+
+    With an empty stop set, every path is returned, including the trivial
+    single-vertex path. With a nonempty stop set, only paths whose final
+    vertex is their first visit to the stop set are returned (paths are cut
+    at the first hit and never continued past it).
+    """
+    if max_len > cap:
+        raise EnumerationError(f"max_len {max_len} exceeds cap {cap}")
+    if not (0 <= i < g.n):
+        raise DomainError(f"start vertex {i} out of range")
+    stop = set(int(v) for v in stop_set)
+    out = []
+    start = (int(i),)
+    if stop:
+        if i in stop:
+            return [start]
+    else:
+        out.append(start)
+    frontier = [start]
+    for _ in range(max_len):
+        nxt = []
+        for path in frontier:
+            v = path[-1]
+            for u, _w in g.neighbors[v]:
+                new = path + (u,)
+                if stop:
+                    if u in stop:
+                        out.append(new)
+                    else:
+                        nxt.append(new)
+                else:
+                    out.append(new)
+                    nxt.append(new)
+        frontier = nxt
+    return out
+
+
+def path_weight(g: WeightedGraph, path: Sequence[int]) -> float:
+    """Product of edge conductances along the path (1.0 for a trivial path)."""
+    out = 1.0
+    for a, b in zip(path[:-1], path[1:]):
+        w = g.weight(int(a), int(b))
+        if w == 0.0:
+            raise DomainError(f"({a},{b}) is not an edge")
+        out *= w
+    return out
+
+
+def path_beta_factor(
+    beta: np.ndarray, path: Sequence[int], include_last: bool = True
+) -> float:
+    """Product of 2*beta over the path's vertices.
+
+    include_last=False drops the final vertex, the convention used for
+    boundary-hitting sums (equals 1.0 for a trivial path).
+    """
+    verts = path if include_last else path[:-1]
+    out = 1.0
+    for v in verts:
+        out *= 2.0 * float(beta[int(v)])
+    return out
+
+
+def truncated_green_pathsum(
+    g: WeightedGraph,
+    beta,
+    i: int,
+    j: int,
+    k_max: int,
+    cap: int = PATH_CAP_DEFAULT,
+) -> float:
+    """Sum of W_path / prod(2 beta) over paths from i to j of length <= k_max.
+
+    Monotone nondecreasing in k_max and bounded by the solver Green entry.
+    """
+    b = np.asarray(beta, dtype=float)
+    total = 0.0
+    for path in enumerate_paths(g, i, stop_set=(), max_len=k_max, cap=cap):
+        if path[-1] == int(j):
+            total += path_weight(g, path) / path_beta_factor(b, path, include_last=True)
+    return total
+
+
+def assemble_H(g: WeightedGraph, beta) -> np.ndarray:
+    """The dense operator: 2 beta_i on the diagonal and -W_ij off it."""
+    b = np.asarray(beta, dtype=float)
+    if b.shape != (g.n,):
+        raise DomainError("beta length must match vertex count")
+    return h_beta(g.weight_matrix(), b)
+
+
+def u_field(g: WeightedGraph, beta, i0: int) -> np.ndarray:
+    """u(i0, .) = log G(i0, .) - log G(i0, i0) on a full finite graph, with
+    G the inverse of the assembled operator."""
+    try:
+        factor = scipy.linalg.cho_factor(assemble_H(g, beta), lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise FactorizationError(f"operator is not positive definite: {exc}") from exc
+    e = np.zeros(g.n)
+    e[int(i0)] = 1.0
+    col = scipy.linalg.cho_solve(factor, e)
+    if (col <= 0).any():
+        raise NumericError("Green row is not positive; operator too close to singular")
+    return np.log(col) - np.log(col[int(i0)])
+
+
+def q_density(g: WeightedGraph, u: np.ndarray, i0: int) -> float:
+    """Density of the rooted u-field law on a full finite graph.
+
+    u must vanish at the root. The determinant factor is the (i0, i0)
+    diagonal minor of the matrix with -W_ij e^(u_i + u_j) off the diagonal
+    and row sums negated on it (a weighted spanning-tree count, so it is
+    nonnegative).
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (g.n,):
+        raise DomainError("u length must match vertex count")
+    if not np.isfinite(u).all():
+        raise DomainError("u must be finite")
+    if abs(u[int(i0)]) > 1e-12:
+        raise DomainError("u must vanish at the root")
+    w = g.weight_matrix()
+    e_u = np.exp(u)
+    m = -w * np.outer(e_u, e_u)
+    np.fill_diagonal(m, 0.0)
+    np.fill_diagonal(m, -m.sum(axis=1))
+    keep = [v for v in range(g.n) if v != int(i0)]
+    minor = m[np.ix_(keep, keep)]
+    sign, logdet = np.linalg.slogdet(minor)
+    if sign <= 0:
+        return 0.0
+    pair_term = 0.0
+    for a, bb, ww in g.edges:
+        pair_term += ww * (np.cosh(u[a] - u[bb]) - 1.0)
+    n = g.n
+    log_val = (
+        -0.5 * (n - 1) * np.log(2.0 * np.pi)
+        - u.sum()
+        - pair_term
+        + 0.5 * logdet
+    )
+    return float(np.exp(log_val))
+
+
+def spectrum_bottom(h: np.ndarray) -> float:
+    """Smallest eigenvalue of a dense symmetric operator."""
+    mat = np.asarray(h, dtype=float)
+    if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12):
+        raise DomainError("operator must be symmetric")
+    return float(np.linalg.eigvalsh(mat)[0])
+
+
+def time_change_maps(traj: Trajectory):
+    """Return (D, D_inverse) as vectorized callables for the trajectory's
+    time window; D(horizon) is the transformed horizon. Per segment: its
+    entry time, its duration, and the occupied vertex's local time as it
+    began, rebuilt from the event list."""
+    if traj.times is None or traj.horizon is None:
+        raise DomainError("time change needs a continuous trajectory")
+    s = traj.times
+    durations = np.empty(len(s))
+    durations[:-1] = np.diff(s)
+    durations[-1] = traj.horizon - s[-1]
+    local: Dict[int, float] = {}
+    entered = []
+    for vk, dk in zip(traj.vertices.tolist(), durations.tolist()):
+        lv = local.get(vk, 1.0)
+        entered.append(lv)
+        local[vk] = lv + dk
+    enter_local = np.array(entered)
+    d_entry = np.concatenate(
+        [[0.0], np.cumsum(2.0 * enter_local * durations + durations**2)]
+    )
+    s_end = float(traj.horizon)
+
+    def d_map(x):
+        x = np.asarray(x, dtype=float)
+        if (x < 0).any() or (x > s_end + 1e-12).any():
+            raise DomainError("argument outside simulated window")
+        k = np.clip(np.searchsorted(s, x, side="right") - 1, 0, len(s) - 1)
+        dx = x - s[k]
+        return d_entry[k] + 2.0 * enter_local[k] * dx + dx**2
+
+    t_end = float(d_entry[-1])
+
+    def d_inv(t):
+        t = np.asarray(t, dtype=float)
+        if (t < 0).any() or (t > t_end + 1e-9).any():
+            raise DomainError("argument outside transformed window")
+        k = np.clip(np.searchsorted(d_entry, t, side="right") - 1, 0, len(s) - 1)
+        dt = t - d_entry[k]
+        x = np.sqrt(enter_local[k] ** 2 + dt) - enter_local[k]
+        return s[k] + x
+
+    return d_map, d_inv
+
+
+def h_transform_rates(bundle, i0, mode: str) -> QuenchedRates:
+    """Conditioned rate tables for the quenched chain rooted at i0.
+
+    mode="return": conditioned to return to i0 before delta; rates use ratios
+    of the killed kernel (hat_g row), so they carry no gamma dependence, and
+    transitions into delta vanish. mode="no-return": conditioned to hit delta
+    first; rates use the complementary kernel and transitions into i0 vanish.
+    In both modes the chain is meant to run until the conditioning time
+    (return, resp. hitting delta); rows the conditioning makes unreachable
+    are zero.
+    """
+    p0 = bundle.position(i0)
+    if p0 == bundle.delta_index:
+        raise DomainError("the root must be a retained vertex")
+    if mode not in ("return", "no-return"):
+        raise DomainError(f"unknown mode {mode!r}")
+    m = bundle.m
+    w = bundle.w_wired
+    ghat = bundle.hat_g_ext()
+    psi_e = bundle.psi_ext()
+    grow = bundle.full_g[p0]
+    exit0 = 0.5 * float((w[p0] * grow).sum()) / grow[p0]
+
+    if mode == "return":
+        h = ghat[p0].copy()
+    else:
+        h = ghat[p0, p0] * psi_e - ghat[p0] * psi_e[p0]
+        h[p0] = 0.0
+    rates = np.zeros((m + 1, m + 1))
+    pos = h > 0
+    pos[p0] = False
+    rates[pos] = 0.5 * w[pos] * (h[None, :] / h[pos, None])
+    rates[:, ~ (h > 0)] = 0.0
+    # root row: first-step tilt by the conditioning probability of the target
+    scores = w[p0] * h
+    total = scores.sum()
+    if total <= 0:
+        raise ConditioningError("conditioning unreachable from the root")
+    rates[p0] = exit0 * scores / total
+    rates[bundle.delta_index] = 0.0
+    return QuenchedRates(rates=rates, exit=rates.sum(axis=1), i0=p0)
+
+
+def run_replicas(task, n: int, seed: int, name: str = "replicas") -> EstimatorReport:
+    """Run a pure sampling task across n replica streams.
+
+    Each replica gets the stream keyed by its index, so the report is
+    bit-identical for fixed (seed, n). Task failures carry the replica
+    index.
+    """
+    if n < 1:
+        raise DomainError("need at least one replica")
+
+    def one(k: int) -> float:
+        try:
+            return float(task(stream(seed, "replica", k)))
+        except Exception as exc:
+            raise RuntimeError(f"replica {k} failed: {exc}") from exc
+
+    values = np.fromiter(map(one, range(n)), dtype=float, count=n)
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    qs = np.quantile(values, [0.25, 0.5, 0.75]) if n > 1 else [mean] * 3
+    extra = {"q25": float(qs[0]), "median": float(qs[1]), "q75": float(qs[2])}
+    return EstimatorReport(name=name, mean=mean, stderr=stderr, n=n, extra=extra)
+
+
+def ks_test(samples: np.ndarray, cdf):
+    """One-sample Kolmogorov-Smirnov test against a CDF callable."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.size < 1000:
+        raise TestError("KS test needs at least 1000 samples")
+    if not np.isfinite(samples).all():
+        raise TestError("KS test got non-finite samples")
+    res = stats.kstest(samples, cdf)
+    return float(res.statistic), float(res.pvalue)

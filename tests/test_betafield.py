@@ -18,38 +18,37 @@ from vrjp import (
     WiredBand,
     banded_coupling,
     build_lattice_box,
-    density,
     gig_half_sample,
     laplace_closed_form,
-    log_density,
     marginal_params,
     sample_banded,
     sample_batch,
-    sample_errw_env,
-    sample_sequential,
-    schur_step,
     stream,
 )
 from vrjp.betafield import (
     _PANEL,
     _blocked_band_loop,
     h_beta,
-    spd_certificate,
 )
 
 from _oracles import (
     SE_RULE,
     ALPHA,
     NoDraws,
+    density,
     density_mass_pair,
     gig_mean_quadrature,
     h_beta_banded,
     laplace_by_quadrature_single,
+    log_density,
     pair_params,
     reference_marginal_params,
     reference_sample_banded,
     reference_sample_batch,
+    sample_errw_env,
+    schur_step,
     se,
+    spd_certificate,
     zscore,
 )
 
@@ -69,6 +68,11 @@ class TestNuParams:
         with pytest.raises(DomainError):
             NuParams(p=np.zeros((2, 2)), eta=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite_eta(self, bad):
+        with pytest.raises(DomainError, match="eta entries must be finite"):
+            NuParams(p=pair_params(1.0).p, eta=np.array([0.0, bad]))
+
     @pytest.mark.parametrize(
         "upper,lower,ok",
         [
@@ -82,12 +86,13 @@ class TestNuParams:
     )
     def test_symmetry_tolerance(self, upper, lower, ok):
         # rounding-level asymmetry passes, whether or not the exact test
-        # catches it first; NaN never does
+        # catches it first; NaN never does, and is refused before it
         p = np.array([[0.0, upper], [lower, 0.0]])
         if ok:
             assert NuParams(p=p, eta=np.zeros(2)).p[1, 0] == lower
         else:
-            with pytest.raises(DomainError, match="symmetric"):
+            reason = "NaN" if np.isnan(p).any() else "symmetric"
+            with pytest.raises(DomainError, match=reason):
                 NuParams(p=p, eta=np.zeros(2))
 
     def test_from_graph(self):
@@ -247,9 +252,9 @@ class TestSchurStep:
 class TestSequentialSampler:
     def test_requires_rng_and_valid_order(self):
         with pytest.raises(DomainError):
-            sample_sequential(pair_params(1.0))
+            sample_batch(pair_params(1.0), 1, None)
         with pytest.raises(DomainError):
-            sample_sequential(pair_params(1.0), order=[0, 0], rng=stream(0))
+            sample_batch(pair_params(1.0), 1, stream(0), order=[0, 0])
         with pytest.raises(DomainError):
             sample_batch(pair_params(1.0), 10, None)
         with pytest.raises(DomainError):
@@ -259,7 +264,7 @@ class TestSequentialSampler:
         params = NuParams(p=np.zeros((1, 1)), eta=np.array([1.0]))
         rng = stream(21, "seq-ig")
         seq = np.array(
-            [sample_sequential(params, rng=rng).beta[0] for _ in range(5_000)]
+            [sample_batch(params, 1, rng)[0, 0] for _ in range(5_000)]
         )
         batch = sample_batch(params, 100_000, stream(21, "batch-ig"))[:, 0]
         for vals in (seq, batch):
@@ -311,7 +316,8 @@ class TestSequentialSampler:
         params = marginal_params(build_lattice_box(2, 1), [0, 1, 3, 4])
         rng = stream(21, "cert")
         assert all(
-            sample_sequential(params, rng=rng).psd_certificate for _ in range(200)
+            spd_certificate(params.p, sample_batch(params, 1, rng)[0])
+            for _ in range(200)
         )
 
     def test_diagonal_shift_representation_equivalence(self):
@@ -370,11 +376,16 @@ class TestEliminationKernel:
         np.testing.assert_array_equal(got, want)
 
     def test_sequential_is_batch_of_one(self):
+        # one environment's draw (C1, C10, `vrjp simulate --process
+        # quenched`) is the sequential loop's: the same bits, and the
+        # generator left in the same state
         params = _wired_box(2, 2)
         order = stream(51, "seq-order").permutation(params.n)
-        seq = sample_sequential(params, order, stream(51, "seq-one")).beta
-        batch = sample_batch(params, 1, stream(51, "seq-one"), order)[0]
-        np.testing.assert_array_equal(seq, batch)
+        rng_got, rng_want = stream(51, "seq-one"), stream(51, "seq-one")
+        got = sample_batch(params, 1, rng_got, order)[0]
+        want = reference_sample_batch(params, 1, rng_want, order=order)[0]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rng_got.random(4), rng_want.random(4))
 
     def test_rejects_negative_sample_count(self):
         with pytest.raises(DomainError):
@@ -480,8 +491,18 @@ class TestBandedSampler:
             (np.zeros((3, 2)), np.ones(2), NoDraws()),
             (np.zeros((3, 2)), np.ones((3, 1)), NoDraws()),
             (np.zeros((3, 2)), 1.0, NoDraws()),
+            (np.array([[0.0, 1.0], [0.0, np.nan], [0.0, 0.0]]), np.ones(3), NoDraws()),
+            (np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]), np.ones(3), NoDraws()),
+            (np.array([[np.inf, 1.0], [0.0, 1.0], [0.0, 0.0]]), np.ones(3), NoDraws()),
+            (np.zeros((3, 2)), np.array([1.0, np.nan, 1.0]), NoDraws()),
+            (np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]), NoDraws()),
+            (np.zeros((3, 2)), np.array([1.0, np.inf, 1.0]), NoDraws()),
         ],
-        ids=["no-rng", "band-1d", "no-columns", "band-3d", "short-eta", "eta-2d", "scalar-eta"],
+        ids=[
+            "no-rng", "band-1d", "no-columns", "band-3d", "short-eta", "eta-2d",
+            "scalar-eta", "nan-band", "negative-band", "inf-band", "nan-eta",
+            "negative-eta", "inf-eta",
+        ],
     )
     def test_refuses_bad_input_before_drawing(self, band, eta, rng):
         with pytest.raises(DomainError):
@@ -646,13 +667,14 @@ class TestWiredBand:
 
     @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2)])
     def test_band_draw_matches_dense_draw(self, dim, radius):
-        # `vrjp green`'s draw: the same variates as sample_sequential, in
-        # the same order, with only the rounding of the sums changed
+        # `vrjp green`'s draw: the same variates as the dense sampler's
+        # batch of one, in the same order, with only the rounding of the
+        # sums changed
         g, subset = _green_box(dim, radius, 1.0)
         band, eta = WiredBand.from_graph(g, subset).fill()
         rng_got, rng_want = stream(73, "wired", dim), stream(73, "wired", dim)
         got = sample_banded(band, eta, rng_got).beta
-        want = sample_sequential(marginal_params(g, subset), None, rng_want).beta
+        want = sample_batch(marginal_params(g, subset), 1, rng_want)[0]
         _assert_same_draws(got, want, rng_got, rng_want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -686,10 +708,10 @@ class TestErrwEnvironment:
         rng = stream(41, "env")
         draws = np.empty(10_000)
         for k in range(draws.size):
-            w, sample = sample_errw_env(g, 3.0, rng)
+            w, beta = sample_errw_env(g, 3.0, rng)
             draws[k] = w[0]
             if k < 50:
-                assert sample.psd_certificate and (sample.beta > 0).all()
+                assert spd_certificate(pair_params(w[0]).p, beta) and (beta > 0).all()
         assert zscore(draws, 3.0) <= SE_RULE
 
     def test_rejects_nonpositive_shape(self):

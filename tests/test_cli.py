@@ -78,6 +78,41 @@ class TestSampleBeta:
         rc = main(["sample-beta", "--n", "5", "--out", str(tmp_path / "x")])
         assert rc == USAGE_EXIT
 
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_eta_is_usage_error(self, tmp_path, graph_file, eta, capsys):
+        # a NaN eta would draw every site as if it had no boundary weight
+        out = tmp_path / "run"
+        rc = main(
+            ["sample-beta", "--graph", str(graph_file), "--eta", eta, "--n", "5",
+             "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert "eta entries must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_weight_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(
+            ["sample-beta", "--dim", "1", "--radius", "1", "--W", "nan", "--n",
+             "5", "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert "coupling entries must not be NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_box_refuses_eta(self, tmp_path, monkeypatch, capsys):
+        # a box's boundary vector is its wiring, so --eta would be ignored;
+        # it is refused before any draw and before any output
+        monkeypatch.setattr(vrjp.cli, "stream", lambda *key: NoDraws())
+        out = tmp_path / "run"
+        rc = main(
+            ["sample-beta", "--dim", "1", "--radius", "1", "--eta", "0.5",
+             "--n", "5", "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert "--eta applies to --graph only" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGreen:
     def test_default_box_outputs(self, tmp_path):
@@ -118,15 +153,15 @@ class TestGreen:
     @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2)])
     def test_band_draw_matches_dense_draw(self, tmp_path, dim, radius):
         # the field is drawn in band storage: beta matches the dense
-        # sequential draw up to rounding, and gamma, the generator's next
-        # draw, is the same, so both consumed the same variates
+        # sampler's batch of one up to rounding, and gamma, the generator's
+        # next draw, is the same, so both consumed the same variates
         out = tmp_path / "run"
         argv = ["--dim", str(dim), "--radius", str(radius), "--seed", "5"]
         assert main(["green", *argv, "--out", str(out)]) == 0
         g = vrjp.build_lattice_box(dim, radius + 1, 1.0)
         subset = [v for v in range(g.n) if max(map(abs, g.coords[v])) <= radius]
         rng = vrjp.stream(5, "cli-green")
-        want = vrjp.sample_sequential(vrjp.marginal_params(g, subset), None, rng).beta
+        want = vrjp.sample_batch(vrjp.marginal_params(g, subset), 1, rng)[0]
         got = [float(r["beta"]) for r in read_csv(out / "green.csv")[:-1]]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         assert read_json(out / "summary.json")["gamma"] == float(rng.gamma(0.5, 1.0))

@@ -26,3 +26,42 @@ def test_all_names_resolve_once(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
     repeated = sorted({x for x in exported if exported.count(x) > 1})
     assert not repeated, f"{name}.__all__ repeats {repeated}"
+
+
+# names the package does not export, each with the module that held them:
+# test oracles (tests/_oracles.py), and sample_sequential and BetaSample,
+# whose work sample_batch and BandSample do
+REMOVED = {
+    "betafield": [
+        "BetaSample",
+        "sample_sequential",
+        "spd_certificate",
+        "density",
+        "log_density",
+        "schur_step",
+        "sample_errw_env",
+    ],
+    "graphs": ["enumerate_paths", "path_weight", "path_beta_factor", "PATH_CAP_DEFAULT"],
+    "schrodinger": [
+        "assemble_H",
+        "u_field",
+        "truncated_green_pathsum",
+        "q_density",
+        "spectrum_bottom",
+    ],
+    "processes": ["time_change_maps", "h_transform_rates"],
+    "harness": ["run_replicas", "ks_test"],
+    "errors": ["EnumerationError", "ConditioningError"],
+}
+
+
+@pytest.mark.parametrize(
+    "module,name", [(m, x) for m, names in REMOVED.items() for x in names]
+)
+def test_removed_name_is_gone(module, name):
+    assert not hasattr(vrjp, name), f"vrjp still exports {name}"
+    assert not hasattr(importlib.import_module(f"vrjp.{module}"), name)
+
+
+def test_package_exports_56_names():
+    assert len(vrjp.__all__) == 56

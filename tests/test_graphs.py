@@ -11,20 +11,24 @@ from hypothesis import strategies as st
 
 from vrjp import (
     DomainError,
-    EnumerationError,
     RestrictionError,
     SizeError,
     WeightedGraph,
     WiredBand,
     build_lattice_box,
-    enumerate_paths,
     load_graph,
-    path_weight,
     save_graph,
 )
-from vrjp.graphs import path_beta_factor
 
-from _oracles import boundary_weights, brute_force_paths, induced_subgraph
+from _oracles import (
+    EnumerationError,
+    boundary_weights,
+    brute_force_paths,
+    enumerate_paths,
+    induced_subgraph,
+    path_beta_factor,
+    path_weight,
+)
 
 
 def triangle():

@@ -23,10 +23,8 @@ from vrjp import (
     conductance_ratio_experiment,
     cosh_moment_experiment,
     diffusion_estimate,
-    ks_test,
     psi_decay_experiment,
     rooted_u_samples,
-    run_replicas,
     sample_batch,
     srw_paths,
     stream,
@@ -38,9 +36,11 @@ from _oracles import (
     ALPHA,
     SE_RULE,
     NoDraws,
+    ks_test,
     reference_conductance_ratio,
     ring_graph,
     rooted_pair_cdf,
+    run_replicas,
     se,
 )
 

@@ -10,7 +10,6 @@ import pytest
 from scipy import stats
 
 from vrjp import (
-    ConditioningError,
     CoverageError,
     DomainError,
     NumericError,
@@ -23,7 +22,6 @@ from vrjp import (
     errw_words,
     escape_probability_formula,
     green_bundle,
-    h_transform_rates,
     marginal_params,
     markov_words,
     mc_return_probability,
@@ -34,7 +32,6 @@ from vrjp import (
     simulate_vrjp_lattice,
     stream,
     time_change,
-    time_change_maps,
     vrjp_words,
 )
 from vrjp import processes
@@ -43,11 +40,14 @@ from vrjp.harness import word_chi2
 from _oracles import (
     ALPHA,
     SE_RULE,
+    ConditioningError,
     LargestUniform,
     NoDraws,
+    h_transform_rates,
     reference_simulate_vrjp,
     reference_vrjp_lattice,
     se,
+    time_change_maps,
     zscore,
 )
 
