@@ -41,10 +41,9 @@ from .harness import (
     ExperimentConfig,
     conductance_ratio_experiment,
     cosh_moment_experiment,
-    diffusion_estimate,
     psi_decay_experiment,
     rooted_u_samples,
-    srw_paths,
+    srw_endpoints,
     vrjp_diffusion_experiment,
     word_chi2,
 )
@@ -116,8 +115,7 @@ __all__ = [
     "EstimatorReport",
     "ExperimentConfig",
     "word_chi2",
-    "diffusion_estimate",
-    "srw_paths",
+    "srw_endpoints",
     "vrjp_diffusion_experiment",
     "psi_decay_experiment",
     "rooted_u_samples",

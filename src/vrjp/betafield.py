@@ -88,8 +88,8 @@ class NuParams:
         if eta.shape != (p.shape[0],):
             raise DomainError("eta length must match matrix size")
         # before the symmetry test, which a NaN fails with a misleading message
-        if np.isnan(p).any():
-            raise DomainError("coupling entries must not be NaN")
+        if not np.isfinite(p).all():
+            raise DomainError("coupling entries must be finite, not NaN or inf")
         if not np.isfinite(eta).all():
             raise DomainError("eta entries must be finite")
         # exact symmetry, the common case, is cheap to confirm; allclose

@@ -45,7 +45,7 @@ def _refuse_beyond_memory(need: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Finite undirected graph with positive edge conductances.
+    """Finite undirected graph with positive, finite edge conductances.
 
     edges hold one entry per unordered pair, stored with i < j. coords is
     populated by the lattice builder (one coordinate tuple per vertex) and is
@@ -69,8 +69,11 @@ class WeightedGraph:
                 raise DomainError(f"self-loop at vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise DomainError(f"edge ({i},{j}) out of range for n={self.n}")
-            if w <= 0:
-                raise DomainError(f"edge ({i},{j}) has nonpositive weight {w}")
+            # NaN fails every comparison, so test for the good case
+            if not 0 < w < np.inf:
+                raise DomainError(
+                    f"edge ({i},{j}) weight must be positive and finite, got {w}"
+                )
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise DomainError(f"duplicate edge {key}")
@@ -147,8 +150,8 @@ def build_lattice_box(
         raise DomainError(f"dim must be in 1..4, got {dim}")
     if radius < 0:
         raise DomainError("radius must be nonnegative")
-    if w <= 0:
-        raise DomainError("edge weight must be positive")
+    if not 0 < w < np.inf:
+        raise DomainError("edge weight must be positive and finite")
     side = 2 * radius + 1
     n = side**dim
     if n > max_vertices:

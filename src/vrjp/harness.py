@@ -1,11 +1,11 @@
 """Monte Carlo plumbing: standard-error reports, the two-sample word
-chi-square test, a lattice diffusion estimator, and the desk-scale
-experiments.
+chi-square test, simple-random-walk endpoints drawn in blocks of walks, and
+the desk-scale experiments.
 
 Determinism contract: every experiment draws from counter-based streams
 keyed by (seed, experiment, index), so results are bit-identical for a fixed
-seed. The one-sample KS test and the replica runner are test oracles
-(tests/_oracles.py).
+seed. The one-sample KS test, the replica runner, the full-path random walk
+and the lattice diffusion estimator are test oracles (tests/_oracles.py).
 
 Closed-form-vs-Monte-Carlo comparisons elsewhere in the package use the
 4-standard-error rule; significance for p-value tests is fixed at 0.01.
@@ -27,7 +27,7 @@ from .betafield import (
     sample_batch,
 )
 from .errors import ConfigError, CoverageError, DomainError, PreconditionError, TestError
-from .graphs import WeightedGraph, build_lattice_box
+from .graphs import WeightedGraph, _refuse_beyond_memory, build_lattice_box
 from .processes import simulate_vrjp_lattice
 from .schrodinger import green_solve, green_solve_banded
 from .streams import stream
@@ -36,8 +36,7 @@ __all__ = [
     "EstimatorReport",
     "ExperimentConfig",
     "word_chi2",
-    "diffusion_estimate",
-    "srw_paths",
+    "srw_endpoints",
     "psi_decay_experiment",
     "rooted_u_samples",
     "cosh_moment_experiment",
@@ -164,106 +163,37 @@ def word_chi2(words_a: np.ndarray, words_b: np.ndarray) -> float:
     return float(stats.chi2.sf(stat, df))
 
 
-def srw_paths(
+# picks drawn per block of walks: about 8 MB of int64 at a time
+SRW_BLOCK_PICKS = 1 << 20
+
+
+def srw_endpoints(
     dim: int, n_walks: int, length: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Coordinate paths of the simple random walk started at the origin,
-    shape (n_walks, length + 1, dim)."""
-    moves = np.zeros((2 * dim, dim), dtype=np.int64)
-    for ax in range(dim):
-        moves[2 * ax, ax] = 1
-        moves[2 * ax + 1, ax] = -1
-    picks = rng.integers(0, 2 * dim, size=(n_walks, length))
-    steps = moves[picks]
-    paths = np.zeros((n_walks, length + 1, dim), dtype=np.int64)
-    np.cumsum(steps, axis=1, out=paths[:, 1:])
-    return paths
+    """Endpoints X_length of simple random walks started at the origin,
+    shape (n_walks, dim), int64.
 
-
-def _coordinate_paths(trajs, g: Optional[WeightedGraph]) -> np.ndarray:
-    if isinstance(trajs, np.ndarray):
-        if trajs.ndim != 3:
-            raise DomainError("coordinate path array must be (walks, steps, dim)")
-        return trajs
-    if g is None or g.coords is None:
-        raise DomainError("trajectory input needs a graph with coordinates")
-    lens = {len(t.vertices) for t in trajs}
-    if len(lens) != 1:
-        raise DomainError("all trajectories must have equal length")
-    verts = np.stack([t.vertices for t in trajs])
-    return g.coord_array()[verts]
-
-
-def diffusion_estimate(
-    trajs,
-    g: Optional[WeightedGraph] = None,
-    radius: Optional[int] = None,
-    ladder: Optional[Sequence[int]] = None,
-    name: str = "diffusion",
-) -> EstimatorReport:
-    """Mean-squared-displacement estimator on lattice walks.
-
-    trajs is either a list of discrete Trajectory objects on a box graph g
-    (with coordinates) or a coordinate array (walks, steps + 1, dim). Walks
-    that touch the box boundary (sup-norm radius) are discarded, and the
-    discard rate is reported; with all walks discarded the estimate is
-    impossible. The headline number is E|X_n|^2 / n at the largest ladder
-    point (1 for the simple random walk at any n); extra carries the per-rung
-    values, the normalized variance sigma2 = E|X_n|^2/(d n), and a
-    slope-ratio growth diagnostic with a superdiffusive/subdiffusive flag.
+    Step picks (2 ax means +e_ax, 2 ax + 1 means -e_ax) are drawn as
+    rng.integers(0, 2 dim, size=(c, length)) over blocks of c walks; the
+    blocks consume the generator exactly as one (n_walks, length) draw does.
+    Each block's endpoints come from one bincount of its picks, offset by
+    2 dim per walk; no step or path array is formed.
     """
-    paths = _coordinate_paths(trajs, g)
-    n_walks, n_pts, dim = paths.shape
-    length = n_pts - 1
-    if length < 1:
-        raise DomainError("walks must have at least one step")
-    if radius is None and g is not None and g.coords is not None:
-        radius = int(np.abs(g.coords).max())
-    if radius is not None:
-        inside = (np.abs(paths).max(axis=(1, 2)) < radius)
-    else:
-        inside = np.ones(n_walks, dtype=bool)
-    discard_rate = 1.0 - inside.mean()
-    if not inside.any():
-        raise CoverageError("every walk touched the boundary")
-    kept = paths[inside]
-    if ladder is None:
-        ladder = sorted({max(1, length // 8), length // 4, length // 2, length})
-    ladder = [int(x) for x in ladder]
-    if any(x < 1 or x > length for x in ladder):
-        raise DomainError("ladder points must lie in [1, walk length]")
-    disp = kept[:, ladder, :] - kept[:, :1, :]
-    d2 = (disp.astype(float) ** 2).sum(axis=2)
-    m = d2.mean(axis=0)
-    n_arr = np.array(ladder, dtype=float)
-    sigma2 = m / (dim * n_arr)
-    final = d2[:, -1] / n_arr[-1]
-    mean = float(final.mean())
-    stderr = float(final.std(ddof=1) / np.sqrt(final.shape[0]))
-    if len(ladder) >= 3 and m[-1] > 0:
-        lo = (m[1] - m[0]) / (n_arr[1] - n_arr[0])
-        hi = (m[-1] - m[-2]) / (n_arr[-1] - n_arr[-2])
-        slope_ratio = float(hi / lo) if lo > 0 else float("inf")
-    else:
-        slope_ratio = 1.0
-    if m[-1] == 0:
-        flag = "degenerate"
-    elif slope_ratio > 2.0:
-        flag = "superdiffusive"
-    elif slope_ratio < 0.5:
-        flag = "subdiffusive"
-    else:
-        flag = "diffusive"
-    extra = {
-        "ladder": ladder,
-        "msd": [float(x) for x in m],
-        "sigma2": [float(x) for x in sigma2],
-        "slope_ratio": slope_ratio,
-        "discard_rate": float(discard_rate),
-        "flag": flag,
-        "kept": int(inside.sum()),
-    }
-    return EstimatorReport(name=name, mean=mean, stderr=stderr, n=int(inside.sum()), extra=extra)
+    dim, n_walks, length = int(dim), int(n_walks), int(length)
+    if dim < 1 or n_walks < 1 or length < 1:
+        raise DomainError("dim, n_walks and length must be positive")
+    per_block = max(1, SRW_BLOCK_PICKS // length)
+    _refuse_beyond_memory(
+        8 * min(per_block, n_walks) * length, f"a block of walks of {length} steps"
+    )
+    ends = np.empty((n_walks, dim), dtype=np.int64)
+    for lo in range(0, n_walks, per_block):
+        c = min(per_block, n_walks - lo)
+        picks = rng.integers(0, 2 * dim, size=(c, length), dtype=np.int64)
+        picks += 2 * dim * np.arange(c, dtype=np.int64)[:, None]
+        counts = np.bincount(picks.ravel(), minlength=2 * dim * c).reshape(c, dim, 2)
+        ends[lo : lo + c] = counts[:, :, 0] - counts[:, :, 1]
+    return ends
 
 
 def _box_center(g: WeightedGraph) -> int:

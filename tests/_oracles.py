@@ -13,18 +13,21 @@ density and a dense Cholesky certificate of H_beta, the one-site Schur step
 environment, capped path enumeration and truncated Green path sums, the
 u-field of a full graph and its density, the dense bottom of the spectrum,
 the time change as a pair of maps, the conditioned (h-transformed) chains,
-a replica runner, and a one-sample KS test.
+a replica runner, a one-sample KS test, and the full coordinate paths of
+the simple random walk with the lattice diffusion estimator that reads them
+(criterion 12 draws only the endpoints, by vrjp.srw_endpoints).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 from scipy import integrate, stats
 
 from vrjp import (
+    CoverageError,
     DomainError,
     EstimatorReport,
     FactorizationError,
@@ -802,3 +805,105 @@ def ks_test(samples: np.ndarray, cdf):
         raise TestError("KS test got non-finite samples")
     res = stats.kstest(samples, cdf)
     return float(res.statistic), float(res.pvalue)
+
+
+def srw_paths(
+    dim: int, n_walks: int, length: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Coordinate paths of the simple random walk started at the origin,
+    shape (n_walks, length + 1, dim)."""
+    moves = np.zeros((2 * dim, dim), dtype=np.int64)
+    for ax in range(dim):
+        moves[2 * ax, ax] = 1
+        moves[2 * ax + 1, ax] = -1
+    picks = rng.integers(0, 2 * dim, size=(n_walks, length))
+    steps = moves[picks]
+    paths = np.zeros((n_walks, length + 1, dim), dtype=np.int64)
+    np.cumsum(steps, axis=1, out=paths[:, 1:])
+    return paths
+
+
+def _coordinate_paths(trajs, g: Optional[WeightedGraph]) -> np.ndarray:
+    if isinstance(trajs, np.ndarray):
+        if trajs.ndim != 3:
+            raise DomainError("coordinate path array must be (walks, steps, dim)")
+        return trajs
+    if g is None or g.coords is None:
+        raise DomainError("trajectory input needs a graph with coordinates")
+    lens = {len(t.vertices) for t in trajs}
+    if len(lens) != 1:
+        raise DomainError("all trajectories must have equal length")
+    verts = np.stack([t.vertices for t in trajs])
+    return g.coord_array()[verts]
+
+
+def diffusion_estimate(
+    trajs,
+    g: Optional[WeightedGraph] = None,
+    radius: Optional[int] = None,
+    ladder: Optional[Sequence[int]] = None,
+    name: str = "diffusion",
+) -> EstimatorReport:
+    """Mean-squared-displacement estimator on lattice walks.
+
+    trajs is either a list of discrete Trajectory objects on a box graph g
+    (with coordinates) or a coordinate array (walks, steps + 1, dim). Walks
+    that touch the box boundary (sup-norm radius) are discarded, and the
+    discard rate is reported; with all walks discarded the estimate is
+    impossible. The headline number is E|X_n|^2 / n at the largest ladder
+    point (1 for the simple random walk at any n); extra carries the per-rung
+    values, the normalized variance sigma2 = E|X_n|^2/(d n), and a
+    slope-ratio growth diagnostic with a superdiffusive/subdiffusive flag.
+    """
+    paths = _coordinate_paths(trajs, g)
+    n_walks, n_pts, dim = paths.shape
+    length = n_pts - 1
+    if length < 1:
+        raise DomainError("walks must have at least one step")
+    if radius is None and g is not None and g.coords is not None:
+        radius = int(np.abs(g.coords).max())
+    if radius is not None:
+        inside = (np.abs(paths).max(axis=(1, 2)) < radius)
+    else:
+        inside = np.ones(n_walks, dtype=bool)
+    discard_rate = 1.0 - inside.mean()
+    if not inside.any():
+        raise CoverageError("every walk touched the boundary")
+    kept = paths[inside]
+    if ladder is None:
+        ladder = sorted({max(1, length // 8), length // 4, length // 2, length})
+    ladder = [int(x) for x in ladder]
+    if any(x < 1 or x > length for x in ladder):
+        raise DomainError("ladder points must lie in [1, walk length]")
+    disp = kept[:, ladder, :] - kept[:, :1, :]
+    d2 = (disp.astype(float) ** 2).sum(axis=2)
+    m = d2.mean(axis=0)
+    n_arr = np.array(ladder, dtype=float)
+    sigma2 = m / (dim * n_arr)
+    final = d2[:, -1] / n_arr[-1]
+    mean = float(final.mean())
+    stderr = float(final.std(ddof=1) / np.sqrt(final.shape[0]))
+    if len(ladder) >= 3 and m[-1] > 0:
+        lo = (m[1] - m[0]) / (n_arr[1] - n_arr[0])
+        hi = (m[-1] - m[-2]) / (n_arr[-1] - n_arr[-2])
+        slope_ratio = float(hi / lo) if lo > 0 else float("inf")
+    else:
+        slope_ratio = 1.0
+    if m[-1] == 0:
+        flag = "degenerate"
+    elif slope_ratio > 2.0:
+        flag = "superdiffusive"
+    elif slope_ratio < 0.5:
+        flag = "subdiffusive"
+    else:
+        flag = "diffusive"
+    extra = {
+        "ladder": ladder,
+        "msd": [float(x) for x in m],
+        "sigma2": [float(x) for x in sigma2],
+        "slope_ratio": slope_ratio,
+        "discard_rate": float(discard_rate),
+        "flag": flag,
+        "kept": int(inside.sum()),
+    }
+    return EstimatorReport(name=name, mean=mean, stderr=stderr, n=int(inside.sum()), extra=extra)

@@ -80,20 +80,35 @@ class TestNuParams:
             (1.0, 1.0 + 1e-9, False),
             (1.0, np.nan, False),
             (np.nan, np.nan, False),
-            (np.inf, np.inf, True),
+            (np.inf, np.inf, False),
             (-0.0, 0.0, True),
         ],
     )
     def test_symmetry_tolerance(self, upper, lower, ok):
         # rounding-level asymmetry passes, whether or not the exact test
-        # catches it first; NaN never does, and is refused before it
+        # catches it first; NaN and inf never do, and are refused before it
         p = np.array([[0.0, upper], [lower, 0.0]])
         if ok:
             assert NuParams(p=p, eta=np.zeros(2)).p[1, 0] == lower
         else:
-            reason = "NaN" if np.isnan(p).any() else "symmetric"
+            reason = "finite" if not np.isfinite(p).all() else "symmetric"
             with pytest.raises(DomainError, match=reason):
                 NuParams(p=p, eta=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [[np.inf, 1.0], [1.0, 0.0]],
+            [[0.0, np.inf], [np.inf, 0.0]],
+            [[0.0, -np.inf], [-np.inf, 0.0]],
+        ],
+        ids=["diagonal", "off-diagonal", "negative"],
+    )
+    def test_refuses_infinite_coupling_before_drawing(self, p):
+        # at an infinite entry sample_batch returned beta = inf, or failed
+        # inside numpy's Wald draw with an untyped ValueError
+        with pytest.raises(DomainError, match="coupling entries must be finite"):
+            sample_batch(NuParams(p=p, eta=np.zeros(2)), 1, NoDraws())
 
     def test_from_graph(self):
         params = NuParams.from_graph(two_path(), eta=0.5)

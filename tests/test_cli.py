@@ -97,7 +97,7 @@ class TestSampleBeta:
              "5", "--out", str(out)]
         )
         assert rc == USAGE_EXIT
-        assert "coupling entries must not be NaN" in capsys.readouterr().err
+        assert "weight must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_box_refuses_eta(self, tmp_path, monkeypatch, capsys):
@@ -237,6 +237,24 @@ class TestSimulateVrjp:
              "--horizon", horizon, "--out", str(tmp_path / "x")]
         )
         assert rc == USAGE_EXIT
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_non_finite_graph_weight_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, weight
+    ):
+        # a NaN wait never reaches the horizon, and a finite graph puts no
+        # cap on the walk; the graph is refused before any walk starts
+        monkeypatch.setattr(vrjp.cli, "stream", lambda *key: NoDraws())
+        graph = tmp_path / "g.json"
+        graph.write_text(f'{{"n": 3, "edges": [[0, 1, {weight}], [1, 2, 1.0]]}}')
+        out = tmp_path / "run"
+        rc = main(
+            ["simulate", "--process", "vrjp", "--graph", str(graph),
+             "--horizon", "5", "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert "weight must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateErrw:

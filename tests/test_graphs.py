@@ -55,6 +55,13 @@ class TestWeightedGraph:
         with pytest.raises(DomainError):
             WeightedGraph(n=2, edges=((0, 1, 0.0),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(DomainError, match="positive and finite"):
+            WeightedGraph(n=3, edges=((0, 1, bad), (1, 2, 1.0)))
+        with pytest.raises(DomainError, match="positive and finite"):
+            build_lattice_box(2, 1, bad)
+
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(DomainError):
             WeightedGraph(n=2, edges=((0, 2, 1.0),))

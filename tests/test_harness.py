@@ -16,32 +16,36 @@ from vrjp import (
     ExperimentConfig,
     NuParams,
     PreconditionError,
+    SizeError,
     TestError,
     Trajectory,
     WeightedGraph,
     build_lattice_box,
     conductance_ratio_experiment,
     cosh_moment_experiment,
-    diffusion_estimate,
     psi_decay_experiment,
     rooted_u_samples,
     sample_batch,
-    srw_paths,
+    srw_endpoints,
     stream,
     vrjp_diffusion_experiment,
     word_chi2,
 )
+from vrjp.harness import SRW_BLOCK_PICKS
+from vrjp.verify import QUICK, criterion_12
 
 from _oracles import (
     ALPHA,
     SE_RULE,
     NoDraws,
+    diffusion_estimate,
     ks_test,
     reference_conductance_ratio,
     ring_graph,
     rooted_pair_cdf,
     run_replicas,
     se,
+    srw_paths,
 )
 
 
@@ -206,6 +210,48 @@ class TestDiffusionEstimate:
             diffusion_estimate(paths, ladder=[0, 4])
         with pytest.raises(DomainError):
             diffusion_estimate(paths, ladder=[4, 99])
+
+
+class TestSrwEndpoints:
+    """The blocked endpoint kernel against the full-path oracle: the same
+    endpoints, and the generator left in the same state."""
+
+    @pytest.mark.parametrize(
+        "dim,n_walks,length",
+        [
+            (2, 2_501, 1_000),  # a short last block
+            (2, 3, SRW_BLOCK_PICKS + 7),  # one walk per block
+            (2, 400, 1),
+            (1, 600, 300),
+            (3, 600, 300),
+        ],
+    )
+    def test_equals_last_point_of_the_paths(self, dim, n_walks, length):
+        rng_a, rng_b = stream(11, "srw-ends"), stream(11, "srw-ends")
+        ends = srw_endpoints(dim, n_walks, length, rng_a)
+        paths = srw_paths(dim, n_walks, length, rng_b)
+        assert ends.dtype == np.int64 and ends.shape == (n_walks, dim)
+        assert np.array_equal(ends, paths[:, -1])
+        assert rng_a.random() == rng_b.random()
+
+    def test_refuses_a_block_beyond_memory_before_drawing(self):
+        with pytest.raises(SizeError):
+            srw_endpoints(2, 1, 10**13, NoDraws())
+
+    @pytest.mark.parametrize("args", [(0, 5, 5), (2, 0, 5), (2, 5, 0)])
+    def test_refuses_empty_shapes(self, args):
+        with pytest.raises(DomainError):
+            srw_endpoints(*args, NoDraws())
+
+    def test_criterion_12_mean_equals_the_diffusion_estimate(self):
+        n, walks = QUICK.len_c12, QUICK.walks_c12
+        ends = srw_endpoints(2, walks, n, stream(7, "c12"))
+        mean = float(((ends.astype(float) ** 2).sum(axis=1) / float(n)).mean())
+        report = diffusion_estimate(srw_paths(2, walks, n, stream(7, "c12")))
+        assert mean == report.mean
+        assert criterion_12(QUICK, 7).detail.startswith(
+            f"E|X_n|^2/n = {report.mean:.4f} "
+        )
 
 
 class TestPsiDecayExperiment:
