@@ -10,15 +10,17 @@ h_beta forms it densely.
 Sampling is exact and sequential: conditionally on the sites already drawn,
 one site's shifted potential x = 2 beta - P_kk follows a generalized inverse
 Gaussian law of index 1/2 with rate 1, and eliminating the site is a rank-one
-Schur update of (P, eta). Two loops run this elimination, one per storage:
+Schur update of (P, eta). Two loops run this elimination, both on the band
+rows of P, one for a batch of fields and one for a single wide draw:
 
-- dense: sample_batch permutes P to the elimination order and holds it as a
-  full square with the sample axis last; _schur_loop draws a batch of fields
-  at once, adding each site's update to the whole block behind it. A single
-  environment is its batch of one, sample_batch(params, 1, rng)[0]; callers
-  hand that beta to a Green solve, whose own factorization is the positivity
-  check;
-- band: sample_banded holds a row-major lattice box by rows of its band.
+- batched: sample_batch permutes P to the elimination order and holds it as
+  band rows with the sample axis last, at the bandwidth P has in that order;
+  _schur_loop draws a batch of fields at once, adding each site's update to
+  the band rows behind it. A row-major box keeps its leading stride as
+  bandwidth, and a dense P is the band of width n. A single environment is
+  its batch of one, sample_batch(params, 1, rng)[0]; callers hand that beta
+  to a Green solve, whose own factorization is the positivity check;
+- single: sample_banded holds a row-major lattice box by rows of its band.
   Eliminating sites in index order keeps every update inside the band, which
   is what makes large boxes cheap. Since a pivot needs only its own row,
   _blocked_band_loop eliminates the band in panels, left-looking within a
@@ -33,7 +35,7 @@ Schur update of (P, eta). Two loops run this elimination, one per storage:
   edge weights, or dense (marginal_params), and the wired graph itself,
   delta last (graph()). Like sample_batch(order=None), the band sampler
   eliminates in index order, so it consumes the same variates in the same
-  order and its beta differs from the dense draw by the rounding of the
+  order and its beta differs from the batched draw by the rounding of the
   summed updates only.
 
 The density, the one-site Schur step and the dense Cholesky certificate are
@@ -67,6 +69,13 @@ __all__ = [
 ]
 
 PIVOT_RTOL = 1e-12
+
+# GIG(1/2) shapes b below this draw chi-square(1), the b = 0 law, which is
+# within total variation about sqrt(b) of theirs. numpy's Wald draw of mean
+# 1/sqrt(b) goes wrong below about b = 1e-26: its reciprocal no longer
+# follows chi-square(1), and from about b = 1e-30 on it returns 0, an
+# infinite x.
+CHI2_BELOW = 1e-16
 
 # Sites per panel of the blocked band elimination. On a 2-vCPU VM with one
 # BLAS thread, 16 to 32 were alike at bw 289 and 8 and 64 slower.
@@ -191,11 +200,12 @@ def gig_half_sample(b: float, rng: np.random.Generator) -> float:
 
     This is the generalized inverse Gaussian law with index 1/2 and rate 1;
     its reciprocal is inverse Gaussian with mean 1/sqrt(b) and shape 1, and
-    b = 0 degenerates to the chi-square law with one degree of freedom.
+    b = 0 degenerates to the chi-square law with one degree of freedom. A
+    shape below CHI2_BELOW draws that chi-square law too.
     """
     if b < 0:
         raise DomainError("shape parameter b must be nonnegative")
-    if b == 0.0:
+    if b < CHI2_BELOW:
         return float(rng.chisquare(1))
     return float(1.0 / rng.wald(1.0 / np.sqrt(b), 1.0))
 
@@ -207,7 +217,7 @@ def _gig_vec(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if b.size == 1:
         return np.array([gig_half_sample(float(b[0]), rng)])
     out = np.empty(b.shape)
-    pos = b > 0
+    pos = b >= CHI2_BELOW
     n_zero = int((~pos).sum())
     if n_zero:
         out[~pos] = rng.chisquare(1, size=n_zero)
@@ -216,45 +226,47 @@ def _gig_vec(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _row_block(s: int) -> int:
-    """Rows per block of the trailing update for a batch of s samples.
+def _schur_loop(st: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Eliminate the n sites of st in index order; returns beta as (n, S).
 
-    Rows times samples stays near 64: enough that Python's per-block cost is
-    spread thin, few enough that the scratch stays small and diagonal blocks
-    waste little on the cells below their diagonal.
+    st is the (n, bw + 1, S) state, P's band rows with the sample axis last:
+    st[i, d] = P[i, i + d]; ew is eta as (n, S). Step k reads its pivot row
+    st[k, 1:m+1], m = min(bw, n - 1 - k), draws the shifted potential x, and
+    adds (col[a] * col[a + d]) / x to st[k + 1 + a, d] for a + d < m, as one
+    sheared add. Cells past the band are zeros that a full-square
+    elimination keeps zero, so every cell gets that elimination's products
+    in its order.
+    For S >= 2 numpy sums the pivot row down the column, one entry at a
+    time, so the band entries give the dense sum; a single sample's row is
+    summed pairwise, so it is zero-padded to its dense length n - 1 - k.
     """
-    return max(1, 64 // max(s, 1))
-
-
-def _schur_loop(v: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Eliminate the n sites of v in index order; returns beta as (n, S).
-
-    v is the (n, n, S) state, a full square with the sample axis last, of
-    which only the upper triangle has to hold P; ew is eta as (n, S). Step k
-    reads the pivot row v[k, k+1:], draws the shifted potential x, and adds
-    (col_a col_b) / x to the upper triangle of the trailing block in row
-    blocks; a diagonal block also writes the cells below its diagonal. The
-    update is symmetric bit for bit, since a * b == b * a, so rows equal
-    columns exactly.
-    """
-    n, _, s = v.shape
-    blk = _row_block(s)
-    rest = max(n - 1, 0)
-    scratch = np.empty(min(blk, rest) * rest * s)
+    n, width, s = st.shape
+    bw = width - 1
+    # shear[a, b] = st[k + 1 + a, b - a]; the mask keeps b >= a
+    shear_strides = (st.strides[0] - st.strides[1], *st.strides[1:])
+    upper = np.triu(np.ones((bw, bw), dtype=bool))[:, :, None]
+    scratch = np.empty(bw * bw * s)
+    padded = np.zeros((n, 1)) if s == 1 else None
     beta = np.empty((n, s))
     for k in range(n):
-        m = n - 1 - k
-        col = v[k, k + 1 :]
-        eta_hat = ew[k] + col.sum(axis=0)
+        m = min(bw, n - 1 - k)
+        col = st[k, 1 : m + 1]
+        if padded is None:
+            eta_hat = ew[k] + col.sum(axis=0)
+        else:
+            padded[:m] = col
+            eta_hat = ew[k] + padded[: n - 1 - k].sum(axis=0)
         x = _gig_vec(eta_hat**2, rng)
-        beta[k] = 0.5 * (x + v[k, k])
-        for r0 in range(0, m, blk):
-            r1 = min(r0 + blk, m)
-            t = scratch[: (r1 - r0) * (m - r0) * s].reshape(r1 - r0, m - r0, s)
-            np.multiply(col[r0:r1, None], col[None, r0:], out=t)
+        beta[k] = 0.5 * (x + st[k, 0])
+        if m:
+            t = scratch[: m * m * s].reshape(m, m, s)
+            np.multiply(col[:, None], col[None, :], out=t)
             t /= x
-            v[k + 1 + r0 : k + 1 + r1, k + 1 + r0 :] += t
-        ew[k + 1 :] += col * (ew[k] / x)
+            shear = np.lib.stride_tricks.as_strided(
+                st[k + 1], shape=(m, m, s), strides=shear_strides
+            )
+            np.add(shear, t, out=shear, where=upper[:m, :m])
+        ew[k + 1 : k + 1 + m] += col * (ew[k] / x)
     return beta
 
 
@@ -320,8 +332,10 @@ def _eliminate(
     """Eliminate every site of (p, eta) in `order` for n_samples independent
     fields at once; returns an (n_samples, n) array in vertex order.
 
-    The state is permuted to the elimination order once and held as a full
-    (n, n, S) square with the sample axis last, _schur_loop's storage.
+    P is permuted to the elimination order once, and its bandwidth bw is read
+    there: the state is _schur_loop's (n, bw + 1, S) band rows with the
+    sample axis last. A row-major box keeps its leading stride as bw; a
+    dense or shuffled P has bw = n - 1 and holds the full square.
     """
     if rng is None:
         raise DomainError("an rng is required")
@@ -334,16 +348,21 @@ def _eliminate(
     n_samples = operator.index(n_samples)
     if n_samples < 0:
         raise DomainError(f"sample count must be nonnegative, got {n_samples}")
-    # the (n, n, S) state plus _schur_loop's row-block scratch
-    rest = max(n - 1, 0)
-    _refuse_beyond_memory(
-        (n * n + min(_row_block(n_samples), rest) * rest) * n_samples * 8,
-        f"the elimination state of {n_samples} samples on {n} sites",
-    )
     idx = np.array(order, dtype=int)
-    pw = np.broadcast_to(p[np.ix_(idx, idx)][:, :, None], (n, n, n_samples)).copy()
+    pp = p[np.ix_(idx, idx)]
+    i, j = np.nonzero(pp)
+    bw = int((j - i).max(initial=0))
+    # the band state plus _schur_loop's (bw, bw, S) update scratch
+    _refuse_beyond_memory(
+        (n * (bw + 1) + bw * bw) * n_samples * 8,
+        f"the elimination state of {n_samples} samples on {n} sites"
+        f" at bandwidth {bw}",
+    )
+    st = np.zeros((n, bw + 1, n_samples))
+    for d in range(bw + 1):
+        st[: n - d, d] = np.diagonal(pp, d)[:, None]
     ew = np.broadcast_to(eta[idx][:, None], (n, n_samples)).copy()
-    beta = _schur_loop(pw, ew, rng)
+    beta = _schur_loop(st, ew, rng)
     out = np.empty((n_samples, n))
     out[:, idx] = beta.T
     return out
@@ -516,8 +535,9 @@ def sample_banded(
 
     band[i, d] = P[i, i+d] for d = 0..bw, as banded_coupling stores it, and
     eta has one entry per site; both must be nonnegative and finite
-    (DomainError). It draws the same variates in the same order as the dense
-    sampler's loop, and only the rounding of the summed updates differs. The certificate reads the kept factor's pivots.
+    (DomainError). It draws the same variates in the same order as
+    sample_batch's loop, and only the rounding of the summed updates
+    differs. The certificate reads the kept factor's pivots.
     """
     if rng is None:
         raise DomainError("an rng is required")

@@ -118,21 +118,6 @@ class WeightedGraph:
             w[j, i] = x
         return w
 
-    def weight(self, i: int, j: int) -> float:
-        """Conductance of edge {i, j}, or 0.0 if absent."""
-        for k, w in self.neighbors[i]:
-            if k == j:
-                return w
-        return 0.0
-
-    def total_weights(self) -> np.ndarray:
-        """Per-vertex sum of incident conductances."""
-        out = np.zeros(self.n)
-        for i, j, w in self.edges:
-            out[i] += w
-            out[j] += w
-        return out
-
 
 def build_lattice_box(
     dim: int,

@@ -6,8 +6,9 @@ H is formed in one place, betafield.h_beta, and every dense H below comes
 from it. Green functions come from one of three solves:
 
 - green_solve applies Ghat_beta to a few right-hand sides for a whole batch
-  of environments at once, through one LU solve per environment; batched
-  Monte Carlo asks only for the columns it reads, never for the inverse;
+  of environments, through one LU solve per environment and a block of
+  environments per call; batched Monte Carlo asks only for the columns it
+  reads, never for the inverse;
 - green_solve_banded is its band twin for one environment of a lattice box
   drawn by sample_banded: two banded triangular solves with the LDL^T factor
   of H that the draw computed, so H is never factored twice;
@@ -45,6 +46,10 @@ __all__ = [
     "IdentityReport",
 ]
 
+# Environments per batched LU solve in green_solve. At m = 25 a block's H
+# and its LU copy take 20 MB; 25,000 environments in one call take 250 MB.
+_SOLVE_BLOCK = 2048
+
 
 def green_solve(p: np.ndarray, beta, rhs) -> np.ndarray:
     """Ghat_beta rhs, the inverse of H_beta = 2 diag(beta) - p applied to
@@ -52,15 +57,28 @@ def green_solve(p: np.ndarray, beta, rhs) -> np.ndarray:
 
     rhs has shape (m,) or (m, k); the result has shape (..., m) or
     (..., m, k). One LU solve per environment, with no positivity check:
-    callers pass draws of the law, for which H is positive definite.
+    callers pass draws of the law, for which H is positive definite. The
+    environments are solved _SOLVE_BLOCK at a time, so only one block's H
+    and its LU copy are held at once; each environment's solve is its own,
+    so the blocks give the one-shot solve's bits.
     """
-    h = h_beta(p, beta)
+    p = np.asarray(p, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    m = p.shape[0]
+    if beta.shape[-1:] != (m,):
+        raise DomainError(f"beta must have shape (..., {m})")
     rhs = np.asarray(rhs, dtype=float)
-    m = h.shape[-1]
     if rhs.ndim not in (1, 2) or rhs.shape[0] != m:
         raise DomainError(f"right-hand side must have shape ({m},) or ({m}, k)")
     cols = rhs if rhs.ndim == 2 else rhs[:, None]
-    out = np.linalg.solve(h, np.broadcast_to(cols, h.shape[:-1] + cols.shape[1:]))
+    envs = beta.reshape(-1, m)
+    out = np.empty(envs.shape + cols.shape[1:])
+    for e0 in range(0, envs.shape[0], _SOLVE_BLOCK):
+        h = h_beta(p, envs[e0 : e0 + _SOLVE_BLOCK])
+        out[e0 : e0 + _SOLVE_BLOCK] = np.linalg.solve(
+            h, np.broadcast_to(cols, h.shape[:-1] + cols.shape[1:])
+        )
+    out = out.reshape(beta.shape + cols.shape[1:])
     return out if rhs.ndim == 2 else out[..., 0]
 
 

@@ -10,11 +10,12 @@ It also holds the closed forms and reference routines that no criterion,
 experiment or CLI command runs, with their own error classes: the field's
 density and a dense Cholesky certificate of H_beta, the one-site Schur step
 (the exact conditional law given some sites), the annealed reinforced-walk
-environment, capped path enumeration and truncated Green path sums, the
-u-field of a full graph and its density, the dense bottom of the spectrum,
-the time change as a pair of maps, the conditioned (h-transformed) chains,
-a replica runner, a one-sample KS test, and the full coordinate paths of
-the simple random walk with the lattice diffusion estimator that reads them
+environment, a graph's edge weight lookup and per-vertex weight totals,
+capped path enumeration and truncated Green path sums, the u-field of a
+full graph and its density, the dense bottom of the spectrum, the time
+change as a pair of maps, the conditioned (h-transformed) chains, a replica
+runner, a one-sample KS test, and the full coordinate paths of the simple
+random walk with the lattice diffusion estimator that reads them
 (criterion 12 draws only the endpoints, by vrjp.srw_endpoints).
 """
 
@@ -44,7 +45,7 @@ from vrjp import (
     sample_batch,
     stream,
 )
-from vrjp.betafield import PIVOT_RTOL, h_beta
+from vrjp.betafield import CHI2_BELOW, PIVOT_RTOL, h_beta
 
 SE_RULE = 4.0
 ALPHA = 0.01
@@ -58,6 +59,23 @@ def se(x: np.ndarray) -> float:
 def zscore(x: np.ndarray, target: float) -> float:
     x = np.asarray(x, dtype=float)
     return abs(float(x.mean()) - target) / se(x)
+
+
+def edge_weight(g: WeightedGraph, i: int, j: int) -> float:
+    """Conductance of edge {i, j} of g, or 0.0 if absent."""
+    for k, w in g.neighbors[i]:
+        if k == j:
+            return w
+    return 0.0
+
+
+def total_weights(g: WeightedGraph) -> np.ndarray:
+    """Per-vertex sum of g's incident conductances."""
+    out = np.zeros(g.n)
+    for i, j, w in g.edges:
+        out[i] += w
+        out[j] += w
+    return out
 
 
 def brute_force_paths(g: WeightedGraph, start: int, stop_set=(), max_len: int = 0):
@@ -168,10 +186,10 @@ def ring_graph(n: int, w: float = 1.0) -> WeightedGraph:
 
 
 def _reference_gig(b: np.ndarray, rng) -> np.ndarray:
-    """GIG(1/2) pivots for a whole batch: chi-square draws for the zero
-    shapes first, then one vectorized Wald draw for the rest."""
+    """GIG(1/2) pivots for a whole batch: chi-square draws for the shapes
+    below CHI2_BELOW first, then one vectorized Wald draw for the rest."""
     out = np.empty(b.shape)
-    pos = b > 0
+    pos = b >= CHI2_BELOW
     n_zero = int((~pos).sum())
     if n_zero:
         out[~pos] = rng.chisquare(1, size=n_zero)
@@ -573,7 +591,7 @@ def path_weight(g: WeightedGraph, path: Sequence[int]) -> float:
     """Product of edge conductances along the path (1.0 for a trivial path)."""
     out = 1.0
     for a, b in zip(path[:-1], path[1:]):
-        w = g.weight(int(a), int(b))
+        w = edge_weight(g, int(a), int(b))
         if w == 0.0:
             raise DomainError(f"({a},{b}) is not an edge")
         out *= w

@@ -6,8 +6,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import vrjp.betafield
 from vrjp import (
     BandSample,
     DomainError,
@@ -238,6 +241,18 @@ class TestGigHalfSample:
         with pytest.raises(DomainError):
             gig_half_sample(-1.0, stream(0))
 
+    @pytest.mark.parametrize("n_samples", [1, 20_000])
+    def test_tiny_shape_draws_chi_square(self, n_samples):
+        # a lone site of eta 1e-15 (b = 1e-30): numpy's Wald draw there is
+        # 0 for some samples, which made x infinite or divided by zero
+        params = NuParams(p=np.zeros((1, 1)), eta=np.array([1e-15]))
+        x = 2.0 * sample_batch(params, n_samples, stream(11, "gig-tiny"))[:, 0]
+        np.testing.assert_array_equal(
+            x, stream(11, "gig-tiny").chisquare(1, size=n_samples)
+        )
+        if n_samples > 1:
+            assert stats.kstest(x, stats.chi2(1).cdf).pvalue > ALPHA
+
 
 class TestSchurStep:
     def test_pair_diagonal_update(self):
@@ -407,18 +422,77 @@ class TestEliminationKernel:
             sample_batch(pair_params(1.0), -3, stream(0))
 
     @pytest.mark.parametrize("n_samples", [1, 2, 7])
-    def test_row_blocks_match_reference_loop(self, n_samples):
-        # m = 81: row blocks of 64, 32 and 9, each with a partial last block
+    def test_band_rows_match_reference_loop(self, n_samples):
+        # m = 81 at bandwidth 9: the band rows are 10 of the 81 columns
         params = _wired_box(2, 4)
         assert params.n == 81
         got = sample_batch(params, n_samples, stream(52, "blocks"))
         want = reference_sample_batch(params, n_samples, stream(52, "blocks"))
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "dim,radius,n_samples", [(2, 6, 1), (3, 2, 1), (2, 2, 2000)]
+    )
+    def test_wide_band_matches_reference_loop(self, dim, radius, n_samples):
+        # bandwidths 13 and 25 of 169 and 125 sites: one sample's pivot row
+        # is summed pairwise, over its zero-padded dense length; 2,000
+        # samples sum it down the column
+        params = _wired_box(dim, radius)
+        rng_got, rng_want = stream(53, "wide"), stream(53, "wide")
+        got = sample_batch(params, n_samples, rng_got)
+        want = reference_sample_batch(params, n_samples, rng_want)
+        np.testing.assert_array_equal(got, want)
+        assert rng_got.random() == rng_want.random()
+
+    def test_state_is_sized_by_bandwidth(self, monkeypatch):
+        params = _wired_box(2, 2)
+        n, s = params.n, 40
+        asked = []
+        monkeypatch.setattr(
+            vrjp.betafield,
+            "_refuse_beyond_memory",
+            lambda need, what: asked.append(need),
+        )
+        sample_batch(params, s, stream(0))
+        # (n, bw + 1, S) band rows and the (bw, bw, S) update scratch
+        assert asked == [(n * 6 + 5 * 5) * s * 8]
+        # site 1, a neighbor of site 0, eliminated last: bandwidth n - 1
+        order = [0, *range(2, n), 1]
+        sample_batch(params, s, stream(0), order=order)
+        assert asked[1] == (n * n + (n - 1) ** 2) * s * 8
+
     def test_refuses_state_beyond_physical_memory(self):
-        # 25^2 * 10^12 * 8 bytes: refused before anything is allocated
+        # (25 * 6 + 25) * 10^12 * 8 bytes: refused before anything is allocated
         with pytest.raises(SizeError):
             sample_batch(_wired_box(2, 2), 10**12, stream(0))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_reference_loop_on_random_couplings(self, data):
+        n = data.draw(st.integers(2, 30), label="n")
+        weight = st.floats(0.0, 5.0)
+        edges = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                max_size=2 * n,
+            ),
+            label="edges",
+        )
+        p = np.zeros((n, n))
+        for i, j, w in edges:
+            p[i, j] = p[j, i] = w
+        diag = st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)
+        p[np.diag_indices(n)] = data.draw(diag, label="diagonal")
+        eta = np.array(data.draw(diag, label="eta"))
+        order = data.draw(st.none() | st.permutations(range(n)), label="order")
+        n_samples = data.draw(st.sampled_from([1, 2, 3, 17]), label="n_samples")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        params = NuParams(p=p, eta=eta)
+        rng_got, rng_want = stream(seed, "prop"), stream(seed, "prop")
+        got = sample_batch(params, n_samples, rng_got, order=order)
+        want = reference_sample_batch(params, n_samples, rng_want, order=order)
+        np.testing.assert_array_equal(got, want)
+        assert rng_got.random() == rng_want.random()
 
 
 def _box_band(dim, radius, w):

@@ -63,5 +63,16 @@ def test_removed_name_is_gone(module, name):
     assert not hasattr(importlib.import_module(f"vrjp.{module}"), name)
 
 
+# methods moved to the test oracles as functions (edge_weight, total_weights)
+REMOVED_METHODS = {"WeightedGraph": ["weight", "total_weights"]}
+
+
+@pytest.mark.parametrize(
+    "cls,name", [(c, x) for c, names in REMOVED_METHODS.items() for x in names]
+)
+def test_removed_method_is_gone(cls, name):
+    assert not hasattr(getattr(vrjp, cls), name), f"{cls} still has {name}"
+
+
 def test_package_exports_55_names():
     assert len(vrjp.__all__) == 55

@@ -43,6 +43,7 @@ from _oracles import (
     ConditioningError,
     LargestUniform,
     NoDraws,
+    edge_weight,
     h_transform_rates,
     reference_simulate_vrjp,
     reference_vrjp_lattice,
@@ -287,7 +288,7 @@ class TestSimulateErrw:
         assert len(traj.vertices) == 58
         crossings = np.zeros(g.edge_count)
         for x, y in zip(traj.vertices[:-1], traj.vertices[1:]):
-            assert g.weight(int(x), int(y)) > 0
+            assert edge_weight(g, int(x), int(y)) > 0
             crossings[g.edges.index((min(x, y), max(x, y), 1.0))] += 1
         assert np.array_equal(counts, a + crossings)
 

@@ -30,6 +30,7 @@ from vrjp import (
 )
 
 from vrjp.betafield import h_beta
+from vrjp.schrodinger import _SOLVE_BLOCK
 
 from _oracles import (
     SE_RULE,
@@ -40,6 +41,7 @@ from _oracles import (
     schur_step,
     se,
     spectrum_bottom,
+    total_weights,
     truncated_green_pathsum,
     u_field,
     zscore,
@@ -69,7 +71,7 @@ class TestAssembleH:
 
     def test_row_sums_vanish_at_half_degree(self):
         g = build_lattice_box(2, 1, w=1.5)
-        beta = g.total_weights() / 2.0
+        beta = total_weights(g) / 2.0
         h = assemble_H(g, beta)
         assert np.abs(h @ np.ones(g.n)).max() < 1e-12
 
@@ -131,6 +133,22 @@ class TestGreenSolve:
         got = green_solve(p, beta, rhs)
         assert got.shape == (*batch, *shape)
         assert np.allclose(got, self.inverse_times(p, beta, rhs), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [None, 3], ids=["vector", "k3"])
+    @pytest.mark.parametrize(
+        "batch", [(2 * _SOLVE_BLOCK + 5,), (3, _SOLVE_BLOCK // 2 + 1)]
+    )
+    def test_blocks_give_per_environment_solves(self, batch, k):
+        # several blocks of environments and a short last one, also across
+        # leading axes: each environment's LU solve is its own, bit for bit
+        p = self.coupling()
+        beta = stream(5, "gs-blocks").uniform(6.0, 7.0, (*batch, 5))
+        rhs = stream(5, "gs-rhs").normal(size=(5,) if k is None else (5, k))
+        got = green_solve(p, beta, rhs)
+        want = np.stack(
+            [np.linalg.solve(h_beta(p, b), rhs) for b in beta.reshape(-1, 5)]
+        ).reshape(got.shape)
+        np.testing.assert_array_equal(got, want)
 
     def test_rejects_mismatched_rhs(self):
         p = self.coupling()
@@ -411,7 +429,7 @@ class TestSpectrumBottom:
         # goes through the dense one, so the tolerance is the dense one
         g = build_lattice_box(2, 16)
         c = 0.35
-        beta = g.total_weights() / 2.0 + c
+        beta = total_weights(g) / 2.0 + c
         op = assemble_H(g, beta)
         assert op.shape == (1089, 1089)
         assert spectrum_bottom(op) == pytest.approx(2.0 * c, abs=1e-10)
@@ -419,7 +437,7 @@ class TestSpectrumBottom:
     def test_dense_branch_same_construction(self):
         g = build_lattice_box(2, 2)
         c = 0.35
-        beta = g.total_weights() / 2.0 + c
+        beta = total_weights(g) / 2.0 + c
         assert spectrum_bottom(assemble_H(g, beta)) == pytest.approx(2.0 * c, abs=1e-10)
 
 
