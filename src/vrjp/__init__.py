@@ -34,7 +34,6 @@ from .graphs import (
     WeightedGraph,
     build_lattice_box,
     load_graph,
-    save_graph,
 )
 from .harness import (
     EstimatorReport,
@@ -42,7 +41,6 @@ from .harness import (
     conductance_ratio_experiment,
     cosh_moment_experiment,
     psi_decay_experiment,
-    rooted_u_samples,
     srw_endpoints,
     vrjp_diffusion_experiment,
     word_chi2,
@@ -79,7 +77,6 @@ __all__ = [
     "WeightedGraph",
     "build_lattice_box",
     "load_graph",
-    "save_graph",
     # potential field
     "NuParams",
     "BandSample",
@@ -118,7 +115,6 @@ __all__ = [
     "srw_endpoints",
     "vrjp_diffusion_experiment",
     "psi_decay_experiment",
-    "rooted_u_samples",
     "cosh_moment_experiment",
     "conductance_ratio_experiment",
     # verification

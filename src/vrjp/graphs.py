@@ -1,4 +1,4 @@
-"""Weighted graphs, lattice boxes, and the CLI's JSON graph format.
+"""Weighted graphs, lattice boxes, and reading the CLI's JSON graph format.
 
 Vertices are dense integers 0..n-1. Lattice boxes index their sites in
 row-major coordinate order so runs are reproducible byte for byte. Wiring a
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,10 +23,10 @@ __all__ = [
     "WeightedGraph",
     "build_lattice_box",
     "load_graph",
-    "save_graph",
 ]
 
-MAX_VERTICES_DEFAULT = 2_000_000
+# Largest lattice box build_lattice_box makes, in vertices.
+MAX_VERTICES = 2_000_000
 
 
 def _refuse_beyond_memory(need: int, what: str) -> None:
@@ -119,17 +119,13 @@ class WeightedGraph:
         return w
 
 
-def build_lattice_box(
-    dim: int,
-    radius: int,
-    w: float = 1.0,
-    center: Optional[Sequence[int]] = None,
-    max_vertices: int = MAX_VERTICES_DEFAULT,
-) -> WeightedGraph:
-    """Nearest-neighbor box {x : |x - center|_inf <= radius} with constant weight.
+def build_lattice_box(dim: int, radius: int, w: float = 1.0) -> WeightedGraph:
+    """Nearest-neighbor box {x : |x|_inf <= radius} with constant weight.
 
     Vertices are indexed row-major over coordinates (last axis fastest), which
-    keeps vertex ids stable across runs and keeps the adjacency banded.
+    keeps vertex ids stable across runs and keeps the adjacency banded; the
+    origin is the middle vertex, (n - 1) // 2. A box of more than
+    MAX_VERTICES vertices is refused with SizeError before any is built.
     """
     if dim not in (1, 2, 3, 4):
         raise DomainError(f"dim must be in 1..4, got {dim}")
@@ -139,13 +135,8 @@ def build_lattice_box(
         raise DomainError("edge weight must be positive and finite")
     side = 2 * radius + 1
     n = side**dim
-    if n > max_vertices:
-        raise SizeError(f"box has {n} vertices, limit is {max_vertices}")
-    if center is None:
-        center = (0,) * dim
-    center = tuple(int(c) for c in center)
-    if len(center) != dim:
-        raise DomainError("center must have one coordinate per dimension")
+    if n > MAX_VERTICES:
+        raise SizeError(f"box has {n} vertices, limit is {MAX_VERTICES}")
 
     # Row-major: vertex id of offset (o_1..o_d), each o in 0..side-1, is
     # sum o_k * side^(d-k). Strides let us add edges without a coordinate map.
@@ -157,7 +148,7 @@ def build_lattice_box(
         for s in strides:
             q, rem = divmod(rem, s)
             x.append(q - radius)
-        coords.append(tuple(xi + ci for xi, ci in zip(x, center)))
+        coords.append(tuple(x))
     edges = []
     for flat in range(n):
         rem = flat
@@ -182,8 +173,3 @@ def load_graph(path: str) -> WeightedGraph:
         raise DomainError(f"bad graph file {path}: {exc}") from exc
     return WeightedGraph(n=n, edges=edges)
 
-
-def save_graph(g: WeightedGraph, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump({"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}, f)
-        f.write("\n")

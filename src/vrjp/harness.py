@@ -1,6 +1,7 @@
 """Monte Carlo plumbing: standard-error reports, the two-sample word
 chi-square test, simple-random-walk endpoints drawn in blocks of walks, and
-the desk-scale experiments.
+the desk-scale experiments. The mixing field rooted at a vertex is drawn by
+the private `_rooted_u_samples`, for the cosh-moment experiment alone.
 
 Determinism contract: every experiment draws from counter-based streams
 keyed by (seed, experiment, index), so results are bit-identical for a fixed
@@ -38,7 +39,6 @@ __all__ = [
     "word_chi2",
     "srw_endpoints",
     "psi_decay_experiment",
-    "rooted_u_samples",
     "cosh_moment_experiment",
     "conductance_ratio_experiment",
     "vrjp_diffusion_experiment",
@@ -61,13 +61,6 @@ class EstimatorReport:
     stderr: float
     n: int
     extra: Dict[str, object] = field(default_factory=dict)
-
-    def within(self, target: float, k: float = SE_RULE) -> bool:
-        """Whether target lies within k standard errors of the mean."""
-        return abs(self.mean - target) <= k * max(self.stderr, 1e-300)
-
-    def row(self) -> Dict[str, object]:
-        return {"name": self.name, "mean": self.mean, "stderr": self.stderr, "n": self.n}
 
 
 _CONFIG_KEYS = {
@@ -264,7 +257,7 @@ def _min_hops_with_capacity(
     return None
 
 
-def rooted_u_samples(
+def _rooted_u_samples(
     g: WeightedGraph, i0: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Samples of the mixing field rooted at i0, shape (n_samples, n).
@@ -317,7 +310,7 @@ def cosh_moment_experiment(
             extra={"bound": 1.0, "k": 0.0},
         )
     rng = stream(seed, "cosh-moment")
-    u = rooted_u_samples(g, int(i0), n_samples, rng)
+    u = _rooted_u_samples(g, int(i0), n_samples, rng)
     vals = np.cosh(u[:, int(j)] - u[:, int(i)]) ** eta
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
@@ -340,18 +333,21 @@ def _box_index(radius: int, dim: int, coord: Sequence[int]) -> int:
     return idx
 
 
+# Layers of the conductance-ratio box beyond the sites 0 and ell.
+RATIO_MARGIN = 3
+
+
 def conductance_ratio_experiment(
     a: float,
     ells: Sequence[int],
     n_samples: int,
     seed: int,
     dim: int = 2,
-    margin: int = 3,
 ) -> List[EstimatorReport]:
     """Quarter-moment of the conductance ratio x_ell / x_0 per separation.
 
     Environment: iid Gamma(a, 1) edge weights on a box holding both 0 and
-    ell with `margin` extra layers, wired boundary, potential drawn from the
+    ell with RATIO_MARGIN extra layers, wired boundary, potential drawn from the
     matching law, x_i = sum_j W_ij G(i0, i) G(i0, j) with i0 the site of 0
     and G the kernel on the retained box plus delta, coupled through an
     independent Gamma(1/2) variable.
@@ -369,7 +365,7 @@ def conductance_ratio_experiment(
         ell = int(ell)
         if ell < 0 or ell % 2:
             raise DomainError("separations must be even and nonnegative")
-        radius = ell // 2 + margin
+        radius = ell // 2 + RATIO_MARGIN
         box = build_lattice_box(dim, radius + 1, 1.0)
         inner = np.flatnonzero(np.abs(box.coord_array()).max(axis=1) <= radius)
         wired = WiredBand.from_graph(box, inner)

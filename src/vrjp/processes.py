@@ -17,7 +17,11 @@ all of them. On a 2-vCPU VM `vrjp_words` costs about 0.4 us per walk-step at
 about 4 us per jump on the d=2 radius-10 box. The same holds for the
 linearly reinforced discrete walk: a single walk runs the scalar loop
 `_errw_walk`, at about 0.6 us per step on the same box, and many walks run
-`errw_words`, which costs 20-24 us per step for one walk.
+`errw_words`, which costs 20-24 us per step for one walk. A finite chain in a
+fixed environment has one stepping loop, `markov_words`, with one kernel per
+walk: `quenched_mjp` is that loop with one walk, and only the absorbed
+chains of `mc_return_probability` keep a loop of their own, which drops
+each chain once it is absorbed.
 
 Finite-volume semantics: on a wired graph, "never returns" is read as "hits
 delta before returning", and absorbed-chain estimators always take one free
@@ -82,15 +86,6 @@ class Trajectory:
             object.__setattr__(
                 self, "local_times", np.asarray(self.local_times, dtype=float)
             )
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.times is None
-
-    def first_return_index(self, i0: int) -> Optional[int]:
-        """Index of the first return to i0, or None if the walk never returns."""
-        hits = np.nonzero(self.vertices[1:] == int(i0))[0]
-        return int(hits[0] + 1) if hits.size else None
 
 
 def _walk(rows, local, v, rng, horizon, cap):
@@ -217,7 +212,7 @@ def _edge_tables(g: WeightedGraph):
             nbr[v, slot] = u
             eids[v, slot] = edge_id[(v, u)]
             wts[v, slot] = w
-    return nbr, eids, wts, maxdeg
+    return nbr, eids, wts
 
 
 def vrjp_words(
@@ -234,7 +229,7 @@ def vrjp_words(
     drawn because they feed the local times that reinforce later steps.
     """
     _check_start(g, i0, length)
-    nbr, eids, wts, _ = _edge_tables(g)
+    nbr, eids, wts = _edge_tables(g)
     rows = np.arange(n_walks)
     local = np.ones((n_walks, g.n))
     v = np.full(n_walks, int(i0))
@@ -273,7 +268,7 @@ def errw_words(
     vectorized across walks: step probabilities are proportional to initial
     weight plus crossings of each incident edge."""
     a = _errw_weights(g, a, i0, length)
-    nbr, eids, _, _ = _edge_tables(g)
+    nbr, eids, _ = _edge_tables(g)
     rows = np.arange(n_walks)
     counts = np.zeros((n_walks, g.edge_count + 1))
     counts[:, :-1] = a
@@ -299,21 +294,23 @@ def markov_words(
     length: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample `length` steps from row-stochastic kernels.
+    """Sample `length` steps of one finite Markov chain per walk.
 
-    kernels has shape (n_walks, size, size) for one environment per walk, or
-    (size, size) shared; rows visited must have positive mass.
+    kernels has shape (n_walks, size, size), one row-stochastic kernel per
+    walk; rows visited must have positive mass. A step draws one uniform per
+    walk, scales it by the row's total mass, and takes the first state whose
+    running sum reaches it.
     """
     kernels = np.asarray(kernels, dtype=float)
-    shared = kernels.ndim == 2
-    n_walks = 1 if shared else kernels.shape[0]
-    size = kernels.shape[-1]
+    if kernels.ndim != 3:
+        raise DomainError("kernels must have shape (n_walks, size, size)")
+    n_walks, _, size = kernels.shape
     cum = np.cumsum(kernels, axis=-1)
     rows = np.arange(n_walks)
     v = np.full(n_walks, int(start))
     words = np.empty((n_walks, length), dtype=int)
     for t in range(length):
-        row = cum[v] if shared else cum[rows, v]
+        row = cum[rows, v]
         norm = row[:, -1]
         if (norm <= 0).any():
             raise DomainError("kernel row with zero mass visited")
@@ -393,8 +390,7 @@ def simulate_errw(
     i0: int,
     steps: int,
     rng: np.random.Generator,
-    return_counts: bool = False,
-):
+) -> Trajectory:
     """Single discrete reinforced walk; counts start at a_e and each crossing
     adds one to its (undirected) edge. The walk, and the generator's state
     after it, equal those of `errw_words` with one walk."""
@@ -403,19 +399,17 @@ def simulate_errw(
         steps * _ERRW_STEP_BYTES + min(steps, _ERRW_CHUNK) * _ERRW_DRAW_BYTES,
         f"a discrete walk of {steps} steps",
     )
-    nbr, eids, _, _ = _edge_tables(g)
+    nbr, eids, _ = _edge_tables(g)
     deg = [len(nb) for nb in g.neighbors]
-    counts = a.tolist()
     verts = _errw_walk(
         [nbr[x, :d].tolist() for x, d in enumerate(deg)],
         [eids[x, :d].tolist() for x, d in enumerate(deg)],
-        counts,
+        a.tolist(),
         int(i0),
         steps,
         rng,
     )
-    traj = Trajectory(vertices=np.array(verts))
-    return (traj, np.array(counts)) if return_counts else traj
+    return Trajectory(vertices=np.array(verts))
 
 
 @dataclass(frozen=True)
@@ -452,12 +446,19 @@ class QuenchedRates:
         return cls(rates=rates, exit=exit, i0=int(i0))
 
     @classmethod
-    def from_bundle(
-        cls, bundle: GreenBundle, i0: Optional[int] = None
-    ) -> "QuenchedRates":
-        """Rates on the wired state space (retained set plus delta last)."""
-        root = bundle.i0_index if i0 is None else bundle.position(i0)
-        return cls.from_green(bundle.w_wired, bundle.full_g, root)
+    def from_bundle(cls, bundle: GreenBundle) -> "QuenchedRates":
+        """Rates on the wired state space (retained set plus delta last),
+        rooted at the bundle's own root."""
+        return cls.from_green(bundle.w_wired, bundle.full_g, bundle.i0_index)
+
+
+# Bytes a quenched chain and the CLI rows written from it keep per step: the
+# chain's words, the Trajectory's array, and the CLI's label and entry-time
+# columns. Rounded up from the growth of tracemalloc peaks of the CLI run
+# with the step count on d=2 boxes: 24 B per step at radius 4, 34 B at
+# radius 10 and 45 B at radius 16, where more of the visited state ids are
+# int objects of their own; 52 B once all of them are.
+_CHAIN_STEP_BYTES = 64
 
 
 def quenched_mjp(
@@ -465,34 +466,20 @@ def quenched_mjp(
     start: int,
     steps: int,
     rng: np.random.Generator,
-    holding: bool = False,
 ) -> Trajectory:
-    """Jump chain (optionally with exponential holding times) of the
-    environment-fixed process on the rate table's states, started at
-    `start`, a state in range(rates.size)."""
+    """Jump chain of the environment-fixed process on the rate table's
+    states, started at `start`, a state in range(rates.size). It is
+    `markov_words` with one walk on the rate table's kernel; stepping into a
+    state with no outgoing rate raises DomainError."""
     if not (0 <= start < rates.size):
         raise DomainError("start state out of range")
     if steps < 0:
         raise DomainError("steps must be nonnegative")
-    kern = rates.kernel()
-    verts = [int(start)]
-    times = [0.0]
-    v = int(start)
-    s = 0.0
-    for _ in range(steps):
-        row = kern[v]
-        if row.sum() <= 0:
-            raise DomainError(f"state {v} has no outgoing rate")
-        if holding:
-            s += rng.exponential(1.0 / rates.exit[v])
-        v = int(rng.choice(rates.size, p=row))
-        verts.append(v)
-        times.append(s)
-    if holding:
-        return Trajectory(
-            vertices=np.array(verts), times=np.array(times), horizon=s
-        ) if steps else Trajectory(vertices=np.array(verts))
-    return Trajectory(vertices=np.array(verts))
+    _refuse_beyond_memory(
+        steps * _CHAIN_STEP_BYTES, f"a quenched chain of {steps} steps"
+    )
+    words = markov_words(rates.kernel()[None], start, steps, rng)
+    return Trajectory(vertices=np.concatenate([[int(start)], words[0]]))
 
 
 def escape_probability_formula(
@@ -533,17 +520,21 @@ class AbsorptionReport:
         return p, float(np.sqrt(p * (1.0 - p) / self.n))
 
 
+# Steps after which mc_return_probability gives up on unabsorbed chains.
+MAX_SWEEPS = 1_000_000
+
+
 def mc_return_probability(
     rates: QuenchedRates,
     i0: int,
     absorb: Iterable[int],
     n: int,
     rng: np.random.Generator,
-    max_sweeps: int = 1_000_000,
 ) -> AbsorptionReport:
     """Fraction of n independent chains (started at i0) absorbed at each
     element of `absorb`. One free first step is always taken, so starting
-    inside the absorbing set estimates first-return splits."""
+    inside the absorbing set estimates first-return splits. A chain still
+    running after MAX_SWEEPS steps raises NumericError."""
     absorb = set(int(v) for v in absorb)
     if not absorb:
         raise DomainError("absorb set must be nonempty")
@@ -555,7 +546,7 @@ def mc_return_probability(
     absorbed_at = np.full(n, -1)
     absorb_arr = np.zeros(size, dtype=bool)
     absorb_arr[list(absorb)] = True
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         if not alive.any():
             break
         cur = states[alive]
@@ -573,7 +564,7 @@ def mc_return_probability(
             alive[idx] = False
     else:
         raise NumericError(
-            f"{int(alive.sum())} chains not absorbed after {max_sweeps} sweeps"
+            f"{int(alive.sum())} chains not absorbed after {MAX_SWEEPS} sweeps"
         )
     counts = {int(v): int((absorbed_at == v).sum()) for v in absorb}
     return AbsorptionReport(n=n, counts=counts)

@@ -154,12 +154,11 @@ def _beta_chunks(
     params: NuParams,
     n: int,
     rng: np.random.Generator,
-    chunk: int = CHUNK,
     order: Optional[Sequence[int]] = None,
 ) -> Iterator[np.ndarray]:
     done = 0
     while done < n:
-        c = min(chunk, n - done)
+        c = min(CHUNK, n - done)
         yield sample_batch(params, c, rng, order=order)
         done += c
 

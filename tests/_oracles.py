@@ -11,16 +11,18 @@ experiment or CLI command runs, with their own error classes: the field's
 density and a dense Cholesky certificate of H_beta, the one-site Schur step
 (the exact conditional law given some sites), the annealed reinforced-walk
 environment, a graph's edge weight lookup and per-vertex weight totals,
-capped path enumeration and truncated Green path sums, the u-field of a
-full graph and its density, the dense bottom of the spectrum, the time
-change as a pair of maps, the conditioned (h-transformed) chains, a replica
-runner, a one-sample KS test, and the full coordinate paths of the simple
-random walk with the lattice diffusion estimator that reads them
-(criterion 12 draws only the endpoints, by vrjp.srw_endpoints).
+writing a graph in the CLI's JSON format, the environment-fixed jump chain
+stepped by `rng.choice`, capped path enumeration and truncated Green path
+sums, the u-field of a full graph and its density, the dense bottom of the
+spectrum, the time change as a pair of maps, the conditioned (h-transformed)
+chains, a replica runner, a one-sample KS test, and the full coordinate
+paths of the simple random walk with the lattice diffusion estimator that
+reads them (criterion 12 draws only the endpoints, by vrjp.srw_endpoints).
 """
 
 from __future__ import annotations
 
+import json
 from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
@@ -76,6 +78,14 @@ def total_weights(g: WeightedGraph) -> np.ndarray:
         out[i] += w
         out[j] += w
     return out
+
+
+def save_graph(g: WeightedGraph, path: str) -> None:
+    """Write g as the JSON graph file that vrjp.load_graph and the CLI's
+    --graph read: {"n": int, "edges": [[i, j, w], ...]}."""
+    with open(path, "w") as f:
+        json.dump({"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}, f)
+        f.write("\n")
 
 
 def brute_force_paths(g: WeightedGraph, start: int, stop_set=(), max_len: int = 0):
@@ -788,6 +798,26 @@ def h_transform_rates(bundle, i0, mode: str) -> QuenchedRates:
     rates[p0] = exit0 * scores / total
     rates[bundle.delta_index] = 0.0
     return QuenchedRates(rates=rates, exit=rates.sum(axis=1), i0=p0)
+
+
+def reference_quenched_chain(
+    rates: QuenchedRates, start: int, steps: int, rng
+) -> np.ndarray:
+    """Visited states of the environment-fixed jump chain from `start`, one
+    `rng.choice` over the normalized kernel row per step. choice draws one
+    uniform per step, as vrjp.quenched_mjp does, but compares it with the
+    row's CDF divided by its last entry rather than scaling the uniform, so
+    the two agree except for a uniform within rounding of a running sum."""
+    kern = rates.kernel()
+    verts = [int(start)]
+    v = int(start)
+    for _ in range(steps):
+        row = kern[v]
+        if row.sum() <= 0:
+            raise DomainError(f"state {v} has no outgoing rate")
+        v = int(rng.choice(rates.size, p=row))
+        verts.append(v)
+    return np.array(verts)
 
 
 def run_replicas(task, n: int, seed: int, name: str = "replicas") -> EstimatorReport:

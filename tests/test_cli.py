@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 import vrjp
-from vrjp import BandSample, WeightedGraph, save_graph
+from vrjp import BandSample, WeightedGraph
 from vrjp.cli import NUMERIC_EXIT, USAGE_EXIT, main
 
-from _oracles import NoDraws
+from _oracles import NoDraws, save_graph
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -296,6 +296,16 @@ class TestSimulateErrw:
         out = tmp_path / "run"
         rc = main(
             ["simulate", "--process", "errw", "--dim", "2", "--radius", "2",
+             "--steps", str(10**15), "--out", str(out)]
+        )
+        assert rc == USAGE_EXIT
+        assert not out.exists()
+
+    def test_chain_beyond_physical_memory_is_usage_error(self, tmp_path):
+        # the environment is drawn, then the chain is refused before it steps
+        out = tmp_path / "run"
+        rc = main(
+            ["simulate", "--process", "quenched", "--dim", "2", "--radius", "2",
              "--steps", str(10**15), "--out", str(out)]
         )
         assert rc == USAGE_EXIT

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -29,8 +30,9 @@ def test_all_names_resolve_once(name):
 
 
 # names the package does not export, each with the module that held them:
-# test oracles (tests/_oracles.py), and sample_sequential and BetaSample,
-# whose work sample_batch and BandSample do
+# test oracles and helpers (tests/_oracles.py), sample_sequential and
+# BetaSample, whose work sample_batch and BandSample do, and
+# rooted_u_samples, which is harness._rooted_u_samples
 REMOVED = {
     "betafield": [
         "BetaSample",
@@ -41,7 +43,13 @@ REMOVED = {
         "schur_step",
         "sample_errw_env",
     ],
-    "graphs": ["enumerate_paths", "path_weight", "path_beta_factor", "PATH_CAP_DEFAULT"],
+    "graphs": [
+        "enumerate_paths",
+        "path_weight",
+        "path_beta_factor",
+        "PATH_CAP_DEFAULT",
+        "save_graph",
+    ],
     "schrodinger": [
         "assemble_H",
         "u_field",
@@ -50,7 +58,13 @@ REMOVED = {
         "spectrum_bottom",
     ],
     "processes": ["time_change_maps", "h_transform_rates"],
-    "harness": ["run_replicas", "ks_test", "srw_paths", "diffusion_estimate"],
+    "harness": [
+        "run_replicas",
+        "ks_test",
+        "srw_paths",
+        "diffusion_estimate",
+        "rooted_u_samples",
+    ],
     "errors": ["EnumerationError", "ConditioningError"],
 }
 
@@ -63,8 +77,13 @@ def test_removed_name_is_gone(module, name):
     assert not hasattr(importlib.import_module(f"vrjp.{module}"), name)
 
 
-# methods moved to the test oracles as functions (edge_weight, total_weights)
-REMOVED_METHODS = {"WeightedGraph": ["weight", "total_weights"]}
+# methods moved to the test oracles as functions (edge_weight,
+# total_weights), or dropped because no product caller used them
+REMOVED_METHODS = {
+    "WeightedGraph": ["weight", "total_weights"],
+    "Trajectory": ["first_return_index", "is_discrete"],
+    "EstimatorReport": ["within", "row"],
+}
 
 
 @pytest.mark.parametrize(
@@ -74,5 +93,33 @@ def test_removed_method_is_gone(cls, name):
     assert not hasattr(getattr(vrjp, cls), name), f"{cls} still has {name}"
 
 
-def test_package_exports_55_names():
-    assert len(vrjp.__all__) == 55
+# keyword arguments dropped because no product caller set them
+REMOVED_KEYWORDS = {
+    "quenched_mjp": ["holding"],
+    "build_lattice_box": ["center", "max_vertices"],
+    "simulate_errw": ["return_counts"],
+    "mc_return_probability": ["max_sweeps"],
+    "conductance_ratio_experiment": ["margin"],
+    "QuenchedRates.from_bundle": ["i0"],
+    "verify._beta_chunks": ["chunk"],
+}
+
+
+def _resolve(dotted):
+    head, *rest = dotted.split(".")
+    obj = getattr(vrjp, head)
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "func,name", [(f, x) for f, names in REMOVED_KEYWORDS.items() for x in names]
+)
+def test_removed_keyword_is_gone(func, name):
+    params = inspect.signature(_resolve(func)).parameters
+    assert name not in params, f"{func} still takes {name}"
+
+
+def test_package_exports_53_names():
+    assert len(vrjp.__all__) == 53

@@ -17,7 +17,6 @@ from vrjp import (
     WiredBand,
     build_lattice_box,
     load_graph,
-    save_graph,
 )
 
 from _oracles import (
@@ -29,6 +28,7 @@ from _oracles import (
     induced_subgraph,
     path_beta_factor,
     path_weight,
+    save_graph,
     total_weights,
 )
 
@@ -111,8 +111,10 @@ class TestLatticeBox:
             assert np.abs(c[i] - c[j]).sum() == 1
 
     def test_center_offset(self):
-        g = build_lattice_box(2, 1, center=(5, -2))
-        assert g.coords[(g.n - 1) // 2] == (5, -2)
+        # every box is centred at the origin, its middle vertex
+        for dim in (1, 2, 3, 4):
+            g = build_lattice_box(dim, 2)
+            assert g.coords[(g.n - 1) // 2] == (0,) * dim
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -123,8 +125,10 @@ class TestLatticeBox:
             build_lattice_box(2, 1, w=0.0)
 
     def test_size_cap(self):
-        with pytest.raises(SizeError):
-            build_lattice_box(2, 50, max_vertices=100)
+        # 41^4 = 2,825,761 vertices is over the cap: refused before any
+        # vertex is built
+        with pytest.raises(SizeError, match="2825761 vertices"):
+            build_lattice_box(4, 20)
 
     def test_coord_array_requires_coords(self):
         with pytest.raises(DomainError):

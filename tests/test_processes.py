@@ -45,6 +45,7 @@ from _oracles import (
     NoDraws,
     edge_weight,
     h_transform_rates,
+    reference_quenched_chain,
     reference_simulate_vrjp,
     reference_vrjp_lattice,
     se,
@@ -87,16 +88,6 @@ class TestTrajectory:
             Trajectory(vertices=[0, 1], times=[0.0, 0.0])
         with pytest.raises(DomainError):
             Trajectory(vertices=[0, 1], times=[0.0])
-
-    def test_first_return_index(self):
-        traj = Trajectory(vertices=[0, 1, 2, 0, 1])
-        assert traj.first_return_index(0) == 3
-        assert traj.first_return_index(2) == 2
-        assert Trajectory(vertices=[0, 1]).first_return_index(0) is None
-
-    def test_discreteness_flag(self):
-        assert Trajectory(vertices=[0]).is_discrete
-        assert not Trajectory(vertices=[0], times=[0.0]).is_discrete
 
 
 class TestSimulateVrjp:
@@ -283,14 +274,14 @@ class TestSimulateErrw:
     def test_edge_counts_conserved(self):
         g = triangle(((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
         a = np.array([0.5, 1.5, 2.0])
-        traj, counts = simulate_errw(g, a, 0, 57, stream(3, "cnt"), return_counts=True)
-        assert counts.sum() == pytest.approx(a.sum() + 57, rel=1e-12)
+        traj = simulate_errw(g, a, 0, 57, stream(3, "cnt"))
         assert len(traj.vertices) == 58
-        crossings = np.zeros(g.edge_count)
+        # replay the crossings: every step crosses one edge of g
+        counts = a.copy()
         for x, y in zip(traj.vertices[:-1], traj.vertices[1:]):
             assert edge_weight(g, int(x), int(y)) > 0
-            crossings[g.edges.index((min(x, y), max(x, y), 1.0))] += 1
-        assert np.array_equal(counts, a + crossings)
+            counts[g.edges.index((min(x, y), max(x, y), 1.0))] += 1
+        assert counts.sum() == pytest.approx(a.sum() + 57, rel=1e-12)
 
     def test_zero_steps_and_errors(self):
         traj = simulate_errw(pair(), 1.0, 1, 0, stream(0))
@@ -316,15 +307,13 @@ class TestSimulateErrw:
     def test_matches_batched_loop(self, g, a, steps):
         r_batch, r_single = stream(7, "errw-pin"), stream(7, "errw-pin")
         words = errw_words(g, a, 0, steps, 1, r_batch)[0]
-        traj, counts = simulate_errw(g, a, 0, steps, r_single, return_counts=True)
+        traj = simulate_errw(g, a, 0, steps, r_single)
         assert np.array_equal(traj.vertices, np.concatenate([[0], words]))
         assert np.array_equal(r_batch.random(4), r_single.random(4))
-        # the counts equal a replay of the crossings in walk order
-        nbr, eids, _, _ = processes._edge_tables(g)
-        x, y = traj.vertices[:-1], traj.vertices[1:]
-        replay = np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,)).copy()
-        np.add.at(replay, eids[x, (nbr[x] == y[:, None]).argmax(axis=1)], 1.0)
-        assert np.array_equal(counts, replay)
+        # replay the crossings in walk order: each step crosses an edge of g
+        edges = {(i, j) for i, j, _w in g.edges}
+        steps_taken = zip(traj.vertices[:-1].tolist(), traj.vertices[1:].tolist())
+        assert all((min(x, y), max(x, y)) in edges for x, y in steps_taken)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, [1.0, np.nan]])
     def test_refuses_nonfinite_or_nonpositive_weights(self, bad):
@@ -410,13 +399,30 @@ class TestQuenchedRates:
                 tol = SE_RULE * np.sqrt(max(p * (1.0 - p), 1e-12) / n_i)
                 assert abs(phat - p) <= tol
 
-    def test_holding_times_are_recorded(self):
-        g = build_lattice_box(1, 2)
-        rng = stream(4, "hold")
-        bundle = wired_env(g, [1, 2, 3], rng, i0=2)
+    @pytest.mark.parametrize(
+        "dim, radius", [(1, 3), (2, 1), (2, 2), (2, 4), (3, 2)]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_choice_loop(self, dim, radius, seed):
+        # the environment the CLI runs: the radius box, wired, rooted at 0
+        g = build_lattice_box(dim, radius + 1)
+        subset = [v for v in range(g.n) if max(map(abs, g.coords[v])) <= radius]
+        i0 = (g.n - 1) // 2
+        bundle = wired_env(g, subset, stream(seed, "choice-env"), i0=i0)
         rates = QuenchedRates.from_bundle(bundle)
-        traj = quenched_mjp(rates, 0, 50, rng, holding=True)
-        assert traj.times is not None and (np.diff(traj.times) > 0).all()
+        r_new, r_ref = stream(seed, "choice"), stream(seed, "choice")
+        traj = quenched_mjp(rates, bundle.i0_index, 5_000, r_new)
+        want = reference_quenched_chain(rates, bundle.i0_index, 5_000, r_ref)
+        assert np.array_equal(traj.vertices, want)
+        assert r_new.random() == r_ref.random()
+
+    def test_refuses_chain_beyond_physical_memory(self):
+        rates = QuenchedRates(
+            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.ones(2), i0=0
+        )
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        with pytest.raises(SizeError):
+            quenched_mjp(rates, 0, have // 16, NoDraws())
 
     def test_errors(self):
         rates = QuenchedRates(
@@ -649,6 +655,15 @@ class TestMcReturnProbability:
         with pytest.raises(CoverageError):
             mc_return_probability(dead, 0, {0}, 10, stream(0))
 
+    def test_sweep_cap(self, monkeypatch):
+        # on the path 0-1-2 a chain from 0 needs two steps to reach 2
+        monkeypatch.setattr(processes, "MAX_SWEEPS", 1)
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
+        rates = QuenchedRates(rates=w, exit=w.sum(axis=1), i0=0)
+        with pytest.raises(NumericError, match="not absorbed"):
+            mc_return_probability(rates, 0, {2}, 10, stream(7, "cap"))
+
 
 class TestMixtureRepresentation:
     def test_direct_walk_words_match_environment_mixture(self):
@@ -692,6 +707,11 @@ class TestMixtureRepresentation:
         g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
         with pytest.raises(DomainError):
             vrjp_words(g, i0, 4, 1, NoDraws())
+
+    def test_markov_words_refuses_a_shared_kernel(self):
+        # one kernel per walk: a (size, size) kernel is refused, not shared
+        with pytest.raises(DomainError, match="n_walks, size, size"):
+            markov_words(np.array([[0.0, 1.0], [1.0, 0.0]]), 0, 3, NoDraws())
 
     def test_vrjp_words_of_no_steps_may_start_at_an_isolated_vertex(self):
         g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
