@@ -13,13 +13,13 @@ Gaussian law of index 1/2 with rate 1, and eliminating the site is a rank-one
 Schur update of (P, eta). Two loops run this elimination, both on the band
 rows of P, one for a batch of fields and one for a single wide draw:
 
-- batched: sample_batch permutes P to the elimination order and holds it as
-  band rows with the sample axis last, at the bandwidth P has in that order;
-  _schur_loop draws a batch of fields at once, adding each site's update to
-  the band rows behind it. A row-major box keeps its leading stride as
-  bandwidth, and a dense P is the band of width n. A single environment is
-  its batch of one, sample_batch(params, 1, rng)[0]; callers hand that beta
-  to a Green solve, whose own factorization is the positivity check;
+- batched: sample_batch eliminates in index order and holds P as band rows
+  with the sample axis last, at the bandwidth P has; _schur_loop draws a
+  batch of fields at once, adding each site's update to the band rows
+  behind it. A row-major box keeps its leading stride as bandwidth, and a
+  dense P is the band of width n. A single environment is its batch of
+  one, sample_batch(params, 1, rng)[0]; callers hand that beta to a Green
+  solve, whose own factorization is the positivity check;
 - single: sample_banded holds a row-major lattice box by rows of its band.
   Eliminating sites in index order keeps every update inside the band, which
   is what makes large boxes cheap. Since a pivot needs only its own row,
@@ -33,10 +33,11 @@ rows of P, one for a batch of fields and one for a single wide draw:
   own weights. Wiring a retained set is done in one place, WiredBand's edge
   arrays: they give the wired marginal in band storage for any environment's
   edge weights, or dense (marginal_params), and the wired graph itself,
-  delta last (graph()). Like sample_batch(order=None), the band sampler
-  eliminates in index order, so it consumes the same variates in the same
-  order and its beta differs from the batched draw by the rounding of the
-  summed updates only.
+  delta last (graph()). Like sample_batch, the band sampler eliminates in
+  index order, so it consumes the same variates in the same order and its
+  beta differs from the batched draw by the rounding of the summed updates
+  only. Another elimination order is a relabelling of the sites: permute
+  (P, eta) before the draw.
 
 The density, the one-site Schur step and the dense Cholesky certificate are
 test oracles (tests/_oracles.py); no sampler path reads them.
@@ -322,35 +323,35 @@ def _blocked_band_loop(
     return beta, pivots
 
 
-def _eliminate(
-    p: np.ndarray,
-    eta: np.ndarray,
+def sample_batch(
+    params: NuParams,
     n_samples: int,
-    rng: Optional[np.random.Generator],
-    order: Optional[Sequence[int]],
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Eliminate every site of (p, eta) in `order` for n_samples independent
-    fields at once; returns an (n_samples, n) array in vertex order.
+    """Exact draws of the field by eliminating one site at a time, in index
+    order, for n_samples independent fields at once: returns an
+    (n_samples, n) array.
 
-    P is permuted to the elimination order once, and its bandwidth bw is read
-    there: the state is _schur_loop's (n, bw + 1, S) band rows with the
-    sample axis last. A row-major box keeps its leading stride as bw; a
-    dense or shuffled P has bw = n - 1 and holds the full square.
+    At each step the site's coupling to the not-yet-eliminated sites gives
+    the shape of its one-site conditional; the draw then feeds a Schur
+    update. Relabelling the sites changes cost (fill-in), never the law.
+    The state is _schur_loop's (n, bw + 1, S) band rows with the sample
+    axis last, at the bandwidth bw read from P: a row-major box keeps its
+    leading stride as bw, and a dense P holds the full square. One
+    environment is the batch of one, sample_batch(params, 1, rng)[0] (C1,
+    C10 and `vrjp simulate --process quenched`); acceptance-scale Monte
+    Carlo draws 1e5+ fields on a small graph. Large lattice boxes go
+    through sample_banded, one field per call (psi decay, the conductance
+    ratio and `vrjp green`).
     """
     if rng is None:
         raise DomainError("an rng is required")
+    p = params.p
     n = p.shape[0]
-    if order is None:
-        order = range(n)
-    order = [int(k) for k in order]
-    if sorted(order) != list(range(n)):
-        raise DomainError("order must be a permutation of the vertices")
     n_samples = operator.index(n_samples)
     if n_samples < 0:
         raise DomainError(f"sample count must be nonnegative, got {n_samples}")
-    idx = np.array(order, dtype=int)
-    pp = p[np.ix_(idx, idx)]
-    i, j = np.nonzero(pp)
+    i, j = np.nonzero(p)
     bw = int((j - i).max(initial=0))
     # the band state plus _schur_loop's (bw, bw, S) update scratch
     _refuse_beyond_memory(
@@ -360,33 +361,10 @@ def _eliminate(
     )
     st = np.zeros((n, bw + 1, n_samples))
     for d in range(bw + 1):
-        st[: n - d, d] = np.diagonal(pp, d)[:, None]
-    ew = np.broadcast_to(eta[idx][:, None], (n, n_samples)).copy()
+        st[: n - d, d] = np.diagonal(p, d)[:, None]
+    ew = np.broadcast_to(params.eta[:, None], (n, n_samples)).copy()
     beta = _schur_loop(st, ew, rng)
-    out = np.empty((n_samples, n))
-    out[:, idx] = beta.T
-    return out
-
-
-def sample_batch(
-    params: NuParams,
-    n_samples: int,
-    rng: np.random.Generator,
-    order: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Exact draws of the field by eliminating one site at a time, for
-    n_samples independent fields at once: returns an (n_samples, n) array.
-
-    At each step the site's coupling to the not-yet-eliminated sites gives
-    the shape of its one-site conditional; the draw then feeds a Schur
-    update. The order changes cost (fill-in), never the law. One
-    environment is the batch of one, sample_batch(params, 1, rng)[0] (C1,
-    C10 and `vrjp simulate --process quenched`); acceptance-scale Monte
-    Carlo draws 1e5+ fields on a small graph. Large lattice boxes go
-    through sample_banded, one field per call (psi decay, the conductance
-    ratio and `vrjp green`).
-    """
-    return _eliminate(params.p, params.eta, n_samples, rng, order)
+    return np.ascontiguousarray(beta.T)
 
 
 def _edge_arrays(g: WeightedGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

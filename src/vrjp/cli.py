@@ -93,7 +93,7 @@ class RunManifest:
         return h.hexdigest()
 
     def write(self, outdir: Path) -> None:
-        self.finished = datetime.now(timezone.utc).isoformat()
+        self.finished = _now()
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "manifest.json").write_text(
             json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -197,7 +197,7 @@ def _cmd_sample_beta(args) -> int:
         content_hash=RunManifest.content_digest(cfg, *( [args.graph] if args.graph else [] )),
         seed=args.seed,
         version=__version__,
-        started=_now(),
+        started=args.started,
         outputs=["beta.csv"],
     )
     manifest.write(outdir)
@@ -258,7 +258,7 @@ def _cmd_green(args) -> int:
         content_hash=RunManifest.content_digest(cfg),
         seed=args.seed,
         version=__version__,
-        started=_now(),
+        started=args.started,
         outputs=["green.csv", "summary.json"],
     )
     manifest.write(outdir)
@@ -328,7 +328,7 @@ def _cmd_simulate(args) -> int:
         ),
         seed=args.seed,
         version=__version__,
-        started=_now(),
+        started=args.started,
         outputs=["trajectory.csv"],
     )
     manifest.write(outdir)
@@ -364,7 +364,7 @@ def _cmd_verify(args) -> int:
         content_hash=RunManifest.content_digest(cfg),
         seed=args.seed,
         version=__version__,
-        started=_now(),
+        started=args.started,
         outputs=["verify.csv", "summary.json"],
     )
     manifest.write(outdir)
@@ -474,7 +474,7 @@ def _cmd_experiment(args) -> int:
         ),
         seed=config.seed,
         version=__version__,
-        started=_now(),
+        started=args.started,
         outputs=["experiment.csv", "summary.json"],
     )
     manifest.write(outdir)
@@ -554,6 +554,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    # stamped before the work, so a manifest's started-to-finished span
+    # covers the whole run
+    args.started = _now()
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

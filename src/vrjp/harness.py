@@ -9,7 +9,8 @@ seed. The one-sample KS test, the replica runner, the full-path random walk
 and the lattice diffusion estimator are test oracles (tests/_oracles.py).
 
 Closed-form-vs-Monte-Carlo comparisons elsewhere in the package use the
-4-standard-error rule; significance for p-value tests is fixed at 0.01.
+4-standard-error rule; significance for p-value tests is fixed at 0.01
+(verify.ALPHA).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "vrjp_diffusion_experiment",
 ]
 
-ALPHA = 0.01
 SE_RULE = 4.0
 
 

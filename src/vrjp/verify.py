@@ -5,10 +5,14 @@ boundary-coupling law, the mixture and reinforced-walk equivalences, escape
 probabilities, the cosh moment bound, walker calibration, and three soft
 diagnostics.
 
-Each criterion is a standalone function returning a CheckResult; run_suite
-executes them all at a size tier ("quick" for a minute-scale smoke run,
-"full" for the release gate). Criterion 13 is diagnostic: it reports trends
-that are asymptotic statements and never gates.
+Each criterion is a function of (sizes, seed) whose body returns its verdict
+and detail line; the _criterion decorator registers it in CRITERIA, times
+the whole body and builds its CheckResult. run_suite executes them all at a
+size tier ("quick" for a minute-scale smoke run, "full" for the release
+gate). Criterion 13 is diagnostic: it reports trends that are asymptotic
+statements and never gates. Monte Carlo over many fields goes through
+_draws, which draws CHUNK fields at a time and keeps only a per-chunk
+statistic of them.
 
 Statistical conventions: closed-form-vs-Monte-Carlo comparisons use the
 4-standard-error rule; p-value tests use significance 0.01; all draws come
@@ -17,9 +21,10 @@ from fixed keyed streams so a (tier, seed) pair is exactly reproducible.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy import stats
@@ -150,17 +155,19 @@ def _box_subset(g: WeightedGraph, radius: int) -> List[int]:
     return [v for v in range(g.n) if int(np.abs(g.coords[v]).max()) <= radius]
 
 
-def _beta_chunks(
+def _draws(
     params: NuParams,
     n: int,
     rng: np.random.Generator,
-    order: Optional[Sequence[int]] = None,
-) -> Iterator[np.ndarray]:
-    done = 0
-    while done < n:
-        c = min(CHUNK, n - done)
-        yield sample_batch(params, c, rng, order=order)
-        done += c
+    stat: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """stat of n field draws, concatenated along its first axis. The fields
+    are drawn CHUNK at a time, and stat runs on each chunk before the next
+    one is drawn, so no n-row field is ever held and any draws stat makes
+    from rng follow its own chunk's fields."""
+    return np.concatenate(
+        [stat(sample_batch(params, min(CHUNK, n - k), rng)) for k in range(0, n, CHUNK)]
+    )
 
 
 def _se(x: np.ndarray) -> float:
@@ -181,10 +188,35 @@ def _lambda_grid(
     return grid
 
 
-def criterion_1(sizes: Sizes, seed: int) -> CheckResult:
+CRITERIA: Dict[int, Callable[[Sizes, int], CheckResult]] = {}
+
+
+def _criterion(cid: int, name: str, diagnostic: bool = False):
+    """Register a criterion body, which returns (passed, detail), as
+    CRITERIA[cid]. The registered function is also the module's
+    criterion_<cid>: it times the whole body and builds its CheckResult."""
+
+    def register(
+        body: Callable[[Sizes, int], Tuple[bool, str]]
+    ) -> Callable[[Sizes, int], CheckResult]:
+        @functools.wraps(body)
+        def check(sizes: Sizes, seed: int) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = body(sizes, seed)
+            return CheckResult(
+                cid, name, passed, detail, diagnostic, time.perf_counter() - t0
+            )
+
+        CRITERIA[cid] = check
+        return check
+
+    return register
+
+
+@_criterion(1, "exact identities")
+def criterion_1(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Exact identities of the restricted Green bundle on random
     environments (machine precision)."""
-    t0 = time.perf_counter()
     g = build_lattice_box(2, 2, 1.0)
     subset = _box_subset(g, 1)
     params = marginal_params(g, subset)
@@ -200,20 +232,17 @@ def criterion_1(sizes: Sizes, seed: int) -> CheckResult:
             worst[key] = max(worst.get(key, 0.0), val)
     ok = max(worst.values()) <= 1e-9
     listing = ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
-    return CheckResult(
-        1,
-        "exact identities",
+    return (
         ok,
         f"residuals over {sizes.envs_c1} environments: {listing}"
         f" (tolerance 1e-09 each)",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_2(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(2, "sampler vs closed form")
+def criterion_2(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Sequential sampler against the closed-form transform on three
     graphs."""
-    t0 = time.perf_counter()
     cases: List[Tuple[str, NuParams]] = [
         ("two-path", NuParams.from_graph(_two_path())),
         ("triangle", NuParams.from_graph(_triangle())),
@@ -225,54 +254,43 @@ def criterion_2(sizes: Sizes, seed: int) -> CheckResult:
     for name, params in cases:
         lam = _lambda_grid(params.n, sizes.lam_c2, stream(seed, "c2-grid", name))
         rng = stream(seed, "c2-sample", name)
-        vals = np.empty((sizes.n_c2, lam.shape[0]))
-        done = 0
-        for beta in _beta_chunks(params, sizes.n_c2, rng):
-            vals[done : done + beta.shape[0]] = np.exp(-beta @ lam.T)
-            done += beta.shape[0]
+        vals = _draws(params, sizes.n_c2, rng, lambda beta: np.exp(-beta @ lam.T))
         for k in range(lam.shape[0]):
             target = laplace_closed_form(params, lam[k])
             z = abs(float(vals[:, k].mean()) - target) / _se(vals[:, k])
             if z > worst_z:
                 worst_z, worst_at = z, f"{name} point {k}"
     ok = worst_z <= SE_RULE
-    return CheckResult(
-        2,
-        "sampler vs closed form",
+    return (
         ok,
         f"worst |z| = {worst_z:.2f} at {worst_at} (rule {SE_RULE:.0f} SE,"
         f" N = {sizes.n_c2})",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_3(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(3, "inverse-Gaussian marginal")
+def criterion_3(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Single-site marginal: reciprocal of twice the potential is Inverse
     Gaussian with mean one over the incident weight."""
-    t0 = time.perf_counter()
     g = _triangle()
     params = NuParams.from_graph(g)
     rng = stream(seed, "c3")
-    # eliminate site 0 last so the test exercises the whole update chain
-    order = [2, 1, 0]
-    chunks = _beta_chunks(params, sizes.n_c3, rng, order=order)
-    vals = np.concatenate([1.0 / (2.0 * beta[:, 0]) for beta in chunks])
+    # site 2 is eliminated last, so the test exercises the whole update
+    # chain; the triangle is uniform, so its weight is site 0's
+    vals = _draws(params, sizes.n_c3, rng, lambda beta: 1.0 / (2.0 * beta[:, 2]))
     w_i = float(g.weight_matrix()[0].sum())
     stat, p = stats.kstest(vals, lambda x: stats.invgauss.cdf(x, 1.0 / w_i, scale=1.0))
     ok = p > ALPHA
-    return CheckResult(
-        3,
-        "inverse-Gaussian marginal",
+    return (
         ok,
         f"KS stat {stat:.4f}, p = {p:.4f} (needs p > {ALPHA}, N = {sizes.n_c3})",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_4(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(4, "distance-two independence")
+def criterion_4(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Independence of the potential at graph distance two or more: joint
     transform factorizes (closed form exactly, samples within 4 SE)."""
-    t0 = time.perf_counter()
     g = build_lattice_box(2, 2, 1.0)
     subset = _box_subset(g, 1)
     params = marginal_params(g, subset)
@@ -287,32 +305,25 @@ def criterion_4(sizes: Sizes, seed: int) -> CheckResult:
         - laplace_closed_form(params, e_i) * laplace_closed_form(params, e_j)
     )
     rng = stream(seed, "c4")
-    xs = np.empty(sizes.n_c4)
-    ys = np.empty(sizes.n_c4)
-    done = 0
-    for beta in _beta_chunks(params, sizes.n_c4, rng):
-        c = beta.shape[0]
-        xs[done : done + c] = np.exp(-lam1 * beta[:, i])
-        ys[done : done + c] = np.exp(-lam2 * beta[:, j])
-        done += c
+    lams = np.array([lam1, lam2])
+    xs, ys = _draws(
+        params, sizes.n_c4, rng, lambda beta: np.exp(-lams * beta[:, [i, j]])
+    ).T
     z_arr = (xs - xs.mean()) * (ys - ys.mean())
     cov = float(z_arr.mean())
     se = _se(z_arr)
     ok = closed_gap <= 1e-12 and abs(cov) <= SE_RULE * se
-    return CheckResult(
-        4,
-        "distance-two independence",
+    return (
         ok,
         f"closed-form gap {closed_gap:.2e}, sample cov {cov:.2e}"
         f" ({abs(cov) / se:.2f} SE, N = {sizes.n_c4})",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_5(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(5, "restriction compatibility")
+def criterion_5(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Restriction compatibility: sample on the 5x5 wired box, restrict to
     the 3x3 core, compare with the core's own closed form."""
-    t0 = time.perf_counter()
     g7 = build_lattice_box(2, 3, 1.0)
     v2 = _box_subset(g7, 2)
     v1 = _box_subset(g7, 1)
@@ -321,11 +332,9 @@ def criterion_5(sizes: Sizes, seed: int) -> CheckResult:
     params1 = marginal_params(g7, v1)
     lam = _lambda_grid(len(v1), sizes.lam_c5, stream(seed, "c5-grid"))
     rng = stream(seed, "c5")
-    vals = np.empty((sizes.n_c5, lam.shape[0]))
-    done = 0
-    for beta in _beta_chunks(params2, sizes.n_c5, rng):
-        vals[done : done + beta.shape[0]] = np.exp(-beta[:, pos] @ lam.T)
-        done += beta.shape[0]
+    vals = _draws(
+        params2, sizes.n_c5, rng, lambda beta: np.exp(-beta[:, pos] @ lam.T)
+    )
     worst_z = 0.0
     for k in range(lam.shape[0]):
         target = laplace_closed_form(params1, lam[k])
@@ -333,21 +342,18 @@ def criterion_5(sizes: Sizes, seed: int) -> CheckResult:
             worst_z, abs(float(vals[:, k].mean()) - target) / _se(vals[:, k])
         )
     ok = worst_z <= SE_RULE
-    return CheckResult(
-        5,
-        "restriction compatibility",
+    return (
         ok,
         f"worst |z| = {worst_z:.2f} over {lam.shape[0]} transform points"
         f" (rule {SE_RULE:.0f} SE, N = {sizes.n_c5})",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_6(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(6, "martingale suite")
+def criterion_6(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Martingale suite: unit mean of the boundary-hitting sum, the paired
     exponential functional across one box increment, and the
     covariance-vs-Green bracket."""
-    t0 = time.perf_counter()
     g7 = build_lattice_box(2, 3, 1.0)
     v2 = _box_subset(g7, 2)
     v1 = _box_subset(g7, 1)
@@ -361,25 +367,19 @@ def criterion_6(sizes: Sizes, seed: int) -> CheckResult:
 
     # (a) unit mean and (c) bracket, on the 3x3 core
     rng = stream(seed, "c6-core")
-    psi_c = np.empty(sizes.n_c6)
-    psi_k = np.empty(sizes.n_c6)
-    bracket = np.empty(sizes.n_c6)
-    done = 0
     # columns psi = Ghat eta and Ghat e_corner, whose center entry is
     # Ghat(center, corner)
     e_corner = np.zeros(m1)
     e_corner[corner] = 1.0
     core_rhs = np.stack([eta1, e_corner], axis=1)
-    for beta in _beta_chunks(params1, sizes.n_c6, rng):
-        c = beta.shape[0]
+
+    def core(beta: np.ndarray) -> np.ndarray:
         cols = green_solve(params1.p, beta, core_rhs)
         psi = cols[..., 0]
-        psi_c[done : done + c] = psi[:, center]
-        psi_k[done : done + c] = psi[:, corner]
-        bracket[done : done + c] = (
-            psi[:, center] * psi[:, corner] - cols[:, center, 1] - 1.0
-        )
-        done += c
+        bracket = psi[:, center] * psi[:, corner] - cols[:, center, 1] - 1.0
+        return np.stack([psi[:, center], psi[:, corner], bracket], axis=1)
+
+    psi_c, psi_k, bracket = _draws(params1, sizes.n_c6, rng, core).T
     z_mean = max(
         abs(psi_c.mean() - 1.0) / _se(psi_c), abs(psi_k.mean() - 1.0) / _se(psi_k)
     )
@@ -394,35 +394,31 @@ def criterion_6(sizes: Sizes, seed: int) -> CheckResult:
     z[pos] = lam_small
     rhs2 = np.stack([eta2, z], axis=1)
     rhs1 = np.stack([eta1, lam_small], axis=1)
-    diff = np.empty(sizes.n_c6b)
-    done = 0
-    for beta2 in _beta_chunks(params2, sizes.n_c6b, rng_b):
-        c = beta2.shape[0]
+
+    def increment(beta2: np.ndarray) -> np.ndarray:
         cols2 = green_solve(params2.p, beta2, rhs2)
         x = np.exp(-cols2[:, pos, 0] @ lam_small - 0.5 * (cols2[..., 1] @ z))
         cols1 = green_solve(params1.p, beta2[:, pos], rhs1)
         y = np.exp(-cols1[..., 0] @ lam_small - 0.5 * (cols1[..., 1] @ lam_small))
-        diff[done : done + c] = x - y
-        done += c
+        return x - y
+
+    diff = _draws(params2, sizes.n_c6b, rng_b, increment)
     z_pair = abs(diff.mean()) / _se(diff)
 
     worst = max(z_mean, z_bracket, z_pair)
     ok = worst <= SE_RULE
-    return CheckResult(
-        6,
-        "martingale suite",
+    return (
         ok,
         f"|z| mean = {z_mean:.2f}, increment = {z_pair:.2f},"
         f" bracket = {z_bracket:.2f} (rule {SE_RULE:.0f} SE)",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_7(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(7, "collapsed-vertex coupling law")
+def criterion_7(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Boundary-coupling law: half the reciprocal of the collapsed-vertex
     Green diagonal is Gamma(1/2, 1), sampled on the full wired graph with no
     boundary vector (so the check is not circular)."""
-    t0 = time.perf_counter()
     g5 = build_lattice_box(2, 2, 1.0)
     wired = WiredBand.from_graph(g5, _box_subset(g5, 1))
     params = NuParams.from_graph(wired.graph())
@@ -430,31 +426,27 @@ def criterion_7(sizes: Sizes, seed: int) -> CheckResult:
     d_idx = wired.n
     e_d = np.zeros(params.n)
     e_d[d_idx] = 1.0
-    vals = np.empty(sizes.n_c7)
-    done = 0
-    for beta in _beta_chunks(params, sizes.n_c7, rng):
-        c = beta.shape[0]
-        col = green_solve(params.p, beta, e_d)
-        vals[done : done + c] = 1.0 / (2.0 * col[:, d_idx])
-        done += c
+    vals = _draws(
+        params,
+        sizes.n_c7,
+        rng,
+        lambda beta: 1.0 / (2.0 * green_solve(params.p, beta, e_d)[:, d_idx]),
+    )
     z = abs(vals.mean() - 0.5) / _se(vals)
     stat, p = stats.kstest(vals, lambda x: stats.gamma.cdf(x, 0.5))
     ok = z <= SE_RULE and p > ALPHA
-    return CheckResult(
-        7,
-        "collapsed-vertex coupling law",
+    return (
         ok,
         f"mean {vals.mean():.4f} ({z:.2f} SE from 0.5), KS p = {p:.4f}"
         f" (needs p > {ALPHA}, N = {sizes.n_c7})",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_8(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(8, "mixture representation")
+def criterion_8(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Mixture representation: jump words of the reinforced walk match
     annealed words of the environment-fixed chain on a 4-vertex wired
     graph."""
-    t0 = time.perf_counter()
     g3 = build_lattice_box(2, 1, 1.0)
     subset = [0, 1, 3, 4]
     wired = WiredBand.from_graph(g3, subset)
@@ -472,8 +464,8 @@ def criterion_8(sizes: Sizes, seed: int) -> CheckResult:
     e_s = np.zeros(m)
     e_s[start] = 1.0
     rhs = np.stack([e_s, eta], axis=1)
-    chunks: List[np.ndarray] = []
-    for beta in _beta_chunks(params, sizes.n_c8, rng):
+
+    def quenched_words(beta: np.ndarray) -> np.ndarray:
         c = beta.shape[0]
         cols = green_solve(params.p, beta, rhs)
         ghat_row, psi = cols[..., 0], cols[..., 1]
@@ -483,24 +475,22 @@ def criterion_8(sizes: Sizes, seed: int) -> CheckResult:
         grow[:, m] = psi[:, start] / (2.0 * gamma)
         kernels = w_tilde[None, :, :] * grow[:, None, :]
         kernels /= kernels.sum(axis=2, keepdims=True)
-        chunks.append(markov_words(kernels, start, length, rng))
-    words_b = np.concatenate(chunks)
+        return markov_words(kernels, start, length, rng)
+
+    words_b = _draws(params, sizes.n_c8, rng, quenched_words)
     p = word_chi2(words_a, words_b)
     ok = p > ALPHA
-    return CheckResult(
-        8,
-        "mixture representation",
+    return (
         ok,
         f"word chi-square p = {p:.4f} (needs p > {ALPHA},"
         f" N = {sizes.n_c8} per side)",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_9(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(9, "reinforced-walk equivalence")
+def criterion_9(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Linearly reinforced walk equals the reinforced jump chain in an iid
     Gamma conductance environment (triangle, a = 1)."""
-    t0 = time.perf_counter()
     g = _triangle()
     length = 3
     words_a = errw_words(g, 1.0, 0, length, sizes.n_c9, stream(seed, "c9-errw"))
@@ -509,19 +499,16 @@ def criterion_9(sizes: Sizes, seed: int) -> CheckResult:
     words_b = vrjp_words(g, 0, length, sizes.n_c9, rng, edge_weights=w_draws)
     p = word_chi2(words_a, words_b)
     ok = p > ALPHA
-    return CheckResult(
-        9,
-        "reinforced-walk equivalence",
+    return (
         ok,
         f"word chi-square p = {p:.4f} (needs p > {ALPHA}, N = {sizes.n_c9})",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_10(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(10, "escape probabilities")
+def criterion_10(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Escape probabilities: closed formulas against absorbed-chain Monte
     Carlo in sampled environments."""
-    t0 = time.perf_counter()
     g5 = build_lattice_box(2, 2, 1.0)
     subset = _box_subset(g5, 1)
     params = marginal_params(g5, subset)
@@ -550,20 +537,17 @@ def criterion_10(sizes: Sizes, seed: int) -> CheckResult:
             z = abs(p_hat - target) / max(se, 1e-12)
             worst_z = max(worst_z, z)
     ok = worst_z <= SE_RULE
-    return CheckResult(
-        10,
-        "escape probabilities",
+    return (
         ok,
         f"worst |z| = {worst_z:.2f} over {sizes.envs_c10} environments x 2"
         f" starts (rule {SE_RULE:.0f} SE, N = {sizes.n_c10})",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_11(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(11, "cosh moment bound")
+def criterion_11(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Exponential cosh moment stays below its closed bound (hop counts one
     and two)."""
-    t0 = time.perf_counter()
     pair = WeightedGraph(n=2, edges=((0, 1, 1.0),))
     rep1 = cosh_moment_experiment(pair, 0, 0, 1, 0.5, sizes.n_c11, seed=seed)
     rep2 = cosh_moment_experiment(
@@ -578,40 +562,31 @@ def criterion_11(sizes: Sizes, seed: int) -> CheckResult:
                        f" vs bound {bound:.4f} ({slack:+.1f} SE)")
         if rep.mean > bound + SE_RULE * rep.stderr:
             ok = False
-    return CheckResult(
-        11,
-        "cosh moment bound",
-        ok,
-        "; ".join(margins) + f" (N = {sizes.n_c11})",
-        seconds=time.perf_counter() - t0,
-    )
+    return ok, "; ".join(margins) + f" (N = {sizes.n_c11})"
 
 
-def criterion_12(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(12, "random-walk calibration")
+def criterion_12(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Walker calibration: simple-random-walk mean squared displacement
     equals the step count. Only the endpoints X_n are drawn (srw_endpoints),
     and E|X_n|^2/n is their plain mean."""
-    t0 = time.perf_counter()
     n = sizes.len_c12
     ends = srw_endpoints(2, sizes.walks_c12, n, stream(seed, "c12"))
     mean = float(((ends.astype(float) ** 2).sum(axis=1) / float(n)).mean())
     err = abs(mean - 1.0)
     ok = err <= 0.02
-    return CheckResult(
-        12,
-        "random-walk calibration",
+    return (
         ok,
         f"E|X_n|^2/n = {mean:.4f} (|error| = {err:.4f}, allowed 0.02,"
         f" {sizes.walks_c12} walks of {sizes.len_c12} steps)",
-        seconds=time.perf_counter() - t0,
     )
 
 
-def criterion_13(sizes: Sizes, seed: int) -> CheckResult:
+@_criterion(13, "soft regime diagnostics", diagnostic=True)
+def criterion_13(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Soft diagnostics: center boundary-sum decay/stabilization by regime,
     conductance-ratio decay with separation, and rough linear growth with
     isotropy for the time-changed walk. Reported, never gated."""
-    t0 = time.perf_counter()
     notes: List[str] = []
 
     rows_d2 = psi_decay_experiment(2, 0.2, sizes.psi_radii_d2, sizes.psi_n, seed)
@@ -647,31 +622,7 @@ def criterion_13(sizes: Sizes, seed: int) -> CheckResult:
         f" isotropy {vd['isotropy']:.2f} ({'ok' if iso else 'skewed'})"
     )
 
-    return CheckResult(
-        13,
-        "soft regime diagnostics",
-        True,
-        "; ".join(notes),
-        diagnostic=True,
-        seconds=time.perf_counter() - t0,
-    )
-
-
-CRITERIA: Dict[int, Callable[[Sizes, int], CheckResult]] = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
-}
+    return True, "; ".join(notes)
 
 
 def run_suite(

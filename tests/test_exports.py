@@ -31,8 +31,9 @@ def test_all_names_resolve_once(name):
 
 # names the package does not export, each with the module that held them:
 # test oracles and helpers (tests/_oracles.py), sample_sequential and
-# BetaSample, whose work sample_batch and BandSample do, and
-# rooted_u_samples, which is harness._rooted_u_samples
+# BetaSample, whose work sample_batch and BandSample do, rooted_u_samples,
+# which is harness._rooted_u_samples, harness.ALPHA, which only
+# verify.ALPHA is, and verify._beta_chunks, whose loop is verify._draws
 REMOVED = {
     "betafield": [
         "BetaSample",
@@ -64,8 +65,10 @@ REMOVED = {
         "srw_paths",
         "diffusion_estimate",
         "rooted_u_samples",
+        "ALPHA",
     ],
     "errors": ["EnumerationError", "ConditioningError"],
+    "verify": ["_beta_chunks"],
 }
 
 
@@ -101,7 +104,7 @@ REMOVED_KEYWORDS = {
     "mc_return_probability": ["max_sweeps"],
     "conductance_ratio_experiment": ["margin"],
     "QuenchedRates.from_bundle": ["i0"],
-    "verify._beta_chunks": ["chunk"],
+    "sample_batch": ["order"],
 }
 
 

@@ -330,7 +330,6 @@ class TestConductanceRatioExperiment:
         def dense(*args, **kwargs):
             raise AssertionError("dense elimination on a lattice box")
 
-        monkeypatch.setattr(vrjp.betafield, "_eliminate", dense)
         monkeypatch.setattr(vrjp.betafield, "_schur_loop", dense)
         reports = conductance_ratio_experiment(1.0, [2], n_samples=3, seed=7)
         assert np.isfinite(reports[0].mean)
