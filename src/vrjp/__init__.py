@@ -37,7 +37,6 @@ from .graphs import (
 )
 from .harness import (
     EstimatorReport,
-    ExperimentConfig,
     conductance_ratio_experiment,
     cosh_moment_experiment,
     psi_decay_experiment,
@@ -110,7 +109,6 @@ __all__ = [
     "markov_words",
     # harness
     "EstimatorReport",
-    "ExperimentConfig",
     "word_chi2",
     "srw_endpoints",
     "vrjp_diffusion_experiment",

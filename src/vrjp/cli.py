@@ -5,15 +5,20 @@ bundle on a wired box), simulate (reinforced jump walk, reinforced discrete
 walk, or the environment-fixed chain), verify (the numbered acceptance
 checks), experiment (named desk-scale studies).
 
-Every run writes tidy CSV files plus a manifest.json echoing the config, a
-content hash of the inputs, the seed, and the tool version; verify and
-experiment also write a summary.json with their result rows. Data files are
+Each command body only computes: it returns a Run holding its config and
+seed, the input files it read, one CSV as field names and columns, an
+optional summary.json payload, and its message and exit code. `main` does
+the rest in one place, `_write_run`: it writes the CSV, then summary.json if
+there is one, then a manifest.json echoing the config, a content hash of the
+config and of every input file (a --graph file, an experiment's --config
+file and the graph file that config names), the seed, the tool version, the
+run's start and end times and the files written. Data files are
 byte-identical across reruns of the same config and seed; the manifest's
 timestamps are the only varying output. Exit codes: 0 success, 2 usage or
 config error, 3 numeric failure (a residual report is printed).
 
 The output directory comes from --out, else the VRJP_OUT environment
-variable, else ./vrjp-out.
+variable, else ./vrjp-out; it is resolved before the command's work starts.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,7 +53,6 @@ from .errors import (
 )
 from .graphs import WeightedGraph, build_lattice_box, load_graph
 from .harness import (
-    ExperimentConfig,
     conductance_ratio_experiment,
     cosh_moment_experiment,
     psi_decay_experiment,
@@ -64,40 +68,31 @@ NUMERIC_EXIT = 3
 
 _NUMERIC_ERRORS = (NumericError, FactorizationError)
 
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+# CSV cells formatted per block of rows: a few MB of strings at a time
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass
-class RunManifest:
-    """Provenance record emitted next to every run's outputs."""
+class Run:
+    """What a command computed, for `_write_run` to write and report.
 
-    command: str
+    config and seed go to the manifest; the content hash covers config and
+    the bytes of every file in inputs. The CSV named csv has a header of
+    fields, then one row per cell of columns, which holds one sliceable
+    sequence (a list, a range or a numpy array) per field. summary, when
+    given, is written as summary.json. message goes to stdout, or to stderr
+    when code, the exit code, is not 0.
+    """
+
     config: Dict[str, object]
-    content_hash: str
     seed: int
-    version: str
-    started: str
-    finished: str = ""
-    outputs: List[str] = field(default_factory=list)
-
-    @staticmethod
-    def content_digest(config: Dict[str, object], *file_paths: str) -> str:
-        h = hashlib.sha256()
-        h.update(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
-        for p in file_paths:
-            h.update(Path(p).read_bytes())
-        return h.hexdigest()
-
-    def write(self, outdir: Path) -> None:
-        self.finished = _now()
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "manifest.json").write_text(
-            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-        )
+    csv: str
+    fields: Sequence[str]
+    columns: Sequence
+    message: str
+    inputs: Sequence[str] = ()
+    summary: Optional[Dict[str, object]] = None
+    code: int = 0
 
 
 def _now() -> str:
@@ -105,35 +100,61 @@ def _now() -> str:
 
 
 def _outdir(args) -> Path:
-    """The output directory; the writers below create it, so a command that
-    is refused before it writes anything leaves no directory behind."""
+    """The output directory; `_write_run` creates it, so a command that is
+    refused before it writes anything leaves no directory behind."""
     path = Path(args.out or os.environ.get("VRJP_OUT") or "vrjp-out")
     if path.exists() and not path.is_dir():
         raise ConfigError(f"output path is not a directory: {path}")
     return path
 
 
-def _write_columns(path: Path, fieldnames: Sequence[str], columns) -> None:
-    """Write one CSV from per-field columns of cells. The csv module writes
-    an int or a str as `_fmt` does, so only float cells need `_fmt`'s format
-    first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        writer.writerows(zip(*columns))
+def _cells(column) -> list:
+    """One block of a column as the csv module should write it: floats in
+    the round-trip format .17g, ints and strs as they are (the csv module
+    writes them as str() does). A numpy column is formatted by its dtype,
+    any other column cell by cell."""
+    if isinstance(column, np.ndarray):
+        cells = column.tolist()
+        return [format(x, ".17g") for x in cells] if column.dtype.kind == "f" else cells
+    return [format(x, ".17g") if isinstance(x, float) else x for x in column]
 
 
-def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[Dict]) -> None:
-    _write_columns(
-        path, fieldnames, [[_fmt(row[k]) for row in rows] for k in fieldnames]
-    )
+def _write_json(path: Path, payload: Dict[str, object]) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_json_summary(outdir: Path, payload: Dict[str, object]) -> None:
+def _write_run(command: str, started: str, outdir: Path, run: Run) -> None:
+    """Write the run's CSV, then its summary.json if it has one, then the
+    manifest.json that records them. The CSV is formatted and written a
+    block of rows at a time, so its text is never held whole."""
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "summary.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with (outdir / run.csv).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(run.fields)
+        step = max(1, _BLOCK_CELLS // len(run.columns))
+        for lo in range(0, len(run.columns[0]), step):
+            writer.writerows(zip(*(_cells(c[lo : lo + step]) for c in run.columns)))
+    outputs = [run.csv]
+    if run.summary is not None:
+        _write_json(outdir / "summary.json", run.summary)
+        outputs.append("summary.json")
+    digest = hashlib.sha256(
+        json.dumps(run.config, sort_keys=True, separators=(",", ":")).encode()
+    )
+    for path in run.inputs:
+        digest.update(Path(path).read_bytes())
+    _write_json(
+        outdir / "manifest.json",
+        {
+            "command": command,
+            "config": run.config,
+            "content_hash": digest.hexdigest(),
+            "seed": run.seed,
+            "version": __version__,
+            "started": started,
+            "finished": _now(),
+            "outputs": outputs,
+        },
     )
 
 
@@ -171,8 +192,7 @@ def _root(args, subset: List[int]) -> int:
     return i0
 
 
-def _cmd_sample_beta(args) -> int:
-    outdir = _outdir(args)
+def _cmd_sample_beta(args) -> Run:
     rng = stream(args.seed, "cli-sample-beta")
     if args.graph:
         g, cfg = _graph_from_args(args)
@@ -188,25 +208,18 @@ def _cmd_sample_beta(args) -> int:
         params = marginal_params(g, subset)
     cfg.update({"n": args.n, "seed": args.seed})
     beta = sample_batch(params, args.n, rng)
-    fields = [f"beta_{k}" for k in range(params.n)]
-    rows = [dict(zip(fields, map(float, row))) for row in beta]
-    _write_csv(outdir / "beta.csv", fields, rows)
-    manifest = RunManifest(
-        command="sample-beta",
-        config=cfg,
-        content_hash=RunManifest.content_digest(cfg, *( [args.graph] if args.graph else [] )),
-        seed=args.seed,
-        version=__version__,
-        started=args.started,
-        outputs=["beta.csv"],
+    return Run(
+        cfg,
+        args.seed,
+        "beta.csv",
+        [f"beta_{k}" for k in range(params.n)],
+        beta.T,
+        f"wrote {args.n} field samples to {args.out / 'beta.csv'}",
+        inputs=[args.graph] if args.graph else [],
     )
-    manifest.write(outdir)
-    print(f"wrote {args.n} field samples to {outdir / 'beta.csv'}")
-    return 0
 
 
-def _cmd_green(args) -> int:
-    outdir = _outdir(args)
+def _cmd_green(args) -> Run:
     g, subset, cfg = _wired_box_params(args)
     i0 = _root(args, subset)
     cfg.update({"seed": args.seed})
@@ -217,57 +230,33 @@ def _cmd_green(args) -> int:
     beta = sample_banded(band, eta, rng).beta
     gamma = float(rng.gamma(0.5, 1.0))
     bundle = green_bundle(wired.params(), beta, subset, gamma, i0=i0)
-    fields = ["vertex", "beta", "psi", "u", "green_root_row"]
-    p_root = bundle.position(i0)
-    rows = []
-    for pos, v in enumerate(subset):
-        rows.append(
-            {
-                "vertex": v,
-                "beta": float(beta[pos]),
-                "psi": float(bundle.psi[pos]),
-                "u": float(bundle.u[pos]),
-                "green_root_row": float(bundle.full_g[p_root, pos]),
-            }
-        )
-    rows.append(
-        {
-            "vertex": "delta",
-            "beta": float(bundle.beta_delta),
-            "psi": 1.0,
-            "u": float(bundle.u[-1]),
-            "green_root_row": float(bundle.full_g[p_root, -1]),
-        }
-    )
-    _write_csv(outdir / "green.csv", fields, rows)
     report = check_identities(bundle, beta)
-    _write_json_summary(
-        outdir,
-        {
+    # one row per retained vertex, then the boundary state delta
+    return Run(
+        cfg,
+        args.seed,
+        "green.csv",
+        ["vertex", "beta", "psi", "u", "green_root_row"],
+        [
+            [*subset, "delta"],
+            np.append(beta, bundle.beta_delta),
+            np.append(bundle.psi, 1.0),
+            bundle.u,
+            bundle.full_g[bundle.position(i0)],
+        ],
+        f"wrote bundle summary to {args.out / 'green.csv'}",
+        summary={
             "command": "green",
             "gamma": bundle.gamma,
-            "psi": [float(x) for x in bundle.psi],
-            "hat_g_diagonal": [float(x) for x in np.diag(bundle.hat_g)],
+            "psi": bundle.psi.tolist(),
+            "hat_g_diagonal": np.diag(bundle.hat_g).tolist(),
             "residuals": asdict(report),
             "max_residual": report.max_residual(),
         },
     )
-    manifest = RunManifest(
-        command="green",
-        config=cfg,
-        content_hash=RunManifest.content_digest(cfg),
-        seed=args.seed,
-        version=__version__,
-        started=args.started,
-        outputs=["green.csv", "summary.json"],
-    )
-    manifest.write(outdir)
-    print(f"wrote bundle summary to {outdir / 'green.csv'}")
-    return 0
 
 
-def _cmd_simulate(args) -> int:
-    outdir = _outdir(args)
+def _cmd_simulate(args) -> Run:
     rng = stream(args.seed, "cli-simulate", args.process)
     if args.process == "vrjp":
         g, cfg = _graph_from_args(args)
@@ -275,13 +264,8 @@ def _cmd_simulate(args) -> int:
         if args.horizon is None:
             raise ConfigError("--horizon required for the reinforced jump walk")
         traj = simulate_vrjp(g, i0, args.horizon, rng)
-        tc = time_change(traj)
         fields = ["step", "vertex", "entry_time", "transformed_time"]
-        vertices = traj.vertices.tolist()
-        extra = [
-            [format(x, ".17g") for x in times.tolist()]
-            for times in (traj.times, tc.times)
-        ]
+        columns = [traj.vertices, traj.times, time_change(traj).times]
         cfg.update({"process": "vrjp", "horizon": args.horizon, "i0": i0})
     elif args.process == "errw":
         g, cfg = _graph_from_args(args)
@@ -290,8 +274,8 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("--steps required for the reinforced discrete walk")
         traj = simulate_errw(g, args.a, i0, args.steps, rng)
         fields = ["step", "vertex", "entry_time"]
-        vertices = traj.vertices.tolist()
-        extra = [[""] * len(vertices)]
+        # a discrete walk leaves entry_time blank
+        columns = [traj.vertices, np.full(len(traj.vertices), "", dtype=object)]
         cfg.update({"process": "errw", "steps": args.steps, "a": args.a, "i0": i0})
     elif args.process == "quenched":
         if args.graph:
@@ -309,35 +293,27 @@ def _cmd_simulate(args) -> int:
         rates = QuenchedRates.from_bundle(bundle)
         traj = quenched_mjp(rates, bundle.position(i0), args.steps, rng)
         fields = ["step", "vertex", "entry_time"]
-        labels = [str(v) for v in subset] + ["delta"]
-        vertices = [labels[v] for v in traj.vertices.tolist()]
-        extra = [[""] * len(vertices)]
+        labels = np.array([*map(str, subset), "delta"], dtype=object)
+        columns = [
+            labels[traj.vertices], np.full(len(traj.vertices), "", dtype=object)
+        ]
         cfg.update({"process": "quenched", "steps": args.steps, "i0": i0})
     else:
         raise ConfigError(f"unknown process {args.process!r}")
     cfg["seed"] = args.seed
-    n_rows = len(vertices)
-    _write_columns(
-        outdir / "trajectory.csv", fields, [range(n_rows), vertices, *extra]
+    n_rows = len(traj.vertices)
+    return Run(
+        cfg,
+        args.seed,
+        "trajectory.csv",
+        fields,
+        [np.arange(n_rows), *columns],
+        f"wrote {n_rows} rows to {args.out / 'trajectory.csv'}",
+        inputs=[args.graph] if args.graph else [],
     )
-    manifest = RunManifest(
-        command="simulate",
-        config=cfg,
-        content_hash=RunManifest.content_digest(
-            cfg, *([args.graph] if args.graph else [])
-        ),
-        seed=args.seed,
-        version=__version__,
-        started=args.started,
-        outputs=["trajectory.csv"],
-    )
-    manifest.write(outdir)
-    print(f"wrote {n_rows} rows to {outdir / 'trajectory.csv'}")
-    return 0
 
 
-def _cmd_verify(args) -> int:
-    outdir = _outdir(args)
+def _cmd_verify(args) -> Run:
     tier = "full" if args.full else "quick"
     only = [int(x) for x in args.only.split(",")] if args.only else None
     results = run_suite(tier=tier, seed=args.seed, only=only)
@@ -355,41 +331,51 @@ def _cmd_verify(args) -> int:
         }
         for r in results
     ]
-    _write_csv(outdir / "verify.csv", fields, rows)
-    _write_json_summary(outdir, {"command": "verify", "tier": tier, "rows": rows})
-    cfg = {"tier": tier, "seed": args.seed, "only": args.only or ""}
-    manifest = RunManifest(
-        command="verify",
-        config=cfg,
-        content_hash=RunManifest.content_digest(cfg),
-        seed=args.seed,
-        version=__version__,
-        started=args.started,
-        outputs=["verify.csv", "summary.json"],
+    hard_failures = [f"FAILED: {r.line()}" for r in results if not r.gate_ok]
+    return Run(
+        {"tier": tier, "seed": args.seed, "only": args.only or ""},
+        args.seed,
+        "verify.csv",
+        fields,
+        [[row[k] for row in rows] for k in fields],
+        "\n".join(hard_failures) or f"all {len(results)} checks passed ({tier} tier)",
+        summary={"command": "verify", "tier": tier, "rows": rows},
+        code=NUMERIC_EXIT if hard_failures else 0,
     )
-    manifest.write(outdir)
-    hard_failures = [r for r in results if not r.gate_ok]
-    if hard_failures:
-        for r in hard_failures:
-            print(f"FAILED: {r.line()}", file=sys.stderr)
-        return NUMERIC_EXIT
-    print(f"all {len(results)} checks passed ({tier} tier)")
-    return 0
 
 
 _EXPERIMENTS = ("psi-decay", "cosh-moment", "conductance-ratio", "vrjp-diffusion")
 
+# the keys an experiment config may hold; any other, `parallelism` included,
+# is refused
+_CONFIG_KEYS = {
+    "experiment",
+    "graph",
+    "w",
+    "a",
+    "eta",
+    "dim",
+    "radii",
+    "ells",
+    "n_samples",
+    "n_walks",
+    "length",
+    "seed",
+    "i0",
+    "i",
+    "j",
+}
 
-def _run_experiment(config: ExperimentConfig) -> Tuple[List[str], List[Dict]]:
-    p = config.params
-    name = config.experiment
+
+def _run_experiment(p: Dict[str, object]) -> Tuple[List[str], List[Dict]]:
+    name, seed = p["experiment"], p["seed"]
     if name == "psi-decay":
         rows = psi_decay_experiment(
             int(p.get("dim", 2)),
             float(p.get("w", 0.2)),
             [int(r) for r in p.get("radii", (2, 4, 6))],
             int(p.get("n_samples", 16)),
-            config.seed,
+            seed,
         )
         return ["radius", "q25", "median", "q75", "n"], rows
     if name == "cosh-moment":
@@ -405,7 +391,7 @@ def _run_experiment(config: ExperimentConfig) -> Tuple[List[str], List[Dict]]:
             int(p.get("j", g.n - 1)),
             float(p.get("eta", 0.5)),
             int(p.get("n_samples", 10_000)),
-            seed=config.seed,
+            seed=seed,
         )
         row = {
             "name": rep.name,
@@ -420,7 +406,7 @@ def _run_experiment(config: ExperimentConfig) -> Tuple[List[str], List[Dict]]:
             float(p.get("a", 1.0)),
             [int(x) for x in p.get("ells", (2, 4))],
             int(p.get("n_samples", 50)),
-            config.seed,
+            seed,
             dim=int(p.get("dim", 2)),
         )
         rows = [
@@ -434,7 +420,7 @@ def _run_experiment(config: ExperimentConfig) -> Tuple[List[str], List[Dict]]:
             float(p.get("w", 10.0)),
             int(p.get("length", 1_000)),
             int(p.get("n_walks", 100)),
-            config.seed,
+            seed,
         )
         rows = [
             {"t": t, "msd": m} for t, m in zip(out["t_grid"], out["msd"])
@@ -447,39 +433,38 @@ def _run_experiment(config: ExperimentConfig) -> Tuple[List[str], List[Dict]]:
     )
 
 
-def _cmd_experiment(args) -> int:
-    outdir = _outdir(args)
+def _cmd_experiment(args) -> Run:
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         raw = json.loads(path.read_text())
-        config = ExperimentConfig.from_dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(raw) - _CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "experiment" not in raw:
+            raise ConfigError("config needs an 'experiment' name")
+        seed = int(raw.get("seed", 0))
+        config = {**raw, "experiment": str(raw["experiment"]), "seed": seed}
+        inputs = [args.config, *([config["graph"]] if "graph" in config else [])]
     elif args.name:
-        raw = {"experiment": args.name, "seed": args.seed}
-        config = ExperimentConfig.from_dict(raw)
+        config = {"experiment": args.name, "seed": args.seed}
+        inputs = []
     else:
         raise ConfigError("need --config FILE or --name NAME")
     fields, rows = _run_experiment(config)
-    _write_csv(outdir / "experiment.csv", fields, rows)
-    _write_json_summary(
-        outdir, {"command": "experiment", "config": config.to_dict(), "rows": rows}
+    return Run(
+        config,
+        config["seed"],
+        "experiment.csv",
+        fields,
+        [[row[k] for row in rows] for k in fields],
+        f"wrote {len(rows)} rows to {args.out / 'experiment.csv'}",
+        inputs=inputs,
+        summary={"command": "experiment", "config": config, "rows": rows},
     )
-    cfg = config.to_dict()
-    manifest = RunManifest(
-        command="experiment",
-        config=cfg,
-        content_hash=RunManifest.content_digest(
-            cfg, *([args.config] if args.config else [])
-        ),
-        seed=config.seed,
-        version=__version__,
-        started=args.started,
-        outputs=["experiment.csv", "summary.json"],
-    )
-    manifest.write(outdir)
-    print(f"wrote {len(rows)} rows to {outdir / 'experiment.csv'}")
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -556,9 +541,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     # stamped before the work, so a manifest's started-to-finished span
     # covers the whole run
-    args.started = _now()
+    started = _now()
     try:
-        return args.func(args)
+        # resolved first, so a bad --out is refused before any work
+        args.out = _outdir(args)
+        run = args.func(args)
+        _write_run(args.command, started, args.out, run)
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
@@ -568,6 +556,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VrjpError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
+    print(run.message, file=sys.stderr if run.code else sys.stdout)
+    return run.code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,12 @@ keyed by (seed, experiment, index), so results are bit-identical for a fixed
 seed. The one-sample KS test, the replica runner, the full-path random walk
 and the lattice diffusion estimator are test oracles (tests/_oracles.py).
 
+Each experiment refuses, with DomainError and before it draws, a sample
+count it cannot report on: psi-decay and vrjp-diffusion need at least one
+sample or walk, and cosh-moment and conductance-ratio, which report a
+standard error, at least two. Experiment config files are read and checked
+by the command line (vrjp.cli).
+
 Closed-form-vs-Monte-Carlo comparisons elsewhere in the package use the
 4-standard-error rule; significance for p-value tests is fixed at 0.01
 (verify.ALPHA).
@@ -28,7 +34,7 @@ from .betafield import (
     sample_banded,
     sample_batch,
 )
-from .errors import ConfigError, CoverageError, DomainError, PreconditionError, TestError
+from .errors import CoverageError, DomainError, PreconditionError, TestError
 from .graphs import WeightedGraph, _refuse_beyond_memory, build_lattice_box
 from .processes import simulate_vrjp_lattice
 from .schrodinger import green_solve, green_solve_banded
@@ -36,7 +42,6 @@ from .streams import stream
 
 __all__ = [
     "EstimatorReport",
-    "ExperimentConfig",
     "word_chi2",
     "srw_endpoints",
     "psi_decay_experiment",
@@ -61,50 +66,6 @@ class EstimatorReport:
     stderr: float
     n: int
     extra: Dict[str, object] = field(default_factory=dict)
-
-
-_CONFIG_KEYS = {
-    "experiment",
-    "graph",
-    "w",
-    "a",
-    "eta",
-    "dim",
-    "radii",
-    "ells",
-    "n_samples",
-    "n_walks",
-    "length",
-    "seed",
-    "i0",
-    "i",
-    "j",
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated key-value experiment description (CLI and batch runs)."""
-
-    experiment: str
-    seed: int = 0
-    params: Dict[str, object] = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "ExperimentConfig":
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "experiment" not in raw:
-            raise ConfigError("config needs an 'experiment' name")
-        seed = int(raw.get("seed", 0))
-        params = {k: v for k, v in raw.items() if k not in ("experiment", "seed")}
-        return cls(experiment=str(raw["experiment"]), seed=seed, params=params)
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"experiment": self.experiment, "seed": self.seed}
-        out.update(self.params)
-        return out
 
 
 def word_chi2(words_a: np.ndarray, words_b: np.ndarray) -> float:
@@ -211,6 +172,8 @@ def psi_decay_experiment(
     radii = [int(r) for r in radii]
     if radii != sorted(radii):
         raise DomainError("radii must be increasing")
+    if n_samples < 1:
+        raise DomainError("psi-decay needs at least 1 sample")
     rows: List[Dict[str, float]] = []
     for r_i, radius in enumerate(radii):
         g = build_lattice_box(dim, radius, w)
@@ -296,6 +259,8 @@ def cosh_moment_experiment(
     """
     if eta <= 0:
         raise DomainError("eta must be positive")
+    if n_samples < 2:
+        raise DomainError("cosh-moment needs at least 2 samples for a standard error")
     k_hops = _min_hops_with_capacity(g, int(i), int(j), 2.0 * eta)
     if k_hops is None:
         raise PreconditionError(
@@ -360,6 +325,10 @@ def conductance_ratio_experiment(
     """
     if not (np.isfinite(a) and a > 0):
         raise DomainError("Gamma shape a must be positive and finite")
+    if n_samples < 2:
+        raise DomainError(
+            "conductance-ratio needs at least 2 samples for a standard error"
+        )
     out: List[EstimatorReport] = []
     for e_i, ell in enumerate(ells):
         ell = int(ell)
@@ -394,7 +363,7 @@ def conductance_ratio_experiment(
             x = grow * (wired.couple(w_draw, grow) + eta * g_delta)
             vals[s] = (x[pl] / x[p0]) ** 0.25
         mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+        stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
         out.append(
             EstimatorReport(
                 name=f"conductance-ratio-l{ell}",
@@ -422,6 +391,8 @@ def vrjp_diffusion_experiment(
     linear-growth slope ratio, and a coordinate isotropy ratio. Diagnostic
     quality only: desk-scale walks are far from the scaling regime.
     """
+    if n_walks < 1:
+        raise DomainError("vrjp-diffusion needs at least 1 walk")
     coords = []
     d_times = []
     for k in range(n_walks):

@@ -338,6 +338,105 @@ class TestTrajectoryBytes:
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+# one small run per command, each with the sha256 of its data files and its
+# manifest without the timestamps, all taken before the commands shared one
+# writer; the green residuals and C2/C3 details are printed from the draws
+RUNS = {
+    "sample-beta": (
+        ["sample-beta", "--dim", "2", "--radius", "1", "--n", "20", "--seed", "11"],
+        {"beta.csv": "33705f25f29ad2aa1eba0e1304f60cb4cf1699f86aa5b8a19032138f60526ee3"},
+        {"command": "sample-beta",
+         "config": {"W": 1.0, "dim": 2, "n": 20, "radius": 1, "seed": 11},
+         "content_hash":
+             "9e98f488ea50f90e89b970bbad0ac163e6503ae6fd52f8bf41e7747278f0cb1c",
+         "outputs": ["beta.csv"], "seed": 11, "version": "0.1.0"},
+    ),
+    "green": (
+        ["green", "--dim", "2", "--radius", "2", "--seed", "3"],
+        {"green.csv": "142a8951f6879c16caa4b2061016730faec35ecd09c4903529db17770faad735",
+         "summary.json":
+             "cafab559e32eac3ff932741d69ce3d6850189834e164a4bf89b318189a702b33"},
+        {"command": "green",
+         "config": {"W": 1.0, "dim": 2, "radius": 2, "seed": 3},
+         "content_hash":
+             "5bf377381611d74b7e9ef8c9d6b92270ff70589350dbb2618378b12666efa67c",
+         "outputs": ["green.csv", "summary.json"], "seed": 3, "version": "0.1.0"},
+    ),
+    "simulate": (
+        ["simulate", "--process", "errw", "--dim", "1", "--radius", "2",
+         "--steps", "30", "--seed", "4"],
+        {"trajectory.csv":
+             "6a27c400de3f49deddc4ac5444792264bf470bd23928b9c1bfd4f17550bc09c8"},
+        {"command": "simulate",
+         "config": {"W": 1.0, "a": 1.0, "dim": 1, "i0": 0, "process": "errw",
+                    "radius": 2, "seed": 4, "steps": 30},
+         "content_hash":
+             "ffd786cd5ddf6f345eb796eea9801d47e3ee61cfe19c5e1663cc35f0bfaa947a",
+         "outputs": ["trajectory.csv"], "seed": 4, "version": "0.1.0"},
+    ),
+    "verify": (
+        ["verify", "--only", "2,3", "--seed", "7"],
+        {"verify.csv": "aa1f2f16308139fb81b54a100d1de5bfaf99f09d030a05730d640e3a49626c7f",
+         "summary.json":
+             "f2bcfc89426258564365b2f21a87cfd21245524a57ff14622fe8b047d5cc918c"},
+        {"command": "verify",
+         "config": {"only": "2,3", "seed": 7, "tier": "quick"},
+         "content_hash":
+             "d88559f584e5dbcd2fdc18cb26cecb82cd7cd72fdc395ce9379686716143f13c",
+         "outputs": ["verify.csv", "summary.json"], "seed": 7, "version": "0.1.0"},
+    ),
+    "experiment": (
+        ["experiment", "--name", "psi-decay", "--seed", "5"],
+        {"experiment.csv":
+             "bc68b526e32bab66192573bf2f4c209aa89931c611c0a0c1fbb3382788bda685",
+         "summary.json":
+             "f1d9dffa6f594023a1ceaf386b1feaf32215818b240fadbfbb785dc427c2cf6f"},
+        {"command": "experiment",
+         "config": {"experiment": "psi-decay", "seed": 5},
+         "content_hash":
+             "e759f57946b408618a724751119a8c6ef61870261b914eee5ddaf998ebd37a73",
+         "outputs": ["experiment.csv", "summary.json"], "seed": 5, "version": "0.1.0"},
+    ),
+}
+
+MANIFEST_KEYS = {
+    "command", "config", "content_hash", "seed", "version", "started",
+    "finished", "outputs",
+}
+
+
+@pytest.fixture(scope="module")
+def command_runs(tmp_path_factory):
+    """Each command of RUNS run once, by name: (exit code, output dir)."""
+    runs = {}
+    for name, (argv, _, _) in RUNS.items():
+        out = tmp_path_factory.mktemp(name)
+        runs[name] = main([*argv, "--out", str(out)]), out
+    return runs
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+class TestCommandOutputs:
+    def test_data_bytes_are_pinned(self, command_runs, command):
+        rc, out = command_runs[command]
+        assert rc == 0
+        for name, digest in RUNS[command][1].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_manifest_is_pinned(self, command_runs, command):
+        _, out = command_runs[command]
+        manifest = read_json(out / "manifest.json")
+        assert set(manifest) == MANIFEST_KEYS
+        for key in ("started", "finished"):
+            manifest.pop(key)
+        assert manifest == RUNS[command][2]
+
+    def test_outputs_are_the_files_written(self, command_runs, command):
+        _, out = command_runs[command]
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(read_json(out / "manifest.json")["outputs"]) == written
+
+
 class TestSimulateQuenched:
     def test_wired_box_trajectory(self, tmp_path):
         out = tmp_path / "run"
@@ -505,6 +604,61 @@ class TestExperimentCommand:
         )
         assert rc == USAGE_EXIT
 
+    def test_config_round_trip(self, tmp_path):
+        raw = {"experiment": "psi-decay", "seed": 3, "dim": 2, "radii": [2, 3],
+               "n_samples": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert read_json(out / "summary.json")["config"] == raw
+        manifest = read_json(out / "manifest.json")
+        assert manifest["config"] == raw and manifest["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"experiment": "x", "turbo": True}, "unknown config keys"),
+            ({"seed": 1}, "config needs an 'experiment' name"),
+            # the knob is gone: any parallelism is an unknown key
+            ({"experiment": "x", "parallelism": 2}, "unknown config keys"),
+            (["experiment"], "config must be a JSON object"),
+        ],
+        ids=["unknown-key", "no-experiment", "parallelism", "not-an-object"],
+    )
+    def test_config_is_refused(self, tmp_path, capsys, raw, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == USAGE_EXIT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"experiment": "psi-decay", "n_samples": 0},
+            {"experiment": "conductance-ratio", "n_samples": 0},
+            {"experiment": "conductance-ratio", "n_samples": 1},
+            {"experiment": "cosh-moment", "n_samples": 0},
+            {"experiment": "cosh-moment", "n_samples": 1},
+            {"experiment": "vrjp-diffusion", "n_walks": 0},
+        ],
+        ids=["psi-0", "ratio-0", "ratio-1", "cosh-0", "cosh-1", "diffusion-0"],
+    )
+    def test_unreportable_count_is_usage_error(self, tmp_path, monkeypatch, capsys, raw):
+        # a count with no quantile, mean or standard error to report is
+        # refused before any draw, and no NaN row is written
+        monkeypatch.setattr(vrjp.harness, "stream", lambda *key: NoDraws())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == USAGE_EXIT
+        assert capsys.readouterr().err.startswith("usage error")
+        assert not out.exists()
+
     def test_unknown_name_rejected_by_parser(self, tmp_path):
         rc = main(
             ["experiment", "--name", "nope", "--out", str(tmp_path / "x")]
@@ -566,6 +720,24 @@ class TestManifest:
             )
             assert rc == 0
             hashes.append(read_json(out / "manifest.json")["content_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_experiment_hash_tracks_config_graph(self, tmp_path):
+        # the same config file names a pair graph whose weight changes
+        # between runs; the hash covers the graph file's bytes too
+        cfg_path = tmp_path / "cfg.json"
+        graph = tmp_path / "g.json"
+        cfg_path.write_text(json.dumps(
+            {"experiment": "cosh-moment", "graph": str(graph), "n_samples": 50}
+        ))
+        hashes, means = [], []
+        for k, w in enumerate((1.0, 2.0)):
+            save_graph(WeightedGraph(n=2, edges=((0, 1, w),)), str(graph))
+            out = tmp_path / f"out{k}"
+            assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+            hashes.append(read_json(out / "manifest.json")["content_hash"])
+            means.append(read_csv(out / "experiment.csv")[0]["mean"])
+        assert means[0] != means[1]
         assert hashes[0] != hashes[1]
 
     def test_hash_tracks_seed(self, tmp_path):

@@ -33,7 +33,8 @@ def test_all_names_resolve_once(name):
 # test oracles and helpers (tests/_oracles.py), sample_sequential and
 # BetaSample, whose work sample_batch and BandSample do, rooted_u_samples,
 # which is harness._rooted_u_samples, harness.ALPHA, which only
-# verify.ALPHA is, and verify._beta_chunks, whose loop is verify._draws
+# verify.ALPHA is, verify._beta_chunks, whose loop is verify._draws, and
+# ExperimentConfig, whose checks the command line makes on the raw config
 REMOVED = {
     "betafield": [
         "BetaSample",
@@ -66,6 +67,7 @@ REMOVED = {
         "diffusion_estimate",
         "rooted_u_samples",
         "ALPHA",
+        "ExperimentConfig",
     ],
     "errors": ["EnumerationError", "ConditioningError"],
     "verify": ["_beta_chunks"],
@@ -124,5 +126,5 @@ def test_removed_keyword_is_gone(func, name):
     assert name not in params, f"{func} still takes {name}"
 
 
-def test_package_exports_53_names():
-    assert len(vrjp.__all__) == 53
+def test_package_exports_52_names():
+    assert len(vrjp.__all__) == 52

@@ -9,10 +9,8 @@ from scipy import stats
 
 import vrjp
 from vrjp import (
-    ConfigError,
     CoverageError,
     DomainError,
-    ExperimentConfig,
     NuParams,
     PreconditionError,
     SizeError,
@@ -45,28 +43,6 @@ from _oracles import (
     se,
     srw_paths,
 )
-
-
-class TestExperimentConfig:
-    def test_round_trip(self):
-        raw = {"experiment": "psi-decay", "seed": 3, "dim": 2, "radii": [2, 4]}
-        cfg = ExperimentConfig.from_dict(raw)
-        assert cfg.experiment == "psi-decay" and cfg.seed == 3
-        assert cfg.params == {"dim": 2, "radii": [2, 4]}
-        assert cfg.to_dict() == raw
-
-    def test_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"experiment": "x", "turbo": True})
-
-    def test_requires_experiment_name(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"seed": 1})
-
-    def test_rejects_bad_parallelism(self):
-        # the knob is gone: any parallelism is an unknown key
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            ExperimentConfig.from_dict({"experiment": "x", "parallelism": 2})
 
 
 class TestRunReplicas:
@@ -254,6 +230,12 @@ class TestPsiDecayExperiment:
         with pytest.raises(DomainError):
             psi_decay_experiment(2, 0.5, [4, 2], n_samples=4, seed=0)
 
+    def test_refuses_no_samples_before_drawing(self, monkeypatch):
+        # no draw, no quantile: refused, not an IndexError from np.quantile
+        monkeypatch.setattr(vrjp.harness, "stream", lambda *key: NoDraws())
+        with pytest.raises(DomainError, match="at least 1"):
+            psi_decay_experiment(2, 0.5, [2], n_samples=0, seed=0)
+
 
 class TestRootedFieldSamples:
     def test_root_column_is_zero_and_law_matches_density(self):
@@ -299,6 +281,14 @@ class TestCoshMomentExperiment:
         with pytest.raises(DomainError):
             cosh_moment_experiment(g, 0, 0, 1, eta=0.0, n_samples=10)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_refuses_fewer_than_two_samples_before_drawing(self, monkeypatch, n):
+        # one sample has no standard error and none has no mean
+        monkeypatch.setattr(vrjp.harness, "stream", lambda *key: NoDraws())
+        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        with pytest.raises(DomainError, match="at least 2"):
+            cosh_moment_experiment(g, 0, 0, 1, eta=0.5, n_samples=n)
+
 
 class TestConductanceRatioExperiment:
     def test_zero_separation_is_unity(self):
@@ -342,6 +332,12 @@ class TestConductanceRatioExperiment:
         with pytest.raises(DomainError):
             conductance_ratio_experiment(a, [2], n_samples=3, seed=7)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_refuses_fewer_than_two_samples_before_drawing(self, monkeypatch, n):
+        monkeypatch.setattr(vrjp.harness, "stream", lambda *key: NoDraws())
+        with pytest.raises(DomainError, match="at least 2"):
+            conductance_ratio_experiment(1.0, [2], n_samples=n, seed=7)
+
 
 class TestStationarity:
     def test_field_is_exchangeable_on_a_ring(self):
@@ -365,3 +361,9 @@ class TestVrjpDiffusionExperiment:
         assert all(np.isfinite(out["msd"]))
         assert out["isotropy"] >= 1.0
         assert out["n_walks"] == 40
+
+    def test_refuses_no_walks_before_walking(self, monkeypatch):
+        # a usage error, not the CoverageError of an empty median
+        monkeypatch.setattr(vrjp.harness, "stream", lambda *key: NoDraws())
+        with pytest.raises(DomainError, match="at least 1"):
+            vrjp_diffusion_experiment(2, 1.0, n_jumps=400, n_walks=0, seed=9)
