@@ -17,17 +17,21 @@ rows of P, one for a batch of fields and one for a single wide draw:
   with the sample axis last, at the bandwidth P has; _schur_loop draws a
   batch of fields at once, adding each site's update to the band rows
   behind it. A row-major box keeps its leading stride as bandwidth, and a
-  dense P is the band of width n. A single environment is its batch of
-  one, sample_batch(params, 1, rng)[0]; callers hand that beta to a Green
-  solve, whose own factorization is the positivity check;
+  dense P is the band of width n. The rows it leaves and its pivots are
+  every sample's LDL^T factor of H_beta, and the batch keeps them, sample
+  axis last, in a BandSample with one positivity certificate for the
+  batch: schrodinger.green_solve_banded solves the draw's own environments
+  on it, and schrodinger.green_solve serves only environments that were
+  not drawn as they are solved. A single environment is its batch of one,
+  sample_batch(params, 1, rng).beta[0];
 - single: sample_banded holds a row-major lattice box by rows of its band.
   Eliminating sites in index order keeps every update inside the band, which
   is what makes large boxes cheap. Since a pivot needs only its own row,
   _blocked_band_loop eliminates the band in panels, left-looking within a
   panel, and the block behind a panel takes all of its updates as one
   BLAS-3 dsyrk. Elimination with pivots x is the LDL^T factorization of
-  H_beta, D = diag(x), and the sample keeps it (BandSample), with a
-  positivity certificate read from its pivots, for
+  H_beta, D = diag(x), and the sample keeps it (BandSample), as the batch
+  does, with a positivity certificate read from its pivots, for
   schrodinger.green_solve_banded. Psi decay, the conductance ratio and
   `vrjp green` draw their boxes this way. banded_coupling stores a graph's
   own weights. Wiring a retained set is done in one place, WiredBand's edge
@@ -135,7 +139,13 @@ class BandSample:
     """A band draw with the factor H_beta = L D L^T that drawing it computed:
     D = diag(pivots), L_k+d,k = -rows[k, d] / pivots[k] for d = 1..bw.
     psd_certificate holds when every pivot is at least PIVOT_RTOL times the
-    largest diagonal entry of H_beta."""
+    largest diagonal entry of its own sample's H_beta.
+
+    sample_banded's single draw holds beta as (n,), rows as (n, bw + 1) and
+    pivots as (n,). sample_batch's batch of S keeps the sample axis last in
+    its factor: beta is (S, n), rows (n, bw + 1, S) and pivots (n, S), and
+    the certificate covers every sample of the batch.
+    """
 
     beta: np.ndarray
     psd_certificate: bool
@@ -174,8 +184,12 @@ def laplace_closed_form(params: NuParams, lam: np.ndarray) -> float:
 
 
 def _pivots_ok(pivots: np.ndarray, h_diag: np.ndarray) -> bool:
-    scale = max(np.abs(h_diag).max(initial=0.0), 1e-300)
-    return bool((pivots >= PIVOT_RTOL * scale).all())
+    """Whether each sample's smallest pivot is at least PIVOT_RTOL times its
+    own largest |H_kk|. The site axis is first, then a batch's sample axis;
+    every reduction runs along the sites, so no temporary is that large."""
+    top = np.maximum(h_diag.max(axis=0, initial=0.0), -h_diag.min(axis=0, initial=0.0))
+    low = pivots.min(axis=0, initial=np.inf)
+    return bool((low >= PIVOT_RTOL * np.maximum(top, 1e-300)).all())
 
 
 def h_beta(p: np.ndarray, beta) -> np.ndarray:
@@ -229,6 +243,7 @@ def _gig_vec(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _schur_loop(st: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Eliminate the n sites of st in index order; returns beta as (n, S).
+    Leaves the factor's rows in st and its pivots x in ew.
 
     st is the (n, bw + 1, S) state, P's band rows with the sample axis last:
     st[i, d] = P[i, i + d]; ew is eta as (n, S). Step k reads its pivot row
@@ -236,7 +251,9 @@ def _schur_loop(st: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.
     adds (col[a] * col[a + d]) / x to st[k + 1 + a, d] for a + d < m, as one
     sheared add. Cells past the band are zeros that a full-square
     elimination keeps zero, so every cell gets that elimination's products
-    in its order.
+    in its order. Row k is final once site k is drawn, so st ends as the
+    factor rows of H_beta = L D L^T, D = diag(x), as BandSample reads them;
+    ew[k] is last read at step k, which then stores its pivot there.
     For S >= 2 numpy sums the pivot row down the column, one entry at a
     time, so the band entries give the dense sum; a single sample's row is
     summed pairwise, so it is zero-padded to its dense length n - 1 - k.
@@ -268,6 +285,7 @@ def _schur_loop(st: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.
             )
             np.add(shear, t, out=shear, where=upper[:m, :m])
         ew[k + 1 : k + 1 + m] += col * (ew[k] / x)
+        ew[k] = x
     return beta
 
 
@@ -327,22 +345,26 @@ def sample_batch(
     params: NuParams,
     n_samples: int,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> BandSample:
     """Exact draws of the field by eliminating one site at a time, in index
-    order, for n_samples independent fields at once: returns an
-    (n_samples, n) array.
+    order, for n_samples independent fields at once: returns a BandSample
+    whose beta is an (n_samples, n) array.
 
     At each step the site's coupling to the not-yet-eliminated sites gives
     the shape of its one-site conditional; the draw then feeds a Schur
     update. Relabelling the sites changes cost (fill-in), never the law.
     The state is _schur_loop's (n, bw + 1, S) band rows with the sample
     axis last, at the bandwidth bw read from P: a row-major box keeps its
-    leading stride as bw, and a dense P holds the full square. One
-    environment is the batch of one, sample_batch(params, 1, rng)[0] (C1,
-    C10 and `vrjp simulate --process quenched`); acceptance-scale Monte
-    Carlo draws 1e5+ fields on a small graph. Large lattice boxes go
-    through sample_banded, one field per call (psi decay, the conductance
-    ratio and `vrjp green`).
+    leading stride as bw, and a dense P holds the full square. The loop
+    leaves the LDL^T factor of every sample's H_beta in those rows and its
+    pivots, and the sample keeps both, sample axis last, with a positivity
+    certificate for the whole batch: schrodinger.green_solve_banded solves
+    the batch's own environments on it. Callers that need only the field
+    read .beta. One environment is the batch of one,
+    sample_batch(params, 1, rng).beta[0] (C1, C10 and `vrjp simulate
+    --process quenched`); acceptance-scale Monte Carlo draws 1e5+ fields on
+    a small graph. Large lattice boxes go through sample_banded, one field
+    per call (psi decay, the conductance ratio and `vrjp green`).
     """
     if rng is None:
         raise DomainError("an rng is required")
@@ -353,9 +375,11 @@ def sample_batch(
         raise DomainError(f"sample count must be nonnegative, got {n_samples}")
     i, j = np.nonzero(p)
     bw = int((j - i).max(initial=0))
-    # the band state plus _schur_loop's (bw, bw, S) update scratch
+    # the band rows, _schur_loop's (bw, bw, S) update scratch and three
+    # (n, S) arrays: eta, whose rows become the pivots, beta, and the
+    # certificate's H_kk, which is made once the scratch is gone
     _refuse_beyond_memory(
-        (n * (bw + 1) + bw * bw) * n_samples * 8,
+        (n * (bw + 1) + bw * bw + 3 * n) * n_samples * 8,
         f"the elimination state of {n_samples} samples on {n} sites"
         f" at bandwidth {bw}",
     )
@@ -364,7 +388,12 @@ def sample_batch(
         st[: n - d, d] = np.diagonal(p, d)[:, None]
     ew = np.broadcast_to(params.eta[:, None], (n, n_samples)).copy()
     beta = _schur_loop(st, ew, rng)
-    return np.ascontiguousarray(beta.T)
+    h_diag = 2.0 * beta
+    h_diag -= np.diagonal(p)[:, None]
+    certified = _pivots_ok(ew, h_diag)
+    # gone before beta's transposed copy is made, as the byte count assumes
+    del h_diag
+    return BandSample(np.ascontiguousarray(beta.T), certified, rows=st, pivots=ew)
 
 
 def _edge_arrays(g: WeightedGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

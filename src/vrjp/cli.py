@@ -207,7 +207,7 @@ def _cmd_sample_beta(args) -> Run:
         g, subset, cfg = _wired_box_params(args)
         params = marginal_params(g, subset)
     cfg.update({"n": args.n, "seed": args.seed})
-    beta = sample_batch(params, args.n, rng)
+    beta = sample_batch(params, args.n, rng).beta
     return Run(
         cfg,
         args.seed,
@@ -287,7 +287,7 @@ def _cmd_simulate(args) -> Run:
         g, subset, cfg = _wired_box_params(args)
         i0 = _root(args, subset)
         params = marginal_params(g, subset)
-        beta = sample_batch(params, 1, rng)[0]
+        beta = sample_batch(params, 1, rng).beta[0]
         gamma = float(rng.gamma(0.5, 1.0))
         bundle = green_bundle(params, beta, subset, gamma, i0=i0)
         rates = QuenchedRates.from_bundle(bundle)
@@ -367,14 +367,31 @@ _CONFIG_KEYS = {
 }
 
 
+def _ints(value) -> List[int]:
+    return [int(x) for x in value]
+
+
+def _conf(p: Dict[str, object], key: str, default, kind):
+    """p[key], or default when it is absent, converted by kind; a value that
+    kind refuses (a number where a list belongs, a list where a number
+    does) is a ConfigError."""
+    value = p.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"config key {key!r} has a bad value {value!r}: {exc}"
+        ) from exc
+
+
 def _run_experiment(p: Dict[str, object]) -> Tuple[List[str], List[Dict]]:
     name, seed = p["experiment"], p["seed"]
     if name == "psi-decay":
         rows = psi_decay_experiment(
-            int(p.get("dim", 2)),
-            float(p.get("w", 0.2)),
-            [int(r) for r in p.get("radii", (2, 4, 6))],
-            int(p.get("n_samples", 16)),
+            _conf(p, "dim", 2, int),
+            _conf(p, "w", 0.2, float),
+            _conf(p, "radii", (2, 4, 6), _ints),
+            _conf(p, "n_samples", 16, int),
             seed,
         )
         return ["radius", "q25", "median", "q75", "n"], rows
@@ -386,11 +403,11 @@ def _run_experiment(p: Dict[str, object]) -> Tuple[List[str], List[Dict]]:
         )
         rep = cosh_moment_experiment(
             g,
-            int(p.get("i0", 0)),
-            int(p.get("i", 0)),
-            int(p.get("j", g.n - 1)),
-            float(p.get("eta", 0.5)),
-            int(p.get("n_samples", 10_000)),
+            _conf(p, "i0", 0, int),
+            _conf(p, "i", 0, int),
+            _conf(p, "j", g.n - 1, int),
+            _conf(p, "eta", 0.5, float),
+            _conf(p, "n_samples", 10_000, int),
             seed=seed,
         )
         row = {
@@ -403,11 +420,11 @@ def _run_experiment(p: Dict[str, object]) -> Tuple[List[str], List[Dict]]:
         return ["name", "mean", "stderr", "n", "bound"], [row]
     if name == "conductance-ratio":
         reports = conductance_ratio_experiment(
-            float(p.get("a", 1.0)),
-            [int(x) for x in p.get("ells", (2, 4))],
-            int(p.get("n_samples", 50)),
+            _conf(p, "a", 1.0, float),
+            _conf(p, "ells", (2, 4), _ints),
+            _conf(p, "n_samples", 50, int),
             seed,
-            dim=int(p.get("dim", 2)),
+            dim=_conf(p, "dim", 2, int),
         )
         rows = [
             {"ell": r.extra["ell"], "mean": r.mean, "stderr": r.stderr, "n": r.n}
@@ -416,10 +433,10 @@ def _run_experiment(p: Dict[str, object]) -> Tuple[List[str], List[Dict]]:
         return ["ell", "mean", "stderr", "n"], rows
     if name == "vrjp-diffusion":
         out = vrjp_diffusion_experiment(
-            int(p.get("dim", 3)),
-            float(p.get("w", 10.0)),
-            int(p.get("length", 1_000)),
-            int(p.get("n_walks", 100)),
+            _conf(p, "dim", 3, int),
+            _conf(p, "w", 10.0, float),
+            _conf(p, "length", 1_000, int),
+            _conf(p, "n_walks", 100, int),
             seed,
         )
         rows = [
@@ -446,7 +463,9 @@ def _cmd_experiment(args) -> Run:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in raw:
             raise ConfigError("config needs an 'experiment' name")
-        seed = int(raw.get("seed", 0))
+        if not isinstance(raw.get("graph", ""), str):
+            raise ConfigError(f"config key 'graph' must be a path: {raw['graph']!r}")
+        seed = _conf(raw, "seed", 0, int)
         config = {**raw, "experiment": str(raw["experiment"]), "seed": seed}
         inputs = [args.config, *([config["graph"]] if "graph" in config else [])]
     elif args.name:

@@ -37,7 +37,7 @@ from .betafield import (
 from .errors import CoverageError, DomainError, PreconditionError, TestError
 from .graphs import WeightedGraph, _refuse_beyond_memory, build_lattice_box
 from .processes import simulate_vrjp_lattice
-from .schrodinger import green_solve, green_solve_banded
+from .schrodinger import green_solve_banded
 from .streams import stream
 
 __all__ = [
@@ -228,13 +228,12 @@ def _rooted_u_samples(
     The root plays the part of the boundary vertex: draw the potential on
     the other vertices with the root's conductance column as coupling
     vector, then u = log of the resulting boundary-hitting sums (u is 0 at
-    the root itself).
+    the root itself), solved on the factor the draw kept.
     """
     keep = [v for v in range(g.n) if v != int(i0)]
     w = g.weight_matrix()
     params = NuParams(p=w[np.ix_(keep, keep)], eta=w[keep, int(i0)])
-    beta = sample_batch(params, n_samples, rng)
-    psi = green_solve(params.p, beta, params.eta)
+    psi = green_solve_banded(sample_batch(params, n_samples, rng), params.eta)
     u = np.zeros((n_samples, g.n))
     u[:, keep] = np.log(psi)
     return u

@@ -5,22 +5,25 @@ Gamma(1/2) coupling, and the identities that tie them together.
 H is formed in one place, betafield.h_beta, and every dense H below comes
 from it. Green functions come from one of three solves:
 
-- green_solve applies Ghat_beta to a few right-hand sides for a whole batch
-  of environments, through one LU solve per environment and a block of
-  environments per call; batched Monte Carlo asks only for the columns it
-  reads, never for the inverse;
-- green_solve_banded is its band twin for one environment of a lattice box
-  drawn by sample_banded: two banded triangular solves with the LDL^T factor
-  of H that the draw computed, so H is never factored twice;
+- green_solve_banded applies Ghat_beta to a few right-hand sides with the
+  LDL^T factor of H that the draw computed and kept, so H is never factored
+  twice: for one environment of a lattice box drawn by sample_banded, two
+  banded triangular solves; for a batch drawn by sample_batch, one forward
+  and one back substitution with the sample axis last. Batched Monte Carlo
+  asks only for the columns it reads, never for the inverse;
+- green_solve is its dense twin, for environments that were not drawn as
+  they are solved (a marginal read off a larger draw, or a check that must
+  not read the sampler's own pivots): one LU solve per environment and a
+  block of environments per call;
 - green_bundle factors the H of a single environment by Cholesky. It takes
   the wired marginal it is given, formed by betafield.WiredBand in dense
   storage (marginal_params).
 
-Every factorization doubles as the positivity certificate (for the band
-draw, its pivots): a failure raises FactorizationError. Apart from the band
-storage, operators are dense arrays; there is no sparse route. A retained
-set too large for its dense block is refused with SizeError before anything
-is allocated (WiredBand.params). The u-field of a full graph, its
+Every factorization doubles as the positivity certificate (for a kept
+factor, the draw's pivots): a failure raises FactorizationError. Apart from
+the band storage, operators are dense arrays; there is no sparse route. A
+retained set too large for its dense block is refused with SizeError before
+anything is allocated (WiredBand.params). The u-field of a full graph, its
 density, truncated path sums and the dense bottom of the spectrum are test
 oracles (tests/_oracles.py); no product path reads them.
 """
@@ -57,7 +60,10 @@ def green_solve(p: np.ndarray, beta, rhs) -> np.ndarray:
 
     rhs has shape (m,) or (m, k); the result has shape (..., m) or
     (..., m, k). One LU solve per environment, with no positivity check:
-    callers pass draws of the law, for which H is positive definite. The
+    callers pass draws of the law, for which H is positive definite. It
+    serves environments that were not drawn as they are solved: a batch
+    that sample_batch drew on this p solves on its kept factor with
+    green_solve_banded instead, which factors nothing. The
     environments are solved _SOLVE_BLOCK at a time, so only one block's H
     and its LU copy are held at once; each environment's solve is its own,
     so the blocks give the one-shot solve's bits.
@@ -83,11 +89,16 @@ def green_solve(p: np.ndarray, beta, rhs) -> np.ndarray:
 
 
 def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
-    """Ghat_beta rhs for one band draw, with the factor it kept: the band
-    twin of green_solve. rhs has shape (m,) or (m, k), and so has the result.
+    """Ghat_beta rhs for a band draw, with the factor it kept: the band twin
+    of green_solve, for environments solved as they were drawn.
 
-    With R = D L^T, H^-1 = R^-1 D R^-T, and R^T in lower band storage is
-    -rows.T with the pivots on its first row: two triangular dtbtrs solves.
+    rhs has shape (m,) or (m, k). A single draw (sample_banded) gives the
+    shape of rhs: with R = D L^T, H^-1 = R^-1 D R^-T, and R^T in lower band
+    storage is -rows.T with the pivots on its first row, so two triangular
+    dtbtrs solves. A batch of S (sample_batch) gives (S, m) or (S, m, k), as
+    green_solve does for its beta: one forward and one back substitution
+    over the m sites, each step one op on a (bw, k, S) block of every
+    sample, in place on one (m, k, S) array that the result is a view of.
     A failed certificate or a zero pivot raises FactorizationError.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -96,6 +107,12 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
         raise DomainError(f"right-hand side must have shape ({m},) or ({m}, k)")
     if not sample.psd_certificate:
         raise FactorizationError("banded operator is not positive definite")
+    if sample.pivots.ndim == 2:
+        if not sample.pivots.all():
+            raise FactorizationError("banded operator is singular: a zero pivot")
+        y = _band_substitute(sample.rows, sample.pivots, rhs.reshape(m, -1))
+        y = np.moveaxis(y, 2, 0)
+        return y if rhs.ndim == 2 else y[..., 0]
     ab = -sample.rows.T
     ab[0] = sample.pivots
     y, info_n = dtbtrs(ab, rhs.reshape(m, -1), uplo="L")
@@ -104,6 +121,34 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
     if info_n or info_t:
         raise FactorizationError("banded operator is singular: a zero pivot")
     return y.reshape(rhs.shape)
+
+
+def _band_substitute(rows: np.ndarray, pivots: np.ndarray, cols: np.ndarray):
+    """H^-1 cols for every sample of a batch's factor, as an (m, k, S) array.
+
+    Forward, L z = cols then w = z / x: once y[k] is z_k / x_k, the rows
+    behind it take rows[k, d] y[k]. Back, L^T y = w: y[k] gains
+    sum_d rows[k, d] y[k + d] / x_k.
+    """
+    m, width, s = rows.shape
+    bw = width - 1
+    y = np.empty((m, cols.shape[1], s))
+    y[...] = cols[:, :, None]
+    scratch = np.empty((bw,) + y.shape[1:])
+    for k in range(m):
+        d = min(bw, m - 1 - k)
+        y[k] /= pivots[k]
+        if d:
+            t = np.multiply(rows[k, 1 : d + 1, None], y[k], out=scratch[:d])
+            y[k + 1 : k + 1 + d] += t
+    for k in range(m - 2, -1, -1):
+        d = min(bw, m - 1 - k)
+        if d:
+            t = np.multiply(
+                rows[k, 1 : d + 1, None], y[k + 1 : k + 1 + d], out=scratch[:d]
+            )
+            y[k] += t.sum(axis=0) / pivots[k]
+    return y
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ size tier ("quick" for a minute-scale smoke run, "full" for the release
 gate). Criterion 13 is diagnostic: it reports trends that are asymptotic
 statements and never gates. Monte Carlo over many fields goes through
 _draws, which draws CHUNK fields at a time and keeps only a per-chunk
-statistic of them.
+statistic of them. Each chunk is a BandSample that keeps its LDL^T factor:
+criteria 6 and 8 solve their Green columns on it (green_solve_banded), and
+green_solve serves the environments that were not drawn as they are
+solved.
 
 Statistical conventions: closed-form-vs-Monte-Carlo comparisons use the
 4-standard-error rule; p-value tests use significance 0.01; all draws come
@@ -30,6 +33,7 @@ import numpy as np
 from scipy import stats
 
 from .betafield import (
+    BandSample,
     NuParams,
     WiredBand,
     laplace_closed_form,
@@ -54,7 +58,12 @@ from .processes import (
     mc_return_probability,
     vrjp_words,
 )
-from .schrodinger import check_identities, green_bundle, green_solve
+from .schrodinger import (
+    check_identities,
+    green_bundle,
+    green_solve,
+    green_solve_banded,
+)
 from .streams import stream
 
 __all__ = ["CheckResult", "Sizes", "QUICK", "FULL", "run_suite", "CRITERIA"]
@@ -159,12 +168,13 @@ def _draws(
     params: NuParams,
     n: int,
     rng: np.random.Generator,
-    stat: Callable[[np.ndarray], np.ndarray],
+    stat: Callable[[BandSample], np.ndarray],
 ) -> np.ndarray:
     """stat of n field draws, concatenated along its first axis. The fields
-    are drawn CHUNK at a time, and stat runs on each chunk before the next
-    one is drawn, so no n-row field is ever held and any draws stat makes
-    from rng follow its own chunk's fields."""
+    are drawn CHUNK at a time, and stat runs on each chunk's BandSample
+    (its .beta, and the factor that drew it) before the next one is drawn,
+    so no n-row field is ever held and any draws stat makes from rng follow
+    its own chunk's fields."""
     return np.concatenate(
         [stat(sample_batch(params, min(CHUNK, n - k), rng)) for k in range(0, n, CHUNK)]
     )
@@ -224,7 +234,7 @@ def criterion_1(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     center = subset[len(subset) // 2]
     worst: Dict[str, float] = {}
     for _ in range(sizes.envs_c1):
-        beta = sample_batch(params, 1, rng)[0]
+        beta = sample_batch(params, 1, rng).beta[0]
         gamma = float(rng.gamma(0.5, 1.0))
         bundle = green_bundle(params, beta, subset, gamma, i0=center)
         rep = check_identities(bundle, beta, i0=center)
@@ -254,7 +264,7 @@ def criterion_2(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     for name, params in cases:
         lam = _lambda_grid(params.n, sizes.lam_c2, stream(seed, "c2-grid", name))
         rng = stream(seed, "c2-sample", name)
-        vals = _draws(params, sizes.n_c2, rng, lambda beta: np.exp(-beta @ lam.T))
+        vals = _draws(params, sizes.n_c2, rng, lambda s: np.exp(-s.beta @ lam.T))
         for k in range(lam.shape[0]):
             target = laplace_closed_form(params, lam[k])
             z = abs(float(vals[:, k].mean()) - target) / _se(vals[:, k])
@@ -277,7 +287,7 @@ def criterion_3(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     rng = stream(seed, "c3")
     # site 2 is eliminated last, so the test exercises the whole update
     # chain; the triangle is uniform, so its weight is site 0's
-    vals = _draws(params, sizes.n_c3, rng, lambda beta: 1.0 / (2.0 * beta[:, 2]))
+    vals = _draws(params, sizes.n_c3, rng, lambda s: 1.0 / (2.0 * s.beta[:, 2]))
     w_i = float(g.weight_matrix()[0].sum())
     stat, p = stats.kstest(vals, lambda x: stats.invgauss.cdf(x, 1.0 / w_i, scale=1.0))
     ok = p > ALPHA
@@ -307,7 +317,7 @@ def criterion_4(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     rng = stream(seed, "c4")
     lams = np.array([lam1, lam2])
     xs, ys = _draws(
-        params, sizes.n_c4, rng, lambda beta: np.exp(-lams * beta[:, [i, j]])
+        params, sizes.n_c4, rng, lambda s: np.exp(-lams * s.beta[:, [i, j]])
     ).T
     z_arr = (xs - xs.mean()) * (ys - ys.mean())
     cov = float(z_arr.mean())
@@ -333,7 +343,7 @@ def criterion_5(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     lam = _lambda_grid(len(v1), sizes.lam_c5, stream(seed, "c5-grid"))
     rng = stream(seed, "c5")
     vals = _draws(
-        params2, sizes.n_c5, rng, lambda beta: np.exp(-beta[:, pos] @ lam.T)
+        params2, sizes.n_c5, rng, lambda s: np.exp(-s.beta[:, pos] @ lam.T)
     )
     worst_z = 0.0
     for k in range(lam.shape[0]):
@@ -373,8 +383,8 @@ def criterion_6(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     e_corner[corner] = 1.0
     core_rhs = np.stack([eta1, e_corner], axis=1)
 
-    def core(beta: np.ndarray) -> np.ndarray:
-        cols = green_solve(params1.p, beta, core_rhs)
+    def core(sample: BandSample) -> np.ndarray:
+        cols = green_solve_banded(sample, core_rhs)
         psi = cols[..., 0]
         bracket = psi[:, center] * psi[:, corner] - cols[:, center, 1] - 1.0
         return np.stack([psi[:, center], psi[:, corner], bracket], axis=1)
@@ -392,13 +402,18 @@ def criterion_6(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     # core block's quadratic form is z . Ghat z
     z = np.zeros(len(v2))
     z[pos] = lam_small
-    rhs2 = np.stack([eta2, z], axis=1)
     rhs1 = np.stack([eta1, lam_small], axis=1)
 
-    def increment(beta2: np.ndarray) -> np.ndarray:
-        cols2 = green_solve(params2.p, beta2, rhs2)
-        x = np.exp(-cols2[:, pos, 0] @ lam_small - 0.5 * (cols2[..., 1] @ z))
-        cols1 = green_solve(params1.p, beta2[:, pos], rhs1)
+    def increment(sample: BandSample) -> np.ndarray:
+        # the 5x5 box on its draw's factor, a column at a time, so that
+        # beside the kept factor only one (25, S) solution is held
+        x = np.exp(
+            -green_solve_banded(sample, eta2)[:, pos] @ lam_small
+            - 0.5 * (green_solve_banded(sample, z) @ z)
+        )
+        # the core's own law at the same sites: that field was drawn on the
+        # 5x5 box, not on the core block, so it has no factor to solve on
+        cols1 = green_solve(params1.p, sample.beta[:, pos], rhs1)
         y = np.exp(-cols1[..., 0] @ lam_small - 0.5 * (cols1[..., 1] @ lam_small))
         return x - y
 
@@ -426,11 +441,16 @@ def criterion_7(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     d_idx = wired.n
     e_d = np.zeros(params.n)
     e_d[d_idx] = 1.0
+    # Not on the draw's factor: delta is eliminated last, so
+    # 1/(2 G(delta, delta)) is its pivot x_last / 2, and with eta = 0 that
+    # pivot is the sampler's own chi-square(1) draw. Read from the factor,
+    # the check would test the sampler against itself; a fresh LU solve of
+    # H_beta tests the drawn field.
     vals = _draws(
         params,
         sizes.n_c7,
         rng,
-        lambda beta: 1.0 / (2.0 * green_solve(params.p, beta, e_d)[:, d_idx]),
+        lambda s: 1.0 / (2.0 * green_solve(params.p, s.beta, e_d)[:, d_idx]),
     )
     z = abs(vals.mean() - 0.5) / _se(vals)
     stat, p = stats.kstest(vals, lambda x: stats.gamma.cdf(x, 0.5))
@@ -465,9 +485,9 @@ def criterion_8(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     e_s[start] = 1.0
     rhs = np.stack([e_s, eta], axis=1)
 
-    def quenched_words(beta: np.ndarray) -> np.ndarray:
-        c = beta.shape[0]
-        cols = green_solve(params.p, beta, rhs)
+    def quenched_words(sample: BandSample) -> np.ndarray:
+        c = sample.beta.shape[0]
+        cols = green_solve_banded(sample, rhs)
         ghat_row, psi = cols[..., 0], cols[..., 1]
         gamma = rng.gamma(0.5, 1.0, size=c)
         grow = np.empty((c, m + 1))
@@ -517,7 +537,7 @@ def criterion_10(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     worst_z = 0.0
     for env in range(sizes.envs_c10):
         rng = stream(seed, "c10-env", env)
-        beta = sample_batch(params, 1, rng)[0]
+        beta = sample_batch(params, 1, rng).beta[0]
         gamma = float(rng.gamma(0.5, 1.0))
         bundle = green_bundle(params, beta, subset, gamma, i0=center)
         rates = QuenchedRates.from_bundle(bundle)

@@ -443,7 +443,7 @@ def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
                 coords=box.coords,
             )
             params = reference_marginal_params(g_s, inner)
-            beta = sample_batch(params, 1, rng)[0]
+            beta = sample_batch(params, 1, rng).beta[0]
             bundle = green_bundle(
                 params, beta, inner, float(gamma_rng.gamma(0.5, 1.0)), i0=None
             )
@@ -546,7 +546,7 @@ def sample_errw_env(g: WeightedGraph, a, rng):
     for (i, j, _), w in zip(g.edges, w_draw):
         p[i, j] = w
         p[j, i] = w
-    return w_draw, sample_batch(NuParams(p=p, eta=np.zeros(g.n)), 1, rng)[0]
+    return w_draw, sample_batch(NuParams(p=p, eta=np.zeros(g.n)), 1, rng).beta[0]
 
 
 PATH_CAP_DEFAULT = 12

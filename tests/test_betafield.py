@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,7 +255,7 @@ class TestGigHalfSample:
         # a lone site of eta 1e-15 (b = 1e-30): numpy's Wald draw there is
         # 0 for some samples, which made x infinite or divided by zero
         params = NuParams(p=np.zeros((1, 1)), eta=np.array([1e-15]))
-        x = 2.0 * sample_batch(params, n_samples, stream(11, "gig-tiny"))[:, 0]
+        x = 2.0 * sample_batch(params, n_samples, stream(11, "gig-tiny")).beta[:, 0]
         np.testing.assert_array_equal(
             x, stream(11, "gig-tiny").chisquare(1, size=n_samples)
         )
@@ -297,9 +299,9 @@ class TestSequentialSampler:
         params = NuParams(p=np.zeros((1, 1)), eta=np.array([1.0]))
         rng = stream(21, "seq-ig")
         seq = np.array(
-            [sample_batch(params, 1, rng)[0, 0] for _ in range(5_000)]
+            [sample_batch(params, 1, rng).beta[0, 0] for _ in range(5_000)]
         )
-        batch = sample_batch(params, 100_000, stream(21, "batch-ig"))[:, 0]
+        batch = sample_batch(params, 100_000, stream(21, "batch-ig")).beta[:, 0]
         for vals in (seq, batch):
             stat, p = stats.kstest(
                 1.0 / (2.0 * vals), lambda x: stats.invgauss.cdf(x, 1.0, scale=1.0)
@@ -309,7 +311,7 @@ class TestSequentialSampler:
     def test_pair_transform_matches_closed_form(self):
         params = pair_params(1.0)
         lam_rng = stream(21, "lam")
-        beta = sample_batch(params, 100_000, stream(21, "pair"))
+        beta = sample_batch(params, 100_000, stream(21, "pair")).beta
         for _ in range(5):
             lam = lam_rng.uniform(0.0, 1.5, size=2)
             target = laplace_closed_form(params, lam)
@@ -327,7 +329,7 @@ class TestSequentialSampler:
             ]
         )
         params = NuParams(p=p, eta=np.array([0.3, 0.0, 1.0, 0.0]))
-        beta = sample_batch(params, 100_000, stream(21, "diag"))
+        beta = sample_batch(params, 100_000, stream(21, "diag")).beta
         lam_rng = stream(21, "diag-lam")
         for _ in range(4):
             lam = lam_rng.uniform(0.0, 1.0, size=4)
@@ -339,9 +341,9 @@ class TestSequentialSampler:
         )
         lam = np.array([0.5, 0.2, 0.8])
         order = [2, 0, 1]
-        a = np.exp(-sample_batch(params, 100_000, stream(21, "ord-a")) @ lam)
+        a = np.exp(-sample_batch(params, 100_000, stream(21, "ord-a")).beta @ lam)
         b = np.exp(
-            -sample_batch(relabelled(params, order), 100_000, stream(21, "ord-b"))
+            -sample_batch(relabelled(params, order), 100_000, stream(21, "ord-b")).beta
             @ lam[order]
         )
         gap = abs(a.mean() - b.mean())
@@ -351,7 +353,7 @@ class TestSequentialSampler:
         params = marginal_params(build_lattice_box(2, 1), [0, 1, 3, 4])
         rng = stream(21, "cert")
         assert all(
-            spd_certificate(params.p, sample_batch(params, 1, rng)[0])
+            spd_certificate(params.p, sample_batch(params, 1, rng).beta[0])
             for _ in range(200)
         )
 
@@ -362,8 +364,8 @@ class TestSequentialSampler:
         shifted = NuParams(p=base.p + np.diag(d), eta=np.array([0.5, 0.1]))
         plain = NuParams(p=base.p, eta=shifted.eta)
         lam_rng = stream(21, "shift-lam")
-        beta_s = sample_batch(shifted, 100_000, stream(21, "shift-a"))
-        beta_p = sample_batch(plain, 100_000, stream(21, "shift-b")) + d / 2.0
+        beta_s = sample_batch(shifted, 100_000, stream(21, "shift-a")).beta
+        beta_p = sample_batch(plain, 100_000, stream(21, "shift-b")).beta + d / 2.0
         for _ in range(4):
             lam = lam_rng.uniform(0.0, 1.2, size=2)
             closed = laplace_closed_form(shifted, lam)
@@ -378,7 +380,7 @@ class TestSequentialSampler:
 
     def test_per_site_marginal_on_path(self):
         params = NuParams.from_graph(two_path())
-        beta = sample_batch(params, 100_000, stream(21, "site"))
+        beta = sample_batch(params, 100_000, stream(21, "site")).beta
         w_mid = 2.0  # middle vertex total incident weight
         stat, p = stats.kstest(
             1.0 / (2.0 * beta[:, 1]),
@@ -394,6 +396,14 @@ def _wired_box(dim: int, radius: int) -> NuParams:
     )
 
 
+# sha256 of sample_batch(_wired_box(2, 2), S, stream(20, "beta-pin", S)).beta
+# as little-endian float64, at S = 1 and at one gate chunk of 25,000
+BETA_SHA256 = {
+    1: "92a7dab9b117a06e994eb1469a1a9d0940dbca3407036b9c9eccdd8fa9e9ed0b",
+    25_000: "e9fc9a11e729772373fb990f8cbacccc05d53c59e6a2b14b0b001f6c4ebaa175",
+}
+
+
 class TestEliminationKernel:
     @pytest.mark.parametrize("dim,radius", [(1, 1), (2, 1), (2, 2)])
     @pytest.mark.parametrize("permuted", [False, True])
@@ -406,7 +416,7 @@ class TestEliminationKernel:
             order = stream(51, "kernel-order", params.n).permutation(params.n)
         got = sample_batch(
             relabelled(params, order), n_samples, stream(51, "kernel")
-        )
+        ).beta
         want = reference_sample_batch(
             params, n_samples, stream(51, "kernel"), order=order
         )
@@ -419,7 +429,7 @@ class TestEliminationKernel:
         params = _wired_box(2, 2)
         order = stream(51, "seq-order").permutation(params.n)
         rng_got, rng_want = stream(51, "seq-one"), stream(51, "seq-one")
-        got = sample_batch(relabelled(params, order), 1, rng_got)[0]
+        got = sample_batch(relabelled(params, order), 1, rng_got).beta[0]
         want = reference_sample_batch(params, 1, rng_want, order=order)[0]
         np.testing.assert_array_equal(got, want[order])
         np.testing.assert_array_equal(rng_got.random(4), rng_want.random(4))
@@ -433,7 +443,7 @@ class TestEliminationKernel:
         # m = 81 at bandwidth 9: the band rows are 10 of the 81 columns
         params = _wired_box(2, 4)
         assert params.n == 81
-        got = sample_batch(params, n_samples, stream(52, "blocks"))
+        got = sample_batch(params, n_samples, stream(52, "blocks")).beta
         want = reference_sample_batch(params, n_samples, stream(52, "blocks"))
         np.testing.assert_array_equal(got, want)
 
@@ -446,7 +456,7 @@ class TestEliminationKernel:
         # samples sum it down the column
         params = _wired_box(dim, radius)
         rng_got, rng_want = stream(53, "wide"), stream(53, "wide")
-        got = sample_batch(params, n_samples, rng_got)
+        got = sample_batch(params, n_samples, rng_got).beta
         want = reference_sample_batch(params, n_samples, rng_want)
         np.testing.assert_array_equal(got, want)
         assert rng_got.random() == rng_want.random()
@@ -461,12 +471,70 @@ class TestEliminationKernel:
             lambda need, what: asked.append(need),
         )
         sample_batch(params, s, stream(0))
-        # (n, bw + 1, S) band rows and the (bw, bw, S) update scratch
-        assert asked == [(n * 6 + 5 * 5) * s * 8]
+        # (n, bw + 1, S) band rows, the (bw, bw, S) update scratch, and
+        # three (n, S) arrays: eta, which becomes the pivots, beta and H_kk
+        assert asked == [(n * 6 + 5 * 5 + 3 * n) * s * 8]
         # site 1, a neighbor of site 0, relabelled last: bandwidth n - 1
         order = [0, *range(2, n), 1]
         sample_batch(relabelled(params, order), s, stream(0))
-        assert asked[1] == (n * n + (n - 1) ** 2) * s * 8
+        assert asked[1] == (n * n + (n - 1) ** 2 + 3 * n) * s * 8
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["band", "dense"])
+    def test_refused_size_covers_what_the_draw_holds(self, dense, monkeypatch):
+        # the byte count the refusal is asked about bounds the draw's traced
+        # peak, the kept factor included, up to a few (S,) vectors
+        params = _wired_box(2, 2)
+        if dense:
+            params = relabelled(params, [0, *range(2, params.n), 1])
+        s = 2000
+        asked = []
+        monkeypatch.setattr(
+            vrjp.betafield,
+            "_refuse_beyond_memory",
+            lambda need, what: asked.append(need),
+        )
+        tracemalloc.start()
+        try:
+            sample = sample_batch(params, s, stream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.rows.shape[2] == s
+        assert peak <= asked[0] + 8 * s * 8
+
+    @pytest.mark.parametrize("n_samples", [1, 40])
+    @pytest.mark.parametrize("dense", [False, True], ids=["band", "dense"])
+    def test_batch_keeps_the_ldlt_factor(self, dense, n_samples):
+        # every sample's L D L^T, rebuilt from the kept rows and pivots, is
+        # H_beta of the beta it drew: on the 5x5 wired box at bandwidth 5,
+        # and on criterion 7's wired graph, where delta last makes P dense
+        if dense:
+            g = build_lattice_box(2, 2)
+            inner = [v for v in range(g.n) if int(np.abs(g.coords[v]).max()) <= 1]
+            params = NuParams.from_graph(WiredBand.from_graph(g, inner).graph())
+        else:
+            params = _wired_box(2, 2)
+        n = params.n
+        bw = n - 1 if dense else 5
+        sample = sample_batch(params, n_samples, stream(62, "batch-ldlt", n_samples))
+        assert sample.beta.shape == (n_samples, n) and sample.psd_certificate
+        assert sample.rows.shape == (n, bw + 1, n_samples)
+        assert sample.pivots.shape == (n, n_samples)
+        for k in range(n_samples):
+            h = h_beta(params.p, sample.beta[k])
+            rebuilt = _ldlt_from_factor(sample.rows[..., k], sample.pivots[:, k])
+            assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
+
+    @pytest.mark.parametrize("n_samples", sorted(BETA_SHA256))
+    def test_beta_bits_are_pinned(self, n_samples):
+        # the digests predate the kept factor: keeping it moved no bit of
+        # beta, for one sample (summed pairwise) or a chunk (down the column)
+        params = _wired_box(2, 2)
+        rng = stream(20, "beta-pin", n_samples)
+        beta = sample_batch(params, n_samples, rng).beta
+        assert beta.shape == (n_samples, params.n)
+        raw = np.ascontiguousarray(beta, dtype="<f8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == BETA_SHA256[n_samples]
 
     def test_refuses_state_beyond_physical_memory(self):
         # (25 * 6 + 25) * 10^12 * 8 bytes: refused before anything is allocated
@@ -498,7 +566,7 @@ class TestEliminationKernel:
         seed = data.draw(st.integers(0, 2**16), label="seed")
         params = NuParams(p=p, eta=eta)
         rng_got, rng_want = stream(seed, "prop"), stream(seed, "prop")
-        got = sample_batch(relabelled(params, order), n_samples, rng_got)
+        got = sample_batch(relabelled(params, order), n_samples, rng_got).beta
         want = reference_sample_batch(params, n_samples, rng_want, order=order)
         np.testing.assert_array_equal(got, want[:, order])
         assert rng_got.random() == rng_want.random()
@@ -772,7 +840,7 @@ class TestWiredBand:
         band, eta = WiredBand.from_graph(g, subset).fill()
         rng_got, rng_want = stream(73, "wired", dim), stream(73, "wired", dim)
         got = sample_banded(band, eta, rng_got).beta
-        want = sample_batch(marginal_params(g, subset), 1, rng_want)[0]
+        want = sample_batch(marginal_params(g, subset), 1, rng_want).beta[0]
         _assert_same_draws(got, want, rng_got, rng_want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])

@@ -163,7 +163,7 @@ class TestGreen:
         g = vrjp.build_lattice_box(dim, radius + 1, 1.0)
         subset = [v for v in range(g.n) if max(map(abs, g.coords[v])) <= radius]
         rng = vrjp.stream(5, "cli-green")
-        want = vrjp.sample_batch(vrjp.marginal_params(g, subset), 1, rng)[0]
+        want = vrjp.sample_batch(vrjp.marginal_params(g, subset), 1, rng).beta[0]
         got = [float(r["beta"]) for r in read_csv(out / "green.csv")[:-1]]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         assert read_json(out / "summary.json")["gamma"] == float(rng.gamma(0.5, 1.0))
@@ -633,6 +633,29 @@ class TestExperimentCommand:
         rc = main(["experiment", "--config", str(cfg_path), "--out", str(out)])
         assert rc == USAGE_EXIT
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"experiment": "psi-decay", "radii": 5}, "'radii'"),
+            ({"experiment": "psi-decay", "seed": [1]}, "'seed'"),
+            ({"experiment": "conductance-ratio", "ells": 4}, "'ells'"),
+            ({"experiment": "vrjp-diffusion", "n_walks": None}, "'n_walks'"),
+            ({"experiment": "cosh-moment", "graph": 5}, "'graph'"),
+        ],
+        ids=["radii-number", "seed-list", "ells-number", "walks-null", "graph-number"],
+    )
+    def test_wrong_typed_value_is_usage_error(self, tmp_path, capsys, raw, key):
+        # a TypeError traceback and exit 1 before: now a usage error that
+        # names the key, and no data file
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == USAGE_EXIT
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: config key") and key in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -345,7 +345,7 @@ class TestStationarity:
         # coincide; compare first and second moments pairwise against site 0
         g = ring_graph(6, w=1.0)
         params = NuParams.from_graph(g, eta=1.0)
-        beta = sample_batch(params, 20_000, stream(8, "ring"))
+        beta = sample_batch(params, 20_000, stream(8, "ring")).beta
         for k in range(1, 6):
             d1 = beta[:, 0] - beta[:, k]
             d2 = beta[:, 0] ** 2 - beta[:, k] ** 2

@@ -77,7 +77,7 @@ def wheel(n, w=1.0):
 def wired_env(g, subset, rng, i0=None):
     """One field draw plus coupling on the retained set of g."""
     params = marginal_params(g, subset)
-    beta = sample_batch(params, 1, rng)[0]
+    beta = sample_batch(params, 1, rng).beta[0]
     gamma = float(rng.gamma(0.5, 1.0))
     return green_bundle(params, beta, subset, gamma, i0=i0)
 
@@ -351,7 +351,7 @@ class TestQuenchedRates:
         subset = [1, 2, 3, 4, 5]
         rng = stream(4, "exit")
         params = marginal_params(g, subset)
-        beta = sample_batch(params, 1, rng)[0]
+        beta = sample_batch(params, 1, rng).beta[0]
         bundle = green_bundle(params, beta, subset, float(rng.gamma(0.5)), i0=3)
         rates = QuenchedRates.from_bundle(bundle)
         p0 = bundle.i0_index
@@ -529,7 +529,7 @@ class TestHTransform:
         subset = [1, 2, 3]
         rng = stream(6, "gfree")
         params = marginal_params(g, subset)
-        beta = sample_batch(params, 1, rng)[0]
+        beta = sample_batch(params, 1, rng).beta[0]
         b_lo = green_bundle(params, beta, subset, gamma=0.2, i0=2)
         b_hi = green_bundle(params, beta, subset, gamma=1.7, i0=2)
         for mode in ("return", "no-return"):
@@ -679,7 +679,7 @@ class TestMixtureRepresentation:
 
         a_words = vrjp_words(base, 1, 3, n, rng)
 
-        beta = sample_batch(params, n, rng)
+        beta = sample_batch(params, n, rng).beta
         gamma = rng.gamma(0.5, 1.0, size=n)
         m = len(subset)
         w = base.weight_matrix()

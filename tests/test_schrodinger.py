@@ -17,6 +17,7 @@ from vrjp import (
     RestrictionError,
     SizeError,
     WeightedGraph,
+    WiredBand,
     banded_coupling,
     build_lattice_box,
     check_identities,
@@ -55,7 +56,7 @@ def pair():
 def wired_beta_envs(g, subset, n, rng):
     """Field samples on the retained set plus independent couplings."""
     params = marginal_params(g, subset)
-    beta = sample_batch(params, n, rng)
+    beta = sample_batch(params, n, rng).beta
     gamma = rng.gamma(0.5, 1.0, size=n)
     return beta, gamma
 
@@ -215,6 +216,75 @@ class TestGreenSolveBanded:
             green_solve_banded(sample, np.ones((g.n, 2, 2)))
 
 
+def _gate_marginal(name):
+    """The marginals whose batches criteria 6 and 8 solve on the kept factor:
+    the 3x3 core and the 5x5 box wired inside the 7x7 box (C6), and the
+    4-site corner of the 3x3 box wired to the rest (C8)."""
+    if name == "c8-4-site":
+        return WiredBand.from_graph(build_lattice_box(2, 1), [0, 1, 3, 4]).params()
+    g = build_lattice_box(2, 3)
+    radius = 1 if name == "c6-3x3" else 2
+    return marginal_params(
+        g, [v for v in range(g.n) if int(np.abs(g.coords[v]).max()) <= radius]
+    )
+
+
+class TestGreenSolveBandedBatch:
+    @pytest.mark.parametrize("k", [None, 2], ids=["vector", "k2"])
+    @pytest.mark.parametrize("n_samples", [1, 300])
+    @pytest.mark.parametrize("name", ["c6-3x3", "c6-5x5", "c8-4-site"])
+    def test_matches_dense_solve(self, name, n_samples, k):
+        # positive right-hand sides: H^-1 is entrywise positive, so every
+        # entry of the solution is compared relative to itself
+        params = _gate_marginal(name)
+        m = params.n
+        sample = sample_batch(params, n_samples, stream(84, "gsb-batch", name))
+        shape = (m,) if k is None else (m, k)
+        rhs = stream(84, "gsb-batch-rhs", name).uniform(0.1, 1.0, size=shape)
+        kept = rhs.copy()
+        got = green_solve_banded(sample, rhs)
+        want = green_solve(params.p, sample.beta, rhs)
+        assert got.shape == want.shape == (n_samples, *shape)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(rhs, kept)
+
+    @staticmethod
+    def degenerate_batch(pivot):
+        """A batch of 4 on 3 uncoupled sites, eta = 0, whose draws are all
+        chi-square 1 except the first site's in sample 2, which is pivot."""
+
+        class Draws:
+            def __init__(self):
+                self.first = True
+
+            def chisquare(self, df, size):
+                x = np.ones(size)
+                if self.first:
+                    x[2], self.first = pivot, False
+                return x
+
+        params = NuParams(p=np.zeros((3, 3)), eta=np.zeros(3))
+        return sample_batch(params, 4, Draws())
+
+    def test_failed_certificate_raises_factorization_error(self):
+        # a pivot of 1e-20 beside diagonal entries of 1 fails the batch's
+        # certificate, which sample_batch reads from the pivots it drew
+        sample = self.degenerate_batch(1e-20)
+        assert not sample.psd_certificate
+        assert self.degenerate_batch(1e-11).psd_certificate
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            green_solve_banded(sample, np.ones(3))
+
+    def test_zero_pivot_raises_factorization_error(self):
+        sample = self.degenerate_batch(1.0)
+        pivots = sample.pivots.copy()
+        pivots[1, 3] = 0.0
+        sample = dataclasses.replace(sample, pivots=pivots)
+        assert sample.psd_certificate
+        with pytest.raises(FactorizationError, match="singular"):
+            green_solve_banded(sample, np.ones((3, 2)))
+
+
 @pytest.mark.parametrize("shape", [(), (1,), (8,)], ids=["scalar", "one", "m+1"])
 @pytest.mark.parametrize("banded", [False, True], ids=["dense", "band"])
 def test_green_solves_refuse_a_beta_of_the_wrong_shape(banded, shape):
@@ -310,7 +380,7 @@ class TestGreenBundle:
         subset = [0, 1, 2]
         params = marginal_params(g, subset)
         rng = stream(4, "zero-row")
-        beta = sample_batch(params, 1, rng)[0]
+        beta = sample_batch(params, 1, rng).beta[0]
         with np.errstate(all="raise"):
             with pytest.raises(RestrictionError, match="no edge to delta"):
                 green_bundle(params, beta, subset, float(rng.gamma(0.5)), i0=2)
@@ -420,7 +490,7 @@ class TestSpectrumBottom:
         params = NuParams.from_graph(g, eta=1.0)
         rng = stream(71, "spec")
         for _ in range(50):
-            beta = sample_batch(params, 1, rng)[0]
+            beta = sample_batch(params, 1, rng).beta[0]
             assert spectrum_bottom(assemble_H(g, beta)) > 0.0
 
     def test_sparse_branch_matches_shifted_laplacian(self):
@@ -543,7 +613,7 @@ class TestNestedVolumes:
         rng = stream(11, "psi-martingale")
         n, chunk = 20_000, 5_000
         zs = []
-        for b in sample_batch(params1, 4, rng):
+        for b in sample_batch(params1, 4, rng).beta:
             cond = params2
             for k, site in enumerate(core):
                 # the core's k earlier sites are gone, and they all sat below
@@ -565,7 +635,7 @@ class TestNestedVolumes:
             beta2[:, core] = b
             psi0 = []
             for _ in range(n // chunk):
-                beta2[:, ring] = sample_batch(cond, chunk, rng)
+                beta2[:, ring] = sample_batch(cond, chunk, rng).beta
                 psi = green_solve(params2.p, beta2, params2.eta)
                 psi0.append(psi[:, core[origin]])
             target = green_solve(params1.p, b, params1.eta)[origin]
