@@ -17,6 +17,12 @@ byte-identical across reruns of the same config and seed; the manifest's
 timestamps are the only varying output. Exit codes: 0 success, 2 usage or
 config error, 3 numeric failure (a residual report is printed).
 
+The CSV format is a contract: comma-separated, lines ended by CRLF, a
+header row of field names, floats in the round-trip format .17g, ints as
+str() writes them, and a cell quoted (any quote in it doubled) only when it
+holds a comma, a quote or a line break; it is the text csv.writer would
+write for the same cells.
+
 The output directory comes from --out, else the VRJP_OUT environment
 variable, else ./vrjp-out; it is resolved before the command's work starts.
 """
@@ -24,13 +30,14 @@ variable, else ./vrjp-out; it is resolved before the command's work starts.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,8 +75,11 @@ NUMERIC_EXIT = 3
 
 _NUMERIC_ERRORS = (NumericError, FactorizationError)
 
-# CSV cells formatted per block of rows: a few MB of strings at a time
-_BLOCK_CELLS = 1 << 18
+# CSV cells formatted per block of rows: 2 to 3 MB of text at a time, and a
+# peak of about 10 MB with the block's cells as Python objects
+_BLOCK_CELLS = 1 << 17
+# the characters that make csv.writer quote a cell
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
 
 
 @dataclass
@@ -79,9 +89,11 @@ class Run:
     config and seed go to the manifest; the content hash covers config and
     the bytes of every file in inputs. The CSV named csv has a header of
     fields, then one row per cell of columns, which holds one sliceable
-    sequence (a list, a range or a numpy array) per field. summary, when
-    given, is written as summary.json. message goes to stdout, or to stderr
-    when code, the exit code, is not 0.
+    sequence (a list, a range or a numpy array) per field, written in the
+    module's CSV format: a float cell in .17g, a None cell blank, any other
+    cell as str(), quoted only when it holds a comma, a quote or a line
+    break. summary, when given, is written as summary.json. message goes to
+    stdout, or to stderr when code, the exit code, is not 0.
     """
 
     config: Dict[str, object]
@@ -108,15 +120,29 @@ def _outdir(args) -> Path:
     return path
 
 
-def _cells(column) -> list:
-    """One block of a column as the csv module should write it: floats in
-    the round-trip format .17g, ints and strs as they are (the csv module
-    writes them as str() does). A numpy column is formatted by its dtype,
-    any other column cell by cell."""
-    if isinstance(column, np.ndarray):
-        cells = column.tolist()
-        return [format(x, ".17g") for x in cells] if column.dtype.kind == "f" else cells
-    return [format(x, ".17g") if isinstance(x, float) else x for x in column]
+def _cell(x) -> str:
+    """A cell as csv.writer writes it: a float in .17g, None blank, anything
+    else as str(), quoted with any quote doubled when it holds a comma, a
+    quote or a line break."""
+    text = "" if x is None else format(x, ".17g") if isinstance(x, float) else str(x)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def _block(column) -> Tuple[str, list]:
+    """One block of a column as a %-conversion and the cells it converts:
+    float and integer arrays, and lists of plain floats or plain ints, go to
+    %.17g and %d as they are; plain strings that need no quotes, checked in
+    one scan, go to %s as they are; any other cells (bools included, which
+    %d would write as 1) are formatted by `_cell` one by one."""
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return "%.17g", cells
+    if kinds == {int}:
+        return "%d", cells
+    if kinds == {str} and not _NEEDS_QUOTES("".join(cells)):
+        return "%s", cells
+    return "%s", [_cell(x) for x in cells]
 
 
 def _write_json(path: Path, payload: Dict[str, object]) -> None:
@@ -125,15 +151,22 @@ def _write_json(path: Path, payload: Dict[str, object]) -> None:
 
 def _write_run(command: str, started: str, outdir: Path, run: Run) -> None:
     """Write the run's CSV, then its summary.json if it has one, then the
-    manifest.json that records them. The CSV is formatted and written a
-    block of rows at a time, so its text is never held whole."""
+    manifest.json that records them. The CSV is what csv.writer would write
+    for the header and the rows, cells as `_cell` gives them, but a block of
+    rows at a time, each block as one row template %-formatted by its cells
+    interleaved row by row; so its text is never held whole."""
     outdir.mkdir(parents=True, exist_ok=True)
+    n = len(run.columns)
+    step = max(1, _BLOCK_CELLS // n)
     with (outdir / run.csv).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(run.fields)
-        step = max(1, _BLOCK_CELLS // len(run.columns))
-        for lo in range(0, len(run.columns[0]), step):
-            writer.writerows(zip(*(_cells(c[lo : lo + step]) for c in run.columns)))
+        for columns in ([[f] for f in run.fields], run.columns):
+            for lo in range(0, len(columns[0]), step):
+                convs, blocks = zip(*(_block(c[lo : lo + step]) for c in columns))
+                if n == 1 and convs[0] == "%s":
+                    # csv quotes a row whose only cell is empty
+                    blocks = ([x or '""' for x in blocks[0]],)
+                row = (",".join(convs) + "\r\n") * len(blocks[0])
+                fh.write(row % tuple(chain.from_iterable(zip(*blocks))))
     outputs = [run.csv]
     if run.summary is not None:
         _write_json(outdir / "summary.json", run.summary)
@@ -367,14 +400,32 @@ _CONFIG_KEYS = {
 }
 
 
+def _whole(value) -> int:
+    """A count or an index: a JSON integer, not a bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("needs a whole number")
+    return value
+
+
 def _ints(value) -> List[int]:
-    return [int(x) for x in value]
+    """A sequence of whole numbers: a JSON list of them, not a string."""
+    if not isinstance(value, list):
+        raise TypeError("needs a list of whole numbers")
+    return [_whole(x) for x in value]
+
+
+def _real(value) -> float:
+    """A float key's value: a JSON number, integer or not, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("needs a number")
+    return float(value)
 
 
 def _conf(p: Dict[str, object], key: str, default, kind):
-    """p[key], or default when it is absent, converted by kind; a value that
-    kind refuses (a number where a list belongs, a list where a number
-    does) is a ConfigError."""
+    """p[key], or default when it is absent, checked and converted by kind
+    (`_whole`, `_ints` or `_real`); a value that kind refuses (true, 2.9 or
+    "24" for a count, a number or a string where a list belongs) is a
+    ConfigError that names the key."""
     value = p.get(key, default)
     try:
         return kind(value)
@@ -388,10 +439,10 @@ def _run_experiment(p: Dict[str, object]) -> Tuple[List[str], List[Dict]]:
     name, seed = p["experiment"], p["seed"]
     if name == "psi-decay":
         rows = psi_decay_experiment(
-            _conf(p, "dim", 2, int),
-            _conf(p, "w", 0.2, float),
-            _conf(p, "radii", (2, 4, 6), _ints),
-            _conf(p, "n_samples", 16, int),
+            _conf(p, "dim", 2, _whole),
+            _conf(p, "w", 0.2, _real),
+            _conf(p, "radii", [2, 4, 6], _ints),
+            _conf(p, "n_samples", 16, _whole),
             seed,
         )
         return ["radius", "q25", "median", "q75", "n"], rows
@@ -403,11 +454,11 @@ def _run_experiment(p: Dict[str, object]) -> Tuple[List[str], List[Dict]]:
         )
         rep = cosh_moment_experiment(
             g,
-            _conf(p, "i0", 0, int),
-            _conf(p, "i", 0, int),
-            _conf(p, "j", g.n - 1, int),
-            _conf(p, "eta", 0.5, float),
-            _conf(p, "n_samples", 10_000, int),
+            _conf(p, "i0", 0, _whole),
+            _conf(p, "i", 0, _whole),
+            _conf(p, "j", g.n - 1, _whole),
+            _conf(p, "eta", 0.5, _real),
+            _conf(p, "n_samples", 10_000, _whole),
             seed=seed,
         )
         row = {
@@ -420,11 +471,11 @@ def _run_experiment(p: Dict[str, object]) -> Tuple[List[str], List[Dict]]:
         return ["name", "mean", "stderr", "n", "bound"], [row]
     if name == "conductance-ratio":
         reports = conductance_ratio_experiment(
-            _conf(p, "a", 1.0, float),
-            _conf(p, "ells", (2, 4), _ints),
-            _conf(p, "n_samples", 50, int),
+            _conf(p, "a", 1.0, _real),
+            _conf(p, "ells", [2, 4], _ints),
+            _conf(p, "n_samples", 50, _whole),
             seed,
-            dim=_conf(p, "dim", 2, int),
+            dim=_conf(p, "dim", 2, _whole),
         )
         rows = [
             {"ell": r.extra["ell"], "mean": r.mean, "stderr": r.stderr, "n": r.n}
@@ -433,10 +484,10 @@ def _run_experiment(p: Dict[str, object]) -> Tuple[List[str], List[Dict]]:
         return ["ell", "mean", "stderr", "n"], rows
     if name == "vrjp-diffusion":
         out = vrjp_diffusion_experiment(
-            _conf(p, "dim", 3, int),
-            _conf(p, "w", 10.0, float),
-            _conf(p, "length", 1_000, int),
-            _conf(p, "n_walks", 100, int),
+            _conf(p, "dim", 3, _whole),
+            _conf(p, "w", 10.0, _real),
+            _conf(p, "length", 1_000, _whole),
+            _conf(p, "n_walks", 100, _whole),
             seed,
         )
         rows = [
@@ -465,7 +516,7 @@ def _cmd_experiment(args) -> Run:
             raise ConfigError("config needs an 'experiment' name")
         if not isinstance(raw.get("graph", ""), str):
             raise ConfigError(f"config key 'graph' must be a path: {raw['graph']!r}")
-        seed = _conf(raw, "seed", 0, int)
+        seed = _conf(raw, "seed", 0, _whole)
         config = {**raw, "experiment": str(raw["experiment"]), "seed": seed}
         inputs = [args.config, *([config["graph"]] if "graph" in config else [])]
     elif args.name:

@@ -348,12 +348,13 @@ def _check_start(g: WeightedGraph, i0: int, steps: int) -> None:
 # out the same doubles whatever the chunk size, so it bounds memory only.
 _ERRW_CHUNK = 1 << 16
 # Bytes a single discrete walk and the CLI rows written from it keep per
-# step: the walk's vertex list, the Trajectory's array, and the CLI's vertex
-# and entry-time columns. Rounded up from tracemalloc peaks of the CLI run
-# over 100,000 to 400,000 steps: 52 B per step on the d=2 radius-40 box,
-# where most vertex ids are int objects of their own, 18 B on the radius-10
-# box. A uniform of the current chunk costs 40 B, as a double and as the
-# Python float the loop reads.
+# step: the walk's vertex list, then the Trajectory's array and the CLI's
+# step and entry-time columns, 8 B each, which the CSV writer reads a block
+# at a time. Rounded up from tracemalloc peaks of the CLI run over 100,000
+# to 400,000 steps: 24 B per step on the d=2 radius-10 and radius-40 boxes
+# (the vertex list holds the neighbor tables' own int objects, so large
+# vertex ids cost no more). A uniform of the current chunk costs 40 B, as a
+# double and as the Python float the loop reads.
 _ERRW_STEP_BYTES = 64
 _ERRW_DRAW_BYTES = 40
 
@@ -453,11 +454,14 @@ class QuenchedRates:
 
 
 # Bytes a quenched chain and the CLI rows written from it keep per step: the
-# chain's words, the Trajectory's array, and the CLI's label and entry-time
-# columns. Rounded up from the growth of tracemalloc peaks of the CLI run
-# with the step count on d=2 boxes: 24 B per step at radius 4, 34 B at
-# radius 10 and 45 B at radius 16, where more of the visited state ids are
-# int objects of their own; 52 B once all of them are.
+# chain's words, then the Trajectory's array and the CLI's step, label and
+# entry-time columns, 8 B each, held together beside the environment until
+# the CSV writer reads them a block at a time. Rounded up from the growth of
+# tracemalloc peaks of the CLI run with the step count, 100,000 to 400,000,
+# on d=2 boxes: 32 B per step at radius 10 (from 200,000 steps), 24 B at
+# radius 4, where the peak falls in the writer, and none at radius 16, where
+# forming the environment's kernel (77 MB) sets the peak. The labels are
+# shared str objects, one per state.
 _CHAIN_STEP_BYTES = 64
 
 

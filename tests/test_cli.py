@@ -10,18 +10,24 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import re
+import tempfile
 import time
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vrjp
+import vrjp.cli
 from vrjp import BandSample, WeightedGraph
-from vrjp.cli import NUMERIC_EXIT, USAGE_EXIT, main
+from vrjp.cli import NUMERIC_EXIT, USAGE_EXIT, Run, main
 
 from _oracles import NoDraws, save_graph
 
@@ -311,6 +317,118 @@ class TestSimulateErrw:
         )
         assert rc == USAGE_EXIT
         assert not out.exists()
+
+
+def csv_module_text(fields, columns) -> str:
+    """The CSV that csv.writer writes for a Run's fields and columns, each
+    cell given as the writer formatted it before the %-template writer: a
+    float array's cells and a list's float cells (numpy floats included) in
+    .17g, any other cell as it is."""
+
+    def cells(column):
+        if isinstance(column, np.ndarray):
+            out = column.tolist()
+            return [format(x, ".17g") for x in out] if column.dtype.kind == "f" else out
+        return [format(x, ".17g") if isinstance(x, float) else x for x in column]
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fields)
+    writer.writerows(zip(*(cells(c) for c in columns)))
+    return buf.getvalue()
+
+
+def written_text(fields, columns) -> str:
+    with tempfile.TemporaryDirectory() as out:
+        vrjp.cli._write_run(
+            "test", "", Path(out), Run({}, 0, "t.csv", fields, columns, "")
+        )
+        return (Path(out) / "t.csv").read_bytes().decode()
+
+
+TEXT = st.text(alphabet='a,"\r\n ', max_size=4)
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16]),
+)
+CELLS = st.one_of(
+    FLOATS,
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.none(),
+    st.booleans(),
+    st.tuples(st.integers(), TEXT),
+    TEXT,
+)
+
+
+@st.composite
+def a_column(draw, n_rows):
+    kind = draw(st.sampled_from(["float", "int", "bool", "range", "strings", "mixed"]))
+    if kind == "float":
+        return np.array(draw(st.lists(FLOATS, min_size=n_rows, max_size=n_rows)))
+    if kind == "int":
+        values = st.integers(-(2**63), 2**63 - 1)
+        return np.array(draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+    if kind == "range":
+        return range(n_rows)
+    if kind == "strings":
+        # the labels and blank entry times of the discrete walks
+        texts = draw(st.lists(TEXT, min_size=n_rows, max_size=n_rows))
+        return np.array(texts, dtype=object)
+    return draw(st.lists(CELLS, min_size=n_rows, max_size=n_rows))
+
+
+class TestCsvWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_csv_module(self, data):
+        n_cols = data.draw(st.integers(1, 4))
+        n_rows = data.draw(st.integers(0, 12))
+        fields = data.draw(st.lists(TEXT, min_size=n_cols, max_size=n_cols))
+        cols = [data.draw(a_column(n_rows)) for _ in range(n_cols)]
+        block = data.draw(st.sampled_from([1, 2, 3, 5, 1 << 17]))
+        with pytest.MonkeyPatch.context() as mp:
+            # small blocks split the rows over several templates
+            mp.setattr(vrjp.cli, "_BLOCK_CELLS", block)
+            assert written_text(fields, cols) == csv_module_text(fields, cols)
+
+    @pytest.mark.parametrize(
+        "fields, cols",
+        [
+            ([""], [[None, "", "a", 1.5]]),
+            (["x"], [np.array(["", "a"], dtype=object)]),
+            (["x", "y"], [["", None], ["", ""]]),
+            (["x"], [[]]),
+        ],
+        ids=["one-column-empty", "one-column-blank-strings", "two-blank-columns",
+             "no-rows"],
+    )
+    def test_edge_rows(self, fields, cols):
+        # csv writes a row whose only cell is empty as "", and no rows as
+        # the header alone
+        assert written_text(fields, cols) == csv_module_text(fields, cols)
+
+    def test_text_is_never_held_whole(self, tmp_path):
+        n = 10**6
+        rng = np.random.default_rng(0)
+        run = Run(
+            {}, 0, "t.csv", ["step", "vertex", "entry_time", "transformed_time"],
+            [np.arange(n), rng.integers(0, 10**6, n), rng.random(n),
+             1e3 * rng.standard_normal(n)],
+            "",
+        )
+        tracemalloc.start()
+        try:
+            vrjp.cli._write_run("test", "", tmp_path, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "t.csv").stat().st_size / 4
 
 
 class TestTrajectoryBytes:
@@ -643,8 +761,14 @@ class TestExperimentCommand:
             ({"experiment": "conductance-ratio", "ells": 4}, "'ells'"),
             ({"experiment": "vrjp-diffusion", "n_walks": None}, "'n_walks'"),
             ({"experiment": "cosh-moment", "graph": 5}, "'graph'"),
+            # a string is not iterated as digits, a count is not truncated,
+            # and a bool is not a number
+            ({"experiment": "psi-decay", "radii": "24"}, "'radii'"),
+            ({"experiment": "psi-decay", "n_samples": 2.9}, "'n_samples'"),
+            ({"experiment": "psi-decay", "seed": True}, "'seed'"),
         ],
-        ids=["radii-number", "seed-list", "ells-number", "walks-null", "graph-number"],
+        ids=["radii-number", "seed-list", "ells-number", "walks-null", "graph-number",
+             "radii-string", "samples-float", "seed-bool"],
     )
     def test_wrong_typed_value_is_usage_error(self, tmp_path, capsys, raw, key):
         # a TypeError traceback and exit 1 before: now a usage error that
