@@ -32,8 +32,8 @@ rows of P, one for a batch of fields and one for a single wide draw:
   BLAS-3 dsyrk. Elimination with pivots x is the LDL^T factorization of
   H_beta, D = diag(x), and the sample keeps it (BandSample), as the batch
   does, with a positivity certificate read from its pivots, for
-  schrodinger.green_solve_banded. Psi decay, the conductance ratio and
-  `vrjp green` draw their boxes this way. banded_coupling stores a graph's
+  schrodinger.green_solve_banded. Psi decay, the conductance ratio and the
+  CLI's wired boxes draw this way. banded_coupling stores a graph's
   own weights. Wiring a retained set is done in one place, WiredBand's edge
   arrays: they give the wired marginal in band storage for any environment's
   edge weights, or dense (marginal_params), and the wired graph itself,
@@ -361,10 +361,11 @@ def sample_batch(
     certificate for the whole batch: schrodinger.green_solve_banded solves
     the batch's own environments on it. Callers that need only the field
     read .beta. One environment is the batch of one,
-    sample_batch(params, 1, rng).beta[0] (C1, C10 and `vrjp simulate
-    --process quenched`); acceptance-scale Monte Carlo draws 1e5+ fields on
-    a small graph. Large lattice boxes go through sample_banded, one field
-    per call (psi decay, the conductance ratio and `vrjp green`).
+    sample_batch(params, 1, rng) (C1 and C10), whose sample
+    schrodinger.green_bundle takes; acceptance-scale Monte Carlo draws 1e5+
+    fields on a small graph. Large lattice boxes go through sample_banded,
+    one field per call (psi decay, the conductance ratio, `vrjp green` and
+    `vrjp simulate --process quenched`).
     """
     if rng is None:
         raise DomainError("an rng is required")

@@ -58,7 +58,7 @@ from .errors import (
     NumericError,
     VrjpError,
 )
-from .graphs import WeightedGraph, build_lattice_box, load_graph
+from .graphs import WeightedGraph, _refuse_beyond_memory, build_lattice_box, load_graph
 from .harness import (
     conductance_ratio_experiment,
     cosh_moment_experiment,
@@ -66,7 +66,7 @@ from .harness import (
     vrjp_diffusion_experiment,
 )
 from .processes import QuenchedRates, quenched_mjp, simulate_errw, simulate_vrjp, time_change
-from .schrodinger import check_identities, green_bundle
+from .schrodinger import GreenBundle, check_identities, green_bundle
 from .streams import stream
 from .verify import DEFAULT_SEED, run_suite
 
@@ -74,6 +74,11 @@ USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 
 _NUMERIC_ERRORS = (NumericError, FactorizationError)
+
+# dense (m + 1)^2 arrays that `vrjp green` and the environment-fixed chain
+# hold at their peak on a wired box of m sites: tracemalloc read 7.0 to 7.2
+# for both on d=2 boxes of radius 10, 20 and 28 (m = 441 to 3,249)
+_BUNDLE_ARRAYS = 8
 
 # CSV cells formatted per block of rows: 2 to 3 MB of text at a time, and a
 # peak of about 10 MB with the block's cells as Python objects
@@ -217,14 +222,6 @@ def _wired_box_params(args) -> Tuple[WeightedGraph, List[int], Dict[str, object]
     return g, subset, {"dim": args.dim, "radius": args.radius, "W": w}
 
 
-def _root(args, subset: List[int]) -> int:
-    """--i0, by default the middle of the retained box, which must hold it."""
-    i0 = args.i0 if args.i0 is not None else subset[len(subset) // 2]
-    if i0 not in subset:
-        raise ConfigError("--i0 must be a retained vertex id")
-    return i0
-
-
 def _cmd_sample_beta(args) -> Run:
     rng = stream(args.seed, "cli-sample-beta")
     if args.graph:
@@ -252,17 +249,30 @@ def _cmd_sample_beta(args) -> Run:
     )
 
 
-def _cmd_green(args) -> Run:
+def _wired_box_bundle(args, rng) -> Tuple[Dict, int, np.ndarray, GreenBundle]:
+    """(config, root, beta, bundle) of `vrjp green` and the environment-fixed
+    chain: the wired box of --dim/--radius, its root --i0, one field drawn
+    in band storage (the box is row-major), gamma, and the Green bundle on
+    the draw's kept factor. A box whose bundle does not fit in memory is
+    refused before the draw."""
     g, subset, cfg = _wired_box_params(args)
-    i0 = _root(args, subset)
-    cfg.update({"seed": args.seed})
-    rng = stream(args.seed, "cli-green")
-    # the retained box is row-major, so its field is drawn in band storage
+    # by default the middle of the retained box, which must hold the root
+    i0 = args.i0 if args.i0 is not None else subset[len(subset) // 2]
+    if i0 not in subset:
+        raise ConfigError("--i0 must be a retained vertex id")
     wired = WiredBand.from_graph(g, subset)
+    need = _BUNDLE_ARRAYS * 8 * (wired.n + 1) ** 2
+    _refuse_beyond_memory(need, f"the Green bundle of {wired.n} sites")
     band, eta = wired.fill()
-    beta = sample_banded(band, eta, rng).beta
+    sample = sample_banded(band, eta, rng)
     gamma = float(rng.gamma(0.5, 1.0))
-    bundle = green_bundle(wired.params(), beta, subset, gamma, i0=i0)
+    bundle = green_bundle(wired.params(), sample, subset, gamma, i0=i0)
+    return cfg, i0, sample.beta, bundle
+
+
+def _cmd_green(args) -> Run:
+    cfg, _, beta, bundle = _wired_box_bundle(args, stream(args.seed, "cli-green"))
+    cfg.update({"seed": args.seed})
     report = check_identities(bundle, beta)
     # one row per retained vertex, then the boundary state delta
     return Run(
@@ -271,11 +281,11 @@ def _cmd_green(args) -> Run:
         "green.csv",
         ["vertex", "beta", "psi", "u", "green_root_row"],
         [
-            [*subset, "delta"],
+            [*bundle.subset, "delta"],
             np.append(beta, bundle.beta_delta),
             np.append(bundle.psi, 1.0),
             bundle.u,
-            bundle.full_g[bundle.position(i0)],
+            bundle.full_g[bundle.i0_index],
         ],
         f"wrote bundle summary to {args.out / 'green.csv'}",
         summary={
@@ -317,16 +327,11 @@ def _cmd_simulate(args) -> Run:
             )
         if args.steps is None:
             raise ConfigError("--steps required for the environment-fixed chain")
-        g, subset, cfg = _wired_box_params(args)
-        i0 = _root(args, subset)
-        params = marginal_params(g, subset)
-        beta = sample_batch(params, 1, rng).beta[0]
-        gamma = float(rng.gamma(0.5, 1.0))
-        bundle = green_bundle(params, beta, subset, gamma, i0=i0)
+        cfg, i0, _, bundle = _wired_box_bundle(args, rng)
         rates = QuenchedRates.from_bundle(bundle)
-        traj = quenched_mjp(rates, bundle.position(i0), args.steps, rng)
+        traj = quenched_mjp(rates, bundle.i0_index, args.steps, rng)
         fields = ["step", "vertex", "entry_time"]
-        labels = np.array([*map(str, subset), "delta"], dtype=object)
+        labels = np.array([*map(str, bundle.subset), "delta"], dtype=object)
         columns = [
             labels[traj.vertices], np.full(len(traj.vertices), "", dtype=object)
         ]

@@ -3,7 +3,7 @@ functions, the boundary field psi, the full kernel with its independent
 Gamma(1/2) coupling, and the identities that tie them together.
 
 H is formed in one place, betafield.h_beta, and every dense H below comes
-from it. Green functions come from one of three solves:
+from it. Green functions come from one of two solves:
 
 - green_solve_banded applies Ghat_beta to a few right-hand sides with the
   LDL^T factor of H that the draw computed and kept, so H is never factored
@@ -14,18 +14,18 @@ from it. Green functions come from one of three solves:
 - green_solve is its dense twin, for environments that were not drawn as
   they are solved (a marginal read off a larger draw, or a check that must
   not read the sampler's own pivots): one LU solve per environment and a
-  block of environments per call;
-- green_bundle factors the H of a single environment by Cholesky. It takes
-  the wired marginal it is given, formed by betafield.WiredBand in dense
-  storage (marginal_params).
+  block of environments per call.
 
-Every factorization doubles as the positivity certificate (for a kept
-factor, the draw's pivots): a failure raises FactorizationError. Apart from
-the band storage, operators are dense arrays; there is no sparse route. A
-retained set too large for its dense block is refused with SizeError before
-anything is allocated (WiredBand.params). The u-field of a full graph, its
-density, truncated path sums and the dense bottom of the spectrum are test
-oracles (tests/_oracles.py); no product path reads them.
+green_bundle solves one environment with the first, from its BandSample (a
+single draw or a batch of one) and the wired marginal it was drawn on
+(betafield.WiredBand, marginal_params). A kept factor's positivity
+certificate is read from the draw's pivots: a failed certificate or a zero
+pivot raises FactorizationError. Apart from the band storage, operators are
+dense arrays; there is no sparse route. A retained set too large for its
+dense block is refused with SizeError before anything is allocated
+(WiredBand.params). The u-field of a full graph, its density, truncated
+path sums and the dense bottom of the spectrum are test oracles
+(tests/_oracles.py); no product path reads them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dtbtrs
 
 from .betafield import BandSample, NuParams, h_beta
@@ -207,16 +206,9 @@ class GreenBundle:
         return np.concatenate([np.asarray(beta, dtype=float), [self.beta_delta]])
 
 
-def _spd_factor(h: np.ndarray, what: str):
-    try:
-        return scipy.linalg.cho_factor(h, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationError(f"{what} is not positive definite: {exc}") from exc
-
-
 def green_bundle(
     params: NuParams,
-    beta,
+    sample: BandSample,
     subset: Sequence[int],
     gamma: float,
     i0: Optional[int] = None,
@@ -225,10 +217,13 @@ def green_bundle(
 
     params is that marginal, marginal_params(g, subset): everything outside
     `subset` is collapsed to delta, and every component of `subset` must
-    have an edge to delta (RestrictionError otherwise). subset labels its
-    positions, which beta shares. gamma is the independent Gamma(1/2, 1)
-    coupling, finite and positive. i0 (a vertex of `subset`, or None for
-    delta) is the root used for the u vector.
+    have an edge to delta (RestrictionError otherwise). sample is one
+    environment drawn on params, by sample_banded or as sample_batch's batch
+    of one; hat_g and psi are solved on the factor it kept
+    (green_solve_banded), which raises FactorizationError. subset labels
+    its positions, which the sample's sites share. gamma is the independent
+    Gamma(1/2, 1) coupling, finite and positive. i0 (a vertex of `subset`,
+    or None for delta) is the root used for the u vector.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise DomainError("gamma must be positive and finite")
@@ -238,18 +233,16 @@ def green_bundle(
     m = len(subset)
     if params.n != m:
         raise DomainError("marginal size must match subset size")
-    b = np.asarray(beta, dtype=float)
-    if b.shape != (m,):
-        raise DomainError("beta length must match subset size")
+    if sample.beta.shape not in ((m,), (1, m)):
+        raise DomainError(f"sample must be one environment on {m} sites")
     if i0 is not None and int(i0) not in subset:
         raise DomainError(f"vertex {i0} is not in the retained set")
     eta = params.eta
     if not eta.any():
         raise RestrictionError("subset has empty boundary weight vector")
-    factor = _spd_factor(h_beta(params.p, b), "restricted operator block")
-    hat_g = scipy.linalg.cho_solve(factor, np.eye(m))
+    hat_g = green_solve_banded(sample, np.eye(m)).reshape(m, m)
     hat_g = 0.5 * (hat_g + hat_g.T)
-    psi = scipy.linalg.cho_solve(factor, eta)
+    psi = green_solve_banded(sample, eta).reshape(m)
     # H is an M-matrix and eta >= 0: psi is exactly 0 on a component that
     # eta does not reach, and positive elsewhere
     if not (psi > 0).all():

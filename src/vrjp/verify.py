@@ -226,7 +226,8 @@ def _criterion(cid: int, name: str, diagnostic: bool = False):
 @_criterion(1, "exact identities")
 def criterion_1(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Exact identities of the restricted Green bundle on random
-    environments (machine precision)."""
+    environments (machine precision): the sampler's kept LDL^T factor
+    against an H_beta that h_beta forms anew."""
     g = build_lattice_box(2, 2, 1.0)
     subset = _box_subset(g, 1)
     params = marginal_params(g, subset)
@@ -234,10 +235,10 @@ def criterion_1(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     center = subset[len(subset) // 2]
     worst: Dict[str, float] = {}
     for _ in range(sizes.envs_c1):
-        beta = sample_batch(params, 1, rng).beta[0]
+        sample = sample_batch(params, 1, rng)
         gamma = float(rng.gamma(0.5, 1.0))
-        bundle = green_bundle(params, beta, subset, gamma, i0=center)
-        rep = check_identities(bundle, beta, i0=center)
+        bundle = green_bundle(params, sample, subset, gamma, i0=center)
+        rep = check_identities(bundle, sample.beta[0], i0=center)
         for key, val in asdict(rep).items():
             worst[key] = max(worst.get(key, 0.0), val)
     ok = max(worst.values()) <= 1e-9
@@ -537,9 +538,9 @@ def criterion_10(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     worst_z = 0.0
     for env in range(sizes.envs_c10):
         rng = stream(seed, "c10-env", env)
-        beta = sample_batch(params, 1, rng).beta[0]
+        sample = sample_batch(params, 1, rng)
         gamma = float(rng.gamma(0.5, 1.0))
-        bundle = green_bundle(params, beta, subset, gamma, i0=center)
+        bundle = green_bundle(params, sample, subset, gamma, i0=center)
         rates = QuenchedRates.from_bundle(bundle)
         p0 = bundle.position(center)
         d_idx = bundle.delta_index

@@ -8,16 +8,18 @@ induced subgraph, and banded Green solves by a fresh factorization of H_beta
 
 It also holds the closed forms and reference routines that no criterion,
 experiment or CLI command runs, with their own error classes: the field's
-density and a dense Cholesky certificate of H_beta, the one-site Schur step
-(the exact conditional law given some sites), the annealed reinforced-walk
-environment, a graph's edge weight lookup and per-vertex weight totals,
-writing a graph in the CLI's JSON format, the environment-fixed jump chain
-stepped by `rng.choice`, capped path enumeration and truncated Green path
-sums, the u-field of a full graph and its density, the dense bottom of the
-spectrum, the time change as a pair of maps, the conditioned (h-transformed)
-chains, a replica runner, a one-sample KS test, and the full coordinate
-paths of the simple random walk with the lattice diffusion estimator that
-reads them (criterion 12 draws only the endpoints, by vrjp.srw_endpoints).
+density and a dense Cholesky certificate of H_beta, a dense LDL^T of H_beta
+for a chosen beta in the layout a draw keeps its factor in, the one-site
+Schur step (the exact conditional law given some sites), the annealed
+reinforced-walk environment, a graph's edge weight lookup and per-vertex
+weight totals, writing a graph in the CLI's JSON format, the
+environment-fixed jump chain stepped by `rng.choice`, capped path
+enumeration and truncated Green path sums, the u-field of a full graph and
+its density, the dense bottom of the spectrum, the time change as a pair of
+maps, the conditioned (h-transformed) chains, a replica runner, a
+one-sample KS test, and the full coordinate paths of the simple random walk
+with the lattice diffusion estimator that reads them (criterion 12 draws
+only the endpoints, by vrjp.srw_endpoints).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import scipy.linalg
 from scipy import integrate, stats
 
 from vrjp import (
+    BandSample,
     CoverageError,
     DomainError,
     EstimatorReport,
@@ -47,7 +50,7 @@ from vrjp import (
     sample_batch,
     stream,
 )
-from vrjp.betafield import CHI2_BELOW, PIVOT_RTOL, h_beta
+from vrjp.betafield import CHI2_BELOW, PIVOT_RTOL, _pivots_ok, h_beta
 
 SE_RULE = 4.0
 ALPHA = 0.01
@@ -291,6 +294,28 @@ def reference_green_solve_banded(band: np.ndarray, beta, rhs) -> np.ndarray:
     return scipy.linalg.solveh_banded(h_beta_banded(band, beta), rhs, lower=False)
 
 
+def factored(params: NuParams, beta) -> BandSample:
+    """A BandSample for a given beta, as if the draw had made it: a dense,
+    unpivoted LDL^T of h_beta(params.p, beta) at bandwidth m - 1, in the
+    layout the samplers keep (rows[k, d] = -H_k[k, k + d] of the k-th Schur
+    complement, rows[k, 0] = 2 beta_k - pivots[k]) and with the samplers'
+    certificate. It lets a test hand a chosen beta, positive definite or
+    not, to a function that solves on a draw's kept factor."""
+    beta = np.asarray(beta, dtype=float)
+    h = h_beta(params.p, beta)
+    m = h.shape[0]
+    rows = np.zeros((m, m))
+    pivots = np.empty(m)
+    a = h.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m):
+            pivots[k] = a[k, k]
+            rows[k, 1 : m - k] = -a[k, k + 1 :]
+            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :]) / pivots[k]
+    rows[:, 0] = 2.0 * beta - pivots
+    return BandSample(beta, _pivots_ok(pivots, np.diag(h)), rows=rows, pivots=pivots)
+
+
 def reference_simulate_vrjp(
     g: WeightedGraph, i0: int, horizon: float, rng, clock: bool = False
 ):
@@ -443,9 +468,12 @@ def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
                 coords=box.coords,
             )
             params = reference_marginal_params(g_s, inner)
-            beta = sample_batch(params, 1, rng).beta[0]
             bundle = green_bundle(
-                params, beta, inner, float(gamma_rng.gamma(0.5, 1.0)), i0=None
+                params,
+                sample_batch(params, 1, rng),
+                inner,
+                float(gamma_rng.gamma(0.5, 1.0)),
+                i0=None,
             )
             p0 = bundle.position(i_zero)
             pl = bundle.position(i_ell)

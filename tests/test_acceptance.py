@@ -96,6 +96,16 @@ def test_quick_lines_are_pinned(quick_results):
     assert hashlib.sha256(lines.encode()).hexdigest() == QUICK_LINES_SHA256
 
 
+# the same digest for the full tier's lines at the default seed, criteria
+# 2-13, taken while the Green bundle still made its own Cholesky factor
+FULL_LINES_SHA256 = "9a02c4bdb6f7e57b47cb5b980bba979357d0ec445a87fd015ba06ea096509b6a"
+
+
+def test_full_lines_are_pinned(full_results):
+    lines = "\n".join(r.line() for cid, r in sorted(full_results.items()) if cid != 1)
+    assert hashlib.sha256(lines.encode()).hexdigest() == FULL_LINES_SHA256
+
+
 def test_registry(quick_results):
     # the module's criterion_<cid> is the registered object itself, which
     # a tracer that rebinds both by identity relies on

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import tempfile
 import time
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -458,7 +460,10 @@ class TestTrajectoryBytes:
 
 # one small run per command, each with the sha256 of its data files and its
 # manifest without the timestamps, all taken before the commands shared one
-# writer; the green residuals and C2/C3 details are printed from the draws
+# writer; the green residuals and C2/C3 details are printed from the draws.
+# green's data files were taken again when its bundle moved from a second
+# Cholesky factor of H_beta to the draw's kept factor: beta and gamma kept
+# their bits, and psi, u, the root row and the residuals moved by rounding
 RUNS = {
     "sample-beta": (
         ["sample-beta", "--dim", "2", "--radius", "1", "--n", "20", "--seed", "11"],
@@ -471,9 +476,9 @@ RUNS = {
     ),
     "green": (
         ["green", "--dim", "2", "--radius", "2", "--seed", "3"],
-        {"green.csv": "142a8951f6879c16caa4b2061016730faec35ecd09c4903529db17770faad735",
+        {"green.csv": "3cf5b1c1f39d10ad5b27ef1cad3b160e1045c173939cfcc79e494b8bb9c2d619",
          "summary.json":
-             "cafab559e32eac3ff932741d69ce3d6850189834e164a4bf89b318189a702b33"},
+             "1d585030f35ed8402963822da30c826f3e99d484e132d8d1176965d046b3c522"},
         {"command": "green",
          "config": {"W": 1.0, "dim": 2, "radius": 2, "seed": 3},
          "content_hash":
@@ -596,6 +601,44 @@ class TestSimulateQuenched:
         assert rc == USAGE_EXIT
         assert "--i0 must be a retained vertex id" in capsys.readouterr().err
         assert not out.exists()
+
+
+# the two commands that solve one environment's Green bundle on a wired
+# box, here the 121-site box of radius 5
+BUNDLE_RUNS = {
+    "green": ["green", "--dim", "2", "--radius", "5", "--seed", "3"],
+    "quenched": ["simulate", "--process", "quenched", "--dim", "2", "--radius",
+                 "5", "--steps", "100", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command", list(BUNDLE_RUNS))
+class TestWiredBoxBundle:
+    def test_bundle_beyond_physical_memory_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # the memory reported holds the dense coupling block (8 * 121^2
+        # bytes) twice over, but not the bundle's dense arrays: refused
+        # before any draw and before any output
+        sysconf = os.sysconf
+        fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 * 8 * 122**2 // 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        monkeypatch.setattr(vrjp.cli, "stream", lambda *key: NoDraws())
+        out = tmp_path / "run"
+        assert main([*BUNDLE_RUNS[command], "--out", str(out)]) == USAGE_EXIT
+        assert "the Green bundle of 121 sites" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_factors_each_environment_once(self, tmp_path, monkeypatch, command):
+        # the bundle solves on the factor the draw kept: no Cholesky and no
+        # dense solve runs
+        def second_factor(*args, **kwargs):
+            raise AssertionError("a drawn environment was factored again")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", second_factor)
+        monkeypatch.setattr(np.linalg, "cholesky", second_factor)
+        monkeypatch.setattr(np.linalg, "solve", second_factor)
+        assert main([*BUNDLE_RUNS[command], "--out", str(tmp_path / "run")]) == 0
 
 
 @pytest.fixture(scope="module")

@@ -98,7 +98,8 @@ def test_removed_method_is_gone(cls, name):
     assert not hasattr(getattr(vrjp, cls), name), f"{cls} still has {name}"
 
 
-# keyword arguments dropped because no product caller set them
+# keyword arguments dropped because no product caller set them, or, for
+# green_bundle's beta, replaced by the sample whose kept factor it solves on
 REMOVED_KEYWORDS = {
     "quenched_mjp": ["holding"],
     "build_lattice_box": ["center", "max_vertices"],
@@ -107,6 +108,7 @@ REMOVED_KEYWORDS = {
     "conductance_ratio_experiment": ["margin"],
     "QuenchedRates.from_bundle": ["i0"],
     "sample_batch": ["order"],
+    "green_bundle": ["beta"],
 }
 
 

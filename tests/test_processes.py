@@ -44,6 +44,7 @@ from _oracles import (
     LargestUniform,
     NoDraws,
     edge_weight,
+    factored,
     h_transform_rates,
     reference_quenched_chain,
     reference_simulate_vrjp,
@@ -77,9 +78,9 @@ def wheel(n, w=1.0):
 def wired_env(g, subset, rng, i0=None):
     """One field draw plus coupling on the retained set of g."""
     params = marginal_params(g, subset)
-    beta = sample_batch(params, 1, rng).beta[0]
+    sample = sample_batch(params, 1, rng)
     gamma = float(rng.gamma(0.5, 1.0))
-    return green_bundle(params, beta, subset, gamma, i0=i0)
+    return green_bundle(params, sample, subset, gamma, i0=i0)
 
 
 class TestTrajectory:
@@ -351,8 +352,9 @@ class TestQuenchedRates:
         subset = [1, 2, 3, 4, 5]
         rng = stream(4, "exit")
         params = marginal_params(g, subset)
-        beta = sample_batch(params, 1, rng).beta[0]
-        bundle = green_bundle(params, beta, subset, float(rng.gamma(0.5)), i0=3)
+        sample = sample_batch(params, 1, rng)
+        beta = sample.beta[0]
+        bundle = green_bundle(params, sample, subset, float(rng.gamma(0.5)), i0=3)
         rates = QuenchedRates.from_bundle(bundle)
         p0 = bundle.i0_index
         for k in range(bundle.m):
@@ -488,8 +490,9 @@ class TestEscapeProbability:
             n=5,
             edges=((0, 1, 1e-8), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1e-8)),
         )
+        params = marginal_params(g, [1, 2, 3])
         bundle = green_bundle(
-            marginal_params(g, [1, 2, 3]), np.ones(3), [1, 2, 3], gamma=0.5, i0=2
+            params, factored(params, np.ones(3)), [1, 2, 3], gamma=0.5, i0=2
         )
         assert escape_probability_formula(bundle, 2, 2) < 1e-6
         assert escape_probability_formula(bundle, 2, 1) < 1e-6
@@ -529,9 +532,9 @@ class TestHTransform:
         subset = [1, 2, 3]
         rng = stream(6, "gfree")
         params = marginal_params(g, subset)
-        beta = sample_batch(params, 1, rng).beta[0]
-        b_lo = green_bundle(params, beta, subset, gamma=0.2, i0=2)
-        b_hi = green_bundle(params, beta, subset, gamma=1.7, i0=2)
+        sample = sample_batch(params, 1, rng)
+        b_lo = green_bundle(params, sample, subset, gamma=0.2, i0=2)
+        b_hi = green_bundle(params, sample, subset, gamma=1.7, i0=2)
         for mode in ("return", "no-return"):
             r_lo = h_transform_rates(b_lo, 2, mode)
             r_hi = h_transform_rates(b_hi, 2, mode)
@@ -600,9 +603,8 @@ class TestHTransform:
                 assert abs(phat - p) <= tol
 
     def test_unreachable_conditioning_raises(self):
-        bundle = green_bundle(
-            marginal_params(pair(), [0]), np.array([0.9]), [0], gamma=0.4, i0=0
-        )
+        params = marginal_params(pair(), [0])
+        bundle = green_bundle(params, factored(params, [0.9]), [0], gamma=0.4, i0=0)
         with pytest.raises(ConditioningError):
             h_transform_rates(bundle, 0, "return")
 

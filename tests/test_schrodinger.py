@@ -37,6 +37,7 @@ from _oracles import (
     SE_RULE,
     EnumerationError,
     assemble_H,
+    factored,
     q_density,
     reference_green_solve_banded,
     schur_step,
@@ -54,11 +55,11 @@ def pair():
 
 
 def wired_beta_envs(g, subset, n, rng):
-    """Field samples on the retained set plus independent couplings."""
-    params = marginal_params(g, subset)
-    beta = sample_batch(params, n, rng).beta
+    """Field samples on the retained set, as one batch with its kept factor,
+    plus independent couplings."""
+    sample = sample_batch(marginal_params(g, subset), n, rng)
     gamma = rng.gamma(0.5, 1.0, size=n)
-    return beta, gamma
+    return sample, gamma
 
 
 class TestAssembleH:
@@ -302,19 +303,38 @@ def test_green_solves_refuse_a_beta_of_the_wrong_shape(banded, shape):
 class TestGreenBundle:
     def test_single_retained_vertex_closed_form(self):
         g = pair()
-        beta = np.array([0.8])
-        bundle = green_bundle(marginal_params(g, [0]), beta, [0], gamma=0.3)
+        params = marginal_params(g, [0])
+        bundle = green_bundle(params, factored(params, [0.8]), [0], gamma=0.3)
         assert bundle.hat_g[0, 0] == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert bundle.psi[0] == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert bundle.full_g[1, 1] == pytest.approx(1.0 / 0.6, rel=1e-12)
         assert bundle.beta_delta == pytest.approx(0.5 * bundle.psi[0] + 0.3, rel=1e-12)
 
+    @pytest.mark.parametrize("sampler", ["sample_banded", "sample_batch"])
+    def test_solves_on_the_kept_factor(self, sampler):
+        # hat_g and psi, solved on the factor a draw kept, are the dense
+        # inverse of an H_beta that h_beta forms anew, and its product with eta
+        g = build_lattice_box(2, 3)
+        subset = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 2]
+        params = marginal_params(g, subset)
+        rng = stream(23, "bundle-factor", sampler)
+        if sampler == "sample_banded":
+            sample = sample_banded(*WiredBand.from_graph(g, subset).fill(), rng)
+            beta = sample.beta
+        else:
+            sample = sample_batch(params, 1, rng)
+            beta = sample.beta[0]
+        bundle = green_bundle(params, sample, subset, gamma=0.7, i0=subset[12])
+        inverse = np.linalg.inv(h_beta(params.p, beta))
+        np.testing.assert_allclose(bundle.hat_g, inverse, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(bundle.psi, inverse @ params.eta, rtol=1e-12, atol=0.0)
+
     def test_decomposition_identity_random_box(self):
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 24)]
         rng = stream(51, "decomp")
-        beta, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(marginal_params(g, subset), beta[0], subset, gamma[0])
+        sample, gamma = wired_beta_envs(g, subset, 1, rng)
+        bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0])
         m = bundle.m
         recon = bundle.hat_g + np.outer(bundle.psi, bundle.psi) / (2.0 * gamma[0])
         rel = np.abs(bundle.full_g[:m, :m] - recon) / np.abs(recon)
@@ -328,7 +348,7 @@ class TestGreenBundle:
         sub = rng.integers(0, n, size=200)
         params = marginal_params(g, [0])
         for k in sub[:5]:
-            bundle = green_bundle(params, np.array([1.0]), [0], gamma=float(gamma[k]))
+            bundle = green_bundle(params, factored(params, [1.0]), [0], gamma=gamma[k])
             assert bundle.full_g[1, 1] == pytest.approx(1.0 / (2.0 * gamma[k]), rel=1e-12)
         # the implied mean: 1/(2 G(delta,delta)) = gamma averages to 1/2
         assert zscore(gamma, 0.5) <= SE_RULE
@@ -337,8 +357,8 @@ class TestGreenBundle:
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
         rng = stream(51, "ext")
-        beta, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(marginal_params(g, subset), beta[0], subset, gamma[0], i0=2)
+        sample, gamma = wired_beta_envs(g, subset, 1, rng)
+        bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0], i0=2)
         assert (bundle.psi > 0).all()
         assert bundle.psi_ext()[bundle.delta_index] == 1.0
         assert bundle.u[bundle.i0_index] == 0.0
@@ -348,29 +368,39 @@ class TestGreenBundle:
 
     def test_errors(self):
         g = pair()
+        one = marginal_params(g, [0])
         for gamma in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(DomainError):
-                green_bundle(marginal_params(g, [0]), np.array([1.0]), [0], gamma=gamma)
+                green_bundle(one, factored(one, [1.0]), [0], gamma=gamma)
         with pytest.raises(DomainError):
-            green_bundle(marginal_params(g, [0, 0]), np.array([1.0, 1.0]), [0, 0], gamma=1.0)
+            two = marginal_params(g, [0, 0])
+            green_bundle(two, factored(two, [1.0, 1.0]), [0, 0], gamma=1.0)
+        flat = NuParams(p=np.zeros((2, 2)), eta=np.ones(2))
         with pytest.raises(DomainError):
-            green_bundle(
-                NuParams(p=np.zeros((2, 2)), eta=np.ones(2)),
-                np.array([1.0, 1.0]),
-                [0, 0],
-                gamma=1.0,
-            )
+            green_bundle(flat, factored(flat, [1.0, 1.0]), [0, 0], gamma=1.0)
         with pytest.raises(DomainError):
-            green_bundle(marginal_params(g, [0]), np.array([1.0]), [0, 1], gamma=1.0)
+            green_bundle(one, factored(one, [1.0]), [0, 1], gamma=1.0)
+        closed = marginal_params(g, [0, 1])
         with pytest.raises(RestrictionError):
-            green_bundle(marginal_params(g, [0, 1]), np.array([1.0, 1.0]), [0, 1], gamma=1.0)
+            green_bundle(closed, factored(closed, [1.0, 1.0]), [0, 1], gamma=1.0)
+        # a batch of two environments is not one environment
         path = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-        with pytest.raises(FactorizationError):
+        params = marginal_params(path, [0, 1])
+        batch = sample_batch(params, 2, stream(3, "bundle-batch"))
+        with pytest.raises(DomainError, match="one environment"):
+            green_bundle(params, batch, [0, 1], gamma=1.0)
+        # H_beta is not positive definite at beta = 0.4: the certificate fails
+        indefinite = factored(params, [0.4, 0.4])
+        assert not indefinite.psd_certificate
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            green_bundle(params, indefinite, [0, 1], gamma=1.0)
+        # a zero pivot under a certificate that holds
+        drawn = sample_batch(params, 1, stream(3, "bundle-pivot"))
+        pivots = drawn.pivots.copy()
+        pivots[1] = 0.0
+        with pytest.raises(FactorizationError, match="zero pivot"):
             green_bundle(
-                marginal_params(path, [0, 1]),
-                np.array([0.4, 0.4]),
-                [0, 1],
-                gamma=1.0,
+                params, dataclasses.replace(drawn, pivots=pivots), [0, 1], gamma=1.0
             )
 
     def test_refuses_a_component_without_boundary(self):
@@ -380,17 +410,17 @@ class TestGreenBundle:
         subset = [0, 1, 2]
         params = marginal_params(g, subset)
         rng = stream(4, "zero-row")
-        beta = sample_batch(params, 1, rng).beta[0]
+        sample = sample_batch(params, 1, rng)
         with np.errstate(all="raise"):
             with pytest.raises(RestrictionError, match="no edge to delta"):
-                green_bundle(params, beta, subset, float(rng.gamma(0.5)), i0=2)
+                green_bundle(params, sample, subset, float(rng.gamma(0.5)), i0=2)
 
     def test_refuses_a_root_outside_the_retained_set(self):
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
         params = marginal_params(g, subset)
         with pytest.raises(DomainError, match="not in the retained set"):
-            green_bundle(params, np.ones(3), subset, gamma=1.0, i0=0)
+            green_bundle(params, factored(params, np.ones(3)), subset, gamma=1.0, i0=0)
 
 
 class TestTruncatedPathsum:
@@ -463,11 +493,12 @@ class TestQDensity:
         subset = [1, 2, 3]
         rng = stream(61, "eu")
         n = 10_000
-        beta, gamma = wired_beta_envs(g, subset, n, rng)
+        sample, gamma = wired_beta_envs(g, subset, n, rng)
         params = marginal_params(g, subset)
         eu = np.empty((n, 2))
         for k in range(n):
-            bundle = green_bundle(params, beta[k], subset, gamma[k], i0=2)
+            env = factored(params, sample.beta[k])
+            bundle = green_bundle(params, env, subset, gamma[k], i0=2)
             vals = np.exp(bundle.u)
             eu[k] = vals[[0, 2]]  # non-root retained sites
         for col in eu.T:
@@ -516,11 +547,11 @@ class TestCheckIdentities:
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v != 12]
         rng = stream(81, "ids")
-        beta, gamma = wired_beta_envs(g, subset, 25, rng)
+        sample, gamma = wired_beta_envs(g, subset, 25, rng)
         params = marginal_params(g, subset)
-        for k in range(25):
-            bundle = green_bundle(params, beta[k], subset, gamma[k])
-            report = check_identities(bundle, beta[k])
+        for k, beta in enumerate(sample.beta):
+            bundle = green_bundle(params, factored(params, beta), subset, gamma[k])
+            report = check_identities(bundle, beta)
             assert report.max_residual() <= 1e-9
 
     def test_root_atom_negative_control(self):
@@ -529,8 +560,9 @@ class TestCheckIdentities:
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
         rng = stream(81, "atom")
-        beta, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(marginal_params(g, subset), beta[0], subset, gamma[0], i0=2)
+        sample, gamma = wired_beta_envs(g, subset, 1, rng)
+        beta = sample.beta
+        bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0], i0=2)
         report = check_identities(bundle, beta[0], i0=2)
         assert report.max_residual() <= 1e-9
 
@@ -545,9 +577,9 @@ class TestCheckIdentities:
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 4, 20, 24)]
         rng = stream(81, "harm")
-        beta, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(marginal_params(g, subset), beta[0], subset, gamma[0])
-        report = check_identities(bundle, beta[0])
+        sample, gamma = wired_beta_envs(g, subset, 1, rng)
+        bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0])
+        report = check_identities(bundle, sample.beta[0])
         assert report.harmonic <= 1e-10
 
 
@@ -556,12 +588,13 @@ class TestNestedVolumes:
         g = build_lattice_box(1, 4)  # vertices 0..8, center 4
         rng = stream(91, "mono")
         for _ in range(3):
-            beta_full, gamma = wired_beta_envs(g, list(range(1, 8)), 1, rng)
+            full, gamma = wired_beta_envs(g, list(range(1, 8)), 1, rng)
             prev = None
             for r in (1, 2, 3):
                 subset = list(range(4 - r, 4 + r + 1))
-                beta = beta_full[0][[v - 1 for v in subset]]
-                bundle = green_bundle(marginal_params(g, subset), beta, subset, gamma[0])
+                params = marginal_params(g, subset)
+                env = factored(params, full.beta[0][[v - 1 for v in subset]])
+                bundle = green_bundle(params, env, subset, gamma[0])
                 core = slice(bundle.position(3), bundle.position(5) + 1)
                 block = bundle.hat_g[core, core]
                 if prev is not None:
@@ -576,7 +609,7 @@ class TestNestedVolumes:
         keep_small = [2, 3, 4, 5, 6]
         rng = stream(91, "mart")
         n = 20_000
-        beta, _ = wired_beta_envs(g, keep_big, n, rng)
+        beta = wired_beta_envs(g, keep_big, n, rng)[0].beta
         lam_small = np.array([0.0, 0.4, 0.9, 0.2, 0.0])
         lam_big = np.array([0.0] + list(lam_small) + [0.0])
 
@@ -647,7 +680,7 @@ class TestNestedVolumes:
         keep = [1, 2, 3]
         rng = stream(91, "qv")
         n = 20_000
-        beta, _ = wired_beta_envs(g, keep, n, rng)
+        beta = wired_beta_envs(g, keep, n, rng)[0].beta
         w = g.weight_matrix()[np.ix_(keep, keep)]
         eta = np.array([1.0, 0.0, 1.0])
         h = np.broadcast_to(-w, (n, 3, 3)).copy()
