@@ -76,9 +76,9 @@ NUMERIC_EXIT = 3
 _NUMERIC_ERRORS = (NumericError, FactorizationError)
 
 # dense (m + 1)^2 arrays that `vrjp green` and the environment-fixed chain
-# hold at their peak on a wired box of m sites: tracemalloc read 7.0 to 7.2
+# hold at their peak on a wired box of m sites: tracemalloc read 5.0 to 5.3
 # for both on d=2 boxes of radius 10, 20 and 28 (m = 441 to 3,249)
-_BUNDLE_ARRAYS = 8
+_BUNDLE_ARRAYS = 6
 
 # CSV cells formatted per block of rows: 2 to 3 MB of text at a time, and a
 # peak of about 10 MB with the block's cells as Python objects
@@ -285,7 +285,7 @@ def _cmd_green(args) -> Run:
             np.append(beta, bundle.beta_delta),
             np.append(bundle.psi, 1.0),
             bundle.u,
-            bundle.full_g[bundle.i0_index],
+            bundle.kernel_row(bundle.i0_index),
         ],
         f"wrote bundle summary to {args.out / 'green.csv'}",
         summary={

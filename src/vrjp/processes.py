@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import CoverageError, DomainError, NumericError
 from .graphs import WeightedGraph, _refuse_beyond_memory
-from .schrodinger import GreenBundle
+from .schrodinger import GreenBundle, _wired_w
 
 __all__ = [
     "Trajectory",
@@ -431,15 +431,12 @@ class QuenchedRates:
 
     def kernel(self) -> np.ndarray:
         """Row-normalized step kernel; zero rows (absorbing states) stay zero."""
-        out = np.zeros_like(self.rates)
-        pos = self.exit > 0
-        out[pos] = self.rates[pos] / self.exit[pos, None]
-        return out
+        e = self.exit[:, None]
+        return np.divide(self.rates, e, out=np.zeros_like(self.rates), where=e > 0)
 
     @classmethod
-    def from_green(cls, w: np.ndarray, green: np.ndarray, i0: int) -> "QuenchedRates":
-        """Rates from any conductance matrix and full Green kernel."""
-        row = green[int(i0)]
+    def from_green(cls, w: np.ndarray, row: np.ndarray, i0: int) -> "QuenchedRates":
+        """Rates from any conductance matrix and the root's full Green row."""
         if not (np.isfinite(row) & (row > 0)).all():
             raise NumericError("Green row of the root is not positive and finite")
         rates = 0.5 * w * (row[None, :] / row[:, None])
@@ -450,7 +447,8 @@ class QuenchedRates:
     def from_bundle(cls, bundle: GreenBundle) -> "QuenchedRates":
         """Rates on the wired state space (retained set plus delta last),
         rooted at the bundle's own root."""
-        return cls.from_green(bundle.w_wired, bundle.full_g, bundle.i0_index)
+        i0 = bundle.i0_index
+        return cls.from_green(_wired_w(bundle.params), bundle.kernel_row(i0), i0)
 
 
 # Bytes a quenched chain and the CLI rows written from it keep per step: the
@@ -492,24 +490,24 @@ def escape_probability_formula(
     """Probability that the quenched chain rooted at i0, started at i, hits
     delta before (re)visiting i0. i or i0 given as parent-graph vertex ids;
     i = None means delta (returns 1). Finite-volume reading of the escape
-    event."""
+    event. It reads two entries of hat_g, psi, the kernel row of i0 and the
+    row of i0 in the wired conductances (params.p, then eta)."""
     p0 = bundle.position(i0)
     if p0 == bundle.delta_index:
         raise DomainError("the root must be a retained vertex")
     pi = bundle.position(i)
-    ghat = bundle.hat_g_ext()
     psi_e = bundle.psi_ext()
-    g_full = bundle.full_g
-    g00 = ghat[p0, p0]
+    grow = bundle.kernel_row(p0)
+    g00 = bundle.hat_g[p0, p0]
     psi0 = psi_e[p0]
     if pi == p0:
-        grow = g_full[p0]
-        exit0 = 0.5 * float((bundle.w_wired[p0] * grow).sum()) / grow[p0]
-        return float(
-            psi0**2 / (4.0 * bundle.gamma * exit0 * g00 * g_full[p0, p0])
-        )
-    gcheck = g00 * psi_e[pi] - ghat[p0, pi] * psi0
-    return float(psi0 * gcheck / (2.0 * bundle.gamma * g00 * g_full[p0, pi]))
+        w_row = np.append(bundle.params.p[p0], bundle.params.eta[p0])
+        exit0 = 0.5 * float((w_row * grow).sum()) / grow[p0]
+        return float(psi0**2 / (4.0 * bundle.gamma * exit0 * g00 * grow[p0]))
+    # hat_g vanishes on delta
+    g0i = bundle.hat_g[p0, pi] if pi < bundle.m else 0.0
+    gcheck = g00 * psi_e[pi] - g0i * psi0
+    return float(psi0 * gcheck / (2.0 * bundle.gamma * g00 * grow[pi]))
 
 
 @dataclass(frozen=True)

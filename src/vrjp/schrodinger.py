@@ -152,25 +152,22 @@ def _band_substitute(rows: np.ndarray, pivots: np.ndarray, cols: np.ndarray):
 
 @dataclass(frozen=True)
 class GreenBundle:
-    """Per-environment derived objects for a retained set V plus boundary.
+    """What green_bundle solved for a retained set V plus boundary delta.
 
-    Indices 0..m-1 follow `subset` order; index m is the boundary vertex
-    delta. hat_g is the inverse of the V-block of H, psi its harmonic
-    extension of the constant 1 boundary value, full_g the kernel on V plus
-    delta built from the independent Gamma(1/2) variable gamma, u the log
-    ratio of the root row of full_g, and beta_delta the coupled boundary
-    potential. w_wired holds the collapsed conductances, delta last.
+    Indices 0..m-1 follow `subset` order; index m is delta. params is the
+    wired marginal drawn on (shared, not copied), hat_g the inverse of the
+    V-block of H, psi its harmonic extension of the boundary value 1, gamma
+    the independent Gamma(1/2) coupling and beta_delta the coupled boundary
+    potential. The full kernel hat_g + psi_ext psi_ext^T / (2 gamma) (hat_g
+    zero on delta) is not stored: kernel_row forms one row of it.
     """
 
     subset: tuple
+    params: NuParams
     hat_g: np.ndarray
     psi: np.ndarray
     gamma: float
-    full_g: np.ndarray
-    u: np.ndarray
     beta_delta: float
-    boundary_eta: np.ndarray
-    w_wired: np.ndarray
     i0_index: int
 
     @property
@@ -194,12 +191,19 @@ class GreenBundle:
         """psi extended by 1 at delta."""
         return np.concatenate([self.psi, [1.0]])
 
-    def hat_g_ext(self) -> np.ndarray:
-        """hat_g extended by zeros on the delta row and column."""
-        m = self.m
-        out = np.zeros((m + 1, m + 1))
-        out[:m, :m] = self.hat_g
-        return out
+    def kernel_row(self, k: int) -> np.ndarray:
+        """Row k of the full kernel on V plus delta (k = m is delta's)."""
+        psi_e = self.psi_ext()
+        row = psi_e[k] * psi_e / (2.0 * self.gamma)
+        if k < self.m:
+            row[: self.m] += self.hat_g[k]
+        return row
+
+    @property
+    def u(self) -> np.ndarray:
+        """The log ratio of the root's kernel row, zero at the root."""
+        row = self.kernel_row(self.i0_index)
+        return np.log(row) - np.log(row[self.i0_index])
 
     def beta_ext(self, beta) -> np.ndarray:
         """Interior beta with the coupled boundary value appended."""
@@ -223,7 +227,7 @@ def green_bundle(
     (green_solve_banded), which raises FactorizationError. subset labels
     its positions, which the sample's sites share. gamma is the independent
     Gamma(1/2, 1) coupling, finite and positive. i0 (a vertex of `subset`,
-    or None for delta) is the root used for the u vector.
+    or None for delta) is the root used for the u vector; params is kept.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise DomainError("gamma must be positive and finite")
@@ -248,34 +252,24 @@ def green_bundle(
     if not (psi > 0).all():
         raise RestrictionError("a component of subset has no edge to delta")
 
-    full_g = np.empty((m + 1, m + 1))
-    full_g[:m, :m] = hat_g + np.outer(psi, psi) / (2.0 * gamma)
-    full_g[:m, m] = psi / (2.0 * gamma)
-    full_g[m, :m] = psi / (2.0 * gamma)
-    full_g[m, m] = 1.0 / (2.0 * gamma)
-
-    beta_delta = 0.5 * float(eta @ psi) + gamma
-
-    w_wired = np.zeros((m + 1, m + 1))
-    w_wired[:m, :m] = params.p
-    w_wired[:m, m] = eta
-    w_wired[m, :m] = eta
-
-    root = m if i0 is None else subset.index(int(i0))
-    row = full_g[root]
-    u = np.log(row) - np.log(row[root])
     return GreenBundle(
         subset=subset,
+        params=params,
         hat_g=hat_g,
         psi=psi,
         gamma=float(gamma),
-        full_g=full_g,
-        u=u,
-        beta_delta=beta_delta,
-        boundary_eta=eta,
-        w_wired=w_wired,
-        i0_index=root,
+        beta_delta=0.5 * float(eta @ psi) + gamma,
+        i0_index=m if i0 is None else subset.index(int(i0)),
     )
+
+
+def _wired_w(params: NuParams) -> np.ndarray:
+    """The wired conductances on V plus delta: params.p, eta on delta's row."""
+    m = params.n
+    w = np.zeros((m + 1, m + 1))
+    w[:m, :m] = params.p
+    w[:m, m] = w[m, :m] = params.eta
+    return w
 
 
 @dataclass(frozen=True)
@@ -308,17 +302,20 @@ def check_identities(
     """Recompute the bundle's defining identities and report residuals.
 
     Checks: H times hat_g is the identity on the block; the wired operator
-    with the coupled boundary potential inverts full_g; psi is harmonic with
-    boundary value 1; beta is reconstructed from the u-field with the root
-    atom 1/(2 G(i0,i0)); hat_g obeys the Cauchy-Schwarz bound entrywise; the
-    complementary kernel Ghat(i0,i0) psi - Ghat(i0,.) psi(i0) is nonnegative;
-    and row sums of the quenched rates reproduce beta away from the root.
+    with the coupled boundary potential inverts the full kernel; psi is
+    harmonic with boundary value 1; beta is reconstructed from the u-field
+    with the root atom 1/(2 G(i0,i0)); hat_g obeys the Cauchy-Schwarz bound
+    entrywise; the complementary kernel Ghat(i0,i0) psi - Ghat(i0,.) psi(i0)
+    is nonnegative; and row sums of the quenched rates reproduce beta away
+    from the root. W is dropped before the full kernel is formed dense.
     """
     m = bundle.m
     b = np.asarray(beta, dtype=float)
     root = bundle.i0_index if i0 is None else bundle.position(i0)
-    w_in = bundle.w_wired[:m, :m]
-    eta = bundle.boundary_eta
+    w = _wired_w(bundle.params)
+    eta = bundle.params.eta
+    beta_ext = bundle.beta_ext(b)
+    psi_e = bundle.psi_ext()
 
     def rel(err, scale):
         return float(err / max(scale, 1e-300))
@@ -326,39 +323,44 @@ def check_identities(
     def inv_resid(a, x):
         # normwise relative residual: the atom 1/(2 gamma) can make the
         # kernel huge, so |AX - I| alone would just measure conditioning
-        err = np.abs(a @ x - np.eye(a.shape[0])).max()
-        return rel(err, max(np.abs(a).max() * np.abs(x).max(), 1.0))
+        r = a @ x
+        r.flat[:: r.shape[0] + 1] -= 1.0
+        err = np.abs(r, out=r).max()
+        return rel(err, max(max(a.max(), -a.min()) * max(x.max(), -x.min()), 1.0))
 
-    r_hg = inv_resid(h_beta(w_in, b), bundle.hat_g)
-
-    beta_ext = bundle.beta_ext(b)
-    r_full = inv_resid(h_beta(bundle.w_wired, beta_ext), bundle.full_g)
-
-    resid = 2.0 * b * bundle.psi - w_in @ bundle.psi - eta
+    resid = 2.0 * b * bundle.psi - w[:m, :m] @ bundle.psi - eta
     r_harm = rel(np.abs(resid).max(), max(np.abs(eta).max(), 1.0))
 
-    # beta reconstruction from the root row of the kernel
-    grow = bundle.full_g[root]
+    # beta reconstruction and telescoping from the root row of the kernel,
+    # whose quenched exit rates are the same row sums
+    grow = bundle.kernel_row(root)
     ratios = grow[None, :] / grow[:, None]
-    recon = 0.5 * (bundle.w_wired * ratios).sum(axis=1)
+    ratios *= w
+    exit_rates = 0.5 * ratios.sum(axis=1)
+    del ratios
+    off_root = np.arange(m + 1) != root
+    r_tel = rel(np.abs(exit_rates - beta_ext)[off_root].max(), np.abs(beta_ext).max())
+    recon = exit_rates
     recon[root] += 1.0 / (2.0 * grow[root])
     r_beta = rel(np.abs(recon - beta_ext).max(), np.abs(beta_ext).max())
+
+    h = h_beta(w, beta_ext)
+    del w
+    r_hg = inv_resid(h[:m, :m], bundle.hat_g)
+    kernel = np.outer(psi_e, psi_e)
+    kernel /= 2.0 * bundle.gamma
+    kernel[:m, :m] += bundle.hat_g
+    r_full = inv_resid(h, kernel)
+    del h, kernel
 
     d = np.sqrt(np.diag(bundle.hat_g))
     cs = bundle.hat_g - np.outer(d, d)
     r_cs = rel(max(cs.max(), 0.0), max(np.abs(bundle.hat_g).max(), 1.0))
 
-    psi_e = bundle.psi_ext()
-    ghat_e = bundle.hat_g_ext()
-    gcheck = ghat_e[root, root] * psi_e - ghat_e[root] * psi_e[root]
+    # the root row of hat_g, zero on delta
+    hrow = np.append(bundle.hat_g[root], 0.0) if root < m else np.zeros(m + 1)
+    gcheck = hrow[root] * psi_e - hrow * psi_e[root]
     r_gc = rel(max(-gcheck.min(), 0.0), max(psi_e.max(), 1.0))
-
-    exit_rates = 0.5 * (bundle.w_wired * ratios).sum(axis=1)
-    mask = np.ones(m + 1, dtype=bool)
-    mask[root] = False
-    r_tel = rel(
-        np.abs(exit_rates[mask] - beta_ext[mask]).max(), np.abs(beta_ext).max()
-    )
 
     return IdentityReport(
         hg_block=r_hg,

@@ -9,7 +9,8 @@ induced subgraph, and banded Green solves by a fresh factorization of H_beta
 It also holds the closed forms and reference routines that no criterion,
 experiment or CLI command runs, with their own error classes: the field's
 density and a dense Cholesky certificate of H_beta, a dense LDL^T of H_beta
-for a chosen beta in the layout a draw keeps its factor in, the one-site
+for a chosen beta in the layout a draw keeps its factor in, a Green
+bundle's wired conductances and full kernel as dense arrays, the one-site
 Schur step (the exact conditional law given some sites), the annealed
 reinforced-walk environment, a graph's edge weight lookup and per-vertex
 weight totals, writing a graph in the CLI's JSON format, the
@@ -316,6 +317,30 @@ def factored(params: NuParams, beta) -> BandSample:
     return BandSample(beta, _pivots_ok(pivots, np.diag(h)), rows=rows, pivots=pivots)
 
 
+def wired_w(params: NuParams) -> np.ndarray:
+    """The wired conductances on the retained set plus delta, delta last:
+    params.p with eta on the last row and column, built densely."""
+    m = params.n
+    w = np.zeros((m + 1, m + 1))
+    w[:m, :m] = params.p
+    w[:m, m] = params.eta
+    w[m, :m] = params.eta
+    return w
+
+
+def full_kernel(bundle) -> np.ndarray:
+    """The bundle's full kernel on the retained set plus delta as one dense
+    array: hat_g + psi psi^T / (2 gamma) on the block, psi / (2 gamma) on the
+    delta row and column and 1 / (2 gamma) at (delta, delta)."""
+    m, psi, gamma = bundle.m, bundle.psi, bundle.gamma
+    g = np.empty((m + 1, m + 1))
+    g[:m, :m] = bundle.hat_g + np.outer(psi, psi) / (2.0 * gamma)
+    g[:m, m] = psi / (2.0 * gamma)
+    g[m, :m] = psi / (2.0 * gamma)
+    g[m, m] = 1.0 / (2.0 * gamma)
+    return g
+
+
 def reference_simulate_vrjp(
     g: WeightedGraph, i0: int, horizon: float, rng, clock: bool = False
 ):
@@ -477,8 +502,8 @@ def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
             )
             p0 = bundle.position(i_zero)
             pl = bundle.position(i_ell)
-            grow = bundle.full_g[p0]
-            x = grow * (bundle.w_wired @ grow)
+            grow = full_kernel(bundle)[p0]
+            x = grow * (wired_w(params) @ grow)
             vals[s] = (x[pl] / x[p0]) ** 0.25
         out.append((float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))))
     return out
@@ -802,16 +827,17 @@ def h_transform_rates(bundle, i0, mode: str) -> QuenchedRates:
     if mode not in ("return", "no-return"):
         raise DomainError(f"unknown mode {mode!r}")
     m = bundle.m
-    w = bundle.w_wired
-    ghat = bundle.hat_g_ext()
+    w = wired_w(bundle.params)
+    # the root row of hat_g, zero on delta
+    hrow = np.append(bundle.hat_g[p0], 0.0)
     psi_e = bundle.psi_ext()
-    grow = bundle.full_g[p0]
+    grow = full_kernel(bundle)[p0]
     exit0 = 0.5 * float((w[p0] * grow).sum()) / grow[p0]
 
     if mode == "return":
-        h = ghat[p0].copy()
+        h = hrow
     else:
-        h = ghat[p0, p0] * psi_e - ghat[p0] * psi_e[p0]
+        h = hrow[p0] * psi_e - hrow * psi_e[p0]
         h[p0] = 0.0
     rates = np.zeros((m + 1, m + 1))
     pos = h > 0

@@ -641,6 +641,27 @@ class TestWiredBoxBundle:
         assert main([*BUNDLE_RUNS[command], "--out", str(tmp_path / "run")]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["green"], ["simulate", "--process", "quenched", "--steps", "1000"]],
+    ids=["green", "quenched"],
+)
+def test_bundle_peak_is_inside_the_size_limit(tmp_path, argv):
+    # the whole command's traced peak on the 441-site box stays below the
+    # memory the refusal counts, so a dense copy added to the bundle or to
+    # its readers shows here before the refusal stops being honest
+    m = 21**2
+    tracemalloc.start()
+    try:
+        rc = main([*argv, "--dim", "2", "--radius", "10", "--seed", "3",
+                   "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < vrjp.cli._BUNDLE_ARRAYS * 8 * (m + 1) ** 2
+
+
 @pytest.fixture(scope="module")
 def quick_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("verify")

@@ -83,11 +83,13 @@ def test_removed_name_is_gone(module, name):
 
 
 # methods moved to the test oracles as functions (edge_weight,
-# total_weights), or dropped because no product caller used them
+# total_weights), or dropped because no product caller used them, or, for
+# GreenBundle.hat_g_ext, because its readers take the one row they need
 REMOVED_METHODS = {
     "WeightedGraph": ["weight", "total_weights"],
     "Trajectory": ["first_return_index", "is_discrete"],
     "EstimatorReport": ["within", "row"],
+    "GreenBundle": ["hat_g_ext"],
 }
 
 
@@ -99,7 +101,8 @@ def test_removed_method_is_gone(cls, name):
 
 
 # keyword arguments dropped because no product caller set them, or, for
-# green_bundle's beta, replaced by the sample whose kept factor it solves on
+# green_bundle's beta, replaced by the sample whose kept factor it solves on,
+# and, for QuenchedRates.from_green's green, by the root row it reads
 REMOVED_KEYWORDS = {
     "quenched_mjp": ["holding"],
     "build_lattice_box": ["center", "max_vertices"],
@@ -109,6 +112,7 @@ REMOVED_KEYWORDS = {
     "QuenchedRates.from_bundle": ["i0"],
     "sample_batch": ["order"],
     "green_bundle": ["beta"],
+    "QuenchedRates.from_green": ["green"],
 }
 
 

@@ -45,12 +45,14 @@ from _oracles import (
     NoDraws,
     edge_weight,
     factored,
+    full_kernel,
     h_transform_rates,
     reference_quenched_chain,
     reference_simulate_vrjp,
     reference_vrjp_lattice,
     se,
     time_change_maps,
+    wired_w,
     zscore,
 )
 
@@ -362,24 +364,55 @@ class TestQuenchedRates:
                 assert abs(rates.exit[k] - beta[k]) <= 1e-9 * max(1.0, beta[k])
         assert abs(rates.exit[bundle.delta_index] - bundle.beta_delta) <= 1e-9 * bundle.beta_delta
 
+    @pytest.mark.parametrize("i0", [7, None])
+    def test_rates_are_the_dense_oracle(self, i0):
+        # from the root's kernel row and the wired conductances: the bits of
+        # the dense kernel's root row and W, each built in one piece
+        g = build_lattice_box(2, 2)
+        subset = [v for v in range(g.n) if v not in (0, 24)]
+        bundle = wired_env(g, subset, stream(4, "dense-rates"), i0=i0)
+        grow = full_kernel(bundle)[bundle.i0_index]
+        ratio = grow[None, :] / grow[:, None]
+        rates = QuenchedRates.from_bundle(bundle)
+        assert np.array_equal(rates.rates, 0.5 * wired_w(bundle.params) * ratio)
+
+    def test_kernel_keeps_the_masked_division_bits(self):
+        # each row divided by its exit rate, bit for bit as a masked row
+        # division gives it, and an absorbing (zero) row stays zero
+        g = build_lattice_box(2, 2)
+        subset = [v for v in range(g.n) if v not in (0, 24)]
+        rates = QuenchedRates.from_bundle(wired_env(g, subset, stream(4, "kern"), i0=7))
+        table = rates.rates.copy()
+        table[-1] = 0.0
+        absorbing = QuenchedRates(rates=table, exit=table.sum(axis=1), i0=rates.i0)
+        for r in (rates, absorbing):
+            old = np.zeros_like(r.rates)
+            pos = r.exit > 0
+            old[pos] = r.rates[pos] / r.exit[pos, None]
+            assert np.array_equal(r.kernel(), old)
+        assert not absorbing.kernel()[-1].any()
+
     def test_chain_is_reversible_for_green_conductances(self):
         g = build_lattice_box(1, 2)
         rng = stream(4, "rev")
         bundle = wired_env(g, [1, 2, 3], rng, i0=2)
         rates = QuenchedRates.from_bundle(bundle)
-        grow = bundle.full_g[bundle.i0_index]
+        grow = full_kernel(bundle)[bundle.i0_index]
         m_meas = rates.exit * grow**2
         flux = m_meas[:, None] * rates.kernel()
         assert np.allclose(flux, flux.T, rtol=1e-12, atol=1e-14)
         assert np.allclose(
-            flux, 0.5 * bundle.w_wired * np.outer(grow, grow), rtol=1e-12, atol=1e-14
+            flux,
+            0.5 * wired_w(bundle.params) * np.outer(grow, grow),
+            rtol=1e-12,
+            atol=1e-14,
         )
 
     def test_positive_rates_on_edges(self):
         g = build_lattice_box(1, 2)
         bundle = wired_env(g, [1, 2, 3], stream(4, "pos"), i0=2)
         rates = QuenchedRates.from_bundle(bundle)
-        on_edge = bundle.w_wired > 0
+        on_edge = wired_w(bundle.params) > 0
         assert (rates.rates[on_edge] > 0).all()
         assert (rates.exit > 0).all()
 
@@ -449,9 +482,8 @@ class TestQuenchedRates:
         # a root row that vanishes off the root's component: rates there
         # would be 0/0
         w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        green = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(NumericError, match="Green row"):
-            QuenchedRates.from_green(w, green, 0)
+            QuenchedRates.from_green(w, np.array([1.0, 0.5, 0.0]), 0)
 
 
 class TestEscapeProbability:
@@ -478,11 +510,8 @@ class TestEscapeProbability:
                 if pi == p0:
                     continue
                 esc = escape_probability_formula(bundle, 3, i)
-                h = (
-                    bundle.hat_g[p0, pi]
-                    * bundle.full_g[p0, p0]
-                    / (bundle.hat_g[p0, p0] * bundle.full_g[p0, pi])
-                )
+                grow = full_kernel(bundle)[p0]
+                h = bundle.hat_g[p0, pi] * grow[p0] / (bundle.hat_g[p0, p0] * grow[pi])
                 assert abs(h + esc - 1.0) <= 1e-9
 
     def test_vanishing_boundary_coupling_kills_escape(self):
@@ -522,9 +551,9 @@ class TestHTransform:
         for _ in range(5):
             bundle = wired_env(g, [1, 2, 3, 4, 5], rng, i0=2)
             p0 = bundle.i0_index
-            ghat = bundle.hat_g_ext()
+            hrow = np.append(bundle.hat_g[p0], 0.0)
             psi_e = bundle.psi_ext()
-            gcheck = ghat[p0, p0] * psi_e - ghat[p0] * psi_e[p0]
+            gcheck = hrow[p0] * psi_e - hrow * psi_e[p0]
             assert (gcheck >= -1e-12).all()
 
     def test_conditioned_kernels_do_not_depend_on_coupling(self):

@@ -38,6 +38,7 @@ from _oracles import (
     EnumerationError,
     assemble_H,
     factored,
+    full_kernel,
     q_density,
     reference_green_solve_banded,
     schur_step,
@@ -46,6 +47,7 @@ from _oracles import (
     total_weights,
     truncated_green_pathsum,
     u_field,
+    wired_w,
     zscore,
 )
 
@@ -307,7 +309,7 @@ class TestGreenBundle:
         bundle = green_bundle(params, factored(params, [0.8]), [0], gamma=0.3)
         assert bundle.hat_g[0, 0] == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert bundle.psi[0] == pytest.approx(1.0 / 1.6, rel=1e-12)
-        assert bundle.full_g[1, 1] == pytest.approx(1.0 / 0.6, rel=1e-12)
+        assert bundle.kernel_row(1)[1] == pytest.approx(1.0 / 0.6, rel=1e-12)
         assert bundle.beta_delta == pytest.approx(0.5 * bundle.psi[0] + 0.3, rel=1e-12)
 
     @pytest.mark.parametrize("sampler", ["sample_banded", "sample_batch"])
@@ -337,7 +339,8 @@ class TestGreenBundle:
         bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0])
         m = bundle.m
         recon = bundle.hat_g + np.outer(bundle.psi, bundle.psi) / (2.0 * gamma[0])
-        rel = np.abs(bundle.full_g[:m, :m] - recon) / np.abs(recon)
+        kernel = np.array([bundle.kernel_row(k) for k in range(m)])
+        rel = np.abs(kernel[:, :m] - recon) / np.abs(recon)
         assert rel.max() <= 1e-9
 
     def test_boundary_green_entry_is_half_inverse_gamma(self):
@@ -349,7 +352,9 @@ class TestGreenBundle:
         params = marginal_params(g, [0])
         for k in sub[:5]:
             bundle = green_bundle(params, factored(params, [1.0]), [0], gamma=gamma[k])
-            assert bundle.full_g[1, 1] == pytest.approx(1.0 / (2.0 * gamma[k]), rel=1e-12)
+            assert bundle.kernel_row(1)[1] == pytest.approx(
+                1.0 / (2.0 * gamma[k]), rel=1e-12
+            )
         # the implied mean: 1/(2 G(delta,delta)) = gamma averages to 1/2
         assert zscore(gamma, 0.5) <= SE_RULE
 
@@ -365,6 +370,36 @@ class TestGreenBundle:
         assert bundle.position(2) == 1 and bundle.position(None) == bundle.delta_index
         with pytest.raises(DomainError):
             bundle.position(0)
+
+    @pytest.mark.parametrize("drawn", [True, False], ids=["drawn", "factored"])
+    def test_kernel_rows_are_the_dense_kernel(self, drawn):
+        # each row, delta's included, has the bits of the full kernel built
+        # densely in one piece, on a drawn and on a chosen-beta bundle
+        g = build_lattice_box(2, 2)
+        subset = [v for v in range(g.n) if v not in (0, 24)]
+        params = marginal_params(g, subset)
+        if drawn:
+            sample = sample_batch(params, 1, stream(52, "kernel-rows"))
+        else:
+            sample = factored(params, np.full(len(subset), 2.5))
+        bundle = green_bundle(params, sample, subset, gamma=0.4, i0=subset[7])
+        dense = full_kernel(bundle)
+        for k in range(bundle.m + 1):
+            assert np.array_equal(bundle.kernel_row(k), dense[k])
+        root = bundle.i0_index
+        u = np.log(dense[root]) - np.log(dense[root, root])
+        assert np.array_equal(bundle.u, u)
+
+    def test_keeps_only_what_it_solved(self):
+        # the marginal is shared, and no dense (m + 1)^2 array is stored
+        g = build_lattice_box(2, 2)
+        subset = [v for v in range(g.n) if v not in (0, 24)]
+        params = marginal_params(g, subset)
+        sample = sample_batch(params, 1, stream(52, "bundle-arrays"))
+        bundle = green_bundle(params, sample, subset, gamma=0.4)
+        assert bundle.params is params
+        held = [x for x in vars(bundle).values() if isinstance(x, np.ndarray)]
+        assert held and all(x.size < (bundle.m + 1) ** 2 for x in held)
 
     def test_errors(self):
         g = pair()
@@ -567,9 +602,9 @@ class TestCheckIdentities:
         assert report.max_residual() <= 1e-9
 
         root = bundle.i0_index
-        grow = bundle.full_g[root]
+        grow = full_kernel(bundle)[root]
         atom = 1.0 / (2.0 * grow[root])
-        w = bundle.w_wired
+        w = wired_w(bundle.params)
         recon_no_atom = 0.5 * (w[root] @ grow) / grow[root]
         assert abs(beta[0][root] - recon_no_atom) == pytest.approx(atom, rel=1e-9)
 
