@@ -56,7 +56,6 @@ from .processes import (
     simulate_errw,
     simulate_vrjp,
     simulate_vrjp_lattice,
-    time_change,
     vrjp_words,
 )
 from .schrodinger import (
@@ -99,7 +98,6 @@ __all__ = [
     "AbsorptionReport",
     "simulate_vrjp",
     "simulate_vrjp_lattice",
-    "time_change",
     "simulate_errw",
     "quenched_mjp",
     "escape_probability_formula",

@@ -65,7 +65,7 @@ from .harness import (
     psi_decay_experiment,
     vrjp_diffusion_experiment,
 )
-from .processes import QuenchedRates, quenched_mjp, simulate_errw, simulate_vrjp, time_change
+from .processes import QuenchedRates, quenched_mjp, simulate_errw, simulate_vrjp
 from .schrodinger import GreenBundle, check_identities, green_bundle
 from .streams import stream
 from .verify import DEFAULT_SEED, run_suite
@@ -308,7 +308,7 @@ def _cmd_simulate(args) -> Run:
             raise ConfigError("--horizon required for the reinforced jump walk")
         traj = simulate_vrjp(g, i0, args.horizon, rng)
         fields = ["step", "vertex", "entry_time", "transformed_time"]
-        columns = [traj.vertices, traj.times, time_change(traj).times]
+        columns = [traj.vertices, traj.times, traj.transformed_times]
         cfg.update({"process": "vrjp", "horizon": args.horizon, "i0": i0})
     elif args.process == "errw":
         g, cfg = _graph_from_args(args)

@@ -37,7 +37,7 @@ from .betafield import (
 from .errors import CoverageError, DomainError, PreconditionError, TestError
 from .graphs import WeightedGraph, _refuse_beyond_memory, build_lattice_box
 from .processes import simulate_vrjp_lattice
-from .schrodinger import green_solve_banded
+from .schrodinger import _kernel_row, green_solve_banded
 from .streams import stream
 
 __all__ = [
@@ -357,9 +357,8 @@ def conductance_ratio_experiment(
                 raise DomainError("gamma must be positive")
             psi, g0 = green_solve_banded(sample, rhs).T
             # the row of i0 in the kernel on the box plus delta (delta last)
-            grow = g0 + psi[p0] * psi / (2.0 * gamma)
-            g_delta = psi[p0] / (2.0 * gamma)
-            x = grow * (wired.couple(w_draw, grow) + eta * g_delta)
+            row = _kernel_row(psi, g0, p0, gamma)
+            x = row[:-1] * (wired.couple(w_draw, row[:-1]) + eta * row[-1])
             vals[s] = (x[pl] / x[p0]) ** 0.25
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))

@@ -1,8 +1,13 @@
-"""Process simulators: the reinforced jump process in continuous time, its
-quadratic time change, the linearly reinforced discrete walk, quenched Markov
-jump chains in a fixed environment, and closed-form escape probabilities
-with their Monte Carlo oracles. The conditioned (h-transformed) chains and
-the time change as a pair of maps are test oracles (tests/_oracles.py).
+"""Process simulators: the reinforced jump process in continuous time, the
+linearly reinforced discrete walk, quenched Markov jump chains in a fixed
+environment, and closed-form escape probabilities with their Monte Carlo
+oracles. The conditioned (h-transformed) chains and the time change as a
+pair of maps are test oracles (tests/_oracles.py).
+
+A continuous walk's entry times on its own clock and on D = sum_i (L_i^2 -
+1), in which it is a mixture of the environment-fixed Markov jump
+processes, come from one record in `_clocks`: `_walk`'s holding times and
+the occupied vertex's local time as each began.
 
 Holding times are exact: while the walker sits at a vertex, the jump rates to
 its neighbors are frozen (only the occupied vertex accumulates local time),
@@ -44,7 +49,6 @@ __all__ = [
     "Trajectory",
     "QuenchedRates",
     "simulate_vrjp",
-    "time_change",
     "simulate_errw",
     "quenched_mjp",
     "escape_probability_formula",
@@ -62,26 +66,32 @@ class Trajectory:
     """A walk: vertex sequence, optional entry times, optional local times.
 
     times[k] is when vertices[k] was entered; None means a discrete walk.
-    local_times are the final values of 1 + occupation time per vertex for a
-    continuous walk. Consecutive vertices are adjacent in the generating
-    graph (guaranteed by the simulators).
+    transformed_times[k] is that entry on the D clock. local_times are the
+    final values of 1 + occupation time per vertex for a continuous walk.
+    Consecutive vertices are adjacent in the generating graph (guaranteed by
+    the simulators).
     """
 
     vertices: np.ndarray
     times: Optional[np.ndarray] = None
     local_times: Optional[np.ndarray] = None
     horizon: Optional[float] = None
+    transformed_times: Optional[np.ndarray] = None
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=int)
         object.__setattr__(self, "vertices", v)
-        if self.times is not None:
-            t = np.asarray(self.times, dtype=float)
+        if self.transformed_times is not None and self.times is None:
+            raise DomainError("transformed times need entry times")
+        for name in ("times", "transformed_times"):
+            if getattr(self, name) is None:
+                continue
+            t = np.asarray(getattr(self, name), dtype=float)
             if t.shape != v.shape:
-                raise DomainError("times length must match vertices")
+                raise DomainError(f"{name} length must match vertices")
             if (np.diff(t) <= 0).any():
-                raise DomainError("entry times must be strictly increasing")
-            object.__setattr__(self, "times", t)
+                raise DomainError(f"{name} must be strictly increasing")
+            object.__setattr__(self, name, t)
         if self.local_times is not None:
             object.__setattr__(
                 self, "local_times", np.asarray(self.local_times, dtype=float)
@@ -135,6 +145,14 @@ def _walk(rows, local, v, rng, horizon, cap):
     return verts, waits, entered
 
 
+def _clocks(waits, entered):
+    """Entry times on the walk's own clock and on D, both from 0: a holding
+    of length w begun at local time L adds w to the first, 2 L w + w^2 to
+    the second."""
+    w = np.array([0.0, *waits])  # a first holding of length 0: both start at 0
+    return np.cumsum(w), np.cumsum(2.0 * np.array([1.0, *entered]) * w + w**2)
+
+
 def simulate_vrjp(
     g: WeightedGraph, i0: int, horizon: float, rng: np.random.Generator
 ) -> Trajectory:
@@ -142,7 +160,7 @@ def simulate_vrjp(
 
     From vertex i the rate to neighbor j is W_ij times j's current local
     time; neighbors' local times are frozen while the walker holds, so each
-    wait is a single exponential draw.
+    wait is a single exponential draw. Entry times come on both clocks.
     """
     if not 0.0 < horizon < np.inf:
         raise DomainError("horizon must be positive and finite")
@@ -150,8 +168,8 @@ def simulate_vrjp(
         raise DomainError("start vertex out of range")
     rows = [([u for u, _ in nb], [float(w) for _, w in nb]) for nb in g.neighbors]
     local = [1.0] * g.n
-    verts, waits, _ = _walk(rows, local, int(i0), rng, horizon, np.inf)
-    times = np.concatenate([[0.0], np.cumsum(waits)])
+    verts, waits, entered = _walk(rows, local, int(i0), rng, horizon, np.inf)
+    times, d_times = _clocks(waits, entered)
     local = np.array(local)
     local[verts[-1]] += horizon - times[-1]
     return Trajectory(
@@ -159,37 +177,7 @@ def simulate_vrjp(
         times=times,
         local_times=local,
         horizon=float(horizon),
-    )
-
-
-def time_change(traj: Trajectory) -> Trajectory:
-    """Reparameterize by D(s) = sum_i (L_i(s)^2 - 1).
-
-    D is piecewise quadratic (only the occupied vertex's local time grows),
-    so entry times map in closed form: a segment of duration ds whose vertex
-    entered it with local time L adds 2 L ds + ds^2. The local times are
-    rebuilt from the event list. The jump chain is unchanged.
-    """
-    if traj.times is None or traj.horizon is None:
-        raise DomainError("time change needs a continuous trajectory")
-    s = traj.times
-    durations = np.empty(len(s))
-    durations[:-1] = np.diff(s)
-    durations[-1] = traj.horizon - s[-1]
-    local: Dict[int, float] = {}
-    entered = []
-    for vk, dk in zip(traj.vertices.tolist(), durations.tolist()):
-        lv = local.get(vk, 1.0)
-        entered.append(lv)
-        local[vk] = lv + dk
-    enter_local = np.array(entered)
-    d_incr = 2.0 * enter_local * durations + durations**2
-    d_entry = np.concatenate([[0.0], np.cumsum(d_incr)])
-    return Trajectory(
-        vertices=traj.vertices.copy(),
-        times=d_entry[: len(s)],
-        local_times=None if traj.local_times is None else traj.local_times.copy(),
-        horizon=float(d_entry[-1]),
+        transformed_times=d_times,
     )
 
 
@@ -225,10 +213,17 @@ def vrjp_words(
 ) -> np.ndarray:
     """First `length` jump-chain steps of the continuous-time reinforced walk,
     vectorized across walks. edge_weights, if given, holds per-walk
-    conductances with shape (n_walks, edge_count); holding times are still
-    drawn because they feed the local times that reinforce later steps.
+    conductances with shape (n_walks, edge_count), each positive and finite
+    (DomainError otherwise); holding times are still drawn because they feed
+    the local times that reinforce later steps.
     """
     _check_start(g, i0, length)
+    if edge_weights is not None:
+        edge_weights = np.asarray(edge_weights, dtype=float)
+        if edge_weights.shape != (n_walks, g.edge_count):
+            raise DomainError("edge_weights must have shape (n_walks, edge_count)")
+        if not (np.isfinite(edge_weights) & (edge_weights > 0)).all():
+            raise DomainError("edge weights must be positive and finite")
     nbr, eids, wts = _edge_tables(g)
     rows = np.arange(n_walks)
     local = np.ones((n_walks, g.n))
@@ -297,8 +292,9 @@ def markov_words(
     """Sample `length` steps of one finite Markov chain per walk.
 
     kernels has shape (n_walks, size, size), one row-stochastic kernel per
-    walk; rows visited must have positive mass. A step draws one uniform per
-    walk, scales it by the row's total mass, and takes the first state whose
+    walk; every row must have finite mass, checked once before the first
+    step, and rows visited positive mass. A step draws one uniform per walk,
+    scales it by the row's total mass, and takes the first state whose
     running sum reaches it.
     """
     kernels = np.asarray(kernels, dtype=float)
@@ -306,6 +302,9 @@ def markov_words(
         raise DomainError("kernels must have shape (n_walks, size, size)")
     n_walks, _, size = kernels.shape
     cum = np.cumsum(kernels, axis=-1)
+    # a NaN or an infinite entry leaves its row's running sum non-finite
+    if not np.isfinite(cum[..., -1]).all():
+        raise DomainError("kernel with an entry that is not finite")
     rows = np.arange(n_walks)
     v = np.full(n_walks, int(start))
     words = np.empty((n_walks, length), dtype=int)
@@ -418,7 +417,9 @@ class QuenchedRates:
     """Jump rates of the environment-fixed Markov jump process.
 
     rates[i, j] = W_ij G(i0, j) / (2 G(i0, i)); exit holds row sums. Away
-    from the root the exit rate reproduces the potential exactly.
+    from the root the exit rate reproduces the potential exactly, and on
+    its D clock the walk from i0 is a mixture of these processes. Leading
+    batch axes hold one environment each.
     """
 
     rates: np.ndarray
@@ -427,20 +428,21 @@ class QuenchedRates:
 
     @property
     def size(self) -> int:
-        return self.rates.shape[0]
+        return self.rates.shape[-1]
 
     def kernel(self) -> np.ndarray:
         """Row-normalized step kernel; zero rows (absorbing states) stay zero."""
-        e = self.exit[:, None]
+        e = self.exit[..., None]
         return np.divide(self.rates, e, out=np.zeros_like(self.rates), where=e > 0)
 
     @classmethod
     def from_green(cls, w: np.ndarray, row: np.ndarray, i0: int) -> "QuenchedRates":
-        """Rates from any conductance matrix and the root's full Green row."""
+        """Rates from any conductance matrix and the root's full Green row;
+        a batch of rows gives each row's own table, bit for bit."""
         if not (np.isfinite(row) & (row > 0)).all():
             raise NumericError("Green row of the root is not positive and finite")
-        rates = 0.5 * w * (row[None, :] / row[:, None])
-        exit = rates.sum(axis=1)
+        rates = 0.5 * w * (row[..., None, :] / row[..., :, None])
+        exit = rates.sum(axis=-1)
         return cls(rates=rates, exit=exit, i0=int(i0))
 
     @classmethod
@@ -617,7 +619,8 @@ def simulate_vrjp_lattice(
     reachable sites share; its neighbors are x + span^a, x - span^a, axis by
     axis. Rows and local times are dicts on these keys, so only reached
     sites take memory and no box graph is built. Returns (positions, entry
-    times, transformed entry times), the last being the time change D.
+    times, transformed entry times), the last two from `_clocks`, as
+    `simulate_vrjp` forms them.
     """
     if dim < 1:
         raise DomainError("lattice dimension must be at least 1")
@@ -640,10 +643,4 @@ def simulate_vrjp_lattice(
     moves = np.kron(np.eye(dim, dtype=int), [[1], [-1]])
     coords = np.zeros((n_jumps + 1, dim), dtype=int)
     coords[1:] = moves[[slot[b - a] for a, b in zip(verts, verts[1:])]]
-    waits = np.array(waits)
-    d_incr = 2.0 * np.array(entered) * waits + waits**2
-    return (
-        np.cumsum(coords, axis=0),
-        np.concatenate([[0.0], np.cumsum(waits)]),
-        np.concatenate([[0.0], np.cumsum(d_incr)]),
-    )
+    return (np.cumsum(coords, axis=0), *_clocks(waits, entered))

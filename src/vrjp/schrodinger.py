@@ -193,11 +193,9 @@ class GreenBundle:
 
     def kernel_row(self, k: int) -> np.ndarray:
         """Row k of the full kernel on V plus delta (k = m is delta's)."""
-        psi_e = self.psi_ext()
-        row = psi_e[k] * psi_e / (2.0 * self.gamma)
-        if k < self.m:
-            row[: self.m] += self.hat_g[k]
-        return row
+        return _kernel_row(
+            self.psi, self.hat_g[k] if k < self.m else None, k, self.gamma
+        )
 
     @property
     def u(self) -> np.ndarray:
@@ -261,6 +259,17 @@ def green_bundle(
         beta_delta=0.5 * float(eta @ psi) + gamma,
         i0_index=m if i0 is None else subset.index(int(i0)),
     )
+
+
+def _kernel_row(psi, ghat_row, k: int, gamma) -> np.ndarray:
+    """Row k of the full kernel on V plus delta (k = m is delta's), for one
+    environment or a batch on leading axes: psi (..., m), gamma (...) and
+    ghat_row, hat_g's row k (None for delta, where hat_g vanishes)."""
+    psi_e = np.concatenate([psi, np.ones(np.shape(psi)[:-1] + (1,))], axis=-1)
+    row = psi_e[..., k, None] * psi_e / (2.0 * np.asarray(gamma)[..., None])
+    if ghat_row is not None:
+        row[..., :-1] += ghat_row
+    return row
 
 
 def _wired_w(params: NuParams) -> np.ndarray:

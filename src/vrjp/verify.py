@@ -59,6 +59,7 @@ from .processes import (
     vrjp_words,
 )
 from .schrodinger import (
+    _kernel_row,
     check_identities,
     green_bundle,
     green_solve,
@@ -467,7 +468,9 @@ def criterion_7(sizes: Sizes, seed: int) -> Tuple[bool, str]:
 def criterion_8(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Mixture representation: jump words of the reinforced walk match
     annealed words of the environment-fixed chain on a 4-vertex wired
-    graph."""
+    graph. Each environment's chain steps the kernel of its QuenchedRates,
+    built from the root's kernel row, as the quenched chains of C10 and of
+    the command line do."""
     g3 = build_lattice_box(2, 1, 1.0)
     subset = [0, 1, 3, 4]
     wired = WiredBand.from_graph(g3, subset)
@@ -479,23 +482,14 @@ def criterion_8(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     words_a = vrjp_words(base, start, length, sizes.n_c8, stream(seed, "c8-vrjp"))
 
     rng = stream(seed, "c8-quench")
-    eta = params.eta
     w_tilde = base.weight_matrix()
-    m = params.n
-    e_s = np.zeros(m)
-    e_s[start] = 1.0
-    rhs = np.stack([e_s, eta], axis=1)
+    rhs = np.stack([np.eye(params.n)[start], params.eta], axis=1)
 
     def quenched_words(sample: BandSample) -> np.ndarray:
-        c = sample.beta.shape[0]
         cols = green_solve_banded(sample, rhs)
-        ghat_row, psi = cols[..., 0], cols[..., 1]
-        gamma = rng.gamma(0.5, 1.0, size=c)
-        grow = np.empty((c, m + 1))
-        grow[:, :m] = ghat_row + psi[:, [start]] * psi / (2.0 * gamma[:, None])
-        grow[:, m] = psi[:, start] / (2.0 * gamma)
-        kernels = w_tilde[None, :, :] * grow[:, None, :]
-        kernels /= kernels.sum(axis=2, keepdims=True)
+        gamma = rng.gamma(0.5, 1.0, size=sample.beta.shape[0])
+        rows = _kernel_row(cols[..., 1], cols[..., 0], start, gamma)
+        kernels = QuenchedRates.from_green(w_tilde, rows, start).kernel()
         return markov_words(kernels, start, length, rng)
 
     words_b = _draws(params, sizes.n_c8, rng, quenched_words)

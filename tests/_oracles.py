@@ -349,12 +349,10 @@ def reference_simulate_vrjp(
     Returns (vertices, entry times, final local times).
 
     With clock=True it also keeps a running transformed clock, D(s) =
-    sum_i (L_i(s)^2 - 1), read from the recorded entry times as the time
-    change must read it: each segment lasts the difference of its entry
-    times (the last one ends at the horizon) and adds 2 L ds + ds^2, L being
-    the occupied vertex's local time built from those segments. It then
+    sum_i (L_i(s)^2 - 1), read from its own waits as reference_vrjp_lattice
+    reads it: a wait w begun at local time L adds 2 L w + w^2. It then
     returns (vertices, entry times, final local times, transformed entry
-    times, transformed horizon)."""
+    times)."""
     local = np.ones(g.n)
     nbrs = [np.array([u for u, _ in g.neighbors[v]], dtype=int) for v in range(g.n)]
     wts = [np.array([w for _, w in g.neighbors[v]]) for v in range(g.n)]
@@ -362,16 +360,8 @@ def reference_simulate_vrjp(
     times = [0.0]
     v = int(i0)
     s = 0.0
-    seg_local = {}
     d = 0.0
     d_times = [0.0]
-
-    def segment(v, ds):
-        nonlocal d
-        lv = seg_local.get(v, 1.0)
-        d += 2.0 * lv * ds + ds * ds
-        seg_local[v] = lv + ds
-
     while True:
         nb, wv = nbrs[v], wts[v]
         if nb.size == 0:
@@ -383,10 +373,9 @@ def reference_simulate_vrjp(
         if s + wait >= horizon:
             local[v] += horizon - s
             break
-        s_in = s
         s += wait
+        d += 2.0 * float(local[v]) * wait + wait * wait
         local[v] += wait
-        segment(v, s - s_in)
         u = rng.random() * total
         v = int(nb[np.searchsorted(np.cumsum(rates), u, side="right")])
         verts.append(v)
@@ -394,8 +383,7 @@ def reference_simulate_vrjp(
         d_times.append(d)
     if not clock:
         return np.array(verts), np.array(times), local
-    segment(v, horizon - s)
-    return np.array(verts), np.array(times), local, np.array(d_times), d
+    return np.array(verts), np.array(times), local, np.array(d_times)
 
 
 def reference_vrjp_lattice(dim: int, w: float, n_jumps: int, rng):

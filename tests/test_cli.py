@@ -28,10 +28,10 @@ from hypothesis import strategies as st
 
 import vrjp
 import vrjp.cli
-from vrjp import BandSample, WeightedGraph
+from vrjp import BandSample, Trajectory, WeightedGraph
 from vrjp.cli import NUMERIC_EXIT, USAGE_EXIT, Run, main
 
-from _oracles import NoDraws, save_graph
+from _oracles import NoDraws, save_graph, time_change_maps
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -433,6 +433,10 @@ class TestCsvWriter:
         assert peak < (tmp_path / "t.csv").stat().st_size / 4
 
 
+VRJP_RUN = ["--process", "vrjp", "--dim", "2", "--radius", "3",
+            "--horizon", "200", "--seed", "3"]
+
+
 class TestTrajectoryBytes:
     @pytest.mark.parametrize(
         "argv, digest",
@@ -440,9 +444,10 @@ class TestTrajectoryBytes:
             (["--process", "errw", "--dim", "2", "--radius", "10",
               "--steps", "200000", "--seed", "7"],
              "d9e4572671fd6ff182b650909d2d94683ffc861910582c6e1a7c100bc1cb07ed"),
-            (["--process", "vrjp", "--dim", "2", "--radius", "3",
-              "--horizon", "200", "--seed", "3"],
-             "a0324d56e17ae2c83708bbcb5d1a568f6a7507fbbc58049e675abd2cc3f57608"),
+            # taken again when the D column came from the walk's own waits
+            # instead of differences of its entry times (see below)
+            (VRJP_RUN,
+             "be9f187262d2276f09f5f677104becad59ee53775e91394f5912871c792ab03f"),
             (["--process", "quenched", "--dim", "2", "--radius", "2",
               "--steps", "2000", "--seed", "3"],
              "c8100a6a7cf2e6880195e138e0e0aa46044e44b34e21b3854a41ab1dd78d507b"),
@@ -456,6 +461,24 @@ class TestTrajectoryBytes:
         assert main(["simulate", *argv, "--out", str(out)]) == 0
         data = (out / "trajectory.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_vrjp_d_column_moved_by_rounding_only(self, tmp_path):
+        # the step, vertex and entry-time columns keep the digest taken
+        # before the D column moved, and each D entry is within 1e-12 of the
+        # time change rebuilt from the entry times
+        out = tmp_path / "run"
+        assert main(["simulate", *VRJP_RUN, "--out", str(out)]) == 0
+        lines = (out / "trajectory.csv").read_bytes().splitlines()
+        kept = b"\n".join(b",".join(line.split(b",")[:3]) for line in lines)
+        assert hashlib.sha256(kept).hexdigest() == (
+            "5ecc0c6d78511ce8c4a3ac91d8468bec3ce9a8f9b4ee9f88f6434cf597b3768c"
+        )
+        rows = np.array([line.split(b",")[1:] for line in lines[1:]], dtype=float)
+        traj = Trajectory(vertices=rows[:, 0], times=rows[:, 1], horizon=200.0)
+        d_map, _ = time_change_maps(traj)
+        want = d_map(traj.times)
+        assert (np.abs(rows[:, 2] - want) <= 1e-12 * want).all()
+        assert (rows[:, 2] != want).any()
 
 
 # one small run per command, each with the sha256 of its data files and its

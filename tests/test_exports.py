@@ -34,7 +34,8 @@ def test_all_names_resolve_once(name):
 # BetaSample, whose work sample_batch and BandSample do, rooted_u_samples,
 # which is harness._rooted_u_samples, harness.ALPHA, which only
 # verify.ALPHA is, verify._beta_chunks, whose loop is verify._draws, and
-# ExperimentConfig, whose checks the command line makes on the raw config
+# ExperimentConfig, whose checks the command line makes on the raw config,
+# and time_change, whose D column a continuous Trajectory now carries
 REMOVED = {
     "betafield": [
         "BetaSample",
@@ -59,7 +60,7 @@ REMOVED = {
         "q_density",
         "spectrum_bottom",
     ],
-    "processes": ["time_change_maps", "h_transform_rates"],
+    "processes": ["time_change_maps", "h_transform_rates", "time_change"],
     "harness": [
         "run_replicas",
         "ks_test",
@@ -132,5 +133,5 @@ def test_removed_keyword_is_gone(func, name):
     assert name not in params, f"{func} still takes {name}"
 
 
-def test_package_exports_52_names():
-    assert len(vrjp.__all__) == 52
+def test_package_exports_51_names():
+    assert len(vrjp.__all__) == 51

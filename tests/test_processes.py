@@ -1,4 +1,4 @@
-"""Reinforced walks, the quadratic time change, environment-fixed chains,
+"""Reinforced walks and their D clock, environment-fixed chains,
 conditioned chains, and escape probabilities."""
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from vrjp import (
     errw_words,
     escape_probability_formula,
     green_bundle,
+    green_solve_banded,
     marginal_params,
     markov_words,
     mc_return_probability,
@@ -31,11 +32,11 @@ from vrjp import (
     simulate_vrjp,
     simulate_vrjp_lattice,
     stream,
-    time_change,
     vrjp_words,
 )
 from vrjp import processes
 from vrjp.harness import word_chi2
+from vrjp.schrodinger import _kernel_row
 
 from _oracles import (
     ALPHA,
@@ -91,6 +92,25 @@ class TestTrajectory:
             Trajectory(vertices=[0, 1], times=[0.0, 0.0])
         with pytest.raises(DomainError):
             Trajectory(vertices=[0, 1], times=[0.0])
+
+    @pytest.mark.parametrize(
+        "times, transformed",
+        [
+            (None, [0.0, 3.0]),  # a D clock needs entry times
+            ([0.0, 1.0], [0.0]),
+            ([0.0, 1.0], [0.0, 0.0]),
+            ([0.0, 1.0], [0.0, -3.0]),
+        ],
+        ids=["no-times", "short", "flat", "decreasing"],
+    )
+    def test_transformed_time_validation(self, times, transformed):
+        with pytest.raises(DomainError):
+            Trajectory(vertices=[0, 1], times=times, transformed_times=transformed)
+
+    def test_transformed_times_are_kept_as_floats(self):
+        traj = Trajectory(vertices=[0, 1], times=[0, 1], transformed_times=[0, 3])
+        assert traj.transformed_times.dtype == float
+        assert traj.transformed_times.tolist() == [0.0, 3.0]
 
 
 class TestSimulateVrjp:
@@ -197,13 +217,18 @@ class TestSimulateVrjp:
 
 
 class TestTimeChange:
+    # the D column a continuous walk carries, against the time change as a
+    # pair of maps rebuilt from its entry times (tests/_oracles.py)
     def test_pure_holding_is_quadratic(self):
         s = 1.3
         traj = simulate_vrjp(single_vertex(), 0, horizon=s, rng=stream(2, "hold"))
-        out = time_change(traj)
-        assert out.horizon == pytest.approx(s * s + 2.0 * s, rel=1e-12)
+        assert traj.transformed_times.tolist() == [0.0]
         d_map, _ = time_change_maps(traj)
         assert d_map(s) == pytest.approx(s * s + 2.0 * s, rel=1e-12)
+        # the first holding begins at local time 1: D(T_1) = T_1^2 + 2 T_1
+        traj = simulate_vrjp(pair(), 0, horizon=50.0, rng=stream(2, "hold"))
+        t1 = traj.times[1]
+        assert traj.transformed_times[1] == pytest.approx(t1 * t1 + 2.0 * t1, rel=1e-12)
 
     def test_round_trip_identity(self):
         traj = simulate_vrjp(
@@ -213,19 +238,19 @@ class TestTimeChange:
             rng=stream(2, "rt"),
         )
         d_map, d_inv = time_change_maps(traj)
-        t_end = time_change(traj).horizon
+        t_end = float(d_map(traj.horizon))
         t = np.linspace(0.0, t_end, 701)
         assert np.abs(d_map(d_inv(t)) - t).max() <= 1e-12 * max(1.0, t_end)
         x = np.linspace(0.0, traj.horizon, 701)
         assert np.abs(d_inv(d_map(x)) - x).max() <= 1e-12 * traj.horizon
 
     def test_jump_chain_preserved_and_times_mapped(self):
+        # one D entry per jump of the walk, each D of its entry time
         traj = simulate_vrjp(triangle(), 1, horizon=4.0, rng=stream(2, "skel"))
-        out = time_change(traj)
-        assert np.array_equal(out.vertices, traj.vertices)
+        assert traj.transformed_times.shape == traj.vertices.shape
         d_map, _ = time_change_maps(traj)
-        assert np.allclose(out.times, d_map(traj.times), atol=1e-12)
-        assert (np.diff(out.times) > 0).all()
+        assert np.allclose(traj.transformed_times, d_map(traj.times), atol=1e-12)
+        assert (np.diff(traj.transformed_times) > 0).all()
 
     @pytest.mark.parametrize(
         "g, i0, horizon",
@@ -234,18 +259,18 @@ class TestTimeChange:
     )
     def test_matches_reference_clock(self, g, i0, horizon):
         traj = simulate_vrjp(g, i0, horizon, stream(2, "clock"))
-        *_, d_times, d_end = reference_simulate_vrjp(
+        verts, times, _, d_times = reference_simulate_vrjp(
             g, i0, horizon, stream(2, "clock"), clock=True
         )
-        out = time_change(traj)
         assert traj.vertices.size > 100
-        assert np.array_equal(out.times, d_times)
-        assert out.horizon == d_end
+        assert np.array_equal(traj.vertices, verts)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.transformed_times, d_times)
 
     def test_window_errors(self):
         traj = simulate_vrjp(pair(), 0, horizon=1.0, rng=stream(2, "win"))
         d_map, d_inv = time_change_maps(traj)
-        t_end = time_change(traj).horizon
+        t_end = float(d_map(traj.horizon))
         with pytest.raises(DomainError):
             d_map(-0.1)
         with pytest.raises(DomainError):
@@ -253,7 +278,7 @@ class TestTimeChange:
         with pytest.raises(DomainError):
             d_inv(t_end + 1.0)
         with pytest.raises(DomainError):
-            time_change(Trajectory(vertices=[0, 1]))
+            time_change_maps(Trajectory(vertices=[0, 1]))
 
 
 class TestSimulateErrw:
@@ -477,6 +502,22 @@ class TestQuenchedRates:
         )
         with pytest.raises(DomainError, match="start state"):
             quenched_mjp(rates, start, 3, NoDraws())
+
+    def test_a_batch_of_rows_gives_each_row_its_own_table(self):
+        # 24 states: each row's exit rate is numpy's pairwise sum, batched
+        # or not
+        g = build_lattice_box(2, 2)
+        subset = [v for v in range(g.n) if v not in (0, 24)]
+        w = wired_w(marginal_params(g, subset))
+        rows = stream(4, "batch-rates").uniform(0.5, 2.0, size=(2, 3, w.shape[0]))
+        batch = QuenchedRates.from_green(w, rows, 7)
+        assert batch.rates.shape == (2, 3) + w.shape and batch.size == w.shape[0]
+        kernels = batch.kernel()
+        for idx in np.ndindex(2, 3):
+            one = QuenchedRates.from_green(w, rows[idx], 7)
+            assert np.array_equal(batch.rates[idx], one.rates)
+            assert np.array_equal(batch.exit[idx], one.exit)
+            assert np.array_equal(kernels[idx], one.kernel())
 
     def test_refuses_a_green_row_with_zeros(self):
         # a root row that vanishes off the root's component: rates there
@@ -744,6 +785,39 @@ class TestMixtureRepresentation:
         with pytest.raises(DomainError, match="n_walks, size, size"):
             markov_words(np.array([[0.0, 1.0], [1.0, 0.0]]), 0, 3, NoDraws())
 
+    def test_markov_words_refuses_a_kernel_that_is_not_finite(self):
+        # a NaN row would otherwise send every walk to state 0
+        kernels = np.array([[[0.0, 1.0], [np.nan, np.nan]]])
+        with pytest.raises(DomainError, match="not finite"):
+            markov_words(kernels, 0, 3, NoDraws())
+        kernels[0, 1] = [np.inf, 0.0]
+        with pytest.raises(DomainError, match="not finite"):
+            markov_words(kernels, 0, 3, NoDraws())
+
+    @pytest.mark.parametrize(
+        "bad", ["zero", "nan", "inf", "negative", "one-row", "short"]
+    )
+    def test_vrjp_words_refuses_bad_edge_weights(self, bad):
+        # refused before any draw: unchecked, zero or NaN weights walk every
+        # walk along [1, 0, 1], and a negative weight or a wrong shape fails
+        # inside numpy with its own ValueError
+        g = triangle()
+        w = np.ones((4, g.edge_count))
+        if bad == "zero":
+            w[:] = 0.0
+        elif bad == "nan":
+            w[:] = np.nan
+        elif bad == "inf":
+            w[2, 1] = np.inf
+        elif bad == "negative":
+            w[3, 0] = -1.0
+        elif bad == "one-row":
+            w = w[0]
+        else:
+            w = w[:3]
+        with pytest.raises(DomainError, match="edge.weights"):
+            vrjp_words(g, 0, 3, 4, NoDraws(), edge_weights=w)
+
     def test_vrjp_words_of_no_steps_may_start_at_an_isolated_vertex(self):
         g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
         assert vrjp_words(g, 2, 0, 2, NoDraws()).shape == (2, 0)
@@ -756,6 +830,66 @@ class TestMixtureRepresentation:
         w_draw = rng.gamma(1.0, 1.0, size=(n, g.edge_count))
         b_words = vrjp_words(g, 0, 3, n, rng, edge_weights=w_draw)
         assert word_chi2(a_words, b_words) > ALPHA
+
+
+class TestMixtureInContinuousTime:
+    """The mixture representation with its holding times: read on its D
+    clock, the reinforced walk is the annealed Markov jump process with rates
+    W_ij G(i0, j) / (2 G(i0, i)), G the root's row of the full kernel. On
+    C8's wired 4-site graph from site 3, the declared statistic is the
+    two-sample KS test of D(T_3), the D time of the third jump."""
+
+    N = 40_000
+    START = 3
+    SEED = 7
+
+    @pytest.fixture(scope="class")
+    def sides(self):
+        # the graph, its wired marginal and the walks' D(T_3), shared by the
+        # check and its power companion
+        wired = WiredBand.from_graph(build_lattice_box(2, 1), [0, 1, 3, 4])
+        graph = wired.graph()
+        return graph, wired.params(), self.walk_side(graph, self.SEED)
+
+    def walk_side(self, graph, seed):
+        # single 3-jump walks, each read on its own D clock
+        rows = [([u for u, _ in nb], [w for _, w in nb]) for nb in graph.neighbors]
+        rng = stream(seed, "d-clock-vrjp")
+        out = np.empty(self.N)
+        for k in range(self.N):
+            _, waits, entered = processes._walk(
+                rows, [1.0] * graph.n, self.START, rng, np.inf, 3
+            )
+            out[k] = processes._clocks(waits, entered)[1][-1]
+        return out
+
+    def quenched_side(self, graph, params, seed, exit_scale=1.0):
+        # annealed chains on their rate tables, with Exp(exit) holding times
+        # drawn from their own stream
+        rng = stream(seed, "d-clock-env")
+        sample = sample_batch(params, self.N, rng)
+        gamma = rng.gamma(0.5, 1.0, size=self.N)
+        rhs = np.zeros((params.n, 2))
+        rhs[self.START, 0] = 1.0
+        rhs[:, 1] = params.eta
+        cols = green_solve_banded(sample, rhs)
+        rows = _kernel_row(cols[..., 1], cols[..., 0], self.START, gamma)
+        rates = QuenchedRates.from_green(graph.weight_matrix(), rows, self.START)
+        words = markov_words(rates.kernel(), self.START, 3, rng)
+        held = np.column_stack([np.full(self.N, self.START), words[:, :2]])
+        exit = exit_scale * rates.exit[np.arange(self.N)[:, None], held]
+        waits = stream(seed, "d-clock-hold").standard_exponential((self.N, 3))
+        return (waits / exit).sum(axis=1)
+
+    def test_third_jump_has_the_same_d_time(self, sides):
+        graph, params, walk = sides
+        chain = self.quenched_side(graph, params, self.SEED)
+        assert stats.ks_2samp(walk, chain).pvalue > ALPHA
+
+    def test_rates_without_the_half_are_told_apart(self, sides):
+        graph, params, walk = sides
+        chain = self.quenched_side(graph, params, self.SEED, exit_scale=2.0)
+        assert stats.ks_2samp(walk, chain).pvalue < 1e-6
 
 
 class TestLatticeWalker:

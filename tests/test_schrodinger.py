@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from vrjp import (
 )
 
 from vrjp.betafield import h_beta
-from vrjp.schrodinger import _SOLVE_BLOCK
+from vrjp.schrodinger import _SOLVE_BLOCK, _kernel_row
 
 from _oracles import (
     SE_RULE,
@@ -389,6 +390,33 @@ class TestGreenBundle:
         root = bundle.i0_index
         u = np.log(dense[root]) - np.log(dense[root, root])
         assert np.array_equal(bundle.u, u)
+
+    @pytest.mark.parametrize("i0", [7, None], ids=["site", "delta"])
+    def test_kernel_row_of_one_environment_is_the_dense_root_row(self, i0):
+        g = build_lattice_box(2, 2)
+        subset = [v for v in range(g.n) if v not in (0, 24)]
+        params = marginal_params(g, subset)
+        sample = sample_batch(params, 1, stream(52, "root-row"))
+        bundle = green_bundle(params, sample, subset, gamma=0.4, i0=i0)
+        k = bundle.i0_index
+        ghat = bundle.hat_g[k] if k < bundle.m else None
+        row = _kernel_row(bundle.psi, ghat, k, bundle.gamma)
+        assert np.array_equal(row, full_kernel(bundle)[k])
+
+    def test_kernel_row_of_a_batch_is_each_dense_root_row(self):
+        # the form criterion 8 reads: Green columns solved on a batch's
+        # factor, one coupling per environment
+        g = build_lattice_box(2, 2)
+        subset = [v for v in range(g.n) if v not in (0, 24)]
+        sample, gamma = wired_beta_envs(g, subset, 5, stream(52, "root-rows"))
+        m, k = len(subset), 7
+        hat = green_solve_banded(sample, np.eye(m))
+        psi = green_solve_banded(sample, marginal_params(g, subset).eta)
+        rows = _kernel_row(psi, hat[:, :, k], k, gamma)
+        assert rows.shape == (5, m + 1)
+        for s in range(5):
+            env = SimpleNamespace(m=m, psi=psi[s], gamma=gamma[s], hat_g=hat[s].T)
+            assert np.array_equal(rows[s], full_kernel(env)[k])
 
     def test_keeps_only_what_it_solved(self):
         # the marginal is shared, and no dense (m + 1)^2 array is stored
