@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -134,6 +134,30 @@ class NuParams:
         return cls(p=g.weight_matrix(), eta=eta)
 
 
+def _empty(*shape, dtype=float):
+    return field(default_factory=lambda: np.empty(shape, dtype=dtype))
+
+
+@dataclass(frozen=True)
+class _FirstLevel:
+    """The first level of a single band draw's factor: an independent set R
+    of the coupling graph, eliminated before the rest B, and the coupling
+    P_RB between them as two gather tables padded with zero weights.
+
+    sites is R in index order. Row a of r_nbr holds the site indices of R's
+    a-th site's neighbours (all in B) in index order, with weights r_w; row
+    b of b_nbr and b_w holds B's b-th site's neighbours in R, B in index
+    order. A padded slot points at a site of the other class and has weight
+    0. The default is an empty R, so B is every site.
+    """
+
+    sites: np.ndarray = _empty(0, dtype=np.intp)
+    r_nbr: np.ndarray = _empty(0, 0, dtype=np.intp)
+    r_w: np.ndarray = _empty(0, 0)
+    b_nbr: np.ndarray = _empty(0, 0, dtype=np.intp)
+    b_w: np.ndarray = _empty(0, 0)
+
+
 @dataclass(frozen=True)
 class BandSample:
     """A band draw with the factor H_beta = L D L^T that drawing it computed:
@@ -141,16 +165,22 @@ class BandSample:
     psd_certificate holds when every pivot is at least PIVOT_RTOL times the
     largest diagonal entry of its own sample's H_beta.
 
-    sample_banded's single draw holds beta as (n,), rows as (n, bw + 1) and
-    pivots as (n,). sample_batch's batch of S keeps the sample axis last in
-    its factor: beta is (S, n), rows (n, bw + 1, S) and pivots (n, S), and
-    the certificate covers every sample of the batch.
+    sample_banded's single draw holds beta as (n,) and pivots as (n,), one
+    per site, and is a two-level factor: in the order (R, B) of `first`,
+    L = [[I, 0], [-P_BR X^-1, L_B]] with X = diag(pivots[R]), and rows, of
+    shape (|B|, bw_B + 1), are L_B's band rows in B's index order, with
+    pivots[B] on D's B block. An empty first level (the default) is the
+    one-level factor of all n sites in index order. sample_batch's batch of
+    S keeps the sample axis last in its one-level factor: beta is (S, n),
+    rows (n, bw + 1, S) and pivots (n, S), and the certificate covers every
+    sample of the batch.
     """
 
     beta: np.ndarray
     psd_certificate: bool
     rows: np.ndarray
     pivots: np.ndarray
+    first: _FirstLevel = field(default_factory=_FirstLevel)
 
 
 def marginal_params(g: WeightedGraph, subset: Sequence[int]) -> NuParams:
@@ -535,17 +565,144 @@ class WiredBand:
         ) + np.bincount(self.inner_j, weights=wi * v[self.inner_i], minlength=self.n)
 
 
+def _gig_in_order(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """gig_half_sample of each entry of b in turn, one call per run of
+    entries on the same side of CHI2_BELOW. numpy's array chisquare and wald
+    draw element after element, so these are the scalar draws' variates in
+    their order, where _gig_vec draws every chi-square case first."""
+    out = np.empty(b.shape)
+    small = b < CHI2_BELOW
+    starts = np.flatnonzero(np.diff(small, prepend=~small[:1])).tolist()
+    for lo, hi in zip(starts, starts[1:] + [b.size]):
+        if small[lo]:
+            out[lo:hi] = rng.chisquare(1, size=hi - lo)
+        else:
+            out[lo:hi] = 1.0 / rng.wald(1.0 / np.sqrt(b[lo:hi]), 1.0)
+    return out
+
+
+def _first_sites(band: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """The greedy independent set in index order of the coupling graph that
+    the band's nonzeros on `diagonals` give, as a mask: a site joins unless
+    an earlier neighbour has.
+
+    It is the one fixed point of R -> {sites with no earlier neighbour in
+    R}, which the iteration reaches from any start within one step more
+    than the longest chain of earlier neighbours the start has wrong. It
+    starts from the even sites, the parity class of site 0 on a row-major
+    box of odd side, where the first step confirms it.
+    """
+    n = band.shape[0]
+    links = [(d, band[: n - d, d] > 0) for d in diagonals.tolist()]
+    in_r = np.zeros(n, dtype=bool)
+    in_r[::2] = True
+    while True:
+        blocked = np.zeros(n, dtype=bool)
+        for d, link in links:
+            blocked[d:] |= link & in_r[: n - d]
+        if not (blocked == in_r).any():
+            return in_r
+        in_r = ~blocked
+
+
+def _gather_table(
+    w_all: np.ndarray, nbr_all: np.ndarray, rows: np.ndarray, keep: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(neighbour sites, weights) of the sites `rows` to the neighbours that
+    `keep` marks, one column per signed offset that any of them uses, in
+    offset order; a slot without such a neighbour points at the first site
+    keep marks, with weight 0."""
+    nbr = nbr_all[rows]
+    w = w_all[rows] * keep[np.clip(nbr, 0, keep.size - 1)]
+    used = w.any(axis=0)
+    nbr, w = nbr[:, used], w[:, used]
+    nbr[w == 0] = np.argmax(keep)
+    return nbr, w
+
+
+def _first_level(
+    band: np.ndarray, diagonals: np.ndarray, in_r: np.ndarray
+) -> Tuple[_FirstLevel, Tuple[np.ndarray, np.ndarray]]:
+    """R's and B's gather tables of P_RB, and B's own couplings to later
+    sites of B as a table of the same kind, from the band's nonzeros on
+    `diagonals` and R's mask."""
+    n = band.shape[0]
+    q = diagonals.size
+    # w_all[k, j] couples site k to site k + offsets[j]
+    offsets = np.concatenate([-diagonals[::-1], diagonals])
+    w_all = np.zeros((n, 2 * q))
+    for j, d in enumerate(diagonals.tolist()):
+        w_all[d:, q - 1 - j] = w_all[: n - d, q + j] = band[: n - d, d]
+    nbr_all = np.arange(n)[:, None] + offsets
+    r, b = np.flatnonzero(in_r), np.flatnonzero(~in_r)
+    level = _FirstLevel(
+        r,
+        *_gather_table(w_all, nbr_all, r, ~in_r),
+        *_gather_table(w_all, nbr_all, b, in_r),
+    )
+    return level, _gather_table(w_all[:, q:], nbr_all[:, q:], b, ~in_r)
+
+
+def _schur_complement(
+    band: np.ndarray,
+    eta: np.ndarray,
+    in_r: np.ndarray,
+    level: _FirstLevel,
+    own: Tuple[np.ndarray, np.ndarray],
+    x_r: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """B's band rows of S = P_BB + P_BR diag(1/x_R) P_RB in B's index order,
+    formed by one bincount, and B's field eta_B + P_BR (eta_R / x_R)."""
+    b = np.flatnonzero(~in_r)
+    rank = np.cumsum(~in_r) - 1
+    own_nbr, own_w = own
+    real = own_w > 0
+    # S off its diagonal, at B positions lo <= hi: B's own couplings, then
+    # the pairs (a <= c) of each R site's neighbours
+    a, c = np.triu_indices(level.r_nbr.shape[1])
+    pairs = (level.r_w[:, a] > 0) & (level.r_w[:, c] > 0)
+    lo = np.concatenate([np.nonzero(real)[0], rank[level.r_nbr[:, a][pairs]]])
+    hi = np.concatenate([rank[own_nbr[real]], rank[level.r_nbr[:, c][pairs]]])
+    width = int((hi - lo).max(initial=0)) + 1
+    update = level.r_w[:, a] * level.r_w[:, c] / x_r[:, None]
+    rows = np.bincount(
+        np.concatenate([np.arange(b.size) * width, lo * width + (hi - lo)]),
+        weights=np.concatenate([band[b, 0], own_w[real], update[pairs]]),
+        minlength=b.size * width,
+    ).reshape(b.size, width)
+    u = np.zeros(in_r.size)
+    u[level.sites] = eta[level.sites] / x_r
+    return rows, eta[b] + (level.b_w * u[level.b_nbr]).sum(axis=1)
+
+
+def _factor_cells(rows: int, bw: int) -> int:
+    """Cells of a band factor of `rows` sites at bandwidth bw, of
+    green_solve_banded's copy of it, and of _blocked_band_loop's window
+    with its spare cells, scaled panel and dsyrk's trailing block."""
+    size = _PANEL + bw
+    return 2 * rows * (bw + 1) + size * size + bw + _PANEL * bw + bw * bw
+
+
 def sample_banded(
     band: np.ndarray, eta: np.ndarray, rng: np.random.Generator
 ) -> BandSample:
-    """Exact field sample from band-stored parameters, eliminating in index
-    order. Same law as sample_batch, cost n * bw^2 instead of n^3.
+    """Exact field sample from band-stored parameters, in two levels. Same
+    law as sample_batch, cost n * bw^2 instead of n^3.
 
     band[i, d] = P[i, i+d] for d = 0..bw, as banded_coupling stores it, and
     eta has one entry per site; both must be nonnegative and finite
-    (DomainError). It draws the same variates in the same order as
-    sample_batch's loop, and only the rounding of the summed updates
-    differs. The certificate reads the kept factor's pivots.
+    (DomainError). The first level is R, the greedy independent set in
+    index order of the band's nonzeros (on a row-major box of odd side, the
+    parity class of site 0). No site of R couples to another, so each draws
+    from the original coupling, x_R ~ GIG(1/2; (eta_R + sum_j P_Rj)^2), all
+    in one call. The rest, B, then carries the Schur complement
+    S = P_BB + P_BR diag(1/x_R) P_RB and the field eta_B + P_BR (eta_R / x_R),
+    formed in B's index order by one bincount, and _blocked_band_loop
+    eliminates it; a box's S keeps the box's bandwidth. These are the
+    variates, in their order, of sample_batch's loop on (P, eta) relabelled
+    to the order (R, B), and only the rounding of the summed updates
+    differs. The sample keeps the two-level factor (BandSample.first) and a
+    certificate read from every site's pivot.
     """
     if rng is None:
         raise DomainError("an rng is required")
@@ -557,17 +714,39 @@ def sample_banded(
     if eta.shape != (n,):
         raise DomainError("eta length must match the band's site count")
     bw = width - 1
-    # band, eta, beta, pivots, green_solve_banded's copy of the factor, the
-    # window with its spare cells, the scaled panel, dsyrk's trailing block
-    size = _PANEL + bw
-    cells = n * (2 * width + 3) + size * size + bw + _PANEL * bw + bw * bw
-    _refuse_beyond_memory(cells * 8, f"band storage of {n} sites at bandwidth {bw}")
+    # before the band is read: the per-site arrays, and B's factor with
+    # green_solve_banded's copy and the panel arrays at the band's own
+    # bandwidth and n rows, which bound a box's, where B keeps bw
+    what = f"band storage of {n} sites at bandwidth {bw}"
+    _refuse_beyond_memory((4 * n + _factor_cells(n, bw)) * 8, what)
     # min and max carry a NaN through, and it fails the comparison
-    if not (band.min(initial=0.0) >= 0 and band.max(initial=0.0) < np.inf):
+    top = band.max(axis=0, initial=0.0)
+    if not (band.min(initial=0.0) >= 0 and top.max(initial=0.0) < np.inf):
         raise DomainError("band entries must be nonnegative and finite")
     if not (eta.min(initial=0.0) >= 0 and eta.max(initial=0.0) < np.inf):
         raise DomainError("eta entries must be nonnegative and finite")
-    rows = band.copy()
-    beta, pivots = _blocked_band_loop(rows, eta.copy(), rng)
+    diagonals = np.flatnonzero(top[1:]) + 1
+    in_r = _first_sites(band, diagonals)
+    r = np.flatnonzero(in_r)
+    b = np.flatnonzero(~in_r)
+    # with R known and before its tables are made: for q nonzero diagonals,
+    # the tables with their temporaries, S's entries from R's pairs of
+    # neighbours (at most q (2q + 1) per site), and B's factor with the
+    # panel arrays at B's bandwidth, which is below 2 bw
+    q = diagonals.size
+    reach = min(2 * bw, max(b.size - 1, 0))
+    cells = 16 * n * q + 6 * r.size * q * (2 * q + 1) + _factor_cells(b.size, reach)
+    _refuse_beyond_memory((4 * n + cells) * 8, what)
+
+    level, own = _first_level(band, diagonals, in_r)
+    x_r = _gig_in_order((eta[r] + level.r_w.sum(axis=1)) ** 2, rng)
+    rows, eta_b = _schur_complement(band, eta, in_r, level, own, x_r)
+    beta_b, pivots_b = _blocked_band_loop(rows, eta_b, rng)
+    beta = np.empty(n)
+    beta[r] = 0.5 * (x_r + band[r, 0])
+    beta[b] = beta_b
+    pivots = np.empty(n)
+    pivots[r] = x_r
+    pivots[b] = pivots_b
     certified = _pivots_ok(pivots, 2.0 * beta - band[:, 0])
-    return BandSample(beta, certified, rows=rows, pivots=pivots)
+    return BandSample(beta, certified, rows=rows, pivots=pivots, first=level)

@@ -52,6 +52,11 @@ __all__ = [
 # and its LU copy take 20 MB; 25,000 environments in one call take 250 MB.
 _SOLVE_BLOCK = 2048
 
+# Columns of hat_g per green_solve_banded call in green_bundle: each solves
+# a block of the identity, so no dense identity is held beside hat_g, and
+# the solve's temporaries are a few (m, 128) blocks.
+_SOLVE_COLS = 128
+
 
 def green_solve(p: np.ndarray, beta, rhs) -> np.ndarray:
     """Ghat_beta rhs, the inverse of H_beta = 2 diag(beta) - p applied to
@@ -92,13 +97,18 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
     of green_solve, for environments solved as they were drawn.
 
     rhs has shape (m,) or (m, k). A single draw (sample_banded) gives the
-    shape of rhs: with R = D L^T, H^-1 = R^-1 D R^-T, and R^T in lower band
-    storage is -rows.T with the pivots on its first row, so two triangular
-    dtbtrs solves. A batch of S (sample_batch) gives (S, m) or (S, m, k), as
+    shape of rhs, in three steps on its two-level factor: B's right-hand
+    side rhs_B + P_BR (rhs_R / x_R), gathered from the first level's table;
+    the two triangular dtbtrs solves on B's band factor (with R = D L^T,
+    S^-1 = R^-1 D R^-T, and R^T in lower band storage is -rows.T with the
+    pivots on its first row); and psi_R = (rhs_R + P_RB psi_B) / x_R,
+    gathered again. An empty first level is the same code with nothing to
+    gather. A batch of S (sample_batch) gives (S, m) or (S, m, k), as
     green_solve does for its beta: one forward and one back substitution
     over the m sites, each step one op on a (bw, k, S) block of every
     sample, in place on one (m, k, S) array that the result is a view of.
-    A failed certificate or a zero pivot raises FactorizationError.
+    A failed certificate or a zero pivot, R's included, raises
+    FactorizationError before anything is divided.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = sample.pivots.shape[0]
@@ -106,20 +116,46 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
         raise DomainError(f"right-hand side must have shape ({m},) or ({m}, k)")
     if not sample.psd_certificate:
         raise FactorizationError("banded operator is not positive definite")
-    if sample.pivots.ndim == 2:
-        if not sample.pivots.all():
-            raise FactorizationError("banded operator is singular: a zero pivot")
-        y = _band_substitute(sample.rows, sample.pivots, rhs.reshape(m, -1))
-        y = np.moveaxis(y, 2, 0)
-        return y if rhs.ndim == 2 else y[..., 0]
-    ab = -sample.rows.T
-    ab[0] = sample.pivots
-    y, info_n = dtbtrs(ab, rhs.reshape(m, -1), uplo="L")
-    y *= sample.pivots[:, None]
-    y, info_t = dtbtrs(ab, y, uplo="L", trans="T", overwrite_b=1)
-    if info_n or info_t:
+    if not sample.pivots.all():
         raise FactorizationError("banded operator is singular: a zero pivot")
-    return y.reshape(rhs.shape)
+    cols = rhs.reshape(m, -1)
+    if sample.pivots.ndim == 2:
+        y = np.moveaxis(_band_substitute(sample.rows, sample.pivots, cols), 2, 0)
+        return y if rhs.ndim == 2 else y[..., 0]
+    level = sample.first
+    x = sample.pivots
+    r = level.sites
+    in_b = np.ones(m, dtype=bool)
+    in_b[r] = False
+    x_b = x[in_b]
+    ab = -sample.rows.T
+    ab[0] = x_b
+    out = np.empty(cols.shape)
+    # out holds rhs_R / x_R while B's right-hand side gathers it
+    out[r] = cols[r] / x[r, None]
+    rhs_b = cols[in_b]
+    _gather_add(rhs_b, level.b_nbr, level.b_w, out)
+    y, _ = dtbtrs(ab, rhs_b, uplo="L")
+    del rhs_b
+    y *= x_b[:, None]
+    y, _ = dtbtrs(ab, y, uplo="L", trans="T", overwrite_b=1)
+    out[in_b] = y
+    del y
+    psi_r = cols[r]
+    _gather_add(psi_r, level.r_nbr, level.r_w, out)
+    psi_r /= x[r, None]
+    out[r] = psi_r
+    return out.reshape(rhs.shape)
+
+
+def _gather_add(acc: np.ndarray, nbr: np.ndarray, w: np.ndarray, src: np.ndarray):
+    """acc += sum_j w[:, j] * src[nbr[:, j]], one table column at a time,
+    through one scratch the size of acc."""
+    buf = np.empty(acc.shape)
+    for j in range(nbr.shape[1]):
+        np.take(src, nbr[:, j], axis=0, out=buf, mode="clip")
+        buf *= w[:, j, None]
+        acc += buf
 
 
 def _band_substitute(rows: np.ndarray, pivots: np.ndarray, cols: np.ndarray):
@@ -242,8 +278,12 @@ def green_bundle(
     eta = params.eta
     if not eta.any():
         raise RestrictionError("subset has empty boundary weight vector")
-    hat_g = green_solve_banded(sample, np.eye(m)).reshape(m, m)
-    hat_g = 0.5 * (hat_g + hat_g.T)
+    hat_g = np.empty((m, m))
+    for c0 in range(0, m, _SOLVE_COLS):
+        c1 = min(c0 + _SOLVE_COLS, m)
+        block = green_solve_banded(sample, np.eye(m, c1 - c0, -c0))
+        hat_g[:, c0:c1] = block.reshape(m, c1 - c0)
+    _symmetrize(hat_g)
     psi = green_solve_banded(sample, eta).reshape(m)
     # H is an M-matrix and eta >= 0: psi is exactly 0 on a component that
     # eta does not reach, and positive elsewhere
@@ -259,6 +299,19 @@ def green_bundle(
         beta_delta=0.5 * float(eta @ psi) + gamma,
         i0_index=m if i0 is None else subset.index(int(i0)),
     )
+
+
+def _symmetrize(a: np.ndarray, strip: int = _SOLVE_COLS) -> None:
+    """a = 0.5 * (a + a.T) in place, one strip of rows and its mirrored
+    strip of columns at a time, with one strip of scratch. IEEE addition
+    commutes, so a[i, j] and a[j, i] both get the bits of 0.5 * (a + a.T)."""
+    m = a.shape[0]
+    for i0 in range(0, m, strip):
+        i1 = min(i0 + strip, m)
+        s = a[i0:i1, i0:] + a[i0:, i0:i1].T
+        s *= 0.5
+        a[i0:i1, i0:] = s
+        a[i0:, i0:i1] = s.T
 
 
 def _kernel_row(psi, ghat_row, k: int, gamma) -> np.ndarray:

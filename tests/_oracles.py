@@ -213,29 +213,37 @@ def _reference_gig(b: np.ndarray, rng) -> np.ndarray:
 
 
 def reference_sample_batch(params: NuParams, n_samples: int, rng, order=None):
-    """Per-site batched elimination with samples first and a fancy-index
-    Schur update: the loop the field sampler's kernel must match bit for
-    bit, draw for draw."""
+    """Per-site batched elimination with samples first and a dense Schur
+    update: the loop the field sampler's kernel must match bit for bit,
+    draw for draw. Sites are eliminated in `order` (index order by
+    default), as index order on (P, eta) relabelled to it, so each step
+    updates the trailing block of a dense copy."""
     n = params.n
-    order = [int(k) for k in (range(n) if order is None else order)]
-    p = np.broadcast_to(params.p, (n_samples, n, n)).copy()
-    eta = np.broadcast_to(params.eta, (n_samples, n)).copy()
+    order = np.arange(n) if order is None else np.asarray(order, dtype=int)
+    p = np.broadcast_to(params.p[np.ix_(order, order)], (n_samples, n, n)).copy()
+    eta = np.broadcast_to(params.eta[order], (n_samples, n)).copy()
     beta = np.empty((n_samples, n))
-    for pos, k in enumerate(order):
-        rest = np.array(order[pos + 1 :], dtype=int)
-        if rest.size:
-            eta_hat = eta[:, k] + p[:, k, :][:, rest].sum(axis=1)
-        else:
-            eta_hat = eta[:, k]
-        x = _reference_gig(eta_hat**2, rng)
-        beta[:, k] = 0.5 * (x + p[:, k, k])
-        if rest.size:
-            col = p[:, rest, k]
-            p[:, rest[:, None], rest[None, :]] += (
-                col[:, :, None] * col[:, None, :] / x[:, None, None]
-            )
-            eta[:, rest] += col * (eta[:, k] / x)[:, None]
+    for k in range(n):
+        # a gathered copy of the row, whose sum runs as it always has
+        row = p[:, k, :][:, np.arange(k + 1, n)]
+        x = _reference_gig((eta[:, k] + row.sum(axis=1)) ** 2, rng)
+        col = p[:, k + 1 :, k]
+        beta[:, order[k]] = 0.5 * (x + p[:, k, k])
+        p[:, k + 1 :, k + 1 :] += col[:, :, None] * col[:, None, :] / x[:, None, None]
+        eta[:, k + 1 :] += col * (eta[:, k] / x)[:, None]
     return beta
+
+
+def two_level_order(p: np.ndarray) -> np.ndarray:
+    """The order (R, B) in which the band sampler eliminates the sites of a
+    coupling matrix p: R, built site by site in index order, takes each
+    site with no earlier neighbour (p[k, j] != 0) in R; then B, the rest,
+    in index order."""
+    n = p.shape[0]
+    in_r = np.zeros(n, dtype=bool)
+    for k in range(n):
+        in_r[k] = not (p[k, :k] != 0)[in_r[:k]].any()
+    return np.concatenate([np.flatnonzero(in_r), np.flatnonzero(~in_r)])
 
 
 def reference_sample_banded(band: np.ndarray, eta: np.ndarray, rng) -> np.ndarray:
@@ -458,7 +466,8 @@ def reference_marginal_params(g: WeightedGraph, subset) -> NuParams:
 def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
     """The conductance-ratio experiment one environment at a time on dense
     storage: a weighted graph per environment, its marginal parameters, the
-    dense sampler's batch of one and a full Green bundle. The band path must
+    dense batch-of-one loop eliminating in the band sampler's order (R, B),
+    a dense LDL^T of that beta and a full Green bundle. The band path must
     match it up to rounding. Returns (mean, stderr) per separation."""
     out = []
     for e_i, ell in enumerate(ells):
@@ -481,9 +490,11 @@ def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
                 coords=box.coords,
             )
             params = reference_marginal_params(g_s, inner)
+            order = two_level_order(params.p)
+            beta = reference_sample_batch(params, 1, rng, order=order)[0]
             bundle = green_bundle(
                 params,
-                sample_batch(params, 1, rng),
+                factored(params, beta),
                 inner,
                 float(gamma_rng.gamma(0.5, 1.0)),
                 i0=None,

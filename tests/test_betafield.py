@@ -54,6 +54,7 @@ from _oracles import (
     schur_step,
     se,
     spd_certificate,
+    two_level_order,
     zscore,
 )
 
@@ -600,6 +601,13 @@ def _ldlt_from_factor(rows, pivots):
     return (lower * pivots) @ lower.T
 
 
+def _reference_two_level(band, eta, rng):
+    """The dense batch-of-one loop eliminating in the band sampler's order
+    (R, B): the draws sample_banded must make, in the same order."""
+    params = NuParams(_dense_from_band(band), eta)
+    return reference_sample_batch(params, 1, rng, order=two_level_order(params.p))[0]
+
+
 def _assert_same_draws(got, want, rng_got, rng_want):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     # the same variates were consumed: the generators draw alike from here
@@ -636,9 +644,44 @@ class TestBandedSampler:
         band, got_bw, eta = _box_band(dim, radius, 0.7)
         assert got_bw == bw
         rng_got, rng_want = stream(53, "banded", bw), stream(53, "banded", bw)
-        got = sample_banded(band, eta, rng_got).beta
-        want = reference_sample_banded(band, eta, rng_want)
-        _assert_same_draws(got, want, rng_got, rng_want)
+        sample = sample_banded(band, eta, rng_got)
+        want = _reference_two_level(band, eta, rng_want)
+        _assert_same_draws(sample.beta, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize("dim,radius", [(1, 3), (1, 4), (2, 2), (2, 5), (3, 2)])
+    def test_first_level_is_the_parity_class_of_site_0(self, dim, radius):
+        # greedy in index order on a row-major box: every site with no
+        # earlier neighbour in R, which is the class of site 0
+        g = build_lattice_box(dim, radius, 0.7)
+        band, _bw, eta = _box_band(dim, radius, 0.7)
+        sample = sample_banded(band, eta, stream(54, "first", dim, radius))
+        parity = g.coord_array().sum(axis=1) % 2
+        np.testing.assert_array_equal(
+            sample.first.sites, np.flatnonzero(parity == parity[0])
+        )
+
+    def test_first_level_is_independent_on_a_wired_box(self):
+        g, subset = _green_box(2, 3, 1.0)
+        band, eta = WiredBand.from_graph(g, subset).fill()
+        r = sample_banded(band, eta, stream(54, "first-wired")).first.sites
+        p = _dense_from_band(band)
+        assert r.size and not p[np.ix_(r, r)].any()
+        # every other site has a neighbour in R, so it could not join
+        others = np.setdiff1d(np.arange(len(subset)), r)
+        assert p[np.ix_(others, r)].any(axis=1).all()
+
+    def test_chi_square_sites_of_r_keep_the_draw_order(self):
+        # sites 3 and 4 have no coupling and eta 0, so their shape is below
+        # CHI2_BELOW; they sit among R's sites 0, 2 and 5, between Wald
+        # draws, and are drawn there, not ahead of them as _gig_vec would
+        band = np.zeros((8, 2))
+        band[[0, 1, 5, 6], 1] = [0.6, 1.1, 0.8, 0.5]
+        eta = np.array([0.3, 0.0, 0.7, 0.0, 0.0, 0.2, 0.0, 0.4])
+        rng_got, rng_want = stream(55, "chi2-run"), stream(55, "chi2-run")
+        sample = sample_banded(band, eta, rng_got)
+        np.testing.assert_array_equal(sample.first.sites, [0, 2, 3, 4, 5, 7])
+        want = _reference_two_level(band, eta, rng_want)
+        _assert_same_draws(sample.beta, want, rng_got, rng_want)
 
     def test_refuses_storage_beyond_physical_memory(self):
         # 10^7 sites at bandwidth 9999: zero-stride inputs, nothing allocated
@@ -689,6 +732,23 @@ class TestBandedSampler:
             assert zscore(np.exp(-beta @ lam), laplace_closed_form(params, lam)) <= SE_RULE
 
 
+    def test_two_level_law_matches_closed_form(self):
+        # the 3x3 interior of the 5x5 box, wired to the rest: R is its 5
+        # even sites, B the 4 odd ones, one panel
+        g = build_lattice_box(2, 2)
+        subset = [6, 7, 8, 11, 12, 13, 16, 17, 18]
+        params = marginal_params(g, subset)
+        band, _bw = banded_coupling(build_lattice_box(2, 1))
+        rng = stream(38, "two-level")
+        beta = np.array(
+            [sample_banded(band, params.eta, rng).beta for _ in range(10_000)]
+        )
+        lam_rng = stream(38, "two-level-lam")
+        for _ in range(4):
+            lam = lam_rng.uniform(0.0, 1.0, size=9)
+            assert zscore(np.exp(-beta @ lam), laplace_closed_form(params, lam)) <= SE_RULE
+
+
 class TestBlockedBandKernel:
     @pytest.mark.parametrize(
         "dim,radius,bw,nb",
@@ -736,14 +796,32 @@ class TestBlockedBandKernel:
         assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
 
     def test_sample_keeps_its_factor(self):
-        # sample_banded's panel width, with a short last panel
+        # B's 312 sites at sample_banded's panel width, with a short last
+        # panel: L D L^T rebuilt in the order (R, B) from R's pivots and
+        # table and B's band rows is H_beta in that order
         band, bw, eta = _box_band(2, 12, 0.7)
-        assert band.shape[0] % _PANEL
+        n = band.shape[0]
         sample = sample_banded(band, eta, stream(61, "ldlt-sample"))
+        first = sample.first
+        nr = first.sites.size
+        order = two_level_order(_dense_from_band(band))
+        np.testing.assert_array_equal(first.sites, order[:nr])
+        assert (n - nr) % _PANEL
         assert isinstance(sample, BandSample) and sample.psd_certificate
-        assert sample.rows.shape == band.shape and sample.pivots.shape == (band.shape[0],)
-        h = h_beta(_dense_from_band(band), sample.beta)
-        rebuilt = _ldlt_from_factor(sample.rows, sample.pivots)
+        assert sample.rows.shape == (n - nr, bw + 1) and sample.pivots.shape == (n,)
+        position = np.empty(n, dtype=int)
+        position[order] = np.arange(n)
+        pivots = sample.pivots[order]
+        # L = [[I, 0], [-P_BR X^-1, L_B]], from the real slots of B's table
+        lower = np.eye(n)
+        row, slot = np.nonzero(first.b_w)
+        site = first.b_nbr[row, slot]
+        lower[nr + row, position[site]] = -first.b_w[row, slot] / sample.pivots[site]
+        for d in range(1, bw + 1):
+            k = np.arange(nr, n - d)
+            lower[k + d, k] = -sample.rows[k - nr, d] / pivots[k]
+        rebuilt = (lower * sample.pivots[order]) @ lower.T
+        h = h_beta(_dense_from_band(band), sample.beta)[np.ix_(order, order)]
         assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
         assert sample.psd_certificate == spd_certificate(_dense_from_band(band), sample.beta)
 
@@ -833,15 +911,17 @@ class TestWiredBand:
 
     @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2)])
     def test_band_draw_matches_dense_draw(self, dim, radius):
-        # `vrjp green`'s draw: the same variates as the dense sampler's
-        # batch of one, in the same order, with only the rounding of the
-        # sums changed
+        # `vrjp green`'s draw: the same variates as the dense batch-of-one
+        # loop on the wired marginal eliminating in the order (R, B), with
+        # only the rounding of the sums changed
         g, subset = _green_box(dim, radius, 1.0)
         band, eta = WiredBand.from_graph(g, subset).fill()
         rng_got, rng_want = stream(73, "wired", dim), stream(73, "wired", dim)
-        got = sample_banded(band, eta, rng_got).beta
-        want = sample_batch(marginal_params(g, subset), 1, rng_want).beta[0]
-        _assert_same_draws(got, want, rng_got, rng_want)
+        sample = sample_banded(band, eta, rng_got)
+        params = marginal_params(g, subset)
+        order = two_level_order(params.p)
+        want = reference_sample_batch(params, 1, rng_want, order=order)[0]
+        _assert_same_draws(sample.beta, want, rng_got, rng_want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_refuses_unusable_weights(self, bad):

@@ -31,7 +31,13 @@ import vrjp.cli
 from vrjp import BandSample, Trajectory, WeightedGraph
 from vrjp.cli import NUMERIC_EXIT, USAGE_EXIT, Run, main
 
-from _oracles import NoDraws, save_graph, time_change_maps
+from _oracles import (
+    NoDraws,
+    reference_sample_batch,
+    save_graph,
+    time_change_maps,
+    two_level_order,
+)
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -163,15 +169,19 @@ class TestGreen:
     @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2)])
     def test_band_draw_matches_dense_draw(self, tmp_path, dim, radius):
         # the field is drawn in band storage: beta matches the dense
-        # sampler's batch of one up to rounding, and gamma, the generator's
-        # next draw, is the same, so both consumed the same variates
+        # batch-of-one loop in the band sampler's order (R, B) up to
+        # rounding, and gamma, the generator's next draw, is the same, so
+        # both consumed the same variates
         out = tmp_path / "run"
         argv = ["--dim", str(dim), "--radius", str(radius), "--seed", "5"]
         assert main(["green", *argv, "--out", str(out)]) == 0
         g = vrjp.build_lattice_box(dim, radius + 1, 1.0)
         subset = [v for v in range(g.n) if max(map(abs, g.coords[v])) <= radius]
         rng = vrjp.stream(5, "cli-green")
-        want = vrjp.sample_batch(vrjp.marginal_params(g, subset), 1, rng).beta[0]
+        params = vrjp.marginal_params(g, subset)
+        want = reference_sample_batch(
+            params, 1, rng, order=two_level_order(params.p)
+        )[0]
         got = [float(r["beta"]) for r in read_csv(out / "green.csv")[:-1]]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         assert read_json(out / "summary.json")["gamma"] == float(rng.gamma(0.5, 1.0))
@@ -448,9 +458,10 @@ class TestTrajectoryBytes:
             # instead of differences of its entry times (see below)
             (VRJP_RUN,
              "be9f187262d2276f09f5f677104becad59ee53775e91394f5912871c792ab03f"),
+            # taken again when the band draw became two-level
             (["--process", "quenched", "--dim", "2", "--radius", "2",
               "--steps", "2000", "--seed", "3"],
-             "c8100a6a7cf2e6880195e138e0e0aa46044e44b34e21b3854a41ab1dd78d507b"),
+             "aab4aa2398c61551ce1c92e2335ab9df8a9942cf9fb7b820f22c27c16d0c8c97"),
         ],
         ids=["errw", "vrjp", "quenched"],
     )
@@ -486,7 +497,9 @@ class TestTrajectoryBytes:
 # writer; the green residuals and C2/C3 details are printed from the draws.
 # green's data files were taken again when its bundle moved from a second
 # Cholesky factor of H_beta to the draw's kept factor: beta and gamma kept
-# their bits, and psi, u, the root row and the residuals moved by rounding
+# their bits, and psi, u, the root row and the residuals moved by rounding.
+# green's and experiment's data files were taken again when the band draw
+# became two-level, which consumes the generator in the order (R, B)
 RUNS = {
     "sample-beta": (
         ["sample-beta", "--dim", "2", "--radius", "1", "--n", "20", "--seed", "11"],
@@ -499,9 +512,9 @@ RUNS = {
     ),
     "green": (
         ["green", "--dim", "2", "--radius", "2", "--seed", "3"],
-        {"green.csv": "3cf5b1c1f39d10ad5b27ef1cad3b160e1045c173939cfcc79e494b8bb9c2d619",
+        {"green.csv": "b9e1d17be2d7944a0027f4d674497bcf7d461ed676841e4c8b4558864b663415",
          "summary.json":
-             "1d585030f35ed8402963822da30c826f3e99d484e132d8d1176965d046b3c522"},
+             "f861fe9796fefc8d447a5a5b4decab681b5bd9dc7ede02bddfada129bcad751e"},
         {"command": "green",
          "config": {"W": 1.0, "dim": 2, "radius": 2, "seed": 3},
          "content_hash":
@@ -534,9 +547,9 @@ RUNS = {
     "experiment": (
         ["experiment", "--name", "psi-decay", "--seed", "5"],
         {"experiment.csv":
-             "bc68b526e32bab66192573bf2f4c209aa89931c611c0a0c1fbb3382788bda685",
+             "6dcd31a17c9d05f78f7aa9114f50e3148bb310cc50ec85485df2412771807134",
          "summary.json":
-             "f1d9dffa6f594023a1ceaf386b1feaf32215818b240fadbfbb785dc427c2cf6f"},
+             "6c1ba43692d65dc439ac3f3f9919c3cebc414cddae3c6b4f49ff7eb00f7afe26"},
         {"command": "experiment",
          "config": {"experiment": "psi-decay", "seed": 5},
          "content_hash":
