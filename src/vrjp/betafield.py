@@ -24,24 +24,29 @@ rows of P, one for a batch of fields and one for a single wide draw:
   on it, and schrodinger.green_solve serves only environments that were
   not drawn as they are solved. A single environment is its batch of one,
   sample_batch(params, 1, rng).beta[0];
-- single: sample_banded holds a row-major lattice box by rows of its band.
-  Eliminating sites in index order keeps every update inside the band, which
-  is what makes large boxes cheap. Since a pivot needs only its own row,
-  _blocked_band_loop eliminates the band in panels, left-looking within a
+- single: sample_banded holds a row-major lattice box by rows of its band
+  and eliminates it in two levels. After a site is eliminated its Schur
+  update touches only its neighbours, so the sites of an independent set R
+  (the greedy one in index order; on a box, the parity class of site 0)
+  all draw from the original coupling, in one call, and the rest, B, takes
+  their updates as one Schur complement in B's index order, whose band a
+  box's bandwidth still holds. Since a pivot needs only its own row,
+  _blocked_band_loop eliminates B's band in panels, left-looking within a
   panel, and the block behind a panel takes all of its updates as one
   BLAS-3 dsyrk. Elimination with pivots x is the LDL^T factorization of
-  H_beta, D = diag(x), and the sample keeps it (BandSample), as the batch
+  H_beta in the order (R, B), D = diag(x), and the sample keeps it
+  (BandSample, with R's coupling to B as gather tables), as the batch
   does, with a positivity certificate read from its pivots, for
   schrodinger.green_solve_banded. Psi decay, the conductance ratio and the
   CLI's wired boxes draw this way. banded_coupling stores a graph's
   own weights. Wiring a retained set is done in one place, WiredBand's edge
   arrays: they give the wired marginal in band storage for any environment's
   edge weights, or dense (marginal_params), and the wired graph itself,
-  delta last (graph()). Like sample_batch, the band sampler eliminates in
-  index order, so it consumes the same variates in the same order and its
-  beta differs from the batched draw by the rounding of the summed updates
-  only. Another elimination order is a relabelling of the sites: permute
-  (P, eta) before the draw.
+  delta last (graph()). The band sampler consumes the variates of
+  sample_batch's loop on (P, eta) relabelled to the order (R, B), in the
+  same order, and its beta differs from that draw by the rounding of the
+  summed updates only. Another elimination order is a relabelling of the
+  sites: permute (P, eta) before the draw.
 
 The density, the one-site Schur step and the dense Cholesky certificate are
 test oracles (tests/_oracles.py); no sampler path reads them.
@@ -611,12 +616,12 @@ def _gather_table(
     """(neighbour sites, weights) of the sites `rows` to the neighbours that
     `keep` marks, one column per signed offset that any of them uses, in
     offset order; a slot without such a neighbour points at the first site
-    keep marks, with weight 0."""
+    keep marks (any site if none), with weight 0."""
     nbr = nbr_all[rows]
     w = w_all[rows] * keep[np.clip(nbr, 0, keep.size - 1)]
     used = w.any(axis=0)
     nbr, w = nbr[:, used], w[:, used]
-    nbr[w == 0] = np.argmax(keep)
+    nbr[w == 0] = keep.argmax() if keep.any() else 0
     return nbr, w
 
 

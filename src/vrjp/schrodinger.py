@@ -7,10 +7,11 @@ from it. Green functions come from one of two solves:
 
 - green_solve_banded applies Ghat_beta to a few right-hand sides with the
   LDL^T factor of H that the draw computed and kept, so H is never factored
-  twice: for one environment of a lattice box drawn by sample_banded, two
-  banded triangular solves; for a batch drawn by sample_batch, one forward
-  and one back substitution with the sample axis last. Batched Monte Carlo
-  asks only for the columns it reads, never for the inverse;
+  twice: for one environment of a lattice box drawn by sample_banded, a
+  gather through the first level's table, two banded triangular solves on
+  the rest, and a gather back; for a batch drawn by sample_batch, one
+  forward and one back substitution with the sample axis last. Batched
+  Monte Carlo asks only for the columns it reads, never for the inverse;
 - green_solve is its dense twin, for environments that were not drawn as
   they are solved (a marginal read off a larger draw, or a check that must
   not read the sampler's own pivots): one LU solve per environment and a
@@ -258,7 +259,8 @@ def green_bundle(
     have an edge to delta (RestrictionError otherwise). sample is one
     environment drawn on params, by sample_banded or as sample_batch's batch
     of one; hat_g and psi are solved on the factor it kept
-    (green_solve_banded), which raises FactorizationError. subset labels
+    (green_solve_banded), which raises FactorizationError, hat_g a block of
+    _SOLVE_COLS identity columns at a time and then symmetrized in place. subset labels
     its positions, which the sample's sites share. gamma is the independent
     Gamma(1/2, 1) coupling, finite and positive. i0 (a vertex of `subset`,
     or None for delta) is the root used for the u vector; params is kept.

@@ -11,7 +11,8 @@ experiment or CLI command runs, with their own error classes: the field's
 density and a dense Cholesky certificate of H_beta, a dense LDL^T of H_beta
 for a chosen beta in the layout a draw keeps its factor in, a Green
 bundle's wired conductances and full kernel as dense arrays, the one-site
-Schur step (the exact conditional law given some sites), the annealed
+Schur step (the exact conditional law given some sites), the band
+sampler's elimination order (R, B) built site by site, the annealed
 reinforced-walk environment, a graph's edge weight lookup and per-vertex
 weight totals, writing a graph in the CLI's JSON format, the
 environment-fixed jump chain stepped by `rng.choice`, capped path
