@@ -260,8 +260,8 @@ def green_bundle(
     environment drawn on params, by sample_banded or as sample_batch's batch
     of one; hat_g and psi are solved on the factor it kept
     (green_solve_banded), which raises FactorizationError, hat_g a block of
-    _SOLVE_COLS identity columns at a time and then symmetrized in place. subset labels
-    its positions, which the sample's sites share. gamma is the independent
+    _SOLVE_COLS identity columns at a time and then symmetrized in place.
+    subset labels its positions, which the sample's sites share. gamma is the independent
     Gamma(1/2, 1) coupling, finite and positive. i0 (a vertex of `subset`,
     or None for delta) is the root used for the u vector; params is kept.
     """
@@ -303,13 +303,13 @@ def green_bundle(
     )
 
 
-def _symmetrize(a: np.ndarray, strip: int = _SOLVE_COLS) -> None:
-    """a = 0.5 * (a + a.T) in place, one strip of rows and its mirrored
-    strip of columns at a time, with one strip of scratch. IEEE addition
+def _symmetrize(a: np.ndarray) -> None:
+    """a = 0.5 * (a + a.T) in place, _SOLVE_COLS rows and the mirrored
+    columns at a time, with one such strip of scratch. IEEE addition
     commutes, so a[i, j] and a[j, i] both get the bits of 0.5 * (a + a.T)."""
     m = a.shape[0]
-    for i0 in range(0, m, strip):
-        i1 = min(i0 + strip, m)
+    for i0 in range(0, m, _SOLVE_COLS):
+        i1 = min(i0 + _SOLVE_COLS, m)
         s = a[i0:i1, i0:] + a[i0:, i0:i1].T
         s *= 0.5
         a[i0:i1, i0:] = s

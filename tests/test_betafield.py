@@ -24,6 +24,7 @@ from vrjp import (
     banded_coupling,
     build_lattice_box,
     gig_half_sample,
+    green_solve_banded,
     laplace_closed_form,
     marginal_params,
     sample_banded,
@@ -670,6 +671,18 @@ class TestBandedSampler:
         others = np.setdiff1d(np.arange(len(subset)), r)
         assert p[np.ix_(others, r)].any(axis=1).all()
 
+    def test_empty_and_uncoupled_bands(self):
+        # no site draws nothing; with no coupling every site is in R, B is
+        # empty, and H is 2 diag(beta)
+        empty = sample_banded(np.zeros((0, 1)), np.zeros(0), NoDraws())
+        assert empty.beta.shape == (0,) and empty.rows.shape == (0, 1)
+        sample = sample_banded(np.zeros((3, 2)), np.ones(3), stream(56, "uncoupled"))
+        np.testing.assert_array_equal(sample.first.sites, [0, 1, 2])
+        assert sample.rows.shape == (0, 1) and sample.psd_certificate
+        np.testing.assert_allclose(
+            green_solve_banded(sample, np.ones(3)), 0.5 / sample.beta, rtol=1e-15
+        )
+
     def test_chi_square_sites_of_r_keep_the_draw_order(self):
         # sites 3 and 4 have no coupling and eta 0, so their shape is below
         # CHI2_BELOW; they sit among R's sites 0, 2 and 5, between Wald
@@ -730,7 +743,6 @@ class TestBandedSampler:
         for _ in range(4):
             lam = lam_rng.uniform(0.0, 1.0, size=3)
             assert zscore(np.exp(-beta @ lam), laplace_closed_form(params, lam)) <= SE_RULE
-
 
     def test_two_level_law_matches_closed_form(self):
         # the 3x3 interior of the 5x5 box, wired to the rest: R is its 5
@@ -820,7 +832,7 @@ class TestBlockedBandKernel:
         for d in range(1, bw + 1):
             k = np.arange(nr, n - d)
             lower[k + d, k] = -sample.rows[k - nr, d] / pivots[k]
-        rebuilt = (lower * sample.pivots[order]) @ lower.T
+        rebuilt = (lower * pivots) @ lower.T
         h = h_beta(_dense_from_band(band), sample.beta)[np.ix_(order, order)]
         assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
         assert sample.psd_certificate == spd_certificate(_dense_from_band(band), sample.beta)
