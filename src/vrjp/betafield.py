@@ -32,21 +32,25 @@ rows of P, one for a batch of fields and one for a single wide draw:
   their updates as one Schur complement in B's index order, whose band a
   box's bandwidth still holds. Since a pivot needs only its own row,
   _blocked_band_loop eliminates B's band in panels, left-looking within a
-  panel, and the block behind a panel takes all of its updates as one
-  BLAS-3 dsyrk. Elimination with pivots x is the LDL^T factorization of
-  H_beta in the order (R, B), D = diag(x), and the sample keeps it
-  (BandSample, with R's coupling to B as gather tables), as the batch
-  does, with a positivity certificate read from its pivots, for
-  schrodinger.green_solve_banded. Psi decay, the conductance ratio and the
-  CLI's wired boxes draw this way. banded_coupling stores a graph's
-  own weights. Wiring a retained set is done in one place, WiredBand's edge
-  arrays: they give the wired marginal in band storage for any environment's
-  edge weights, or dense (marginal_params), and the wired graph itself,
-  delta last (graph()). The band sampler consumes the variates of
-  sample_batch's loop on (P, eta) relabelled to the order (R, B), in the
-  same order, and its beta differs from that draw by the rounding of the
-  summed updates only. Another elimination order is a relabelling of the
-  sites: permute (P, eta) before the draw.
+  panel, with the panel's boundary field as one more row of its window,
+  so that one gemv updates a site's column and its field together and
+  one sum gives its shape; the block behind a panel takes all of its
+  updates as one BLAS-3 dsyrk, and its field as one product. Elimination
+  with pivots x is the LDL^T factorization of H_beta in the order (R, B),
+  D = diag(x), and the sample keeps it (BandSample, with R's coupling to
+  B as gather tables), as the batch does, with a positivity certificate
+  read from its pivots, for schrodinger.green_solve_banded. Psi decay,
+  the conductance ratio and the CLI's wired boxes draw this way, on
+  boxes that WiredBand.box wires from their geometry, with no graph
+  built. banded_coupling stores a graph's own weights. Wiring a retained
+  set is done in one place, WiredBand's edge arrays: they give the wired
+  marginal in band storage for any environment's edge weights, or dense
+  (marginal_params), and the wired graph itself, delta last (graph()).
+  The band sampler consumes the variates of sample_batch's loop on
+  (P, eta) relabelled to the order (R, B), in the same order, and its beta
+  differs from that draw by the rounding of the summed updates only.
+  Another elimination order is a relabelling of the sites: permute
+  (P, eta) before the draw.
 
 The density, the one-site Schur step and the dense Cholesky certificate are
 test oracles (tests/_oracles.py); no sampler path reads them.
@@ -55,6 +59,7 @@ test oracles (tests/_oracles.py); no sampler path reads them.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -63,7 +68,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 
 from .errors import DomainError, RestrictionError
-from .graphs import WeightedGraph, _refuse_beyond_memory
+from .graphs import WeightedGraph, _box_side, _refuse_beyond_memory
 
 __all__ = [
     "NuParams",
@@ -257,7 +262,7 @@ def gig_half_sample(b: float, rng: np.random.Generator) -> float:
         raise DomainError("shape parameter b must be nonnegative")
     if b < CHI2_BELOW:
         return float(rng.chisquare(1))
-    return float(1.0 / rng.wald(1.0 / np.sqrt(b), 1.0))
+    return 1.0 / rng.wald(1.0 / math.sqrt(b), 1.0)
 
 
 def _gig_vec(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -328,24 +333,32 @@ def _blocked_band_loop(
     band: np.ndarray, ew: np.ndarray, rng: np.random.Generator, nb: int = _PANEL
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Eliminate the n sites of band storage in index order, nb sites per
-    panel; returns (beta, pivots). Leaves factor rows in band, L^-1 eta in ew.
+    panel, with boundary field ew; returns (beta, pivots). Leaves factor
+    rows in band; ew is scratch.
 
     A panel's window is the band rows it touches, [k0, k0 + nb + bw), copied
     into a dense Fortran-ordered scratch that holds row i of the window as
-    its column i (so the lower triangle is P's upper). The panel is
-    left-looking: one gemv folds the earlier sites' updates into column j
-    just before site j draws its x as _schur_loop does. The panel's rows go
-    back to band, and the rows past it take every update of the panel at
-    once, as one dsyrk of its columns scaled by 1/sqrt(x). Past the diagonal
-    band the window stays zero, and cells above the window's diagonal hold
-    only writes nothing reads.
+    its column i (so the lower triangle is P's upper), with one extra row,
+    `size`, that holds the panel's own sites' boundary field. The panel is
+    left-looking: one gemv folds the earlier sites' updates into column j,
+    its boundary entry included, just before site j draws its x from one
+    sum of the column below the diagonal, as _schur_loop does; beta is read
+    off the window's diagonal once per panel. The panel's rows go back to
+    band, and the rows past it take every update of the panel at once, as
+    one dsyrk of its columns scaled by 1/sqrt(x), and their boundary field
+    as one product with the panel's. Past the diagonal band the window
+    stays zero, and cells above the window's diagonal hold only writes
+    nothing reads.
     """
     n, width = band.shape
     bw = width - 1
     size = nb + bw
-    # bw spare cells let the sheared view of the window's last rows run on
-    buf = np.zeros(size * size + bw)
-    win = buf[: size * size].reshape(size, size, order="F")
+    ld = size + 1
+    # bw spare cells let the sheared view of the window's last rows run on;
+    # for a site past the panel that view reaches row `size`, so only the
+    # panel's own columns keep their boundary field there
+    buf = np.zeros(ld * size + bw)
+    win = buf[: ld * size].reshape(ld, size, order="F")
     cell = buf.strides[0]
     beta = np.empty(n)
     pivots = np.empty(n)
@@ -354,24 +367,28 @@ def _blocked_band_loop(
         t = min(p + bw, n - k0)
         # rows[i, d] = win[i + d, i]: window row i as band row k0 + i
         rows = np.lib.stride_tricks.as_strided(
-            buf, shape=(t, width), strides=((size + 1) * cell, cell)
+            buf, shape=(t, width), strides=((ld + 1) * cell, cell)
         )
         rows[...] = band[k0 : k0 + t]
+        if t < size:
+            # the gemv and the sum run down to row `size`: clear what the
+            # band rows copied here did not reach
+            win[t:size, :p] = 0.0
+        dl = win[size, :p]
+        dl[...] = ew[k0 : k0 + p]
         x = pivots[k0 : k0 + p]
         for j in range(p):
-            k = k0 + j
-            m = min(bw, n - 1 - k)
-            win[j : j + 1 + m, j] += win[j : j + 1 + m, :j] @ (win[j, :j] / x[:j])
-            col = win[j + 1 : j + 1 + m, j]
-            eta_hat = ew[k] + col.sum()
+            col = win[j:, j]
+            col += win[j:, :j] @ (win[j, :j] / x[:j])
             # the one draw _gig_vec makes for a single sample
-            x[j] = gig_half_sample(eta_hat**2, rng)
-            beta[k] = 0.5 * (x[j] + win[j, j])
-            ew[k + 1 : k + 1 + m] += col * (ew[k] / x[j])
+            x[j] = gig_half_sample(np.add.reduce(col[1:]) ** 2, rng)
+        beta[k0 : k0 + p] = 0.5 * (x + rows[:p, 0])
         band[k0 : k0 + p] = rows[:p]
         if t > p:
-            a = win[p:t, :p] / np.sqrt(x)
+            root = np.sqrt(x)
+            a = win[p:t, :p] / root
             win[p:t, p:t] = dsyrk(1.0, a, beta=1.0, c=win[p:t, p:t], lower=1)
+            ew[k0 + p : k0 + t] += a @ (dl / root)
             band[k0 + p : k0 + t] = rows[p:t]
     return beta, pivots
 
@@ -471,7 +488,9 @@ class WiredBand:
     graph() g's own wired graph. Sites are numbered in `subset` order, so a
     row-major box retained inside a larger row-major box keeps its leading
     stride as bandwidth. All three hold single weights, and each eta entry
-    sums a site's crossing weights in edge order.
+    sums a site's crossing weights in edge order. from_graph wires any
+    graph on any retained set; box wires a lattice box one layer inside the
+    next from their geometry alone, with no graph built.
     """
 
     n: int
@@ -498,12 +517,53 @@ class WiredBand:
         i, j, w = _edge_arrays(g)
         k = np.minimum(np.searchsorted(ranked, (i, j)), ranked.size - 1)
         pi, pj = np.where(ranked[k] == (i, j), order[k], -1)
+        return cls._from_ends(int(subset.size), w, pi, pj)
+
+    @classmethod
+    def box(cls, dim: int, radius: int, w: float = 1.0) -> "WiredBand":
+        """The box of `radius` in Z^dim wired inside the box of radius + 1,
+        every edge of weight w, from the row-major geometry: field for field
+        from_graph(build_lattice_box(dim, radius + 1, w), <the radius box's
+        sites, row-major>), in build_lattice_box's edge order. It refuses
+        what build_lattice_box refuses of the outer box (DomainError,
+        SizeError beyond MAX_VERTICES), and arrays beyond memory, before
+        it allocates them."""
+        if radius < 0:
+            raise DomainError("radius must be nonnegative")
+        side = _box_side(dim, radius + 1, w)
+        n = side**dim
+        # the (n, dim) offsets, the edge tables and the per-edge arrays:
+        # tracemalloc read 8.5 to 11.6 times dim * n cells at d = 1 to 4
+        _refuse_beyond_memory(
+            16 * dim * n * 8, f"the edge arrays of the {n}-vertex box"
+        )
+        powers = np.arange(dim - 1, -1, -1)
+        strides = side**powers
+        offsets = np.arange(n)[:, None] // strides % side
+        # edge (v, v + strides[k]) for each axis k with room, by v then k
+        lo, axis = np.nonzero(offsets < side - 1)
+        # each vertex's place in the retained box, row-major, or -1 outside
+        inside = ((offsets > 0) & (offsets < side - 1)).all(axis=1)
+        place = np.where(inside, (offsets - 1) @ (side - 2) ** powers, -1)
+        return cls._from_ends(
+            (side - 2) ** dim,
+            np.full(lo.size, float(w)),
+            place[lo],
+            place[lo + strides[axis]],
+        )
+
+    @classmethod
+    def _from_ends(
+        cls, n: int, w: np.ndarray, pi: np.ndarray, pj: np.ndarray
+    ) -> "WiredBand":
+        """The arrays of n retained sites from each edge's weight and its
+        ends' sites (-1 for an end outside the retained set)."""
         inner = (pi >= 0) & (pj >= 0)
         cross = (pi >= 0) != (pj >= 0)
         lo = np.minimum(pi[inner], pj[inner])
         hi = np.maximum(pi[inner], pj[inner])
         return cls(
-            n=int(subset.size),
+            n=n,
             bw=int((hi - lo).max(initial=0)),
             weights=w,
             inner_i=lo,
@@ -683,9 +743,10 @@ def _schur_complement(
 def _factor_cells(rows: int, bw: int) -> int:
     """Cells of a band factor of `rows` sites at bandwidth bw, of
     green_solve_banded's copy of it, and of _blocked_band_loop's window
-    with its spare cells, scaled panel and dsyrk's trailing block."""
+    with its boundary row and spare cells, scaled panel and dsyrk's
+    trailing block."""
     size = _PANEL + bw
-    return 2 * rows * (bw + 1) + size * size + bw + _PANEL * bw + bw * bw
+    return 2 * rows * (bw + 1) + (size + 1) * size + bw + _PANEL * bw + bw * bw
 
 
 def sample_banded(

@@ -47,7 +47,6 @@ from . import __version__
 from .betafield import (
     NuParams,
     WiredBand,
-    marginal_params,
     sample_banded,
     sample_batch,
 )
@@ -58,7 +57,13 @@ from .errors import (
     NumericError,
     VrjpError,
 )
-from .graphs import WeightedGraph, _refuse_beyond_memory, build_lattice_box, load_graph
+from .graphs import (
+    WeightedGraph,
+    _box_side,
+    _refuse_beyond_memory,
+    build_lattice_box,
+    load_graph,
+)
 from .harness import (
     conductance_ratio_experiment,
     cosh_moment_experiment,
@@ -210,16 +215,20 @@ def _graph_from_args(args) -> Tuple[WeightedGraph, Dict[str, object]]:
     return g, {"dim": args.dim, "radius": args.radius, "W": w}
 
 
-def _wired_box_params(args) -> Tuple[WeightedGraph, List[int], Dict[str, object]]:
-    """Box of radius+1 with the radius-box as retained set (wired marginal)."""
+def _wired_box_config(args) -> Dict[str, object]:
+    """--dim/--radius/--W of a wired box: the radius box retained inside the
+    box of radius + 1."""
     if args.dim is None or args.radius is None:
         raise ConfigError("this mode needs --dim and --radius")
     w = args.W if args.W is not None else 1.0
-    g = build_lattice_box(args.dim, args.radius + 1, w)
-    subset = [
-        v for v in range(g.n) if int(np.abs(g.coords[v]).max()) <= args.radius
-    ]
-    return g, subset, {"dim": args.dim, "radius": args.radius, "W": w}
+    return {"dim": args.dim, "radius": args.radius, "W": w}
+
+
+def _retained_ids(dim: int, radius: int) -> np.ndarray:
+    """The retained sites' vertex ids in the row-major box of radius + 1,
+    in row-major order: the wired box's labels and --i0's domain."""
+    inner = np.indices((2 * radius + 1,) * dim).reshape(dim, -1) + 1
+    return np.ravel_multi_index(inner, (2 * radius + 3,) * dim)
 
 
 def _cmd_sample_beta(args) -> Run:
@@ -234,8 +243,8 @@ def _cmd_sample_beta(args) -> Run:
             raise ConfigError(
                 "--eta applies to --graph only; a box's boundary vector is its wiring"
             )
-        g, subset, cfg = _wired_box_params(args)
-        params = marginal_params(g, subset)
+        cfg = _wired_box_config(args)
+        params = WiredBand.box(args.dim, args.radius, cfg["W"]).params()
     cfg.update({"n": args.n, "seed": args.seed})
     beta = sample_batch(params, args.n, rng).beta
     return Run(
@@ -251,18 +260,20 @@ def _cmd_sample_beta(args) -> Run:
 
 def _wired_box_bundle(args, rng) -> Tuple[Dict, int, np.ndarray, GreenBundle]:
     """(config, root, beta, bundle) of `vrjp green` and the environment-fixed
-    chain: the wired box of --dim/--radius, its root --i0, one field drawn
-    in band storage (the box is row-major), gamma, and the Green bundle on
-    the draw's kept factor. A box whose bundle does not fit in memory is
-    refused before the draw."""
-    g, subset, cfg = _wired_box_params(args)
+    chain: the wired box of --dim/--radius (WiredBand.box, no graph built),
+    its root --i0, one field drawn in band storage, gamma, and the Green
+    bundle on the draw's kept factor. A box whose bundle does not fit in
+    memory is refused before anything of the box is built."""
+    cfg = _wired_box_config(args)
+    m = (_box_side(args.dim, args.radius + 1, cfg["W"]) - 2) ** args.dim
+    need = _BUNDLE_ARRAYS * 8 * (m + 1) ** 2
+    _refuse_beyond_memory(need, f"the Green bundle of {m} sites")
+    wired = WiredBand.box(args.dim, args.radius, cfg["W"])
+    subset = _retained_ids(args.dim, args.radius)
     # by default the middle of the retained box, which must hold the root
-    i0 = args.i0 if args.i0 is not None else subset[len(subset) // 2]
+    i0 = args.i0 if args.i0 is not None else int(subset[m // 2])
     if i0 not in subset:
         raise ConfigError("--i0 must be a retained vertex id")
-    wired = WiredBand.from_graph(g, subset)
-    need = _BUNDLE_ARRAYS * 8 * (wired.n + 1) ** 2
-    _refuse_beyond_memory(need, f"the Green bundle of {wired.n} sites")
     band, eta = wired.fill()
     sample = sample_banded(band, eta, rng)
     gamma = float(rng.gamma(0.5, 1.0))

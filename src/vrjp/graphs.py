@@ -119,6 +119,23 @@ class WeightedGraph:
         return w
 
 
+def _box_side(dim: int, radius: int, w: float) -> int:
+    """The side of the box of `radius` in Z^dim with edge weight w, once
+    they are checked: DomainError for a dim outside 1..4, a negative radius
+    or a weight that is not positive and finite, SizeError for a box of
+    more than MAX_VERTICES vertices."""
+    if dim not in (1, 2, 3, 4):
+        raise DomainError(f"dim must be in 1..4, got {dim}")
+    if radius < 0:
+        raise DomainError("radius must be nonnegative")
+    if not 0 < w < np.inf:
+        raise DomainError("edge weight must be positive and finite")
+    side = 2 * radius + 1
+    if side**dim > MAX_VERTICES:
+        raise SizeError(f"box has {side**dim} vertices, limit is {MAX_VERTICES}")
+    return side
+
+
 def build_lattice_box(dim: int, radius: int, w: float = 1.0) -> WeightedGraph:
     """Nearest-neighbor box {x : |x|_inf <= radius} with constant weight.
 
@@ -127,16 +144,8 @@ def build_lattice_box(dim: int, radius: int, w: float = 1.0) -> WeightedGraph:
     origin is the middle vertex, (n - 1) // 2. A box of more than
     MAX_VERTICES vertices is refused with SizeError before any is built.
     """
-    if dim not in (1, 2, 3, 4):
-        raise DomainError(f"dim must be in 1..4, got {dim}")
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
-    if not 0 < w < np.inf:
-        raise DomainError("edge weight must be positive and finite")
-    side = 2 * radius + 1
+    side = _box_side(dim, radius, w)
     n = side**dim
-    if n > MAX_VERTICES:
-        raise SizeError(f"box has {n} vertices, limit is {MAX_VERTICES}")
 
     # Row-major: vertex id of offset (o_1..o_d), each o in 0..side-1, is
     # sum o_k * side^(d-k). Strides let us add edges without a coordinate map.

@@ -30,12 +30,11 @@ from scipy import stats
 from .betafield import (
     NuParams,
     WiredBand,
-    banded_coupling,
     sample_banded,
     sample_batch,
 )
 from .errors import CoverageError, DomainError, PreconditionError, TestError
-from .graphs import WeightedGraph, _refuse_beyond_memory, build_lattice_box
+from .graphs import WeightedGraph, _refuse_beyond_memory
 from .processes import simulate_vrjp_lattice
 from .schrodinger import _kernel_row, green_solve_banded
 from .streams import stream
@@ -150,11 +149,6 @@ def srw_endpoints(
     return ends
 
 
-def _box_center(g: WeightedGraph) -> int:
-    # centered odd-sided boxes put the origin at the middle row-major index
-    return (g.n - 1) // 2
-
-
 def psi_decay_experiment(
     dim: int,
     w: float,
@@ -164,10 +158,13 @@ def psi_decay_experiment(
 ) -> List[Dict[str, float]]:
     """Quantiles of the boundary-hitting sum at the box center per radius.
 
-    For each radius, draw the potential on the wired box in band storage
-    and solve for psi = Ghat eta with the draw's own LDL^T factor; the band
-    path keeps d = 3, radius 8 tractable. Rows carry median and quartiles;
-    callers read the median trend (decay vs stabilization).
+    For each radius, the box wired inside the box one layer larger
+    (WiredBand.box, from the geometry, with no graph built) gives the band
+    and eta, each site's crossing weights w summed; the potential is drawn
+    in band storage and psi = Ghat eta is solved with the draw's own LDL^T
+    factor. The band path keeps d = 3, radius 8 tractable. The center is
+    the middle row-major site, (n - 1) // 2. Rows carry median and
+    quartiles; callers read the median trend (decay vs stabilization).
     """
     radii = [int(r) for r in radii]
     if radii != sorted(radii):
@@ -176,15 +173,13 @@ def psi_decay_experiment(
         raise DomainError("psi-decay needs at least 1 sample")
     rows: List[Dict[str, float]] = []
     for r_i, radius in enumerate(radii):
-        g = build_lattice_box(dim, radius, w)
-        band, _ = banded_coupling(g)
-        degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
-        eta = w * (2 * dim - degrees)
+        band, eta = WiredBand.box(dim, radius, w).fill()
+        center = (eta.size - 1) // 2
         rng = stream(seed, "psi-decay", r_i)
         vals = np.empty(n_samples)
         for s in range(n_samples):
             psi = green_solve_banded(sample_banded(band, eta, rng), eta)
-            vals[s] = psi[_box_center(g)]
+            vals[s] = psi[center]
         q = np.quantile(vals, [0.25, 0.5, 0.75])
         rows.append(
             {
@@ -316,8 +311,10 @@ def conductance_ratio_experiment(
     and G the kernel on the retained box plus delta, coupled through an
     independent Gamma(1/2) variable.
 
-    Each separation's box and its edge index arrays (WiredBand) are built
-    once. Per environment, the weights are scattered into band storage and
+    Each separation's edge index arrays (WiredBand.box, from the box's
+    geometry, one Gamma weight per edge of the outer box in
+    build_lattice_box's edge order) are built once. Per environment, the
+    weights are scattered into band storage and
     the boundary vector, the field is drawn by sample_banded, and psi and
     the Green row of i0 come from its LDL^T factor (green_solve_banded, two
     right-hand sides); no graph or dense matrix is formed.
@@ -334,9 +331,7 @@ def conductance_ratio_experiment(
         if ell < 0 or ell % 2:
             raise DomainError("separations must be even and nonnegative")
         radius = ell // 2 + RATIO_MARGIN
-        box = build_lattice_box(dim, radius + 1, 1.0)
-        inner = np.flatnonzero(np.abs(box.coord_array()).max(axis=1) <= radius)
-        wired = WiredBand.from_graph(box, inner)
+        wired = WiredBand.box(dim, radius, 1.0)
         origin = [-(ell // 2)] + [0] * (dim - 1)
         target = [ell - ell // 2] + [0] * (dim - 1)
         # retained sites are numbered row-major over the inner box
@@ -348,7 +343,7 @@ def conductance_ratio_experiment(
         gamma_rng = stream(seed, "conductance-ratio-gamma", e_i)
         vals = np.empty(n_samples)
         for s in range(n_samples):
-            w_draw = rng.gamma(a, 1.0, size=box.edge_count)
+            w_draw = rng.gamma(a, 1.0, size=wired.weights.size)
             band, eta = wired.fill(w_draw)
             rhs[:, 0] = eta
             sample = sample_banded(band, eta, rng)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import tracemalloc
@@ -251,6 +252,23 @@ class TestGigHalfSample:
     def test_rejects_negative_shape(self):
         with pytest.raises(DomainError):
             gig_half_sample(-1.0, stream(0))
+
+    def test_scalar_sqrt_keeps_the_bits_of_the_numpy_draw(self):
+        # the draw as it was written with numpy's sqrt, from a twin stream,
+        # on shapes from 1e-24 to 1e6, both sides of CHI2_BELOW
+        shapes = 10.0 ** stream(12, "gig-shapes").uniform(-24.0, 6.0, size=100_000)
+        assert (shapes < vrjp.betafield.CHI2_BELOW).sum() > 10_000
+        rng_got, rng_want = stream(12, "gig-twin"), stream(12, "gig-twin")
+        got = np.array([gig_half_sample(b, rng_got) for b in shapes])
+        want = np.array(
+            [
+                float(rng_want.chisquare(1))
+                if b < vrjp.betafield.CHI2_BELOW
+                else float(1.0 / rng_want.wald(1.0 / np.sqrt(b), 1.0))
+                for b in shapes
+            ]
+        )
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n_samples", [1, 20_000])
     def test_tiny_shape_draws_chi_square(self, n_samples):
@@ -807,6 +825,47 @@ class TestBlockedBandKernel:
         rebuilt = _ldlt_from_factor(rows, pivots)
         assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
 
+    def test_chi_square_sites_between_wald_sites_of_a_panel(self):
+        # sites 4 and 5 have no coupling and eta 0, so they draw chi-square
+        # between Wald draws inside the one panel: their shape, summed from
+        # the window's column and boundary row, must be exactly 0
+        band = np.zeros((10, 3))
+        band[[0, 1, 2], 1] = [0.6, 1.1, 0.8]
+        band[[0, 1], 2] = [0.3, 0.4]
+        band[[6, 7, 8], 1] = [0.5, 0.9, 0.2]
+        band[[6, 7], 2] = [0.7, 0.1]
+        eta = np.array([0.3, 0.0, 0.2, 0.5, 0.0, 0.0, 0.4, 0.0, 0.1, 0.6])
+        rng_got, rng_want = stream(60, "blocked-chi2"), stream(60, "blocked-chi2")
+        got, pivots = _blocked_band_loop(band.copy(), eta.copy(), rng_got, 8)
+        want = reference_sample_banded(band, eta, rng_want)
+        _assert_same_draws(got, want, rng_got, rng_want)
+        # the chi-square sites' x is their own draw, with no coupling added
+        np.testing.assert_array_equal(pivots[[4, 5]], 2.0 * got[[4, 5]])
+
+    def test_short_last_panel_after_a_full_one(self):
+        # 49 sites at bandwidth 7 in panels of 32 and 17: the full panel's
+        # trailing sites reach the window's boundary row, and the short one
+        # runs its gemv and sum down to that row past the band's last
+        # site. The cells past site n - 1 hold values no site couples to
+        # (band storage leaves them unused), which the draw must ignore.
+        band, bw, eta = _box_band(2, 3, 0.7)
+        n = band.shape[0]
+        assert (bw, n) == (7, 49)
+        junk = band.copy()
+        for d in range(1, bw + 1):
+            junk[n - d :, d] = 5.0 + d
+        rng_got, rng_want = stream(62, "short-last"), stream(62, "short-last")
+        rows = junk.copy()
+        got, pivots = _blocked_band_loop(rows, eta.copy(), rng_got, 32)
+        want = reference_sample_banded(band, eta, rng_want)
+        _assert_same_draws(got, want, rng_got, rng_want)
+        h = h_beta(_dense_from_band(band), got)
+        clean = rows.copy()
+        for d in range(1, bw + 1):
+            clean[n - d :, d] = 0.0
+        rebuilt = _ldlt_from_factor(clean, pivots)
+        assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
+
     def test_sample_keeps_its_factor(self):
         # B's 312 sites at sample_banded's panel width, with a short last
         # panel: L D L^T rebuilt in the order (R, B) from R's pivots and
@@ -934,6 +993,70 @@ class TestWiredBand:
         order = two_level_order(params.p)
         want = reference_sample_batch(params, 1, rng_want, order=order)[0]
         _assert_same_draws(sample.beta, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize("radius", range(4))
+    @pytest.mark.parametrize("dim", range(1, 5))
+    def test_box_equals_the_graph_route(self, dim, radius):
+        # field for field, dtypes and edge order included
+        for w in (0.2, 0.7, 10.0):
+            g, subset = _green_box(dim, radius, w)
+            want = WiredBand.from_graph(g, subset)
+            got = WiredBand.box(dim, radius, w)
+            for f in dataclasses.fields(WiredBand):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert type(a) is type(b), f.name
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+                else:
+                    assert a == b, f.name
+
+    @pytest.mark.parametrize("radius", range(4))
+    @pytest.mark.parametrize("dim", range(1, 5))
+    def test_box_fill_is_the_box_and_its_degree_deficit(self, dim, radius):
+        # a site sums its crossing weights one at a time: at most 3 of them
+        # give the bits of w * (2 dim - degree), which is exact up to 3
+        # terms; 2 dim of them, at radius 0 or a corner at d = 4, agree to
+        # their rounding
+        for w in (0.2, 0.7, 10.0):
+            g = build_lattice_box(dim, radius, w)
+            band, eta = WiredBand.box(dim, radius, w).fill()
+            want_band, _ = banded_coupling(g)
+            degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
+            want_eta = w * (2 * dim - degrees)
+            np.testing.assert_array_equal(band, want_band)
+            if (2 * dim - degrees).max() <= 3:
+                np.testing.assert_array_equal(eta, want_eta)
+            else:
+                np.testing.assert_allclose(
+                    eta, want_eta, rtol=2 * dim * np.finfo(float).eps, atol=0.0
+                )
+
+    @pytest.mark.parametrize(
+        "dim,radius,w",
+        [(0, 1, 1.0), (5, 1, 1.0), (2, -1, 1.0), (2, 1, 0.0), (2, 1, -1.0),
+         (2, 1, np.nan), (2, 1, np.inf)],
+        ids=["dim-0", "dim-5", "negative-radius", "zero-w", "negative-w",
+             "nan-w", "inf-w"],
+    )
+    def test_box_refuses_bad_geometry(self, dim, radius, w):
+        with pytest.raises(DomainError):
+            WiredBand.box(dim, radius, w)
+
+    def test_box_refuses_beyond_the_vertex_limit(self):
+        # radius 70 is wired inside the box of radius 71, whose 143^3
+        # vertices are over MAX_VERTICES: refused as build_lattice_box
+        # refuses that box
+        with pytest.raises(SizeError):
+            WiredBand.box(3, 70)
+        with pytest.raises(SizeError):
+            build_lattice_box(3, 71)
+
+    def test_box_refuses_arrays_beyond_physical_memory(self, monkeypatch):
+        sysconf = os.sysconf
+        fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        with pytest.raises(SizeError, match="edge arrays of the 125-vertex box"):
+            WiredBand.box(3, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_refuses_unusable_weights(self, bad):

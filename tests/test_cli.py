@@ -512,9 +512,9 @@ RUNS = {
     ),
     "green": (
         ["green", "--dim", "2", "--radius", "2", "--seed", "3"],
-        {"green.csv": "b9e1d17be2d7944a0027f4d674497bcf7d461ed676841e4c8b4558864b663415",
+        {"green.csv": "2ea0e894cf972ae79b9d73e5273c897a1ea9267cbaf513e67860c31dfba414f3",
          "summary.json":
-             "f861fe9796fefc8d447a5a5b4decab681b5bd9dc7ede02bddfada129bcad751e"},
+             "d321d202e057aab35789494ec56bc67093eec86ccdd52b0671712dc7f0f0425c"},
         {"command": "green",
          "config": {"W": 1.0, "dim": 2, "radius": 2, "seed": 3},
          "content_hash":
@@ -547,9 +547,9 @@ RUNS = {
     "experiment": (
         ["experiment", "--name", "psi-decay", "--seed", "5"],
         {"experiment.csv":
-             "6dcd31a17c9d05f78f7aa9114f50e3148bb310cc50ec85485df2412771807134",
+             "40f114a08ea5b1060a60331be408ffc857f775213612cf06d3fa2acf51f46a1b",
          "summary.json":
-             "6c1ba43692d65dc439ac3f3f9919c3cebc414cddae3c6b4f49ff7eb00f7afe26"},
+             "30a359aa44c2edd75228de457f70739f7cafac1e174fa163e8b75e12b3081fb1"},
         {"command": "experiment",
          "config": {"experiment": "psi-decay", "seed": 5},
          "content_hash":
@@ -663,6 +663,27 @@ class TestWiredBoxBundle:
         out = tmp_path / "run"
         assert main([*BUNDLE_RUNS[command], "--out", str(out)]) == USAGE_EXIT
         assert "the Green bundle of 121 sites" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bundle_is_refused_before_the_box_is_built(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # the d=3 radius-60 box: 123^3 outer vertices fit MAX_VERTICES, but
+        # the bundle of its 121^3 sites does not fit in memory; refused from
+        # the geometry alone, with no graph, no edge arrays and no draw
+        def built(*args, **kwargs):
+            raise AssertionError("the box was built before the refusal")
+
+        monkeypatch.setattr(vrjp.cli, "build_lattice_box", built)
+        monkeypatch.setattr(vrjp.betafield.WiredBand, "from_graph", built)
+        monkeypatch.setattr(vrjp.betafield.WiredBand, "box", built)
+        monkeypatch.setattr(vrjp.cli, "stream", lambda *key: NoDraws())
+        argv = list(BUNDLE_RUNS[command])
+        argv[argv.index("--dim") + 1] = "3"
+        argv[argv.index("--radius") + 1] = "60"
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == USAGE_EXIT
+        assert "the Green bundle of 1771561 sites" in capsys.readouterr().err
         assert not out.exists()
 
     def test_factors_each_environment_once(self, tmp_path, monkeypatch, command):

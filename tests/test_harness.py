@@ -17,10 +17,13 @@ from vrjp import (
     TestError,
     Trajectory,
     WeightedGraph,
+    banded_coupling,
     build_lattice_box,
     conductance_ratio_experiment,
     cosh_moment_experiment,
+    green_solve_banded,
     psi_decay_experiment,
+    sample_banded,
     sample_batch,
     srw_endpoints,
     stream,
@@ -235,6 +238,40 @@ class TestPsiDecayExperiment:
         monkeypatch.setattr(vrjp.harness, "stream", lambda *key: NoDraws())
         with pytest.raises(DomainError, match="at least 1"):
             psi_decay_experiment(2, 0.5, [2], n_samples=0, seed=0)
+
+    @pytest.mark.parametrize("dim,w,radii", [(2, 0.2, [1, 3]), (3, 10.0, [1, 2])])
+    def test_box_from_its_geometry_keeps_the_graph_routes_bits(
+        self, monkeypatch, dim, w, radii
+    ):
+        # the graph route: each radius box built as a graph, its band, eta
+        # the degree deficit, the centre site (n - 1) // 2
+        want = []
+        for r_i, radius in enumerate(radii):
+            g = build_lattice_box(dim, radius, w)
+            band, _ = banded_coupling(g)
+            eta = w * (2 * dim - np.array([len(nb) for nb in g.neighbors], float))
+            rng = vrjp.stream(9, "psi-decay", r_i)
+            want.append(
+                [
+                    green_solve_banded(sample_banded(band, eta, rng), eta)[(g.n - 1) // 2]
+                    for _ in range(3)
+                ]
+            )
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built on the band path")
+
+        monkeypatch.setattr(vrjp.graphs.WeightedGraph, "__post_init__", no_graph)
+        rows = psi_decay_experiment(dim, w, radii, n_samples=3, seed=9)
+        for row, vals in zip(rows, want):
+            q = np.quantile(vals, [0.25, 0.5, 0.75])
+            assert [row["q25"], row["median"], row["q75"]] == q.tolist()
+
+    def test_refuses_a_box_beyond_the_vertex_limit_before_drawing(self, monkeypatch):
+        # the outer box of radius 71 has 143^3 > MAX_VERTICES vertices
+        monkeypatch.setattr(vrjp.harness, "stream", lambda *key: NoDraws())
+        with pytest.raises(SizeError):
+            psi_decay_experiment(3, 1.0, [70], n_samples=1, seed=0)
 
 
 class TestRootedFieldSamples:
