@@ -1013,10 +1013,9 @@ class TestWiredBand:
     @pytest.mark.parametrize("radius", range(4))
     @pytest.mark.parametrize("dim", range(1, 5))
     def test_box_fill_is_the_box_and_its_degree_deficit(self, dim, radius):
-        # a site sums its crossing weights one at a time: at most 3 of them
-        # give the bits of w * (2 dim - degree), which is exact up to 3
-        # terms; 2 dim of them, at radius 0 or a corner at d = 4, agree to
-        # their rounding
+        # a site sums its crossing weights one at a time: up to 3 of them
+        # the sum is exactly w * (2 dim - degree); more of them (2 dim at
+        # radius 0, 4 at a corner at d = 4) agree to their rounding
         for w in (0.2, 0.7, 10.0):
             g = build_lattice_box(dim, radius, w)
             band, eta = WiredBand.box(dim, radius, w).fill()
