@@ -23,10 +23,13 @@ about 4 us per jump on the d=2 radius-10 box. The same holds for the
 linearly reinforced discrete walk: a single walk runs the scalar loop
 `_errw_walk`, at about 0.6 us per step on the same box, and many walks run
 `errw_words`, which costs 20-24 us per step for one walk. A finite chain in a
-fixed environment has one stepping loop, `markov_words`, with one kernel per
-walk: `quenched_mjp` is that loop with one walk, and only the absorbed
-chains of `mc_return_probability` keep a loop of their own, which drops
-each chain once it is absorbed.
+fixed environment has one stepping rule, `_step`, on the running sums of its
+kernel rows (`_running_sums`): `markov_words` steps one kernel per walk
+(`quenched_mjp` is that loop with one walk), and `mc_return_probability`
+steps chains on a shared kernel and adds only the bookkeeping of absorbed
+chains. The chain's rates, 1/2 W_ij G(i0,j) / G(i0,i), have one expression,
+`schrodinger._rate_rows`, which `QuenchedRates`, `escape_probability_formula`
+and `check_identities` all read.
 
 Finite-volume semantics: on a wired graph, "never returns" is read as "hits
 delta before returning", and absorbed-chain estimators always take one free
@@ -41,9 +44,9 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .graphs import WeightedGraph, _refuse_beyond_memory
-from .schrodinger import GreenBundle, _wired_w
+from .schrodinger import GreenBundle, _rate_rows, _wired_w
 
 __all__ = [
     "Trajectory",
@@ -292,31 +295,55 @@ def markov_words(
     """Sample `length` steps of one finite Markov chain per walk.
 
     kernels has shape (n_walks, size, size), one row-stochastic kernel per
-    walk; every row must have finite mass, checked once before the first
-    step, and rows visited positive mass. A step draws one uniform per walk,
-    scales it by the row's total mass, and takes the first state whose
-    running sum reaches it.
+    walk, and start is a state in range(size); every row must have finite
+    mass, checked once before the first step. Each step is `_step`, and
+    stepping into a row with zero mass raises DomainError.
     """
     kernels = np.asarray(kernels, dtype=float)
-    if kernels.ndim != 3:
+    if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2]:
         raise DomainError("kernels must have shape (n_walks, size, size)")
     n_walks, _, size = kernels.shape
-    cum = np.cumsum(kernels, axis=-1)
+    start = _check_state(start, size, "start")
+    if length < 0:
+        raise DomainError("length must be nonnegative")
+    cum = _running_sums(kernels)
+    rows = np.arange(n_walks)
+    v = np.full(n_walks, start)
+    words = np.empty((n_walks, length), dtype=int)
+    for t in range(length):
+        v = _step(cum[rows, v], rng)
+        words[:, t] = v
+    return words
+
+
+def _running_sums(kernel: np.ndarray) -> np.ndarray:
+    """Running sums along every row of a kernel; DomainError if an entry is
+    not finite."""
+    cum = np.cumsum(kernel, axis=-1)
     # a NaN or an infinite entry leaves its row's running sum non-finite
     if not np.isfinite(cum[..., -1]).all():
         raise DomainError("kernel with an entry that is not finite")
-    rows = np.arange(n_walks)
-    v = np.full(n_walks, int(start))
-    words = np.empty((n_walks, length), dtype=int)
-    for t in range(length):
-        row = cum[rows, v]
-        norm = row[:, -1]
-        if (norm <= 0).any():
-            raise DomainError("kernel row with zero mass visited")
-        u = rng.random(n_walks) * norm
-        v = np.minimum((row < u[:, None]).sum(axis=1), size - 1)
-        words[:, t] = v
-    return words
+    return cum
+
+
+def _step(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Next state of each chain, from the running sums of its current kernel
+    row (one row per chain): one uniform per chain, scaled by the row's
+    mass, picks the first state whose running sum reaches it, or the last if
+    rounding puts the uniform past them all. A row with zero mass raises
+    DomainError before anything is drawn."""
+    norm = cum[:, -1]
+    if (norm <= 0).any():
+        raise DomainError("kernel row with zero mass visited")
+    u = rng.random(norm.shape[0]) * norm
+    return np.minimum((cum < u[:, None]).sum(axis=1), cum.shape[1] - 1)
+
+
+def _check_state(state, size: int, what: str) -> int:
+    """A state of a chain on range(size), as an int; DomainError otherwise."""
+    if not 0 <= state < size:
+        raise DomainError(f"{what} state {state} is outside range({size})")
+    return int(state)
 
 
 def _errw_weights(g: WeightedGraph, a, i0: int, steps: int) -> np.ndarray:
@@ -416,10 +443,12 @@ def simulate_errw(
 class QuenchedRates:
     """Jump rates of the environment-fixed Markov jump process.
 
-    rates[i, j] = W_ij G(i0, j) / (2 G(i0, i)); exit holds row sums. Away
-    from the root the exit rate reproduces the potential exactly, and on
-    its D clock the walk from i0 is a mixture of these processes. Leading
-    batch axes hold one environment each.
+    rates[i, j] = W_ij G(i0, j) / (2 G(i0, i)), formed by
+    `schrodinger._rate_rows`, the one expression of this law that
+    `escape_probability_formula` and `check_identities` also read; exit
+    holds row sums. Away from the root the exit rate reproduces the
+    potential exactly, and on its D clock the walk from i0 is a mixture of
+    these processes. Leading batch axes hold one environment each.
     """
 
     rates: np.ndarray
@@ -438,10 +467,11 @@ class QuenchedRates:
     @classmethod
     def from_green(cls, w: np.ndarray, row: np.ndarray, i0: int) -> "QuenchedRates":
         """Rates from any conductance matrix and the root's full Green row;
-        a batch of rows gives each row's own table, bit for bit."""
+        a batch of rows gives each row's own table, bit for bit. The table is
+        the only (size, size) array formed."""
         if not (np.isfinite(row) & (row > 0)).all():
             raise NumericError("Green row of the root is not positive and finite")
-        rates = 0.5 * w * (row[..., None, :] / row[..., :, None])
+        rates = _rate_rows(w, row)
         exit = rates.sum(axis=-1)
         return cls(rates=rates, exit=exit, i0=int(i0))
 
@@ -475,8 +505,7 @@ def quenched_mjp(
     states, started at `start`, a state in range(rates.size). It is
     `markov_words` with one walk on the rate table's kernel; stepping into a
     state with no outgoing rate raises DomainError."""
-    if not (0 <= start < rates.size):
-        raise DomainError("start state out of range")
+    _check_state(start, rates.size, "start")
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     _refuse_beyond_memory(
@@ -492,8 +521,10 @@ def escape_probability_formula(
     """Probability that the quenched chain rooted at i0, started at i, hits
     delta before (re)visiting i0. i or i0 given as parent-graph vertex ids;
     i = None means delta (returns 1). Finite-volume reading of the escape
-    event. It reads two entries of hat_g, psi, the kernel row of i0 and the
-    row of i0 in the wired conductances (params.p, then eta)."""
+    event. It reads two entries of hat_g, psi, the kernel row of i0 and, for
+    i = i0, the root's exit rate: `_rate_rows` on the row of i0 in the wired
+    conductances (params.p, then eta) alone, the bits of
+    `QuenchedRates.from_bundle(bundle).exit` at the root."""
     p0 = bundle.position(i0)
     if p0 == bundle.delta_index:
         raise DomainError("the root must be a retained vertex")
@@ -504,7 +535,7 @@ def escape_probability_formula(
     psi0 = psi_e[p0]
     if pi == p0:
         w_row = np.append(bundle.params.p[p0], bundle.params.eta[p0])
-        exit0 = 0.5 * float((w_row * grow).sum()) / grow[p0]
+        exit0 = float(_rate_rows(w_row, grow, [p0]).sum(axis=-1)[0])
         return float(psi0**2 / (4.0 * bundle.gamma * exit0 * g00 * grow[p0]))
     # hat_g vanishes on delta
     g0i = bundle.hat_g[p0, pi] if pi < bundle.m else 0.0
@@ -514,13 +545,19 @@ def escape_probability_formula(
 
 @dataclass(frozen=True)
 class AbsorptionReport:
-    """Absorption frequencies with binomial standard errors."""
+    """Absorption frequencies with binomial standard errors, over n chains
+    and keyed by the absorbing states."""
 
     n: int
     counts: Dict[int, int]
 
     def prob(self, state: int) -> Tuple[float, float]:
-        p = self.counts.get(int(state), 0) / self.n
+        """Share of chains absorbed at `state` and its standard error; a
+        state outside the absorbing set raises DomainError."""
+        state = int(state)
+        if state not in self.counts:
+            raise DomainError(f"state {state} is not in the absorbing set")
+        p = self.counts[state] / self.n
         return p, float(np.sqrt(p * (1.0 - p) / self.n))
 
 
@@ -536,42 +573,37 @@ def mc_return_probability(
     rng: np.random.Generator,
 ) -> AbsorptionReport:
     """Fraction of n independent chains (started at i0) absorbed at each
-    element of `absorb`. One free first step is always taken, so starting
-    inside the absorbing set estimates first-return splits. A chain still
-    running after MAX_SWEEPS steps raises NumericError."""
-    absorb = set(int(v) for v in absorb)
+    element of `absorb`, on the rate table's kernel. Each sweep steps the
+    chains still running by `_step`, as `markov_words` steps its walks,
+    and drops those it absorbs. One free first step is always taken, so
+    starting inside the absorbing set estimates first-return splits.
+
+    n must be at least 1, i0 and every absorbing state must lie in
+    range(rates.size) and the kernel must be finite; each is checked, with
+    DomainError, before anything is drawn. Stepping into a state with no
+    outgoing rate raises DomainError too, and a chain still running after
+    MAX_SWEEPS steps raises NumericError."""
+    size = rates.size
+    absorb = {_check_state(v, size, "absorbing") for v in absorb}
     if not absorb:
         raise DomainError("absorb set must be nonempty")
-    kern = rates.kernel()
-    cum = np.cumsum(kern, axis=1)
-    size = rates.size
-    states = np.full(n, int(i0))
-    alive = np.ones(n, dtype=bool)
-    absorbed_at = np.full(n, -1)
-    absorb_arr = np.zeros(size, dtype=bool)
-    absorb_arr[list(absorb)] = True
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    cur = np.full(n, _check_state(i0, size, "start"))
+    cum = _running_sums(rates.kernel())
+    absorbing = np.zeros(size, dtype=bool)
+    absorbing[list(absorb)] = True
+    hits = np.zeros(size, dtype=int)
     for _ in range(MAX_SWEEPS):
-        if not alive.any():
+        cur = _step(cum[cur], rng)
+        hit = absorbing[cur]
+        hits += np.bincount(cur[hit], minlength=size)
+        cur = cur[~hit]
+        if not cur.size:
             break
-        cur = states[alive]
-        row = cum[cur]
-        norm = row[:, -1]
-        if (norm <= 0).any():
-            raise CoverageError("chain visited a state with no outgoing rate")
-        u = rng.random(cur.shape[0]) * norm
-        nxt = np.minimum((row < u[:, None]).sum(axis=1), size - 1)
-        states[alive] = nxt
-        hit = absorb_arr[nxt]
-        if hit.any():
-            idx = np.nonzero(alive)[0][hit]
-            absorbed_at[idx] = nxt[hit]
-            alive[idx] = False
     else:
-        raise NumericError(
-            f"{int(alive.sum())} chains not absorbed after {MAX_SWEEPS} sweeps"
-        )
-    counts = {int(v): int((absorbed_at == v).sum()) for v in absorb}
-    return AbsorptionReport(n=n, counts=counts)
+        raise NumericError(f"{cur.size} chains not absorbed after {MAX_SWEEPS} sweeps")
+    return AbsorptionReport(n=n, counts={v: int(hits[v]) for v in absorb})
 
 
 # Python objects a lattice walk keeps, in bytes: a site's row tuple, list

@@ -327,6 +327,18 @@ def _kernel_row(psi, ghat_row, k: int, gamma) -> np.ndarray:
     return row
 
 
+def _rate_rows(w, row, at=slice(None)) -> np.ndarray:
+    """Rates 1/2 W_ij G(i0,j) / G(i0,i) of the environment-fixed chain, for
+    one environment or a batch on leading axes: row is the root's kernel
+    row (..., m + 1) and w holds W's rows `at` (all of them by default).
+    Formed in place in one array of the result's size; the halving is
+    exact, so it gives the bits of (W_ij / 2) times the ratio."""
+    r = row[..., None, :] / row[..., at, None]
+    r *= w
+    r *= 0.5
+    return r
+
+
 def _wired_w(params: NuParams) -> np.ndarray:
     """The wired conductances on V plus delta: params.p, eta on delta's row."""
     m = params.n
@@ -370,8 +382,9 @@ def check_identities(
     harmonic with boundary value 1; beta is reconstructed from the u-field
     with the root atom 1/(2 G(i0,i0)); hat_g obeys the Cauchy-Schwarz bound
     entrywise; the complementary kernel Ghat(i0,i0) psi - Ghat(i0,.) psi(i0)
-    is nonnegative; and row sums of the quenched rates reproduce beta away
-    from the root. W is dropped before the full kernel is formed dense.
+    is nonnegative; and the quenched exit rates, the row sums of
+    _rate_rows as QuenchedRates forms them, reproduce beta away from the
+    root. W is dropped before the full kernel is formed dense.
     """
     m = bundle.m
     b = np.asarray(beta, dtype=float)
@@ -395,13 +408,10 @@ def check_identities(
     resid = 2.0 * b * bundle.psi - w[:m, :m] @ bundle.psi - eta
     r_harm = rel(np.abs(resid).max(), max(np.abs(eta).max(), 1.0))
 
-    # beta reconstruction and telescoping from the root row of the kernel,
-    # whose quenched exit rates are the same row sums
+    # beta reconstruction and telescoping from the quenched exit rates, the
+    # row sums of the rates on the root row of the kernel
     grow = bundle.kernel_row(root)
-    ratios = grow[None, :] / grow[:, None]
-    ratios *= w
-    exit_rates = 0.5 * ratios.sum(axis=1)
-    del ratios
+    exit_rates = _rate_rows(w, grow).sum(axis=1)
     off_root = np.arange(m + 1) != root
     r_tel = rel(np.abs(exit_rates - beta_ext)[off_root].max(), np.abs(beta_ext).max())
     recon = exit_rates

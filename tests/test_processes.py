@@ -4,13 +4,13 @@ conditioned chains, and escape probabilities."""
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from vrjp import (
-    CoverageError,
     DomainError,
     NumericError,
     QuenchedRates,
@@ -27,6 +27,7 @@ from vrjp import (
     markov_words,
     mc_return_probability,
     quenched_mjp,
+    sample_banded,
     sample_batch,
     simulate_errw,
     simulate_vrjp,
@@ -36,7 +37,7 @@ from vrjp import (
 )
 from vrjp import processes
 from vrjp.harness import word_chi2
-from vrjp.schrodinger import _kernel_row
+from vrjp.schrodinger import _kernel_row, _wired_w
 
 from _oracles import (
     ALPHA,
@@ -84,6 +85,16 @@ def wired_env(g, subset, rng, i0=None):
     sample = sample_batch(params, 1, rng)
     gamma = float(rng.gamma(0.5, 1.0))
     return green_bundle(params, sample, subset, gamma, i0=i0)
+
+
+def wired_box_env(dim, radius, w, rng, i0):
+    """One band draw plus coupling on the wired box of `radius` in Z^dim,
+    with the retained sites labelled by their row-major position."""
+    wired = WiredBand.box(dim, radius, w)
+    band, eta = wired.fill()
+    sample = sample_banded(band, eta, rng)
+    gamma = float(rng.gamma(0.5, 1.0))
+    return green_bundle(wired.params(), sample, range(wired.n), gamma, i0=i0)
 
 
 class TestTrajectory:
@@ -519,6 +530,24 @@ class TestQuenchedRates:
             assert np.array_equal(batch.exit[idx], one.exit)
             assert np.array_equal(kernels[idx], one.kernel())
 
+    def test_rate_table_is_the_only_table_formed(self):
+        # the rates are formed in place in one (m + 1)^2 array, the result,
+        # so the peak is that table and a few (m + 1,) vectors: a product of
+        # temporaries, even with numpy's in-place reuse of the first, holds
+        # a second table while it forms
+        bundle = wired_box_env(2, 10, 1.0, stream(4, "rates-peak"), i0=220)
+        w = _wired_w(bundle.params)
+        row = bundle.kernel_row(bundle.i0_index)
+        table = w.nbytes
+        tracemalloc.start()
+        try:
+            rates = QuenchedRates.from_green(w, row, bundle.i0_index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rates.rates.nbytes == table
+        assert peak <= 1.5 * table
+
     def test_refuses_a_green_row_with_zeros(self):
         # a root row that vanishes off the root's component: rates there
         # would be 0/0
@@ -554,6 +583,24 @@ class TestEscapeProbability:
                 grow = full_kernel(bundle)[p0]
                 h = bundle.hat_g[p0, pi] * grow[p0] / (bundle.hat_g[p0, p0] * grow[pi])
                 assert abs(h + esc - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("dim, radii", [(1, (1, 2, 5)), (2, (1, 2, 3)), (3, (1, 2))])
+    def test_root_exit_rate_is_the_rate_tables(self, dim, radii):
+        # escape from the root back to it reads the exit rate of the rate
+        # table itself, bit for bit, not an expression of its own
+        rng = stream(5, "root-exit", dim)
+        for radius in radii:
+            m = (2 * radius + 1) ** dim
+            for _ in range(8):
+                i0 = int(rng.integers(m))
+                w = float(rng.choice([0.2, 1.0, 5.0]))
+                bundle = wired_box_env(dim, radius, w, rng, i0)
+                exit0 = QuenchedRates.from_bundle(bundle).exit[i0]
+                psi0 = bundle.psi[i0]
+                g00 = bundle.hat_g[i0, i0]
+                grow = bundle.kernel_row(i0)
+                want = float(psi0**2 / (4.0 * bundle.gamma * exit0 * g00 * grow[i0]))
+                assert escape_probability_formula(bundle, i0, i0) == want
 
     def test_vanishing_boundary_coupling_kills_escape(self):
         g = WeightedGraph(
@@ -717,15 +764,64 @@ class TestMcReturnProbability:
         rates = QuenchedRates(
             rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.array([1.0, 1.0]), i0=0
         )
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="nonempty"):
             mc_return_probability(rates, 0, set(), 10, stream(0))
+        # a chain that steps into a state with no outgoing rate: the same
+        # refusal as markov_words'
         dead = QuenchedRates(
             rates=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
             exit=np.array([1.0, 1.0, 0.0]),
             i0=0,
         )
-        with pytest.raises(CoverageError):
+        with pytest.raises(DomainError, match="zero mass"):
             mc_return_probability(dead, 0, {0}, 10, stream(0))
+        # a NaN in row 1 would otherwise send every chain to state 2
+        table = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, np.nan], [0.0, 1.0, 0.0]])
+        nan = QuenchedRates(rates=table, exit=np.ones(3), i0=0)
+        with pytest.raises(DomainError, match="not finite"):
+            mc_return_probability(nan, 0, {0, 2}, 10, NoDraws())
+        table[1, 2] = np.inf
+        with pytest.raises(DomainError, match="not finite"):
+            mc_return_probability(nan, 0, {0, 2}, 10, NoDraws())
+
+    @pytest.mark.parametrize(
+        "i0, absorb, n, match",
+        [
+            (0, {-1}, 10, "absorbing state -1"),
+            (0, {0, 3}, 10, "absorbing state 3"),
+            (-1, {2}, 10, "start state -1"),
+            (3, {2}, 10, "start state 3"),
+            (0, {2}, 0, "n must be"),
+        ],
+        ids=["absorb-negative", "absorb-past", "start-negative", "start-past", "no-chains"],
+    )
+    def test_refuses_inputs_outside_the_states(self, i0, absorb, n, match):
+        # the path 0-1-2: unchecked, numpy's indexing reads -1 as state 2
+        # (absorbing there while counting nothing under -1), state 3 raises
+        # its IndexError, and n = 0 divides by zero in prob
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
+        rates = QuenchedRates(rates=w, exit=w.sum(axis=1), i0=0)
+        with pytest.raises(DomainError, match=match):
+            mc_return_probability(rates, i0, absorb, n, NoDraws())
+
+    def test_prob_refuses_a_state_outside_the_absorbing_set(self):
+        rates = QuenchedRates(
+            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.array([1.0, 1.0]), i0=0
+        )
+        report = mc_return_probability(rates, 0, {0}, 10, stream(7, "outside"))
+        assert report.prob(0) == (1.0, 0.0)
+        with pytest.raises(DomainError, match="absorbing set"):
+            report.prob(1)
+
+    def test_chains_absorbed_at_the_last_sweep_are_counted(self, monkeypatch):
+        # the cycle 0 -> 1 -> 2 -> 0 reaches 2 at the second step, which the
+        # cap allows
+        monkeypatch.setattr(processes, "MAX_SWEEPS", 2)
+        table = np.roll(np.eye(3), 1, axis=1)
+        rates = QuenchedRates(rates=table, exit=np.ones(3), i0=0)
+        report = mc_return_probability(rates, 0, {2}, 10, stream(7, "last"))
+        assert report.prob(2) == (1.0, 0.0)
 
     def test_sweep_cap(self, monkeypatch):
         # on the path 0-1-2 a chain from 0 needs two steps to reach 2
@@ -784,6 +880,23 @@ class TestMixtureRepresentation:
         # one kernel per walk: a (size, size) kernel is refused, not shared
         with pytest.raises(DomainError, match="n_walks, size, size"):
             markov_words(np.array([[0.0, 1.0], [1.0, 0.0]]), 0, 3, NoDraws())
+
+    @pytest.mark.parametrize(
+        "start, length, match",
+        [(-1, 3, "start state -1"), (2, 3, "start state 2"), (0, -1, "length")],
+        ids=["start-negative", "start-past", "negative-length"],
+    )
+    def test_markov_words_refuses_a_walk_outside_the_states(self, start, length, match):
+        # unchecked, numpy's indexing reads a start of -1 as state 1 and
+        # raises its IndexError at state 2, and a negative length its
+        # ValueError
+        kernels = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+        with pytest.raises(DomainError, match=match):
+            markov_words(kernels, start, length, NoDraws())
+
+    def test_markov_words_refuses_kernels_that_are_not_square(self):
+        with pytest.raises(DomainError, match="n_walks, size, size"):
+            markov_words(np.ones((1, 2, 3)), 0, 3, NoDraws())
 
     def test_markov_words_refuses_a_kernel_that_is_not_finite(self):
         # a NaN row would otherwise send every walk to state 0
