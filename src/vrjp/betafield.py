@@ -16,14 +16,14 @@ rows of P, one for a batch of fields and one for a single wide draw:
 - batched: sample_batch eliminates in index order and holds P as band rows
   with the sample axis last, at the bandwidth P has; _schur_loop draws a
   batch of fields at once, adding each site's update to the band rows
-  behind it. A row-major box keeps its leading stride as bandwidth, and a
-  dense P is the band of width n. The rows it leaves and its pivots are
-  every sample's LDL^T factor of H_beta, and the batch keeps them, sample
-  axis last, in a BandSample with one positivity certificate for the
-  batch: schrodinger.green_solve_banded solves the draw's own environments
-  on it, and schrodinger.green_solve serves only environments that were
-  not drawn as they are solved. A single environment is its batch of one,
-  sample_batch(params, 1, rng).beta[0];
+  behind it one band diagonal at a time. A row-major box keeps its leading
+  stride as bandwidth, and a dense P is the band of width n. The rows it
+  leaves and its pivots are every sample's LDL^T factor of H_beta, and the
+  batch keeps them, sample axis last, in a BandSample with one positivity
+  certificate for the batch: schrodinger.green_solve_banded solves the
+  draw's own environments on it, and schrodinger.green_solve serves only
+  environments that were not drawn as they are solved. A single
+  environment is its batch of one, sample_batch(params, 1, rng).beta[0];
 - single: sample_banded holds a row-major lattice box by rows of its band
   and eliminates it in two levels. After a site is eliminated its Schur
   update touches only its neighbours, so the sites of an independent set R
@@ -287,23 +287,22 @@ def _schur_loop(st: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.
 
     st is the (n, bw + 1, S) state, P's band rows with the sample axis last:
     st[i, d] = P[i, i + d]; ew is eta as (n, S). Step k reads its pivot row
-    st[k, 1:m+1], m = min(bw, n - 1 - k), draws the shifted potential x, and
-    adds (col[a] * col[a + d]) / x to st[k + 1 + a, d] for a + d < m, as one
-    sheared add. Cells past the band are zeros that a full-square
-    elimination keeps zero, so every cell gets that elimination's products
-    in its order. Row k is final once site k is drawn, so st ends as the
-    factor rows of H_beta = L D L^T, D = diag(x), as BandSample reads them;
-    ew[k] is last read at step k, which then stores its pivot there.
+    col = st[k, 1:m+1], m = min(bw, n - 1 - k), draws the shifted potential
+    x, and updates one band diagonal d < m at a time: (col[a] * col[a + d])
+    / x for a < m - d, formed in a (bw, S) scratch and added to the slice
+    st[k + 1 : k + 1 + m - d, d]. Cells past the band are zeros that a
+    full-square elimination keeps zero, so every cell gets that
+    elimination's products in its order. Row k is final once site k is
+    drawn, so st ends as the factor rows of H_beta = L D L^T, D = diag(x),
+    as BandSample reads them; ew[k] is last read at step k, which then
+    stores its pivot there.
     For S >= 2 numpy sums the pivot row down the column, one entry at a
     time, so the band entries give the dense sum; a single sample's row is
     summed pairwise, so it is zero-padded to its dense length n - 1 - k.
     """
     n, width, s = st.shape
     bw = width - 1
-    # shear[a, b] = st[k + 1 + a, b - a]; the mask keeps b >= a
-    shear_strides = (st.strides[0] - st.strides[1], *st.strides[1:])
-    upper = np.triu(np.ones((bw, bw), dtype=bool))[:, :, None]
-    scratch = np.empty(bw * bw * s)
+    scratch = np.empty((bw, s))
     padded = np.zeros((n, 1)) if s == 1 else None
     beta = np.empty((n, s))
     for k in range(n):
@@ -316,14 +315,13 @@ def _schur_loop(st: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.
             eta_hat = ew[k] + padded[: n - 1 - k].sum(axis=0)
         x = _gig_vec(eta_hat**2, rng)
         beta[k] = 0.5 * (x + st[k, 0])
-        if m:
-            t = scratch[: m * m * s].reshape(m, m, s)
-            np.multiply(col[:, None], col[None, :], out=t)
+        below = st[k + 1 : k + 1 + m]
+        for d in range(m):
+            t = scratch[: m - d]
+            np.multiply(col[: m - d], col[d:], out=t)
             t /= x
-            shear = np.lib.stride_tricks.as_strided(
-                st[k + 1], shape=(m, m, s), strides=shear_strides
-            )
-            np.add(shear, t, out=shear, where=upper[:m, :m])
+            diagonal = below[: m - d, d]
+            diagonal += t
         ew[k + 1 : k + 1 + m] += col * (ew[k] / x)
         ew[k] = x
     return beta
@@ -407,7 +405,9 @@ def sample_batch(
     update. Relabelling the sites changes cost (fill-in), never the law.
     The state is _schur_loop's (n, bw + 1, S) band rows with the sample
     axis last, at the bandwidth bw read from P: a row-major box keeps its
-    leading stride as bw, and a dense P holds the full square. The loop
+    leading stride as bw, and a dense P holds the full square. Each step
+    adds its update one band diagonal at a time through a (bw, S) scratch,
+    so the loop holds no more than the state and that scratch. The loop
     leaves the LDL^T factor of every sample's H_beta in those rows and its
     pivots, and the sample keeps both, sample axis last, with a positivity
     certificate for the whole batch: schrodinger.green_solve_banded solves
@@ -428,11 +428,11 @@ def sample_batch(
         raise DomainError(f"sample count must be nonnegative, got {n_samples}")
     i, j = np.nonzero(p)
     bw = int((j - i).max(initial=0))
-    # the band rows, _schur_loop's (bw, bw, S) update scratch and three
-    # (n, S) arrays: eta, whose rows become the pivots, beta, and the
+    # the band rows, _schur_loop's (bw, S) update scratch and three (n, S)
+    # arrays: eta, whose rows become the pivots, beta, and the
     # certificate's H_kk, which is made once the scratch is gone
     _refuse_beyond_memory(
-        (n * (bw + 1) + bw * bw + 3 * n) * n_samples * 8,
+        (n * (bw + 1) + bw + 3 * n) * n_samples * 8,
         f"the elimination state of {n_samples} samples on {n} sites"
         f" at bandwidth {bw}",
     )

@@ -39,6 +39,7 @@ instant absorption.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -339,6 +340,14 @@ def _step(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum((cum < u[:, None]).sum(axis=1), cum.shape[1] - 1)
 
 
+def _whole(value, what: str) -> int:
+    """value as an int when it is a whole number; DomainError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be a whole number, got {value!r}") from None
+
+
 def _check_state(state, size: int, what: str) -> int:
     """A state of a chain on range(size), as an int; DomainError otherwise."""
     if not 0 <= state < size:
@@ -546,10 +555,25 @@ def escape_probability_formula(
 @dataclass(frozen=True)
 class AbsorptionReport:
     """Absorption frequencies with binomial standard errors, over n chains
-    and keyed by the absorbing states."""
+    and keyed by the absorbing states. n must be a whole number of at least
+    1, and the counts whole numbers in [0, n] that sum to at most n; each is
+    checked, with DomainError, when the report is built."""
 
     n: int
     counts: Dict[int, int]
+
+    def __post_init__(self):
+        n = _whole(self.n, "chain count")
+        if n < 1:
+            raise DomainError(f"chain count must be at least 1, got {n}")
+        total = 0
+        for state, c in self.counts.items():
+            c = _whole(c, f"count at state {state}")
+            if not 0 <= c <= n:
+                raise DomainError(f"count {c} at state {state} is outside [0, {n}]")
+            total += c
+        if total > n:
+            raise DomainError(f"counts sum to {total}, past the {n} chains")
 
     def prob(self, state: int) -> Tuple[float, float]:
         """Share of chains absorbed at `state` and its standard error; a

@@ -423,6 +423,37 @@ BETA_SHA256 = {
     25_000: "e9fc9a11e729772373fb990f8cbacccc05d53c59e6a2b14b0b001f6c4ebaa175",
 }
 
+# sha256 of sample_batch(P, S, stream(29, "factor-pin", S))'s beta, rows and
+# pivots, and of the generator's next rng.random(4), as little-endian
+# float64, keyed by (dense, S): P is _wired_box(2, 2) at bandwidth 5, or
+# relabelled with site 1 last at bandwidth n - 1
+FACTOR_SHA256 = {
+    (False, 1): {
+        "beta": "c28abff53b1ec2b538ca1d089565d52c377e39f3f1911e85f6145c09a1cfe48e",
+        "rows": "26a8030468a91982c4d583a84d11560569b5ec98070e61064c311963652cc7f0",
+        "pivots": "8f7a01f27ff230d1cfc43aeb04cbf245f9aaffa455d5c26aca53bd6b1f847d9d",
+        "next": "703331d187abf43e65323b8e7ef662d4898670d7267f8629188ce7af2147c7a8",
+    },
+    (False, 40): {
+        "beta": "adc9ee3159c5cb9c022fd490cd2aef65cbce4bed8d108797e0918b477e45b6ae",
+        "rows": "4483f8182693af2dece04ca63424f7504ccb81dd406e2dccb85152c2bd9602c2",
+        "pivots": "6910b16f1bef8dfb93549d4ee1a77e03bb448920f15386d660651519d6afd606",
+        "next": "5f77505a46ab76a3351edfc044a4b953b52ca74da60c23cc6018dba715ac8bba",
+    },
+    (True, 1): {
+        "beta": "1d09651b3b4dfa7775d4e8f5e8f43c34d667067d88f03e5c56960e59a7dc6eed",
+        "rows": "c9411412aa8ed79b10c8d3a45d48b3291ab270ddf5d378c3279b9aab7b85d487",
+        "pivots": "1d0b6e443fa19989706fde9332a27a51ddf55170571766592c89e7eac41ee099",
+        "next": "703331d187abf43e65323b8e7ef662d4898670d7267f8629188ce7af2147c7a8",
+    },
+    (True, 40): {
+        "beta": "f5db06cb6ebc4ecd7a01e7fa189c4dac03733410c6aed2ade32e65bfc670337d",
+        "rows": "ca60f9370cc844ec495f22d32683023fdee1f68135e81db8a9f8414d95420b3e",
+        "pivots": "5abb5a062cccf3784525775452273c624bb047e782c7a2308dda4eeba6608e80",
+        "next": "5f77505a46ab76a3351edfc044a4b953b52ca74da60c23cc6018dba715ac8bba",
+    },
+}
+
 
 class TestEliminationKernel:
     @pytest.mark.parametrize("dim,radius", [(1, 1), (2, 1), (2, 2)])
@@ -491,13 +522,13 @@ class TestEliminationKernel:
             lambda need, what: asked.append(need),
         )
         sample_batch(params, s, stream(0))
-        # (n, bw + 1, S) band rows, the (bw, bw, S) update scratch, and
-        # three (n, S) arrays: eta, which becomes the pivots, beta and H_kk
-        assert asked == [(n * 6 + 5 * 5 + 3 * n) * s * 8]
+        # (n, bw + 1, S) band rows, the (bw, S) update scratch, and three
+        # (n, S) arrays: eta, which becomes the pivots, beta and H_kk
+        assert asked == [(n * 6 + 5 + 3 * n) * s * 8]
         # site 1, a neighbor of site 0, relabelled last: bandwidth n - 1
         order = [0, *range(2, n), 1]
         sample_batch(relabelled(params, order), s, stream(0))
-        assert asked[1] == (n * n + (n - 1) ** 2 + 3 * n) * s * 8
+        assert asked[1] == (n * n + (n - 1) + 3 * n) * s * 8
 
     @pytest.mark.parametrize("dense", [False, True], ids=["band", "dense"])
     def test_refused_size_covers_what_the_draw_holds(self, dense, monkeypatch):
@@ -555,6 +586,27 @@ class TestEliminationKernel:
         assert beta.shape == (n_samples, params.n)
         raw = np.ascontiguousarray(beta, dtype="<f8").tobytes()
         assert hashlib.sha256(raw).hexdigest() == BETA_SHA256[n_samples]
+
+    @pytest.mark.parametrize("n_samples", [1, 40])
+    @pytest.mark.parametrize("dense", [False, True], ids=["band", "dense"])
+    def test_kept_factor_bits_are_pinned(self, dense, n_samples):
+        # beta, the kept rows and pivots, and the generator's next draws, on
+        # the 5x5 wired box at bandwidth 5 and relabelled to bandwidth n - 1
+        params = _wired_box(2, 2)
+        if dense:
+            params = relabelled(params, [0, *range(2, params.n), 1])
+        rng = stream(29, "factor-pin", n_samples)
+        sample = sample_batch(params, n_samples, rng)
+        got = {
+            "beta": sample.beta,
+            "rows": sample.rows,
+            "pivots": sample.pivots,
+            "next": rng.random(4),
+        }
+        for name, a in got.items():
+            raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+            want = FACTOR_SHA256[dense, n_samples][name]
+            assert hashlib.sha256(raw).hexdigest() == want, name
 
     def test_refuses_state_beyond_physical_memory(self):
         # (25 * 6 + 25) * 10^12 * 8 bytes: refused before anything is allocated

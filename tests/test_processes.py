@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 from vrjp import (
+    AbsorptionReport,
     DomainError,
     NumericError,
     QuenchedRates,
@@ -813,6 +814,30 @@ class TestMcReturnProbability:
         assert report.prob(0) == (1.0, 0.0)
         with pytest.raises(DomainError, match="absorbing set"):
             report.prob(1)
+
+    @pytest.mark.parametrize(
+        "n,counts",
+        [
+            (0, {0: 0}),
+            (-3, {0: 0}),
+            (2.5, {0: 1}),
+            (5, {0: 9}),
+            (5, {0: -1}),
+            (5, {0: 1.5}),
+            (5, {0: 3, 1: 3}),
+        ],
+        ids=[
+            "no-chains", "negative-n", "fractional-n", "count-past-n",
+            "negative-count", "fractional-count", "counts-sum-past-n",
+        ],
+    )
+    def test_report_refuses_counts_no_chains_could_give(self, n, counts):
+        with pytest.raises(DomainError):
+            AbsorptionReport(n=n, counts=counts)
+
+    def test_report_accepts_every_split_of_its_chains(self):
+        assert AbsorptionReport(n=5, counts={0: 5, 1: 0}).prob(0) == (1.0, 0.0)
+        assert AbsorptionReport(n=4, counts={0: 1, 1: 2}).prob(1) == (0.5, 0.25)
 
     def test_chains_absorbed_at_the_last_sweep_are_counted(self, monkeypatch):
         # the cycle 0 -> 1 -> 2 -> 0 reaches 2 at the second step, which the
