@@ -81,9 +81,10 @@ NUMERIC_EXIT = 3
 _NUMERIC_ERRORS = (NumericError, FactorizationError)
 
 # dense (m + 1)^2 arrays that `vrjp green` and the environment-fixed chain
-# hold at their peak on a wired box of m sites: tracemalloc read 5.0 to 5.3
-# for both on d=2 boxes of radius 10, 20 and 28 (m = 441 to 3,249)
-_BUNDLE_ARRAYS = 6
+# hold at their peak on a wired box of m sites: tracemalloc read 2.2 to 3.4
+# for green and 3.0 to 3.5 for the chain on d=2 boxes of radius 10, 20 and
+# 28 (m = 441 to 3,249) and the d=3 box of radius 4, the most at radius 10
+_BUNDLE_ARRAYS = 4
 
 # CSV cells formatted per block of rows: 2 to 3 MB of text at a time, and a
 # peak of about 10 MB with the block's cells as Python objects
@@ -311,6 +312,10 @@ def _cmd_green(args) -> Run:
 
 
 def _cmd_simulate(args) -> Run:
+    """One walk of --process: the reinforced jump walk or the reinforced
+    discrete walk on --graph or a box, or the environment-fixed chain on the
+    wired box of `vrjp green`. The chain's rate table is formed from the
+    Green bundle, and the bundle is dropped before the chain steps."""
     rng = stream(args.seed, "cli-simulate", args.process)
     if args.process == "vrjp":
         g, cfg = _graph_from_args(args)
@@ -340,9 +345,12 @@ def _cmd_simulate(args) -> Run:
             raise ConfigError("--steps required for the environment-fixed chain")
         cfg, i0, _, bundle = _wired_box_bundle(args, rng)
         rates = QuenchedRates.from_bundle(bundle)
-        traj = quenched_mjp(rates, bundle.i0_index, args.steps, rng)
-        fields = ["step", "vertex", "entry_time"]
         labels = np.array([*map(str, bundle.subset), "delta"], dtype=object)
+        # the chain reads only the rates: the bundle's hat_g and params.p go
+        # before it steps
+        del bundle
+        traj = quenched_mjp(rates, rates.i0, args.steps, rng)
+        fields = ["step", "vertex", "entry_time"]
         columns = [
             labels[traj.vertices], np.full(len(traj.vertices), "", dtype=object)
         ]

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .graphs import WeightedGraph, _refuse_beyond_memory
-from .schrodinger import GreenBundle, _rate_rows, _wired_w
+from .schrodinger import GreenBundle, _SOLVE_COLS, _rate_rows, _wired_rows
 
 __all__ = [
     "Trajectory",
@@ -478,8 +478,7 @@ class QuenchedRates:
         """Rates from any conductance matrix and the root's full Green row;
         a batch of rows gives each row's own table, bit for bit. The table is
         the only (size, size) array formed."""
-        if not (np.isfinite(row) & (row > 0)).all():
-            raise NumericError("Green row of the root is not positive and finite")
+        _check_root_row(row)
         rates = _rate_rows(w, row)
         exit = rates.sum(axis=-1)
         return cls(rates=rates, exit=exit, i0=int(i0))
@@ -487,9 +486,27 @@ class QuenchedRates:
     @classmethod
     def from_bundle(cls, bundle: GreenBundle) -> "QuenchedRates":
         """Rates on the wired state space (retained set plus delta last),
-        rooted at the bundle's own root."""
+        rooted at the bundle's own root: from_green's table on the wired
+        conductances, bit for bit, filled _SOLVE_COLS rows at a time by
+        `_rate_rows` on `_wired_rows`, so no dense wired W is held beside
+        it."""
         i0 = bundle.i0_index
-        return cls.from_green(_wired_w(bundle.params), bundle.kernel_row(i0), i0)
+        row = _check_root_row(bundle.kernel_row(i0))
+        n = bundle.m + 1
+        rates = np.empty((n, n))
+        for r0 in range(0, n, _SOLVE_COLS):
+            r1 = min(r0 + _SOLVE_COLS, n)
+            at = slice(r0, r1)
+            _rate_rows(_wired_rows(bundle.params, r0, r1), row, at, out=rates[at])
+        return cls(rates=rates, exit=rates.sum(axis=-1), i0=i0)
+
+
+def _check_root_row(row: np.ndarray) -> np.ndarray:
+    """row, once it is checked positive and finite: the rates divide by it,
+    so a zero there would give 0/0 off the root's component."""
+    if not (np.isfinite(row) & (row > 0)).all():
+        raise NumericError("Green row of the root is not positive and finite")
+    return row
 
 
 # Bytes a quenched chain and the CLI rows written from it keep per step: the
@@ -543,8 +560,8 @@ def escape_probability_formula(
     g00 = bundle.hat_g[p0, p0]
     psi0 = psi_e[p0]
     if pi == p0:
-        w_row = np.append(bundle.params.p[p0], bundle.params.eta[p0])
-        exit0 = float(_rate_rows(w_row, grow, [p0]).sum(axis=-1)[0])
+        w_row = _wired_rows(bundle.params, p0, p0 + 1)
+        exit0 = float(_rate_rows(w_row, grow, slice(p0, p0 + 1)).sum(axis=-1)[0])
         return float(psi0**2 / (4.0 * bundle.gamma * exit0 * g00 * grow[p0]))
     # hat_g vanishes on delta
     g0i = bundle.hat_g[p0, pi] if pi < bundle.m else 0.0

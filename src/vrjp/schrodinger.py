@@ -3,7 +3,9 @@ functions, the boundary field psi, the full kernel with its independent
 Gamma(1/2) coupling, and the identities that tie them together.
 
 H is formed in one place, betafield.h_beta, and every dense H below comes
-from it. Green functions come from one of two solves:
+from it; check_identities forms none, and applies H to a tile of columns at
+a time through W's nonzeros (_h_rows). Green functions come from one of two
+solves:
 
 - green_solve_banded applies Ghat_beta to a few right-hand sides with the
   LDL^T factor of H that the draw computed and kept, so H is never factored
@@ -24,9 +26,12 @@ certificate is read from the draw's pivots: a failed certificate or a zero
 pivot raises FactorizationError. Apart from the band storage, operators are
 dense arrays; there is no sparse route. A retained set too large for its
 dense block is refused with SizeError before anything is allocated
-(WiredBand.params). The u-field of a full graph, its density, truncated
-path sums and the dense bottom of the spectrum are test oracles
-(tests/_oracles.py); no product path reads them.
+(WiredBand.params). No dense wired W is formed: its rows come a block
+at a time from _wired_rows, for the rate table (QuenchedRates.from_bundle),
+the escape formula and the identity check alike. The u-field of a full
+graph, its density, truncated path sums, the dense bottom of the spectrum
+and the identities on dense products are test oracles (tests/_oracles.py);
+no product path reads them.
 """
 
 from __future__ import annotations
@@ -327,25 +332,73 @@ def _kernel_row(psi, ghat_row, k: int, gamma) -> np.ndarray:
     return row
 
 
-def _rate_rows(w, row, at=slice(None)) -> np.ndarray:
+def _rate_rows(w, row, at=slice(None), out=None) -> np.ndarray:
     """Rates 1/2 W_ij G(i0,j) / G(i0,i) of the environment-fixed chain, for
     one environment or a batch on leading axes: row is the root's kernel
     row (..., m + 1) and w holds W's rows `at` (all of them by default).
-    Formed in place in one array of the result's size; the halving is
-    exact, so it gives the bits of (W_ij / 2) times the ratio."""
-    r = row[..., None, :] / row[..., at, None]
+    Formed in place in one array of the result's size, out if given; the
+    halving is exact, so it gives the bits of (W_ij / 2) times the ratio."""
+    r = np.divide(row[..., None, :], row[..., at, None], out=out)
     r *= w
     r *= 0.5
     return r
 
 
-def _wired_w(params: NuParams) -> np.ndarray:
-    """The wired conductances on V plus delta: params.p, eta on delta's row."""
+def _wired_rows(params: NuParams, r0: int, r1: int) -> np.ndarray:
+    """Rows r0:r1 of the wired conductances on V plus delta, delta last:
+    params.p with eta in delta's column, and eta, then 0, on delta's row."""
     m = params.n
-    w = np.zeros((m + 1, m + 1))
-    w[:m, :m] = params.p
-    w[:m, m] = w[m, :m] = params.eta
+    w = np.zeros((r1 - r0, m + 1))
+    v = min(r1, m) - r0
+    w[:v, :m] = params.p[r0 : r0 + v]
+    w[:v, m] = params.eta[r0 : r0 + v]
+    if r1 > m:
+        w[v, :m] = params.eta
     return w
+
+
+def _neighbours(p: np.ndarray):
+    """p's off-diagonal nonzeros as two (width, m) tables, width the most
+    any row has: row i's neighbours nbr[:, i] and their conductances
+    w[:, i], padded with weight 0 on site 0."""
+    m = p.shape[0]
+    rows, cols = np.nonzero(p)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    deg = np.bincount(rows, minlength=m)
+    # np.nonzero lists the entries row by row: each one's slot is its rank
+    # in its row
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    width = int(deg.max(initial=0))
+    nbr = np.zeros((width, m), dtype=np.intp)
+    w = np.zeros((width, m))
+    nbr[slot, rows] = cols
+    w[slot, rows] = p[rows, cols]
+    return nbr, w
+
+
+def _h_rows(x, h_diag, eta, nbr, w):
+    """x H_ext for a tile x of rows on V plus delta: H_ext = 2 diag(beta_ext)
+    - W_ext, with h_diag its diagonal, W_ext's V block read from the
+    off-diagonal nonzeros (nbr, w) of _neighbours, and its delta row and
+    column from eta. x has shape (k, m + 1), or (k, m) for rows that vanish
+    on delta. Returns the product's columns on V, (k, m), and on delta,
+    (k,). Each slot of the tables, and delta's column as one more, gathers
+    into one (k, m) scratch beside the result."""
+    m = eta.shape[0]
+    xv = x[:, :m]
+    yv = xv * h_diag[:m]
+    y_delta = xv @ -eta
+    slots = list(zip(nbr, w))
+    if x.shape[1] > m:
+        slots.append((np.full(m, m), eta))
+        y_delta += h_diag[m] * x[:, m]
+    buf = np.empty(yv.shape)
+    for idx, ws in slots:
+        np.take(x, idx, axis=1, out=buf, mode="clip")
+        buf *= ws
+        yv -= buf
+    return yv, y_delta
 
 
 @dataclass(frozen=True)
@@ -384,55 +437,84 @@ def check_identities(
     entrywise; the complementary kernel Ghat(i0,i0) psi - Ghat(i0,.) psi(i0)
     is nonnegative; and the quenched exit rates, the row sums of
     _rate_rows as QuenchedRates forms them, reproduce beta away from the
-    root. W is dropped before the full kernel is formed dense.
+    root.
+
+    No dense (m + 1)^2 array is formed. The rates are summed _SOLVE_COLS
+    rows at a time, on _wired_rows. hat_g and the full kernel are read
+    _SOLVE_COLS columns at a time, each tile as the same rows of the
+    symmetric matrix, and H is applied to each tile by _h_rows, through the
+    nonzeros of W; every residual and norm scale is a running maximum.
     """
     m = bundle.m
     b = np.asarray(beta, dtype=float)
     root = bundle.i0_index if i0 is None else bundle.position(i0)
-    w = _wired_w(bundle.params)
-    eta = bundle.params.eta
+    params = bundle.params
+    eta = params.eta
+    hat_g = bundle.hat_g
     beta_ext = bundle.beta_ext(b)
     psi_e = bundle.psi_ext()
 
     def rel(err, scale):
         return float(err / max(scale, 1e-300))
 
-    def inv_resid(a, x):
-        # normwise relative residual: the atom 1/(2 gamma) can make the
-        # kernel huge, so |AX - I| alone would just measure conditioning
-        r = a @ x
-        r.flat[:: r.shape[0] + 1] -= 1.0
-        err = np.abs(r, out=r).max()
-        return rel(err, max(max(a.max(), -a.min()) * max(x.max(), -x.min()), 1.0))
+    def off_identity(y, c0):
+        # max |y - I| over a tile whose row a is row c0 + a of the identity
+        a = np.arange(min(y.shape[0], y.shape[1] - c0))
+        y[a, c0 + a] -= 1.0
+        return np.abs(y, out=y).max(initial=0.0)
 
-    resid = 2.0 * b * bundle.psi - w[:m, :m] @ bundle.psi - eta
+    resid = 2.0 * b * bundle.psi - params.p @ bundle.psi - eta
     r_harm = rel(np.abs(resid).max(), max(np.abs(eta).max(), 1.0))
 
     # beta reconstruction and telescoping from the quenched exit rates, the
     # row sums of the rates on the root row of the kernel
     grow = bundle.kernel_row(root)
-    exit_rates = _rate_rows(w, grow).sum(axis=1)
+    exit_rates = np.empty(m + 1)
+    for r0 in range(0, m + 1, _SOLVE_COLS):
+        r1 = min(r0 + _SOLVE_COLS, m + 1)
+        at = slice(r0, r1)
+        exit_rates[at] = _rate_rows(_wired_rows(params, r0, r1), grow, at).sum(axis=1)
     off_root = np.arange(m + 1) != root
     r_tel = rel(np.abs(exit_rates - beta_ext)[off_root].max(), np.abs(beta_ext).max())
     recon = exit_rates
     recon[root] += 1.0 / (2.0 * grow[root])
     r_beta = rel(np.abs(recon - beta_ext).max(), np.abs(beta_ext).max())
 
-    h = h_beta(w, beta_ext)
-    del w
-    r_hg = inv_resid(h[:m, :m], bundle.hat_g)
-    kernel = np.outer(psi_e, psi_e)
-    kernel /= 2.0 * bundle.gamma
-    kernel[:m, :m] += bundle.hat_g
-    r_full = inv_resid(h, kernel)
-    del h, kernel
+    # H's diagonal, with the bits of h_beta's, and the largest |H| on the
+    # block and on V plus delta, read from the nonzeros
+    nbr, w = _neighbours(params.p)
+    h_diag = 2.0 * beta_ext
+    h_diag[:m] -= np.diagonal(params.p)
+    h_max = max(np.abs(h_diag[:m]).max(initial=0.0), w.max(initial=0.0))
+    h_ext_max = max(h_max, eta.max(initial=0.0), abs(h_diag[m]))
 
-    d = np.sqrt(np.diag(bundle.hat_g))
-    cs = bundle.hat_g - np.outer(d, d)
-    r_cs = rel(max(cs.max(), 0.0), max(np.abs(bundle.hat_g).max(), 1.0))
+    # normwise relative residuals: the atom 1/(2 gamma) can make the kernel
+    # huge, so |HX - I| alone would just measure conditioning
+    d = np.sqrt(np.diag(hat_g))
+    g_max = k_max = cs_max = e_hg = e_full = 0.0
+    for c0 in range(0, m + 1, _SOLVE_COLS):
+        c1 = min(c0 + _SOLVE_COLS, m + 1)
+        # rows c0:c1 of hat_g are its columns c0:c1: _symmetrize leaves it
+        # symmetric bit for bit. The last tile holds delta, where hat_g is 0
+        g = hat_g[c0:c1]
+        g_max = max(g_max, g.max(initial=0.0), -g.min(initial=0.0))
+        cs_max = max(cs_max, (g - np.outer(d[c0:c1], d)).max(initial=0.0))
+        e_hg = max(e_hg, off_identity(_h_rows(g, h_diag, eta, nbr, w)[0], c0))
+        k = np.outer(psi_e[c0:c1], psi_e)
+        k /= 2.0 * bundle.gamma
+        k[: len(g), :m] += g
+        k_max = max(k_max, k.max(), -k.min())
+        yv, y_delta = _h_rows(k, h_diag, eta, nbr, w)
+        del k
+        y_delta[len(g) :] -= 1.0
+        e_full = max(e_full, off_identity(yv, c0), np.abs(y_delta).max())
+        del yv
+    r_hg = rel(e_hg, max(h_max * g_max, 1.0))
+    r_full = rel(e_full, max(h_ext_max * k_max, 1.0))
+    r_cs = rel(cs_max, max(g_max, 1.0))
 
     # the root row of hat_g, zero on delta
-    hrow = np.append(bundle.hat_g[root], 0.0) if root < m else np.zeros(m + 1)
+    hrow = np.append(hat_g[root], 0.0) if root < m else np.zeros(m + 1)
     gcheck = hrow[root] * psi_e - hrow * psi_e[root]
     r_gc = rel(max(-gcheck.min(), 0.0), max(psi_e.max(), 1.0))
 

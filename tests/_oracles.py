@@ -10,7 +10,8 @@ It also holds the closed forms and reference routines that no criterion,
 experiment or CLI command runs, with their own error classes: the field's
 density and a dense Cholesky certificate of H_beta, a dense LDL^T of H_beta
 for a chosen beta in the layout a draw keeps its factor in, a Green
-bundle's wired conductances and full kernel as dense arrays, the one-site
+bundle's wired conductances and full kernel as dense arrays, its
+identity residuals from dense products (the streamed check's twin), the one-site
 Schur step (the exact conditional law given some sites), the band
 sampler's elimination order (R, B) built site by site, the annealed
 reinforced-walk environment, a graph's edge weight lookup and per-vertex
@@ -39,6 +40,7 @@ from vrjp import (
     DomainError,
     EstimatorReport,
     FactorizationError,
+    IdentityReport,
     NuParams,
     NumericError,
     QuenchedRates,
@@ -53,6 +55,7 @@ from vrjp import (
     stream,
 )
 from vrjp.betafield import CHI2_BELOW, PIVOT_RTOL, _pivots_ok, h_beta
+from vrjp.schrodinger import _rate_rows
 
 SE_RULE = 4.0
 ALPHA = 0.01
@@ -348,6 +351,64 @@ def full_kernel(bundle) -> np.ndarray:
     g[m, :m] = psi / (2.0 * gamma)
     g[m, m] = 1.0 / (2.0 * gamma)
     return g
+
+
+def dense_identities(bundle, beta, i0: Optional[int] = None) -> IdentityReport:
+    """check_identities computed on dense arrays: the wired W, H and the full
+    kernel formed whole and multiplied whole, every field with the streamed
+    check's meaning."""
+    m = bundle.m
+    b = np.asarray(beta, dtype=float)
+    root = bundle.i0_index if i0 is None else bundle.position(i0)
+    w = wired_w(bundle.params)
+    eta = bundle.params.eta
+    beta_ext = bundle.beta_ext(b)
+    psi_e = bundle.psi_ext()
+
+    def rel(err, scale):
+        return float(err / max(scale, 1e-300))
+
+    def inv_resid(a, x):
+        r = a @ x
+        r.flat[:: r.shape[0] + 1] -= 1.0
+        err = np.abs(r).max()
+        return rel(err, max(max(a.max(), -a.min()) * max(x.max(), -x.min()), 1.0))
+
+    resid = 2.0 * b * bundle.psi - w[:m, :m] @ bundle.psi - eta
+    r_harm = rel(np.abs(resid).max(), max(np.abs(eta).max(), 1.0))
+
+    grow = bundle.kernel_row(root)
+    exit_rates = _rate_rows(w, grow).sum(axis=1)
+    off_root = np.arange(m + 1) != root
+    r_tel = rel(np.abs(exit_rates - beta_ext)[off_root].max(), np.abs(beta_ext).max())
+    recon = exit_rates
+    recon[root] += 1.0 / (2.0 * grow[root])
+    r_beta = rel(np.abs(recon - beta_ext).max(), np.abs(beta_ext).max())
+
+    h = h_beta(w, beta_ext)
+    r_hg = inv_resid(h[:m, :m], bundle.hat_g)
+    kernel = np.outer(psi_e, psi_e)
+    kernel /= 2.0 * bundle.gamma
+    kernel[:m, :m] += bundle.hat_g
+    r_full = inv_resid(h, kernel)
+
+    d = np.sqrt(np.diag(bundle.hat_g))
+    cs = bundle.hat_g - np.outer(d, d)
+    r_cs = rel(max(cs.max(), 0.0), max(np.abs(bundle.hat_g).max(), 1.0))
+
+    hrow = np.append(bundle.hat_g[root], 0.0) if root < m else np.zeros(m + 1)
+    gcheck = hrow[root] * psi_e - hrow * psi_e[root]
+    r_gc = rel(max(-gcheck.min(), 0.0), max(psi_e.max(), 1.0))
+
+    return IdentityReport(
+        hg_block=r_hg,
+        full_inverse=r_full,
+        harmonic=r_harm,
+        beta_reconstruction=r_beta,
+        cauchy_schwarz=r_cs,
+        gcheck_min_violation=r_gc,
+        telescoping=r_tel,
+    )
 
 
 def reference_simulate_vrjp(

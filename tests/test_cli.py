@@ -514,7 +514,7 @@ RUNS = {
         ["green", "--dim", "2", "--radius", "2", "--seed", "3"],
         {"green.csv": "2ea0e894cf972ae79b9d73e5273c897a1ea9267cbaf513e67860c31dfba414f3",
          "summary.json":
-             "d321d202e057aab35789494ec56bc67093eec86ccdd52b0671712dc7f0f0425c"},
+             "4add0d498d789fe161535a1a7c1a9513b933687448a799ad1e86fd7b33cfc52f"},
         {"command": "green",
          "config": {"W": 1.0, "dim": 2, "radius": 2, "seed": 3},
          "content_hash":

@@ -38,7 +38,7 @@ from vrjp import (
 )
 from vrjp import processes
 from vrjp.harness import word_chi2
-from vrjp.schrodinger import _kernel_row, _wired_w
+from vrjp.schrodinger import _kernel_row
 
 from _oracles import (
     ALPHA,
@@ -537,13 +537,29 @@ class TestQuenchedRates:
         # temporaries, even with numpy's in-place reuse of the first, holds
         # a second table while it forms
         bundle = wired_box_env(2, 10, 1.0, stream(4, "rates-peak"), i0=220)
-        w = _wired_w(bundle.params)
+        w = wired_w(bundle.params)
         row = bundle.kernel_row(bundle.i0_index)
         table = w.nbytes
         tracemalloc.start()
         try:
             rates = QuenchedRates.from_green(w, row, bundle.i0_index)
             peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rates.rates.nbytes == table
+        assert peak <= 1.5 * table
+
+    def test_bundle_table_is_the_only_table_formed(self):
+        # from_bundle fills its table a block of wired rows at a time, so
+        # beside the table it holds one block of W's rows, never the dense
+        # wired W that from_green is given
+        bundle = wired_box_env(2, 10, 1.0, stream(4, "rates-peak"), i0=220)
+        table = 8 * (bundle.m + 1) ** 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rates = QuenchedRates.from_bundle(bundle)
+            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert rates.rates.nbytes == table

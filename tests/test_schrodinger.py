@@ -38,6 +38,7 @@ from _oracles import (
     SE_RULE,
     EnumerationError,
     assemble_H,
+    dense_identities,
     factored,
     full_kernel,
     q_density,
@@ -644,6 +645,111 @@ class TestCheckIdentities:
         bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0])
         report = check_identities(bundle, sample.beta[0])
         assert report.harmonic <= 1e-10
+
+
+def wired_path_bundle(m, rng):
+    """One band-of-one draw and coupling on a path of m sites wired at both
+    ends, rooted in its middle."""
+    g = WeightedGraph(n=m + 2, edges=tuple((i, i + 1, 1.0) for i in range(m + 1)))
+    subset = list(range(1, m + 1))
+    params = marginal_params(g, subset)
+    sample = sample_batch(params, 1, rng)
+    gamma = float(rng.gamma(0.5, 1.0))
+    bundle = green_bundle(params, sample, subset, gamma, i0=subset[m // 2])
+    return bundle, sample.beta[0]
+
+
+def wired_box_bundle(dim, radius, rng):
+    """One band draw and coupling on the wired box, rooted in its middle."""
+    wired = WiredBand.box(dim, radius, 1.0)
+    band, eta = wired.fill()
+    sample = sample_banded(band, eta, rng)
+    gamma = float(rng.gamma(0.5, 1.0))
+    bundle = green_bundle(
+        wired.params(), sample, range(wired.n), gamma, i0=wired.n // 2
+    )
+    return bundle, sample.beta
+
+
+# sizes just below, at and above multiples of the 128-column tiles, then
+# three wired boxes
+STREAMED_CASES = {
+    "path-127": lambda rng: wired_path_bundle(127, rng),
+    "path-128": lambda rng: wired_path_bundle(128, rng),
+    "path-129": lambda rng: wired_path_bundle(129, rng),
+    "path-257": lambda rng: wired_path_bundle(257, rng),
+    "box-d2-r2": lambda rng: wired_box_bundle(2, 2, rng),
+    "box-d3-r1": lambda rng: wired_box_bundle(3, 1, rng),
+    "box-d2-r6": lambda rng: wired_box_bundle(2, 6, rng),
+}
+
+
+class TestStreamedIdentities:
+    # check_identities reads hat_g and the full kernel a tile of columns at
+    # a time; dense_identities forms W, H and the kernel whole
+
+    @pytest.mark.parametrize("case", list(STREAMED_CASES))
+    def test_every_field_is_small_on_both_sides(self, case):
+        bundle, beta = STREAMED_CASES[case](stream(30, "streamed", case))
+        for report in (check_identities(bundle, beta), dense_identities(bundle, beta)):
+            for name, value in dataclasses.asdict(report).items():
+                assert value <= 1e-12, name
+
+    @pytest.mark.parametrize(
+        "case, corrupt, field",
+        [
+            *(
+                (case, corrupt, field)
+                for case in ("box-d2-r2", "box-d3-r1")
+                for corrupt, field in (
+                    ("hat_g", "hg_block"),
+                    ("psi", "full_inverse"),
+                    ("gamma", "full_inverse"),
+                )
+            ),
+            # two tiles: the hat_g pair spans both. A gamma scaled by
+            # 1 + 1e-6 reads 1.4e-11 on both sides here, where the atom
+            # 1/(2 gamma) sets the kernel's norm
+            ("box-d2-r6", "hat_g", "hg_block"),
+            ("box-d2-r6", "psi", "full_inverse"),
+        ],
+    )
+    def test_a_corruption_reads_as_on_dense_products(self, case, corrupt, field):
+        bundle, beta = STREAMED_CASES[case](stream(31, "streamed", case))
+        m = bundle.m
+        if corrupt == "hat_g":
+            # one off-diagonal pair, raised together so hat_g stays
+            # symmetric; on the 169-site box it spans both tiles
+            i, j = m // 3, m - 2
+            hat_g = bundle.hat_g.copy()
+            hat_g[i, j] += 1e-6
+            hat_g[j, i] += 1e-6
+            bundle = dataclasses.replace(bundle, hat_g=hat_g)
+        elif corrupt == "psi":
+            psi = bundle.psi.copy()
+            psi[m // 2] *= 1.0 + 1e-6
+            bundle = dataclasses.replace(bundle, psi=psi)
+        else:
+            bundle = dataclasses.replace(bundle, gamma=bundle.gamma * (1.0 + 1e-6))
+        streamed = getattr(check_identities(bundle, beta), field)
+        dense = getattr(dense_identities(bundle, beta), field)
+        assert dense > 1e-9
+        assert streamed == pytest.approx(dense, rel=0.01)
+
+    def test_no_dense_array_beyond_the_inputs(self):
+        # the tiles a step holds at once, the kernel's tile, H applied to it
+        # and one gather scratch, are 3 x 128 x 442 x 8 B on this box: 0.87
+        # of a dense array, against the 3 arrays of the dense products
+        bundle, beta = wired_box_bundle(2, 10, stream(32, "streamed-peak"))
+        m = bundle.m
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check_identities(bundle, beta)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * 8 * (m + 1) ** 2
 
 
 class TestNestedVolumes:
