@@ -11,10 +11,8 @@ from .betafield import (
     BandSample,
     NuParams,
     WiredBand,
-    banded_coupling,
     gig_half_sample,
     laplace_closed_form,
-    marginal_params,
     sample_banded,
     sample_batch,
 )
@@ -82,9 +80,7 @@ __all__ = [
     "gig_half_sample",
     "sample_batch",
     "sample_banded",
-    "banded_coupling",
     "WiredBand",
-    "marginal_params",
     # operator and Green functions
     "GreenBundle",
     "IdentityReport",

@@ -42,10 +42,10 @@ rows of P, one for a batch of fields and one for a single wide draw:
   read from its pivots, for schrodinger.green_solve_banded. Psi decay,
   the conductance ratio and the CLI's wired boxes draw this way, on
   boxes that WiredBand.box wires from their geometry, with no graph
-  built. banded_coupling stores a graph's own weights. Wiring a retained
-  set is done in one place, WiredBand's edge arrays: they give the wired
-  marginal in band storage for any environment's edge weights, or dense
-  (marginal_params), and the wired graph itself, delta last (graph()).
+  built. Wiring a retained set is done in one place, WiredBand's edge
+  arrays: they give the wired marginal in band storage for any
+  environment's edge weights, or dense (params()), and the wired graph
+  itself, delta last (graph()).
   The band sampler consumes the variates of sample_batch's loop on
   (P, eta) relabelled to the order (R, B), in the same order, and its beta
   differs from that draw by the rounding of the summed updates only.
@@ -73,12 +73,10 @@ from .graphs import WeightedGraph, _box_side, _refuse_beyond_memory
 __all__ = [
     "NuParams",
     "BandSample",
-    "marginal_params",
     "laplace_closed_form",
     "gig_half_sample",
     "sample_batch",
     "sample_banded",
-    "banded_coupling",
     "WiredBand",
     "h_beta",
 ]
@@ -191,18 +189,6 @@ class BandSample:
     rows: np.ndarray
     pivots: np.ndarray
     first: _FirstLevel = field(default_factory=_FirstLevel)
-
-
-def marginal_params(g: WeightedGraph, subset: Sequence[int]) -> NuParams:
-    """Parameters of the marginal law on `subset` of the field on g.
-
-    Keeping a set U of sites turns the complement into the boundary vector
-    eta_U + (weights from U to the complement); with eta = 0 on g this is just
-    the boundary weight vector. Sampling this marginal directly is equivalent
-    to sampling on g and restricting. This is WiredBand.from_graph(g,
-    subset) in dense storage, with sites in `subset` order.
-    """
-    return WiredBand.from_graph(g, subset).params()
 
 
 def laplace_closed_form(params: NuParams, lam: np.ndarray) -> float:
@@ -457,25 +443,6 @@ def _edge_arrays(g: WeightedGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat[:, 0].astype(np.intp), flat[:, 1].astype(np.intp), flat[:, 2]
 
 
-def _scatter_band(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, bw: int):
-    """Band storage band[i, j - i] = w of n sites at bandwidth bw (i < j)."""
-    band = np.zeros((n, bw + 1))
-    band[i, j - i] = w
-    return band
-
-
-def banded_coupling(g: WeightedGraph) -> Tuple[np.ndarray, int]:
-    """Row-skewed band storage of g's weight matrix.
-
-    Returns (band, bw) with band[i, d] = W[i, i+d] for d = 0..bw. Lattice
-    boxes built row-major have bw equal to the leading stride, so the Schur
-    elimination below never writes outside the band.
-    """
-    i, j, w = _edge_arrays(g)
-    bw = int((j - i).max(initial=0))
-    return _scatter_band(g.n, i, j, w, bw), bw
-
-
 @dataclass(frozen=True)
 class WiredBand:
     """Edge index arrays that wire g on a retained set: they form its
@@ -588,9 +555,8 @@ class WiredBand:
             raise DomainError("need one weight per edge")
         if not (np.isfinite(w) & (w > 0)).all():
             raise DomainError("edge weights must be positive and finite")
-        band = _scatter_band(
-            self.n, self.inner_i, self.inner_j, w[self.inner_edges], self.bw
-        )
+        band = np.zeros((self.n, self.bw + 1))
+        band[self.inner_i, self.inner_j - self.inner_i] = w[self.inner_edges]
         eta = self._eta(w)
         if not eta.any():
             raise RestrictionError("subset has empty boundary weight vector")
@@ -755,7 +721,7 @@ def sample_banded(
     """Exact field sample from band-stored parameters, in two levels. Same
     law as sample_batch, cost n * bw^2 instead of n^3.
 
-    band[i, d] = P[i, i+d] for d = 0..bw, as banded_coupling stores it, and
+    band[i, d] = P[i, i+d] for d = 0..bw, as WiredBand.fill stores it, and
     eta has one entry per site; both must be nonnegative and finite
     (DomainError). The first level is R, the greedy independent set in
     index order of the band's nonzeros (on a row-major box of odd side, the

@@ -81,8 +81,8 @@ NUMERIC_EXIT = 3
 _NUMERIC_ERRORS = (NumericError, FactorizationError)
 
 # dense (m + 1)^2 arrays that `vrjp green` and the environment-fixed chain
-# hold at their peak on a wired box of m sites: tracemalloc read 2.2 to 3.4
-# for green and 3.0 to 3.5 for the chain on d=2 boxes of radius 10, 20 and
+# hold at their peak on a wired box of m sites: tracemalloc read 2.2 to 2.4
+# for green and 3.0 to 3.1 for the chain on d=2 boxes of radius 10, 20 and
 # 28 (m = 441 to 3,249) and the d=3 box of radius 4, the most at radius 10
 _BUNDLE_ARRAYS = 4
 
@@ -285,7 +285,7 @@ def _wired_box_bundle(args, rng) -> Tuple[Dict, int, np.ndarray, GreenBundle]:
 def _cmd_green(args) -> Run:
     cfg, _, beta, bundle = _wired_box_bundle(args, stream(args.seed, "cli-green"))
     cfg.update({"seed": args.seed})
-    report = check_identities(bundle, beta)
+    report, hat_g_diagonal = check_identities(bundle, beta)
     # one row per retained vertex, then the boundary state delta
     return Run(
         cfg,
@@ -304,7 +304,7 @@ def _cmd_green(args) -> Run:
             "command": "green",
             "gamma": bundle.gamma,
             "psi": bundle.psi.tolist(),
-            "hat_g_diagonal": np.diag(bundle.hat_g).tolist(),
+            "hat_g_diagonal": hat_g_diagonal.tolist(),
             "residuals": asdict(report),
             "max_residual": report.max_residual(),
         },
@@ -346,7 +346,7 @@ def _cmd_simulate(args) -> Run:
         cfg, i0, _, bundle = _wired_box_bundle(args, rng)
         rates = QuenchedRates.from_bundle(bundle)
         labels = np.array([*map(str, bundle.subset), "delta"], dtype=object)
-        # the chain reads only the rates: the bundle's hat_g and params.p go
+        # the chain reads only the rates: the bundle's draw and params.p go
         # before it steps
         del bundle
         traj = quenched_mjp(rates, rates.i0, args.steps, rng)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .graphs import WeightedGraph, _refuse_beyond_memory
-from .schrodinger import GreenBundle, _SOLVE_COLS, _rate_rows, _wired_rows
+from .schrodinger import GreenBundle, _SOLVE_COLS, _kernel_row, _rate_rows, _wired_rows
 
 __all__ = [
     "Trajectory",
@@ -341,8 +341,11 @@ def _step(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _whole(value, what: str) -> int:
-    """value as an int when it is a whole number; DomainError otherwise."""
+    """value as an int when it is a whole number (not a bool); DomainError
+    otherwise."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be a whole number, got {value!r}") from None
@@ -489,7 +492,7 @@ class QuenchedRates:
         rooted at the bundle's own root: from_green's table on the wired
         conductances, bit for bit, filled _SOLVE_COLS rows at a time by
         `_rate_rows` on `_wired_rows`, so no dense wired W is held beside
-        it."""
+        it; the root's kernel row comes from the bundle's stored column."""
         i0 = bundle.i0_index
         row = _check_root_row(bundle.kernel_row(i0))
         n = bundle.m + 1
@@ -547,24 +550,26 @@ def escape_probability_formula(
     """Probability that the quenched chain rooted at i0, started at i, hits
     delta before (re)visiting i0. i or i0 given as parent-graph vertex ids;
     i = None means delta (returns 1). Finite-volume reading of the escape
-    event. It reads two entries of hat_g, psi, the kernel row of i0 and, for
-    i = i0, the root's exit rate: `_rate_rows` on the row of i0 in the wired
-    conductances (params.p, then eta) alone, the bits of
-    `QuenchedRates.from_bundle(bundle).exit` at the root."""
+    event. It reads psi, hat_g's column of i0 (GreenBundle.hat_g_column),
+    the kernel row of i0 formed from it and, for i = i0, the root's exit
+    rate: `_rate_rows` on the row of i0 in the wired conductances (params.p,
+    then eta) alone, the bits of `QuenchedRates.from_bundle(bundle).exit` at
+    the root."""
     p0 = bundle.position(i0)
     if p0 == bundle.delta_index:
         raise DomainError("the root must be a retained vertex")
     pi = bundle.position(i)
     psi_e = bundle.psi_ext()
-    grow = bundle.kernel_row(p0)
-    g00 = bundle.hat_g[p0, p0]
+    col = bundle.hat_g_column(p0)
+    grow = _kernel_row(bundle.psi, col, p0, bundle.gamma)
+    g00 = col[p0]
     psi0 = psi_e[p0]
     if pi == p0:
         w_row = _wired_rows(bundle.params, p0, p0 + 1)
         exit0 = float(_rate_rows(w_row, grow, slice(p0, p0 + 1)).sum(axis=-1)[0])
         return float(psi0**2 / (4.0 * bundle.gamma * exit0 * g00 * grow[p0]))
     # hat_g vanishes on delta
-    g0i = bundle.hat_g[p0, pi] if pi < bundle.m else 0.0
+    g0i = col[pi] if pi < bundle.m else 0.0
     gcheck = g00 * psi_e[pi] - g0i * psi0
     return float(psi0 * gcheck / (2.0 * bundle.gamma * g00 * grow[pi]))
 
@@ -619,15 +624,16 @@ def mc_return_probability(
     and drops those it absorbs. One free first step is always taken, so
     starting inside the absorbing set estimates first-return splits.
 
-    n must be at least 1, i0 and every absorbing state must lie in
-    range(rates.size) and the kernel must be finite; each is checked, with
-    DomainError, before anything is drawn. Stepping into a state with no
-    outgoing rate raises DomainError too, and a chain still running after
-    MAX_SWEEPS steps raises NumericError."""
+    n must be a whole number of at least 1, i0 and every absorbing state
+    must lie in range(rates.size) and the kernel must be finite; each is
+    checked, with DomainError, before anything is drawn. Stepping into a
+    state with no outgoing rate raises DomainError too, and a chain still
+    running after MAX_SWEEPS steps raises NumericError."""
     size = rates.size
     absorb = {_check_state(v, size, "absorbing") for v in absorb}
     if not absorb:
         raise DomainError("absorb set must be nonempty")
+    n = _whole(n, "n")
     if n < 1:
         raise DomainError("n must be at least 1")
     cur = np.full(n, _check_state(i0, size, "start"))

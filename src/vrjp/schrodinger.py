@@ -19,25 +19,29 @@ solves:
   not read the sampler's own pivots): one LU solve per environment and a
   block of environments per call.
 
-green_bundle solves one environment with the first, from its BandSample (a
-single draw or a batch of one) and the wired marginal it was drawn on
-(betafield.WiredBand, marginal_params). A kept factor's positivity
-certificate is read from the draw's pivots: a failed certificate or a zero
-pivot raises FactorizationError. Apart from the band storage, operators are
-dense arrays; there is no sparse route. A retained set too large for its
-dense block is refused with SizeError before anything is allocated
-(WiredBand.params). No dense wired W is formed: its rows come a block
-at a time from _wired_rows, for the rate table (QuenchedRates.from_bundle),
-the escape formula and the identity check alike. The u-field of a full
-graph, its density, truncated path sums, the dense bottom of the spectrum
-and the identities on dense products are test oracles (tests/_oracles.py);
-no product path reads them.
+green_bundle solves psi and the root's column of Ghat_beta with the first, in
+one call, from its BandSample (a single draw or a batch of one) and the
+wired marginal it was drawn on (betafield.WiredBand); the bundle keeps the
+sample, so any other column is one more solve on the same factor, and no
+dense Ghat_beta is stored. A kept factor's positivity certificate is read
+from the draw's pivots: a failed certificate or a zero pivot raises
+FactorizationError. Apart from the band storage, operators are dense
+arrays; there is no sparse route. A retained set too large for its dense
+block is refused with SizeError before anything is allocated
+(WiredBand.params). No dense wired W is formed: its rows come a block at a
+time from _wired_rows, for the rate table (QuenchedRates.from_bundle), the
+escape formula and the identity check alike. check_identities is the one
+reader of all of Ghat_beta: it solves a tile of columns at a time on the
+kept factor and returns the diagonal it read. The u-field of a full graph,
+its density, truncated path sums, the dense bottom of the spectrum and the
+identities on dense products are test oracles (tests/_oracles.py); no
+product path reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import astuple, dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -58,9 +62,10 @@ __all__ = [
 # and its LU copy take 20 MB; 25,000 environments in one call take 250 MB.
 _SOLVE_BLOCK = 2048
 
-# Columns of hat_g per green_solve_banded call in green_bundle: each solves
-# a block of the identity, so no dense identity is held beside hat_g, and
-# the solve's temporaries are a few (m, 128) blocks.
+# Columns of hat_g per green_solve_banded call in check_identities, and rows
+# per block of the rate table: each tile solves a block of the identity, so
+# no dense identity or hat_g is held, and the solve's temporaries are a few
+# (m, 128) blocks.
 _SOLVE_COLS = 128
 
 
@@ -197,17 +202,22 @@ class GreenBundle:
     """What green_bundle solved for a retained set V plus boundary delta.
 
     Indices 0..m-1 follow `subset` order; index m is delta. params is the
-    wired marginal drawn on (shared, not copied), hat_g the inverse of the
-    V-block of H, psi its harmonic extension of the boundary value 1, gamma
-    the independent Gamma(1/2) coupling and beta_delta the coupled boundary
-    potential. The full kernel hat_g + psi_ext psi_ext^T / (2 gamma) (hat_g
-    zero on delta) is not stored: kernel_row forms one row of it.
+    wired marginal drawn on and sample the draw, whose kept factor solves
+    hat_g, the inverse of the V-block of H (both shared, not copied). psi is
+    hat_g's harmonic extension of the boundary value 1, root_column hat_g's
+    column of the root (zero when the root is delta, where hat_g vanishes),
+    gamma the independent Gamma(1/2) coupling and beta_delta the coupled
+    boundary potential. Neither hat_g nor the full kernel hat_g + psi_ext
+    psi_ext^T / (2 gamma) (hat_g zero on delta) is stored: hat_g_column
+    solves one column, kernel_row forms one row of the kernel from it, and
+    check_identities reads hat_g a tile at a time.
     """
 
     subset: tuple
     params: NuParams
-    hat_g: np.ndarray
+    sample: BandSample
     psi: np.ndarray
+    root_column: np.ndarray
     gamma: float
     beta_delta: float
     i0_index: int
@@ -233,10 +243,19 @@ class GreenBundle:
         """psi extended by 1 at delta."""
         return np.concatenate([self.psi, [1.0]])
 
+    def hat_g_column(self, k: int) -> np.ndarray:
+        """Column k of hat_g on V (k < m): the stored root column, or one
+        solve on the draw's kept factor for any other k."""
+        if k == self.i0_index:
+            return self.root_column
+        e = np.zeros(self.m)
+        e[k] = 1.0
+        return green_solve_banded(self.sample, e).reshape(self.m)
+
     def kernel_row(self, k: int) -> np.ndarray:
         """Row k of the full kernel on V plus delta (k = m is delta's)."""
         return _kernel_row(
-            self.psi, self.hat_g[k] if k < self.m else None, k, self.gamma
+            self.psi, self.hat_g_column(k) if k < self.m else None, k, self.gamma
         )
 
     @property
@@ -259,16 +278,17 @@ def green_bundle(
 ) -> GreenBundle:
     """Solve the restricted systems for the wired marginal of a retained set.
 
-    params is that marginal, marginal_params(g, subset): everything outside
-    `subset` is collapsed to delta, and every component of `subset` must
-    have an edge to delta (RestrictionError otherwise). sample is one
-    environment drawn on params, by sample_banded or as sample_batch's batch
-    of one; hat_g and psi are solved on the factor it kept
-    (green_solve_banded), which raises FactorizationError, hat_g a block of
-    _SOLVE_COLS identity columns at a time and then symmetrized in place.
-    subset labels its positions, which the sample's sites share. gamma is the independent
-    Gamma(1/2, 1) coupling, finite and positive. i0 (a vertex of `subset`,
-    or None for delta) is the root used for the u vector; params is kept.
+    params is that marginal, WiredBand.from_graph(g, subset).params():
+    everything outside `subset` is collapsed to delta, and every component
+    of `subset` must have an edge to delta (RestrictionError otherwise).
+    sample is one environment drawn on params, by sample_banded or as
+    sample_batch's batch of one; psi and the root's column of hat_g are
+    solved on the factor it kept, in one green_solve_banded call on the two
+    right-hand sides [eta, e_root], which raises FactorizationError. subset
+    labels its positions, which the sample's sites share. gamma is the
+    independent Gamma(1/2, 1) coupling, finite and positive. i0 (a vertex of
+    `subset`, or None for delta) is the root used for the u vector; params
+    and sample are kept.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise DomainError("gamma must be positive and finite")
@@ -285,13 +305,13 @@ def green_bundle(
     eta = params.eta
     if not eta.any():
         raise RestrictionError("subset has empty boundary weight vector")
-    hat_g = np.empty((m, m))
-    for c0 in range(0, m, _SOLVE_COLS):
-        c1 = min(c0 + _SOLVE_COLS, m)
-        block = green_solve_banded(sample, np.eye(m, c1 - c0, -c0))
-        hat_g[:, c0:c1] = block.reshape(m, c1 - c0)
-    _symmetrize(hat_g)
-    psi = green_solve_banded(sample, eta).reshape(m)
+    root = m if i0 is None else subset.index(int(i0))
+    rhs = np.zeros((m, 2))
+    rhs[:, 0] = eta
+    if root < m:
+        rhs[root, 1] = 1.0
+    cols = green_solve_banded(sample, rhs).reshape(m, 2)
+    psi = np.ascontiguousarray(cols[:, 0])
     # H is an M-matrix and eta >= 0: psi is exactly 0 on a component that
     # eta does not reach, and positive elsewhere
     if not (psi > 0).all():
@@ -300,25 +320,13 @@ def green_bundle(
     return GreenBundle(
         subset=subset,
         params=params,
-        hat_g=hat_g,
+        sample=sample,
         psi=psi,
+        root_column=np.ascontiguousarray(cols[:, 1]),
         gamma=float(gamma),
         beta_delta=0.5 * float(eta @ psi) + gamma,
-        i0_index=m if i0 is None else subset.index(int(i0)),
+        i0_index=root,
     )
-
-
-def _symmetrize(a: np.ndarray) -> None:
-    """a = 0.5 * (a + a.T) in place, _SOLVE_COLS rows and the mirrored
-    columns at a time, with one such strip of scratch. IEEE addition
-    commutes, so a[i, j] and a[j, i] both get the bits of 0.5 * (a + a.T)."""
-    m = a.shape[0]
-    for i0 in range(0, m, _SOLVE_COLS):
-        i1 = min(i0 + _SOLVE_COLS, m)
-        s = a[i0:i1, i0:] + a[i0:, i0:i1].T
-        s *= 0.5
-        a[i0:i1, i0:] = s
-        a[i0:, i0:i1] = s.T
 
 
 def _kernel_row(psi, ghat_row, k: int, gamma) -> np.ndarray:
@@ -414,43 +422,45 @@ class IdentityReport:
     telescoping: float
 
     def max_residual(self) -> float:
-        return max(
-            self.hg_block,
-            self.full_inverse,
-            self.harmonic,
-            self.beta_reconstruction,
-            self.cauchy_schwarz,
-            self.gcheck_min_violation,
-            self.telescoping,
-        )
+        """The largest field; a NaN field is the result, not skipped."""
+        return float(np.max(astuple(self)))
 
 
 def check_identities(
     bundle: GreenBundle, beta, i0: Optional[int] = None
-) -> IdentityReport:
-    """Recompute the bundle's defining identities and report residuals.
+) -> Tuple[IdentityReport, np.ndarray]:
+    """Recompute the bundle's defining identities: (report of residuals,
+    the diagonal of hat_g read on the way).
 
     Checks: H times hat_g is the identity on the block; the wired operator
     with the coupled boundary potential inverts the full kernel; psi is
     harmonic with boundary value 1; beta is reconstructed from the u-field
     with the root atom 1/(2 G(i0,i0)); hat_g obeys the Cauchy-Schwarz bound
-    entrywise; the complementary kernel Ghat(i0,i0) psi - Ghat(i0,.) psi(i0)
-    is nonnegative; and the quenched exit rates, the row sums of
-    _rate_rows as QuenchedRates forms them, reproduce beta away from the
-    root.
+    for every pair; the complementary kernel Ghat(i0,i0) psi - Ghat(i0,.)
+    psi(i0), on the root's column, is nonnegative; and the quenched exit
+    rates, the row sums of _rate_rows as QuenchedRates forms them,
+    reproduce beta away from the root. beta is the bundle's environment,
+    (m,) or a batch of one (1, m), and finite (DomainError otherwise).
 
-    No dense (m + 1)^2 array is formed. The rates are summed _SOLVE_COLS
-    rows at a time, on _wired_rows. hat_g and the full kernel are read
-    _SOLVE_COLS columns at a time, each tile as the same rows of the
-    symmetric matrix, and H is applied to each tile by _h_rows, through the
-    nonzeros of W; every residual and norm scale is a running maximum.
+    No dense (m + 1)^2 array is formed. hat_g is solved on the kept factor
+    _SOLVE_COLS columns at a time, read as the same rows of the symmetric
+    matrix, and the full kernel is formed beside each tile; H is applied to
+    both by _h_rows, through W's nonzeros, and the rates are summed
+    _SOLVE_COLS rows at a time on _wired_rows. A tile's rows meet the
+    Cauchy-Schwarz bound against the columns up to its end, whose diagonal
+    is solved by then, so every pair is checked. Every residual and norm
+    scale is a running maximum.
     """
     m = bundle.m
     b = np.asarray(beta, dtype=float)
+    if b.shape not in ((m,), (1, m)):
+        raise DomainError(f"beta must have shape ({m},) or (1, {m})")
+    b = b.reshape(m)
+    if not np.isfinite(b).all():
+        raise DomainError("beta must be finite")
     root = bundle.i0_index if i0 is None else bundle.position(i0)
     params = bundle.params
     eta = params.eta
-    hat_g = bundle.hat_g
     beta_ext = bundle.beta_ext(b)
     psi_e = bundle.psi_ext()
 
@@ -490,35 +500,43 @@ def check_identities(
 
     # normwise relative residuals: the atom 1/(2 gamma) can make the kernel
     # huge, so |HX - I| alone would just measure conditioning
-    d = np.sqrt(np.diag(hat_g))
+    diag = np.empty(m)
     g_max = k_max = cs_max = e_hg = e_full = 0.0
-    for c0 in range(0, m + 1, _SOLVE_COLS):
-        c1 = min(c0 + _SOLVE_COLS, m + 1)
-        # rows c0:c1 of hat_g are its columns c0:c1: _symmetrize leaves it
-        # symmetric bit for bit. The last tile holds delta, where hat_g is 0
-        g = hat_g[c0:c1]
+    for c0 in range(0, m, _SOLVE_COLS):
+        c1 = min(c0 + _SOLVE_COLS, m)
+        # columns c0:c1 of hat_g, read as its rows c0:c1
+        tile = green_solve_banded(bundle.sample, np.eye(m, c1 - c0, -c0))
+        g = np.ascontiguousarray(tile.reshape(m, c1 - c0).T)
+        del tile
+        a = np.arange(c1 - c0)
+        diag[c0:c1] = g[a, c0 + a]
         g_max = max(g_max, g.max(initial=0.0), -g.min(initial=0.0))
-        cs_max = max(cs_max, (g - np.outer(d[c0:c1], d)).max(initial=0.0))
+        d = np.sqrt(diag[:c1])
+        cs = np.outer(d[c0:], d)
+        cs_max = max(cs_max, np.subtract(g[:, :c1], cs, out=cs).max(initial=0.0))
+        del cs
         e_hg = max(e_hg, off_identity(_h_rows(g, h_diag, eta, nbr, w)[0], c0))
-        k = np.outer(psi_e[c0:c1], psi_e)
+        # the last tile's kernel rows end with delta's, where hat_g is 0
+        k = np.outer(psi_e[c0 : c1 + (c1 == m)], psi_e)
         k /= 2.0 * bundle.gamma
-        k[: len(g), :m] += g
+        k[: c1 - c0, :m] += g
+        del g
         k_max = max(k_max, k.max(), -k.min())
         yv, y_delta = _h_rows(k, h_diag, eta, nbr, w)
         del k
-        y_delta[len(g) :] -= 1.0
+        y_delta[c1 - c0 :] -= 1.0
         e_full = max(e_full, off_identity(yv, c0), np.abs(y_delta).max())
         del yv
     r_hg = rel(e_hg, max(h_max * g_max, 1.0))
     r_full = rel(e_full, max(h_ext_max * k_max, 1.0))
     r_cs = rel(cs_max, max(g_max, 1.0))
 
-    # the root row of hat_g, zero on delta
-    hrow = np.append(hat_g[root], 0.0) if root < m else np.zeros(m + 1)
+    # the root's column of hat_g, zero on delta
+    hrow = np.append(bundle.hat_g_column(root), 0.0) if root < m else np.zeros(m + 1)
     gcheck = hrow[root] * psi_e - hrow * psi_e[root]
     r_gc = rel(max(-gcheck.min(), 0.0), max(psi_e.max(), 1.0))
 
-    return IdentityReport(
+    report = IdentityReport(
         hg_block=r_hg,
         full_inverse=r_full,
         harmonic=r_harm,
@@ -527,3 +545,4 @@ def check_identities(
         gcheck_min_violation=r_gc,
         telescoping=r_tel,
     )
+    return report, diag

@@ -9,8 +9,9 @@ induced subgraph, and banded Green solves by a fresh factorization of H_beta
 It also holds the closed forms and reference routines that no criterion,
 experiment or CLI command runs, with their own error classes: the field's
 density and a dense Cholesky certificate of H_beta, a dense LDL^T of H_beta
-for a chosen beta in the layout a draw keeps its factor in, a Green
-bundle's wired conductances and full kernel as dense arrays, its
+for a chosen beta in the layout a draw keeps its factor in, a graph's own
+weights in band storage, a Green bundle's hat_g (every column solved on
+its kept factor), wired conductances and full kernel as dense arrays, its
 identity residuals from dense products (the streamed check's twin), the one-site
 Schur step (the exact conditional law given some sites), the band
 sampler's elimination order (R, B) built site by site, the annealed
@@ -51,6 +52,7 @@ from vrjp import (
     build_lattice_box,
     gig_half_sample,
     green_bundle,
+    green_solve_banded,
     sample_batch,
     stream,
 )
@@ -329,6 +331,24 @@ def factored(params: NuParams, beta) -> BandSample:
     return BandSample(beta, _pivots_ok(pivots, np.diag(h)), rows=rows, pivots=pivots)
 
 
+def banded_coupling(g: WeightedGraph):
+    """Row-skewed band storage of g's weight matrix, from its edges: (band,
+    bw) with band[i, d] = W[i, i + d] for d = 0..bw."""
+    i, j = np.array([e[:2] for e in g.edges], dtype=np.intp).reshape(-1, 2).T
+    bw = int((j - i).max(initial=0))
+    band = np.zeros((g.n, bw + 1))
+    band[i, j - i] = [e[2] for e in g.edges]
+    return band, bw
+
+
+def solved_hat_g(bundle) -> np.ndarray:
+    """The bundle's hat_g as one dense array, every column solved on its
+    draw's kept factor in one green_solve_banded call; row k holds column k
+    (hat_g is symmetric), the column kernel_row(k) reads."""
+    m = bundle.m
+    return green_solve_banded(bundle.sample, np.eye(m)).reshape(m, m).T
+
+
 def wired_w(params: NuParams) -> np.ndarray:
     """The wired conductances on the retained set plus delta, delta last:
     params.p with eta on the last row and column, built densely."""
@@ -340,13 +360,16 @@ def wired_w(params: NuParams) -> np.ndarray:
     return w
 
 
-def full_kernel(bundle) -> np.ndarray:
+def full_kernel(bundle, hat_g=None) -> np.ndarray:
     """The bundle's full kernel on the retained set plus delta as one dense
-    array: hat_g + psi psi^T / (2 gamma) on the block, psi / (2 gamma) on the
-    delta row and column and 1 / (2 gamma) at (delta, delta)."""
+    array: hat_g (solved_hat_g's by default) + psi psi^T / (2 gamma) on the
+    block, psi / (2 gamma) on the delta row and column and 1 / (2 gamma) at
+    (delta, delta)."""
     m, psi, gamma = bundle.m, bundle.psi, bundle.gamma
+    if hat_g is None:
+        hat_g = solved_hat_g(bundle)
     g = np.empty((m + 1, m + 1))
-    g[:m, :m] = bundle.hat_g + np.outer(psi, psi) / (2.0 * gamma)
+    g[:m, :m] = hat_g + np.outer(psi, psi) / (2.0 * gamma)
     g[:m, m] = psi / (2.0 * gamma)
     g[m, :m] = psi / (2.0 * gamma)
     g[m, m] = 1.0 / (2.0 * gamma)
@@ -356,9 +379,10 @@ def full_kernel(bundle) -> np.ndarray:
 def dense_identities(bundle, beta, i0: Optional[int] = None) -> IdentityReport:
     """check_identities computed on dense arrays: the wired W, H and the full
     kernel formed whole and multiplied whole, every field with the streamed
-    check's meaning."""
+    check's meaning, with hat_g from solved_hat_g."""
     m = bundle.m
-    b = np.asarray(beta, dtype=float)
+    b = np.asarray(beta, dtype=float).reshape(m)
+    hat_g = solved_hat_g(bundle)
     root = bundle.i0_index if i0 is None else bundle.position(i0)
     w = wired_w(bundle.params)
     eta = bundle.params.eta
@@ -386,17 +410,17 @@ def dense_identities(bundle, beta, i0: Optional[int] = None) -> IdentityReport:
     r_beta = rel(np.abs(recon - beta_ext).max(), np.abs(beta_ext).max())
 
     h = h_beta(w, beta_ext)
-    r_hg = inv_resid(h[:m, :m], bundle.hat_g)
+    r_hg = inv_resid(h[:m, :m], hat_g)
     kernel = np.outer(psi_e, psi_e)
     kernel /= 2.0 * bundle.gamma
-    kernel[:m, :m] += bundle.hat_g
+    kernel[:m, :m] += hat_g
     r_full = inv_resid(h, kernel)
 
-    d = np.sqrt(np.diag(bundle.hat_g))
-    cs = bundle.hat_g - np.outer(d, d)
-    r_cs = rel(max(cs.max(), 0.0), max(np.abs(bundle.hat_g).max(), 1.0))
+    d = np.sqrt(np.diag(hat_g))
+    cs = hat_g - np.outer(d, d)
+    r_cs = rel(max(cs.max(), 0.0), max(np.abs(hat_g).max(), 1.0))
 
-    hrow = np.append(bundle.hat_g[root], 0.0) if root < m else np.zeros(m + 1)
+    hrow = np.append(hat_g[root], 0.0) if root < m else np.zeros(m + 1)
     gcheck = hrow[root] * psi_e - hrow * psi_e[root]
     r_gc = rel(max(-gcheck.min(), 0.0), max(psi_e.max(), 1.0))
 
@@ -890,7 +914,7 @@ def h_transform_rates(bundle, i0, mode: str) -> QuenchedRates:
     m = bundle.m
     w = wired_w(bundle.params)
     # the root row of hat_g, zero on delta
-    hrow = np.append(bundle.hat_g[p0], 0.0)
+    hrow = np.append(solved_hat_g(bundle)[p0], 0.0)
     psi_e = bundle.psi_ext()
     grow = full_kernel(bundle)[p0]
     exit0 = 0.5 * float((w[p0] * grow).sum()) / grow[p0]

@@ -22,12 +22,10 @@ from vrjp import (
     SizeError,
     WeightedGraph,
     WiredBand,
-    banded_coupling,
     build_lattice_box,
     gig_half_sample,
     green_solve_banded,
     laplace_closed_form,
-    marginal_params,
     sample_banded,
     sample_batch,
     stream,
@@ -42,6 +40,7 @@ from _oracles import (
     SE_RULE,
     ALPHA,
     NoDraws,
+    banded_coupling,
     density,
     density_mass_pair,
     gig_mean_quadrature,
@@ -134,7 +133,7 @@ class TestNuParams:
     def test_marginal_params_of_box_subset(self):
         g = build_lattice_box(2, 1)
         subset = [4]  # center
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         assert params.p.shape == (1, 1) and params.p[0, 0] == 0.0
         assert params.eta[0] == 4.0
         # in subset order, with zero eta for the full vertex set, exactly as
@@ -145,7 +144,7 @@ class TestNuParams:
             n=g.n, edges=tuple((i, j, x) for (i, j, _), x in zip(g.edges, w))
         )
         for subset in ([12, 7, 13, 11, 17, 6], list(range(g.n))[::-1], [3]):
-            params = marginal_params(g, subset)
+            params = WiredBand.from_graph(g, subset).params()
             want = reference_marginal_params(g, subset)
             np.testing.assert_array_equal(params.p, want.p)
             np.testing.assert_array_equal(params.eta, want.eta)
@@ -153,7 +152,7 @@ class TestNuParams:
     @pytest.mark.parametrize("subset", [[-1, 0], [0, 0, 1], [0, 25], []])
     def test_marginal_params_refuses_bad_subset(self, subset):
         with pytest.raises(DomainError):
-            marginal_params(build_lattice_box(2, 2), subset)
+            WiredBand.from_graph(build_lattice_box(2, 2), subset).params()
 
 
 class TestLaplaceClosedForm:
@@ -370,7 +369,7 @@ class TestSequentialSampler:
         assert gap <= SE_RULE * np.hypot(se(a), se(b))
 
     def test_positivity_certificate_always_set(self):
-        params = marginal_params(build_lattice_box(2, 1), [0, 1, 3, 4])
+        params = WiredBand.from_graph(build_lattice_box(2, 1), [0, 1, 3, 4]).params()
         rng = stream(21, "cert")
         assert all(
             spd_certificate(params.p, sample_batch(params, 1, rng).beta[0])
@@ -411,9 +410,9 @@ class TestSequentialSampler:
 
 def _wired_box(dim: int, radius: int) -> NuParams:
     g = build_lattice_box(dim, radius + 1)
-    return marginal_params(
+    return WiredBand.from_graph(
         g, [v for v in range(g.n) if int(np.abs(g.coords[v]).max()) <= radius]
-    )
+    ).params()
 
 
 # sha256 of sample_batch(_wired_box(2, 2), S, stream(20, "beta-pin", S)).beta
@@ -803,7 +802,7 @@ class TestBandedSampler:
     def test_banded_law_matches_closed_form(self):
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         sub = build_lattice_box(1, 1)  # same interior adjacency, reindexed
         band, _bw = banded_coupling(sub)
         rng = stream(31, "banded")
@@ -819,7 +818,7 @@ class TestBandedSampler:
         # even sites, B the 4 odd ones, one panel
         g = build_lattice_box(2, 2)
         subset = [6, 7, 8, 11, 12, 13, 16, 17, 18]
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         band, _bw = banded_coupling(build_lattice_box(2, 1))
         rng = stream(38, "two-level")
         beta = np.array(
@@ -953,7 +952,7 @@ class TestBlockedBandKernel:
         # sites split its bandwidth-3 band into 4, 4 and 1
         g = build_lattice_box(2, 2)
         subset = [6, 7, 8, 11, 12, 13, 16, 17, 18]
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         band, bw = banded_coupling(build_lattice_box(2, 1))
         assert bw == 3
         rng = stream(37, "blocked")
@@ -1041,7 +1040,7 @@ class TestWiredBand:
         band, eta = WiredBand.from_graph(g, subset).fill()
         rng_got, rng_want = stream(73, "wired", dim), stream(73, "wired", dim)
         sample = sample_banded(band, eta, rng_got)
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         order = two_level_order(params.p)
         want = reference_sample_batch(params, 1, rng_want, order=order)[0]
         _assert_same_draws(sample.beta, want, rng_got, rng_want)

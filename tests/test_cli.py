@@ -178,7 +178,7 @@ class TestGreen:
         g = vrjp.build_lattice_box(dim, radius + 1, 1.0)
         subset = [v for v in range(g.n) if max(map(abs, g.coords[v])) <= radius]
         rng = vrjp.stream(5, "cli-green")
-        params = vrjp.marginal_params(g, subset)
+        params = vrjp.WiredBand.from_graph(g, subset).params()
         want = reference_sample_batch(
             params, 1, rng, order=two_level_order(params.p)
         )[0]
@@ -499,7 +499,10 @@ class TestTrajectoryBytes:
 # Cholesky factor of H_beta to the draw's kept factor: beta and gamma kept
 # their bits, and psi, u, the root row and the residuals moved by rounding.
 # green's and experiment's data files were taken again when the band draw
-# became two-level, which consumes the generator in the order (R, B)
+# became two-level, which consumes the generator in the order (R, B).
+# green.csv was taken again when the bundle stopped storing a symmetrized
+# hat_g: the root row is now the root's solved column, and one cell of u and
+# of green_root_row moved by an ulp; summary.json kept its bits
 RUNS = {
     "sample-beta": (
         ["sample-beta", "--dim", "2", "--radius", "1", "--n", "20", "--seed", "11"],
@@ -512,7 +515,7 @@ RUNS = {
     ),
     "green": (
         ["green", "--dim", "2", "--radius", "2", "--seed", "3"],
-        {"green.csv": "2ea0e894cf972ae79b9d73e5273c897a1ea9267cbaf513e67860c31dfba414f3",
+        {"green.csv": "fdccfc4856bf17565df680f82f451841c9f6282e0db5c1a6d97f8f4a5963a247",
          "summary.json":
              "4add0d498d789fe161535a1a7c1a9513b933687448a799ad1e86fd7b33cfc52f"},
         {"command": "green",
@@ -610,6 +613,24 @@ class TestSimulateQuenched:
         assert all(r["entry_time"] == "" for r in rows)
         labels = {r["vertex"] for r in rows}
         assert labels <= {"0", "1", "2", "3", "4", "delta"}
+
+    def test_solves_two_right_hand_sides_in_all(self, tmp_path, monkeypatch):
+        # eta and the root's unit vector, in one solve on the kept factor:
+        # the chain reads psi and the root's column of hat_g alone
+        solve = vrjp.schrodinger.green_solve_banded
+        columns = []
+
+        def counted(sample, rhs):
+            columns.append(np.asarray(rhs).reshape(sample.pivots.shape[0], -1).shape[1])
+            return solve(sample, rhs)
+
+        monkeypatch.setattr(vrjp.schrodinger, "green_solve_banded", counted)
+        rc = main(
+            ["simulate", "--process", "quenched", "--dim", "2", "--radius",
+             "4", "--steps", "100", "--seed", "2", "--out", str(tmp_path / "run")]
+        )
+        assert rc == 0
+        assert columns == [2]
 
     def test_rejects_graph_file(self, tmp_path, graph_file):
         rc = main(

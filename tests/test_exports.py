@@ -30,7 +30,9 @@ def test_all_names_resolve_once(name):
 
 
 # names the package does not export, each with the module that held them:
-# test oracles and helpers (tests/_oracles.py), sample_sequential and
+# test oracles and helpers (tests/_oracles.py; banded_coupling had no
+# product caller), marginal_params, which was the one line
+# WiredBand.from_graph(g, subset).params(), sample_sequential and
 # BetaSample, whose work sample_batch and BandSample do, rooted_u_samples,
 # which is harness._rooted_u_samples, harness.ALPHA, which only
 # verify.ALPHA is, verify._beta_chunks, whose loop is verify._draws, and
@@ -45,6 +47,8 @@ REMOVED = {
         "log_density",
         "schur_step",
         "sample_errw_env",
+        "banded_coupling",
+        "marginal_params",
     ],
     "graphs": [
         "enumerate_paths",
@@ -133,5 +137,5 @@ def test_removed_keyword_is_gone(func, name):
     assert name not in params, f"{func} still takes {name}"
 
 
-def test_package_exports_51_names():
-    assert len(vrjp.__all__) == 51
+def test_package_exports_49_names():
+    assert len(vrjp.__all__) == 49

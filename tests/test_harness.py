@@ -17,7 +17,6 @@ from vrjp import (
     TestError,
     Trajectory,
     WeightedGraph,
-    banded_coupling,
     build_lattice_box,
     conductance_ratio_experiment,
     cosh_moment_experiment,
@@ -37,6 +36,7 @@ from _oracles import (
     ALPHA,
     SE_RULE,
     NoDraws,
+    banded_coupling,
     diffusion_estimate,
     ks_test,
     reference_conductance_ratio,

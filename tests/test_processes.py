@@ -24,7 +24,6 @@ from vrjp import (
     escape_probability_formula,
     green_bundle,
     green_solve_banded,
-    marginal_params,
     markov_words,
     mc_return_probability,
     quenched_mjp,
@@ -54,6 +53,7 @@ from _oracles import (
     reference_simulate_vrjp,
     reference_vrjp_lattice,
     se,
+    solved_hat_g,
     time_change_maps,
     wired_w,
     zscore,
@@ -82,7 +82,7 @@ def wheel(n, w=1.0):
 
 def wired_env(g, subset, rng, i0=None):
     """One field draw plus coupling on the retained set of g."""
-    params = marginal_params(g, subset)
+    params = WiredBand.from_graph(g, subset).params()
     sample = sample_batch(params, 1, rng)
     gamma = float(rng.gamma(0.5, 1.0))
     return green_bundle(params, sample, subset, gamma, i0=i0)
@@ -390,7 +390,7 @@ class TestQuenchedRates:
         g = build_lattice_box(1, 3)
         subset = [1, 2, 3, 4, 5]
         rng = stream(4, "exit")
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         sample = sample_batch(params, 1, rng)
         beta = sample.beta[0]
         bundle = green_bundle(params, sample, subset, float(rng.gamma(0.5)), i0=3)
@@ -520,7 +520,7 @@ class TestQuenchedRates:
         # or not
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 24)]
-        w = wired_w(marginal_params(g, subset))
+        w = wired_w(WiredBand.from_graph(g, subset).params())
         rows = stream(4, "batch-rates").uniform(0.5, 2.0, size=(2, 3, w.shape[0]))
         batch = QuenchedRates.from_green(w, rows, 7)
         assert batch.rates.shape == (2, 3) + w.shape and batch.size == w.shape[0]
@@ -597,8 +597,9 @@ class TestEscapeProbability:
                 if pi == p0:
                     continue
                 esc = escape_probability_formula(bundle, 3, i)
-                grow = full_kernel(bundle)[p0]
-                h = bundle.hat_g[p0, pi] * grow[p0] / (bundle.hat_g[p0, p0] * grow[pi])
+                hat_g = solved_hat_g(bundle)
+                grow = full_kernel(bundle, hat_g)[p0]
+                h = hat_g[p0, pi] * grow[p0] / (hat_g[p0, p0] * grow[pi])
                 assert abs(h + esc - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("dim, radii", [(1, (1, 2, 5)), (2, (1, 2, 3)), (3, (1, 2))])
@@ -614,7 +615,7 @@ class TestEscapeProbability:
                 bundle = wired_box_env(dim, radius, w, rng, i0)
                 exit0 = QuenchedRates.from_bundle(bundle).exit[i0]
                 psi0 = bundle.psi[i0]
-                g00 = bundle.hat_g[i0, i0]
+                g00 = solved_hat_g(bundle)[i0, i0]
                 grow = bundle.kernel_row(i0)
                 want = float(psi0**2 / (4.0 * bundle.gamma * exit0 * g00 * grow[i0]))
                 assert escape_probability_formula(bundle, i0, i0) == want
@@ -624,7 +625,7 @@ class TestEscapeProbability:
             n=5,
             edges=((0, 1, 1e-8), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1e-8)),
         )
-        params = marginal_params(g, [1, 2, 3])
+        params = WiredBand.from_graph(g, [1, 2, 3]).params()
         bundle = green_bundle(
             params, factored(params, np.ones(3)), [1, 2, 3], gamma=0.5, i0=2
         )
@@ -656,7 +657,7 @@ class TestHTransform:
         for _ in range(5):
             bundle = wired_env(g, [1, 2, 3, 4, 5], rng, i0=2)
             p0 = bundle.i0_index
-            hrow = np.append(bundle.hat_g[p0], 0.0)
+            hrow = np.append(solved_hat_g(bundle)[p0], 0.0)
             psi_e = bundle.psi_ext()
             gcheck = hrow[p0] * psi_e - hrow * psi_e[p0]
             assert (gcheck >= -1e-12).all()
@@ -665,7 +666,7 @@ class TestHTransform:
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
         rng = stream(6, "gfree")
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         sample = sample_batch(params, 1, rng)
         b_lo = green_bundle(params, sample, subset, gamma=0.2, i0=2)
         b_hi = green_bundle(params, sample, subset, gamma=1.7, i0=2)
@@ -737,7 +738,7 @@ class TestHTransform:
                 assert abs(phat - p) <= tol
 
     def test_unreachable_conditioning_raises(self):
-        params = marginal_params(pair(), [0])
+        params = WiredBand.from_graph(pair(), [0]).params()
         bundle = green_bundle(params, factored(params, [0.9]), [0], gamma=0.4, i0=0)
         with pytest.raises(ConditioningError):
             h_transform_rates(bundle, 0, "return")
@@ -822,6 +823,16 @@ class TestMcReturnProbability:
         with pytest.raises(DomainError, match=match):
             mc_return_probability(rates, i0, absorb, n, NoDraws())
 
+    @pytest.mark.parametrize("n", [10.0, True, "10"], ids=["float", "bool", "str"])
+    def test_refuses_a_chain_count_that_is_not_whole(self, n):
+        # np.full would raise its own TypeError on 10.0 and "10", and take
+        # True as one chain
+        rates = QuenchedRates(
+            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.array([1.0, 1.0]), i0=0
+        )
+        with pytest.raises(DomainError, match="n must be a whole number"):
+            mc_return_probability(rates, 0, {0}, n, NoDraws())
+
     def test_prob_refuses_a_state_outside_the_absorbing_set(self):
         rates = QuenchedRates(
             rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.array([1.0, 1.0]), i0=0
@@ -841,10 +852,13 @@ class TestMcReturnProbability:
             (5, {0: -1}),
             (5, {0: 1.5}),
             (5, {0: 3, 1: 3}),
+            (True, {0: 1}),
+            (5, {0: True}),
         ],
         ids=[
             "no-chains", "negative-n", "fractional-n", "count-past-n",
             "negative-count", "fractional-count", "counts-sum-past-n",
+            "bool-n", "bool-count",
         ],
     )
     def test_report_refuses_counts_no_chains_could_give(self, n, counts):

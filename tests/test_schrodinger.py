@@ -14,23 +14,24 @@ from scipy import integrate
 from vrjp import (
     DomainError,
     FactorizationError,
+    IdentityReport,
     NuParams,
     RestrictionError,
     SizeError,
     WeightedGraph,
     WiredBand,
-    banded_coupling,
     build_lattice_box,
     check_identities,
+    escape_probability_formula,
     green_bundle,
     green_solve,
     green_solve_banded,
-    marginal_params,
     sample_banded,
     sample_batch,
     stream,
 )
 
+from vrjp import verify
 from vrjp.betafield import h_beta
 from vrjp.schrodinger import _SOLVE_BLOCK, _kernel_row
 
@@ -38,6 +39,7 @@ from _oracles import (
     SE_RULE,
     EnumerationError,
     assemble_H,
+    banded_coupling,
     dense_identities,
     factored,
     full_kernel,
@@ -45,6 +47,7 @@ from _oracles import (
     reference_green_solve_banded,
     schur_step,
     se,
+    solved_hat_g,
     spectrum_bottom,
     total_weights,
     truncated_green_pathsum,
@@ -61,7 +64,7 @@ def pair():
 def wired_beta_envs(g, subset, n, rng):
     """Field samples on the retained set, as one batch with its kept factor,
     plus independent couplings."""
-    sample = sample_batch(marginal_params(g, subset), n, rng)
+    sample = sample_batch(WiredBand.from_graph(g, subset).params(), n, rng)
     gamma = rng.gamma(0.5, 1.0, size=n)
     return sample, gamma
 
@@ -105,7 +108,7 @@ class TestAssembleH:
             with pytest.raises(SizeError):
                 assemble_H(g, beta)
             # the marginal on two sites needs only their 2 x 2 block
-            params = marginal_params(g, [0, 1])
+            params = WiredBand.from_graph(g, [0, 1]).params()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,9 +232,9 @@ def _gate_marginal(name):
         return WiredBand.from_graph(build_lattice_box(2, 1), [0, 1, 3, 4]).params()
     g = build_lattice_box(2, 3)
     radius = 1 if name == "c6-3x3" else 2
-    return marginal_params(
+    return WiredBand.from_graph(
         g, [v for v in range(g.n) if int(np.abs(g.coords[v]).max()) <= radius]
-    )
+    ).params()
 
 
 class TestGreenSolveBandedBatch:
@@ -307,9 +310,9 @@ def test_green_solves_refuse_a_beta_of_the_wrong_shape(banded, shape):
 class TestGreenBundle:
     def test_single_retained_vertex_closed_form(self):
         g = pair()
-        params = marginal_params(g, [0])
+        params = WiredBand.from_graph(g, [0]).params()
         bundle = green_bundle(params, factored(params, [0.8]), [0], gamma=0.3)
-        assert bundle.hat_g[0, 0] == pytest.approx(1.0 / 1.6, rel=1e-12)
+        assert solved_hat_g(bundle)[0, 0] == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert bundle.psi[0] == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert bundle.kernel_row(1)[1] == pytest.approx(1.0 / 0.6, rel=1e-12)
         assert bundle.beta_delta == pytest.approx(0.5 * bundle.psi[0] + 0.3, rel=1e-12)
@@ -320,7 +323,7 @@ class TestGreenBundle:
         # inverse of an H_beta that h_beta forms anew, and its product with eta
         g = build_lattice_box(2, 3)
         subset = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 2]
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         rng = stream(23, "bundle-factor", sampler)
         if sampler == "sample_banded":
             sample = sample_banded(*WiredBand.from_graph(g, subset).fill(), rng)
@@ -330,17 +333,22 @@ class TestGreenBundle:
             beta = sample.beta[0]
         bundle = green_bundle(params, sample, subset, gamma=0.7, i0=subset[12])
         inverse = np.linalg.inv(h_beta(params.p, beta))
-        np.testing.assert_allclose(bundle.hat_g, inverse, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(solved_hat_g(bundle), inverse, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(bundle.psi, inverse @ params.eta, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            bundle.root_column, inverse[:, 12], rtol=1e-12, atol=0.0
+        )
 
     def test_decomposition_identity_random_box(self):
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 24)]
         rng = stream(51, "decomp")
         sample, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0])
+        params = WiredBand.from_graph(g, subset).params()
+        bundle = green_bundle(params, sample, subset, gamma[0])
         m = bundle.m
-        recon = bundle.hat_g + np.outer(bundle.psi, bundle.psi) / (2.0 * gamma[0])
+        hat_g = solved_hat_g(bundle)
+        recon = hat_g + np.outer(bundle.psi, bundle.psi) / (2.0 * gamma[0])
         kernel = np.array([bundle.kernel_row(k) for k in range(m)])
         rel = np.abs(kernel[:, :m] - recon) / np.abs(recon)
         assert rel.max() <= 1e-9
@@ -351,7 +359,7 @@ class TestGreenBundle:
         n = 100_000
         gamma = rng.gamma(0.5, 1.0, size=n)
         sub = rng.integers(0, n, size=200)
-        params = marginal_params(g, [0])
+        params = WiredBand.from_graph(g, [0]).params()
         for k in sub[:5]:
             bundle = green_bundle(params, factored(params, [1.0]), [0], gamma=gamma[k])
             assert bundle.kernel_row(1)[1] == pytest.approx(
@@ -365,7 +373,8 @@ class TestGreenBundle:
         subset = [1, 2, 3]
         rng = stream(51, "ext")
         sample, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0], i0=2)
+        params = WiredBand.from_graph(g, subset).params()
+        bundle = green_bundle(params, sample, subset, gamma[0], i0=2)
         assert (bundle.psi > 0).all()
         assert bundle.psi_ext()[bundle.delta_index] == 1.0
         assert bundle.u[bundle.i0_index] == 0.0
@@ -379,7 +388,7 @@ class TestGreenBundle:
         # densely in one piece, on a drawn and on a chosen-beta bundle
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 24)]
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         if drawn:
             sample = sample_batch(params, 1, stream(52, "kernel-rows"))
         else:
@@ -396,11 +405,11 @@ class TestGreenBundle:
     def test_kernel_row_of_one_environment_is_the_dense_root_row(self, i0):
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 24)]
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         sample = sample_batch(params, 1, stream(52, "root-row"))
         bundle = green_bundle(params, sample, subset, gamma=0.4, i0=i0)
         k = bundle.i0_index
-        ghat = bundle.hat_g[k] if k < bundle.m else None
+        ghat = bundle.root_column if k < bundle.m else None
         row = _kernel_row(bundle.psi, ghat, k, bundle.gamma)
         assert np.array_equal(row, full_kernel(bundle)[k])
 
@@ -412,44 +421,64 @@ class TestGreenBundle:
         sample, gamma = wired_beta_envs(g, subset, 5, stream(52, "root-rows"))
         m, k = len(subset), 7
         hat = green_solve_banded(sample, np.eye(m))
-        psi = green_solve_banded(sample, marginal_params(g, subset).eta)
+        psi = green_solve_banded(sample, WiredBand.from_graph(g, subset).params().eta)
         rows = _kernel_row(psi, hat[:, :, k], k, gamma)
         assert rows.shape == (5, m + 1)
         for s in range(5):
-            env = SimpleNamespace(m=m, psi=psi[s], gamma=gamma[s], hat_g=hat[s].T)
-            assert np.array_equal(rows[s], full_kernel(env)[k])
+            env = SimpleNamespace(m=m, psi=psi[s], gamma=gamma[s])
+            assert np.array_equal(rows[s], full_kernel(env, hat[s].T)[k])
 
     def test_keeps_only_what_it_solved(self):
-        # the marginal is shared, and no dense (m + 1)^2 array is stored
+        # the marginal and the draw are shared, and no (m, m) or larger
+        # array is stored: the arrays held are vectors on the retained set
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 24)]
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         sample = sample_batch(params, 1, stream(52, "bundle-arrays"))
         bundle = green_bundle(params, sample, subset, gamma=0.4)
-        assert bundle.params is params
+        assert bundle.params is params and bundle.sample is sample
         held = [x for x in vars(bundle).values() if isinstance(x, np.ndarray)]
-        assert held and all(x.size < (bundle.m + 1) ** 2 for x in held)
+        assert held and all(x.shape == (bundle.m,) for x in held)
+
+    def test_holds_no_dense_array_beyond_its_inputs(self):
+        # psi and the root's column are one solve of two right-hand sides
+        # on the kept factor: no (m + 1)^2 array on the 441-site box. The
+        # solve's copy of B's band factor, 0.025 of an array here, is half
+        # of the peak; the labels come as the tuple the bundle keeps
+        wired = WiredBand.box(2, 10, 1.0)
+        params = wired.params()
+        sample = sample_banded(*wired.fill(), stream(52, "bundle-peak"))
+        m = wired.n
+        subset = tuple(range(m))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            green_bundle(params, sample, subset, gamma=0.4, i0=m // 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 8 * (m + 1) ** 2
 
     def test_errors(self):
         g = pair()
-        one = marginal_params(g, [0])
+        one = WiredBand.from_graph(g, [0]).params()
         for gamma in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(DomainError):
                 green_bundle(one, factored(one, [1.0]), [0], gamma=gamma)
         with pytest.raises(DomainError):
-            two = marginal_params(g, [0, 0])
+            two = WiredBand.from_graph(g, [0, 0]).params()
             green_bundle(two, factored(two, [1.0, 1.0]), [0, 0], gamma=1.0)
         flat = NuParams(p=np.zeros((2, 2)), eta=np.ones(2))
         with pytest.raises(DomainError):
             green_bundle(flat, factored(flat, [1.0, 1.0]), [0, 0], gamma=1.0)
         with pytest.raises(DomainError):
             green_bundle(one, factored(one, [1.0]), [0, 1], gamma=1.0)
-        closed = marginal_params(g, [0, 1])
+        closed = WiredBand.from_graph(g, [0, 1]).params()
         with pytest.raises(RestrictionError):
             green_bundle(closed, factored(closed, [1.0, 1.0]), [0, 1], gamma=1.0)
         # a batch of two environments is not one environment
         path = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-        params = marginal_params(path, [0, 1])
+        params = WiredBand.from_graph(path, [0, 1]).params()
         batch = sample_batch(params, 2, stream(3, "bundle-batch"))
         with pytest.raises(DomainError, match="one environment"):
             green_bundle(params, batch, [0, 1], gamma=1.0)
@@ -472,7 +501,7 @@ class TestGreenBundle:
         # on them and u would be log 0
         g = WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
         subset = [0, 1, 2]
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         rng = stream(4, "zero-row")
         sample = sample_batch(params, 1, rng)
         with np.errstate(all="raise"):
@@ -482,7 +511,7 @@ class TestGreenBundle:
     def test_refuses_a_root_outside_the_retained_set(self):
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         with pytest.raises(DomainError, match="not in the retained set"):
             green_bundle(params, factored(params, np.ones(3)), subset, gamma=1.0, i0=0)
 
@@ -558,7 +587,7 @@ class TestQDensity:
         rng = stream(61, "eu")
         n = 10_000
         sample, gamma = wired_beta_envs(g, subset, n, rng)
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         eu = np.empty((n, 2))
         for k in range(n):
             env = factored(params, sample.beta[k])
@@ -606,16 +635,19 @@ class TestSpectrumBottom:
         assert spectrum_bottom(assemble_H(g, beta)) == pytest.approx(2.0 * c, abs=1e-10)
 
 
+FIELDS = [f.name for f in dataclasses.fields(IdentityReport)]
+
+
 class TestCheckIdentities:
     def test_residuals_small_over_environments(self):
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v != 12]
         rng = stream(81, "ids")
         sample, gamma = wired_beta_envs(g, subset, 25, rng)
-        params = marginal_params(g, subset)
+        params = WiredBand.from_graph(g, subset).params()
         for k, beta in enumerate(sample.beta):
             bundle = green_bundle(params, factored(params, beta), subset, gamma[k])
-            report = check_identities(bundle, beta)
+            report, _ = check_identities(bundle, beta)
             assert report.max_residual() <= 1e-9
 
     def test_root_atom_negative_control(self):
@@ -626,8 +658,9 @@ class TestCheckIdentities:
         rng = stream(81, "atom")
         sample, gamma = wired_beta_envs(g, subset, 1, rng)
         beta = sample.beta
-        bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0], i0=2)
-        report = check_identities(bundle, beta[0], i0=2)
+        params = WiredBand.from_graph(g, subset).params()
+        bundle = green_bundle(params, sample, subset, gamma[0], i0=2)
+        report, _ = check_identities(bundle, beta[0], i0=2)
         assert report.max_residual() <= 1e-9
 
         root = bundle.i0_index
@@ -642,56 +675,119 @@ class TestCheckIdentities:
         subset = [v for v in range(g.n) if v not in (0, 4, 20, 24)]
         rng = stream(81, "harm")
         sample, gamma = wired_beta_envs(g, subset, 1, rng)
-        bundle = green_bundle(marginal_params(g, subset), sample, subset, gamma[0])
-        report = check_identities(bundle, sample.beta[0])
+        params = WiredBand.from_graph(g, subset).params()
+        bundle = green_bundle(params, sample, subset, gamma[0])
+        report, _ = check_identities(bundle, sample.beta[0])
         assert report.harmonic <= 1e-10
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_nan_field_is_the_max_residual(self, field):
+        # Python's max keeps its first argument against a NaN
+        fields = dict.fromkeys(FIELDS, 1e-16)
+        fields[field] = np.nan
+        assert np.isnan(IdentityReport(**fields).max_residual())
 
-def wired_path_bundle(m, rng):
-    """One band-of-one draw and coupling on a path of m sites wired at both
-    ends, rooted in its middle."""
-    g = WeightedGraph(n=m + 2, edges=tuple((i, i + 1, 1.0) for i in range(m + 1)))
-    subset = list(range(1, m + 1))
-    params = marginal_params(g, subset)
-    sample = sample_batch(params, 1, rng)
-    gamma = float(rng.gamma(0.5, 1.0))
-    bundle = green_bundle(params, sample, subset, gamma, i0=subset[m // 2])
-    return bundle, sample.beta[0]
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_nan_field_fails_criterion_1(self, monkeypatch, field):
+        # the NaN comes from the second environment, after a finite reading
+        # of the same field
+        calls = []
 
+        def nan_on_second_call(*args, **kwargs):
+            report, diag = check_identities(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:
+                report = dataclasses.replace(report, **{field: np.nan})
+            return report, diag
 
-def wired_box_bundle(dim, radius, rng):
-    """One band draw and coupling on the wired box, rooted in its middle."""
-    wired = WiredBand.box(dim, radius, 1.0)
-    band, eta = wired.fill()
-    sample = sample_banded(band, eta, rng)
-    gamma = float(rng.gamma(0.5, 1.0))
-    bundle = green_bundle(
-        wired.params(), sample, range(wired.n), gamma, i0=wired.n // 2
+        monkeypatch.setattr(verify, "check_identities", nan_on_second_call)
+        result = verify.CRITERIA[1](verify.QUICK, 7)
+        assert not result.passed
+        assert f"{field} nan" in result.detail
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda b: b[:-1],
+            lambda b: np.append(b, 1.0),
+            lambda b: np.stack([b, b]),
+            lambda b: b[:, None],
+            lambda b: b[0],
+            lambda b: np.where(np.arange(b.size) == 4, np.nan, b),
+            lambda b: np.where(np.arange(b.size) == 4, np.inf, b)[None],
+        ],
+        ids=["short", "long", "two-envs", "column", "scalar", "nan", "inf"],
     )
-    return bundle, sample.beta
+    def test_refuses_a_beta_it_cannot_read(self, bad):
+        # a wrong length used to raise numpy's broadcast error, and a NaN
+        # to give NaN residuals
+        g = build_lattice_box(2, 2)
+        subset = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
+        params = WiredBand.from_graph(g, subset).params()
+        sample = sample_batch(params, 1, stream(81, "beta-shape"))
+        bundle = green_bundle(params, sample, subset, gamma=0.4)
+        with pytest.raises(DomainError, match="beta must"):
+            check_identities(bundle, bad(sample.beta[0]))
+
+    def test_a_batch_of_one_beta_reads_as_its_environment(self):
+        g = build_lattice_box(2, 2)
+        subset = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
+        params = WiredBand.from_graph(g, subset).params()
+        sample = sample_batch(params, 1, stream(81, "beta-batch"))
+        bundle = green_bundle(params, sample, subset, gamma=0.4)
+        one, diag_one = check_identities(bundle, sample.beta)
+        row, diag_row = check_identities(bundle, sample.beta[0])
+        assert one == row and np.array_equal(diag_one, diag_row)
+        assert one.max_residual() <= 1e-12
+
+
+def wired_path(m):
+    """A path of m sites wired at both ends."""
+    g = WeightedGraph(n=m + 2, edges=tuple((i, i + 1, 1.0) for i in range(m + 1)))
+    return WiredBand.from_graph(g, range(1, m + 1))
+
+
+def wired_bundle(wired, rng, layout):
+    """One draw and coupling on a wired marginal, rooted in its middle: a
+    band draw, whose factor has two levels, or a batch of one."""
+    params = wired.params()
+    if layout == "two-level":
+        sample = sample_banded(*wired.fill(), rng)
+    else:
+        sample = sample_batch(params, 1, rng)
+    gamma = float(rng.gamma(0.5, 1.0))
+    bundle = green_bundle(params, sample, range(wired.n), gamma, i0=wired.n // 2)
+    return bundle, sample.beta.reshape(wired.n)
 
 
 # sizes just below, at and above multiples of the 128-column tiles, then
-# three wired boxes
+# three wired boxes, each with the factor layout its draw keeps by default
 STREAMED_CASES = {
-    "path-127": lambda rng: wired_path_bundle(127, rng),
-    "path-128": lambda rng: wired_path_bundle(128, rng),
-    "path-129": lambda rng: wired_path_bundle(129, rng),
-    "path-257": lambda rng: wired_path_bundle(257, rng),
-    "box-d2-r2": lambda rng: wired_box_bundle(2, 2, rng),
-    "box-d3-r1": lambda rng: wired_box_bundle(3, 1, rng),
-    "box-d2-r6": lambda rng: wired_box_bundle(2, 6, rng),
+    "path-127": (lambda: wired_path(127), "batch"),
+    "path-128": (lambda: wired_path(128), "batch"),
+    "path-129": (lambda: wired_path(129), "batch"),
+    "path-257": (lambda: wired_path(257), "batch"),
+    "box-d2-r2": (lambda: WiredBand.box(2, 2, 1.0), "two-level"),
+    "box-d3-r1": (lambda: WiredBand.box(3, 1, 1.0), "two-level"),
+    "box-d2-r6": (lambda: WiredBand.box(2, 6, 1.0), "two-level"),
 }
 
 
+def streamed_bundle(case, rng, layout=None):
+    wired, default = STREAMED_CASES[case]
+    return wired_bundle(wired(), rng, layout or default)
+
+
 class TestStreamedIdentities:
-    # check_identities reads hat_g and the full kernel a tile of columns at
-    # a time; dense_identities forms W, H and the kernel whole
+    # check_identities solves hat_g a tile of columns at a time on the kept
+    # factor and forms the full kernel beside it; dense_identities forms W,
+    # H, hat_g and the kernel whole
 
     @pytest.mark.parametrize("case", list(STREAMED_CASES))
     def test_every_field_is_small_on_both_sides(self, case):
-        bundle, beta = STREAMED_CASES[case](stream(30, "streamed", case))
-        for report in (check_identities(bundle, beta), dense_identities(bundle, beta)):
+        bundle, beta = streamed_bundle(case, stream(30, "streamed", case))
+        report, _ = check_identities(bundle, beta)
+        for report in (report, dense_identities(bundle, beta)):
             for name, value in dataclasses.asdict(report).items():
                 assert value <= 1e-12, name
 
@@ -702,45 +798,80 @@ class TestStreamedIdentities:
                 (case, corrupt, field)
                 for case in ("box-d2-r2", "box-d3-r1")
                 for corrupt, field in (
-                    ("hat_g", "hg_block"),
+                    ("pivot", "hg_block"),
                     ("psi", "full_inverse"),
                     ("gamma", "full_inverse"),
                 )
             ),
-            # two tiles: the hat_g pair spans both. A gamma scaled by
-            # 1 + 1e-6 reads 1.4e-11 on both sides here, where the atom
-            # 1/(2 gamma) sets the kernel's norm
-            ("box-d2-r6", "hat_g", "hg_block"),
+            # two tiles. A gamma scaled by 1 + 1e-6 reads 1.4e-11 on both
+            # sides here, where the atom 1/(2 gamma) sets the kernel's norm
+            ("box-d2-r6", "pivot", "hg_block"),
             ("box-d2-r6", "psi", "full_inverse"),
         ],
     )
     def test_a_corruption_reads_as_on_dense_products(self, case, corrupt, field):
-        bundle, beta = STREAMED_CASES[case](stream(31, "streamed", case))
+        bundle, beta = streamed_bundle(case, stream(31, "streamed", case))
         m = bundle.m
-        if corrupt == "hat_g":
-            # one off-diagonal pair, raised together so hat_g stays
-            # symmetric; on the 169-site box it spans both tiles
-            i, j = m // 3, m - 2
-            hat_g = bundle.hat_g.copy()
-            hat_g[i, j] += 1e-6
-            hat_g[j, i] += 1e-6
-            bundle = dataclasses.replace(bundle, hat_g=hat_g)
+        if corrupt == "pivot":
+            # one pivot of the kept factor, which every tile's solve reads;
+            # no hat_g is stored to corrupt
+            pivots = bundle.sample.pivots.copy()
+            pivots[m // 3] *= 1.0 + 1e-6
+            sample = dataclasses.replace(bundle.sample, pivots=pivots)
+            bundle = dataclasses.replace(bundle, sample=sample)
         elif corrupt == "psi":
             psi = bundle.psi.copy()
             psi[m // 2] *= 1.0 + 1e-6
             bundle = dataclasses.replace(bundle, psi=psi)
         else:
             bundle = dataclasses.replace(bundle, gamma=bundle.gamma * (1.0 + 1e-6))
-        streamed = getattr(check_identities(bundle, beta), field)
+        streamed = getattr(check_identities(bundle, beta)[0], field)
         dense = getattr(dense_identities(bundle, beta), field)
         assert dense > 1e-9
         assert streamed == pytest.approx(dense, rel=0.01)
+
+    @pytest.mark.parametrize("layout", ["two-level", "batch"])
+    @pytest.mark.parametrize("case", list(STREAMED_CASES))
+    def test_reads_match_the_dense_inverse(self, case, layout):
+        # the check's diagonal, kernel rows (the stored root column and
+        # columns solved on demand) and escape probabilities, against the
+        # dense inverse the kept factor gives when all its columns are
+        # solved at once. A fresh inverse of h_beta differs from it by up to
+        # 2.8e-11 on the paths, whose H has condition up to 1.2e7, because
+        # beta carries the draw's rounding; the identity check ties this
+        # inverse to H at 1e-12
+        bundle, beta = streamed_bundle(case, stream(33, "reads", case), layout)
+        m, gamma, root = bundle.m, bundle.gamma, bundle.i0_index
+        inverse = solved_hat_g(bundle)
+        kernel = full_kernel(bundle, inverse)
+        psi_e = bundle.psi_ext()
+        diag = check_identities(bundle, beta)[1]
+        np.testing.assert_allclose(diag, np.diag(inverse), rtol=1e-12, atol=0.0)
+        for k in (0, m // 3, root, m - 1, m):
+            np.testing.assert_allclose(
+                bundle.kernel_row(k), kernel[k], rtol=1e-12, atol=0.0
+            )
+        w = wired_w(bundle.params)
+        for p0 in (root, m // 3):
+            g00 = inverse[p0, p0]
+            exit0 = 0.5 * (w[p0] @ kernel[p0]) / kernel[p0, p0]
+            for i in (p0, 0, m - 1, m):
+                if i == p0:
+                    want = psi_e[p0] ** 2 / (4.0 * gamma * exit0 * g00 * kernel[p0, p0])
+                else:
+                    g0i = inverse[p0, i] if i < m else 0.0
+                    gcheck = g00 * psi_e[i] - g0i * psi_e[p0]
+                    want = psi_e[p0] * gcheck / (2.0 * gamma * g00 * kernel[p0, i])
+                got = escape_probability_formula(bundle, p0, None if i == m else i)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_no_dense_array_beyond_the_inputs(self):
         # the tiles a step holds at once, the kernel's tile, H applied to it
         # and one gather scratch, are 3 x 128 x 442 x 8 B on this box: 0.87
         # of a dense array, against the 3 arrays of the dense products
-        bundle, beta = wired_box_bundle(2, 10, stream(32, "streamed-peak"))
+        bundle, beta = wired_bundle(
+            WiredBand.box(2, 10, 1.0), stream(32, "streamed-peak"), "two-level"
+        )
         m = bundle.m
         tracemalloc.start()
         try:
@@ -761,11 +892,11 @@ class TestNestedVolumes:
             prev = None
             for r in (1, 2, 3):
                 subset = list(range(4 - r, 4 + r + 1))
-                params = marginal_params(g, subset)
+                params = WiredBand.from_graph(g, subset).params()
                 env = factored(params, full.beta[0][[v - 1 for v in subset]])
                 bundle = green_bundle(params, env, subset, gamma[0])
                 core = slice(bundle.position(3), bundle.position(5) + 1)
-                block = bundle.hat_g[core, core]
+                block = solved_hat_g(bundle)[core, core]
                 if prev is not None:
                     assert (block >= prev - 1e-12).all()
                 prev = block
@@ -809,8 +940,8 @@ class TestNestedVolumes:
         v1 = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
         core = [v2.index(v) for v in v1]
         ring = [k for k in range(len(v2)) if k not in core]
-        params1 = marginal_params(g, v1)
-        params2 = marginal_params(g, v2)
+        params1 = WiredBand.from_graph(g, v1).params()
+        params2 = WiredBand.from_graph(g, v2).params()
         origin = len(v1) // 2
         rng = stream(11, "psi-martingale")
         n, chunk = 20_000, 5_000
