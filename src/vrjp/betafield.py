@@ -44,8 +44,8 @@ rows of P, one for a batch of fields and one for a single wide draw:
   boxes that WiredBand.box wires from their geometry, with no graph
   built. Wiring a retained set is done in one place, WiredBand's edge
   arrays: they give the wired marginal in band storage for any
-  environment's edge weights, or dense (params()), and the wired graph
-  itself, delta last (graph()).
+  environment's edge weights, or dense (params()), W on it plus delta as
+  neighbour tables (neighbours()), and the wired graph (graph()).
   The band sampler consumes the variates of sample_batch's loop on
   (P, eta) relabelled to the order (R, B), in the same order, and its beta
   differs from that draw by the rounding of the summed updates only.
@@ -445,16 +445,17 @@ def _edge_arrays(g: WeightedGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class WiredBand:
-    """Edge index arrays that wire g on a retained set: they form its
-    coupling block and boundary vector from a weight per edge of g, and the
-    wired graph itself.
+    """Edge index arrays that wire g on a retained set, the one owner of the
+    wiring: they form its coupling block and boundary vector from a weight
+    per edge of g, W on it plus delta, and the wired graph itself.
 
     Built once per graph; fill(w) then scatters any environment's edge
     weights, aligned to g.edges, into band storage without forming a graph
-    or a dense matrix; params() gives g's own marginal in dense storage, and
-    graph() g's own wired graph. Sites are numbered in `subset` order, so a
-    row-major box retained inside a larger row-major box keeps its leading
-    stride as bandwidth. All three hold single weights, and each eta entry
+    or a dense matrix; neighbours() gives g's own W as the neighbour tables
+    every product reader of W reads, params() g's own marginal in dense
+    storage, and graph() g's own wired graph. Sites are numbered in `subset`
+    order, so a row-major box retained inside a larger row-major box keeps
+    its leading stride as bandwidth. All hold single weights, and each eta entry
     sums a site's crossing weights in edge order. from_graph wires any
     graph on any retained set; box wires a lattice box one layer inside the
     next from their geometry alone, with no graph built.
@@ -547,20 +548,43 @@ class WiredBand:
 
     def fill(self, w: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
         """(band, eta) of the wired marginal for edge weights w, by default
-        g's own. Weights must be positive and finite (DomainError), and the
-        retained set must keep a nonzero boundary vector (RestrictionError).
-        """
+        g's own. Weights must be positive and finite (DomainError), the
+        retained set must keep a nonzero boundary vector (RestrictionError)
+        and the band must fit in memory (SizeError, before it is allocated)."""
         w = self.weights if w is None else np.asarray(w, dtype=float)
         if w.shape != self.weights.shape:
             raise DomainError("need one weight per edge")
         if not (np.isfinite(w) & (w > 0)).all():
             raise DomainError("edge weights must be positive and finite")
+        what = f"band storage of {self.n} sites at bandwidth {self.bw}"
+        _refuse_beyond_memory(8 * self.n * (self.bw + 2), what)
         band = np.zeros((self.n, self.bw + 1))
         band[self.inner_i, self.inner_j - self.inner_i] = w[self.inner_edges]
         eta = self._eta(w)
         if not eta.any():
             raise RestrictionError("subset has empty boundary weight vector")
         return band, eta
+
+    def neighbours(self) -> Tuple[np.ndarray, np.ndarray]:
+        """g's own W on the n sites plus delta (index n) as left-packed
+        neighbour tables (nbr, w), (n + 1, width): row i lists i's neighbours
+        in ascending order, delta last, then pads of weight 0 that point at
+        i. width is the most any row has (delta's: one per rim site); tables
+        beyond memory are refused (SizeError) before they are allocated."""
+        i, j, w_e = self._wired_edges()
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        deg = np.bincount(rows, minlength=self.n + 1)
+        shape = (self.n + 1, int(deg.max()))
+        what = f"the neighbour tables of {self.n} sites"
+        _refuse_beyond_memory(16 * shape[0] * shape[1], what)
+        order = np.lexsort((cols, rows))
+        # sorted by row, then column: an entry's slot is its rank in its row
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+        nbr = np.repeat(np.arange(shape[0])[:, None], shape[1], axis=1)
+        w = np.zeros(shape)
+        nbr[rows[order], slot] = cols[order]
+        w[rows[order], slot] = np.concatenate([w_e, w_e])[order]
+        return nbr, w
 
     def params(self) -> NuParams:
         """g's own wired marginal in dense storage. Unlike fill, it allows a
@@ -576,16 +600,20 @@ class WiredBand:
         """g's own wired graph on n + 1 vertices, delta last: the inner edges
         in g's edge order, then (k, delta, eta_k) for each k with eta_k > 0.
         Like fill, it refuses a zero boundary vector (RestrictionError)."""
-        eta = self._eta(self.weights)
-        if not eta.any():
+        i, j, w = self._wired_edges()
+        if not (j == self.n).any():
             raise RestrictionError("subset has empty boundary weight vector")
+        edges = tuple(zip(i.tolist(), j.tolist(), w.tolist()))
+        return WeightedGraph(n=self.n + 1, edges=edges)
+
+    def _wired_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """g's own wired edges (i, j, w), i < j: the inner edges in g's edge
+        order, then (k, delta, eta_k) for each k with eta_k > 0."""
+        eta = self._eta(self.weights)
         rim = np.flatnonzero(eta)
-        edges = zip(
-            np.concatenate([self.inner_i, rim]).tolist(),
-            np.concatenate([self.inner_j, np.full(rim.size, self.n)]).tolist(),
-            np.concatenate([self.weights[self.inner_edges], eta[rim]]).tolist(),
-        )
-        return WeightedGraph(n=self.n + 1, edges=tuple(edges))
+        i = np.concatenate([self.inner_i, rim])
+        j = np.concatenate([self.inner_j, np.full(rim.size, self.n)])
+        return i, j, np.concatenate([self.weights[self.inner_edges], eta[rim]])
 
     def couple(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """P v for the retained block P of edge weights w, from the edge
@@ -715,6 +743,12 @@ def _factor_cells(rows: int, bw: int) -> int:
     return 2 * rows * (bw + 1) + (size + 1) * size + bw + _PANEL * bw + bw * bw
 
 
+def _draw_bytes(n: int, bw: int) -> int:
+    """Bytes a band draw of n sites at bandwidth bw needs before R is known:
+    the per-site arrays and B's factor at n rows and bw, bounding a box's."""
+    return (4 * n + _factor_cells(n, bw)) * 8
+
+
 def sample_banded(
     band: np.ndarray, eta: np.ndarray, rng: np.random.Generator
 ) -> BandSample:
@@ -746,11 +780,8 @@ def sample_banded(
     if eta.shape != (n,):
         raise DomainError("eta length must match the band's site count")
     bw = width - 1
-    # before the band is read: the per-site arrays, and B's factor with
-    # green_solve_banded's copy and the panel arrays at the band's own
-    # bandwidth and n rows, which bound a box's, where B keeps bw
     what = f"band storage of {n} sites at bandwidth {bw}"
-    _refuse_beyond_memory((4 * n + _factor_cells(n, bw)) * 8, what)
+    _refuse_beyond_memory(_draw_bytes(n, bw), what)
     # min and max carry a NaN through, and it fails the comparison
     top = band.max(axis=0, initial=0.0)
     if not (band.min(initial=0.0) >= 0 and top.max(initial=0.0) < np.inf):

@@ -47,6 +47,7 @@ from . import __version__
 from .betafield import (
     NuParams,
     WiredBand,
+    _draw_bytes,
     sample_banded,
     sample_batch,
 )
@@ -79,12 +80,6 @@ USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 
 _NUMERIC_ERRORS = (NumericError, FactorizationError)
-
-# dense (m + 1)^2 arrays that `vrjp green` and the environment-fixed chain
-# hold at their peak on a wired box of m sites: tracemalloc read 2.2 to 2.4
-# for green and 3.0 to 3.1 for the chain on d=2 boxes of radius 10, 20 and
-# 28 (m = 441 to 3,249) and the d=3 box of radius 4, the most at radius 10
-_BUNDLE_ARRAYS = 4
 
 # CSV cells formatted per block of rows: 2 to 3 MB of text at a time, and a
 # peak of about 10 MB with the block's cells as Python objects
@@ -263,12 +258,13 @@ def _wired_box_bundle(args, rng) -> Tuple[Dict, int, np.ndarray, GreenBundle]:
     """(config, root, beta, bundle) of `vrjp green` and the environment-fixed
     chain: the wired box of --dim/--radius (WiredBand.box, no graph built),
     its root --i0, one field drawn in band storage, gamma, and the Green
-    bundle on the draw's kept factor. A box whose bundle does not fit in
-    memory is refused before anything of the box is built."""
+    bundle on the draw's kept factor. A box whose band draw does not fit in
+    memory is refused by the draw's own count before anything is built."""
     cfg = _wired_box_config(args)
-    m = (_box_side(args.dim, args.radius + 1, cfg["W"]) - 2) ** args.dim
-    need = _BUNDLE_ARRAYS * 8 * (m + 1) ** 2
-    _refuse_beyond_memory(need, f"the Green bundle of {m} sites")
+    side = _box_side(args.dim, args.radius + 1, cfg["W"]) - 2
+    m = side**args.dim
+    bw = side ** (args.dim - 1)
+    _refuse_beyond_memory(_draw_bytes(m, bw), f"the band draw of {m} sites")
     wired = WiredBand.box(args.dim, args.radius, cfg["W"])
     subset = _retained_ids(args.dim, args.radius)
     # by default the middle of the retained box, which must hold the root
@@ -278,7 +274,7 @@ def _wired_box_bundle(args, rng) -> Tuple[Dict, int, np.ndarray, GreenBundle]:
     band, eta = wired.fill()
     sample = sample_banded(band, eta, rng)
     gamma = float(rng.gamma(0.5, 1.0))
-    bundle = green_bundle(wired.params(), sample, subset, gamma, i0=i0)
+    bundle = green_bundle(wired, sample, subset, gamma, i0=i0)
     return cfg, i0, sample.beta, bundle
 
 
@@ -314,8 +310,8 @@ def _cmd_green(args) -> Run:
 def _cmd_simulate(args) -> Run:
     """One walk of --process: the reinforced jump walk or the reinforced
     discrete walk on --graph or a box, or the environment-fixed chain on the
-    wired box of `vrjp green`. The chain's rate table is formed from the
-    Green bundle, and the bundle is dropped before the chain steps."""
+    wired box of `vrjp green`. The chain's rates are formed from the Green
+    bundle, and the bundle is dropped before the chain steps."""
     rng = stream(args.seed, "cli-simulate", args.process)
     if args.process == "vrjp":
         g, cfg = _graph_from_args(args)
@@ -346,8 +342,7 @@ def _cmd_simulate(args) -> Run:
         cfg, i0, _, bundle = _wired_box_bundle(args, rng)
         rates = QuenchedRates.from_bundle(bundle)
         labels = np.array([*map(str, bundle.subset), "delta"], dtype=object)
-        # the chain reads only the rates: the bundle's draw and params.p go
-        # before it steps
+        # the chain reads only the rates: the draw goes before it steps
         del bundle
         traj = quenched_mjp(rates, rates.i0, args.steps, rng)
         fields = ["step", "vertex", "entry_time"]

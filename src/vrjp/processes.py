@@ -23,13 +23,15 @@ about 4 us per jump on the d=2 radius-10 box. The same holds for the
 linearly reinforced discrete walk: a single walk runs the scalar loop
 `_errw_walk`, at about 0.6 us per step on the same box, and many walks run
 `errw_words`, which costs 20-24 us per step for one walk. A finite chain in a
-fixed environment has one stepping rule, `_step`, on the running sums of its
-kernel rows (`_running_sums`): `markov_words` steps one kernel per walk
-(`quenched_mjp` is that loop with one walk), and `mc_return_probability`
-steps chains on a shared kernel and adds only the bookkeeping of absorbed
-chains. The chain's rates, 1/2 W_ij G(i0,j) / G(i0,i), have one expression,
-`schrodinger._rate_rows`, which `QuenchedRates`, `escape_probability_formula`
-and `check_identities` all read.
+fixed environment keeps its rates on its edges, in the slots of a neighbour
+table (`QuenchedRates`), and has one stepping rule, `_step`, on the running
+sums of a state's slots (`_running_sums`): `markov_words` steps one
+environment per walk (`quenched_mjp` is that loop with one walk), and
+`mc_return_probability` steps chains in one environment and adds only the
+bookkeeping of absorbed chains. The chain's rates, 1/2 W_ij G(i0,j) /
+G(i0,i), have one expression, `schrodinger._rate_rows`, which
+`QuenchedRates`, `escape_probability_formula` and `check_identities` all
+read.
 
 Finite-volume semantics: on a wired graph, "never returns" is read as "hits
 delta before returning", and absorbed-chain estimators always take one free
@@ -39,15 +41,14 @@ instant absorption.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 from .graphs import WeightedGraph, _refuse_beyond_memory
-from .schrodinger import GreenBundle, _SOLVE_COLS, _kernel_row, _rate_rows, _wired_rows
+from .schrodinger import GreenBundle, _kernel_row, _rate_rows, _whole
 
 __all__ = [
     "Trajectory",
@@ -288,31 +289,31 @@ def errw_words(
 
 
 def markov_words(
-    kernels: np.ndarray,
+    rates: "QuenchedRates",
     start: int,
     length: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample `length` steps of one finite Markov chain per walk.
+    """Sample `length` steps of one environment-fixed chain per walk.
 
-    kernels has shape (n_walks, size, size), one row-stochastic kernel per
-    walk, and start is a state in range(size); every row must have finite
-    mass, checked once before the first step. Each step is `_step`, and
-    stepping into a row with zero mass raises DomainError.
+    rates holds one environment per walk: rates of shape (n_walks, size,
+    width) on its neighbour table nbr, (size, width). start is a state in
+    range(size), and every rate must be finite, checked once before the
+    first step. Each step is `_step` on the current state's slots, and
+    stepping into a state with no outgoing rate raises DomainError.
     """
-    kernels = np.asarray(kernels, dtype=float)
-    if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2]:
-        raise DomainError("kernels must have shape (n_walks, size, size)")
-    n_walks, _, size = kernels.shape
-    start = _check_state(start, size, "start")
+    table = rates.rates
+    if table.ndim != 3 or table.shape[1:] != rates.nbr.shape:
+        raise DomainError("rates need one walk per environment (n_walks, size, width)")
+    start = _whole(start, "start state", rates.size)
     if length < 0:
         raise DomainError("length must be nonnegative")
-    cum = _running_sums(kernels)
-    rows = np.arange(n_walks)
-    v = np.full(n_walks, start)
-    words = np.empty((n_walks, length), dtype=int)
+    cum = _running_sums(rates.kernel())
+    walks = np.arange(table.shape[0])
+    v = np.full(table.shape[0], start)
+    words = np.empty((table.shape[0], length), dtype=int)
     for t in range(length):
-        v = _step(cum[rows, v], rng)
+        v = rates.nbr[v, _step(cum[walks, v], rng)]
         words[:, t] = v
     return words
 
@@ -328,34 +329,16 @@ def _running_sums(kernel: np.ndarray) -> np.ndarray:
 
 
 def _step(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Next state of each chain, from the running sums of its current kernel
+    """Next slot of each chain, from the running sums of its current kernel
     row (one row per chain): one uniform per chain, scaled by the row's
-    mass, picks the first state whose running sum reaches it, or the last if
-    rounding puts the uniform past them all. A row with zero mass raises
-    DomainError before anything is drawn."""
+    mass, picks the first slot whose running sum reaches it, never a pad
+    behind the last rate, since the mass is that slot's running sum. A row
+    with zero mass raises DomainError before anything is drawn."""
     norm = cum[:, -1]
     if (norm <= 0).any():
         raise DomainError("kernel row with zero mass visited")
     u = rng.random(norm.shape[0]) * norm
-    return np.minimum((cum < u[:, None]).sum(axis=1), cum.shape[1] - 1)
-
-
-def _whole(value, what: str) -> int:
-    """value as an int when it is a whole number (not a bool); DomainError
-    otherwise."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be a whole number, got {value!r}") from None
-
-
-def _check_state(state, size: int, what: str) -> int:
-    """A state of a chain on range(size), as an int; DomainError otherwise."""
-    if not 0 <= state < size:
-        raise DomainError(f"{what} state {state} is outside range({size})")
-    return int(state)
+    return (cum < u[:, None]).sum(axis=1)
 
 
 def _errw_weights(g: WeightedGraph, a, i0: int, steps: int) -> np.ndarray:
@@ -453,23 +436,26 @@ def simulate_errw(
 
 @dataclass(frozen=True)
 class QuenchedRates:
-    """Jump rates of the environment-fixed Markov jump process.
+    """Jump rates of the environment-fixed Markov jump process, on the slots
+    of the (size, width) neighbour table nbr of WiredBand.neighbours.
 
-    rates[i, j] = W_ij G(i0, j) / (2 G(i0, i)), formed by
-    `schrodinger._rate_rows`, the one expression of this law that
-    `escape_probability_formula` and `check_identities` also read; exit
-    holds row sums. Away from the root the exit rate reproduces the
-    potential exactly, and on its D clock the walk from i0 is a mixture of
-    these processes. Leading batch axes hold one environment each.
+    rates[..., i, s] = W_ij G(i0, j) / (2 G(i0, i)) for j = nbr[i, s] (0 on
+    a pad slot), formed by `schrodinger._rate_rows`, the one expression of
+    this law that `escape_probability_formula` and `check_identities` also
+    read; exit holds slot sums. Away from the root the exit rate reproduces
+    the potential exactly, and on its D clock the walk from i0 is a mixture
+    of these processes. Leading batch axes of rates and exit hold one
+    environment each. A dense table is the one whose rows list every state.
     """
 
     rates: np.ndarray
+    nbr: np.ndarray
     exit: np.ndarray
     i0: int
 
     @property
     def size(self) -> int:
-        return self.rates.shape[-1]
+        return self.nbr.shape[0]
 
     def kernel(self) -> np.ndarray:
         """Row-normalized step kernel; zero rows (absorbing states) stay zero."""
@@ -477,39 +463,25 @@ class QuenchedRates:
         return np.divide(self.rates, e, out=np.zeros_like(self.rates), where=e > 0)
 
     @classmethod
-    def from_green(cls, w: np.ndarray, row: np.ndarray, i0: int) -> "QuenchedRates":
-        """Rates from any conductance matrix and the root's full Green row;
-        a batch of rows gives each row's own table, bit for bit. The table is
-        the only (size, size) array formed."""
-        _check_root_row(row)
-        rates = _rate_rows(w, row)
-        exit = rates.sum(axis=-1)
-        return cls(rates=rates, exit=exit, i0=int(i0))
+    def from_green(cls, nbr, weights, row: np.ndarray, i0: int) -> "QuenchedRates":
+        """Rates on neighbour tables (nbr, weights) and the root's full Green
+        row, a batch of rows giving each row's table bit for bit; the table,
+        its kernel and running sums are refused beyond memory (SizeError)."""
+        # the rates divide by it: a zero would give 0/0 off its component
+        if not (np.isfinite(row) & (row > 0)).all():
+            raise NumericError("Green row of the root is not positive and finite")
+        cells = int(np.prod(np.shape(row)[:-1])) * nbr.size
+        _refuse_beyond_memory(3 * 8 * cells, f"a rate table of {cells} slots")
+        rates = _rate_rows(nbr, weights, row)
+        return cls(rates=rates, nbr=nbr, exit=rates.sum(axis=-1), i0=int(i0))
 
     @classmethod
     def from_bundle(cls, bundle: GreenBundle) -> "QuenchedRates":
         """Rates on the wired state space (retained set plus delta last),
-        rooted at the bundle's own root: from_green's table on the wired
-        conductances, bit for bit, filled _SOLVE_COLS rows at a time by
-        `_rate_rows` on `_wired_rows`, so no dense wired W is held beside
-        it; the root's kernel row comes from the bundle's stored column."""
+        rooted at the bundle's own root: from_green on the bundle's
+        WiredBand.neighbours, with the root's kernel row from its column."""
         i0 = bundle.i0_index
-        row = _check_root_row(bundle.kernel_row(i0))
-        n = bundle.m + 1
-        rates = np.empty((n, n))
-        for r0 in range(0, n, _SOLVE_COLS):
-            r1 = min(r0 + _SOLVE_COLS, n)
-            at = slice(r0, r1)
-            _rate_rows(_wired_rows(bundle.params, r0, r1), row, at, out=rates[at])
-        return cls(rates=rates, exit=rates.sum(axis=-1), i0=i0)
-
-
-def _check_root_row(row: np.ndarray) -> np.ndarray:
-    """row, once it is checked positive and finite: the rates divide by it,
-    so a zero there would give 0/0 off the root's component."""
-    if not (np.isfinite(row) & (row > 0)).all():
-        raise NumericError("Green row of the root is not positive and finite")
-    return row
+        return cls.from_green(*bundle.wired.neighbours(), bundle.kernel_row(i0), i0)
 
 
 # Bytes a quenched chain and the CLI rows written from it keep per step: the
@@ -519,8 +491,8 @@ def _check_root_row(row: np.ndarray) -> np.ndarray:
 # tracemalloc peaks of the CLI run with the step count, 100,000 to 400,000,
 # on d=2 boxes: 32 B per step at radius 10 (from 200,000 steps), 24 B at
 # radius 4, where the peak falls in the writer, and none at radius 16, where
-# forming the environment's kernel (77 MB) sets the peak. The labels are
-# shared str objects, one per state.
+# forming the environment's then dense kernel (77 MB) set the peak. The
+# labels are shared str objects, one per state.
 _CHAIN_STEP_BYTES = 64
 
 
@@ -532,15 +504,16 @@ def quenched_mjp(
 ) -> Trajectory:
     """Jump chain of the environment-fixed process on the rate table's
     states, started at `start`, a state in range(rates.size). It is
-    `markov_words` with one walk on the rate table's kernel; stepping into a
-    state with no outgoing rate raises DomainError."""
-    _check_state(start, rates.size, "start")
+    `markov_words` with one walk on the rates of one environment; stepping
+    into a state with no outgoing rate raises DomainError."""
+    _whole(start, "start state", rates.size)
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     _refuse_beyond_memory(
         steps * _CHAIN_STEP_BYTES, f"a quenched chain of {steps} steps"
     )
-    words = markov_words(rates.kernel()[None], start, steps, rng)
+    one = replace(rates, rates=rates.rates[None], exit=rates.exit[None])
+    words = markov_words(one, start, steps, rng)
     return Trajectory(vertices=np.concatenate([[int(start)], words[0]]))
 
 
@@ -552,9 +525,9 @@ def escape_probability_formula(
     i = None means delta (returns 1). Finite-volume reading of the escape
     event. It reads psi, hat_g's column of i0 (GreenBundle.hat_g_column),
     the kernel row of i0 formed from it and, for i = i0, the root's exit
-    rate: `_rate_rows` on the row of i0 in the wired conductances (params.p,
-    then eta) alone, the bits of `QuenchedRates.from_bundle(bundle).exit` at
-    the root."""
+    rate: `_rate_rows` on the row of i0 in the bundle's neighbour tables
+    alone, the bits of `QuenchedRates.from_bundle(bundle).exit` at the
+    root."""
     p0 = bundle.position(i0)
     if p0 == bundle.delta_index:
         raise DomainError("the root must be a retained vertex")
@@ -565,8 +538,9 @@ def escape_probability_formula(
     g00 = col[p0]
     psi0 = psi_e[p0]
     if pi == p0:
-        w_row = _wired_rows(bundle.params, p0, p0 + 1)
-        exit0 = float(_rate_rows(w_row, grow, slice(p0, p0 + 1)).sum(axis=-1)[0])
+        nbr, w = bundle.wired.neighbours()
+        at = slice(p0, p0 + 1)
+        exit0 = float(_rate_rows(nbr[at], w[at], grow, at).sum(axis=-1)[0])
         return float(psi0**2 / (4.0 * bundle.gamma * exit0 * g00 * grow[p0]))
     # hat_g vanishes on delta
     g0i = col[pi] if pi < bundle.m else 0.0
@@ -619,30 +593,33 @@ def mc_return_probability(
     rng: np.random.Generator,
 ) -> AbsorptionReport:
     """Fraction of n independent chains (started at i0) absorbed at each
-    element of `absorb`, on the rate table's kernel. Each sweep steps the
-    chains still running by `_step`, as `markov_words` steps its walks,
-    and drops those it absorbs. One free first step is always taken, so
-    starting inside the absorbing set estimates first-return splits.
+    element of `absorb`, on the kernel of one environment's rates. Each
+    sweep steps the chains still running by `_step`, as `markov_words`
+    steps its walks, and drops those it absorbs. One free first step is
+    always taken, so starting inside the absorbing set estimates
+    first-return splits.
 
-    n must be a whole number of at least 1, i0 and every absorbing state
-    must lie in range(rates.size) and the kernel must be finite; each is
-    checked, with DomainError, before anything is drawn. Stepping into a
-    state with no outgoing rate raises DomainError too, and a chain still
-    running after MAX_SWEEPS steps raises NumericError."""
+    rates must be one environment's, n a whole number of at least 1, i0 and
+    every absorbing state must lie in range(rates.size) and the kernel must
+    be finite; each is checked, with DomainError, before anything is drawn.
+    Stepping into a state with no outgoing rate raises DomainError too, and
+    a chain still running after MAX_SWEEPS steps raises NumericError."""
     size = rates.size
-    absorb = {_check_state(v, size, "absorbing") for v in absorb}
+    absorb = {_whole(v, "absorbing state", size) for v in absorb}
     if not absorb:
         raise DomainError("absorb set must be nonempty")
     n = _whole(n, "n")
     if n < 1:
         raise DomainError("n must be at least 1")
-    cur = np.full(n, _check_state(i0, size, "start"))
+    if rates.rates.shape != rates.nbr.shape:
+        raise DomainError("rates must hold one environment: (size, width)")
+    cur = np.full(n, _whole(i0, "start state", size))
     cum = _running_sums(rates.kernel())
     absorbing = np.zeros(size, dtype=bool)
     absorbing[list(absorb)] = True
     hits = np.zeros(size, dtype=int)
     for _ in range(MAX_SWEEPS):
-        cur = _step(cum[cur], rng)
+        cur = rates.nbr[cur, _step(cum[cur], rng)]
         hit = absorbing[cur]
         hits += np.bincount(cur[hit], minlength=size)
         cur = cur[~hit]

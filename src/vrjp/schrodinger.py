@@ -4,8 +4,8 @@ Gamma(1/2) coupling, and the identities that tie them together.
 
 H is formed in one place, betafield.h_beta, and every dense H below comes
 from it; check_identities forms none, and applies H to a tile of columns at
-a time through W's nonzeros (_h_rows). Green functions come from one of two
-solves:
+a time through W's neighbour tables (_h_rows). Green functions come from one
+of two solves:
 
 - green_solve_banded applies Ghat_beta to a few right-hand sides with the
   LDL^T factor of H that the draw computed and kept, so H is never factored
@@ -21,32 +21,32 @@ solves:
 
 green_bundle solves psi and the root's column of Ghat_beta with the first, in
 one call, from its BandSample (a single draw or a batch of one) and the
-wired marginal it was drawn on (betafield.WiredBand); the bundle keeps the
-sample, so any other column is one more solve on the same factor, and no
-dense Ghat_beta is stored. A kept factor's positivity certificate is read
-from the draw's pivots: a failed certificate or a zero pivot raises
-FactorizationError. Apart from the band storage, operators are dense
-arrays; there is no sparse route. A retained set too large for its dense
-block is refused with SizeError before anything is allocated
-(WiredBand.params). No dense wired W is formed: its rows come a block at a
-time from _wired_rows, for the rate table (QuenchedRates.from_bundle), the
-escape formula and the identity check alike. check_identities is the one
-reader of all of Ghat_beta: it solves a tile of columns at a time on the
-kept factor and returns the diagonal it read. The u-field of a full graph,
-its density, truncated path sums, the dense bottom of the spectrum and the
-identities on dense products are test oracles (tests/_oracles.py); no
-product path reads them.
+wiring it was drawn on (betafield.WiredBand); the bundle keeps both, so any
+other column is one more solve on the same factor, and no dense Ghat_beta
+is stored. A kept factor's positivity certificate is read from the draw's
+pivots: a failed certificate or a zero pivot raises FactorizationError.
+Apart from the band storage and the neighbour tables, operators are dense
+arrays; there is no sparse route. No dense wired W is formed:
+WiredBand.neighbours gives it on V plus delta as left-packed neighbour
+tables, delta last, and the rate table (QuenchedRates.from_bundle), the
+escape formula and the identity check all read those. check_identities is
+the one reader of all of Ghat_beta: it solves a tile of columns at a time
+on the kept factor and returns the diagonal it read. The u-field of a full
+graph, its density, truncated path sums, the dense bottom of the spectrum
+and the identities on dense products are test oracles (tests/_oracles.py);
+no product path reads them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import astuple, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .betafield import BandSample, NuParams, h_beta
+from .betafield import BandSample, WiredBand, h_beta
 from .errors import DomainError, FactorizationError, RestrictionError
 
 __all__ = [
@@ -62,10 +62,9 @@ __all__ = [
 # and its LU copy take 20 MB; 25,000 environments in one call take 250 MB.
 _SOLVE_BLOCK = 2048
 
-# Columns of hat_g per green_solve_banded call in check_identities, and rows
-# per block of the rate table: each tile solves a block of the identity, so
-# no dense identity or hat_g is held, and the solve's temporaries are a few
-# (m, 128) blocks.
+# Columns of hat_g per green_solve_banded call in check_identities: each
+# tile solves a block of the identity, so no dense identity or hat_g is
+# held, and the solve's temporaries are a few (m, 128) blocks.
 _SOLVE_COLS = 128
 
 
@@ -118,13 +117,17 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
     green_solve does for its beta: one forward and one back substitution
     over the m sites, each step one op on a (bw, k, S) block of every
     sample, in place on one (m, k, S) array that the result is a view of.
-    A failed certificate or a zero pivot, R's included, raises
-    FactorizationError before anything is divided.
+    A right-hand side with a zero dimension raises DomainError, and a
+    failed certificate or a zero pivot, R's included, FactorizationError,
+    before any LAPACK call and before anything is divided.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = sample.pivots.shape[0]
     if rhs.ndim not in (1, 2) or rhs.shape[0] != m:
         raise DomainError(f"right-hand side must have shape ({m},) or ({m}, k)")
+    # LAPACK's dtbtrs corrupts the heap on an empty block
+    if not rhs.size:
+        raise DomainError(f"right-hand side of shape {rhs.shape} has no entries")
     if not sample.psd_certificate:
         raise FactorizationError("banded operator is not positive definite")
     if not sample.pivots.all():
@@ -201,20 +204,21 @@ def _band_substitute(rows: np.ndarray, pivots: np.ndarray, cols: np.ndarray):
 class GreenBundle:
     """What green_bundle solved for a retained set V plus boundary delta.
 
-    Indices 0..m-1 follow `subset` order; index m is delta. params is the
-    wired marginal drawn on and sample the draw, whose kept factor solves
-    hat_g, the inverse of the V-block of H (both shared, not copied). psi is
-    hat_g's harmonic extension of the boundary value 1, root_column hat_g's
-    column of the root (zero when the root is delta, where hat_g vanishes),
-    gamma the independent Gamma(1/2) coupling and beta_delta the coupled
-    boundary potential. Neither hat_g nor the full kernel hat_g + psi_ext
-    psi_ext^T / (2 gamma) (hat_g zero on delta) is stored: hat_g_column
-    solves one column, kernel_row forms one row of the kernel from it, and
+    Indices 0..m-1 follow `subset` order; index m is delta. wired is the
+    wiring drawn on, whose neighbour tables are W on V plus delta, and
+    sample the draw, whose kept factor solves hat_g, the inverse of the
+    V-block of H (both shared, not copied). psi is hat_g's harmonic
+    extension of the boundary value 1, root_column hat_g's column of the
+    root (zero when the root is delta, where hat_g vanishes), gamma the
+    independent Gamma(1/2) coupling and beta_delta the coupled boundary
+    potential. Neither hat_g nor the full kernel hat_g + psi_ext psi_ext^T
+    / (2 gamma) (hat_g zero on delta) is stored: hat_g_column solves one
+    column, kernel_row forms one row of the kernel from it, and
     check_identities reads hat_g a tile at a time.
     """
 
     subset: tuple
-    params: NuParams
+    wired: WiredBand
     sample: BandSample
     psi: np.ndarray
     root_column: np.ndarray
@@ -243,17 +247,20 @@ class GreenBundle:
         """psi extended by 1 at delta."""
         return np.concatenate([self.psi, [1.0]])
 
-    def hat_g_column(self, k: int) -> np.ndarray:
-        """Column k of hat_g on V (k < m): the stored root column, or one
-        solve on the draw's kept factor for any other k."""
+    def hat_g_column(self, k) -> np.ndarray:
+        """Column k of hat_g on V (k in range(m), else DomainError): the
+        stored root column, or one solve on the draw's kept factor."""
+        k = _whole(k, "column", self.m)
         if k == self.i0_index:
             return self.root_column
         e = np.zeros(self.m)
         e[k] = 1.0
         return green_solve_banded(self.sample, e).reshape(self.m)
 
-    def kernel_row(self, k: int) -> np.ndarray:
-        """Row k of the full kernel on V plus delta (k = m is delta's)."""
+    def kernel_row(self, k) -> np.ndarray:
+        """Row k of the full kernel on V plus delta (k in range(m + 1), m
+        delta's; DomainError otherwise)."""
+        k = _whole(k, "row", self.m + 1)
         return _kernel_row(
             self.psi, self.hat_g_column(k) if k < self.m else None, k, self.gamma
         )
@@ -269,8 +276,22 @@ class GreenBundle:
         return np.concatenate([np.asarray(beta, dtype=float), [self.beta_delta]])
 
 
+def _whole(value, what: str, size: Optional[int] = None) -> int:
+    """value as an int when it is a whole number (not a bool), in
+    range(size) when a size is given; DomainError otherwise."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be a whole number, got {value!r}") from None
+    if size is not None and not 0 <= value < size:
+        raise DomainError(f"{what} {value} is outside range({size})")
+    return value
+
+
 def green_bundle(
-    params: NuParams,
+    wired: WiredBand,
     sample: BandSample,
     subset: Sequence[int],
     gamma: float,
@@ -278,17 +299,18 @@ def green_bundle(
 ) -> GreenBundle:
     """Solve the restricted systems for the wired marginal of a retained set.
 
-    params is that marginal, WiredBand.from_graph(g, subset).params():
-    everything outside `subset` is collapsed to delta, and every component
-    of `subset` must have an edge to delta (RestrictionError otherwise).
-    sample is one environment drawn on params, by sample_banded or as
-    sample_batch's batch of one; psi and the root's column of hat_g are
-    solved on the factor it kept, in one green_solve_banded call on the two
-    right-hand sides [eta, e_root], which raises FactorizationError. subset
-    labels its positions, which the sample's sites share. gamma is the
-    independent Gamma(1/2, 1) coupling, finite and positive. i0 (a vertex of
-    `subset`, or None for delta) is the root used for the u vector; params
-    and sample are kept.
+    wired wires the parent graph on `subset`, WiredBand.from_graph(g,
+    subset) or a box's WiredBand.box: everything outside `subset` is
+    collapsed to delta, and every component of `subset` must have an edge
+    to delta (RestrictionError otherwise). sample is one environment drawn
+    on its marginal, by sample_banded or as sample_batch's batch of one;
+    psi and the root's column of hat_g are solved on the factor it kept, in
+    one green_solve_banded call on the two right-hand sides [eta, e_root],
+    which raises FactorizationError. subset labels its positions, which the
+    sample's sites share. gamma is the independent Gamma(1/2, 1) coupling,
+    finite and positive. i0 (a vertex of `subset`, or None for delta) is
+    the root used for the u vector; wired and sample are kept, and no dense
+    W is formed.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise DomainError("gamma must be positive and finite")
@@ -296,13 +318,13 @@ def green_bundle(
     if len(set(subset)) != len(subset):
         raise DomainError("subset has repeated vertices")
     m = len(subset)
-    if params.n != m:
+    if wired.n != m:
         raise DomainError("marginal size must match subset size")
     if sample.beta.shape not in ((m,), (1, m)):
         raise DomainError(f"sample must be one environment on {m} sites")
     if i0 is not None and int(i0) not in subset:
         raise DomainError(f"vertex {i0} is not in the retained set")
-    eta = params.eta
+    eta = wired._eta(wired.weights)
     if not eta.any():
         raise RestrictionError("subset has empty boundary weight vector")
     root = m if i0 is None else subset.index(int(i0))
@@ -319,7 +341,7 @@ def green_bundle(
 
     return GreenBundle(
         subset=subset,
-        params=params,
+        wired=wired,
         sample=sample,
         psi=psi,
         root_column=np.ascontiguousarray(cols[:, 1]),
@@ -340,69 +362,35 @@ def _kernel_row(psi, ghat_row, k: int, gamma) -> np.ndarray:
     return row
 
 
-def _rate_rows(w, row, at=slice(None), out=None) -> np.ndarray:
-    """Rates 1/2 W_ij G(i0,j) / G(i0,i) of the environment-fixed chain, for
-    one environment or a batch on leading axes: row is the root's kernel
-    row (..., m + 1) and w holds W's rows `at` (all of them by default).
-    Formed in place in one array of the result's size, out if given; the
-    halving is exact, so it gives the bits of (W_ij / 2) times the ratio."""
-    r = np.divide(row[..., None, :], row[..., at, None], out=out)
+def _rate_rows(nbr, w, row, at=slice(None)) -> np.ndarray:
+    """Rates 1/2 W_ij G(i0,j) / G(i0,i) of the environment-fixed chain on
+    the neighbour tables' slots, for one environment or a batch on leading
+    axes: row is the root's kernel row (..., size) and (nbr, w) hold the
+    tables' rows `at` (all of them by default); slot s of state i is the
+    rate to nbr[i, s], 0 on a pad slot. Formed in place in one array of the
+    result's size; the halving is exact, so each rate has the bits of
+    (W_ij / 2) times the ratio."""
+    r = np.take(row, nbr, axis=-1)
+    r /= row[..., at, None]
     r *= w
     r *= 0.5
     return r
 
 
-def _wired_rows(params: NuParams, r0: int, r1: int) -> np.ndarray:
-    """Rows r0:r1 of the wired conductances on V plus delta, delta last:
-    params.p with eta in delta's column, and eta, then 0, on delta's row."""
-    m = params.n
-    w = np.zeros((r1 - r0, m + 1))
-    v = min(r1, m) - r0
-    w[:v, :m] = params.p[r0 : r0 + v]
-    w[:v, m] = params.eta[r0 : r0 + v]
-    if r1 > m:
-        w[v, :m] = params.eta
-    return w
-
-
-def _neighbours(p: np.ndarray):
-    """p's off-diagonal nonzeros as two (width, m) tables, width the most
-    any row has: row i's neighbours nbr[:, i] and their conductances
-    w[:, i], padded with weight 0 on site 0."""
-    m = p.shape[0]
-    rows, cols = np.nonzero(p)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    deg = np.bincount(rows, minlength=m)
-    # np.nonzero lists the entries row by row: each one's slot is its rank
-    # in its row
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
-    width = int(deg.max(initial=0))
-    nbr = np.zeros((width, m), dtype=np.intp)
-    w = np.zeros((width, m))
-    nbr[slot, rows] = cols
-    w[slot, rows] = p[rows, cols]
-    return nbr, w
-
-
-def _h_rows(x, h_diag, eta, nbr, w):
-    """x H_ext for a tile x of rows on V plus delta: H_ext = 2 diag(beta_ext)
-    - W_ext, with h_diag its diagonal, W_ext's V block read from the
-    off-diagonal nonzeros (nbr, w) of _neighbours, and its delta row and
-    column from eta. x has shape (k, m + 1), or (k, m) for rows that vanish
-    on delta. Returns the product's columns on V, (k, m), and on delta,
-    (k,). Each slot of the tables, and delta's column as one more, gathers
-    into one (k, m) scratch beside the result."""
-    m = eta.shape[0]
-    xv = x[:, :m]
-    yv = xv * h_diag[:m]
-    y_delta = xv @ -eta
-    slots = list(zip(nbr, w))
-    if x.shape[1] > m:
-        slots.append((np.full(m, m), eta))
-        y_delta += h_diag[m] * x[:, m]
+def _h_rows(x, h_diag, tables):
+    """x H_ext for a tile x of rows on V plus delta, (k, m + 1): H_ext =
+    2 diag(beta_ext) - W_ext, with h_diag its diagonal and W_ext the
+    neighbour tables as check_identities slices them: V's rows through V's
+    own width, slot-major, (width, m) each, then delta's row. V's columns
+    gather one slot at a time into one (k, m) scratch beside the result;
+    delta's column is one product over delta's row. Returns the product's
+    columns on V, (k, m), and on delta, (k,)."""
+    v_nbr, v_w, d_nbr, d_w = tables
+    m = x.shape[1] - 1
+    yv = x[:, :m] * h_diag[:m]
+    y_delta = h_diag[m] * x[:, m] - x[:, d_nbr] @ d_w
     buf = np.empty(yv.shape)
-    for idx, ws in slots:
+    for idx, ws in zip(v_nbr, v_w):
         np.take(x, idx, axis=1, out=buf, mode="clip")
         buf *= ws
         yv -= buf
@@ -438,18 +426,18 @@ def check_identities(
     with the root atom 1/(2 G(i0,i0)); hat_g obeys the Cauchy-Schwarz bound
     for every pair; the complementary kernel Ghat(i0,i0) psi - Ghat(i0,.)
     psi(i0), on the root's column, is nonnegative; and the quenched exit
-    rates, the row sums of _rate_rows as QuenchedRates forms them,
+    rates, the slot sums of _rate_rows as QuenchedRates forms them,
     reproduce beta away from the root. beta is the bundle's environment,
     (m,) or a batch of one (1, m), and finite (DomainError otherwise).
 
-    No dense (m + 1)^2 array is formed. hat_g is solved on the kept factor
-    _SOLVE_COLS columns at a time, read as the same rows of the symmetric
-    matrix, and the full kernel is formed beside each tile; H is applied to
-    both by _h_rows, through W's nonzeros, and the rates are summed
-    _SOLVE_COLS rows at a time on _wired_rows. A tile's rows meet the
-    Cauchy-Schwarz bound against the columns up to its end, whose diagonal
-    is solved by then, so every pair is checked. Every residual and norm
-    scale is a running maximum.
+    No dense (m + 1)^2 array is formed: W is read through the bundle's
+    neighbour tables (WiredBand.neighbours), by the harmonic residual, by
+    the exit rates and by _h_rows, which applies H. hat_g is solved on the
+    kept factor _SOLVE_COLS columns at a time, read as the same rows of the
+    symmetric matrix, and the full kernel is formed beside each tile. A
+    tile's rows meet the Cauchy-Schwarz bound against the columns up to its
+    end, whose diagonal is solved by then, so every pair is checked. Every
+    residual and norm scale is a running maximum.
     """
     m = bundle.m
     b = np.asarray(beta, dtype=float)
@@ -459,8 +447,7 @@ def check_identities(
     if not np.isfinite(b).all():
         raise DomainError("beta must be finite")
     root = bundle.i0_index if i0 is None else bundle.position(i0)
-    params = bundle.params
-    eta = params.eta
+    nbr, w = bundle.wired.neighbours()
     beta_ext = bundle.beta_ext(b)
     psi_e = bundle.psi_ext()
 
@@ -473,30 +460,35 @@ def check_identities(
         y[a, c0 + a] -= 1.0
         return np.abs(y, out=y).max(initial=0.0)
 
-    resid = 2.0 * b * bundle.psi - params.p @ bundle.psi - eta
-    r_harm = rel(np.abs(resid).max(), max(np.abs(eta).max(), 1.0))
-
     # beta reconstruction and telescoping from the quenched exit rates, the
-    # row sums of the rates on the root row of the kernel
+    # slot sums of the rates on the root row of the kernel
     grow = bundle.kernel_row(root)
-    exit_rates = np.empty(m + 1)
-    for r0 in range(0, m + 1, _SOLVE_COLS):
-        r1 = min(r0 + _SOLVE_COLS, m + 1)
-        at = slice(r0, r1)
-        exit_rates[at] = _rate_rows(_wired_rows(params, r0, r1), grow, at).sum(axis=1)
+    exit_rates = _rate_rows(nbr, w, grow).sum(axis=1)
+    # copies of V's used slots, slot-major, and delta's row, so that the
+    # padded tables go before the tiles
+    width = int(np.count_nonzero(w[:m].any(axis=0)))
+    tables = v_nbr, v_w, d_nbr, d_w = [
+        x.copy() for x in (nbr[:m, :width].T, w[:m, :width].T, nbr[m], w[m])
+    ]
+    del nbr, w
     off_root = np.arange(m + 1) != root
     r_tel = rel(np.abs(exit_rates - beta_ext)[off_root].max(), np.abs(beta_ext).max())
     recon = exit_rates
     recon[root] += 1.0 / (2.0 * grow[root])
     r_beta = rel(np.abs(recon - beta_ext).max(), np.abs(beta_ext).max())
 
-    # H's diagonal, with the bits of h_beta's, and the largest |H| on the
-    # block and on V plus delta, read from the nonzeros
-    nbr, w = _neighbours(params.p)
+    # H psi = eta on V: W's delta column carries eta against psi_ext's 1
+    # (delta's row holds eta on the sites that cross)
+    eta_max = d_w.max(initial=0.0)
+    resid = 2.0 * b * bundle.psi - (v_w * psi_e[v_nbr]).sum(axis=0)
+    r_harm = rel(np.abs(resid).max(), max(eta_max, 1.0))
+
+    # H's diagonal, and the largest |H| on the block (W's slots inside V)
+    # and on V plus delta
     h_diag = 2.0 * beta_ext
-    h_diag[:m] -= np.diagonal(params.p)
-    h_max = max(np.abs(h_diag[:m]).max(initial=0.0), w.max(initial=0.0))
-    h_ext_max = max(h_max, eta.max(initial=0.0), abs(h_diag[m]))
+    w_block = np.where(v_nbr < m, v_w, 0.0).max(initial=0.0)
+    h_max = max(np.abs(h_diag[:m]).max(initial=0.0), w_block)
+    h_ext_max = max(h_max, eta_max, abs(h_diag[m]))
 
     # normwise relative residuals: the atom 1/(2 gamma) can make the kernel
     # huge, so |HX - I| alone would just measure conditioning
@@ -504,9 +496,10 @@ def check_identities(
     g_max = k_max = cs_max = e_hg = e_full = 0.0
     for c0 in range(0, m, _SOLVE_COLS):
         c1 = min(c0 + _SOLVE_COLS, m)
-        # columns c0:c1 of hat_g, read as its rows c0:c1
+        # columns c0:c1 of hat_g, read as its rows c0:c1, zero on delta
         tile = green_solve_banded(bundle.sample, np.eye(m, c1 - c0, -c0))
-        g = np.ascontiguousarray(tile.reshape(m, c1 - c0).T)
+        g = np.zeros((c1 - c0, m + 1))
+        g[:, :m] = tile.reshape(m, c1 - c0).T
         del tile
         a = np.arange(c1 - c0)
         diag[c0:c1] = g[a, c0 + a]
@@ -515,14 +508,14 @@ def check_identities(
         cs = np.outer(d[c0:], d)
         cs_max = max(cs_max, np.subtract(g[:, :c1], cs, out=cs).max(initial=0.0))
         del cs
-        e_hg = max(e_hg, off_identity(_h_rows(g, h_diag, eta, nbr, w)[0], c0))
+        e_hg = max(e_hg, off_identity(_h_rows(g, h_diag, tables)[0], c0))
         # the last tile's kernel rows end with delta's, where hat_g is 0
         k = np.outer(psi_e[c0 : c1 + (c1 == m)], psi_e)
         k /= 2.0 * bundle.gamma
-        k[: c1 - c0, :m] += g
+        k[: c1 - c0] += g
         del g
         k_max = max(k_max, k.max(), -k.min())
-        yv, y_delta = _h_rows(k, h_diag, eta, nbr, w)
+        yv, y_delta = _h_rows(k, h_diag, tables)
         del k
         y_delta[c1 - c0 :] -= 1.0
         e_full = max(e_full, off_identity(yv, c0), np.abs(y_delta).max())
@@ -534,7 +527,7 @@ def check_identities(
     # the root's column of hat_g, zero on delta
     hrow = np.append(bundle.hat_g_column(root), 0.0) if root < m else np.zeros(m + 1)
     gcheck = hrow[root] * psi_e - hrow * psi_e[root]
-    r_gc = rel(max(-gcheck.min(), 0.0), max(psi_e.max(), 1.0))
+    r_gc = rel(max(0.0, -gcheck.min()), max(psi_e.max(), 1.0))
 
     report = IdentityReport(
         hg_block=r_hg,

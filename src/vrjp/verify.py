@@ -230,14 +230,15 @@ def criterion_1(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     against an H_beta that h_beta forms anew."""
     g = build_lattice_box(2, 2, 1.0)
     subset = _box_subset(g, 1)
-    params = WiredBand.from_graph(g, subset).params()
+    wired = WiredBand.from_graph(g, subset)
+    params = wired.params()
     rng = stream(seed, "c1")
     center = subset[len(subset) // 2]
     worst: Dict[str, float] = {}
     for _ in range(sizes.envs_c1):
         sample = sample_batch(params, 1, rng)
         gamma = float(rng.gamma(0.5, 1.0))
-        bundle = green_bundle(params, sample, subset, gamma, i0=center)
+        bundle = green_bundle(wired, sample, subset, gamma, i0=center)
         rep, _ = check_identities(bundle, sample.beta[0], i0=center)
         for key, val in asdict(rep).items():
             # Python's max, except that a NaN wins and stays
@@ -470,9 +471,9 @@ def criterion_7(sizes: Sizes, seed: int) -> Tuple[bool, str]:
 def criterion_8(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Mixture representation: jump words of the reinforced walk match
     annealed words of the environment-fixed chain on a 4-vertex wired
-    graph. Each environment's chain steps the kernel of its QuenchedRates,
-    built from the root's kernel row, as the quenched chains of C10 and of
-    the command line do."""
+    graph. Each environment's chain steps its QuenchedRates, built on the
+    wired graph's neighbour tables from the root's kernel row, as the
+    quenched chains of C10 and of the command line do."""
     g3 = build_lattice_box(2, 1, 1.0)
     subset = [0, 1, 3, 4]
     wired = WiredBand.from_graph(g3, subset)
@@ -484,15 +485,15 @@ def criterion_8(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     words_a = vrjp_words(base, start, length, sizes.n_c8, stream(seed, "c8-vrjp"))
 
     rng = stream(seed, "c8-quench")
-    w_tilde = base.weight_matrix()
+    tables = wired.neighbours()
     rhs = np.stack([np.eye(params.n)[start], params.eta], axis=1)
 
     def quenched_words(sample: BandSample) -> np.ndarray:
         cols = green_solve_banded(sample, rhs)
         gamma = rng.gamma(0.5, 1.0, size=sample.beta.shape[0])
         rows = _kernel_row(cols[..., 1], cols[..., 0], start, gamma)
-        kernels = QuenchedRates.from_green(w_tilde, rows, start).kernel()
-        return markov_words(kernels, start, length, rng)
+        rates = QuenchedRates.from_green(*tables, rows, start)
+        return markov_words(rates, start, length, rng)
 
     words_b = _draws(params, sizes.n_c8, rng, quenched_words)
     p = word_chi2(words_a, words_b)
@@ -528,7 +529,8 @@ def criterion_10(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     Carlo in sampled environments."""
     g5 = build_lattice_box(2, 2, 1.0)
     subset = _box_subset(g5, 1)
-    params = WiredBand.from_graph(g5, subset).params()
+    wired = WiredBand.from_graph(g5, subset)
+    params = wired.params()
     center = subset[len(subset) // 2]
     corner = subset[0]
     worst_z = 0.0
@@ -536,7 +538,7 @@ def criterion_10(sizes: Sizes, seed: int) -> Tuple[bool, str]:
         rng = stream(seed, "c10-env", env)
         sample = sample_batch(params, 1, rng)
         gamma = float(rng.gamma(0.5, 1.0))
-        bundle = green_bundle(params, sample, subset, gamma, i0=center)
+        bundle = green_bundle(wired, sample, subset, gamma, i0=center)
         rates = QuenchedRates.from_bundle(bundle)
         p0 = bundle.position(center)
         d_idx = bundle.delta_index

@@ -11,9 +11,11 @@ experiment or CLI command runs, with their own error classes: the field's
 density and a dense Cholesky certificate of H_beta, a dense LDL^T of H_beta
 for a chosen beta in the layout a draw keeps its factor in, a graph's own
 weights in band storage, a Green bundle's hat_g (every column solved on
-its kept factor), wired conductances and full kernel as dense arrays, its
-identity residuals from dense products (the streamed check's twin), the one-site
-Schur step (the exact conditional law given some sites), the band
+its kept factor), wired conductances and full kernel as dense arrays, dense
+tables as the neighbour tables QuenchedRates reads and slots read back
+densely, its identity residuals from dense products (the streamed check's
+twin), the one-site Schur step (the exact conditional law given some
+sites), the band
 sampler's elimination order (R, B) built site by site, the annealed
 reinforced-walk environment, a graph's edge weight lookup and per-vertex
 weight totals, writing a graph in the CLI's JSON format, the
@@ -49,6 +51,7 @@ from vrjp import (
     Trajectory,
     VrjpError,
     WeightedGraph,
+    WiredBand,
     build_lattice_box,
     gig_half_sample,
     green_bundle,
@@ -351,13 +354,48 @@ def solved_hat_g(bundle) -> np.ndarray:
 
 def wired_w(params: NuParams) -> np.ndarray:
     """The wired conductances on the retained set plus delta, delta last:
-    params.p with eta on the last row and column, built densely."""
+    params.p with eta on the last row and column, built densely (pass
+    bundle.wired.params() for a bundle's)."""
     m = params.n
     w = np.zeros((m + 1, m + 1))
     w[:m, :m] = params.p
     w[:m, m] = params.eta
     w[m, :m] = params.eta
     return w
+
+
+def dense_tables(w: np.ndarray):
+    """A dense conductance matrix (size, size) as the neighbour tables
+    QuenchedRates and _rate_rows read: every row lists every state, with
+    W's row as its weights."""
+    w = np.asarray(w, dtype=float)
+    n = w.shape[-1]
+    return np.tile(np.arange(n), (n, 1)), w
+
+
+def dense_rates(table, i0: int, exit=None) -> QuenchedRates:
+    """A dense rate table (..., size, size) as QuenchedRates: every row lists
+    every state, and exit holds the row sums unless given."""
+    table = np.asarray(table, dtype=float)
+    nbr, _ = dense_tables(table)
+    if exit is None:
+        exit = table.sum(axis=-1)
+    return QuenchedRates(rates=table, nbr=nbr, exit=exit, i0=i0)
+
+
+def read_dense(nbr: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Slot values read densely: entry (i, nbr[i, s]) holds slots[..., i, s],
+    for one environment or a batch on leading axes. Pad slots hold 0 and
+    are added, so a pad that points at a state adds nothing."""
+    size = nbr.shape[0]
+    out = np.zeros(slots.shape[:-1] + (size,))
+    np.add.at(out, (..., np.arange(size)[:, None], nbr), slots)
+    return out
+
+
+def dense_kernel(rates: QuenchedRates) -> np.ndarray:
+    """rates.kernel() read densely (read_dense)."""
+    return read_dense(rates.nbr, rates.kernel())
 
 
 def full_kernel(bundle, hat_g=None) -> np.ndarray:
@@ -384,8 +422,9 @@ def dense_identities(bundle, beta, i0: Optional[int] = None) -> IdentityReport:
     b = np.asarray(beta, dtype=float).reshape(m)
     hat_g = solved_hat_g(bundle)
     root = bundle.i0_index if i0 is None else bundle.position(i0)
-    w = wired_w(bundle.params)
-    eta = bundle.params.eta
+    params = bundle.wired.params()
+    w = wired_w(params)
+    eta = params.eta
     beta_ext = bundle.beta_ext(b)
     psi_e = bundle.psi_ext()
 
@@ -402,7 +441,7 @@ def dense_identities(bundle, beta, i0: Optional[int] = None) -> IdentityReport:
     r_harm = rel(np.abs(resid).max(), max(np.abs(eta).max(), 1.0))
 
     grow = bundle.kernel_row(root)
-    exit_rates = _rate_rows(w, grow).sum(axis=1)
+    exit_rates = _rate_rows(*dense_tables(w), grow).sum(axis=1)
     off_root = np.arange(m + 1) != root
     r_tel = rel(np.abs(exit_rates - beta_ext)[off_root].max(), np.abs(beta_ext).max())
     recon = exit_rates
@@ -579,7 +618,7 @@ def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
             order = two_level_order(params.p)
             beta = reference_sample_batch(params, 1, rng, order=order)[0]
             bundle = green_bundle(
-                params,
+                WiredBand.from_graph(g_s, inner),
                 factored(params, beta),
                 inner,
                 float(gamma_rng.gamma(0.5, 1.0)),
@@ -912,7 +951,7 @@ def h_transform_rates(bundle, i0, mode: str) -> QuenchedRates:
     if mode not in ("return", "no-return"):
         raise DomainError(f"unknown mode {mode!r}")
     m = bundle.m
-    w = wired_w(bundle.params)
+    w = wired_w(bundle.wired.params())
     # the root row of hat_g, zero on delta
     hrow = np.append(solved_hat_g(bundle)[p0], 0.0)
     psi_e = bundle.psi_ext()
@@ -936,7 +975,7 @@ def h_transform_rates(bundle, i0, mode: str) -> QuenchedRates:
         raise ConditioningError("conditioning unreachable from the root")
     rates[p0] = exit0 * scores / total
     rates[bundle.delta_index] = 0.0
-    return QuenchedRates(rates=rates, exit=rates.sum(axis=1), i0=p0)
+    return dense_rates(rates, p0)
 
 
 def reference_quenched_chain(
@@ -947,7 +986,7 @@ def reference_quenched_chain(
     uniform per step, as vrjp.quenched_mjp does, but compares it with the
     row's CDF divided by its last entry rather than scaling the uniform, so
     the two agree except for a uniform within rounding of a running sum."""
-    kern = rates.kernel()
+    kern = dense_kernel(rates)
     verts = [int(start)]
     v = int(start)
     for _ in range(steps):

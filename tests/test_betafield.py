@@ -1108,6 +1108,51 @@ class TestWiredBand:
         with pytest.raises(SizeError, match="edge arrays of the 125-vertex box"):
             WiredBand.box(3, 1)
 
+    @pytest.mark.parametrize("radius", range(4))
+    @pytest.mark.parametrize("dim", range(1, 4))
+    def test_neighbours_are_the_dense_marginal(self, dim, radius):
+        # read densely, the tables' rows of V are params().p with eta in
+        # delta's column, and delta's row is eta; each row lists its
+        # neighbours in ascending order, delta last, then pads of weight 0
+        # that point at the row itself
+        g, subset = _green_box(dim, radius, 0.7)
+        w = stream(72, "wired-tables", dim).gamma(1.0, 1.0, size=g.edge_count)
+        g_w = WeightedGraph(
+            n=g.n, edges=tuple((i, j, x) for (i, j, _), x in zip(g.edges, w))
+        )
+        for wired in (
+            WiredBand.box(dim, radius, 0.7), WiredBand.from_graph(g_w, subset)
+        ):
+            params = wired.params()
+            nbr, w = wired.neighbours()
+            n = wired.n
+            dense = np.zeros((n + 1, n + 1))
+            np.add.at(dense, (np.arange(n + 1)[:, None], nbr), w)
+            np.testing.assert_array_equal(dense[:n, :n], params.p)
+            np.testing.assert_array_equal(dense[:n, n], params.eta)
+            np.testing.assert_array_equal(dense[n, :n], params.eta)
+            assert dense[n, n] == 0.0
+            real = w > 0
+            degrees = real.sum(axis=1)
+            assert w.shape == nbr.shape == (n + 1, degrees.max())
+            assert degrees[n] == np.count_nonzero(params.eta)
+            assert degrees[:n].max() <= 2 * dim + 1
+            assert (real[:, :-1] >= real[:, 1:]).all()
+            assert ((np.diff(nbr, axis=1) > 0) | ~real[:, 1:]).all()
+            assert (nbr[~real] == np.nonzero(~real)[0]).all()
+
+    def test_fill_and_neighbours_refuse_beyond_physical_memory(self, monkeypatch):
+        # the band (121 x 12 cells) and the tables (122 x 40 slots, two
+        # arrays) are refused before they are allocated
+        wired = WiredBand.box(2, 5)
+        sysconf = os.sysconf
+        fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        with pytest.raises(SizeError, match="band storage of 121 sites"):
+            wired.fill()
+        with pytest.raises(SizeError, match="neighbour tables of 121 sites"):
+            wired.neighbours()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_refuses_unusable_weights(self, bad):
         g, subset = _green_box(2, 1, 1.0)

@@ -502,7 +502,9 @@ class TestTrajectoryBytes:
 # became two-level, which consumes the generator in the order (R, B).
 # green.csv was taken again when the bundle stopped storing a symmetrized
 # hat_g: the root row is now the root's solved column, and one cell of u and
-# of green_root_row moved by an ulp; summary.json kept its bits
+# of green_root_row moved by an ulp; summary.json kept its bits. green's
+# summary.json was taken again when gcheck_min_violation stopped being
+# written as -0.0 (4add0d49... before); its other fields kept their bits
 RUNS = {
     "sample-beta": (
         ["sample-beta", "--dim", "2", "--radius", "1", "--n", "20", "--seed", "11"],
@@ -517,7 +519,7 @@ RUNS = {
         ["green", "--dim", "2", "--radius", "2", "--seed", "3"],
         {"green.csv": "fdccfc4856bf17565df680f82f451841c9f6282e0db5c1a6d97f8f4a5963a247",
          "summary.json":
-             "4add0d498d789fe161535a1a7c1a9513b933687448a799ad1e86fd7b33cfc52f"},
+             "575267d599de62ead1ed0d00f6fd61d3bada904313a5866f2ca542d0b64dfc3b"},
         {"command": "green",
          "config": {"W": 1.0, "dim": 2, "radius": 2, "seed": 3},
          "content_hash":
@@ -674,24 +676,31 @@ class TestWiredBoxBundle:
     def test_bundle_beyond_physical_memory_is_usage_error(
         self, tmp_path, monkeypatch, capsys, command
     ):
-        # the memory reported holds the dense coupling block (8 * 121^2
-        # bytes) twice over, but not the bundle's dense arrays: refused
-        # before any draw and before any output
+        # the memory reported is a page short of the band draw's own count
+        # on the 121-site box at bandwidth 11 (46 kB): refused before the
+        # band is filled, before any draw and before any output
+        def filled(*args, **kwargs):
+            raise AssertionError("the band was filled before the refusal")
+
+        need = vrjp.betafield._draw_bytes(121, 11)
         sysconf = os.sysconf
-        fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 * 8 * 122**2 // 4096}
+        fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (need - 1) // 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        monkeypatch.setattr(vrjp.betafield.WiredBand, "fill", filled)
         monkeypatch.setattr(vrjp.cli, "stream", lambda *key: NoDraws())
         out = tmp_path / "run"
         assert main([*BUNDLE_RUNS[command], "--out", str(out)]) == USAGE_EXIT
-        assert "the Green bundle of 121 sites" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "the band draw of 121 sites needs" in err
         assert not out.exists()
 
     def test_bundle_is_refused_before_the_box_is_built(
         self, tmp_path, monkeypatch, capsys, command
     ):
         # the d=3 radius-60 box: 123^3 outer vertices fit MAX_VERTICES, but
-        # the bundle of its 121^3 sites does not fit in memory; refused from
-        # the geometry alone, with no graph, no edge arrays and no draw
+        # the band draw of its 121^3 sites at bandwidth 121^2 does not fit in
+        # memory; refused from the geometry alone, with no graph, no edge
+        # arrays and no draw
         def built(*args, **kwargs):
             raise AssertionError("the box was built before the refusal")
 
@@ -704,8 +713,18 @@ class TestWiredBoxBundle:
         argv[argv.index("--radius") + 1] = "60"
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == USAGE_EXIT
-        assert "the Green bundle of 1771561 sites" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "the band draw of 1771561 sites needs" in err
         assert not out.exists()
+
+    def test_forms_no_dense_marginal(self, tmp_path, monkeypatch, command):
+        # W reaches the bundle, the check and the chain as the box's
+        # neighbour tables: the dense marginal is never formed
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense marginal was formed")
+
+        monkeypatch.setattr(vrjp.betafield.WiredBand, "params", dense)
+        assert main([*BUNDLE_RUNS[command], "--out", str(tmp_path / "run")]) == 0
 
     def test_factors_each_environment_once(self, tmp_path, monkeypatch, command):
         # the bundle solves on the factor the draw kept: no Cholesky and no
@@ -725,19 +744,21 @@ class TestWiredBoxBundle:
     ids=["green", "quenched"],
 )
 def test_bundle_peak_is_inside_the_size_limit(tmp_path, argv):
-    # the whole command's traced peak on the 441-site box stays below the
-    # memory the refusal counts, so a dense copy added to the bundle or to
-    # its readers shows here before the refusal stops being honest
-    m = 21**2
+    # the whole command's traced peak on the 1,681-site box stays below half
+    # of one dense (m + 1)^2 array (it reads 0.32 for green and 0.39 for the
+    # chain), so a dense copy added to the bundle or to its readers shows
+    # here: the refusals count the band draw, the neighbour tables and the
+    # chain's rate table, and no dense array
+    m = 41**2
     tracemalloc.start()
     try:
-        rc = main([*argv, "--dim", "2", "--radius", "10", "--seed", "3",
+        rc = main([*argv, "--dim", "2", "--radius", "20", "--seed", "3",
                    "--out", str(tmp_path / "run")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak < vrjp.cli._BUNDLE_ARRAYS * 8 * (m + 1) ** 2
+    assert peak < 0.5 * 8 * (m + 1) ** 2
 
 
 @pytest.fixture(scope="module")

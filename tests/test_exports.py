@@ -107,7 +107,9 @@ def test_removed_method_is_gone(cls, name):
 
 # keyword arguments dropped because no product caller set them, or, for
 # green_bundle's beta, replaced by the sample whose kept factor it solves on,
-# and, for QuenchedRates.from_green's green, by the root row it reads
+# and, for QuenchedRates.from_green's green, by the root row it reads; the
+# dense marginal and conductances (green_bundle's params, from_green's w)
+# and markov_words' dense kernels gave way to the neighbour tables
 REMOVED_KEYWORDS = {
     "quenched_mjp": ["holding"],
     "build_lattice_box": ["center", "max_vertices"],
@@ -116,8 +118,9 @@ REMOVED_KEYWORDS = {
     "conductance_ratio_experiment": ["margin"],
     "QuenchedRates.from_bundle": ["i0"],
     "sample_batch": ["order"],
-    "green_bundle": ["beta"],
-    "QuenchedRates.from_green": ["green"],
+    "green_bundle": ["beta", "params"],
+    "QuenchedRates.from_green": ["green", "w"],
+    "markov_words": ["kernels"],
 }
 
 

@@ -45,10 +45,14 @@ from _oracles import (
     ConditioningError,
     LargestUniform,
     NoDraws,
+    dense_kernel,
+    dense_rates,
+    dense_tables,
     edge_weight,
     factored,
     full_kernel,
     h_transform_rates,
+    read_dense,
     reference_quenched_chain,
     reference_simulate_vrjp,
     reference_vrjp_lattice,
@@ -82,10 +86,11 @@ def wheel(n, w=1.0):
 
 def wired_env(g, subset, rng, i0=None):
     """One field draw plus coupling on the retained set of g."""
-    params = WiredBand.from_graph(g, subset).params()
+    wired = WiredBand.from_graph(g, subset)
+    params = wired.params()
     sample = sample_batch(params, 1, rng)
     gamma = float(rng.gamma(0.5, 1.0))
-    return green_bundle(params, sample, subset, gamma, i0=i0)
+    return green_bundle(wired, sample, subset, gamma, i0=i0)
 
 
 def wired_box_env(dim, radius, w, rng, i0):
@@ -95,7 +100,7 @@ def wired_box_env(dim, radius, w, rng, i0):
     band, eta = wired.fill()
     sample = sample_banded(band, eta, rng)
     gamma = float(rng.gamma(0.5, 1.0))
-    return green_bundle(wired.params(), sample, range(wired.n), gamma, i0=i0)
+    return green_bundle(wired, sample, range(wired.n), gamma, i0=i0)
 
 
 class TestTrajectory:
@@ -390,10 +395,11 @@ class TestQuenchedRates:
         g = build_lattice_box(1, 3)
         subset = [1, 2, 3, 4, 5]
         rng = stream(4, "exit")
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         sample = sample_batch(params, 1, rng)
         beta = sample.beta[0]
-        bundle = green_bundle(params, sample, subset, float(rng.gamma(0.5)), i0=3)
+        bundle = green_bundle(wired, sample, subset, float(rng.gamma(0.5)), i0=3)
         rates = QuenchedRates.from_bundle(bundle)
         p0 = bundle.i0_index
         for k in range(bundle.m):
@@ -411,7 +417,8 @@ class TestQuenchedRates:
         grow = full_kernel(bundle)[bundle.i0_index]
         ratio = grow[None, :] / grow[:, None]
         rates = QuenchedRates.from_bundle(bundle)
-        assert np.array_equal(rates.rates, 0.5 * wired_w(bundle.params) * ratio)
+        dense = read_dense(rates.nbr, rates.rates)
+        assert np.array_equal(dense, 0.5 * wired_w(bundle.wired.params()) * ratio)
 
     def test_kernel_keeps_the_masked_division_bits(self):
         # each row divided by its exit rate, bit for bit as a masked row
@@ -421,7 +428,9 @@ class TestQuenchedRates:
         rates = QuenchedRates.from_bundle(wired_env(g, subset, stream(4, "kern"), i0=7))
         table = rates.rates.copy()
         table[-1] = 0.0
-        absorbing = QuenchedRates(rates=table, exit=table.sum(axis=1), i0=rates.i0)
+        absorbing = QuenchedRates(
+            rates=table, nbr=rates.nbr, exit=table.sum(axis=1), i0=rates.i0
+        )
         for r in (rates, absorbing):
             old = np.zeros_like(r.rates)
             pos = r.exit > 0
@@ -436,11 +445,11 @@ class TestQuenchedRates:
         rates = QuenchedRates.from_bundle(bundle)
         grow = full_kernel(bundle)[bundle.i0_index]
         m_meas = rates.exit * grow**2
-        flux = m_meas[:, None] * rates.kernel()
+        flux = m_meas[:, None] * dense_kernel(rates)
         assert np.allclose(flux, flux.T, rtol=1e-12, atol=1e-14)
         assert np.allclose(
             flux,
-            0.5 * wired_w(bundle.params) * np.outer(grow, grow),
+            0.5 * wired_w(bundle.wired.params()) * np.outer(grow, grow),
             rtol=1e-12,
             atol=1e-14,
         )
@@ -449,8 +458,9 @@ class TestQuenchedRates:
         g = build_lattice_box(1, 2)
         bundle = wired_env(g, [1, 2, 3], stream(4, "pos"), i0=2)
         rates = QuenchedRates.from_bundle(bundle)
-        on_edge = wired_w(bundle.params) > 0
-        assert (rates.rates[on_edge] > 0).all()
+        on_edge = wired_w(bundle.wired.params()) > 0
+        dense = read_dense(rates.nbr, rates.rates)
+        assert (dense[on_edge] > 0).all() and not dense[~on_edge].any()
         assert (rates.exit > 0).all()
 
     def test_empirical_kernel_matches_rates(self):
@@ -459,7 +469,7 @@ class TestQuenchedRates:
         bundle = wired_env(g, [1, 2], rng, i0=1)
         rates = QuenchedRates.from_bundle(bundle)
         traj = quenched_mjp(rates, start=0, steps=100_000, rng=rng)
-        kern = rates.kernel()
+        kern = dense_kernel(rates)
         states = traj.vertices
         for i in range(rates.size):
             mask = states[:-1] == i
@@ -489,19 +499,13 @@ class TestQuenchedRates:
         assert r_new.random() == r_ref.random()
 
     def test_refuses_chain_beyond_physical_memory(self):
-        rates = QuenchedRates(
-            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.ones(2), i0=0
-        )
+        rates = dense_rates(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         with pytest.raises(SizeError):
             quenched_mjp(rates, 0, have // 16, NoDraws())
 
     def test_errors(self):
-        rates = QuenchedRates(
-            rates=np.array([[0.0, 1.0], [0.0, 0.0]]),
-            exit=np.array([1.0, 0.0]),
-            i0=0,
-        )
+        rates = dense_rates(np.array([[0.0, 1.0], [0.0, 0.0]]), 0)
         with pytest.raises(DomainError):
             quenched_mjp(rates, 0, -1, stream(0))
         with pytest.raises(DomainError):
@@ -509,9 +513,7 @@ class TestQuenchedRates:
 
     @pytest.mark.parametrize("start", [-1, 2])
     def test_refuses_a_start_outside_the_states(self, start):
-        rates = QuenchedRates(
-            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.ones(2), i0=0
-        )
+        rates = dense_rates(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
         with pytest.raises(DomainError, match="start state"):
             quenched_mjp(rates, start, 3, NoDraws())
 
@@ -522,27 +524,28 @@ class TestQuenchedRates:
         subset = [v for v in range(g.n) if v not in (0, 24)]
         w = wired_w(WiredBand.from_graph(g, subset).params())
         rows = stream(4, "batch-rates").uniform(0.5, 2.0, size=(2, 3, w.shape[0]))
-        batch = QuenchedRates.from_green(w, rows, 7)
+        batch = QuenchedRates.from_green(*dense_tables(w), rows, 7)
         assert batch.rates.shape == (2, 3) + w.shape and batch.size == w.shape[0]
         kernels = batch.kernel()
         for idx in np.ndindex(2, 3):
-            one = QuenchedRates.from_green(w, rows[idx], 7)
+            one = QuenchedRates.from_green(*dense_tables(w), rows[idx], 7)
             assert np.array_equal(batch.rates[idx], one.rates)
             assert np.array_equal(batch.exit[idx], one.exit)
             assert np.array_equal(kernels[idx], one.kernel())
 
     def test_rate_table_is_the_only_table_formed(self):
-        # the rates are formed in place in one (m + 1)^2 array, the result,
-        # so the peak is that table and a few (m + 1,) vectors: a product of
+        # the rates are formed in place in one array, the result, here the
+        # dense (m + 1)^2 table whose every row lists every state, so the
+        # peak is that table and a few (m + 1,) vectors: a product of
         # temporaries, even with numpy's in-place reuse of the first, holds
         # a second table while it forms
         bundle = wired_box_env(2, 10, 1.0, stream(4, "rates-peak"), i0=220)
-        w = wired_w(bundle.params)
+        nbr, w = dense_tables(wired_w(bundle.wired.params()))
         row = bundle.kernel_row(bundle.i0_index)
         table = w.nbytes
         tracemalloc.start()
         try:
-            rates = QuenchedRates.from_green(w, row, bundle.i0_index)
+            rates = QuenchedRates.from_green(nbr, w, row, bundle.i0_index)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -550,11 +553,12 @@ class TestQuenchedRates:
         assert peak <= 1.5 * table
 
     def test_bundle_table_is_the_only_table_formed(self):
-        # from_bundle fills its table a block of wired rows at a time, so
-        # beside the table it holds one block of W's rows, never the dense
-        # wired W that from_green is given
+        # from_bundle forms its rates on the bundle's neighbour tables, (m +
+        # 1) rows of 80 slots on this box, one per rim site on delta's row:
+        # beside its table it holds the two neighbour tables of the same
+        # shape (3.25 tables in all), never a dense (m + 1)^2 array
         bundle = wired_box_env(2, 10, 1.0, stream(4, "rates-peak"), i0=220)
-        table = 8 * (bundle.m + 1) ** 2
+        dense = 8 * (bundle.m + 1) ** 2
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -562,15 +566,28 @@ class TestQuenchedRates:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert rates.rates.nbytes == table
-        assert peak <= 1.5 * table
+        assert rates.rates.shape == rates.nbr.shape == (bundle.m + 1, 80)
+        assert peak <= 3.5 * rates.rates.nbytes < dense
+
+    def test_refuses_a_rate_table_beyond_physical_memory(self, monkeypatch):
+        # the table, its kernel and running sums (3 x 576 cells on the 23
+        # sites plus delta, listed densely) are refused before the table
+        # is allocated
+        bundle = wired_env(build_lattice_box(2, 2), range(1, 24), stream(4, "big"))
+        tables = dense_tables(wired_w(bundle.wired.params()))
+        row = bundle.kernel_row(bundle.i0_index)
+        sysconf = os.sysconf
+        fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        with pytest.raises(SizeError, match="rate table of 576 slots"):
+            QuenchedRates.from_green(*tables, row, bundle.i0_index)
 
     def test_refuses_a_green_row_with_zeros(self):
         # a root row that vanishes off the root's component: rates there
         # would be 0/0
         w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(NumericError, match="Green row"):
-            QuenchedRates.from_green(w, np.array([1.0, 0.5, 0.0]), 0)
+            QuenchedRates.from_green(*dense_tables(w), np.array([1.0, 0.5, 0.0]), 0)
 
 
 class TestEscapeProbability:
@@ -625,9 +642,10 @@ class TestEscapeProbability:
             n=5,
             edges=((0, 1, 1e-8), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1e-8)),
         )
-        params = WiredBand.from_graph(g, [1, 2, 3]).params()
+        wired = WiredBand.from_graph(g, [1, 2, 3])
+        params = wired.params()
         bundle = green_bundle(
-            params, factored(params, np.ones(3)), [1, 2, 3], gamma=0.5, i0=2
+            wired, factored(params, np.ones(3)), [1, 2, 3], gamma=0.5, i0=2
         )
         assert escape_probability_formula(bundle, 2, 2) < 1e-6
         assert escape_probability_formula(bundle, 2, 1) < 1e-6
@@ -666,10 +684,11 @@ class TestHTransform:
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
         rng = stream(6, "gfree")
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         sample = sample_batch(params, 1, rng)
-        b_lo = green_bundle(params, sample, subset, gamma=0.2, i0=2)
-        b_hi = green_bundle(params, sample, subset, gamma=1.7, i0=2)
+        b_lo = green_bundle(wired, sample, subset, gamma=0.2, i0=2)
+        b_hi = green_bundle(wired, sample, subset, gamma=1.7, i0=2)
         for mode in ("return", "no-return"):
             r_lo = h_transform_rates(b_lo, 2, mode)
             r_hi = h_transform_rates(b_hi, 2, mode)
@@ -697,7 +716,7 @@ class TestHTransform:
         rng = stream(6, "mix")
         bundle = wired_env(g, subset, rng, i0=3)
         p0 = bundle.i0_index
-        kern = QuenchedRates.from_bundle(bundle).kernel()
+        kern = dense_kernel(QuenchedRates.from_bundle(bundle))
         k_ret = h_transform_rates(bundle, 3, "return").kernel()
         k_esc = h_transform_rates(bundle, 3, "no-return").kernel()
         for i in range(bundle.m):
@@ -713,13 +732,18 @@ class TestHTransform:
         bundle = wired_env(g, subset, rng, i0=2)
         p0 = bundle.i0_index
         delta = bundle.delta_index
-        kern = QuenchedRates.from_bundle(bundle).kernel()
+        rates = QuenchedRates.from_bundle(bundle)
         k_ret = h_transform_rates(bundle, 2, "return").kernel()
         k_esc = h_transform_rates(bundle, 2, "no-return").kernel()
 
         n = 30_000
-        kernels = np.broadcast_to(kern, (n,) + kern.shape)
-        words = markov_words(kernels, p0, 200, rng)
+        walks = QuenchedRates(
+            rates=np.broadcast_to(rates.rates, (n,) + rates.rates.shape),
+            nbr=rates.nbr,
+            exit=np.broadcast_to(rates.exit, (n,) + rates.exit.shape),
+            i0=rates.i0,
+        )
+        words = markov_words(walks, p0, 200, rng)
         first = words[:, 0]
         hit_root = np.argmax(words == p0, axis=1)
         hit_root[~(words == p0).any(axis=1)] = words.shape[1]
@@ -731,15 +755,16 @@ class TestHTransform:
         escaped = decided & (hit_delta < hit_root)
         for mask, kcond in ((returned, k_ret), (escaped, k_esc)):
             sub = first[mask]
-            for j in range(kern.shape[1]):
+            for j in range(rates.size):
                 p = kcond[p0, j]
                 phat = (sub == j).mean()
                 tol = SE_RULE * np.sqrt(max(p * (1.0 - p), 1e-12) / sub.size)
                 assert abs(phat - p) <= tol
 
     def test_unreachable_conditioning_raises(self):
-        params = WiredBand.from_graph(pair(), [0]).params()
-        bundle = green_bundle(params, factored(params, [0.9]), [0], gamma=0.4, i0=0)
+        wired = WiredBand.from_graph(pair(), [0])
+        params = wired.params()
+        bundle = green_bundle(wired, factored(params, [0.9]), [0], gamma=0.4, i0=0)
         with pytest.raises(ConditioningError):
             h_transform_rates(bundle, 0, "return")
 
@@ -754,18 +779,14 @@ class TestHTransform:
 
 class TestMcReturnProbability:
     def test_symmetric_two_state_split(self):
-        rates = QuenchedRates(
-            rates=np.array([[1.0, 1.0], [1.0, 1.0]]), exit=np.array([2.0, 2.0]), i0=0
-        )
+        rates = dense_rates(np.array([[1.0, 1.0], [1.0, 1.0]]), 0)
         report = mc_return_probability(rates, 0, {0, 1}, 40_000, stream(7, "half"))
         for state in (0, 1):
             p, se_hat = report.prob(state)
             assert abs(p - 0.5) <= SE_RULE * se_hat
 
     def test_absorb_at_start_is_certain(self):
-        rates = QuenchedRates(
-            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.array([1.0, 1.0]), i0=0
-        )
+        rates = dense_rates(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
         report = mc_return_probability(rates, 0, {0}, 5_000, stream(7, "sure"))
         assert report.prob(0)[0] == 1.0
 
@@ -773,29 +794,25 @@ class TestMcReturnProbability:
         w = np.zeros((4, 4))
         for i in range(3):
             w[i, i + 1] = w[i + 1, i] = 1.0
-        rates = QuenchedRates(rates=0.5 * w, exit=0.5 * w.sum(axis=1), i0=1)
+        rates = dense_rates(0.5 * w, 1)
         report = mc_return_probability(rates, 1, {0, 3}, 20_000, stream(7, "ruin"))
         p, se_hat = report.prob(3)
         assert abs(p - 1.0 / 3.0) <= SE_RULE * se_hat
 
     def test_errors(self):
-        rates = QuenchedRates(
-            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.array([1.0, 1.0]), i0=0
-        )
+        rates = dense_rates(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
         with pytest.raises(DomainError, match="nonempty"):
             mc_return_probability(rates, 0, set(), 10, stream(0))
         # a chain that steps into a state with no outgoing rate: the same
         # refusal as markov_words'
-        dead = QuenchedRates(
-            rates=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
-            exit=np.array([1.0, 1.0, 0.0]),
-            i0=0,
+        dead = dense_rates(
+            np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), 0
         )
         with pytest.raises(DomainError, match="zero mass"):
             mc_return_probability(dead, 0, {0}, 10, stream(0))
         # a NaN in row 1 would otherwise send every chain to state 2
         table = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, np.nan], [0.0, 1.0, 0.0]])
-        nan = QuenchedRates(rates=table, exit=np.ones(3), i0=0)
+        nan = dense_rates(table, 0, exit=np.ones(3))
         with pytest.raises(DomainError, match="not finite"):
             mc_return_probability(nan, 0, {0, 2}, 10, NoDraws())
         table[1, 2] = np.inf
@@ -819,7 +836,7 @@ class TestMcReturnProbability:
         # its IndexError, and n = 0 divides by zero in prob
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
-        rates = QuenchedRates(rates=w, exit=w.sum(axis=1), i0=0)
+        rates = dense_rates(w, 0)
         with pytest.raises(DomainError, match=match):
             mc_return_probability(rates, i0, absorb, n, NoDraws())
 
@@ -827,16 +844,12 @@ class TestMcReturnProbability:
     def test_refuses_a_chain_count_that_is_not_whole(self, n):
         # np.full would raise its own TypeError on 10.0 and "10", and take
         # True as one chain
-        rates = QuenchedRates(
-            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.array([1.0, 1.0]), i0=0
-        )
+        rates = dense_rates(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
         with pytest.raises(DomainError, match="n must be a whole number"):
             mc_return_probability(rates, 0, {0}, n, NoDraws())
 
     def test_prob_refuses_a_state_outside_the_absorbing_set(self):
-        rates = QuenchedRates(
-            rates=np.array([[0.0, 1.0], [1.0, 0.0]]), exit=np.array([1.0, 1.0]), i0=0
-        )
+        rates = dense_rates(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
         report = mc_return_probability(rates, 0, {0}, 10, stream(7, "outside"))
         assert report.prob(0) == (1.0, 0.0)
         with pytest.raises(DomainError, match="absorbing set"):
@@ -874,7 +887,7 @@ class TestMcReturnProbability:
         # cap allows
         monkeypatch.setattr(processes, "MAX_SWEEPS", 2)
         table = np.roll(np.eye(3), 1, axis=1)
-        rates = QuenchedRates(rates=table, exit=np.ones(3), i0=0)
+        rates = dense_rates(table, 0)
         report = mc_return_probability(rates, 0, {2}, 10, stream(7, "last"))
         assert report.prob(2) == (1.0, 0.0)
 
@@ -883,7 +896,7 @@ class TestMcReturnProbability:
         monkeypatch.setattr(processes, "MAX_SWEEPS", 1)
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
-        rates = QuenchedRates(rates=w, exit=w.sum(axis=1), i0=0)
+        rates = dense_rates(w, 0)
         with pytest.raises(NumericError, match="not absorbed"):
             mc_return_probability(rates, 0, {2}, 10, stream(7, "cap"))
 
@@ -919,8 +932,7 @@ class TestMixtureRepresentation:
         full[:, m, m] = 1.0 / (2.0 * gamma)
         row = full[:, 1, :]
         rates = 0.5 * w[None, :, :] * (row[:, None, :] / row[:, :, None])
-        kernels = rates / rates.sum(axis=2, keepdims=True)
-        b_words = markov_words(kernels, 1, 3, rng)
+        b_words = markov_words(dense_rates(rates, 1), 1, 3, rng)
 
         assert word_chi2(a_words, b_words) > ALPHA
 
@@ -932,9 +944,11 @@ class TestMixtureRepresentation:
             vrjp_words(g, i0, 4, 1, NoDraws())
 
     def test_markov_words_refuses_a_shared_kernel(self):
-        # one kernel per walk: a (size, size) kernel is refused, not shared
-        with pytest.raises(DomainError, match="n_walks, size, size"):
-            markov_words(np.array([[0.0, 1.0], [1.0, 0.0]]), 0, 3, NoDraws())
+        # one environment per walk: the rates of one environment, (size,
+        # width), are refused, not shared
+        one = dense_rates(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
+        with pytest.raises(DomainError, match="one walk per environment"):
+            markov_words(one, 0, 3, NoDraws())
 
     @pytest.mark.parametrize(
         "start, length, match",
@@ -945,22 +959,28 @@ class TestMixtureRepresentation:
         # unchecked, numpy's indexing reads a start of -1 as state 1 and
         # raises its IndexError at state 2, and a negative length its
         # ValueError
-        kernels = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+        rates = dense_rates(np.array([[[0.0, 1.0], [1.0, 0.0]]]), 0)
         with pytest.raises(DomainError, match=match):
-            markov_words(kernels, start, length, NoDraws())
+            markov_words(rates, start, length, NoDraws())
 
     def test_markov_words_refuses_kernels_that_are_not_square(self):
-        with pytest.raises(DomainError, match="n_walks, size, size"):
-            markov_words(np.ones((1, 2, 3)), 0, 3, NoDraws())
+        # a (2, 3) table of rates against the neighbour table of 2 states
+        nbr, _ = dense_tables(np.ones((2, 2)))
+        rates = QuenchedRates(
+            rates=np.ones((1, 2, 3)), nbr=nbr, exit=np.full((1, 2), 3.0), i0=0
+        )
+        with pytest.raises(DomainError, match="n_walks, size, width"):
+            markov_words(rates, 0, 3, NoDraws())
 
     def test_markov_words_refuses_a_kernel_that_is_not_finite(self):
         # a NaN row would otherwise send every walk to state 0
-        kernels = np.array([[[0.0, 1.0], [np.nan, np.nan]]])
+        table = np.array([[[0.0, 1.0], [np.nan, np.nan]]])
+        rates = dense_rates(table, 0, exit=np.ones((1, 2)))
         with pytest.raises(DomainError, match="not finite"):
-            markov_words(kernels, 0, 3, NoDraws())
-        kernels[0, 1] = [np.inf, 0.0]
+            markov_words(rates, 0, 3, NoDraws())
+        table[0, 1] = [np.inf, 0.0]
         with pytest.raises(DomainError, match="not finite"):
-            markov_words(kernels, 0, 3, NoDraws())
+            markov_words(rates, 0, 3, NoDraws())
 
     @pytest.mark.parametrize(
         "bad", ["zero", "nan", "inf", "negative", "one-row", "short"]
@@ -1016,8 +1036,7 @@ class TestMixtureInContinuousTime:
         # the graph, its wired marginal and the walks' D(T_3), shared by the
         # check and its power companion
         wired = WiredBand.from_graph(build_lattice_box(2, 1), [0, 1, 3, 4])
-        graph = wired.graph()
-        return graph, wired.params(), self.walk_side(graph, self.SEED)
+        return wired, self.walk_side(wired.graph(), self.SEED)
 
     def walk_side(self, graph, seed):
         # single 3-jump walks, each read on its own D clock
@@ -1031,9 +1050,10 @@ class TestMixtureInContinuousTime:
             out[k] = processes._clocks(waits, entered)[1][-1]
         return out
 
-    def quenched_side(self, graph, params, seed, exit_scale=1.0):
+    def quenched_side(self, wired, seed, exit_scale=1.0):
         # annealed chains on their rate tables, with Exp(exit) holding times
         # drawn from their own stream
+        params = wired.params()
         rng = stream(seed, "d-clock-env")
         sample = sample_batch(params, self.N, rng)
         gamma = rng.gamma(0.5, 1.0, size=self.N)
@@ -1042,21 +1062,21 @@ class TestMixtureInContinuousTime:
         rhs[:, 1] = params.eta
         cols = green_solve_banded(sample, rhs)
         rows = _kernel_row(cols[..., 1], cols[..., 0], self.START, gamma)
-        rates = QuenchedRates.from_green(graph.weight_matrix(), rows, self.START)
-        words = markov_words(rates.kernel(), self.START, 3, rng)
+        rates = QuenchedRates.from_green(*wired.neighbours(), rows, self.START)
+        words = markov_words(rates, self.START, 3, rng)
         held = np.column_stack([np.full(self.N, self.START), words[:, :2]])
         exit = exit_scale * rates.exit[np.arange(self.N)[:, None], held]
         waits = stream(seed, "d-clock-hold").standard_exponential((self.N, 3))
         return (waits / exit).sum(axis=1)
 
     def test_third_jump_has_the_same_d_time(self, sides):
-        graph, params, walk = sides
-        chain = self.quenched_side(graph, params, self.SEED)
+        wired, walk = sides
+        chain = self.quenched_side(wired, self.SEED)
         assert stats.ks_2samp(walk, chain).pvalue > ALPHA
 
     def test_rates_without_the_half_are_told_apart(self, sides):
-        graph, params, walk = sides
-        chain = self.quenched_side(graph, params, self.SEED, exit_scale=2.0)
+        wired, walk = sides
+        chain = self.quenched_side(wired, self.SEED, exit_scale=2.0)
         assert stats.ks_2samp(walk, chain).pvalue < 1e-6
 
 

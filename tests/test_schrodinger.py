@@ -32,6 +32,7 @@ from vrjp import (
 )
 
 from vrjp import verify
+import vrjp.schrodinger
 from vrjp.betafield import h_beta
 from vrjp.schrodinger import _SOLVE_BLOCK, _kernel_row
 
@@ -223,6 +224,21 @@ class TestGreenSolveBanded:
         with pytest.raises(DomainError):
             green_solve_banded(sample, np.ones((g.n, 2, 2)))
 
+    @pytest.mark.parametrize("layout", ["two-level", "batch"])
+    def test_refuses_a_right_hand_side_without_columns(self, monkeypatch, layout):
+        # scipy's dtbtrs corrupts the heap on an empty block: an (m, 0)
+        # right-hand side is refused before any LAPACK call, on both layouts
+        def reached(*args, **kwargs):
+            raise AssertionError("dtbtrs was reached")
+
+        monkeypatch.setattr(vrjp.schrodinger, "dtbtrs", reached)
+        g, _, sample = _drawn_box(2, 2, 1.0, 83)
+        if layout == "batch":
+            params = NuParams(p=g.weight_matrix(), eta=np.ones(g.n))
+            sample = sample_batch(params, 1, stream(83, "gsb-empty"))
+        with pytest.raises(DomainError, match="no entries"):
+            green_solve_banded(sample, np.ones((g.n, 0)))
+
 
 def _gate_marginal(name):
     """The marginals whose batches criteria 6 and 8 solve on the kept factor:
@@ -310,8 +326,9 @@ def test_green_solves_refuse_a_beta_of_the_wrong_shape(banded, shape):
 class TestGreenBundle:
     def test_single_retained_vertex_closed_form(self):
         g = pair()
-        params = WiredBand.from_graph(g, [0]).params()
-        bundle = green_bundle(params, factored(params, [0.8]), [0], gamma=0.3)
+        wired = WiredBand.from_graph(g, [0])
+        params = wired.params()
+        bundle = green_bundle(wired, factored(params, [0.8]), [0], gamma=0.3)
         assert solved_hat_g(bundle)[0, 0] == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert bundle.psi[0] == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert bundle.kernel_row(1)[1] == pytest.approx(1.0 / 0.6, rel=1e-12)
@@ -323,7 +340,8 @@ class TestGreenBundle:
         # inverse of an H_beta that h_beta forms anew, and its product with eta
         g = build_lattice_box(2, 3)
         subset = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 2]
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         rng = stream(23, "bundle-factor", sampler)
         if sampler == "sample_banded":
             sample = sample_banded(*WiredBand.from_graph(g, subset).fill(), rng)
@@ -331,7 +349,7 @@ class TestGreenBundle:
         else:
             sample = sample_batch(params, 1, rng)
             beta = sample.beta[0]
-        bundle = green_bundle(params, sample, subset, gamma=0.7, i0=subset[12])
+        bundle = green_bundle(wired, sample, subset, gamma=0.7, i0=subset[12])
         inverse = np.linalg.inv(h_beta(params.p, beta))
         np.testing.assert_allclose(solved_hat_g(bundle), inverse, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(bundle.psi, inverse @ params.eta, rtol=1e-12, atol=0.0)
@@ -344,8 +362,9 @@ class TestGreenBundle:
         subset = [v for v in range(g.n) if v not in (0, 24)]
         rng = stream(51, "decomp")
         sample, gamma = wired_beta_envs(g, subset, 1, rng)
-        params = WiredBand.from_graph(g, subset).params()
-        bundle = green_bundle(params, sample, subset, gamma[0])
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
+        bundle = green_bundle(wired, sample, subset, gamma[0])
         m = bundle.m
         hat_g = solved_hat_g(bundle)
         recon = hat_g + np.outer(bundle.psi, bundle.psi) / (2.0 * gamma[0])
@@ -359,9 +378,10 @@ class TestGreenBundle:
         n = 100_000
         gamma = rng.gamma(0.5, 1.0, size=n)
         sub = rng.integers(0, n, size=200)
-        params = WiredBand.from_graph(g, [0]).params()
+        wired = WiredBand.from_graph(g, [0])
+        params = wired.params()
         for k in sub[:5]:
-            bundle = green_bundle(params, factored(params, [1.0]), [0], gamma=gamma[k])
+            bundle = green_bundle(wired, factored(params, [1.0]), [0], gamma=gamma[k])
             assert bundle.kernel_row(1)[1] == pytest.approx(
                 1.0 / (2.0 * gamma[k]), rel=1e-12
             )
@@ -373,8 +393,9 @@ class TestGreenBundle:
         subset = [1, 2, 3]
         rng = stream(51, "ext")
         sample, gamma = wired_beta_envs(g, subset, 1, rng)
-        params = WiredBand.from_graph(g, subset).params()
-        bundle = green_bundle(params, sample, subset, gamma[0], i0=2)
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
+        bundle = green_bundle(wired, sample, subset, gamma[0], i0=2)
         assert (bundle.psi > 0).all()
         assert bundle.psi_ext()[bundle.delta_index] == 1.0
         assert bundle.u[bundle.i0_index] == 0.0
@@ -388,12 +409,13 @@ class TestGreenBundle:
         # densely in one piece, on a drawn and on a chosen-beta bundle
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 24)]
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         if drawn:
             sample = sample_batch(params, 1, stream(52, "kernel-rows"))
         else:
             sample = factored(params, np.full(len(subset), 2.5))
-        bundle = green_bundle(params, sample, subset, gamma=0.4, i0=subset[7])
+        bundle = green_bundle(wired, sample, subset, gamma=0.4, i0=subset[7])
         dense = full_kernel(bundle)
         for k in range(bundle.m + 1):
             assert np.array_equal(bundle.kernel_row(k), dense[k])
@@ -405,9 +427,10 @@ class TestGreenBundle:
     def test_kernel_row_of_one_environment_is_the_dense_root_row(self, i0):
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 24)]
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         sample = sample_batch(params, 1, stream(52, "root-row"))
-        bundle = green_bundle(params, sample, subset, gamma=0.4, i0=i0)
+        bundle = green_bundle(wired, sample, subset, gamma=0.4, i0=i0)
         k = bundle.i0_index
         ghat = bundle.root_column if k < bundle.m else None
         row = _kernel_row(bundle.psi, ghat, k, bundle.gamma)
@@ -428,15 +451,43 @@ class TestGreenBundle:
             env = SimpleNamespace(m=m, psi=psi[s], gamma=gamma[s])
             assert np.array_equal(rows[s], full_kernel(env, hat[s].T)[k])
 
+    @pytest.mark.parametrize(
+        "k",
+        [-1, 10, 2.0, True, np.True_, "1", None],
+        ids=["negative", "past", "float", "bool", "numpy-bool", "str", "none"],
+    )
+    def test_kernel_row_refuses_an_index_it_cannot_read(self, k):
+        # on the 9-site box, -1 once mixed delta's psi part with site 8's
+        # column, True gave a (10, 1, 10) array, and 10 and 2.0 raised
+        # numpy's IndexError
+        with pytest.raises(DomainError):
+            nine_site_bundle().kernel_row(k)
+
+    @pytest.mark.parametrize(
+        "k", [-1, 9, 2.0, True, "1"], ids=["negative", "delta", "float", "bool", "str"]
+    )
+    def test_hat_g_column_refuses_an_index_it_cannot_read(self, k):
+        with pytest.raises(DomainError):
+            nine_site_bundle().hat_g_column(k)
+
+    def test_numpy_integers_read_as_their_index(self):
+        bundle = nine_site_bundle()
+        for k in (0, 4, 9):
+            assert np.array_equal(bundle.kernel_row(np.int64(k)), bundle.kernel_row(k))
+        assert np.array_equal(bundle.hat_g_column(np.intp(3)), bundle.hat_g_column(3))
+
     def test_keeps_only_what_it_solved(self):
-        # the marginal and the draw are shared, and no (m, m) or larger
-        # array is stored: the arrays held are vectors on the retained set
+        # the wiring and the draw are shared, and no (m, m) or larger array
+        # is stored, nor any NuParams: the arrays held are vectors on the
+        # retained set
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if v not in (0, 24)]
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         sample = sample_batch(params, 1, stream(52, "bundle-arrays"))
-        bundle = green_bundle(params, sample, subset, gamma=0.4)
-        assert bundle.params is params and bundle.sample is sample
+        bundle = green_bundle(wired, sample, subset, gamma=0.4)
+        assert bundle.wired is wired and bundle.sample is sample
+        assert not any(isinstance(x, NuParams) for x in vars(bundle).values())
         held = [x for x in vars(bundle).values() if isinstance(x, np.ndarray)]
         assert held and all(x.shape == (bundle.m,) for x in held)
 
@@ -446,14 +497,13 @@ class TestGreenBundle:
         # solve's copy of B's band factor, 0.025 of an array here, is half
         # of the peak; the labels come as the tuple the bundle keeps
         wired = WiredBand.box(2, 10, 1.0)
-        params = wired.params()
         sample = sample_banded(*wired.fill(), stream(52, "bundle-peak"))
         m = wired.n
         subset = tuple(range(m))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            green_bundle(params, sample, subset, gamma=0.4, i0=m // 2)
+            green_bundle(wired, sample, subset, gamma=0.4, i0=m // 2)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -461,39 +511,44 @@ class TestGreenBundle:
 
     def test_errors(self):
         g = pair()
-        one = WiredBand.from_graph(g, [0]).params()
+        one = WiredBand.from_graph(g, [0])
+        p_one = one.params()
         for gamma in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(DomainError):
-                green_bundle(one, factored(one, [1.0]), [0], gamma=gamma)
+                green_bundle(one, factored(p_one, [1.0]), [0], gamma=gamma)
         with pytest.raises(DomainError):
-            two = WiredBand.from_graph(g, [0, 0]).params()
-            green_bundle(two, factored(two, [1.0, 1.0]), [0, 0], gamma=1.0)
-        flat = NuParams(p=np.zeros((2, 2)), eta=np.ones(2))
+            WiredBand.from_graph(g, [0, 0])
+        # two sites, both on the boundary, labelled by a repeated vertex
+        apart = WeightedGraph(n=4, edges=((0, 2, 1.0), (1, 3, 1.0)))
+        flat = WiredBand.from_graph(apart, [0, 1])
+        with pytest.raises(DomainError, match="repeated"):
+            green_bundle(flat, factored(flat.params(), [1.0, 1.0]), [0, 0], gamma=1.0)
         with pytest.raises(DomainError):
-            green_bundle(flat, factored(flat, [1.0, 1.0]), [0, 0], gamma=1.0)
-        with pytest.raises(DomainError):
-            green_bundle(one, factored(one, [1.0]), [0, 1], gamma=1.0)
-        closed = WiredBand.from_graph(g, [0, 1]).params()
+            green_bundle(one, factored(p_one, [1.0]), [0, 1], gamma=1.0)
+        closed = WiredBand.from_graph(g, [0, 1])
         with pytest.raises(RestrictionError):
-            green_bundle(closed, factored(closed, [1.0, 1.0]), [0, 1], gamma=1.0)
+            green_bundle(
+                closed, factored(closed.params(), [1.0, 1.0]), [0, 1], gamma=1.0
+            )
         # a batch of two environments is not one environment
         path = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-        params = WiredBand.from_graph(path, [0, 1]).params()
+        wired = WiredBand.from_graph(path, [0, 1])
+        params = wired.params()
         batch = sample_batch(params, 2, stream(3, "bundle-batch"))
         with pytest.raises(DomainError, match="one environment"):
-            green_bundle(params, batch, [0, 1], gamma=1.0)
+            green_bundle(wired, batch, [0, 1], gamma=1.0)
         # H_beta is not positive definite at beta = 0.4: the certificate fails
         indefinite = factored(params, [0.4, 0.4])
         assert not indefinite.psd_certificate
         with pytest.raises(FactorizationError, match="not positive definite"):
-            green_bundle(params, indefinite, [0, 1], gamma=1.0)
+            green_bundle(wired, indefinite, [0, 1], gamma=1.0)
         # a zero pivot under a certificate that holds
         drawn = sample_batch(params, 1, stream(3, "bundle-pivot"))
         pivots = drawn.pivots.copy()
         pivots[1] = 0.0
         with pytest.raises(FactorizationError, match="zero pivot"):
             green_bundle(
-                params, dataclasses.replace(drawn, pivots=pivots), [0, 1], gamma=1.0
+                wired, dataclasses.replace(drawn, pivots=pivots), [0, 1], gamma=1.0
             )
 
     def test_refuses_a_component_without_boundary(self):
@@ -501,19 +556,21 @@ class TestGreenBundle:
         # on them and u would be log 0
         g = WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
         subset = [0, 1, 2]
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         rng = stream(4, "zero-row")
         sample = sample_batch(params, 1, rng)
         with np.errstate(all="raise"):
             with pytest.raises(RestrictionError, match="no edge to delta"):
-                green_bundle(params, sample, subset, float(rng.gamma(0.5)), i0=2)
+                green_bundle(wired, sample, subset, float(rng.gamma(0.5)), i0=2)
 
     def test_refuses_a_root_outside_the_retained_set(self):
         g = build_lattice_box(1, 2)
         subset = [1, 2, 3]
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         with pytest.raises(DomainError, match="not in the retained set"):
-            green_bundle(params, factored(params, np.ones(3)), subset, gamma=1.0, i0=0)
+            green_bundle(wired, factored(params, np.ones(3)), subset, gamma=1.0, i0=0)
 
 
 class TestTruncatedPathsum:
@@ -587,11 +644,12 @@ class TestQDensity:
         rng = stream(61, "eu")
         n = 10_000
         sample, gamma = wired_beta_envs(g, subset, n, rng)
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         eu = np.empty((n, 2))
         for k in range(n):
             env = factored(params, sample.beta[k])
-            bundle = green_bundle(params, env, subset, gamma[k], i0=2)
+            bundle = green_bundle(wired, env, subset, gamma[k], i0=2)
             vals = np.exp(bundle.u)
             eu[k] = vals[[0, 2]]  # non-root retained sites
         for col in eu.T:
@@ -644,9 +702,10 @@ class TestCheckIdentities:
         subset = [v for v in range(g.n) if v != 12]
         rng = stream(81, "ids")
         sample, gamma = wired_beta_envs(g, subset, 25, rng)
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         for k, beta in enumerate(sample.beta):
-            bundle = green_bundle(params, factored(params, beta), subset, gamma[k])
+            bundle = green_bundle(wired, factored(params, beta), subset, gamma[k])
             report, _ = check_identities(bundle, beta)
             assert report.max_residual() <= 1e-9
 
@@ -658,15 +717,16 @@ class TestCheckIdentities:
         rng = stream(81, "atom")
         sample, gamma = wired_beta_envs(g, subset, 1, rng)
         beta = sample.beta
-        params = WiredBand.from_graph(g, subset).params()
-        bundle = green_bundle(params, sample, subset, gamma[0], i0=2)
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
+        bundle = green_bundle(wired, sample, subset, gamma[0], i0=2)
         report, _ = check_identities(bundle, beta[0], i0=2)
         assert report.max_residual() <= 1e-9
 
         root = bundle.i0_index
         grow = full_kernel(bundle)[root]
         atom = 1.0 / (2.0 * grow[root])
-        w = wired_w(bundle.params)
+        w = wired_w(bundle.wired.params())
         recon_no_atom = 0.5 * (w[root] @ grow) / grow[root]
         assert abs(beta[0][root] - recon_no_atom) == pytest.approx(atom, rel=1e-9)
 
@@ -675,8 +735,9 @@ class TestCheckIdentities:
         subset = [v for v in range(g.n) if v not in (0, 4, 20, 24)]
         rng = stream(81, "harm")
         sample, gamma = wired_beta_envs(g, subset, 1, rng)
-        params = WiredBand.from_graph(g, subset).params()
-        bundle = green_bundle(params, sample, subset, gamma[0])
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
+        bundle = green_bundle(wired, sample, subset, gamma[0])
         report, _ = check_identities(bundle, sample.beta[0])
         assert report.harmonic <= 1e-10
 
@@ -723,18 +784,20 @@ class TestCheckIdentities:
         # to give NaN residuals
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         sample = sample_batch(params, 1, stream(81, "beta-shape"))
-        bundle = green_bundle(params, sample, subset, gamma=0.4)
+        bundle = green_bundle(wired, sample, subset, gamma=0.4)
         with pytest.raises(DomainError, match="beta must"):
             check_identities(bundle, bad(sample.beta[0]))
 
     def test_a_batch_of_one_beta_reads_as_its_environment(self):
         g = build_lattice_box(2, 2)
         subset = [v for v in range(g.n) if np.abs(g.coords[v]).max() <= 1]
-        params = WiredBand.from_graph(g, subset).params()
+        wired = WiredBand.from_graph(g, subset)
+        params = wired.params()
         sample = sample_batch(params, 1, stream(81, "beta-batch"))
-        bundle = green_bundle(params, sample, subset, gamma=0.4)
+        bundle = green_bundle(wired, sample, subset, gamma=0.4)
         one, diag_one = check_identities(bundle, sample.beta)
         row, diag_row = check_identities(bundle, sample.beta[0])
         assert one == row and np.array_equal(diag_one, diag_row)
@@ -756,8 +819,13 @@ def wired_bundle(wired, rng, layout):
     else:
         sample = sample_batch(params, 1, rng)
     gamma = float(rng.gamma(0.5, 1.0))
-    bundle = green_bundle(params, sample, range(wired.n), gamma, i0=wired.n // 2)
+    bundle = green_bundle(wired, sample, range(wired.n), gamma, i0=wired.n // 2)
     return bundle, sample.beta.reshape(wired.n)
+
+
+def nine_site_bundle():
+    """wired_bundle's band draw on the d=2 box of radius 1."""
+    return wired_bundle(WiredBand.box(2, 1, 1.0), stream(33, "index"), "two-level")[0]
 
 
 # sizes just below, at and above multiples of the 128-column tiles, then
@@ -851,7 +919,7 @@ class TestStreamedIdentities:
             np.testing.assert_allclose(
                 bundle.kernel_row(k), kernel[k], rtol=1e-12, atol=0.0
             )
-        w = wired_w(bundle.params)
+        w = wired_w(bundle.wired.params())
         for p0 in (root, m // 3):
             g00 = inverse[p0, p0]
             exit0 = 0.5 * (w[p0] @ kernel[p0]) / kernel[p0, p0]
@@ -892,9 +960,10 @@ class TestNestedVolumes:
             prev = None
             for r in (1, 2, 3):
                 subset = list(range(4 - r, 4 + r + 1))
-                params = WiredBand.from_graph(g, subset).params()
+                wired = WiredBand.from_graph(g, subset)
+                params = wired.params()
                 env = factored(params, full.beta[0][[v - 1 for v in subset]])
-                bundle = green_bundle(params, env, subset, gamma[0])
+                bundle = green_bundle(wired, env, subset, gamma[0])
                 core = slice(bundle.position(3), bundle.position(5) + 1)
                 block = solved_hat_g(bundle)[core, core]
                 if prev is not None:
