@@ -254,17 +254,28 @@ def _cmd_sample_beta(args) -> Run:
     )
 
 
-def _wired_box_bundle(args, rng) -> Tuple[Dict, int, np.ndarray, GreenBundle]:
+def _wired_box_bundle(
+    args, rng, slot_bytes: int
+) -> Tuple[Dict, int, np.ndarray, GreenBundle]:
     """(config, root, beta, bundle) of `vrjp green` and the environment-fixed
     chain: the wired box of --dim/--radius (WiredBand.box, no graph built),
-    its root --i0, one field drawn in band storage, gamma, and the Green
-    bundle on the draw's kept factor. A box whose band draw does not fit in
-    memory is refused by the draw's own count before anything is built."""
+    its root --i0, one field drawn from the box's diagonals, gamma, and the
+    Green bundle on the draw's kept factor. The bundle's readers hold
+    slot_bytes per slot of the (m + 1, rim) neighbour tables beside the
+    kept factor: 16 for the tables, 40 with the chain's rate table, its
+    kernel and running sums. A box whose draw and tables together do not
+    fit in memory is refused, from the geometry, before anything is built
+    and before any draw."""
     cfg = _wired_box_config(args)
     side = _box_side(args.dim, args.radius + 1, cfg["W"]) - 2
     m = side**args.dim
     bw = side ** (args.dim - 1)
-    _refuse_beyond_memory(_draw_bytes(m, bw), f"the band draw of {m} sites")
+    # delta's row of the tables, one slot per rim site, is the widest
+    rim = m - max(side - 2, 0) ** args.dim
+    _refuse_beyond_memory(
+        _draw_bytes(m, bw, args.dim) + slot_bytes * (m + 1) * rim,
+        f"the band draw of {m} sites with its neighbour tables",
+    )
     wired = WiredBand.box(args.dim, args.radius, cfg["W"])
     subset = _retained_ids(args.dim, args.radius)
     # by default the middle of the retained box, which must hold the root
@@ -279,7 +290,10 @@ def _wired_box_bundle(args, rng) -> Tuple[Dict, int, np.ndarray, GreenBundle]:
 
 
 def _cmd_green(args) -> Run:
-    cfg, _, beta, bundle = _wired_box_bundle(args, stream(args.seed, "cli-green"))
+    # the identity check reads the neighbour tables, 16 bytes a slot
+    cfg, _, beta, bundle = _wired_box_bundle(
+        args, stream(args.seed, "cli-green"), 16
+    )
     cfg.update({"seed": args.seed})
     report, hat_g_diagonal = check_identities(bundle, beta)
     # one row per retained vertex, then the boundary state delta
@@ -339,7 +353,9 @@ def _cmd_simulate(args) -> Run:
             )
         if args.steps is None:
             raise ConfigError("--steps required for the environment-fixed chain")
-        cfg, i0, _, bundle = _wired_box_bundle(args, rng)
+        # the tables and the rate table with its kernel and sums, 16 + 24
+        # bytes a slot
+        cfg, i0, _, bundle = _wired_box_bundle(args, rng, 40)
         rates = QuenchedRates.from_bundle(bundle)
         labels = np.array([*map(str, bundle.subset), "delta"], dtype=object)
         # the chain reads only the rates: the draw goes before it steps

@@ -159,12 +159,13 @@ def psi_decay_experiment(
     """Quantiles of the boundary-hitting sum at the box center per radius.
 
     For each radius, the box wired inside the box one layer larger
-    (WiredBand.box, from the geometry, with no graph built) gives the band
-    and eta, each site's crossing weights w summed; the potential is drawn
-    in band storage and psi = Ghat eta is solved with the draw's own LDL^T
-    factor. The band path keeps d = 3, radius 8 tractable. The center is
-    the middle row-major site, (n - 1) // 2. Rows carry median and
-    quartiles; callers read the median trend (decay vs stabilization).
+    (WiredBand.box, from the geometry, with no graph built) gives P by its
+    d nonzero diagonals and eta, each site's crossing weights w summed; the
+    potential is drawn from those (sample_banded) and psi = Ghat eta is
+    solved with the draw's own LDL^T factor. The band path keeps d = 3,
+    radius 8 tractable. The center is the middle row-major site,
+    (n - 1) // 2. Rows carry median and quartiles; callers read the median
+    trend (decay vs stabilization).
     """
     radii = [int(r) for r in radii]
     if radii != sorted(radii):
@@ -314,7 +315,7 @@ def conductance_ratio_experiment(
     Each separation's edge index arrays (WiredBand.box, from the box's
     geometry, one Gamma weight per edge of the outer box in
     build_lattice_box's edge order) are built once. Per environment, the
-    weights are scattered into band storage and
+    weights are scattered onto the box's d diagonals (WiredBand.fill) and
     the boundary vector, the field is drawn by sample_banded, and psi and
     the Green row of i0 come from its LDL^T factor (green_solve_banded, two
     right-hand sides); no graph or dense matrix is formed.

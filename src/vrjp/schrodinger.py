@@ -11,7 +11,8 @@ of two solves:
   LDL^T factor of H that the draw computed and kept, so H is never factored
   twice: for one environment of a lattice box drawn by sample_banded, a
   gather through the first level's table, two banded triangular solves on
-  the rest, and a gather back; for a batch drawn by sample_batch, one
+  the rest (dtbtrs, on the factor rows the draw wrote in its layout, with
+  no copy), and a gather back; for a batch drawn by sample_batch, one
   forward and one back substitution with the sample axis last. Batched
   Monte Carlo asks only for the columns it reads, never for the inverse;
 - green_solve is its dense twin, for environments that were not drawn as
@@ -109,9 +110,9 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
     rhs has shape (m,) or (m, k). A single draw (sample_banded) gives the
     shape of rhs, in three steps on its two-level factor: B's right-hand
     side rhs_B + P_BR (rhs_R / x_R), gathered from the first level's table;
-    the two triangular dtbtrs solves on B's band factor (with R = D L^T,
-    S^-1 = R^-1 D R^-T, and R^T in lower band storage is -rows.T with the
-    pivots on its first row); and psi_R = (rhs_R + P_RB psi_B) / x_R,
+    the two triangular dtbtrs solves on B's band factor (with T = L_B D_B,
+    S^-1 = T^-T D_B T^-1, and rows.T is T in dtbtrs's lower band storage,
+    read in place with no copy); and psi_R = (rhs_R + P_RB psi_B) / x_R,
     gathered again. An empty first level is the same code with nothing to
     gather. A batch of S (sample_batch) gives (S, m) or (S, m, k), as
     green_solve does for its beta: one forward and one back substitution
@@ -141,9 +142,9 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
     r = level.sites
     in_b = np.ones(m, dtype=bool)
     in_b[r] = False
-    x_b = x[in_b]
-    ab = -sample.rows.T
-    ab[0] = x_b
+    # B's factor as the draw wrote it: rows.T is dtbtrs's lower band `ab`,
+    # Fortran-ordered, which LAPACK reads in place, pivots on its first row
+    ab = sample.rows.T
     out = np.empty(cols.shape)
     # out holds rhs_R / x_R while B's right-hand side gathers it
     out[r] = cols[r] / x[r, None]
@@ -151,7 +152,7 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
     _gather_add(rhs_b, level.b_nbr, level.b_w, out)
     y, _ = dtbtrs(ab, rhs_b, uplo="L")
     del rhs_b
-    y *= x_b[:, None]
+    y *= ab[0, :, None]
     y, _ = dtbtrs(ab, y, uplo="L", trans="T", overwrite_b=1)
     out[in_b] = y
     del y

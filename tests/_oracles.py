@@ -59,7 +59,7 @@ from vrjp import (
     sample_batch,
     stream,
 )
-from vrjp.betafield import CHI2_BELOW, PIVOT_RTOL, _pivots_ok, h_beta
+from vrjp.betafield import CHI2_BELOW, PIVOT_RTOL, BandDiagonals, _pivots_ok, h_beta
 from vrjp.schrodinger import _rate_rows
 
 SE_RULE = 4.0
@@ -313,12 +313,13 @@ def reference_green_solve_banded(band: np.ndarray, beta, rhs) -> np.ndarray:
 
 
 def factored(params: NuParams, beta) -> BandSample:
-    """A BandSample for a given beta, as if the draw had made it: a dense,
-    unpivoted LDL^T of h_beta(params.p, beta) at bandwidth m - 1, in the
-    layout the samplers keep (rows[k, d] = -H_k[k, k + d] of the k-th Schur
-    complement, rows[k, 0] = 2 beta_k - pivots[k]) and with the samplers'
-    certificate. It lets a test hand a chosen beta, positive definite or
-    not, to a function that solves on a draw's kept factor."""
+    """A BandSample for a given beta, as if the band draw had made it: a
+    dense, unpivoted LDL^T of h_beta(params.p, beta) at bandwidth m - 1, in
+    the single draw's layout with an empty first level (rows[k, 0] =
+    pivots[k], rows[k, d] = H_k[k, k + d] of the k-th Schur complement) and
+    with the samplers' certificate. It lets a test hand a chosen beta,
+    positive definite or not, to a function that solves on a draw's kept
+    factor."""
     beta = np.asarray(beta, dtype=float)
     h = h_beta(params.p, beta)
     m = h.shape[0]
@@ -328,9 +329,9 @@ def factored(params: NuParams, beta) -> BandSample:
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m):
             pivots[k] = a[k, k]
-            rows[k, 1 : m - k] = -a[k, k + 1 :]
+            rows[k, 1 : m - k] = a[k, k + 1 :]
             a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :]) / pivots[k]
-    rows[:, 0] = 2.0 * beta - pivots
+    rows[:, 0] = pivots
     return BandSample(beta, _pivots_ok(pivots, np.diag(h)), rows=rows, pivots=pivots)
 
 
@@ -342,6 +343,16 @@ def banded_coupling(g: WeightedGraph):
     band = np.zeros((g.n, bw + 1))
     band[i, j - i] = [e[2] for e in g.edges]
     return band, bw
+
+
+def band_diagonals(band: np.ndarray) -> BandDiagonals:
+    """Dense row band storage (band[i, d] = P[i, i + d], as banded_coupling
+    gives it) as the diagonals sample_banded reads: column 0 and every
+    column d >= 1 that holds a nonzero on P's cells (i < n - d)."""
+    band = np.asarray(band, dtype=float)
+    n, width = band.shape
+    offsets = [d for d in range(1, min(width, n)) if band[: n - d, d].any()]
+    return BandDiagonals(np.array(offsets, dtype=np.intp), band[:, [0, *offsets]])
 
 
 def solved_hat_g(bundle) -> np.ndarray:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
+import inspect
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from vrjp import (
 )
 from vrjp.betafield import (
     _PANEL,
+    BandDiagonals,
     _blocked_band_loop,
     h_beta,
 )
@@ -40,6 +44,7 @@ from _oracles import (
     SE_RULE,
     ALPHA,
     NoDraws,
+    band_diagonals,
     banded_coupling,
     density,
     density_mass_pair,
@@ -661,14 +666,37 @@ def _dense_from_band(band):
     return p
 
 
+def _dense_from_diagonals(band):
+    """The symmetric matrix P that a BandDiagonals holds."""
+    n = band.shape[0]
+    p = np.diag(band.columns[:, 0])
+    for d, w in band.diagonals():
+        i = np.arange(n - d)
+        p[i, i + d] = w
+        p[i + d, i] = w
+    return p
+
+
 def _ldlt_from_factor(rows, pivots):
-    """L D L^T with D = diag(pivots) and L_k+d,k = -rows[k, d] / pivots[k]."""
+    """L D L^T with D = diag(pivots) and L_k+d,k = -rows[k, d] / pivots[k]:
+    a batch's layout, one sample of it."""
     n, width = rows.shape
     lower = np.eye(n)
     for d in range(1, width):
         k = np.arange(n - d)
         lower[k + d, k] = -rows[: n - d, d] / pivots[: n - d]
     return (lower * pivots) @ lower.T
+
+
+def _ldlt_from_lower_band(rows):
+    """T D^-1 T^T for T = L D in dtbtrs's lower band storage, the single
+    draw's layout: T_kk = rows[k, 0], the pivot, and T_k+d,k = rows[k, d]."""
+    n, width = rows.shape
+    t = np.diag(rows[:, 0])
+    for d in range(1, width):
+        k = np.arange(n - d)
+        t[k + d, k] = rows[: n - d, d]
+    return (t / rows[:, 0]) @ t.T
 
 
 def _reference_two_level(band, eta, rng):
@@ -714,7 +742,7 @@ class TestBandedSampler:
         band, got_bw, eta = _box_band(dim, radius, 0.7)
         assert got_bw == bw
         rng_got, rng_want = stream(53, "banded", bw), stream(53, "banded", bw)
-        sample = sample_banded(band, eta, rng_got)
+        sample = sample_banded(band_diagonals(band), eta, rng_got)
         want = _reference_two_level(band, eta, rng_want)
         _assert_same_draws(sample.beta, want, rng_got, rng_want)
 
@@ -724,7 +752,9 @@ class TestBandedSampler:
         # earlier neighbour in R, which is the class of site 0
         g = build_lattice_box(dim, radius, 0.7)
         band, _bw, eta = _box_band(dim, radius, 0.7)
-        sample = sample_banded(band, eta, stream(54, "first", dim, radius))
+        sample = sample_banded(
+            band_diagonals(band), eta, stream(54, "first", dim, radius)
+        )
         parity = g.coord_array().sum(axis=1) % 2
         np.testing.assert_array_equal(
             sample.first.sites, np.flatnonzero(parity == parity[0])
@@ -734,7 +764,7 @@ class TestBandedSampler:
         g, subset = _green_box(2, 3, 1.0)
         band, eta = WiredBand.from_graph(g, subset).fill()
         r = sample_banded(band, eta, stream(54, "first-wired")).first.sites
-        p = _dense_from_band(band)
+        p = _dense_from_diagonals(band)
         assert r.size and not p[np.ix_(r, r)].any()
         # every other site has a neighbour in R, so it could not join
         others = np.setdiff1d(np.arange(len(subset)), r)
@@ -743,9 +773,10 @@ class TestBandedSampler:
     def test_empty_and_uncoupled_bands(self):
         # no site draws nothing; with no coupling every site is in R, B is
         # empty, and H is 2 diag(beta)
-        empty = sample_banded(np.zeros((0, 1)), np.zeros(0), NoDraws())
+        empty = sample_banded(band_diagonals(np.zeros((0, 1))), np.zeros(0), NoDraws())
         assert empty.beta.shape == (0,) and empty.rows.shape == (0, 1)
-        sample = sample_banded(np.zeros((3, 2)), np.ones(3), stream(56, "uncoupled"))
+        uncoupled = band_diagonals(np.zeros((3, 2)))
+        sample = sample_banded(uncoupled, np.ones(3), stream(56, "uncoupled"))
         np.testing.assert_array_equal(sample.first.sites, [0, 1, 2])
         assert sample.rows.shape == (0, 1) and sample.psd_certificate
         np.testing.assert_allclose(
@@ -760,14 +791,16 @@ class TestBandedSampler:
         band[[0, 1, 5, 6], 1] = [0.6, 1.1, 0.8, 0.5]
         eta = np.array([0.3, 0.0, 0.7, 0.0, 0.0, 0.2, 0.0, 0.4])
         rng_got, rng_want = stream(55, "chi2-run"), stream(55, "chi2-run")
-        sample = sample_banded(band, eta, rng_got)
+        sample = sample_banded(band_diagonals(band), eta, rng_got)
         np.testing.assert_array_equal(sample.first.sites, [0, 2, 3, 4, 5, 7])
         want = _reference_two_level(band, eta, rng_want)
         _assert_same_draws(sample.beta, want, rng_got, rng_want)
 
     def test_refuses_storage_beyond_physical_memory(self):
         # 10^7 sites at bandwidth 9999: zero-stride inputs, nothing allocated
-        band = np.broadcast_to(np.zeros(1), (10**7, 10**4))
+        columns = np.broadcast_to(np.zeros(1), (10**7, 2))
+        band = BandDiagonals(np.array([10**4 - 1]), columns)
+        assert band.shape == (10**7, 10**4)
         eta = np.broadcast_to(np.zeros(1), (10**7,))
         with pytest.raises(SizeError):
             sample_banded(band, eta, stream(0))
@@ -775,28 +808,41 @@ class TestBandedSampler:
     @pytest.mark.parametrize(
         "band,eta,rng",
         [
-            (np.zeros((3, 2)), np.ones(3), None),
-            (np.zeros(3), np.ones(3), NoDraws()),
-            (np.zeros((3, 0)), np.ones(3), NoDraws()),
-            (np.zeros((3, 2, 1)), np.ones(3), NoDraws()),
-            (np.zeros((3, 2)), np.ones(2), NoDraws()),
-            (np.zeros((3, 2)), np.ones((3, 1)), NoDraws()),
-            (np.zeros((3, 2)), 1.0, NoDraws()),
-            (np.array([[0.0, 1.0], [0.0, np.nan], [0.0, 0.0]]), np.ones(3), NoDraws()),
-            (np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]), np.ones(3), NoDraws()),
-            (np.array([[np.inf, 1.0], [0.0, 1.0], [0.0, 0.0]]), np.ones(3), NoDraws()),
-            (np.zeros((3, 2)), np.array([1.0, np.nan, 1.0]), NoDraws()),
-            (np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]), NoDraws()),
-            (np.zeros((3, 2)), np.array([1.0, np.inf, 1.0]), NoDraws()),
+            ((), np.ones(3), None),
+            (([], np.zeros(3)), np.ones(3), NoDraws()),
+            (([], np.zeros((3, 0))), np.ones(3), NoDraws()),
+            (([], np.zeros((3, 1, 1))), np.ones(3), NoDraws()),
+            ((), np.ones(2), NoDraws()),
+            ((), np.ones((3, 1)), NoDraws()),
+            ((), 1.0, NoDraws()),
+            (([1], [[0.0, 1.0], [0.0, np.nan], [0.0, 0.0]]), np.ones(3), NoDraws()),
+            (([1], [[0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]), np.ones(3), NoDraws()),
+            (([1], [[np.inf, 1.0], [0.0, 1.0], [0.0, 0.0]]), np.ones(3), NoDraws()),
+            ((), np.array([1.0, np.nan, 1.0]), NoDraws()),
+            ((), np.array([1.0, -1.0, 1.0]), NoDraws()),
+            ((), np.array([1.0, np.inf, 1.0]), NoDraws()),
+            (np.zeros((3, 2)), np.ones(3), NoDraws()),
+            (([0], np.zeros((3, 2))), np.ones(3), NoDraws()),
+            (([2, 1], np.zeros((3, 3))), np.ones(3), NoDraws()),
+            (([3], np.zeros((3, 2))), np.ones(3), NoDraws()),
+            (([1.0], np.zeros((3, 2))), np.ones(3), NoDraws()),
+            (([[1]], np.zeros((3, 2))), np.ones(3), NoDraws()),
         ],
         ids=[
             "no-rng", "band-1d", "no-columns", "band-3d", "short-eta", "eta-2d",
             "scalar-eta", "nan-band", "negative-band", "inf-band", "nan-eta",
-            "negative-eta", "inf-eta",
+            "negative-eta", "inf-eta", "dense-band", "zero-offset",
+            "offsets-out-of-order", "offset-past-the-end", "float-offset",
+            "offsets-2d",
         ],
     )
     def test_refuses_bad_input_before_drawing(self, band, eta, rng):
+        # band is a dense array, or the (offsets, columns) of a BandDiagonals,
+        # () for three uncoupled sites; the structure is refused as the
+        # BandDiagonals is made, the entries by the draw
         with pytest.raises(DomainError):
+            if isinstance(band, tuple):
+                band = BandDiagonals(*(band or ([], np.zeros((3, 1)))))
             sample_banded(band, eta, rng)
 
     def test_banded_law_matches_closed_form(self):
@@ -807,7 +853,10 @@ class TestBandedSampler:
         band, _bw = banded_coupling(sub)
         rng = stream(31, "banded")
         n = 20_000
-        beta = np.array([sample_banded(band, params.eta, rng).beta for _ in range(n)])
+        diagonals = band_diagonals(band)
+        beta = np.array(
+            [sample_banded(diagonals, params.eta, rng).beta for _ in range(n)]
+        )
         lam_rng = stream(31, "banded-lam")
         for _ in range(4):
             lam = lam_rng.uniform(0.0, 1.0, size=3)
@@ -819,7 +868,7 @@ class TestBandedSampler:
         g = build_lattice_box(2, 2)
         subset = [6, 7, 8, 11, 12, 13, 16, 17, 18]
         params = WiredBand.from_graph(g, subset).params()
-        band, _bw = banded_coupling(build_lattice_box(2, 1))
+        band = band_diagonals(banded_coupling(build_lattice_box(2, 1))[0])
         rng = stream(38, "two-level")
         beta = np.array(
             [sample_banded(band, params.eta, rng).beta for _ in range(10_000)]
@@ -866,14 +915,16 @@ class TestBlockedBandKernel:
         ],
     )
     def test_is_the_ldlt_factorization(self, dim, radius, bw, nb):
-        # the draw leaves the factor rows in band and returns the pivots:
-        # L D L^T rebuilt from them is H_beta of the beta it drew
+        # the draw leaves L D in band, in dtbtrs's lower band layout with
+        # the pivots it returns in column 0: T D^-1 T^T rebuilt from it is
+        # H_beta of the beta it drew
         band, got_bw, eta = _box_band(dim, radius, 0.7)
         assert got_bw == bw and band.shape[0] % nb
         rows = band.copy()
         beta, pivots = _blocked_band_loop(rows, eta.copy(), stream(61, "ldlt", bw, nb), nb)
+        np.testing.assert_array_equal(rows[:, 0], pivots)
         h = h_beta(_dense_from_band(band), beta)
-        rebuilt = _ldlt_from_factor(rows, pivots)
+        rebuilt = _ldlt_from_lower_band(rows)
         assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
 
     def test_chi_square_sites_between_wald_sites_of_a_panel(self):
@@ -914,16 +965,18 @@ class TestBlockedBandKernel:
         clean = rows.copy()
         for d in range(1, bw + 1):
             clean[n - d :, d] = 0.0
-        rebuilt = _ldlt_from_factor(clean, pivots)
+        np.testing.assert_array_equal(clean[:, 0], pivots)
+        rebuilt = _ldlt_from_lower_band(clean)
         assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
 
     def test_sample_keeps_its_factor(self):
         # B's 312 sites at sample_banded's panel width, with a short last
         # panel: L D L^T rebuilt in the order (R, B) from R's pivots and
-        # table and B's band rows is H_beta in that order
+        # table and B's rows of L D, in dtbtrs's lower band layout, is
+        # H_beta in that order
         band, bw, eta = _box_band(2, 12, 0.7)
         n = band.shape[0]
-        sample = sample_banded(band, eta, stream(61, "ldlt-sample"))
+        sample = sample_banded(band_diagonals(band), eta, stream(61, "ldlt-sample"))
         first = sample.first
         nr = first.sites.size
         order = two_level_order(_dense_from_band(band))
@@ -931,6 +984,9 @@ class TestBlockedBandKernel:
         assert (n - nr) % _PANEL
         assert isinstance(sample, BandSample) and sample.psd_certificate
         assert sample.rows.shape == (n - nr, bw + 1) and sample.pivots.shape == (n,)
+        # rows.T is dtbtrs's `ab` as it is, with B's pivots on its first row
+        assert sample.rows.T.flags.f_contiguous
+        np.testing.assert_array_equal(sample.rows[:, 0], sample.pivots[order[nr:]])
         position = np.empty(n, dtype=int)
         position[order] = np.arange(n)
         pivots = sample.pivots[order]
@@ -941,7 +997,7 @@ class TestBlockedBandKernel:
         lower[nr + row, position[site]] = -first.b_w[row, slot] / sample.pivots[site]
         for d in range(1, bw + 1):
             k = np.arange(nr, n - d)
-            lower[k + d, k] = -sample.rows[k - nr, d] / pivots[k]
+            lower[k + d, k] = sample.rows[k - nr, d] / pivots[k]
         rebuilt = (lower * pivots) @ lower.T
         h = h_beta(_dense_from_band(band), sample.beta)[np.ix_(order, order)]
         assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
@@ -965,22 +1021,27 @@ class TestBlockedBandKernel:
             assert zscore(np.exp(-beta @ lam), laplace_closed_form(params, lam)) <= SE_RULE
 
     def test_refuses_long_band_beyond_physical_memory(self):
-        # a narrow band (bandwidth 10) over 10^11 sites: the band storage
-        # alone exceeds memory; zero-stride inputs, nothing allocated, no
-        # draw made
-        band = np.broadcast_to(np.zeros(1), (10**11, 11))
+        # a narrow band (bandwidth 10) over 10^11 sites: the factor alone
+        # exceeds memory; zero-stride inputs, nothing allocated, no draw
+        # made
+        columns = np.broadcast_to(np.zeros(1), (10**11, 2))
+        band = BandDiagonals(np.array([10]), columns)
         eta = np.broadcast_to(np.zeros(1), (10**11,))
         with pytest.raises(SizeError):
             sample_banded(band, eta, NoDraws())
 
     def test_refuses_window_beyond_physical_memory(self):
-        # two sites whose band is small but whose dense window is larger
-        # than memory: zero-stride inputs, nothing allocated, no draw made
+        # bw + 1 sites at bandwidth bw whose factor, about bw^2 cells, fits
+        # in memory, but not with the panel window and dsyrk's trailing
+        # block, about bw^2 cells more each: zero-stride inputs, nothing
+        # allocated, no draw made
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        bw = int(np.sqrt(have / 8)) + 1
-        band = np.broadcast_to(np.zeros(1), (2, bw + 1))
+        bw = int(np.sqrt(have / 8 / 2.5))
+        assert (bw + 1) ** 2 * 8 < have
+        columns = np.broadcast_to(np.zeros(1), (bw + 1, 2))
+        band = BandDiagonals(np.array([bw]), columns)
         with pytest.raises(SizeError):
-            sample_banded(band, np.zeros(2), NoDraws())
+            sample_banded(band, np.zeros(bw + 1), NoDraws())
 
 
 class TestHBetaBanded:
@@ -1020,11 +1081,12 @@ class TestWiredBand:
             band, eta = wired.fill(weights)
             params = reference_marginal_params(graph, subset)
             np.testing.assert_array_equal(eta, params.eta)
-            rows = np.arange(wired.n)
-            for d in range(wired.bw + 1):
-                np.testing.assert_array_equal(
-                    band[rows[: wired.n - d], d], params.p[rows[: wired.n - d], rows[d:]]
-                )
+            # one column per offset that occurs: 1 and the other strides
+            assert band.shape == (wired.n, wired.bw + 1)
+            np.testing.assert_array_equal(
+                band.offsets, (2 * radius + 1) ** np.arange(dim)
+            )
+            np.testing.assert_array_equal(_dense_from_diagonals(band), params.p)
             v = stream(71, "wired-v", dim).uniform(0.5, 2.0, size=wired.n)
             edge_w = wired.weights if weights is None else weights
             np.testing.assert_allclose(
@@ -1070,10 +1132,12 @@ class TestWiredBand:
         for w in (0.2, 0.7, 10.0):
             g = build_lattice_box(dim, radius, w)
             band, eta = WiredBand.box(dim, radius, w).fill()
-            want_band, _ = banded_coupling(g)
+            want_band = band_diagonals(banded_coupling(g)[0])
             degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
             want_eta = w * (2 * dim - degrees)
-            np.testing.assert_array_equal(band, want_band)
+            assert band.offsets.dtype == want_band.offsets.dtype
+            np.testing.assert_array_equal(band.offsets, want_band.offsets)
+            np.testing.assert_array_equal(band.columns, want_band.columns)
             if (2 * dim - degrees).max() <= 3:
                 np.testing.assert_array_equal(eta, want_eta)
             else:
@@ -1142,7 +1206,8 @@ class TestWiredBand:
             assert (nbr[~real] == np.nonzero(~real)[0]).all()
 
     def test_fill_and_neighbours_refuse_beyond_physical_memory(self, monkeypatch):
-        # the band (121 x 12 cells) and the tables (122 x 40 slots, two
+        # the band's diagonals with eta and the scatter arrays (121 x 4
+        # cells and 2 per inner edge) and the tables (122 x 40 slots, two
         # arrays) are refused before they are allocated
         wired = WiredBand.box(2, 5)
         sysconf = os.sysconf
@@ -1167,6 +1232,41 @@ class TestWiredBand:
         g = build_lattice_box(2, 1)
         with pytest.raises(RestrictionError):
             WiredBand.from_graph(g, range(g.n)).fill()
+
+    @pytest.mark.parametrize("dim,radius", [(3, 6), (2, 40)])
+    def test_fill_draw_and_solve_hold_the_factor_once(self, dim, radius):
+        # B's factor is written once, where the solve reads it, and P is
+        # held by its d diagonals: the traced peak of fill, the draw and
+        # the psi solve stays within 2.5 times the factor's bytes (a dense
+        # band of P and a per-solve copy of the factor took it past 4)
+        wired = WiredBand.box(dim, radius)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            band, eta = wired.fill()
+            sample = sample_banded(band, eta, stream(63, "held-once", dim))
+            green_solve_banded(sample, eta)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * sample.rows.nbytes
+
+    @pytest.mark.parametrize(
+        "dim,radius,want", [(3, 2, (25, {"sites": 125})), (2, 8, (17, {"sites": 289}))]
+    )
+    def test_benchmark_counter_reads_the_band(self, dim, radius, want):
+        # the traced benchmark keys sample_banded's spans by band.shape:
+        # (n, bw + 1) as the dense band storage would read
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        band, eta = WiredBand.box(dim, radius).fill()
+        rng = stream(64, "counter", dim)
+        bound = inspect.signature(sample_banded).bind(band, eta, rng)
+        result = sample_banded(band, eta, rng)
+        counter = spans.COUNTERS["betafield.sample_banded"]
+        assert counter(bound.arguments, result) == want
 
     def test_refuses_bad_subset(self):
         g = build_lattice_box(2, 1)

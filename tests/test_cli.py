@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import vrjp
 import vrjp.cli
-from vrjp import BandSample, Trajectory, WeightedGraph
+from vrjp import BandSample, Trajectory, WeightedGraph, sample_banded
 from vrjp.cli import NUMERIC_EXIT, USAGE_EXIT, Run, main
 
 from _oracles import (
@@ -677,12 +677,12 @@ class TestWiredBoxBundle:
         self, tmp_path, monkeypatch, capsys, command
     ):
         # the memory reported is a page short of the band draw's own count
-        # on the 121-site box at bandwidth 11 (46 kB): refused before the
+        # on the 121-site box at bandwidth 11 (124 kB): refused before the
         # band is filled, before any draw and before any output
         def filled(*args, **kwargs):
             raise AssertionError("the band was filled before the refusal")
 
-        need = vrjp.betafield._draw_bytes(121, 11)
+        need = vrjp.betafield._draw_bytes(121, 11, 2)
         sysconf = os.sysconf
         fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (need - 1) // 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
@@ -691,16 +691,43 @@ class TestWiredBoxBundle:
         out = tmp_path / "run"
         assert main([*BUNDLE_RUNS[command], "--out", str(out)]) == USAGE_EXIT
         err = capsys.readouterr().err
-        assert "the band draw of 121 sites needs" in err
+        assert "the band draw of 121 sites with its neighbour tables needs" in err
         assert not out.exists()
+
+    def test_draw_with_its_tables_is_refused_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # the memory reported holds the band draw of the 121-site box, but
+        # a page short of the draw with the neighbour tables, 16 bytes on
+        # each of 122 x 40 slots, and, for the chain, the rate table's 24
+        # more: refused up front, with no draw, where the tables or the
+        # rates alone would have been refused only after the draw
+        drawn = []
+
+        def counted(*args):
+            drawn.append(args)
+            return sample_banded(*args)
+
+        draw = vrjp.betafield._draw_bytes(121, 11, 2)
+        need = draw + {"green": 16, "quenched": 40}[command] * 122 * 40
+        sysconf = os.sysconf
+        fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (need - 1) // 4096}
+        assert draw < 4096 * fake["SC_PHYS_PAGES"]
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        monkeypatch.setattr(vrjp.cli, "sample_banded", counted)
+        out = tmp_path / "run"
+        assert main([*BUNDLE_RUNS[command], "--out", str(out)]) == USAGE_EXIT
+        assert "neighbour tables needs" in capsys.readouterr().err
+        assert not out.exists()
+        assert drawn == []
 
     def test_bundle_is_refused_before_the_box_is_built(
         self, tmp_path, monkeypatch, capsys, command
     ):
         # the d=3 radius-60 box: 123^3 outer vertices fit MAX_VERTICES, but
-        # the band draw of its 121^3 sites at bandwidth 121^2 does not fit in
-        # memory; refused from the geometry alone, with no graph, no edge
-        # arrays and no draw
+        # the band draw of its 121^3 sites at bandwidth 121^2, with its
+        # neighbour tables, does not fit in memory; refused from the
+        # geometry alone, with no graph, no edge arrays and no draw
         def built(*args, **kwargs):
             raise AssertionError("the box was built before the refusal")
 
@@ -714,7 +741,7 @@ class TestWiredBoxBundle:
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == USAGE_EXIT
         err = capsys.readouterr().err
-        assert "the band draw of 1771561 sites needs" in err
+        assert "the band draw of 1771561 sites with its neighbour tables needs" in err
         assert not out.exists()
 
     def test_forms_no_dense_marginal(self, tmp_path, monkeypatch, command):
@@ -867,7 +894,7 @@ class TestExperimentCommand:
         def not_positive_definite(band, eta, rng):
             zeros = np.zeros(len(eta))
             return BandSample(
-                beta=zeros, psd_certificate=False, rows=np.array(band), pivots=zeros
+                beta=zeros, psd_certificate=False, rows=np.zeros((0, 1)), pivots=zeros
             )
 
         monkeypatch.setattr(vrjp.harness, "sample_banded", not_positive_definite)

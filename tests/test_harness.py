@@ -36,6 +36,7 @@ from _oracles import (
     ALPHA,
     SE_RULE,
     NoDraws,
+    band_diagonals,
     banded_coupling,
     diffusion_estimate,
     ks_test,
@@ -248,7 +249,7 @@ class TestPsiDecayExperiment:
         want = []
         for r_i, radius in enumerate(radii):
             g = build_lattice_box(dim, radius, w)
-            band, _ = banded_coupling(g)
+            band = band_diagonals(banded_coupling(g)[0])
             eta = w * (2 * dim - np.array([len(nb) for nb in g.neighbors], float))
             rng = vrjp.stream(9, "psi-decay", r_i)
             want.append(

@@ -40,6 +40,7 @@ from _oracles import (
     SE_RULE,
     EnumerationError,
     assemble_H,
+    band_diagonals,
     banded_coupling,
     dense_identities,
     factored,
@@ -169,13 +170,13 @@ class TestGreenSolve:
 
 
 def _drawn_box(dim, radius, w, seed):
-    """A box's band storage, its degree-deficit boundary vector, and one band
-    draw of the field on it."""
+    """A box's dense band storage, its degree-deficit boundary vector, and
+    one band draw of the field on it."""
     g = build_lattice_box(dim, radius, w)
     band, _ = banded_coupling(g)
     degrees = np.array([len(nb) for nb in g.neighbors], dtype=float)
     eta = w * (2 * dim - degrees)
-    return g, band, sample_banded(band, eta, stream(seed, "gsb-beta"))
+    return g, band, sample_banded(band_diagonals(band), eta, stream(seed, "gsb-beta"))
 
 
 class TestGreenSolveBanded:
@@ -494,8 +495,8 @@ class TestGreenBundle:
     def test_holds_no_dense_array_beyond_its_inputs(self):
         # psi and the root's column are one solve of two right-hand sides
         # on the kept factor: no (m + 1)^2 array on the 441-site box. The
-        # solve's copy of B's band factor, 0.025 of an array here, is half
-        # of the peak; the labels come as the tuple the bundle keeps
+        # solve reads B's band factor in place and holds a few (m, 2)
+        # arrays; the labels come as the tuple the bundle keeps
         wired = WiredBand.box(2, 10, 1.0)
         sample = sample_banded(*wired.fill(), stream(52, "bundle-peak"))
         m = wired.n
@@ -882,10 +883,13 @@ class TestStreamedIdentities:
         m = bundle.m
         if corrupt == "pivot":
             # one pivot of the kept factor, which every tile's solve reads;
-            # no hat_g is stored to corrupt
+            # no hat_g is stored to corrupt. A pivot of B is also column 0
+            # of B's factor rows, where the triangular solves read it
             pivots = bundle.sample.pivots.copy()
             pivots[m // 3] *= 1.0 + 1e-6
-            sample = dataclasses.replace(bundle.sample, pivots=pivots)
+            rows = bundle.sample.rows.copy()
+            rows[:, 0] = np.delete(pivots, bundle.sample.first.sites)
+            sample = dataclasses.replace(bundle.sample, pivots=pivots, rows=rows)
             bundle = dataclasses.replace(bundle, sample=sample)
         elif corrupt == "psi":
             psi = bundle.psi.copy()
