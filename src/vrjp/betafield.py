@@ -73,7 +73,13 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 
 from .errors import DomainError, RestrictionError
-from .graphs import WeightedGraph, _box_side, _refuse_beyond_memory
+from .graphs import (
+    WeightedGraph,
+    _box_edges,
+    _box_side,
+    _refuse_beyond_memory,
+    _retained_ids,
+)
 
 __all__ = [
     "NuParams",
@@ -303,19 +309,24 @@ def gig_half_sample(b: float, rng: np.random.Generator) -> float:
     return 1.0 / rng.wald(1.0 / math.sqrt(b), 1.0)
 
 
-def _gig_vec(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    # Generator.wald with an array mean pays a fixed cost (argument checks,
-    # broadcasting) of over ten scalar draws per call; one sample takes the
-    # scalar draw, which consumes the rng alike and gives the same bits.
+def _gig_in_order(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """gig_half_sample of each entry of b in turn, one call per run of
+    entries on the same side of CHI2_BELOW. numpy's array chisquare and wald
+    draw element after element, so these are the scalar draws' variates in
+    their order. Generator.wald with an array mean pays a fixed cost
+    (argument checks, broadcasting) of over ten scalar draws per call, so
+    a single entry takes the scalar draw, which consumes the rng alike and
+    gives the same bits."""
     if b.size == 1:
         return np.array([gig_half_sample(float(b[0]), rng)])
     out = np.empty(b.shape)
-    pos = b >= CHI2_BELOW
-    n_zero = int((~pos).sum())
-    if n_zero:
-        out[~pos] = rng.chisquare(1, size=n_zero)
-    if pos.any():
-        out[pos] = 1.0 / rng.wald(1.0 / np.sqrt(b[pos]), 1.0)
+    small = b < CHI2_BELOW
+    starts = np.flatnonzero(np.diff(small, prepend=~small[:1])).tolist()
+    for lo, hi in zip(starts, starts[1:] + [b.size]):
+        if small[lo]:
+            out[lo:hi] = rng.chisquare(1, size=hi - lo)
+        else:
+            out[lo:hi] = 1.0 / rng.wald(1.0 / np.sqrt(b[lo:hi]), 1.0)
     return out
 
 
@@ -351,7 +362,7 @@ def _schur_loop(st: np.ndarray, ew: np.ndarray, rng: np.random.Generator) -> np.
         else:
             padded[:m] = col
             eta_hat = ew[k] + padded[: n - 1 - k].sum(axis=0)
-        x = _gig_vec(eta_hat**2, rng)
+        x = _gig_in_order(eta_hat**2, rng)
         beta[k] = 0.5 * (x + st[k, 0])
         below = st[k + 1 : k + 1 + m]
         for d in range(m):
@@ -420,7 +431,7 @@ def _blocked_band_loop(
         for j in range(p):
             col = win[j:, j]
             col += win[j:, :j] @ (win[j, :j] / x[:j])
-            # the one draw _gig_vec makes for a single sample
+            # the one draw _gig_in_order makes for a single sample
             x[j] = gig_half_sample(np.add.reduce(col[1:]) ** 2, rng)
         beta[k0 : k0 + p] = 0.5 * (x + rows[:p, 0])
         done = band[k0 : k0 + p]
@@ -507,11 +518,12 @@ class WiredBand:
     wiring: they form its coupling block and boundary vector from a weight
     per edge of g, W on it plus delta, and the wired graph itself.
 
-    Built once per graph; fill(w) then scatters any environment's edge
-    weights, aligned to g.edges, onto the diagonals that occur
-    (BandDiagonals) without forming a graph, a dense matrix or a dense
-    band; neighbours() gives g's own W as the neighbour tables
-    every product reader of W reads, params() g's own marginal in dense
+    Built once per graph, with the offsets of the diagonals that occur and
+    each inner edge's column among them; fill(w) then scatters any
+    environment's edge weights, aligned to g.edges, onto those diagonals
+    (BandDiagonals) in one assignment, without forming a graph, a dense
+    matrix or a dense band; neighbours() gives g's own W as the neighbour
+    tables every product reader of W reads, params() g's own marginal in dense
     storage, and graph() g's own wired graph. Sites are numbered in `subset`
     order, so a row-major box retained inside a larger row-major box keeps
     its leading stride as bandwidth. All hold single weights, and each eta entry
@@ -528,6 +540,8 @@ class WiredBand:
     inner_edges: np.ndarray
     cross_site: np.ndarray
     cross_edges: np.ndarray
+    offsets: np.ndarray
+    inner_column: np.ndarray
 
     @classmethod
     def from_graph(cls, g: WeightedGraph, subset: Sequence[int]) -> "WiredBand":
@@ -550,8 +564,9 @@ class WiredBand:
     def box(cls, dim: int, radius: int, w: float = 1.0) -> "WiredBand":
         """The box of `radius` in Z^dim wired inside the box of radius + 1,
         every edge of weight w, from the row-major geometry: field for field
-        from_graph(build_lattice_box(dim, radius + 1, w), <the radius box's
-        sites, row-major>), in build_lattice_box's edge order. It refuses
+        from_graph(build_lattice_box(dim, radius + 1, w),
+        graphs._retained_ids(dim, radius)), since both read the outer box's
+        edges from graphs._box_edges, in one order. It refuses
         what build_lattice_box refuses of the outer box (DomainError,
         SizeError beyond MAX_VERTICES), and arrays beyond memory, before
         it allocates them."""
@@ -560,23 +575,16 @@ class WiredBand:
         side = _box_side(dim, radius + 1, w)
         n = side**dim
         # the (n, dim) offsets, the edge tables and the per-edge arrays:
-        # tracemalloc read 8.5 to 11.6 times dim * n cells at d = 1 to 4
+        # tracemalloc read 9.1 to 14.3 times dim * n cells at d = 1 to 4
         _refuse_beyond_memory(
             16 * dim * n * 8, f"the edge arrays of the {n}-vertex box"
         )
-        powers = np.arange(dim - 1, -1, -1)
-        strides = side**powers
-        offsets = np.arange(n)[:, None] // strides % side
-        # edge (v, v + strides[k]) for each axis k with room, by v then k
-        lo, axis = np.nonzero(offsets < side - 1)
+        _, lo, hi = _box_edges(dim, side)
         # each vertex's place in the retained box, row-major, or -1 outside
-        inside = ((offsets > 0) & (offsets < side - 1)).all(axis=1)
-        place = np.where(inside, (offsets - 1) @ (side - 2) ** powers, -1)
+        place = np.full(n, -1)
+        place[_retained_ids(dim, radius)] = np.arange((side - 2) ** dim)
         return cls._from_ends(
-            (side - 2) ** dim,
-            np.full(lo.size, float(w)),
-            place[lo],
-            place[lo + strides[axis]],
+            (side - 2) ** dim, np.full(lo.size, float(w)), place[lo], place[hi]
         )
 
     @classmethod
@@ -584,20 +592,27 @@ class WiredBand:
         cls, n: int, w: np.ndarray, pi: np.ndarray, pj: np.ndarray
     ) -> "WiredBand":
         """The arrays of n retained sites from each edge's weight and its
-        ends' sites (-1 for an end outside the retained set)."""
+        ends' sites (-1 for an end outside the retained set), with the
+        offsets of the diagonals that occur and each inner edge's column
+        among them, which fill scatters into."""
         inner = (pi >= 0) & (pj >= 0)
         cross = (pi >= 0) != (pj >= 0)
         lo = np.minimum(pi[inner], pj[inner])
         hi = np.maximum(pi[inner], pj[inner])
+        offset = hi - lo
+        occurs = np.zeros(int(offset.max(initial=0)) + 1, dtype=bool)
+        occurs[offset] = True
         return cls(
             n=n,
-            bw=int((hi - lo).max(initial=0)),
+            bw=occurs.size - 1,
             weights=w,
             inner_i=lo,
             inner_j=hi,
             inner_edges=np.flatnonzero(inner),
             cross_site=np.maximum(pi, pj)[cross],
             cross_edges=np.flatnonzero(cross),
+            offsets=np.flatnonzero(occurs),
+            inner_column=np.cumsum(occurs)[offset],
         )
 
     def _eta(self, w: np.ndarray) -> np.ndarray:
@@ -613,34 +628,27 @@ class WiredBand:
         diagonal and one per offset of an inner edge (at most dim on a
         box), and band.shape reads (n, bw + 1). Weights must be positive
         and finite (DomainError), the retained set must keep a nonzero
-        boundary vector (RestrictionError) and the columns with the
-        per-edge scatter arrays must fit in memory (SizeError, before they
-        are allocated)."""
+        boundary vector (RestrictionError) and the columns with the inner
+        edges' weights must fit in memory (SizeError, before they are
+        allocated)."""
         w = self.weights if w is None else np.asarray(w, dtype=float)
         if w.shape != self.weights.shape:
             raise DomainError("need one weight per edge")
         if not (np.isfinite(w) & (w > 0)).all():
             raise DomainError("edge weights must be positive and finite")
-        # the offsets that occur size the columns: found first, through one
-        # array the size of the edge arrays this wiring holds
-        offset = self.inner_j - self.inner_i
-        occurs = np.zeros(self.bw + 1, dtype=bool)
-        occurs[offset] = True
-        offsets = np.flatnonzero(occurs)
-        # the columns and eta, and three arrays over the inner edges (their
-        # offsets, columns and weights); tracemalloc read fill's peak at
-        # 0.90 to 1.02 of this on boxes of 441 to 14,641 sites at d = 1 to
-        # 3, and up to 1.7 on boxes of about 100, where fixed costs weigh
+        # the columns and eta, and the inner edges' weights; tracemalloc
+        # read fill's peak at 0.79 to 1.02 of this on boxes of 401 to
+        # 50,625 sites at d = 1 to 4, and up to 1.8 on boxes of about 100,
+        # where fixed costs weigh most
+        q = self.offsets.size
         what = f"band storage of {self.n} sites at bandwidth {self.bw}"
-        _refuse_beyond_memory(
-            8 * (self.n * (offsets.size + 2) + 3 * offset.size), what
-        )
-        columns = np.zeros((self.n, offsets.size + 1))
-        columns[self.inner_i, np.cumsum(occurs)[offset]] = w[self.inner_edges]
+        _refuse_beyond_memory(8 * (self.n * (q + 2) + self.inner_edges.size), what)
+        columns = np.zeros((self.n, q + 1))
+        columns[self.inner_i, self.inner_column] = w[self.inner_edges]
         eta = self._eta(w)
         if not eta.any():
             raise RestrictionError("subset has empty boundary weight vector")
-        return BandDiagonals(offsets, columns), eta
+        return BandDiagonals(self.offsets, columns), eta
 
     def neighbours(self) -> Tuple[np.ndarray, np.ndarray]:
         """g's own W on the n sites plus delta (index n) as left-packed
@@ -699,22 +707,6 @@ class WiredBand:
         return np.bincount(
             self.inner_i, weights=wi * v[self.inner_j], minlength=self.n
         ) + np.bincount(self.inner_j, weights=wi * v[self.inner_i], minlength=self.n)
-
-
-def _gig_in_order(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """gig_half_sample of each entry of b in turn, one call per run of
-    entries on the same side of CHI2_BELOW. numpy's array chisquare and wald
-    draw element after element, so these are the scalar draws' variates in
-    their order, where _gig_vec draws every chi-square case first."""
-    out = np.empty(b.shape)
-    small = b < CHI2_BELOW
-    starts = np.flatnonzero(np.diff(small, prepend=~small[:1])).tolist()
-    for lo, hi in zip(starts, starts[1:] + [b.size]):
-        if small[lo]:
-            out[lo:hi] = rng.chisquare(1, size=hi - lo)
-        else:
-            out[lo:hi] = 1.0 / rng.wald(1.0 / np.sqrt(b[lo:hi]), 1.0)
-    return out
 
 
 def _first_sites(band: BandDiagonals) -> np.ndarray:

@@ -62,6 +62,7 @@ from .graphs import (
     WeightedGraph,
     _box_side,
     _refuse_beyond_memory,
+    _retained_ids,
     build_lattice_box,
     load_graph,
 )
@@ -218,13 +219,6 @@ def _wired_box_config(args) -> Dict[str, object]:
         raise ConfigError("this mode needs --dim and --radius")
     w = args.W if args.W is not None else 1.0
     return {"dim": args.dim, "radius": args.radius, "W": w}
-
-
-def _retained_ids(dim: int, radius: int) -> np.ndarray:
-    """The retained sites' vertex ids in the row-major box of radius + 1,
-    in row-major order: the wired box's labels and --i0's domain."""
-    inner = np.indices((2 * radius + 1,) * dim).reshape(dim, -1) + 1
-    return np.ravel_multi_index(inner, (2 * radius + 3,) * dim)
 
 
 def _cmd_sample_beta(args) -> Run:

@@ -1,8 +1,12 @@
 """Weighted graphs, lattice boxes, and reading the CLI's JSON graph format.
 
 Vertices are dense integers 0..n-1. Lattice boxes index their sites in
-row-major coordinate order so runs are reproducible byte for byte. Wiring a
-retained set, collapsing its complement to one extra vertex delta, is
+row-major coordinate order so runs are reproducible byte for byte. A box's
+geometry has one home here: _box_edges enumerates its offsets and edges,
+which build_lattice_box turns into a graph and WiredBand.box wires without
+one, and _retained_ids gives the ids that label a wired box's sites in the
+box one layer larger, for WiredBand.box, the CLI and the gate alike. Wiring
+a retained set, collapsing its complement to one extra vertex delta, is
 betafield.WiredBand's alone: graph() gives the wired graph, delta last.
 Path enumeration, the oracle of the Green-function path sums, lives in the
 tests (tests/_oracles.py); no product path enumerates.
@@ -10,10 +14,11 @@ tests (tests/_oracles.py); no product path enumerates.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -136,6 +141,25 @@ def _box_side(dim: int, radius: int, w: float) -> int:
     return side
 
 
+def _box_edges(dim: int, side: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, lo, hi) of the box of `side` sites per axis in Z^dim,
+    indexed row-major (last axis fastest): offsets (n, dim) holds each
+    vertex's coordinates counted from the box's corner, and the edges
+    (lo, hi), lo < hi, run by lo, then by axis. The one enumeration of a
+    box's edges, which build_lattice_box and WiredBand.box both read."""
+    strides = side ** np.arange(dim - 1, -1, -1)
+    offsets = np.arange(side**dim)[:, None] // strides % side
+    lo, axis = np.nonzero(offsets < side - 1)
+    return offsets, lo, lo + strides[axis]
+
+
+def _retained_ids(dim: int, radius: int) -> np.ndarray:
+    """The ids of the radius box's sites in the row-major box of radius + 1,
+    in row-major order: the labels of a wired box's sites."""
+    inner = np.indices((2 * radius + 1,) * dim).reshape(dim, -1) + 1
+    return np.ravel_multi_index(inner, (2 * radius + 3,) * dim)
+
+
 def build_lattice_box(dim: int, radius: int, w: float = 1.0) -> WeightedGraph:
     """Nearest-neighbor box {x : |x|_inf <= radius} with constant weight.
 
@@ -145,30 +169,12 @@ def build_lattice_box(dim: int, radius: int, w: float = 1.0) -> WeightedGraph:
     MAX_VERTICES vertices is refused with SizeError before any is built.
     """
     side = _box_side(dim, radius, w)
-    n = side**dim
-
-    # Row-major: vertex id of offset (o_1..o_d), each o in 0..side-1, is
-    # sum o_k * side^(d-k). Strides let us add edges without a coordinate map.
-    strides = [side ** (dim - 1 - k) for k in range(dim)]
-    coords = []
-    for flat in range(n):
-        rem = flat
-        x = []
-        for s in strides:
-            q, rem = divmod(rem, s)
-            x.append(q - radius)
-        coords.append(tuple(x))
-    edges = []
-    for flat in range(n):
-        rem = flat
-        offs = []
-        for s in strides:
-            q, rem = divmod(rem, s)
-            offs.append(q)
-        for k, s in enumerate(strides):
-            if offs[k] + 1 < side:
-                edges.append((flat, flat + s, w))
-    return WeightedGraph(n=n, edges=tuple(edges), coords=tuple(coords))
+    offsets, lo, hi = _box_edges(dim, side)
+    return WeightedGraph(
+        n=side**dim,
+        edges=tuple(zip(lo.tolist(), hi.tolist(), itertools.repeat(w))),
+        coords=tuple(map(tuple, (offsets - radius).tolist())),
+    )
 
 
 def load_graph(path: str) -> WeightedGraph:

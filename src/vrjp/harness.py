@@ -283,16 +283,6 @@ def cosh_moment_experiment(
     )
 
 
-def _box_index(radius: int, dim: int, coord: Sequence[int]) -> int:
-    side = 2 * radius + 1
-    idx = 0
-    for c in coord:
-        if abs(int(c)) > radius:
-            raise DomainError("coordinate outside box")
-        idx = idx * side + (int(c) + radius)
-    return idx
-
-
 # Layers of the conductance-ratio box beyond the sites 0 and ell.
 RATIO_MARGIN = 3
 
@@ -336,8 +326,9 @@ def conductance_ratio_experiment(
         origin = [-(ell // 2)] + [0] * (dim - 1)
         target = [ell - ell // 2] + [0] * (dim - 1)
         # retained sites are numbered row-major over the inner box
-        p0 = _box_index(radius, dim, origin)
-        pl = _box_index(radius, dim, target)
+        p0, pl = np.ravel_multi_index(
+            np.transpose([origin, target]) + radius, (2 * radius + 1,) * dim
+        ).tolist()
         rhs = np.zeros((wired.n, 2))
         rhs[p0, 1] = 1.0
         rng = stream(seed, "conductance-ratio", e_i)

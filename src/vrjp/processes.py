@@ -28,10 +28,12 @@ table (`QuenchedRates`), and has one stepping rule, `_step`, on the running
 sums of a state's slots (`_running_sums`): `markov_words` steps one
 environment per walk (`quenched_mjp` is that loop with one walk), and
 `mc_return_probability` steps chains in one environment and adds only the
-bookkeeping of absorbed chains. The chain's rates, 1/2 W_ij G(i0,j) /
-G(i0,i), have one expression, `schrodinger._rate_rows`, which
-`QuenchedRates`, `escape_probability_formula` and `check_identities` all
-read.
+bookkeeping of absorbed chains. The batched reinforced walkers step by
+`_step` too, on the running sums of each walk's rates or counts gathered
+by edge id, so neither takes a pad slot. The chain's rates,
+1/2 W_ij G(i0,j) / G(i0,i), have one expression, `schrodinger._rate_rows`,
+which `QuenchedRates`, `escape_probability_formula` and `check_identities`
+all read.
 
 Finite-volume semantics: on a wired graph, "never returns" is read as "hits
 delta before returning", and absorbed-chain estimators always take one free
@@ -187,10 +189,11 @@ def simulate_vrjp(
 
 
 def _edge_tables(g: WeightedGraph):
-    """Padded per-vertex neighbor/edge-id/weight tables for batch walkers.
+    """Padded per-vertex neighbor and edge-id tables for batch walkers.
 
-    Pad slots point at a phantom edge with weight zero, so gathered rates
-    vanish there and no masking is needed.
+    Pad slots point at a phantom edge, id edge_count, which the walkers
+    give weight zero, and at vertex 0; `_step` never picks them, since its
+    scaled uniform never passes a row's last running sum.
     """
     edge_id = {}
     for e, (i, j, _w) in enumerate(g.edges):
@@ -199,13 +202,11 @@ def _edge_tables(g: WeightedGraph):
     maxdeg = max(len(nb) for nb in g.neighbors)
     nbr = np.zeros((g.n, maxdeg), dtype=int)
     eids = np.full((g.n, maxdeg), g.edge_count, dtype=int)
-    wts = np.zeros((g.n, maxdeg))
     for v in range(g.n):
-        for slot, (u, w) in enumerate(g.neighbors[v]):
+        for slot, (u, _w) in enumerate(g.neighbors[v]):
             nbr[v, slot] = u
             eids[v, slot] = edge_id[(v, u)]
-            wts[v, slot] = w
-    return nbr, eids, wts
+    return nbr, eids
 
 
 def vrjp_words(
@@ -220,38 +221,34 @@ def vrjp_words(
     vectorized across walks. edge_weights, if given, holds per-walk
     conductances with shape (n_walks, edge_count), each positive and finite
     (DomainError otherwise); holding times are still drawn because they feed
-    the local times that reinforce later steps.
+    the local times that reinforce later steps. A step gathers each walk's
+    rates by edge id, draws its wait from their total, the last running
+    sum, and its next slot by `_step` on the running sums.
     """
     _check_start(g, i0, length)
-    if edge_weights is not None:
+    if edge_weights is None:
+        edge_weights = np.array([w for _, _, w in g.edges])
+    else:
         edge_weights = np.asarray(edge_weights, dtype=float)
         if edge_weights.shape != (n_walks, g.edge_count):
             raise DomainError("edge_weights must have shape (n_walks, edge_count)")
         if not (np.isfinite(edge_weights) & (edge_weights > 0)).all():
             raise DomainError("edge weights must be positive and finite")
-    nbr, eids, wts = _edge_tables(g)
+    nbr, eids = _edge_tables(g)
+    # one column more, the phantom edge of weight 0; g's own weights are
+    # one row that every walk reads
+    ew = np.zeros(edge_weights.shape[:-1] + (g.edge_count + 1,))
+    ew[..., :-1] = edge_weights
+    ew = np.broadcast_to(ew, (n_walks, g.edge_count + 1))
     rows = np.arange(n_walks)
     local = np.ones((n_walks, g.n))
     v = np.full(n_walks, int(i0))
     words = np.empty((n_walks, length), dtype=int)
-    if edge_weights is not None:
-        ew = np.zeros((n_walks, g.edge_count + 1))
-        ew[:, :-1] = edge_weights
     for t in range(length):
         nb = nbr[v]
-        if edge_weights is None:
-            w = wts[v]
-        else:
-            w = ew[rows[:, None], eids[v]]
-        rates = w * local[rows[:, None], nb]
-        total = rates.sum(axis=1)
-        wait = rng.exponential(1.0 / total)
-        local[rows, v] += wait
-        u = rng.random(n_walks) * total
-        choice = np.minimum(
-            (np.cumsum(rates, axis=1) < u[:, None]).sum(axis=1), nb.shape[1] - 1
-        )
-        v = nb[rows, choice]
+        cum = np.cumsum(ew[rows[:, None], eids[v]] * local[rows[:, None], nb], axis=1)
+        local[rows, v] += rng.exponential(1.0 / cum[:, -1])
+        v = nb[rows, _step(cum, rng)]
         words[:, t] = v
     return words
 
@@ -268,7 +265,7 @@ def errw_words(
     vectorized across walks: step probabilities are proportional to initial
     weight plus crossings of each incident edge."""
     a = _errw_weights(g, a, i0, length)
-    nbr, eids, _ = _edge_tables(g)
+    nbr, eids = _edge_tables(g)
     rows = np.arange(n_walks)
     counts = np.zeros((n_walks, g.edge_count + 1))
     counts[:, :-1] = a
@@ -276,14 +273,9 @@ def errw_words(
     words = np.empty((n_walks, length), dtype=int)
     for t in range(length):
         ev = eids[v]
-        c = counts[rows[:, None], ev]
-        total = c.sum(axis=1)
-        u = rng.random(n_walks) * total
-        choice = np.minimum(
-            (np.cumsum(c, axis=1) < u[:, None]).sum(axis=1), ev.shape[1] - 1
-        )
+        choice = _step(np.cumsum(counts[rows[:, None], ev], axis=1), rng)
         counts[rows, ev[rows, choice]] += 1.0
-        v = nbr[v][rows, choice]
+        v = nbr[v, choice]
         words[:, t] = v
     return words
 
@@ -329,11 +321,12 @@ def _running_sums(kernel: np.ndarray) -> np.ndarray:
 
 
 def _step(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Next slot of each chain, from the running sums of its current kernel
-    row (one row per chain): one uniform per chain, scaled by the row's
-    mass, picks the first slot whose running sum reaches it, never a pad
-    behind the last rate, since the mass is that slot's running sum. A row
-    with zero mass raises DomainError before anything is drawn."""
+    """Next slot of each chain, from the running sums of its current row of
+    kernel entries, rates or reinforced weights (one row per chain): one
+    uniform per chain, scaled by the row's mass, picks the first slot whose
+    running sum reaches it, never a pad behind the last rate, since the
+    mass is that slot's running sum. A row with zero mass raises
+    DomainError before anything is drawn."""
     norm = cum[:, -1]
     if (norm <= 0).any():
         raise DomainError("kernel row with zero mass visited")
@@ -355,8 +348,7 @@ def _errw_weights(g: WeightedGraph, a, i0: int, steps: int) -> np.ndarray:
 def _check_start(g: WeightedGraph, i0: int, steps: int) -> None:
     """A walk of `steps` steps on g from vertex i0: steps must be
     nonnegative, i0 a vertex of g and, for a walk that steps, one with an
-    edge (else the batched walkers would divide by a zero total rate and
-    step along their phantom pad edge)."""
+    edge (else the batched walkers would find a row with no slots)."""
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     if not (0 <= i0 < g.n):
@@ -421,7 +413,7 @@ def simulate_errw(
         steps * _ERRW_STEP_BYTES + min(steps, _ERRW_CHUNK) * _ERRW_DRAW_BYTES,
         f"a discrete walk of {steps} steps",
     )
-    nbr, eids, _ = _edge_tables(g)
+    nbr, eids = _edge_tables(g)
     deg = [len(nb) for nb in g.neighbors]
     verts = _errw_walk(
         [nbr[x, :d].tolist() for x, d in enumerate(deg)],

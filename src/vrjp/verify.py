@@ -39,7 +39,7 @@ from .betafield import (
     laplace_closed_form,
     sample_batch,
 )
-from .graphs import WeightedGraph, build_lattice_box
+from .graphs import WeightedGraph, _retained_ids, build_lattice_box
 from .harness import (
     SE_RULE,
     conductance_ratio_experiment,
@@ -160,10 +160,6 @@ def _two_path() -> WeightedGraph:
     return WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
 
 
-def _box_subset(g: WeightedGraph, radius: int) -> List[int]:
-    return [v for v in range(g.n) if int(np.abs(g.coords[v]).max()) <= radius]
-
-
 def _draws(
     params: NuParams,
     n: int,
@@ -228,12 +224,11 @@ def criterion_1(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Exact identities of the restricted Green bundle on random
     environments (machine precision): the sampler's kept LDL^T factor
     against an H_beta that h_beta forms anew."""
-    g = build_lattice_box(2, 2, 1.0)
-    subset = _box_subset(g, 1)
-    wired = WiredBand.from_graph(g, subset)
+    wired = WiredBand.box(2, 1)
+    subset = _retained_ids(2, 1)
     params = wired.params()
     rng = stream(seed, "c1")
-    center = subset[len(subset) // 2]
+    center = int(subset[len(subset) // 2])
     worst: Dict[str, float] = {}
     for _ in range(sizes.envs_c1):
         sample = sample_batch(params, 1, rng)
@@ -261,9 +256,7 @@ def criterion_2(sizes: Sizes, seed: int) -> Tuple[bool, str]:
         ("two-path", NuParams.from_graph(_two_path())),
         ("triangle", NuParams.from_graph(_triangle())),
     ]
-    g5 = build_lattice_box(2, 2, 1.0)
-    wired = WiredBand.from_graph(g5, _box_subset(g5, 1))
-    cases.append(("wired-3x3", wired.params()))
+    cases.append(("wired-3x3", WiredBand.box(2, 1).params()))
     worst_z = 0.0
     worst_at = ""
     for name, params in cases:
@@ -306,10 +299,8 @@ def criterion_3(sizes: Sizes, seed: int) -> Tuple[bool, str]:
 def criterion_4(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Independence of the potential at graph distance two or more: joint
     transform factorizes (closed form exactly, samples within 4 SE)."""
-    g = build_lattice_box(2, 2, 1.0)
-    subset = _box_subset(g, 1)
-    params = WiredBand.from_graph(g, subset).params()
-    i, j = 0, len(subset) - 1  # opposite corners, distance 4
+    params = WiredBand.box(2, 1).params()
+    i, j = 0, params.n - 1  # opposite corners, distance 4
     lam1, lam2 = 1.0, 0.7
     e_i = np.zeros(params.n)
     e_i[i] = lam1
@@ -339,13 +330,13 @@ def criterion_4(sizes: Sizes, seed: int) -> Tuple[bool, str]:
 def criterion_5(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Restriction compatibility: sample on the 5x5 wired box, restrict to
     the 3x3 core, compare with the core's own closed form."""
-    g7 = build_lattice_box(2, 3, 1.0)
-    v2 = _box_subset(g7, 2)
-    v1 = _box_subset(g7, 1)
-    pos = [v2.index(v) for v in v1]
-    params2 = WiredBand.from_graph(g7, v2).params()
-    params1 = WiredBand.from_graph(g7, v1).params()
-    lam = _lambda_grid(len(v1), sizes.lam_c5, stream(seed, "c5-grid"))
+    # the core's sites in the 5x5 box, which are its ids in the box it is
+    # wired inside: the core wired inside the 5x5 box has the same P and
+    # eta as wired inside the 7x7 box
+    pos = _retained_ids(2, 1)
+    params2 = WiredBand.box(2, 2).params()
+    params1 = WiredBand.box(2, 1).params()
+    lam = _lambda_grid(params1.n, sizes.lam_c5, stream(seed, "c5-grid"))
     rng = stream(seed, "c5")
     vals = _draws(
         params2, sizes.n_c5, rng, lambda s: np.exp(-s.beta[:, pos] @ lam.T)
@@ -369,15 +360,13 @@ def criterion_6(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Martingale suite: unit mean of the boundary-hitting sum, the paired
     exponential functional across one box increment, and the
     covariance-vs-Green bracket."""
-    g7 = build_lattice_box(2, 3, 1.0)
-    v2 = _box_subset(g7, 2)
-    v1 = _box_subset(g7, 1)
-    pos = np.array([v2.index(v) for v in v1])
-    params1 = WiredBand.from_graph(g7, v1).params()
-    params2 = WiredBand.from_graph(g7, v2).params()
+    # the core's places in the 5x5 box, as in criterion 5
+    pos = _retained_ids(2, 1)
+    params1 = WiredBand.box(2, 1).params()
+    params2 = WiredBand.box(2, 2).params()
     eta1 = params1.eta
     eta2 = params2.eta
-    m1 = len(v1)
+    m1 = params1.n
     center, corner = m1 // 2, 0
 
     # (a) unit mean and (c) bracket, on the 3x3 core
@@ -405,7 +394,7 @@ def criterion_6(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     lam_small = stream(seed, "c6-lam").uniform(0.05, 0.4, m1)
     # lam_small scattered to the core's places in the 5x5 box, so that the
     # core block's quadratic form is z . Ghat z
-    z = np.zeros(len(v2))
+    z = np.zeros(params2.n)
     z[pos] = lam_small
     rhs1 = np.stack([eta1, lam_small], axis=1)
 
@@ -439,8 +428,7 @@ def criterion_7(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Boundary-coupling law: half the reciprocal of the collapsed-vertex
     Green diagonal is Gamma(1/2, 1), sampled on the full wired graph with no
     boundary vector (so the check is not circular)."""
-    g5 = build_lattice_box(2, 2, 1.0)
-    wired = WiredBand.from_graph(g5, _box_subset(g5, 1))
+    wired = WiredBand.box(2, 1)
     params = NuParams.from_graph(wired.graph())
     rng = stream(seed, "c7")
     d_idx = wired.n
@@ -474,6 +462,8 @@ def criterion_8(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     graph. Each environment's chain steps its QuenchedRates, built on the
     wired graph's neighbour tables from the root's kernel row, as the
     quenched chains of C10 and of the command line do."""
+    # the retained set is a corner of the 3x3 box, not a centred box, so
+    # it is wired from the graph
     g3 = build_lattice_box(2, 1, 1.0)
     subset = [0, 1, 3, 4]
     wired = WiredBand.from_graph(g3, subset)
@@ -527,12 +517,11 @@ def criterion_9(sizes: Sizes, seed: int) -> Tuple[bool, str]:
 def criterion_10(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     """Escape probabilities: closed formulas against absorbed-chain Monte
     Carlo in sampled environments."""
-    g5 = build_lattice_box(2, 2, 1.0)
-    subset = _box_subset(g5, 1)
-    wired = WiredBand.from_graph(g5, subset)
+    wired = WiredBand.box(2, 1)
+    subset = _retained_ids(2, 1)
     params = wired.params()
-    center = subset[len(subset) // 2]
-    corner = subset[0]
+    center = int(subset[len(subset) // 2])
+    corner = int(subset[0])
     worst_z = 0.0
     for env in range(sizes.envs_c10):
         rng = stream(seed, "c10-env", env)

@@ -18,7 +18,7 @@ twin), the one-site Schur step (the exact conditional law given some
 sites), the band
 sampler's elimination order (R, B) built site by site, the annealed
 reinforced-walk environment, a graph's edge weight lookup and per-vertex
-weight totals, writing a graph in the CLI's JSON format, the
+weight totals, a lattice box built vertex by vertex, writing a graph in the CLI's JSON format, the
 environment-fixed jump chain stepped by `rng.choice`, capped path
 enumeration and truncated Green path sums, the u-field of a full graph and
 its density, the dense bottom of the spectrum, the time change as a pair of
@@ -198,8 +198,9 @@ class LargestUniform:
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
-    def random(self):
-        return float(np.nextafter(1.0, 0.0))
+    def random(self, size=None):
+        top = np.nextafter(1.0, 0.0)
+        return float(top) if size is None else np.full(size, top)
 
 
 def ring_graph(n: int, w: float = 1.0) -> WeightedGraph:
@@ -565,6 +566,29 @@ def reference_vrjp_lattice(dim: int, w: float, n_jumps: int, rng):
         s_times[k + 1] = s
         d_times[k + 1] = d
     return coords, s_times, d_times
+
+
+def reference_lattice_box(dim: int, radius: int, w: float = 1.0) -> WeightedGraph:
+    """The box {x : |x|_inf <= radius} of Z^dim built vertex by vertex:
+    row-major ids by divmod over the strides, and for each vertex in turn
+    its edge to the next vertex along each axis with room, axis by axis.
+    build_lattice_box must give it exactly."""
+    side = 2 * radius + 1
+    n = side**dim
+    strides = [side ** (dim - 1 - k) for k in range(dim)]
+    coords = []
+    edges = []
+    for flat in range(n):
+        rem = flat
+        offs = []
+        for s in strides:
+            q, rem = divmod(rem, s)
+            offs.append(q)
+        coords.append(tuple(q - radius for q in offs))
+        for k, s in enumerate(strides):
+            if offs[k] + 1 < side:
+                edges.append((flat, flat + s, w))
+    return WeightedGraph(n=n, edges=tuple(edges), coords=tuple(coords))
 
 
 def boundary_weights(g: WeightedGraph, subset) -> np.ndarray:

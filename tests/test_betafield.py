@@ -274,6 +274,21 @@ class TestGigHalfSample:
         )
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [[0.0], [1e-17], [0.3], [25.0], [0.3, 0.0, 1e-20, 4.0, 2.0, 0.0]],
+        ids=["zero", "below-chi2", "small", "large", "mixed-runs"],
+    )
+    def test_batch_draw_is_the_scalar_draws_in_order(self, shapes):
+        # a batch of one takes the scalar draw itself, and a longer batch
+        # draws its runs on either side of CHI2_BELOW in site order: the
+        # same bits, and the same variates consumed
+        rng_got, rng_want = stream(12, "gig-batch"), stream(12, "gig-batch")
+        got = vrjp.betafield._gig_in_order(np.array(shapes), rng_got)
+        want = [gig_half_sample(b, rng_want) for b in shapes]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rng_got.random(4), rng_want.random(4))
+
     @pytest.mark.parametrize("n_samples", [1, 20_000])
     def test_tiny_shape_draws_chi_square(self, n_samples):
         # a lone site of eta 1e-15 (b = 1e-30): numpy's Wald draw there is
@@ -786,7 +801,7 @@ class TestBandedSampler:
     def test_chi_square_sites_of_r_keep_the_draw_order(self):
         # sites 3 and 4 have no coupling and eta 0, so their shape is below
         # CHI2_BELOW; they sit among R's sites 0, 2 and 5, between Wald
-        # draws, and are drawn there, not ahead of them as _gig_vec would
+        # draws, and are drawn there, in site order
         band = np.zeros((8, 2))
         band[[0, 1, 5, 6], 1] = [0.6, 1.1, 0.8, 0.5]
         eta = np.array([0.3, 0.0, 0.7, 0.0, 0.0, 0.2, 0.0, 0.4])
@@ -1206,8 +1221,8 @@ class TestWiredBand:
             assert (nbr[~real] == np.nonzero(~real)[0]).all()
 
     def test_fill_and_neighbours_refuse_beyond_physical_memory(self, monkeypatch):
-        # the band's diagonals with eta and the scatter arrays (121 x 4
-        # cells and 2 per inner edge) and the tables (122 x 40 slots, two
+        # the band's diagonals with eta and the inner edges' weights (121 x
+        # 4 cells and 1 per inner edge) and the tables (122 x 40 slots, two
         # arrays) are refused before they are allocated
         wired = WiredBand.box(2, 5)
         sysconf = os.sysconf

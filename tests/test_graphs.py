@@ -18,6 +18,7 @@ from vrjp import (
     build_lattice_box,
     load_graph,
 )
+from vrjp.graphs import _retained_ids
 
 from _oracles import (
     EnumerationError,
@@ -28,6 +29,7 @@ from _oracles import (
     induced_subgraph,
     path_beta_factor,
     path_weight,
+    reference_lattice_box,
     save_graph,
     total_weights,
 )
@@ -134,6 +136,27 @@ class TestLatticeBox:
         with pytest.raises(DomainError):
             triangle().coord_array()
 
+    @pytest.mark.parametrize("radius", range(4))
+    @pytest.mark.parametrize("dim", range(1, 5))
+    def test_is_the_box_built_vertex_by_vertex(self, dim, radius):
+        for w in (1.0, 0.7):
+            got = build_lattice_box(dim, radius, w)
+            want = reference_lattice_box(dim, radius, w)
+            assert got.n == want.n
+            assert got.edges == want.edges
+            assert got.coords == want.coords
+            assert got.neighbors == want.neighbors
+
+    @pytest.mark.parametrize("radius", range(4))
+    @pytest.mark.parametrize("dim", range(1, 5))
+    def test_retained_ids_are_the_radius_box_in_the_next(self, dim, radius):
+        # the ids that label a wired box's sites: the radius box's vertices
+        # of the box one layer larger, in row-major order
+        got = _retained_ids(dim, radius)
+        want = box_subset(build_lattice_box(dim, radius + 1), radius)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, want)
+
 
 def box_subset(g, radius):
     return [v for v in range(g.n) if np.abs(g.coords[v]).max() <= radius]
@@ -230,6 +253,24 @@ class TestWireRestrict:
         nested = WiredBand.from_graph(outer, [v2.index(v) for v in v1])
         assert nested.graph().edges == direct.graph().edges
         assert np.array_equal(nested.cross_site, direct.cross_site)
+
+    def test_gate_boxes_are_the_graph_route(self):
+        # criteria 1, 2, 4, 5, 6, 7 and 10 wire their boxes from the
+        # geometry; each must be, bit for bit, the box the graph route
+        # wires, and the 3x3 core wired inside the 7x7 box (criteria 5 and
+        # 6) the core wired inside the 5x5 box
+        g5, g7 = build_lattice_box(2, 2), build_lattice_box(2, 3)
+        core = WiredBand.box(2, 1)
+        cases = ((g5, 1, core), (g7, 2, WiredBand.box(2, 2)), (g7, 1, core))
+        for g, radius, got in cases:
+            want = WiredBand.from_graph(g, box_subset(g, radius)).params()
+            np.testing.assert_array_equal(got.params().p, want.p)
+            np.testing.assert_array_equal(got.params().eta, want.eta)
+        want = WiredBand.from_graph(g5, box_subset(g5, 1))
+        assert core.graph().edges == want.graph().edges
+        # the core's ids in the 5x5 box are its places in the wired 5x5 box
+        v2, v1 = box_subset(g7, 2), box_subset(g7, 1)
+        np.testing.assert_array_equal(_retained_ids(2, 1), [v2.index(v) for v in v1])
 
     def test_restriction_errors(self):
         g = build_lattice_box(1, 1)

@@ -224,8 +224,7 @@ class TestSimulateVrjp:
     def test_a_uniform_past_the_last_running_sum_takes_the_last_neighbor(self):
         # nine rates of 0.1 sum to 0.9 pairwise but to 0.8999999999999999
         # left to right, so the largest uniform below 1, scaled by the
-        # total, passes every running sum: the walk takes the last neighbor,
-        # as vrjp_words does
+        # total, passes every running sum: the walk takes the last neighbor
         star = WeightedGraph(n=10, edges=tuple((0, k, 0.1) for k in range(1, 10)))
         traj = simulate_vrjp(star, 0, 100.0, LargestUniform(stream(4, "star")))
         assert traj.vertices.size > 2
@@ -1005,6 +1004,23 @@ class TestMixtureRepresentation:
             w = w[:3]
         with pytest.raises(DomainError, match="edge.weights"):
             vrjp_words(g, 0, 3, 4, NoDraws(), edge_weights=w)
+
+    @pytest.mark.parametrize("walker", ["vrjp", "errw"])
+    def test_batched_walkers_never_step_along_a_pad(self, walker):
+        # vertex 0's eight weights sum to 1 + 2^-52 in numpy's pairwise
+        # order but to 1 left to right, and vertex 9's nine edges give
+        # vertex 0's row a ninth slot, a pad; the largest uniform below 1,
+        # scaled by the pairwise total, passed every running sum, and a
+        # clamp to the last slot took the pad, which points at vertex 0
+        edges = [(0, 1, 1.0)] + [(0, k, 1e-16) for k in range(2, 9)]
+        edges += [(9, k, 1.0) for k in range(10, 19)]
+        g = WeightedGraph(n=19, edges=tuple(edges))
+        rng = LargestUniform(stream(9, "pad", walker))
+        if walker == "vrjp":
+            words = vrjp_words(g, 0, 1, 4, rng)
+        else:
+            words = errw_words(g, np.array([w for *_, w in edges]), 0, 1, 4, rng)
+        assert np.isin(words[:, 0], np.arange(1, 9)).all()
 
     def test_vrjp_words_of_no_steps_may_start_at_an_isolated_vertex(self):
         g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
