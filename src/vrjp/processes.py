@@ -16,12 +16,14 @@ error anywhere.
 
 Each reinforced walk has one loop per traffic shape. A single reinforced
 jump walk, on a finite graph or on Z^d, runs the scalar event loop `_walk` on
-Python floats, and many walks run `vrjp_words`, one numpy pass per step for
-all of them. On a 2-vCPU VM `vrjp_words` costs about 0.4 us per walk-step at
-25,000 walks but about 30 us per step for one walk, where `_walk` costs
-about 4 us per jump on the d=2 radius-10 box. The same holds for the
-linearly reinforced discrete walk: a single walk runs the scalar loop
-`_errw_walk`, at about 0.6 us per step on the same box, and many walks run
+Python floats, which draws its waits and picks a chunk at a time: a chunk's
+standard exponentials, then its uniforms. Many walks run `vrjp_words`, one
+numpy pass per step for all of them. On a 2-vCPU VM `vrjp_words` costs about
+0.4 us per walk-step at 25,000 walks but about 30 us per step for one walk,
+where `_walk` costs about 1.7 us per jump on the d=2 radius-10 box and about
+4 us on Z^3 at W = 10, whose rows and local times are dicts. The same holds
+for the linearly reinforced discrete walk: a single walk runs the scalar
+loop `_errw_walk`, at about 0.6 us per step on the same box, and many walks run
 `errw_words`, which costs 20-24 us per step for one walk. A finite chain in a
 fixed environment keeps its rates on its edges, in the slots of a neighbour
 table (`QuenchedRates`), and has one stepping rule, `_step`, on the running
@@ -105,6 +107,18 @@ class Trajectory:
             )
 
 
+# Waits and picks drawn at a time by the scalar jump walk. A chunk holds the
+# waits of its jumps, then their picks, so the chunk size sets which variate
+# a jump reads and the walk's bits depend on it; 4096 keeps a chunk small and
+# the draw calls few. The loop reads a chunk as Python floats _WALK_READ at a
+# time, so a walk that stops after a few jumps converts few of them. A
+# variate of the current chunk costs at most 40 B, as a double and as the
+# Python float the loop reads.
+_WALK_CHUNK = 1 << 12
+_WALK_READ = 256
+_DRAW_BYTES = 40
+
+
 def _walk(rows, local, v, rng, horizon, cap):
     """Event loop of one reinforced jump walk from vertex v, on Python
     floats; the local times in `local` are updated in place. rows[x] is x's
@@ -114,41 +128,52 @@ def _walk(rows, local, v, rng, horizon, cap):
     the visited vertices, the holding times, and the occupied vertex's local
     time as each began.
 
-    Draws and sums keep numpy's bits: a wait is its scale times one standard
-    exponential, as `rng.exponential` forms it, and numpy adds fewer than 8
-    rates left to right and more in `np.add.reduce`'s pairwise order. The
-    next vertex is the first whose running rate sum exceeds the scaled
-    uniform, or the last if rounding puts the uniform past them all."""
+    Variates come a chunk at a time, and only while the occupied vertex has
+    neighbors: k = min(_WALK_CHUNK, cap - jumps so far) standard
+    exponentials, then k uniforms. The j-th jump of a chunk waits its scale
+    1/total times the j-th exponential, as `rng.exponential` forms a wait,
+    and scales the j-th uniform by total; what a stopped walk leaves of its
+    chunk is dropped. Sums keep numpy's bits: fewer than 8 rates add left to
+    right, more in `np.add.reduce`'s pairwise order. The next vertex is the
+    first whose running rate sum exceeds the scaled uniform, or the last if
+    rounding puts the uniform past them all."""
     verts = [v]
     waits = []
     entered = []
     s = 0.0
-    while len(waits) < cap:
-        nb, wv = rows[v]
-        if not nb:
-            break
-        rates = [w * local[y] for y, w in zip(nb, wv)]
-        if len(rates) < 8:
-            total = 0.0
-            for r in rates:
-                total += r
-        else:
-            total = float(np.add.reduce(rates))
-        wait = (1.0 / total) * rng.standard_exponential()
-        if s + wait >= horizon:
-            break
-        s += wait
-        lv = local[v]
-        local[v] = lv + wait
-        u = rng.random() * total
-        run = 0.0
-        for v, r in zip(nb, rates):
-            run += r
-            if run > u:
-                break
-        verts.append(v)
-        waits.append(wait)
-        entered.append(lv)
+    while len(waits) < cap and rows[v][0]:
+        k = min(_WALK_CHUNK, cap - len(waits))
+        exps = rng.standard_exponential(k)
+        picks = rng.random(k)
+        for a in range(0, k, _WALK_READ):
+            for e, pick in zip(
+                exps[a : a + _WALK_READ].tolist(), picks[a : a + _WALK_READ].tolist()
+            ):
+                nb, wv = rows[v]
+                if not nb:
+                    return verts, waits, entered
+                rates = [w * local[y] for y, w in zip(nb, wv)]
+                if len(rates) < 8:
+                    total = 0.0
+                    for r in rates:
+                        total += r
+                else:
+                    total = float(np.add.reduce(rates))
+                wait = (1.0 / total) * e
+                if s + wait >= horizon:
+                    return verts, waits, entered
+                s += wait
+                lv = local[v]
+                local[v] = lv + wait
+                u = pick * total
+                run = 0.0
+                for v, r in zip(nb, rates):
+                    run += r
+                    if run > u:
+                        break
+                verts.append(v)
+                waits.append(wait)
+                entered.append(lv)
     return verts, waits, entered
 
 
@@ -366,10 +391,8 @@ _ERRW_CHUNK = 1 << 16
 # at a time. Rounded up from tracemalloc peaks of the CLI run over 100,000
 # to 400,000 steps: 24 B per step on the d=2 radius-10 and radius-40 boxes
 # (the vertex list holds the neighbor tables' own int objects, so large
-# vertex ids cost no more). A uniform of the current chunk costs 40 B, as a
-# double and as the Python float the loop reads.
+# vertex ids cost no more). A uniform of the current chunk costs _DRAW_BYTES.
 _ERRW_STEP_BYTES = 64
-_ERRW_DRAW_BYTES = 40
 
 
 def _errw_walk(nbrs, eids, counts, v, steps, rng):
@@ -410,7 +433,7 @@ def simulate_errw(
     after it, equal those of `errw_words` with one walk."""
     a = _errw_weights(g, a, i0, steps)
     _refuse_beyond_memory(
-        steps * _ERRW_STEP_BYTES + min(steps, _ERRW_CHUNK) * _ERRW_DRAW_BYTES,
+        steps * _ERRW_STEP_BYTES + min(steps, _ERRW_CHUNK) * _DRAW_BYTES,
         f"a discrete walk of {steps} steps",
     )
     nbr, eids = _edge_tables(g)
@@ -628,7 +651,9 @@ def mc_return_probability(
 # per 30 bits. Rounded up from tracemalloc peaks, over walk lengths 3,000 to
 # 81,000, of walks along the last axis, which enter a new site at every jump
 # with keys of full size: with the output arrays, 372 B per jump at d=1,
-# 545 B at d=3, 1.14 kB at d=8.
+# 545 B at d=3, 1.14 kB at d=8. The walk's chunk of waits and picks adds
+# 2 _DRAW_BYTES per jump of a chunk, as the single discrete walk's
+# uniforms do.
 _SITE_BYTES = 160
 _JUMP_BYTES = 80
 
@@ -678,10 +703,13 @@ def simulate_vrjp_lattice(
         raise DomainError("n_jumps must be nonnegative")
     span = 2 * n_jumps + 1
     key_bytes = 24 + 4 * -(-dim * span.bit_length() // 30)
-    # a new site per jump at most, the walk's records, then the output arrays
-    need = (n_jumps + 1) * (
-        _SITE_BYTES + 2 * dim * (8 + key_bytes) + 8 * (2 * dim + 8)
-    ) + n_jumps * _JUMP_BYTES
+    # a new site per jump at most, the walk's records, its chunk of draws,
+    # then the output arrays
+    need = (
+        (n_jumps + 1) * (_SITE_BYTES + 2 * dim * (8 + key_bytes) + 8 * (2 * dim + 8))
+        + n_jumps * _JUMP_BYTES
+        + min(n_jumps, _WALK_CHUNK) * 2 * _DRAW_BYTES
+    )
     _refuse_beyond_memory(need, f"a lattice walk of {n_jumps} jumps")
     steps = [s * span**a for a in range(dim) for s in (1, -1)]
     verts, waits, entered = _walk(

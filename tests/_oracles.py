@@ -486,12 +486,35 @@ def dense_identities(bundle, beta, i0: Optional[int] = None) -> IdentityReport:
     )
 
 
+# Jumps whose variates the reinforced jump walkers draw at a time.
+WALK_CHUNK = 4096
+
+
+def walk_variates(rng, cap=np.inf):
+    """The (standard exponential, uniform) pair of each jump of a reinforced
+    jump walk of at most `cap` jumps, in the walkers' draw order: chunks of
+    min(WALK_CHUNK, jumps left) exponentials, then as many uniforms. A chunk
+    is drawn only when its first pair is asked for, so a walk that stops
+    draws no further chunk."""
+    left = cap
+    while left > 0:
+        k = int(min(WALK_CHUNK, left))
+        exps = rng.standard_exponential(k)
+        picks = rng.random(k)
+        for j in range(k):
+            yield exps[j], picks[j]
+        left -= k
+
+
 def reference_simulate_vrjp(
     g: WeightedGraph, i0: int, horizon: float, rng, clock: bool = False
 ):
     """The finite-graph reinforced jump walk as its own event loop with a
     running clock: the loop the walker must match bit for bit, draw for draw.
-    Returns (vertices, entry times, final local times).
+    A jump reads its pair from `walk_variates`: its wait is the exponential
+    over the total rate, and its next vertex the first whose running rate
+    sum passes the uniform times the total. Returns (vertices, entry times,
+    final local times).
 
     With clock=True it also keeps a running transformed clock, D(s) =
     sum_i (L_i(s)^2 - 1), read from its own waits as reference_vrjp_lattice
@@ -501,6 +524,7 @@ def reference_simulate_vrjp(
     local = np.ones(g.n)
     nbrs = [np.array([u for u, _ in g.neighbors[v]], dtype=int) for v in range(g.n)]
     wts = [np.array([w for _, w in g.neighbors[v]]) for v in range(g.n)]
+    variates = walk_variates(rng)
     verts = [int(i0)]
     times = [0.0]
     v = int(i0)
@@ -514,14 +538,15 @@ def reference_simulate_vrjp(
             break
         rates = wv * local[nb]
         total = rates.sum()
-        wait = rng.exponential(1.0 / total)
+        e, pick = next(variates)
+        wait = (1.0 / total) * e
         if s + wait >= horizon:
             local[v] += horizon - s
             break
         s += wait
         d += 2.0 * float(local[v]) * wait + wait * wait
         local[v] += wait
-        u = rng.random() * total
+        u = pick * total
         v = int(nb[np.searchsorted(np.cumsum(rates), u, side="right")])
         verts.append(v)
         times.append(s)
@@ -533,9 +558,9 @@ def reference_simulate_vrjp(
 
 def reference_vrjp_lattice(dim: int, w: float, n_jumps: int, rng):
     """The lattice reinforced walk with coordinate tuples, a dictionary of
-    local times and a running transformed clock: the loop the lattice walker
-    must match bit for bit. Returns (positions, entry times, transformed
-    entry times)."""
+    local times and a running transformed clock, reading its jumps' pairs
+    from `walk_variates`: the loop the lattice walker must match bit for
+    bit. Returns (positions, entry times, transformed entry times)."""
     local = {}
     pos = (0,) * dim
     coords = np.zeros((n_jumps + 1, dim), dtype=int)
@@ -544,7 +569,7 @@ def reference_vrjp_lattice(dim: int, w: float, n_jumps: int, rng):
     s = 0.0
     d = 0.0
     unit = np.eye(dim, dtype=int)
-    for k in range(n_jumps):
+    for k, (e, pick) in enumerate(walk_variates(rng, n_jumps)):
         nbs = []
         rates = np.empty(2 * dim)
         t = 0
@@ -555,12 +580,12 @@ def reference_vrjp_lattice(dim: int, w: float, n_jumps: int, rng):
                 rates[t] = w * local.get(q, 1.0)
                 t += 1
         total = rates.sum()
-        wait = rng.exponential(1.0 / total)
+        wait = (1.0 / total) * e
         lp = local.get(pos, 1.0)
         d += 2.0 * lp * wait + wait * wait
         local[pos] = lp + wait
         s += wait
-        u = rng.random() * total
+        u = pick * total
         pos = nbs[int(np.searchsorted(np.cumsum(rates), u, side="right"))]
         coords[k + 1] = pos
         s_times[k + 1] = s

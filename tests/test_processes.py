@@ -42,6 +42,7 @@ from vrjp.schrodinger import _kernel_row
 from _oracles import (
     ALPHA,
     SE_RULE,
+    WALK_CHUNK,
     ConditioningError,
     LargestUniform,
     NoDraws,
@@ -132,7 +133,8 @@ class TestTrajectory:
 
 class TestSimulateVrjp:
     def test_single_vertex_accumulates_only_local_time(self):
-        traj = simulate_vrjp(single_vertex(), 0, horizon=2.5, rng=stream(1, "sv"))
+        # a walk that cannot jump draws nothing
+        traj = simulate_vrjp(single_vertex(), 0, horizon=2.5, rng=NoDraws())
         assert traj.vertices.tolist() == [0]
         assert traj.local_times[0] == pytest.approx(3.5, rel=1e-12)
 
@@ -190,7 +192,8 @@ class TestSimulateVrjp:
         "g, i0, horizon, seed",
         [
             # the box and horizon of `vrjp simulate --process vrjp` in the
-            # benchmark: about 94,000 jumps
+            # benchmark: about 81,000 jumps, so the walk crosses 19 chunks
+            # of variates and stops at the horizon inside the 20th
             (build_lattice_box(2, 10), 0, 3000.0, ("cli-simulate", "vrjp")),
             # degree 9 puts rates.sum() on numpy's pairwise path, so only
             # neighbor rows of the same order and length give the same bits
@@ -214,12 +217,28 @@ class TestSimulateVrjp:
         ids=["box-d2-r10", "complete-10", "wheel-200"],
     )
     def test_matches_reference_loop(self, g, i0, horizon, seed):
-        traj = simulate_vrjp(g, i0, horizon, stream(1, *seed))
-        verts, times, local = reference_simulate_vrjp(g, i0, horizon, stream(1, *seed))
+        r_walk, r_ref = stream(1, *seed), stream(1, *seed)
+        traj = simulate_vrjp(g, i0, horizon, r_walk)
+        verts, times, local = reference_simulate_vrjp(g, i0, horizon, r_ref)
         assert traj.vertices.size > 1000
         assert np.array_equal(traj.vertices, verts)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.local_times, local)
+        # the walk drew the same chunks, and dropped the rest of its last
+        assert np.array_equal(r_walk.random(4), r_ref.random(4))
+
+    def test_stops_inside_a_chunk_at_a_vertex_without_neighbors(self):
+        # vertex 1 lists no neighbors: the walk 2 -> 0 -> 1 stops as it
+        # enters 1, two jumps into its chunk of 10, and draws no further
+        # chunk
+        rows = [([1], [1.0]), ([], []), ([0], [1.0])]
+        rng, ref = stream(5, "dead-end"), stream(5, "dead-end")
+        verts, waits, entered = processes._walk(rows, [1.0] * 3, 2, rng, np.inf, 10)
+        assert verts == [2, 0, 1]
+        assert waits == ref.standard_exponential(10)[:2].tolist()
+        assert entered == [1.0, 1.0]
+        ref.random(10)
+        assert np.array_equal(rng.random(4), ref.random(4))
 
     def test_a_uniform_past_the_last_running_sum_takes_the_last_neighbor(self):
         # nine rates of 0.1 sum to 0.9 pairwise but to 0.8999999999999999
@@ -1138,6 +1157,24 @@ class TestLatticeWalker:
         assert coords.tolist() == [[0, 0, 0]]
         assert s_times.tolist() == [0.0] and d_times.tolist() == [0.0]
 
+    @pytest.mark.parametrize(
+        "dim, w, n_jumps",
+        [
+            (2, 1.0, WALK_CHUNK),
+            # a full chunk, then one of 7 that the cap cuts short
+            (3, 10.0, WALK_CHUNK + 7),
+            (1, 0.3, 2 * WALK_CHUNK + 1),
+        ],
+        ids=["one-chunk", "chunk-plus-7", "two-chunks-plus-1"],
+    )
+    def test_matches_reference_loop_across_chunks(self, dim, w, n_jumps):
+        r_walk, r_ref = stream(3, "vrjp-chunks", dim), stream(3, "vrjp-chunks", dim)
+        got = simulate_vrjp_lattice(dim, w, n_jumps, r_walk)
+        want = reference_vrjp_lattice(dim, w, n_jumps, r_ref)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert np.array_equal(r_walk.random(4), r_ref.random(4))
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("w", [0.3, 1.0, 10.0])
     def test_matches_reference_loop(self, dim, w):
@@ -1147,3 +1184,66 @@ class TestLatticeWalker:
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
+
+
+class WaitAsPick:
+    """A generator whose uniforms are its last standard exponentials, each
+    mapped into (0, 1) by its own distribution function 1 - e^-x: every
+    variate keeps its law, but a jump's pick is a function of its wait."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._exps = None
+
+    def standard_exponential(self, size=None):
+        self._exps = self._rng.standard_exponential(size)
+        return self._exps
+
+    def random(self, size=None):
+        return -np.expm1(-self._exps)
+
+
+class TestFirstJumpLaw:
+    """The law of a jump, which no bit pin can stand in for. From the centre
+    of a star with unequal conductances w and every local time 1: the first
+    wait times the total rate sum(w) is Exp(1), the first neighbour is leaf j
+    with probability w_j / sum(w), and the two are independent. Declared in
+    advance: N walks of two jumps from stream(SEED, "first-jump"), a KS test
+    of the scaled waits, the 4-SE rule on each leaf's share, and a
+    chi-square test on the table of wait above or below its median by
+    neighbour."""
+
+    N = 40_000
+    SEED = 11
+    W = (0.5, 1.0, 2.0, 3.5)
+
+    def first_jumps(self, rng):
+        star = WeightedGraph(n=5, edges=tuple((0, j + 1, w) for j, w in enumerate(self.W)))
+        rows = [([u for u, _ in nb], [w for _, w in nb]) for nb in star.neighbors]
+        scaled = np.empty(self.N)
+        leaf = np.empty(self.N, dtype=int)
+        for k in range(self.N):
+            verts, waits, _ = processes._walk(rows, [1.0] * star.n, 0, rng, np.inf, 2)
+            scaled[k] = waits[0] * sum(self.W)
+            leaf[k] = verts[1]
+        return scaled, leaf
+
+    def independence_p(self, scaled, leaf):
+        above = scaled > np.median(scaled)
+        table = np.array([np.bincount(leaf[side], minlength=5)[1:] for side in (above, ~above)])
+        return stats.chi2_contingency(table).pvalue
+
+    def test_wait_is_exponential_and_independent_of_the_pick(self):
+        scaled, leaf = self.first_jumps(stream(self.SEED, "first-jump"))
+        assert stats.kstest(scaled, "expon").pvalue > ALPHA
+        for j, w in enumerate(self.W, start=1):
+            p = w / sum(self.W)
+            phat = (leaf == j).mean()
+            assert abs(phat - p) <= SE_RULE * np.sqrt(p * (1.0 - p) / self.N)
+        assert self.independence_p(scaled, leaf) > ALPHA
+
+    def test_a_pick_read_from_the_wait_is_told_apart(self):
+        # the planted defect keeps both marginal laws, so only the
+        # independence test can see it
+        scaled, leaf = self.first_jumps(WaitAsPick(stream(self.SEED, "first-jump")))
+        assert self.independence_p(scaled, leaf) < 1e-6
