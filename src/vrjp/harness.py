@@ -1,12 +1,15 @@
-"""Monte Carlo plumbing: standard-error reports, the two-sample word
-chi-square test, simple-random-walk endpoints drawn in blocks of walks, and
-the desk-scale experiments. The mixing field rooted at a vertex is drawn by
-the private `_rooted_u_samples`, for the cosh-moment experiment alone.
+"""Monte Carlo plumbing: standard-error reports, the gate's two p-value
+tests (the two-sample word chi-square test and the one-sample
+Kolmogorov-Smirnov test, both on scipy.special, so that no import of the
+package loads scipy.stats), simple-random-walk endpoints drawn in blocks of
+walks, and the desk-scale experiments. The mixing field rooted at a vertex
+is drawn by the private `_rooted_u_samples`, for the cosh-moment experiment
+alone.
 
 Determinism contract: every experiment draws from counter-based streams
 keyed by (seed, experiment, index), so results are bit-identical for a fixed
-seed. The one-sample KS test, the replica runner, the full-path random walk
-and the lattice diffusion estimator are test oracles (tests/_oracles.py).
+seed. The replica runner, the full-path random walk, the lattice diffusion
+estimator and scipy's own KS test are test oracles (tests/_oracles.py).
 
 Each experiment refuses, with DomainError and before it draws, a sample
 count it cannot report on: psi-decay and vrjp-diffusion need at least one
@@ -22,10 +25,10 @@ Closed-form-vs-Monte-Carlo comparisons elsewhere in the package use the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import chdtrc
+from scipy.special import chdtrc, smirnov
 
 from .betafield import (
     NuParams,
@@ -42,6 +45,7 @@ from .streams import stream
 __all__ = [
     "EstimatorReport",
     "word_chi2",
+    "ks_1samp",
     "srw_endpoints",
     "psi_decay_experiment",
     "cosh_moment_experiment",
@@ -115,6 +119,254 @@ def word_chi2(words_a: np.ndarray, words_b: np.ndarray) -> float:
     stat = ((o - expected) ** 2 / expected).sum()
     df = o.shape[1] - 1
     return float(chdtrc(df, stat))
+
+
+def ks_1samp(samples: np.ndarray, cdf) -> Tuple[float, float]:
+    """Two-sided one-sample Kolmogorov-Smirnov test: (D, p).
+
+    D = max(D+, D-) on the sorted sample, as `scipy.stats.kstest` forms
+    it, and p is the exact two-sided survival function of D_n at D
+    (`_kolmogorov_sf`). An empty sample, or one holding a NaN or an
+    infinite value, has no statistic: it gives (nan, nan), which no
+    significance level passes.
+    """
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    if n == 0 or not np.isfinite(x).all():
+        return float("nan"), float("nan")
+    cdfvals = cdf(x)
+    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
+    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    d = float(d_plus if d_plus > d_minus else d_minus)
+    return d, _kolmogorov_sf(n, d)
+
+
+# The Kolmogorov survival function below is a port of scipy 1.17.1's
+# scipy/stats/_ksstats.py (`_kolmogn(n, x, cdf=False)` and the Durbin and
+# Pelz-Good routines it calls). It follows Simard and L'Ecuyer, J. Stat.
+# Softw. 39(11) (2011), and keeps scipy's operations and long-double
+# rescaling, so for n > 140 it gives `kstwo.sf`'s bits. For n <= 140 it
+# takes the Durbin matrix (Marsaglia-Tsang-Wang, J. Stat. Softw. 8(18),
+# 2003) where scipy takes Pomeranz's recursion; both are exact. The ported
+# code is under scipy's BSD-3-Clause license:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+_E128 = 128
+_EP128 = np.ldexp(np.longdouble(1), _E128)
+_EM128 = np.ldexp(np.longdouble(1), -_E128)
+_SQRT2PI = np.sqrt(2 * np.pi)
+_LOG_2PI = np.log(2 * np.pi)
+_MIN_LOG = -708
+_SQRT3 = np.sqrt(3)
+_PI_SQUARED = np.pi**2
+_PI_FOUR = np.pi**4
+_PI_SIX = np.pi**6
+# B_2j / (2j (2j - 1)) for j = 8, ..., 1: Stirling's series for log n!
+_STIRLING_COEFFS = [
+    -2.955065359477124183e-2,
+    6.4102564102564102564e-3,
+    -1.9175269175269175269e-3,
+    8.4175084175084175084e-4,
+    -5.952380952380952381e-4,
+    7.9365079365079365079e-4,
+    -2.7777777777777777778e-3,
+    8.3333333333333333333e-2,
+]
+
+
+def _clip_prob(p):
+    return np.clip(p, 0.0, 1.0)
+
+
+def _log_nfactorial_div_n_pow_n(n: int):
+    """log(n! / n^n) by Stirling's series, n log n taken out up front."""
+    rn = 1.0 / n
+    return np.log(n) / 2 - n + _LOG_2PI / 2 + rn * np.polyval(_STIRLING_COEFFS, rn / n)
+
+
+def _kolmogn_dmtw(n: int, d):
+    """P(D_n <= d) by Durbin's matrix, as Marsaglia, Tsang and Wang compute
+    it: with d = (k - h)/n, the k-th diagonal entry of (n!/n^n) H^n for the
+    (2k - 1)-square H, powered by squaring and rescaled by 2^128 as it goes.
+    Called with 1/n < d < 1/2 only."""
+    nd = n * d
+    k = int(np.ceil(nd))
+    h = k - nd
+    m = 2 * k - 1
+    H = np.zeros([m, m])
+    # v is H's first column (and, reversed, its last row), w = 1/j!
+    intm = np.arange(1, m + 1)
+    v = 1.0 - h**intm
+    w = np.empty(m)
+    fac = 1.0
+    for j in intm:
+        w[j - 1] = fac
+        fac /= j  # may underflow, harmlessly
+        v[j - 1] *= fac
+    tt = max(2 * h - 1.0, 0) ** m - 2 * h**m
+    v[-1] = (1.0 + tt) * fac
+    for i in range(1, m):
+        H[i - 1 :, i] = w[: m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+
+    Hpwr = np.eye(np.shape(H)[0])
+    nn = n
+    expnt = 0  # scaling of Hpwr
+    Hexpnt = 0  # scaling of H
+    while nn > 0:
+        if nn % 2:
+            Hpwr = np.matmul(Hpwr, H)
+            expnt += Hexpnt
+        H = np.matmul(H, H)
+        Hexpnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _EP128:
+            H /= _EP128
+            Hexpnt += _E128
+        nn = nn // 2
+    p = Hpwr[k - 1, k - 1]
+    # times n!/n^n; once rescaled, p is a long double, as in scipy
+    for i in range(1, n + 1):
+        p = i * p / n
+        if np.abs(p) < _EM128:
+            p *= _EP128
+            expnt -= _E128
+    if expnt != 0:
+        p = np.ldexp(p, expnt)
+    return _clip_prob(p)
+
+
+def _kolmogn_pelz_good(n: int, x):
+    """Pelz-Good's approximation of P(D_n <= x): the Li-Chien-Korolyuk
+    expansion K0(z) + K1(z)/sqrt(n) + K2(z)/n + K3(z)/n^1.5, z = x sqrt(n),
+    with each K_i turned by Jacobi's theta identity into a sum that
+    converges fast for small z. Called with 1/n < x < 1/2 only."""
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+    qlog = -_PI_SQUARED / 8 / zsquared
+    if qlog < _MIN_LOG:  # z below about 0.0417
+        return _clip_prob(0.0)
+    q = np.exp(qlog)
+    # coefficients of the terms of K1, K2 and K3
+    k1a = -zsquared
+    k1b = _PI_SQUARED / 4
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI_SQUARED / 4
+    k2c = _PI_FOUR * (1 - 2 * zsquared) / 16
+    k3d = _PI_SIX * (5 - 30 * zsquared) / 64
+    k3c = _PI_FOUR * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI_SQUARED * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+
+    K0to3 = np.zeros(4)
+    # Horner's scheme for sum c_i q^(i^2), over odd i
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array(
+            [
+                1.0,
+                k1a + k1b * msquared,
+                k2a + k2b * msquared + k2c * mfour,
+                k3a + k3b * msquared + k3c * mfour + k3d * msix,
+            ]
+        )
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= _SQRT2PI
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+
+    # the other sums, over all k: pi^2 k^2 q^(k^2) in K2 and
+    # (3 pi^2 k^2 z^2 - pi^4 k^4) q^(k^2) in K3, summed directly
+    q = np.exp(-_PI_SQUARED / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks**2
+    sqrt3z = _SQRT3 * z
+    kspi = np.pi * ks
+    qpwers = q**ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= _PI_SQUARED * _SQRT2PI / (-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= _PI_SQUARED * _SQRT2PI / (216 * zsix)
+    K0to3[3] += k3extra
+    powers_of_n = np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
+    K0to3 /= powers_of_n
+    return sum(K0to3)
+
+
+def _kolmogorov_sf(n: int, x: float) -> float:
+    """P(D_n > x) for the two-sided statistic of n samples, by Simard and
+    L'Ecuyer's choice of method: Ruben and Gambino's closed forms at
+    x <= 1/n and x >= 1 - 1/n, 2 smirnov(n, x) where the two one-sided tails
+    cannot both be crossed (x >= 1/2) or their overlap is negligible, the
+    Durbin matrix for small n x^1.5, and Pelz-Good otherwise."""
+    if np.isnan(x):
+        return float("nan")
+    x = np.float64(x)
+    if x >= 1.0:
+        return 0.0
+    if x <= 0.0:
+        return 1.0
+    t = n * x
+    if t <= 1.0:  # Ruben-Gambino: 1/(2n) <= x <= 1/n
+        if t <= 0.5:
+            return 1.0
+        if n <= 140:
+            prob = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
+        else:
+            prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
+        return float(_clip_prob(1.0 - prob))
+    if t >= n - 1:  # Ruben-Gambino
+        return float(_clip_prob(2 * (1.0 - x) ** n))
+    if x >= 0.5:  # exact: the two tails cannot both be crossed
+        return float(_clip_prob(2 * smirnov(n, x)))
+    nxsquared = t * x
+    if n <= 140:
+        if nxsquared <= 4:
+            return float(_clip_prob(1.0 - _kolmogn_dmtw(n, x)))
+        return float(_clip_prob(2 * smirnov(n, x)))  # Miller's approximation
+    if nxsquared >= 370.0:
+        return 0.0
+    if nxsquared >= 2.2:
+        return float(_clip_prob(2 * smirnov(n, x)))
+    if n <= 100000 and n * x**1.5 <= 1.4:
+        cdfprob = _kolmogn_dmtw(n, x)
+    else:
+        cdfprob = _kolmogn_pelz_good(n, x)
+    return float(_clip_prob(1.0 - cdfprob))
 
 
 # picks drawn per block of walks: about 8 MB of int64 at a time

@@ -20,6 +20,9 @@ solved.
 Statistical conventions: closed-form-vs-Monte-Carlo comparisons use the
 4-standard-error rule; p-value tests use significance 0.01; all draws come
 from fixed keyed streams so a (tier, seed) pair is exactly reproducible.
+The two KS tests (criteria 3 and 7) run harness.ks_1samp on CDFs formed
+here from scipy.special, with scipy.stats' bits; a NaN or infinite value in
+their sample reads p = nan and fails.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc, log_ndtr
 
 from .betafield import (
     BandSample,
@@ -44,6 +47,7 @@ from .harness import (
     SE_RULE,
     conductance_ratio_experiment,
     cosh_moment_experiment,
+    ks_1samp,
     psi_decay_experiment,
     srw_endpoints,
     vrjp_diffusion_experiment,
@@ -180,6 +184,29 @@ def _se(x: np.ndarray) -> float:
     return float(x.std(ddof=1) / np.sqrt(x.shape[0]))
 
 
+def _inverse_gaussian_cdf(x: np.ndarray, mean: float) -> np.ndarray:
+    """CDF of the inverse Gaussian law of the given mean and shape 1, with
+    `scipy.stats.invgauss.cdf(x, mean)`'s bits: its log-CDF
+    a + log1p(exp(b - a)) from the two normal log-CDF terms, exponentiated;
+    0 at x <= 0, 1 at +inf, nan at nan."""
+    x = np.asarray(x, dtype=float)
+    out = (x > 0.0).astype(float)
+    out[np.isnan(x)] = np.nan
+    inside = (x > 0.0) & (x < np.inf)
+    v = x[inside]
+    fac = 1 / np.sqrt(v)
+    a = log_ndtr(fac * (v / mean - 1))
+    b = 2 / mean + log_ndtr(-fac * (v / mean + 1))
+    out[inside] = np.exp(a + np.log1p(np.exp(b - a)))
+    return out
+
+
+def _half_gamma_cdf(x: np.ndarray) -> np.ndarray:
+    """CDF of Gamma(1/2, 1), with `scipy.stats.gamma.cdf(x, 0.5)`'s bits:
+    the regularized lower incomplete gamma function, 0 at x <= 0."""
+    return gammainc(0.5, np.maximum(x, 0.0))
+
+
 def _lambda_grid(
     n_sites: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -287,7 +314,7 @@ def criterion_3(sizes: Sizes, seed: int) -> Tuple[bool, str]:
     # chain; the triangle is uniform, so its weight is site 0's
     vals = _draws(params, sizes.n_c3, rng, lambda s: 1.0 / (2.0 * s.beta[:, 2]))
     w_i = float(g.weight_matrix()[0].sum())
-    stat, p = stats.kstest(vals, lambda x: stats.invgauss.cdf(x, 1.0 / w_i, scale=1.0))
+    stat, p = ks_1samp(vals, lambda x: _inverse_gaussian_cdf(x, 1.0 / w_i))
     ok = p > ALPHA
     return (
         ok,
@@ -446,7 +473,7 @@ def criterion_7(sizes: Sizes, seed: int) -> Tuple[bool, str]:
         lambda s: 1.0 / (2.0 * green_solve(params.p, s.beta, e_d)[:, d_idx]),
     )
     z = abs(vals.mean() - 0.5) / _se(vals)
-    stat, p = stats.kstest(vals, lambda x: stats.gamma.cdf(x, 0.5))
+    stat, p = ks_1samp(vals, _half_gamma_cdf)
     ok = z <= SE_RULE and p > ALPHA
     return (
         ok,

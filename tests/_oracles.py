@@ -23,7 +23,7 @@ environment-fixed jump chain stepped by `rng.choice`, capped path
 enumeration and truncated Green path sums, the u-field of a full graph and
 its density, the dense bottom of the spectrum, the time change as a pair of
 maps, the conditioned (h-transformed) chains, a replica runner, a
-one-sample KS test, and the full coordinate paths of the simple random walk
+one-sample KS test on scipy.stats.kstest, and the full coordinate paths of the simple random walk
 with the lattice diffusion estimator that reads them (criterion 12 draws
 only the endpoints, by vrjp.srw_endpoints).
 """

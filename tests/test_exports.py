@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,3 +146,20 @@ def test_removed_keyword_is_gone(func, name):
 
 def test_package_exports_49_names():
     assert len(vrjp.__all__) == 49
+
+
+# scipy.stats costs more to import than the rest of the package; the gate's
+# two KS tests run on scipy.special, so no entry point may load it
+@pytest.mark.parametrize("module", ["vrjp", "vrjp.cli", "vrjp.verify"])
+def test_import_loads_no_scipy_stats(module):
+    src = str(Path(vrjp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]", f"import {module} loaded {out.stdout.strip()}"

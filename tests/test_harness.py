@@ -29,8 +29,8 @@ from vrjp import (
     vrjp_diffusion_experiment,
     word_chi2,
 )
-from vrjp.harness import SRW_BLOCK_PICKS, _rooted_u_samples
-from vrjp.verify import QUICK, criterion_12
+from vrjp.harness import SRW_BLOCK_PICKS, _kolmogorov_sf, _rooted_u_samples, ks_1samp
+from vrjp.verify import QUICK, _half_gamma_cdf, _inverse_gaussian_cdf, criterion_12
 
 from _oracles import (
     ALPHA,
@@ -93,6 +93,111 @@ class TestKsTest:
         bad[0] = np.inf
         with pytest.raises(TestError):
             ks_test(bad, stats.norm.cdf)
+
+
+def _sf_branch(n, x):
+    """The branch of _kolmogorov_sf that P(D_n > x) takes, for n > 140."""
+    t, nxx = n * x, n * x * x
+    if t <= 0.5:
+        return "below-support"
+    if t <= 1.0:
+        return "ruben-gambino-low"
+    if t >= n - 1:
+        return "ruben-gambino-high"
+    if x >= 0.5:
+        return "smirnov-exact"
+    if nxx >= 370.0:
+        return "zero"
+    if nxx >= 2.2:
+        return "smirnov"
+    if n <= 100000 and n * x**1.5 <= 1.4:
+        return "durbin"
+    return "pelz-good"
+
+
+# sample sizes on both sides of every cutoff of the method choice: 140
+# (the small-n rules), 100,000 (Durbin's matrix), and the gate's chunk and
+# full sizes
+KS_SIZES = (141, 20_000, 25_000, 100_000, 100_001, 400_000)
+
+
+def _ks_grid(n, points=20):
+    return np.geomspace(0.4 / n, 0.999, points)
+
+
+class TestKs1samp:
+    """ks_1samp against scipy.stats, which the package no longer imports."""
+
+    def test_grid_crosses_every_branch(self):
+        seen = {_sf_branch(n, float(x)) for n in KS_SIZES for x in _ks_grid(n)}
+        assert seen == {
+            "below-support",
+            "ruben-gambino-low",
+            "ruben-gambino-high",
+            "smirnov-exact",
+            "zero",
+            "smirnov",
+            "durbin",
+            "pelz-good",
+        }
+
+    @pytest.mark.parametrize("n", KS_SIZES)
+    def test_p_is_kstwo_sf_bit_for_bit(self, n):
+        for x in _ks_grid(n):
+            want = float(stats.kstwo.sf(x, n))
+            assert _kolmogorov_sf(n, float(x)) == want, (n, x, _sf_branch(n, x))
+
+    def test_p_matches_kstwo_sf_at_small_n(self):
+        # below 141 samples scipy takes Pomeranz's recursion where this
+        # takes Durbin's matrix; both are exact
+        for n in range(1, 141):
+            for x in _ks_grid(n):
+                want = float(stats.kstwo.sf(x, n))
+                assert abs(_kolmogorov_sf(n, float(x)) - want) <= 1e-13, (n, x)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.003, 0.02])
+    @pytest.mark.parametrize("n", [500, 25_000, 100_000])
+    def test_is_kstest_on_gamma_and_wald_samples(self, n, shift):
+        rng = stream(n, "ks-oracle", str(shift))
+        half_gamma = rng.gamma(0.5, size=n) + shift
+        want = stats.kstest(half_gamma, lambda x: stats.gamma.cdf(x, 0.5))
+        got = ks_1samp(half_gamma, _half_gamma_cdf)
+        assert got == (float(want.statistic), float(want.pvalue))
+        wald = rng.wald(1.0 / 3.0, 1.0, size=n) + shift
+        want = stats.kstest(wald, lambda x: stats.invgauss.cdf(x, 1.0 / 3.0))
+        got = ks_1samp(wald, lambda x: _inverse_gaussian_cdf(x, 1.0 / 3.0))
+        assert got == (float(want.statistic), float(want.pvalue))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_reads_nan(self, bad):
+        samples = stream(9, "ks-nan").gamma(0.5, size=120_000)
+        samples[7] = bad
+        stat, p = ks_1samp(samples, _half_gamma_cdf)
+        assert np.isnan(stat) and np.isnan(p)
+
+    def test_a_nan_statistic_reads_nan(self):
+        assert np.isnan(_kolmogorov_sf(400_000, float("nan")))
+
+    @pytest.mark.parametrize("mean", [1.0 / 3.0, 0.5, 2.0])
+    def test_inverse_gaussian_cdf_is_scipys(self, mean):
+        x = np.concatenate(
+            [
+                [-np.inf, -2.0, -0.0, 0.0, 5e-324, 1e-10, 1e300, np.inf, np.nan],
+                stream(1, "ig-cdf").wald(mean, 1.0, size=50_000),
+            ]
+        )
+        want = stats.invgauss.cdf(x, mean, scale=1.0)
+        assert np.array_equal(_inverse_gaussian_cdf(x, mean), want, equal_nan=True)
+
+    def test_half_gamma_cdf_is_scipys(self):
+        x = np.concatenate(
+            [
+                [-np.inf, -2.0, -0.0, 0.0, 5e-324, 1e-10, 1e300, np.inf, np.nan],
+                stream(1, "gamma-cdf").gamma(0.5, size=50_000),
+            ]
+        )
+        want = stats.gamma.cdf(x, 0.5)
+        assert np.array_equal(_half_gamma_cdf(x), want, equal_nan=True)
 
 
 class TestWordChi2:
