@@ -23,7 +23,11 @@ rows of P, one for a batch of fields and one for a single wide draw:
   certificate for the batch: schrodinger.green_solve_banded solves the
   draw's own environments on it, and schrodinger.green_solve serves only
   environments that were not drawn as they are solved. A single
-  environment is its batch of one, sample_batch(params, 1, rng).beta[0];
+  environment is its batch of one, sample_batch(params, 1, rng).beta[0].
+  Since every step acts on the sample axis entry by entry, each sample may
+  carry its own coupling: _sample_rows eliminates any band rows and field,
+  which sample_batch fills from one P and WiredBand.fill_rows from a block
+  of weight vectors (the conductance ratio's d = 2 blocks);
 - single: sample_banded holds a row-major lattice box by rows of its band
   and eliminates it in two levels. After a site is eliminated its Schur
   update touches only its neighbours, so the sites of an independent set R
@@ -49,8 +53,9 @@ rows of P, one for a batch of fields and one for a single wide draw:
   that WiredBand.box wires from their geometry, with no graph built.
   Wiring a retained set is done in one place, WiredBand's edge arrays:
   they give the wired marginal by its diagonals for any environment's
-  edge weights (fill()), or dense (params()), W on it plus delta as
-  neighbour tables (neighbours()), and the wired graph (graph()).
+  edge weights (fill()), by band rows for a block of environments
+  (fill_rows()), or dense (params()), W on it plus delta as neighbour
+  tables (neighbours()), and the wired graph (graph()).
   The band sampler consumes the variates of sample_batch's loop on
   (P, eta) relabelled to the order (R, B), in the same order, and its beta
   differs from that draw by the rounding of the summed updates only.
@@ -470,9 +475,13 @@ def sample_batch(
     read .beta. One environment is the batch of one,
     sample_batch(params, 1, rng) (C1 and C10), whose sample
     schrodinger.green_bundle takes; acceptance-scale Monte Carlo draws 1e5+
-    fields on a small graph. Large lattice boxes go through sample_banded,
-    one field per call (psi decay, the conductance ratio, `vrjp green` and
-    `vrjp simulate --process quenched`).
+    fields on a small graph. The elimination, the certificate and the
+    BandSample are _sample_rows', which also draws the conductance ratio's
+    d = 2 blocks, one coupling per sample, on rows that
+    WiredBand.fill_rows scatters from a block of weight vectors. Large
+    lattice boxes go through sample_banded, one field per call (psi decay,
+    the ratio's small and d = 3 blocks, `vrjp green` and `vrjp simulate
+    --process quenched`).
     """
     if rng is None:
         raise DomainError("an rng is required")
@@ -495,9 +504,23 @@ def sample_batch(
     for d in range(bw + 1):
         st[: n - d, d] = np.diagonal(p, d)[:, None]
     ew = np.broadcast_to(params.eta[:, None], (n, n_samples)).copy()
+    return _sample_rows(st, ew, np.diagonal(p)[:, None], rng)
+
+
+def _sample_rows(
+    st: np.ndarray, ew: np.ndarray, p_diag, rng: np.random.Generator
+) -> BandSample:
+    """The batch draw on band rows st, (n, bw + 1, S) with st[i, d, s] =
+    P_s[i, i + d], and boundary field ew, (n, S): every sample may carry
+    its own coupling, since each step of _schur_loop acts on the sample
+    axis entry by entry. Both are eliminated in place into the sample's
+    factor rows and pivots, and the certificate reads each pivot against
+    H_kk = 2 beta_k - P_kk, with p_diag P's diagonal as it broadcasts
+    against (n, S). sample_batch fills st from one P; WiredBand.fill_rows
+    fills it from a block of weight vectors."""
     beta = _schur_loop(st, ew, rng)
     h_diag = 2.0 * beta
-    h_diag -= np.diagonal(p)[:, None]
+    h_diag -= p_diag
     certified = _pivots_ok(ew, h_diag)
     # gone before beta's transposed copy is made, as the byte count assumes
     del h_diag
@@ -650,6 +673,51 @@ class WiredBand:
             raise RestrictionError("subset has empty boundary weight vector")
         return BandDiagonals(self.offsets, columns), eta
 
+    def fill_rows(self, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, eta) of the wired marginal for a block of S environments,
+        w (S, E) holding one weight vector per row, each aligned as fill's:
+        rows (n, bw + 1, S) holds every sample's P by its band rows with the
+        sample axis last, rows[i, d, s] = P_s[i, i + d], as _schur_loop
+        reads them, written by one scatter, and eta (n, S) sums each site's
+        crossing weights in edge order, with fill's bits per sample. fill's
+        refusals hold for every sample (DomainError, RestrictionError), and
+        the block is refused beyond memory (SizeError) before the rows are
+        allocated."""
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 2 or w.shape[1:] != self.weights.shape:
+            raise DomainError("need one weight per edge for each sample")
+        if not (np.isfinite(w) & (w > 0)).all():
+            raise DomainError("edge weights must be positive and finite")
+        s = w.shape[0]
+        # the rows and eta, the gathered inner and crossing weights and the
+        # crossing weights' bin indices
+        n, e_in, e_cross = self.n, self.inner_edges.size, self.cross_edges.size
+        what = f"band rows of {s} samples on {n} sites at bandwidth {self.bw}"
+        _refuse_beyond_memory(8 * s * (n * (self.bw + 2) + e_in + 2 * e_cross), what)
+        rows = np.zeros((n, self.bw + 1, s))
+        rows[self.inner_i, self.inner_j - self.inner_i] = w[:, self.inner_edges].T
+        # bin (site, sample), entries in edge order within each bin
+        bins = self.cross_site[:, None] * s + np.arange(s)
+        crossing = w[:, self.cross_edges].T.ravel()
+        eta = np.bincount(bins.ravel(), weights=crossing, minlength=n * s)
+        eta = eta.reshape(n, s)
+        if not eta.any(axis=0).all():
+            raise RestrictionError("subset has empty boundary weight vector")
+        return rows, eta
+
+    def trimmed(self) -> "WiredBand":
+        """The same wiring on the edges that fill reads, the inner and the
+        crossing ones, in edge order: an edge with neither end retained is
+        dropped, so weights and the edge indices count only the kept edges.
+        Every other field is the same."""
+        pi = np.full(self.weights.size, -1)
+        pj = np.full(self.weights.size, -1)
+        pi[self.inner_edges] = self.inner_i
+        pj[self.inner_edges] = self.inner_j
+        pi[self.cross_edges] = self.cross_site
+        kept = pi >= 0
+        return self._from_ends(self.n, self.weights[kept], pi[kept], pj[kept])
+
     def neighbours(self) -> Tuple[np.ndarray, np.ndarray]:
         """g's own W on the n sites plus delta (index n) as left-packed
         neighbour tables (nbr, w), (n + 1, width): row i lists i's neighbours
@@ -702,11 +770,24 @@ class WiredBand:
 
     def couple(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """P v for the retained block P of edge weights w, from the edge
-        arrays."""
-        wi = w[self.inner_edges]
-        return np.bincount(
-            self.inner_i, weights=wi * v[self.inner_j], minlength=self.n
-        ) + np.bincount(self.inner_j, weights=wi * v[self.inner_i], minlength=self.n)
+        arrays: w (E,) and v (n,), or a block of S environments, w (S, E)
+        and v (S, n), each row with the bits of its own call."""
+        v = np.asarray(v, dtype=float)
+        s = v.size // self.n
+        wi = np.reshape(w, (s, -1))[:, self.inner_edges]
+        vs = v.reshape(s, self.n)
+        # bin (sample, site), entries in edge order within each bin
+        base = np.arange(s)[:, None] * self.n
+        out = np.bincount(
+            (base + self.inner_i).ravel(),
+            weights=(wi * vs[:, self.inner_j]).ravel(),
+            minlength=s * self.n,
+        ) + np.bincount(
+            (base + self.inner_j).ravel(),
+            weights=(wi * vs[:, self.inner_i]).ravel(),
+            minlength=s * self.n,
+        )
+        return out.reshape(v.shape)
 
 
 def _first_sites(band: BandDiagonals) -> np.ndarray:

@@ -33,6 +33,7 @@ from scipy.special import chdtrc, smirnov
 from .betafield import (
     NuParams,
     WiredBand,
+    _sample_rows,
     sample_banded,
     sample_batch,
 )
@@ -539,6 +540,68 @@ def cosh_moment_experiment(
 # Layers of the conductance-ratio box beyond the sites 0 and ell.
 RATIO_MARGIN = 3
 
+# Environments per block of the conductance ratio: a block's weights are
+# one draw, and a batched block's rows, field and solve are held at once.
+RATIO_BLOCK = 128
+
+
+def _ratio_batched(bw: int, s: int) -> bool:
+    """Whether a block of s environments on a box of bandwidth bw takes the
+    batched elimination rather than one band draw per environment.
+
+    Per site, the batch pays a fixed cost of small numpy steps, one per band
+    diagonal, shared by the block, and elementwise work of order bw^2 per
+    environment; the band draw pays its per-site overhead once per
+    environment and runs its bw^2 work on BLAS. So on narrow bands the
+    batch wins from about s = bw (bw + 4) / 16 environments on, and from
+    bw of about 40 on it no longer wins at any block size (the crossover
+    table in CHANGES.md, bw 7 to 121). Every d = 3 box (bw 49 and up)
+    takes the band draw."""
+    return bw <= 36 and 16 * s >= bw * (bw + 4)
+
+
+def _ratio_block_bytes(wired: WiredBand, s: int) -> int:
+    """Bytes a block of s environments holds, by its route: the weights,
+    then either the batch's band rows with _schur_loop's scratch, its
+    field (the pivots), beta, the certificate's H_kk, the right-hand sides
+    and the (n, 2, S) solve with its scratch, or the band route's psi, G
+    column and eta; and the kernel rows and x of the block."""
+    n, bw = wired.n, wired.bw
+    cells = wired.weights.size + 6 * (n + 1)
+    if _ratio_batched(bw, s):
+        cells += n * (bw + 1) + bw + 3 * n + 2 * n + 2 * (n + bw)
+    else:
+        cells += 3 * n
+    return 8 * s * cells
+
+
+def _ratio_block(
+    wired: WiredBand, w: np.ndarray, p0: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, G(i0, .), eta), each (S, n), for a block of S environments of
+    edge weights w (S, E), by the route _ratio_batched gives the block: one
+    batched draw on the block's band rows and one batched solve with each
+    sample's own right-hand sides [eta, e_i0], or, per environment, a band
+    draw on its diagonals and a solve on its two-level factor."""
+    s, n = w.shape[0], wired.n
+    if _ratio_batched(wired.bw, s):
+        rows, ew = wired.fill_rows(w)
+        rhs = np.zeros((s, n, 2))
+        rhs[:, :, 0] = ew.T
+        rhs[:, p0, 1] = 1.0
+        # the elimination overwrites the field with the pivots
+        sample = _sample_rows(rows, ew, 0.0, rng)
+        psi, g0 = np.moveaxis(green_solve_banded(sample, rhs), 2, 0)
+        return psi, g0, rhs[:, :, 0]
+    psi, g0, eta = np.empty((3, s, n))
+    rhs = np.zeros((n, 2))
+    rhs[p0, 1] = 1.0
+    for k in range(s):
+        band, eta[k] = wired.fill(w[k])
+        rhs[:, 0] = eta[k]
+        psi[k], g0[k] = green_solve_banded(sample_banded(band, eta[k], rng), rhs).T
+    return psi, g0, eta
+
 
 def conductance_ratio_experiment(
     a: float,
@@ -556,12 +619,27 @@ def conductance_ratio_experiment(
     independent Gamma(1/2) variable.
 
     Each separation's edge index arrays (WiredBand.box, from the box's
-    geometry, one Gamma weight per edge of the outer box in
-    build_lattice_box's edge order) are built once. Per environment, the
-    weights are scattered onto the box's d diagonals (WiredBand.fill) and
-    the boundary vector, the field is drawn by sample_banded, and psi and
-    the Green row of i0 come from its LDL^T factor (green_solve_banded, two
-    right-hand sides); no graph or dense matrix is formed.
+    geometry, trimmed to the edges the band or eta reads) are built once,
+    and every separation is checked, and refused beyond memory, before
+    anything is drawn. The environments are drawn RATIO_BLOCK at a time.
+    A block draws its weights as one (S, E') Gamma array, E' the read
+    edges in build_lattice_box's edge order, before any field draw, and
+    its couplings as one Gamma(1/2) array from their own stream. Its fields
+    then take one of two routes, chosen by _ratio_batched from the box's
+    bandwidth and S alone:
+    - batched (narrow bands, d = 2): the block's band rows and boundary
+      field, one coupling per sample (WiredBand.fill_rows), are eliminated
+      in one _schur_loop pass, sites in index order and the block's
+      samples drawn together at each site, and psi and the Green row of
+      i0 come from one batched solve of each sample's [eta, e_i0] on the
+      factor it kept (green_solve_banded);
+    - per environment (wide bands, d = 3, or small blocks): the weights
+      are scattered onto the box's diagonals (WiredBand.fill), the field is
+      drawn by sample_banded, and psi and the Green row come from its
+      LDL^T factor (green_solve_banded, two right-hand sides).
+    The route and RATIO_BLOCK are part of the draw order: the same seed
+    gives other variates if either changes. No graph or dense matrix is
+    formed; the block's kernel rows and x are formed together.
     """
     if not (np.isfinite(a) and a > 0):
         raise DomainError("Gamma shape a must be positive and finite")
@@ -569,37 +647,42 @@ def conductance_ratio_experiment(
         raise DomainError(
             "conductance-ratio needs at least 2 samples for a standard error"
         )
-    out: List[EstimatorReport] = []
-    for e_i, ell in enumerate(ells):
+    boxes = []
+    for ell in ells:
         ell = int(ell)
         if ell < 0 or ell % 2:
             raise DomainError("separations must be even and nonnegative")
         radius = ell // 2 + RATIO_MARGIN
-        wired = WiredBand.box(dim, radius, 1.0)
+        wired = WiredBand.box(dim, radius, 1.0).trimmed()
         origin = [-(ell // 2)] + [0] * (dim - 1)
         target = [ell - ell // 2] + [0] * (dim - 1)
         # retained sites are numbered row-major over the inner box
         p0, pl = np.ravel_multi_index(
             np.transpose([origin, target]) + radius, (2 * radius + 1,) * dim
         ).tolist()
-        rhs = np.zeros((wired.n, 2))
-        rhs[p0, 1] = 1.0
+        # the first block is the largest
+        _refuse_beyond_memory(
+            _ratio_block_bytes(wired, min(n_samples, RATIO_BLOCK)),
+            f"a conductance-ratio block on {wired.n} sites",
+        )
+        boxes.append((ell, wired, p0, pl))
+    out: List[EstimatorReport] = []
+    for e_i, (ell, wired, p0, pl) in enumerate(boxes):
         rng = stream(seed, "conductance-ratio", e_i)
         gamma_rng = stream(seed, "conductance-ratio-gamma", e_i)
         vals = np.empty(n_samples)
-        for s in range(n_samples):
-            w_draw = rng.gamma(a, 1.0, size=wired.weights.size)
-            band, eta = wired.fill(w_draw)
-            rhs[:, 0] = eta
-            sample = sample_banded(band, eta, rng)
-            gamma = float(gamma_rng.gamma(0.5, 1.0))
-            if gamma <= 0:
+        for lo in range(0, n_samples, RATIO_BLOCK):
+            s = min(RATIO_BLOCK, n_samples - lo)
+            w = rng.gamma(a, 1.0, size=(s, wired.weights.size))
+            gamma = gamma_rng.gamma(0.5, 1.0, size=s)
+            if not (gamma > 0).all():
                 raise DomainError("gamma must be positive")
-            psi, g0 = green_solve_banded(sample, rhs).T
+            psi, g0, eta = _ratio_block(wired, w, p0, rng)
             # the row of i0 in the kernel on the box plus delta (delta last)
             row = _kernel_row(psi, g0, p0, gamma)
-            x = row[:-1] * (wired.couple(w_draw, row[:-1]) + eta * row[-1])
-            vals[s] = (x[pl] / x[p0]) ** 0.25
+            v = row[:, :-1]
+            x = v * (wired.couple(w, v) + eta * row[:, -1:])
+            vals[lo : lo + s] = (x[:, pl] / x[:, p0]) ** 0.25
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
         out.append(

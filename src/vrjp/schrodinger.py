@@ -12,9 +12,11 @@ of two solves:
   twice: for one environment of a lattice box drawn by sample_banded, a
   gather through the first level's table, two banded triangular solves on
   the rest (dtbtrs, on the factor rows the draw wrote in its layout, with
-  no copy), and a gather back; for a batch drawn by sample_batch, one
-  forward and one back substitution with the sample axis last. Batched
-  Monte Carlo asks only for the columns it reads, never for the inverse;
+  no copy), and a gather back; for a batch drawn by sample_batch, or a
+  block of environments with one coupling each, one forward and one back
+  substitution with the sample axis last, on right-hand sides shared by
+  the batch or one per sample. Batched Monte Carlo asks only for the
+  columns it reads, never for the inverse;
 - green_solve is its dense twin, for environments that were not drawn as
   they are solved (a marginal read off a larger draw, or a check that must
   not read the sampler's own pivots): one LU solve per environment and a
@@ -107,25 +109,36 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
     """Ghat_beta rhs for a band draw, with the factor it kept: the band twin
     of green_solve, for environments solved as they were drawn.
 
-    rhs has shape (m,) or (m, k). A single draw (sample_banded) gives the
-    shape of rhs, in three steps on its two-level factor: B's right-hand
-    side rhs_B + P_BR (rhs_R / x_R), gathered from the first level's table;
-    the two triangular dtbtrs solves on B's band factor (with T = L_B D_B,
-    S^-1 = T^-T D_B T^-1, and rows.T is T in dtbtrs's lower band storage,
-    read in place with no copy); and psi_R = (rhs_R + P_RB psi_B) / x_R,
-    gathered again. An empty first level is the same code with nothing to
-    gather. A batch of S (sample_batch) gives (S, m) or (S, m, k), as
+    rhs has shape (m,) or (m, k), or, for a batch of S, (S, m) or
+    (S, m, k), one right-hand side per sample. A single draw (sample_banded)
+    gives the shape of rhs, in three steps on its two-level factor: B's
+    right-hand side rhs_B + P_BR (rhs_R / x_R), gathered from the first
+    level's table; the two triangular dtbtrs solves on B's band factor
+    (with T = L_B D_B, S^-1 = T^-T D_B T^-1, and rows.T is T in dtbtrs's
+    lower band storage, read in place with no copy); and psi_R = (rhs_R +
+    P_RB psi_B) / x_R, gathered again. An empty first level is the same
+    code with nothing to gather. A batch of S (sample_batch, or a block of environments that
+    each carry their own coupling) gives (S, m) or (S, m, k), as
     green_solve does for its beta: one forward and one back substitution
     over the m sites, each step one op on a (bw, k, S) block of every
     sample, in place on one (m, k, S) array that the result is a view of.
-    A right-hand side with a zero dimension raises DomainError, and a
-    failed certificate or a zero pivot, R's included, FactorizationError,
-    before any LAPACK call and before anything is divided.
+    An (m, k) right-hand side is shared by every sample, as it always was,
+    so a per-sample one on a batch whose S equals m is written (S, m, 1).
+    A right-hand side of any other shape or with a zero dimension raises
+    DomainError, and a failed certificate or a zero pivot, R's included,
+    FactorizationError, before any LAPACK call and before anything is
+    divided.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = sample.pivots.shape[0]
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != m:
-        raise DomainError(f"right-hand side must have shape ({m},) or ({m}, k)")
+    shared = rhs.ndim in (1, 2) and rhs.shape[0] == m
+    s = sample.pivots.shape[1] if sample.pivots.ndim == 2 else None
+    own = s is not None and not shared and rhs.shape[:2] == (s, m) and rhs.ndim < 4
+    if not (shared or own):
+        per_sample = "" if s is None else f", ({s}, {m}) or ({s}, {m}, k)"
+        raise DomainError(
+            f"right-hand side must have shape ({m},) or ({m}, k){per_sample}"
+        )
     # LAPACK's dtbtrs corrupts the heap on an empty block
     if not rhs.size:
         raise DomainError(f"right-hand side of shape {rhs.shape} has no entries")
@@ -133,10 +146,15 @@ def green_solve_banded(sample: BandSample, rhs) -> np.ndarray:
         raise FactorizationError("banded operator is not positive definite")
     if not sample.pivots.all():
         raise FactorizationError("banded operator is singular: a zero pivot")
-    cols = rhs.reshape(m, -1)
-    if sample.pivots.ndim == 2:
+    if s is not None:
+        if shared:
+            cols = rhs.reshape(m, -1, 1)
+        else:
+            # a view: each sample's columns, sample axis last
+            cols = np.moveaxis(rhs.reshape(s, m, -1), 0, 2)
         y = np.moveaxis(_band_substitute(sample.rows, sample.pivots, cols), 2, 0)
-        return y if rhs.ndim == 2 else y[..., 0]
+        return y if rhs.ndim == (3 if own else 2) else y[..., 0]
+    cols = rhs.reshape(m, -1)
     level = sample.first
     x = sample.pivots
     r = level.sites
@@ -174,7 +192,9 @@ def _gather_add(acc: np.ndarray, nbr: np.ndarray, w: np.ndarray, src: np.ndarray
 
 
 def _band_substitute(rows: np.ndarray, pivots: np.ndarray, cols: np.ndarray):
-    """H^-1 cols for every sample of a batch's factor, as an (m, k, S) array.
+    """H^-1 cols for every sample of a batch's factor, as an (m, k, S) array:
+    cols (m, k, 1) is one right-hand side shared by every sample, and
+    (m, k, S) one per sample, each solved on its own sample's factor.
 
     Forward, L z = cols then w = z / x: once y[k] is z_k / x_k, the rows
     behind it take rows[k, d] y[k]. Back, L^T y = w: y[k] gains
@@ -183,7 +203,7 @@ def _band_substitute(rows: np.ndarray, pivots: np.ndarray, cols: np.ndarray):
     m, width, s = rows.shape
     bw = width - 1
     y = np.empty((m, cols.shape[1], s))
-    y[...] = cols[:, :, None]
+    y[...] = cols
     scratch = np.empty((bw,) + y.shape[1:])
     for k in range(m):
         d = min(bw, m - 1 - k)

@@ -60,6 +60,7 @@ from vrjp import (
     stream,
 )
 from vrjp.betafield import CHI2_BELOW, PIVOT_RTOL, BandDiagonals, _pivots_ok, h_beta
+from vrjp.harness import RATIO_BLOCK, _ratio_batched
 from vrjp.schrodinger import _rate_rows
 
 SE_RULE = 4.0
@@ -222,16 +223,24 @@ def _reference_gig(b: np.ndarray, rng) -> np.ndarray:
     return out
 
 
-def reference_sample_batch(params: NuParams, n_samples: int, rng, order=None):
+def reference_sample_batch(params, n_samples: int, rng, order=None):
     """Per-site batched elimination with samples first and a dense Schur
     update: the loop the field sampler's kernel must match bit for bit,
     draw for draw. Sites are eliminated in `order` (index order by
     default), as index order on (P, eta) relabelled to it, so each step
-    updates the trailing block of a dense copy."""
-    n = params.n
+    updates the trailing block of a dense copy. params is one NuParams
+    shared by the n_samples samples, or a sequence of n_samples NuParams
+    on the same sites, one coupling per sample."""
+    stack = [params] * n_samples if isinstance(params, NuParams) else list(params)
+    if len(stack) != n_samples:
+        raise DomainError("need one parameter set per sample")
+    n = stack[0].n if stack else params.n
     order = np.arange(n) if order is None else np.asarray(order, dtype=int)
-    p = np.broadcast_to(params.p[np.ix_(order, order)], (n_samples, n, n)).copy()
-    eta = np.broadcast_to(params.eta[order], (n_samples, n)).copy()
+    p = np.zeros((n_samples, n, n))
+    eta = np.zeros((n_samples, n))
+    for s, q in enumerate(stack):
+        p[s] = q.p[np.ix_(order, order)]
+        eta[s] = q.eta[order]
     beta = np.empty((n_samples, n))
     for k in range(n):
         # a gathered copy of the row, whose sum runs as it always has
@@ -649,46 +658,68 @@ def reference_marginal_params(g: WeightedGraph, subset) -> NuParams:
 
 
 def reference_conductance_ratio(a, ells, n_samples, seed, dim=2, margin=3):
-    """The conductance-ratio experiment one environment at a time on dense
-    storage: a weighted graph per environment, its marginal parameters, the
-    dense batch-of-one loop eliminating in the band sampler's order (R, B),
-    a dense LDL^T of that beta and a full Green bundle. The band path must
-    match it up to rounding. Returns (mean, stderr) per separation."""
+    """The conductance-ratio experiment on dense storage, in the product's
+    draw order: blocks of RATIO_BLOCK environments, each block's weights
+    drawn one environment's row at a time over the outer box's edges that
+    have an end in the retained box (in edge order), a weighted graph and
+    its marginal parameters per environment, and then the block's fields
+    by the route the product's rule gives the block: one dense batch loop
+    with one P per sample in index order, or the dense batch-of-one loop
+    per environment in the band sampler's order (R, B). Each environment
+    then takes a dense LDL^T of its beta, a full Green bundle and a
+    Gamma(1/2) coupling from its own stream, drawn by scalar calls. The
+    product must match it up to rounding. Returns (mean, stderr) per
+    separation."""
     out = []
     for e_i, ell in enumerate(ells):
         radius = ell // 2 + margin
         box = build_lattice_box(dim, radius + 1, 1.0)
         inner = [v for v in range(box.n) if np.abs(box.coords[v]).max() <= radius]
+        kept = set(inner)
+        read = [k for k, (i, j, _) in enumerate(box.edges) if i in kept or j in kept]
         rest = (0,) * (dim - 1)
         i_zero = box.coords.index((-(ell // 2),) + rest)
         i_ell = box.coords.index((ell - ell // 2,) + rest)
+        bw = (2 * radius + 1) ** (dim - 1)
         rng = stream(seed, "conductance-ratio", e_i)
         gamma_rng = stream(seed, "conductance-ratio-gamma", e_i)
         vals = np.empty(n_samples)
-        for s in range(n_samples):
-            w_draw = rng.gamma(a, 1.0, size=box.edge_count)
-            g_s = WeightedGraph(
-                n=box.n,
-                edges=tuple(
-                    (i, j, float(wd)) for (i, j, _), wd in zip(box.edges, w_draw)
-                ),
-                coords=box.coords,
-            )
-            params = reference_marginal_params(g_s, inner)
-            order = two_level_order(params.p)
-            beta = reference_sample_batch(params, 1, rng, order=order)[0]
-            bundle = green_bundle(
-                WiredBand.from_graph(g_s, inner),
-                factored(params, beta),
-                inner,
-                float(gamma_rng.gamma(0.5, 1.0)),
-                i0=None,
-            )
-            p0 = bundle.position(i_zero)
-            pl = bundle.position(i_ell)
-            grow = full_kernel(bundle)[p0]
-            x = grow * (wired_w(params) @ grow)
-            vals[s] = (x[pl] / x[p0]) ** 0.25
+        for lo in range(0, n_samples, RATIO_BLOCK):
+            s_block = min(RATIO_BLOCK, n_samples - lo)
+            graphs = []
+            for _ in range(s_block):
+                w = np.ones(box.edge_count)
+                w[read] = rng.gamma(a, 1.0, size=len(read))
+                graphs.append(
+                    WeightedGraph(
+                        n=box.n,
+                        edges=tuple(
+                            (i, j, float(x)) for (i, j, _), x in zip(box.edges, w)
+                        ),
+                        coords=box.coords,
+                    )
+                )
+            params = [reference_marginal_params(g_s, inner) for g_s in graphs]
+            if _ratio_batched(bw, s_block):
+                betas = reference_sample_batch(params, s_block, rng)
+            else:
+                betas = [
+                    reference_sample_batch(q, 1, rng, order=two_level_order(q.p))[0]
+                    for q in params
+                ]
+            for k, (g_s, q, beta) in enumerate(zip(graphs, params, betas)):
+                bundle = green_bundle(
+                    WiredBand.from_graph(g_s, inner),
+                    factored(q, beta),
+                    inner,
+                    float(gamma_rng.gamma(0.5, 1.0)),
+                    i0=None,
+                )
+                p0 = bundle.position(i_zero)
+                pl = bundle.position(i_ell)
+                grow = full_kernel(bundle)[p0]
+                x = grow * (wired_w(q) @ grow)
+                vals[lo + k] = (x[pl] / x[p0]) ** 0.25
         out.append((float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))))
     return out
 

@@ -83,10 +83,13 @@ TITLES = {
 # sha256 of the quick tier's lines at the default seed for criteria 2-13,
 # joined by newlines. Criterion 1 is left out: its .2e residuals depend on
 # the BLAS's rounding. Taken again, with FULL_LINES_SHA256, when the band
-# draw became two-level, and again when the scalar jump walk began to draw
-# its waits and picks a chunk at a time: each time only criterion 13's line
-# moved, the second time only its diffusion reading.
-QUICK_LINES_SHA256 = "be51180ed3d7b97cdb310e630be5b64e9cd4a3f0cb286f3f43113a4a93bed17d"
+# draw became two-level, again when the scalar jump walk began to draw its
+# waits and picks a chunk at a time, and again when the conductance ratio
+# began to draw its environments a block at a time, only the weights it
+# reads, with its d = 2 blocks batched: each time only criterion 13's line
+# moved, the second time only its diffusion reading and the third only its
+# ratio reading.
+QUICK_LINES_SHA256 = "3a4f7501ca551f569dc08b24a5cb1b58e48b6d689a4789c1f170aa040285e11c"
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +104,7 @@ def test_quick_lines_are_pinned(quick_results):
 
 # the same digest for the full tier's lines at the default seed, criteria
 # 2-13
-FULL_LINES_SHA256 = "cc61ed04d898a6c1dee1b970e44f4547e740dccd96653486a8831c2cc92ccb70"
+FULL_LINES_SHA256 = "de4111d9a7e22258f4d902f1676bb10a89d9b4a5251b5e0d3b1678aa105e8486"
 
 
 def test_full_lines_are_pinned(full_results):

@@ -1293,6 +1293,153 @@ class TestWiredBand:
             WiredBand.from_graph(g, [-1, 0])
 
 
+class TestWiredBandBlock:
+    """fill_rows, trimmed and couple on a block of environments, against
+    fill and couple one environment at a time."""
+
+    @pytest.mark.parametrize("dim,radius", [(1, 3), (2, 4), (3, 2)])
+    def test_fill_rows_is_fill_per_sample_bit_for_bit(self, dim, radius):
+        wired = WiredBand.box(dim, radius)
+        w = stream(74, "fill-rows", dim).gamma(1.0, 1.0, size=(6, wired.weights.size))
+        rows, eta = wired.fill_rows(w)
+        assert rows.shape == (wired.n, wired.bw + 1, 6) and eta.shape == (wired.n, 6)
+        for s in range(6):
+            band, eta_s = wired.fill(w[s])
+            np.testing.assert_array_equal(eta[:, s], eta_s)
+            np.testing.assert_array_equal(
+                _dense_from_band(rows[:, :, s]), _dense_from_diagonals(band)
+            )
+
+    def test_fill_rows_refuses_what_fill_refuses(self):
+        wired = WiredBand.box(2, 1)
+        w = np.ones((3, wired.weights.size))
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            v = w.copy()
+            v[2, 5] = bad
+            with pytest.raises(DomainError):
+                wired.fill_rows(v)
+        with pytest.raises(DomainError):
+            wired.fill_rows(w[0])
+        with pytest.raises(DomainError):
+            wired.fill_rows(w[:, 1:])
+        g = build_lattice_box(2, 1)
+        whole = WiredBand.from_graph(g, range(g.n))
+        with pytest.raises(RestrictionError):
+            whole.fill_rows(np.ones((2, g.edge_count)))
+
+    def test_fill_rows_refuses_a_block_beyond_physical_memory(self, monkeypatch):
+        wired = WiredBand.box(2, 5)
+        sysconf = os.sysconf
+        fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        with pytest.raises(SizeError, match="band rows of 40 samples on 121 sites"):
+            wired.fill_rows(np.ones((40, wired.weights.size)))
+
+    # the edges with an end in the retained box, of the outer box's edges:
+    # 180 of 220, 264 of 312 and 480 of 544 at radius 4, 5 and 7 (d = 2)
+    @pytest.mark.parametrize(
+        "dim,radius,kept,edges",
+        [(2, 4, 180, 220), (2, 5, 264, 312), (2, 7, 480, 544), (3, 1, 108, 300)],
+    )
+    def test_trimmed_keeps_the_edges_fill_reads(self, dim, radius, kept, edges):
+        wired = WiredBand.box(dim, radius, 0.7)
+        small = wired.trimmed()
+        assert (wired.weights.size, small.weights.size) == (edges, kept)
+        assert small.weights.size == wired.inner_edges.size + wired.cross_edges.size
+        for name in ("n", "bw", "inner_i", "inner_j", "cross_site", "offsets",
+                     "inner_column"):
+            np.testing.assert_array_equal(getattr(small, name), getattr(wired, name))
+        used = np.sort(np.concatenate([wired.inner_edges, wired.cross_edges]))
+        w = stream(75, "trimmed", dim).gamma(1.0, 1.0, size=wired.weights.size)
+        band, eta = wired.fill(w)
+        band_t, eta_t = small.fill(w[used])
+        np.testing.assert_array_equal(eta_t, eta)
+        np.testing.assert_array_equal(band_t.columns, band.columns)
+        v = stream(75, "trimmed-v", dim).uniform(0.5, 2.0, size=wired.n)
+        np.testing.assert_array_equal(small.couple(w[used], v), wired.couple(w, v))
+
+    def test_couple_on_a_block_is_each_row_bit_for_bit(self):
+        wired = WiredBand.box(2, 3)
+        rng = stream(76, "couple-block")
+        w = rng.gamma(1.0, 1.0, size=(5, wired.weights.size))
+        v = rng.uniform(0.5, 2.0, size=(5, wired.n))
+        got = wired.couple(w, v)
+        assert got.shape == (5, wired.n)
+        for s in range(5):
+            np.testing.assert_array_equal(got[s], wired.couple(w[s], v[s]))
+
+
+def _band_rows(ps, etas):
+    """_schur_loop's band rows (n, bw + 1, S) and field (n, S) for one dense
+    coupling ps[s] and boundary vector etas[s] per sample."""
+    n = ps[0].shape[0]
+    bw = max(int((j - i).max(initial=0)) for i, j in (np.nonzero(p) for p in ps))
+    st = np.zeros((n, bw + 1, len(ps)))
+    for s, p in enumerate(ps):
+        for d in range(bw + 1):
+            st[: n - d, d, s] = np.diagonal(p, d)
+    return st, np.stack(etas, axis=1).astype(float)
+
+
+def _triangle(w):
+    return NuParams(p=w * (np.ones((3, 3)) - np.eye(3)), eta=np.array([1.0, 0.5, 0.25]))
+
+
+class TestBatchWithOneCouplingPerSample:
+    """One batch of N = 200,000 fields from stream(25, "mixed-batch"), the
+    triangle with weights 1 on the even samples and weights 3 on the odd
+    ones, eta (1, 0.5, 0.25) for both; each half's Laplace transform is
+    read at 5 points from stream(25, "mixed-lam") under the 4-SE rule.
+    Declared before the draw was run."""
+
+    N = 200_000
+    HALVES = (_triangle(1.0), _triangle(3.0))
+
+    def draw(self, swapped):
+        order = self.HALVES[::-1] if swapped else self.HALVES
+        st, ew = _band_rows([q.p for q in order], [q.eta for q in order])
+        alternate = np.arange(self.N) % 2
+        st, ew = st[:, :, alternate], ew[:, alternate]
+        return vrjp.betafield._sample_rows(st, ew, 0.0, stream(25, "mixed-batch"))
+
+    def worst_z(self, sample):
+        lam_rng = stream(25, "mixed-lam")
+        worst = 0.0
+        for _ in range(5):
+            lam = lam_rng.uniform(0.0, 1.5, size=3)
+            for half, params in enumerate(self.HALVES):
+                vals = np.exp(-sample.beta[half::2] @ lam)
+                worst = max(worst, zscore(vals, laplace_closed_form(params, lam)))
+        return worst
+
+    def test_each_half_follows_its_own_coupling(self):
+        sample = self.draw(swapped=False)
+        assert sample.psd_certificate
+        assert self.worst_z(sample) <= SE_RULE
+
+    def test_power_each_half_drawn_on_the_other_coupling_fails(self):
+        # the same checks on a batch whose halves were eliminated with each
+        # other's coupling must fail
+        assert self.worst_z(self.draw(swapped=True)) > SE_RULE
+
+    def test_is_the_dense_loop_with_one_coupling_per_sample(self):
+        # draw for draw: the dense batch loop with one P per sample, whose
+        # beta differs by the rounding of the summed updates only
+        params = [_triangle(w) for w in (1.0, 3.0, 0.5, 2.0, 1.0)]
+        st, ew = _band_rows([q.p for q in params], [q.eta for q in params])
+        rng_got, rng_want = stream(26, "mixed"), stream(26, "mixed")
+        got = vrjp.betafield._sample_rows(st, ew, 0.0, rng_got)
+        want = reference_sample_batch(params, 5, rng_want)
+        _assert_same_draws(got.beta, want, rng_got, rng_want)
+        for s, q in enumerate(params):
+            np.testing.assert_allclose(
+                _ldlt_from_factor(got.rows[:, :, s], got.pivots[:, s]),
+                h_beta(q.p, got.beta[s]),
+                rtol=1e-12,
+                atol=1e-12,
+            )
+
+
 class TestErrwEnvironment:
     def test_gamma_weights_and_certificate(self):
         g = WeightedGraph(n=2, edges=((0, 1, 1.0),))

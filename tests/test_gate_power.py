@@ -16,15 +16,35 @@ from vrjp import betafield, verify
 from vrjp.verify import FULL, QUICK
 
 
-@pytest.mark.parametrize("seed", [7, 8])
-def test_c3_catches_a_two_percent_gig_shape(monkeypatch, seed):
-    # every site's shifted potential drawn with its GIG shape b scaled by
-    # 1.02: the marginal 1/(2 beta) is no longer inverse Gaussian
+def plant_gig_shape(monkeypatch, scale):
+    """Every site's shifted potential drawn with its GIG shape b scaled."""
     gig_in_order = betafield._gig_in_order
     monkeypatch.setattr(
-        betafield, "_gig_in_order", lambda b, rng: gig_in_order(1.02 * b, rng)
+        betafield, "_gig_in_order", lambda b, rng: gig_in_order(scale * b, rng)
     )
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_c3_catches_a_two_percent_gig_shape(monkeypatch, seed):
+    # the marginal 1/(2 beta) is no longer inverse Gaussian
+    plant_gig_shape(monkeypatch, 1.02)
     result = verify.criterion_3(FULL, seed)
+    assert not result.passed, result.line()
+
+
+def test_c2_catches_a_two_percent_gig_shape(monkeypatch):
+    # the Laplace transform leaves the closed form (worst |z| 15.4 on the
+    # wired 3x3 box at seed 7)
+    plant_gig_shape(monkeypatch, 1.02)
+    result = verify.criterion_2(FULL, 7)
+    assert not result.passed, result.line()
+
+
+def test_c6_catches_a_two_percent_gig_shape(monkeypatch):
+    # psi is no longer a martingale over the nested boxes (increment |z|
+    # 22.1 at seed 7)
+    plant_gig_shape(monkeypatch, 1.02)
+    result = verify.criterion_6(FULL, 7)
     assert not result.passed, result.line()
 
 

@@ -3,6 +3,9 @@ desk-scale experiments."""
 
 from __future__ import annotations
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -29,8 +32,21 @@ from vrjp import (
     vrjp_diffusion_experiment,
     word_chi2,
 )
-from vrjp.harness import SRW_BLOCK_PICKS, _kolmogorov_sf, _rooted_u_samples, ks_1samp
-from vrjp.verify import QUICK, _half_gamma_cdf, _inverse_gaussian_cdf, criterion_12
+from vrjp.harness import (
+    RATIO_BLOCK,
+    SRW_BLOCK_PICKS,
+    _kolmogorov_sf,
+    _ratio_batched,
+    _rooted_u_samples,
+    ks_1samp,
+)
+from vrjp.verify import (
+    FULL,
+    QUICK,
+    _half_gamma_cdf,
+    _inverse_gaussian_cdf,
+    criterion_12,
+)
 
 from _oracles import (
     ALPHA,
@@ -451,23 +467,163 @@ class TestConductanceRatioExperiment:
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_matches_dense_reference(self, seed):
-        # the band path draws the same variates in the same order as the
-        # per-environment dense loop; only the rounding differs
+        # the blocks draw the same variates in the same order as the dense
+        # loops, by the route the rule gives each block; only the rounding
+        # differs. 10 samples are a batched block at l = 2 (bw 9) and a band
+        # block at l = 4 (bw 11)
         reports = conductance_ratio_experiment(1.0, (2, 4), n_samples=10, seed=seed)
         want = reference_conductance_ratio(1.0, (2, 4), 10, seed)
         np.testing.assert_allclose(
             [(r.mean, r.stderr) for r in reports], want, rtol=1e-12, atol=0.0
         )
 
-    def test_never_runs_the_dense_sampler(self, monkeypatch):
-        def dense(*args, **kwargs):
-            raise AssertionError("dense elimination on a lattice box")
+    # (ells, samples, dim): 3 samples are band blocks at d = 2; 130 are a
+    # batched block of RATIO_BLOCK and a band block of 2; d = 3 is band
+    @pytest.mark.parametrize(
+        "ells, n, dim",
+        [((2,), 3, 2), ((2,), 130, 2), ((2,), 2, 3)],
+        ids=["band", "two-blocks", "d3-band"],
+    )
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_matches_dense_reference_on_every_route(self, seed, ells, n, dim):
+        reports = conductance_ratio_experiment(1.0, ells, n, seed, dim=dim)
+        want = reference_conductance_ratio(1.0, ells, n, seed, dim=dim)
+        np.testing.assert_allclose(
+            [(r.mean, r.stderr) for r in reports], want, rtol=1e-12, atol=0.0
+        )
 
+    def test_routes_are_on_both_sides_of_the_rule(self):
+        # the configurations above: bw 9 and 11 at S = 10, 3, 128 and 2
+        assert _ratio_batched(9, 10) and not _ratio_batched(11, 10)
+        assert not _ratio_batched(9, 3)
+        assert _ratio_batched(9, RATIO_BLOCK) and not _ratio_batched(9, 2)
+        assert not _ratio_batched(81, 2)
+
+    def test_never_runs_the_dense_sampler(self, monkeypatch):
+        # psi decay never runs the batch elimination, and the ratio's batch
+        # route eliminates each block on rows of width bw + 1 (10 at l = 2,
+        # 12 at l = 4), never on the dense width n (81, 121)
+        def dense(*args, **kwargs):
+            raise AssertionError("batch elimination in psi decay")
+
+        loop = vrjp.betafield._schur_loop
         monkeypatch.setattr(vrjp.betafield, "_schur_loop", dense)
-        reports = conductance_ratio_experiment(1.0, [2], n_samples=3, seed=7)
-        assert np.isfinite(reports[0].mean)
         rows = psi_decay_experiment(2, 0.2, [2], n_samples=4, seed=7)
         assert np.isfinite(rows[0]["median"])
+
+        shapes = []
+
+        def counted(st, ew, rng):
+            shapes.append(st.shape)
+            return loop(st, ew, rng)
+
+        monkeypatch.setattr(vrjp.betafield, "_schur_loop", counted)
+        reports = conductance_ratio_experiment(1.0, [2, 4], n_samples=20, seed=7)
+        assert all(np.isfinite(r.mean) for r in reports)
+        assert shapes == [(81, 10, 20), (121, 12, 20)]
+
+    @staticmethod
+    def routes(monkeypatch, *args, **kwargs):
+        """The routes the blocks of one ratio run take, in order: 'batch'
+        with its block size, or 'band' once per environment."""
+        taken = []
+        harness = vrjp.harness
+        rows, banded = harness._sample_rows, harness.sample_banded
+
+        def batch(st, ew, p_diag, rng):
+            taken.append(("batch", st.shape[2]))
+            return rows(st, ew, p_diag, rng)
+
+        def band(*a, **k):
+            taken.append("band")
+            return banded(*a, **k)
+
+        monkeypatch.setattr(harness, "_sample_rows", batch)
+        monkeypatch.setattr(harness, "sample_banded", band)
+        conductance_ratio_experiment(*args, **kwargs)
+        return taken
+
+    @pytest.mark.parametrize(
+        "ells, n",
+        [((2, 4, 8), 40), (FULL.cr_ells, FULL.cr_n), (QUICK.cr_ells, QUICK.cr_n)],
+        ids=["per-env", "c13-full", "c13-quick"],
+    )
+    def test_benchmark_and_gate_blocks_take_the_batch(self, monkeypatch, ells, n):
+        taken = self.routes(monkeypatch, 1.0, ells, n, 7)
+        assert taken == [("batch", n)] * len(ells)
+
+    def test_small_blocks_and_every_d3_box_take_the_band_draw(self, monkeypatch):
+        assert self.routes(monkeypatch, 1.0, [2], 3, 7) == ["band"] * 3
+        assert self.routes(monkeypatch, 1.0, [0], 3, 7, dim=3) == ["band"] * 3
+        # the narrowest d = 3 ratio box, l = 0, has bw 49; no block size
+        # batches it or anything wider
+        for bw in (49, 81, 121, 169):
+            assert not any(_ratio_batched(bw, s) for s in range(1, RATIO_BLOCK + 1))
+
+    def test_a_block_past_the_last_is_routed_on_its_own_size(self, monkeypatch):
+        taken = self.routes(monkeypatch, 1.0, [2], RATIO_BLOCK + 2, 7)
+        assert taken == [("batch", RATIO_BLOCK), "band", "band"]
+
+    def test_gamma_block_is_the_scalar_draws(self):
+        got = stream(7, "conductance-ratio-gamma", 0).gamma(0.5, 1.0, size=100)
+        rng = stream(7, "conductance-ratio-gamma", 0)
+        want = [rng.gamma(0.5, 1.0) for _ in range(100)]
+        np.testing.assert_array_equal(got, want)
+
+    def test_draws_no_weight_that_nothing_reads(self, monkeypatch):
+        # one Gamma weight per edge with an end in the retained box: 180 of
+        # the 220 edges of the 11 x 11 box at l = 2
+        sizes = []
+        harness = vrjp.harness
+        real = harness.stream
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def gamma(self, shape, scale, size=None):
+                sizes.append(size)
+                return self.rng.gamma(shape, scale, size=size)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(harness, "stream", lambda *key: Counted(real(*key)))
+        conductance_ratio_experiment(1.0, [2], n_samples=20, seed=7)
+        assert sizes == [(20, 180), 20]
+
+    def test_refuses_a_block_beyond_memory_before_drawing(self, monkeypatch):
+        # 256 pages hold the l = 8 box's edge arrays (74 KB) but not a block
+        # of 100 environments on its 225 sites (about 5.6 MB)
+        monkeypatch.setattr(vrjp.harness, "stream", lambda *key: NoDraws())
+        sysconf = os.sysconf
+        fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        with pytest.raises(SizeError, match="conductance-ratio block on 225 sites"):
+            conductance_ratio_experiment(1.0, [8], n_samples=100, seed=7)
+
+    def test_refused_size_covers_what_a_block_holds(self, monkeypatch):
+        # the count the refusal is asked about bounds a batched block's
+        # traced peak, the box's edge arrays and the reports included
+        n = 100
+        asked = []
+        refuse = vrjp.harness._refuse_beyond_memory
+
+        def counted(need, what):
+            if "conductance-ratio block" in what:
+                asked.append(need)
+            return refuse(need, what)
+
+        monkeypatch.setattr(vrjp.harness, "_refuse_beyond_memory", counted)
+        conductance_ratio_experiment(1.0, [8], n_samples=n, seed=7)
+        tracemalloc.start()
+        try:
+            conductance_ratio_experiment(1.0, [8], n_samples=n, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(asked) == 2
+        assert peak <= asked[1]
 
     @pytest.mark.parametrize("a", [np.nan, np.inf, 0.0])
     def test_refuses_unusable_shape_before_drawing(self, monkeypatch, a):

@@ -310,6 +310,101 @@ class TestGreenSolveBandedBatch:
             green_solve_banded(sample, np.ones((3, 2)))
 
 
+def _block_sample(n_samples, seed):
+    """A batch drawn on the 5x5 box wired inside the 7x7 box with its own
+    Gamma(1) edge weights per sample (WiredBand.fill_rows), and each
+    sample's dense coupling."""
+    wired = WiredBand.box(2, 2).trimmed()
+    rng = stream(seed, "gsb-block")
+    w = rng.gamma(1.0, 1.0, size=(n_samples, wired.weights.size))
+    rows, eta = wired.fill_rows(w)
+    dense = np.zeros((n_samples, wired.n, wired.n))
+    for d in range(1, wired.bw + 1):
+        i = np.arange(wired.n - d)
+        dense[:, i, i + d] = dense[:, i + d, i] = rows[: wired.n - d, d].T
+    sample = vrjp.betafield._sample_rows(rows, eta, 0.0, rng)
+    return sample, dense
+
+
+class TestGreenSolveBandedPerSample:
+    """A right-hand side per sample on a batch whose samples carry their own
+    couplings, against green_solve one environment at a time."""
+
+    @pytest.mark.parametrize("k", [None, 1, 2], ids=["vector", "k1", "k2"])
+    def test_matches_dense_solve_per_environment(self, k):
+        sample, dense = _block_sample(40, 85)
+        s, m = sample.beta.shape
+        shape = (s, m) if k is None else (s, m, k)
+        rhs = stream(85, "gsb-block-rhs").uniform(0.1, 1.0, size=shape)
+        kept = rhs.copy()
+        got = green_solve_banded(sample, rhs)
+        assert got.shape == shape
+        for e in range(s):
+            want = green_solve(dense[e], sample.beta[e], rhs[e])
+            np.testing.assert_allclose(got[e], want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(rhs, kept)
+
+    def test_a_shared_rhs_is_every_sample_s_own(self):
+        sample, _ = _block_sample(6, 86)
+        rhs = stream(86, "gsb-shared").uniform(0.1, 1.0, size=(sample.beta.shape[1], 2))
+        own = np.broadcast_to(rhs, (6,) + rhs.shape)
+        np.testing.assert_array_equal(
+            green_solve_banded(sample, rhs), green_solve_banded(sample, own)
+        )
+
+    def test_an_m_by_m_rhs_on_m_samples_is_shared(self):
+        # the tie: (m, k) with k = S = m reads as shared, as it always did,
+        # and one column per sample is written (S, m, 1); sample e's own
+        # column here is the shared rhs's column e
+        params = NuParams(p=np.zeros((3, 3)), eta=np.ones(3))
+        sample = sample_batch(params, 3, stream(87, "gsb-tie"))
+        rhs = np.arange(1.0, 10.0).reshape(3, 3)
+        shared = green_solve_banded(sample, rhs)
+        own = green_solve_banded(sample, rhs.T[:, :, None])
+        assert shared.shape == (3, 3, 3) and own.shape == (3, 3, 1)
+        for e in range(3):
+            np.testing.assert_array_equal(own[e, :, 0], shared[e, :, e])
+
+    @pytest.fixture
+    def no_division(self, monkeypatch):
+        # a refusal must come before the substitution divides anything
+        def reached(*args, **kwargs):
+            raise AssertionError("the substitution was reached")
+
+        monkeypatch.setattr(vrjp.schrodinger, "_band_substitute", reached)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(5, 25), (4, 24), (4, 26), (4, 25, 2, 1), (25, 4, 2), (4,)],
+        ids=["S+1", "m-1", "m+1", "4-d", "transposed", "S"],
+    )
+    def test_refuses_a_mis_shaped_rhs(self, no_division, shape):
+        sample, _ = _block_sample(4, 88)
+        with pytest.raises(DomainError, match="must have shape"):
+            green_solve_banded(sample, np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(4, 25, 0), (25, 0)], ids=["own", "shared"])
+    def test_refuses_a_rhs_without_entries(self, no_division, shape):
+        sample, _ = _block_sample(4, 88)
+        with pytest.raises(DomainError, match="no entries"):
+            green_solve_banded(sample, np.ones(shape))
+
+    def test_refuses_a_failed_certificate(self, no_division):
+        sample, _ = _block_sample(4, 88)
+        sample = dataclasses.replace(sample, psd_certificate=False)
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            green_solve_banded(sample, np.ones((4, 25)))
+
+    def test_refuses_a_zero_pivot(self, no_division):
+        sample, _ = _block_sample(4, 88)
+        pivots = sample.pivots.copy()
+        pivots[7, 2] = 0.0
+        sample = dataclasses.replace(sample, pivots=pivots)
+        assert sample.psd_certificate
+        with pytest.raises(FactorizationError, match="singular"):
+            green_solve_banded(sample, np.ones((4, 25, 2)))
+
+
 @pytest.mark.parametrize("shape", [(), (1,), (8,)], ids=["scalar", "one", "m+1"])
 @pytest.mark.parametrize("banded", [False, True], ids=["dense", "band"])
 def test_green_solves_refuse_a_beta_of_the_wrong_shape(banded, shape):
