@@ -38,8 +38,10 @@ rows of P, one for a batch of fields and one for a single wide draw:
   _blocked_band_loop eliminates B's band in panels, left-looking within a
   panel, with the panel's boundary field as one more row of its window,
   so that one gemv updates a site's column and its field together and
-  one sum gives its shape; the block behind a panel takes all of its
-  updates as one BLAS-3 dsyrk, and its field as one product. Elimination
+  one sum gives its shape. The window holds the panel alone: the block
+  behind a panel takes all of its updates as one BLAS-3 dsyrk run in
+  place on B's rows, which bw rows at a time read as a dense matrix of
+  leading dimension bw, and its field as one product. Elimination
   with pivots x is the LDL^T factorization of H_beta in the order (R, B),
   D = diag(x), and the sample keeps it (BandSample, with R's coupling to
   B as gather tables), as the batch does, with a positivity certificate
@@ -385,69 +387,89 @@ def _blocked_band_loop(
     band: np.ndarray, ew: np.ndarray, rng: np.random.Generator, nb: int = _PANEL
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Eliminate the n sites of band storage in index order, nb sites per
-    panel, with boundary field ew; returns (beta, pivots). band[i, d] =
-    P[i, i + d] on entry, and band ends as the factor L D in dtbtrs's lower
-    band layout (BandSample.rows): each panel writes its rows once, pivot
-    x_k in column 0 and -P^(k)[k, k + d], L_k+d,k x_k, in column d. ew is
-    scratch.
+    panel, with boundary field ew; returns (beta, pivots). band, C-ordered,
+    holds band[i, d] = P[i, i + d] on entry and ends as the factor L D in
+    dtbtrs's lower band layout (BandSample.rows): each panel writes its rows
+    once, pivot x_k in column 0 and -P^(k)[k, k + d], L_k+d,k x_k, in
+    column d. ew is scratch.
 
-    A panel's window is the band rows it touches, [k0, k0 + nb + bw), copied
-    into a dense Fortran-ordered scratch that holds row i of the window as
-    its column i (so the lower triangle is P's upper), with one extra row,
-    `size`, that holds the panel's own sites' boundary field. The panel is
-    left-looking: one gemv folds the earlier sites' updates into column j,
-    its boundary entry included, just before site j draws its x from one
-    sum of the column below the diagonal, as _schur_loop does; beta is read
-    off the window's diagonal once per panel. The panel's rows go back to
-    band as factor rows, negated (exactly) with the pivots in front, and
-    the rows past it take every update of the panel at once, as
-    one dsyrk of its columns scaled by 1/sqrt(x), and their boundary field
-    as one product with the panel's. Past the diagonal band the window
-    stays zero, and cells above the window's diagonal hold only writes
-    nothing reads.
+    A panel's window holds its own band rows, [k0, k0 + nb), copied into a
+    dense Fortran-ordered scratch that holds row i as its column i from the
+    diagonal down (so the lower triangle is P's upper), nb + bw rows deep,
+    with one extra row, `size`, that holds the panel's boundary field. The
+    panel is left-looking: one gemv folds the earlier sites' updates into
+    column j, its boundary entry included, just before site j draws its x
+    from one sum of the column below the diagonal, as _schur_loop does; the
+    per-site views are made once per draw, and beta is read off the
+    window's diagonal once per panel. The panel's rows go back to band as
+    factor rows, negated (exactly) with the pivots in front.
+
+    The rows past the panel take every update of the panel at once, as one
+    dsyrk of its columns scaled by 1/sqrt(x), in place on band: P[i, j]
+    sits at flat offset i * bw + j, so bw rows from row r read as a dense
+    matrix of leading dimension bw whose transpose holds P's trailing block
+    in its lower triangle, the triangle dsyrk writes. Their boundary field
+    takes one product with the panel's. A last block of fewer than bw rows
+    is strided, so dsyrk updates a copy, of which only the lower triangle
+    goes back: its other cells alias band entries of the rows around it.
+    Past the diagonal band the window stays zero.
     """
     n, width = band.shape
     bw = width - 1
     size = nb + bw
     ld = size + 1
-    # bw spare cells let the sheared view of the window's last rows run on;
-    # for a site past the panel that view reaches row `size`, so only the
-    # panel's own columns keep their boundary field there
-    buf = np.zeros(ld * size + bw)
-    win = buf[: ld * size].reshape(ld, size, order="F")
+    flat = np.reshape(band, -1, copy=False)
+    buf = np.zeros(ld * nb)
+    win = buf.reshape(ld, nb, order="F")
     cell = buf.strides[0]
+    # rows[i, d] = win[i + d, i]: window column i as band row k0 + i
+    rows = np.lib.stride_tricks.as_strided(
+        buf, shape=(nb, width), strides=((ld + 1) * cell, cell)
+    )
+    x = np.empty(nb)
+    # site j's column from its diagonal down, the earlier columns beside
+    # it, its row of them, their pivots, and its column below the diagonal
+    steps = [
+        (win[j:, j], win[j:, :j], win[j, :j], x[:j], win[j + 1 :, j])
+        for j in range(min(nb, n))
+    ]
+    lower = np.tri(bw, dtype=bool)
     beta = np.empty(n)
     pivots = np.empty(n)
     for k0 in range(0, n, nb):
         p = min(nb, n - k0)
         t = min(p + bw, n - k0)
-        # rows[i, d] = win[i + d, i]: window row i as band row k0 + i
-        rows = np.lib.stride_tricks.as_strided(
-            buf, shape=(t, width), strides=((ld + 1) * cell, cell)
-        )
-        rows[...] = band[k0 : k0 + t]
+        rows[:p] = band[k0 : k0 + p]
         if t < size:
-            # the gemv and the sum run down to row `size`: clear what the
-            # band rows copied here did not reach
+            # the gemv and the sum run down to row `size`: clear what lies
+            # past site n - 1 and what an earlier panel left
             win[t:size, :p] = 0.0
         dl = win[size, :p]
         dl[...] = ew[k0 : k0 + p]
-        x = pivots[k0 : k0 + p]
-        for j in range(p):
-            col = win[j:, j]
-            col += win[j:, :j] @ (win[j, :j] / x[:j])
+        for j, (col, left, head, prev, tail) in enumerate(steps[:p]):
+            col += left @ (head / prev)
             # the one draw _gig_in_order makes for a single sample
-            x[j] = gig_half_sample(np.add.reduce(col[1:]) ** 2, rng)
-        beta[k0 : k0 + p] = 0.5 * (x + rows[:p, 0])
+            x[j] = gig_half_sample(np.add.reduce(tail) ** 2, rng)
+        xp = x[:p]
+        pivots[k0 : k0 + p] = xp
+        beta[k0 : k0 + p] = 0.5 * (xp + rows[:p, 0])
         done = band[k0 : k0 + p]
-        done[:, 0] = x
+        done[:, 0] = xp
         np.negative(rows[:p, 1:], out=done[:, 1:])
         if t > p:
-            root = np.sqrt(x)
+            m = t - p
+            root = np.sqrt(xp)
             a = win[p:t, :p] / root
-            win[p:t, p:t] = dsyrk(1.0, a, beta=1.0, c=win[p:t, p:t], lower=1)
             ew[k0 + p : k0 + t] += a @ (dl / root)
-            band[k0 + p : k0 + t] = rows[p:t]
+            # block[b, a] = P[k0 + p + a, k0 + p + b] for b >= a, read in
+            # place: Fortran-contiguous when m == bw, so dsyrk writes it
+            block = np.lib.stride_tricks.as_strided(
+                flat[(k0 + p) * width :], shape=(m, m), strides=(cell, bw * cell)
+            )
+            got = dsyrk(1.0, a, beta=1.0, c=block, lower=1, overwrite_c=1)
+            if m < bw:
+                # strided, so dsyrk updated a copy
+                np.copyto(block, got, where=lower[:m, :m])
     return beta, pivots
 
 
@@ -890,10 +912,14 @@ def _schur_complement(
 
 def _factor_cells(rows: int, bw: int) -> int:
     """Cells of a band factor of `rows` sites at bandwidth bw, held once,
-    and of _blocked_band_loop's window with its boundary row and spare
-    cells, scaled panel and dsyrk's trailing block."""
-    size = _PANEL + bw
-    return rows * (bw + 1) + (size + 1) * size + bw + _PANEL * bw + bw * bw
+    and of _blocked_band_loop's scratch: the window of one panel with its
+    boundary row, the five per-site views of each of its sites (about 17
+    cells each by tracemalloc), the scaled panel, and the copy that a last
+    trailing block of fewer than bw rows goes through, with the mask of its
+    lower triangle, a byte an entry. A full trailing block is updated in
+    place on the factor's rows, with no copy."""
+    window = (_PANEL + bw + 1) * _PANEL + 5 * 17 * _PANEL
+    return rows * (bw + 1) + window + _PANEL * bw + bw * bw + bw * bw // 8
 
 
 def _draw_bytes(n: int, bw: int, q: int) -> int:
@@ -902,8 +928,9 @@ def _draw_bytes(n: int, bw: int, q: int) -> int:
     S's entries with R and B at n sites, and B's factor at n rows and bw,
     which bounds a box's (its B has half the sites at bw). No dense band
     of P and no copy of the factor is counted: tracemalloc read the draw's
-    peak at 0.34 to 0.47 of this on boxes of 121 to 14,641 sites at d = 1
-    to 3, and 0.65 on the 101-site box at d = 1."""
+    peak at 0.36 to 0.45 of this on boxes of 121 to 14,641 sites at d = 2
+    and 3 and of 1,001 at d = 1, and at 0.66 and 0.79 on the d = 1 boxes
+    of 121 and 101 sites, where fixed costs weigh most."""
     return (4 * n + 16 * n * q + 6 * n * q * (2 * q + 1) + _factor_cells(n, bw)) * 8
 
 
@@ -957,7 +984,7 @@ def sample_banded(
     # temporaries, S's entries from R's pairs of neighbours (at most
     # q (2q + 1) per site), and B's factor, held once, with the panel
     # arrays at B's bandwidth, which is below 2 bw (a box's is bw).
-    # tracemalloc read the draw's peak at 0.36 to 0.78 of this on boxes of
+    # tracemalloc read the draw's peak at 0.41 to 0.89 of this on boxes of
     # 101 to 14,641 sites at d = 1 to 3
     reach = min(2 * bw, max(b.size - 1, 0))
     cells = 16 * n * q + 6 * r.size * q * (2 * q + 1) + _factor_cells(b.size, reach)

@@ -727,6 +727,27 @@ def _assert_same_draws(got, want, rng_got, rng_want):
     np.testing.assert_array_equal(rng_got.random(4), rng_want.random(4))
 
 
+# sha256 of sample_banded(band_diagonals(band), eta, stream(64, "banded-pin",
+# dim, radius))'s beta, pivots and rows, and of the generator's next
+# rng.random(4), as little-endian float64, with (band, _, eta) =
+# _box_band(dim, radius, 0.7): B holds 144 sites at bandwidth 17 on the
+# d = 2 box and 364 at bandwidth 81 on the d = 3 one
+BANDED_SHA256 = {
+    (2, 8): {
+        "beta": "5323aba8fea627227bd92a770b22b6934d370ff58ab7ec4cdc70b9b54c75a153",
+        "pivots": "f5dc1610d7c3cc7eb38243d54bca244915dd488beca0ebbf584000178aaf4c35",
+        "rows": "451121d0679f868ca37713b123400f7c8cdd05b1300360f9606b8a8daf9fc29c",
+        "next": "0a4e15b068d11354d1885048d13c213d0daad33ba807d6226f6144a0f732e701",
+    },
+    (3, 4): {
+        "beta": "301b17337a12133047fc3f064a1876b060dfdc5ca547b95a950d6592c94c050a",
+        "pivots": "70dc56fa4738f79dfc481d2b6b5c87c74efc3340dfc06eb3dc0ef78ed24a9e9e",
+        "rows": "6e76478fccf9e6e30944e25e32bf06ed5779e18eab8c91e982753b4f51ba6849",
+        "next": "ec68e4dadcb95d3c1a10a747128addaddc0c6d866409c3293881c03ef7fa1405",
+    },
+}
+
+
 class TestBandedSampler:
     def test_band_storage_matches_weight_matrix(self):
         g = build_lattice_box(2, 1)
@@ -963,26 +984,51 @@ class TestBlockedBandKernel:
         # 49 sites at bandwidth 7 in panels of 32 and 17: the full panel's
         # trailing sites reach the window's boundary row, and the short one
         # runs its gemv and sum down to that row past the band's last
-        # site. The cells past site n - 1 hold values no site couples to
-        # (band storage leaves them unused), which the draw must ignore.
-        band, bw, eta = _box_band(2, 3, 0.7)
-        n = band.shape[0]
-        assert (bw, n) == (7, 49)
-        junk = band.copy()
-        for d in range(1, bw + 1):
-            junk[n - d :, d] = 5.0 + d
-        rng_got, rng_want = stream(62, "short-last"), stream(62, "short-last")
-        rows = junk.copy()
-        got, pivots = _blocked_band_loop(rows, eta.copy(), rng_got, 32)
-        want = reference_sample_banded(band, eta, rng_want)
-        _assert_same_draws(got, want, rng_got, rng_want)
-        h = h_beta(_dense_from_band(band), got)
-        clean = rows.copy()
-        for d in range(1, bw + 1):
-            clean[n - d :, d] = 0.0
-        np.testing.assert_array_equal(clean[:, 0], pivots)
-        rebuilt = _ldlt_from_lower_band(clean)
-        assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
+        # site. 343 sites at bandwidth 49, above the panel width, in ten
+        # panels of 32 and one of 23: the tenth panel's trailing block
+        # holds 23 rows, fewer than bw, so it is not one dense block of
+        # the band. The cells past site n - 1 hold values no site couples
+        # to (band storage leaves them unused), which the draw must ignore:
+        # neither the panels nor the in-place trailing updates carry them
+        # into a draw or a factor entry, and they end as the zeros the
+        # panels write past site n - 1.
+        for dim, radius, bw, n in [(2, 3, 7, 49), (3, 3, 49, 343)]:
+            band, got_bw, eta = _box_band(dim, radius, 0.7)
+            assert (got_bw, band.shape[0]) == (bw, n)
+            past = np.zeros(band.shape, dtype=bool)
+            for d in range(1, bw + 1):
+                past[n - d :, d] = True
+            rows = band.copy()
+            rows[past] = np.broadcast_to(5.0 + np.arange(bw + 1), band.shape)[past]
+            rng_got, rng_want = stream(62, "short-last"), stream(62, "short-last")
+            got, pivots = _blocked_band_loop(rows, eta.copy(), rng_got, 32)
+            want = reference_sample_banded(band, eta, rng_want)
+            _assert_same_draws(got, want, rng_got, rng_want)
+            assert (rows[past] == 0.0).all()
+            np.testing.assert_array_equal(rows[:, 0], pivots)
+            h = h_beta(_dense_from_band(band), got)
+            rebuilt = _ldlt_from_lower_band(rows)
+            assert np.abs(rebuilt - h).max() <= 1e-13 * np.abs(h).max()
+
+    @pytest.mark.parametrize("dim,radius", list(BANDED_SHA256))
+    def test_band_draw_bits_are_pinned(self, dim, radius):
+        # sample_banded's beta, pivots and kept rows, and the generator's
+        # next draws, on B's bandwidth 17, below the panel width, and 81,
+        # above it, where the last panels' trailing blocks hold fewer than
+        # bw rows
+        band, _bw, eta = _box_band(dim, radius, 0.7)
+        rng = stream(64, "banded-pin", dim, radius)
+        sample = sample_banded(band_diagonals(band), eta, rng)
+        got = {
+            "beta": sample.beta,
+            "pivots": sample.pivots,
+            "rows": sample.rows,
+            "next": rng.random(4),
+        }
+        for name, a in got.items():
+            raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+            want = BANDED_SHA256[dim, radius][name]
+            assert hashlib.sha256(raw).hexdigest() == want, name
 
     def test_sample_keeps_its_factor(self):
         # B's 312 sites at sample_banded's panel width, with a short last
@@ -1047,11 +1093,12 @@ class TestBlockedBandKernel:
 
     def test_refuses_window_beyond_physical_memory(self):
         # bw + 1 sites at bandwidth bw whose factor, about bw^2 cells, fits
-        # in memory, but not with the panel window and dsyrk's trailing
-        # block, about bw^2 cells more each: zero-stride inputs, nothing
-        # allocated, no draw made
+        # in memory, but not with the copy that the last trailing block, of
+        # fewer than bw rows, goes through and that copy's mask, about
+        # 1.1 bw^2 cells more (the panel window is only about 32 bw):
+        # zero-stride inputs, nothing allocated, no draw made
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        bw = int(np.sqrt(have / 8 / 2.5))
+        bw = int(np.sqrt(have / 8 / 1.6))
         assert (bw + 1) ** 2 * 8 < have
         columns = np.broadcast_to(np.zeros(1), (bw + 1, 2))
         band = BandDiagonals(np.array([bw]), columns)

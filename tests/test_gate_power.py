@@ -2,12 +2,15 @@
 rebinding one of its functions, must make the criterion that names the
 defective law FAIL.
 
-The shape defect runs at the full size tier, at the seeds the full gate is
-recorded at; the non-finite samples run at the quick tier, since any size
-must fail on them.
+The planted defects of a law (the GIG shape, the Green bundle, the walk's
+step) run at the full size tier, at the seeds the full gate is recorded at;
+the non-finite samples run at the quick tier, since any size must fail on
+them.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -45,6 +48,66 @@ def test_c6_catches_a_two_percent_gig_shape(monkeypatch):
     # 22.1 at seed 7)
     plant_gig_shape(monkeypatch, 1.02)
     result = verify.criterion_6(FULL, 7)
+    assert not result.passed, result.line()
+
+
+@pytest.mark.parametrize("field", ["psi", "gamma"])
+def test_c1_catches_a_green_bundle_off_by_one_part_in_a_million(monkeypatch, field):
+    # one entry of psi, or the coupling gamma, scaled by 1 + 1e-6 in every
+    # bundle: the wired operator no longer inverts the full kernel to
+    # within the 1e-9 tolerance
+    green_bundle = verify.green_bundle
+
+    def planted(*args, **kwargs):
+        bundle = green_bundle(*args, **kwargs)
+        if field == "gamma":
+            return dataclasses.replace(bundle, gamma=bundle.gamma * (1.0 + 1e-6))
+        psi = bundle.psi.copy()
+        psi[psi.size // 2] *= 1.0 + 1e-6
+        return dataclasses.replace(bundle, psi=psi)
+
+    monkeypatch.setattr(verify, "green_bundle", planted)
+    result = verify.criterion_1(FULL, 7)
+    assert not result.passed, result.line()
+
+
+def plant_step(monkeypatch, weights):
+    """C12's walks step to +e_0, -e_0, +e_1, -e_1 with the given weights
+    and stay put with the rest of 1, in blocks of 1,000 walks."""
+
+    def planted(dim, n_walks, length, rng):
+        assert dim == 2
+        cdf = np.cumsum(weights)
+        ends = np.empty((n_walks, dim), dtype=np.int64)
+        for lo in range(0, n_walks, 1000):
+            picks = np.searchsorted(cdf, rng.random((min(1000, n_walks - lo), length)))
+            for ax in range(dim):
+                moves = (picks == 2 * ax).sum(axis=1) - (picks == 2 * ax + 1).sum(axis=1)
+                ends[lo : lo + moves.size, ax] = moves
+        return ends
+
+    monkeypatch.setattr(verify, "srw_endpoints", planted)
+
+
+def test_c12_passes_its_planted_walker_with_fair_steps(monkeypatch):
+    # the control: the planted walker itself, with no defect, passes
+    # (E|X_n|^2/n = 1.0148 at seed 7)
+    plant_step(monkeypatch, [0.25, 0.25, 0.25, 0.25])
+    result = verify.criterion_12(FULL, 7)
+    assert result.passed, result.line()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.225, 0.225, 0.225, 0.225], [0.255, 0.245, 0.25, 0.25]],
+    ids=["lazy", "biased"],
+)
+def test_c12_catches_a_defective_step(monkeypatch, weights):
+    # lazy: each step stays put with probability 0.1, so E|X_n|^2/n is
+    # 0.9; biased: a drift of 0.01 a step along e_0 adds about
+    # 1e-4 n = 0.1 to it at n = 1,000. The bound is 0.02 either way
+    plant_step(monkeypatch, weights)
+    result = verify.criterion_12(FULL, 7)
     assert not result.passed, result.line()
 
 
